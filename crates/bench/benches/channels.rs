@@ -6,6 +6,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::time::Duration;
 
+use fading_cr::channel::ChannelPerturbation;
 use fading_cr::prelude::*;
 
 fn split(n: usize) -> (Vec<usize>, Vec<usize>) {
@@ -13,6 +14,27 @@ fn split(n: usize) -> (Vec<usize>, Vec<usize>) {
     let transmitters: Vec<usize> = (0..n).step_by(4).collect();
     let listeners: Vec<usize> = (0..n).filter(|i| i % 4 != 0).collect();
     (transmitters, listeners)
+}
+
+/// One round on `ch` through `engine` (serial executor, no breakdowns).
+fn resolve_on(
+    ch: &dyn Channel,
+    positions: &[Point],
+    (tx, rx): (&[usize], &[usize]),
+    engine: &mut ResolveEngine,
+    perturbation: &ChannelPerturbation<'_>,
+    rng: &mut SmallRng,
+) -> Vec<Reception> {
+    ch.resolve_with(
+        positions,
+        tx,
+        rx,
+        engine,
+        perturbation,
+        &SerialExecutor,
+        rng,
+        None,
+    )
 }
 
 fn bench_channels(c: &mut Criterion) {
@@ -32,12 +54,25 @@ fn bench_channels(c: &mut Criterion) {
             b.iter(|| sinr.resolve(&positions, &tx, &rx, &mut rng));
         });
 
-        let cache = sinr
-            .build_gain_cache(&positions)
-            .expect("bench sizes are within the cache guard");
+        let neutral = ChannelPerturbation::neutral();
+        let mut cache = ResolveEngine::build(&sinr, EngineTier::GainCache, &positions);
+        assert_eq!(
+            cache.tier(),
+            EngineTier::GainCache,
+            "bench sizes are within the cache guard"
+        );
         group.bench_with_input(BenchmarkId::new("sinr-cached", n), &n, |b, _| {
             let mut rng = SmallRng::seed_from_u64(0);
-            b.iter(|| sinr.resolve_cached(&positions, &tx, &rx, Some(&cache), &mut rng));
+            b.iter(|| {
+                resolve_on(
+                    &sinr,
+                    &positions,
+                    (&tx, &rx),
+                    &mut cache,
+                    &neutral,
+                    &mut rng,
+                )
+            });
         });
 
         let rayleigh = RayleighSinrChannel::new(params);
@@ -48,7 +83,16 @@ fn bench_channels(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("rayleigh-cached", n), &n, |b, _| {
             let mut rng = SmallRng::seed_from_u64(0);
-            b.iter(|| rayleigh.resolve_cached(&positions, &tx, &rx, Some(&cache), &mut rng));
+            b.iter(|| {
+                resolve_on(
+                    &rayleigh,
+                    &positions,
+                    (&tx, &rx),
+                    &mut cache,
+                    &neutral,
+                    &mut rng,
+                )
+            });
         });
 
         let radio = RadioChannel::new();
@@ -74,9 +118,13 @@ fn bench_cached_vs_uncached(c: &mut Criterion) {
     let rx: Vec<usize> = (1..n).step_by(2).collect();
     let params = SinrParams::default_single_hop().with_power_for(&d);
     let sinr = SinrChannel::new(params);
-    let cache = sinr
-        .build_gain_cache(&positions)
-        .expect("n = 2048 is within the cache guard");
+    let mut cache = ResolveEngine::build(&sinr, EngineTier::GainCache, &positions);
+    assert_eq!(
+        cache.tier(),
+        EngineTier::GainCache,
+        "n = 2048 is within the cache guard"
+    );
+    let neutral = ChannelPerturbation::neutral();
 
     group.bench_function("uncached", |b| {
         let mut rng = SmallRng::seed_from_u64(0);
@@ -84,7 +132,16 @@ fn bench_cached_vs_uncached(c: &mut Criterion) {
     });
     group.bench_function("cached", |b| {
         let mut rng = SmallRng::seed_from_u64(0);
-        b.iter(|| sinr.resolve_cached(&positions, &tx, &rx, Some(&cache), &mut rng));
+        b.iter(|| {
+            resolve_on(
+                &sinr,
+                &positions,
+                (&tx, &rx),
+                &mut cache,
+                &neutral,
+                &mut rng,
+            )
+        });
     });
     group.finish();
 }
@@ -94,7 +151,6 @@ fn bench_cached_vs_uncached(c: &mut Criterion) {
 /// percent (the acceptance target is < 10%), and the perturbed path with an
 /// active jammer shows the true cost of fault evaluation.
 fn bench_faulted_vs_unfaulted(c: &mut Criterion) {
-    use fading_cr::channel::ChannelPerturbation;
     use fading_cr::sim::faults::{FaultPlan, Jammer};
 
     let mut group = c.benchmark_group("faulted_vs_unfaulted_n2048");
@@ -106,20 +162,28 @@ fn bench_faulted_vs_unfaulted(c: &mut Criterion) {
     let (tx, rx) = split(n);
     let params = SinrParams::default_single_hop().with_power_for(&d);
     let sinr = SinrChannel::new(params);
-    let cache = sinr
-        .build_gain_cache(&positions)
-        .expect("n = 2048 is within the cache guard");
+    let mut cache = ResolveEngine::build(&sinr, EngineTier::GainCache, &positions);
+    assert_eq!(
+        cache.tier(),
+        EngineTier::GainCache,
+        "n = 2048 is within the cache guard"
+    );
 
     // Channel layer: the neutral perturbation must cost nothing beyond a
     // branch; a jamming perturbation adds one add per listener.
-    group.bench_function("resolve-cached", |b| {
-        let mut rng = SmallRng::seed_from_u64(0);
-        b.iter(|| sinr.resolve_cached(&positions, &tx, &rx, Some(&cache), &mut rng));
-    });
     group.bench_function("resolve-perturbed-neutral", |b| {
         let mut rng = SmallRng::seed_from_u64(0);
         let neutral = ChannelPerturbation::neutral();
-        b.iter(|| sinr.resolve_perturbed(&positions, &tx, &rx, Some(&cache), &neutral, &mut rng));
+        b.iter(|| {
+            resolve_on(
+                &sinr,
+                &positions,
+                (&tx, &rx),
+                &mut cache,
+                &neutral,
+                &mut rng,
+            )
+        });
     });
     let jam: Vec<f64> = positions
         .iter()
@@ -129,7 +193,14 @@ fn bench_faulted_vs_unfaulted(c: &mut Criterion) {
         let mut rng = SmallRng::seed_from_u64(0);
         let perturbation = ChannelPerturbation::new(2.0, &jam);
         b.iter(|| {
-            sinr.resolve_perturbed(&positions, &tx, &rx, Some(&cache), &perturbation, &mut rng)
+            resolve_on(
+                &sinr,
+                &positions,
+                (&tx, &rx),
+                &mut cache,
+                &perturbation,
+                &mut rng,
+            )
         });
     });
 
@@ -167,35 +238,6 @@ fn bench_faulted_vs_unfaulted(c: &mut Criterion) {
     group.finish();
 }
 
-/// The gain-cache knockout maintenance kernel: one deactivate + activate
-/// cycle updates every listener's standing interference total via a single
-/// cache-row walk. This is the hot loop the incremental-totals design
-/// keeps O(n) per knockout instead of O(n²) re-summation.
-fn bench_active_interference_knockout(c: &mut Criterion) {
-    let mut group = c.benchmark_group("active_interference_knockout_n2048");
-    group.warm_up_time(Duration::from_secs(1));
-    group.measurement_time(Duration::from_secs(2));
-    let n = 2048usize;
-    let d = Deployment::uniform_density(n, 0.25, 7);
-    let positions = d.points().to_vec();
-    let params = SinrParams::default_single_hop().with_power_for(&d);
-    let sinr = SinrChannel::new(params);
-    let cache = sinr
-        .build_gain_cache(&positions)
-        .expect("n = 2048 is within the cache guard");
-
-    group.bench_function("deactivate-activate-cycle", |b| {
-        let mut active = ActiveInterference::new(&cache);
-        let mut w = 0usize;
-        b.iter(|| {
-            active.deactivate(&cache, w);
-            active.activate(&cache, w);
-            w = (w + 1) % n;
-        });
-    });
-    group.finish();
-}
-
 fn bench_pow_alpha(c: &mut Criterion) {
     let mut group = c.benchmark_group("pow_alpha");
     group.warm_up_time(Duration::from_secs(1));
@@ -217,6 +259,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().without_plots();
     targets = bench_channels, bench_cached_vs_uncached, bench_faulted_vs_unfaulted,
-        bench_active_interference_knockout, bench_pow_alpha
+        bench_pow_alpha
 }
 criterion_main!(benches);

@@ -47,28 +47,38 @@ fn bench_resolve_scaling(c: &mut Criterion) {
             });
         }
 
+        let round = |engine: &mut ResolveEngine, rng: &mut SmallRng| {
+            sinr.resolve_with(
+                &positions,
+                &tx,
+                &rx,
+                engine,
+                &ChannelPerturbation::neutral(),
+                &SerialExecutor,
+                rng,
+                None,
+            )
+        };
+
         // The gain cache refuses deployments above its size guard.
-        if let Some(cache) = sinr.build_gain_cache(&positions) {
+        let mut cache = ResolveEngine::build(&sinr, EngineTier::GainCache, &positions);
+        if cache.tier() == EngineTier::GainCache {
             group.bench_with_input(BenchmarkId::new("gain-cache", n), &n, |b, _| {
                 let mut rng = SmallRng::seed_from_u64(0);
-                b.iter(|| sinr.resolve_cached(&positions, &tx, &rx, Some(&cache), &mut rng));
+                b.iter(|| round(&mut cache, &mut rng));
             });
         }
+        drop(cache);
 
-        let mut engine = sinr.build_farfield_engine(&positions);
-        assert!(engine.is_some(), "farfield engine must build at any n");
+        let mut engine = ResolveEngine::build(&sinr, EngineTier::FarField, &positions);
+        assert_eq!(
+            engine.tier(),
+            EngineTier::FarField,
+            "farfield engine must build at any n"
+        );
         group.bench_with_input(BenchmarkId::new("farfield", n), &n, |b, _| {
             let mut rng = SmallRng::seed_from_u64(0);
-            b.iter(|| {
-                sinr.resolve_farfield(
-                    &positions,
-                    &tx,
-                    &rx,
-                    engine.as_mut(),
-                    &ChannelPerturbation::neutral(),
-                    &mut rng,
-                )
-            });
+            b.iter(|| round(&mut engine, &mut rng));
         });
     }
     group.finish();

@@ -36,7 +36,7 @@ fn bench_e1(c: &mut Criterion) {
                     Simulation::new(d, Box::new(SinrChannel::new(params)), seed, |_| {
                         Box::new(Fkn::new())
                     });
-                sim.set_gain_cache_enabled(false);
+                sim.set_tier(EngineTier::Exact);
                 sim.run_until_resolved(1_000_000)
             });
         });

@@ -202,15 +202,30 @@ pub fn run_probe(
             receptions
         });
 
-        if let Some(cache) = sinr.build_gain_cache(&positions) {
-            let cached_rx = sinr.resolve_cached(&positions, &tx, &rx, Some(&cache), &mut rng);
+        // One round of the probe through `engine`, on the probe's pool.
+        let round = |engine: &mut ResolveEngine, rng: &mut SmallRng| {
+            sinr.resolve_with(
+                &positions,
+                &tx,
+                &rx,
+                engine,
+                &ChannelPerturbation::neutral(),
+                &pool,
+                rng,
+                None,
+            )
+        };
+
+        let mut cache = ResolveEngine::build(&sinr, EngineTier::GainCache, &positions);
+        if cache.tier() == EngineTier::GainCache {
+            let cached_rx = round(&mut cache, &mut rng);
             let reference = exact_rx
                 .as_ref()
                 .expect("the cache size guard is far below the exact-tier ceiling");
             assert_eq!(reference, &cached_rx, "gain cache broke exactness at n={n}");
             let (iters, ms) = time_ms(
                 || {
-                    sinr.resolve_cached(&positions, &tx, &rx, Some(&cache), &mut rng);
+                    round(&mut cache, &mut rng);
                 },
                 budget_ms,
             );
@@ -220,31 +235,18 @@ pub fn run_probe(
                 ms_per_round: ms,
             });
         }
+        drop(cache);
 
         let mut farfield_fallback_fraction = 0.0;
         let far_rx = (n <= FARFIELD_TIER_CEILING).then(|| {
-            let mut engine = sinr.build_farfield_engine(&positions);
-            let receptions = sinr.resolve_farfield(
-                &positions,
-                &tx,
-                &rx,
-                engine.as_mut(),
-                &ChannelPerturbation::neutral(),
-                &mut rng,
-            );
+            let mut engine = ResolveEngine::build(&sinr, EngineTier::FarField, &positions);
+            let receptions = round(&mut engine, &mut rng);
             if let Some(reference) = &exact_rx {
                 assert_eq!(reference, &receptions, "farfield broke exactness at n={n}");
             }
             let (iters, ms) = time_ms(
                 || {
-                    sinr.resolve_farfield(
-                        &positions,
-                        &tx,
-                        &rx,
-                        engine.as_mut(),
-                        &ChannelPerturbation::neutral(),
-                        &mut rng,
-                    );
+                    round(&mut engine, &mut rng);
                 },
                 budget_ms,
             );
@@ -253,39 +255,19 @@ pub fn run_probe(
                 iters,
                 ms_per_round: ms,
             });
-            farfield_fallback_fraction = engine
-                .as_ref()
-                .map(FarFieldEngine::stats)
-                .unwrap_or_default()
-                .fallback_fraction();
+            farfield_fallback_fraction = engine.stats().fallback_fraction();
             receptions
         });
 
-        let mut hier_engine = sinr.build_hierarchical_engine(&positions);
-        let hier_rx = sinr.resolve_hierarchical(
-            &positions,
-            &tx,
-            &rx,
-            hier_engine.as_mut(),
-            &pool,
-            &ChannelPerturbation::neutral(),
-            &mut rng,
-        );
+        let mut hier_engine = ResolveEngine::build(&sinr, EngineTier::Hierarchical, &positions);
+        let hier_rx = round(&mut hier_engine, &mut rng);
         // Cross-check against the cheapest independently computed tier.
         if let Some(reference) = exact_rx.as_ref().or(far_rx.as_ref()) {
             assert_eq!(reference, &hier_rx, "hierarchical broke exactness at n={n}");
         }
         let (iters, ms) = time_ms(
             || {
-                sinr.resolve_hierarchical(
-                    &positions,
-                    &tx,
-                    &rx,
-                    hier_engine.as_mut(),
-                    &pool,
-                    &ChannelPerturbation::neutral(),
-                    &mut rng,
-                );
+                round(&mut hier_engine, &mut rng);
             },
             budget_ms,
         );
@@ -294,11 +276,7 @@ pub fn run_probe(
             iters,
             ms_per_round: ms,
         });
-        let hierarchical_fallback_fraction = hier_engine
-            .as_ref()
-            .map(HierarchicalFarFieldEngine::stats)
-            .unwrap_or_default()
-            .fallback_fraction();
+        let hierarchical_fallback_fraction = hier_engine.stats().fallback_fraction();
 
         let exact_ms = tiers
             .iter()

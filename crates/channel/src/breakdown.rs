@@ -6,13 +6,13 @@
 //! one listener in one round. Instrumentation is an *observer*: the
 //! decision it reports is computed from the exact same float expressions as
 //! the uninstrumented resolve paths, so attaching it can never change a
-//! run (see [`Channel::resolve_instrumented`](crate::Channel::resolve_instrumented)).
+//! run (see [`Channel::resolve_with`](crate::Channel::resolve_with)).
 
 use crate::NodeId;
 
 /// The SINR decision at one listener, decomposed into Equation 1's terms.
 ///
-/// Produced by [`Channel::resolve_instrumented`] for SINR-family channels
+/// Produced by [`Channel::resolve_with`] for SINR-family channels
 /// (geometry-free radio models report no breakdowns — they have no SINR).
 ///
 /// Invariants, for breakdowns produced by this crate's channels:
@@ -26,7 +26,7 @@ use crate::NodeId;
 ///   simulator's Gilbert–Elliott loss run *after* the SINR test and may
 ///   still turn a decoded message into silence).
 ///
-/// [`Channel::resolve_instrumented`]: crate::Channel::resolve_instrumented
+/// [`Channel::resolve_with`]: crate::Channel::resolve_with
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SinrBreakdown {
     /// The listener this breakdown describes.

@@ -5,8 +5,8 @@ use rand::rngs::SmallRng;
 use fading_geom::Point;
 
 use crate::{
-    ChannelPerturbation, ChunkExecutor, FarFieldEngine, GainCache, HierarchicalFarFieldEngine,
-    NodeId, Reception, SinrBreakdown,
+    ChannelPerturbation, ChunkExecutor, EngineTier, NodeId, Reception, ResolveEngine,
+    SinrBreakdown, SinrParams,
 };
 
 pub(crate) mod sealed {
@@ -41,57 +41,58 @@ pub trait Channel: sealed::Sealed + Send + Sync + std::fmt::Debug {
         rng: &mut SmallRng,
     ) -> Vec<Reception>;
 
-    /// Like [`Channel::resolve`], optionally consulting a precomputed
-    /// [`GainCache`] for the deterministic pairwise gains.
-    ///
-    /// The contract is strict: for any channel, `resolve_cached` with a
-    /// cache built by [`Channel::build_gain_cache`] over the same
-    /// `positions` returns a `Reception` vector **bit-identical** to
-    /// `resolve` (and consumes the `rng` identically). Passing `None`, a
-    /// cache that does not match `positions`, or calling on a channel
-    /// without a cached path falls back to `resolve` outright.
-    ///
-    /// The default implementation ignores the cache; geometry-free models
-    /// (the radio channels) keep it.
-    fn resolve_cached(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        cache: Option<&GainCache>,
-        rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        let _ = cache;
-        self.resolve(positions, transmitters, listeners, rng)
-    }
-
-    /// Like [`Channel::resolve_cached`], additionally applying a per-round
+    /// Resolves one round through `engine`, under a per-round
     /// [`ChannelPerturbation`] (noise scaling and jammer interference from
-    /// a fault plan).
+    /// a fault plan), optionally reporting one [`SinrBreakdown`] per
+    /// listener into `breakdown`. The tile-tree tier runs its listener
+    /// chunks on `executor`.
     ///
     /// Contract:
     ///
-    /// * A [neutral](ChannelPerturbation::is_neutral) perturbation **must**
-    ///   produce results bit-identical to [`Channel::resolve_cached`]
-    ///   (and consume the rng identically) — every implementation falls
-    ///   back outright, so an empty fault plan is invisible.
-    /// * SINR-family channels add `extra_at(v)` to listener `v`'s
-    ///   interference sum and multiply the ambient noise by `noise_scale`.
-    /// * Geometry-free channels (the radio models) have no SINR denominator
-    ///   to perturb; this default implementation ignores `noise_scale` and
-    ///   treats any jammed listener (`extra_at(v) > 0`) as blanketed:
+    /// * **Decision exactness.** With a neutral perturbation and no
+    ///   breakdown, the receptions are **bit-identical** to
+    ///   [`Channel::resolve`] (and the rng is consumed identically) for
+    ///   every [`ResolveEngine`] tier, on any executor — chunk boundaries
+    ///   are fixed and outputs merge in chunk order. An engine that was
+    ///   not built over these `positions` (or for a tier this channel
+    ///   cannot serve) falls back to the exact scan.
+    /// * **Perturbation.** A [neutral](ChannelPerturbation::is_neutral)
+    ///   perturbation is invisible. SINR-family channels add `extra_at(v)`
+    ///   to listener `v`'s interference sum and multiply the ambient noise
+    ///   by `noise_scale`, identically on every tier. Geometry-free
+    ///   channels (the radio models) have no SINR denominator to perturb;
+    ///   this default implementation ignores `noise_scale` and treats any
+    ///   jammed listener (`extra_at(v) > 0`) as blanketed:
     ///   [`Reception::Collision`] on collision-detection channels (energy
     ///   with no decodable message), [`Reception::Silence`] otherwise.
-    fn resolve_perturbed(
+    /// * **Instrumentation observes, it never perturbs.** `breakdown` is
+    ///   cleared first. SINR-family channels then push exactly
+    ///   `listeners.len()` entries, one per listener in order, and resolve
+    ///   through the full per-pair scan (the gain cache still serves; the
+    ///   tiled tiers skip exactly the terms a breakdown reports).
+    ///   Geometry-free channels leave it empty. Each breakdown's `decoded`
+    ///   flag reflects the SINR test **before** any post-SINR loss layer
+    ///   (see [`SinrBreakdown`]).
+    ///
+    /// `engine` is `&mut` for the tiled tiers' per-round scratch and
+    /// decision counters; the receptions never depend on that state.
+    #[allow(clippy::too_many_arguments)] // the round, the engine, and its three per-round inputs
+    fn resolve_with(
         &self,
         positions: &[Point],
         transmitters: &[NodeId],
         listeners: &[NodeId],
-        cache: Option<&GainCache>,
+        engine: &mut ResolveEngine,
         perturbation: &ChannelPerturbation<'_>,
+        executor: &dyn ChunkExecutor,
         rng: &mut SmallRng,
+        breakdown: Option<&mut Vec<SinrBreakdown>>,
     ) -> Vec<Reception> {
-        let mut out = self.resolve_cached(positions, transmitters, listeners, cache, rng);
+        let _ = (engine, executor);
+        if let Some(b) = breakdown {
+            b.clear();
+        }
+        let mut out = self.resolve(positions, transmitters, listeners, rng);
         if perturbation.has_jamming() {
             let jammed = if self.supports_collision_detection() {
                 Reception::Collision
@@ -107,97 +108,6 @@ pub trait Channel: sealed::Sealed + Send + Sync + std::fmt::Debug {
         out
     }
 
-    /// Like [`Channel::resolve_perturbed`], additionally reporting one
-    /// [`SinrBreakdown`] per listener (in listener order) into `breakdown`
-    /// for channels with an SINR decomposition to report.
-    ///
-    /// Contract:
-    ///
-    /// * The returned `Reception` vector is **bit-identical** to what
-    ///   [`Channel::resolve_perturbed`] returns for the same arguments, and
-    ///   the rng is consumed identically — instrumentation observes, it
-    ///   never perturbs. (With a neutral perturbation this transitively
-    ///   equals [`Channel::resolve_cached`] / [`Channel::resolve`].)
-    /// * `breakdown` is cleared first. SINR-family channels then push
-    ///   exactly `listeners.len()` entries, one per listener in order;
-    ///   geometry-free channels (the radio models) leave it empty — they
-    ///   have no SINR to decompose, which is this default implementation.
-    /// * Each breakdown's `decoded` flag reflects the SINR test **before**
-    ///   any post-SINR loss layer (see [`SinrBreakdown`]).
-    #[allow(clippy::too_many_arguments)] // mirrors resolve_perturbed + the breakdown out-param
-    fn resolve_instrumented(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        cache: Option<&GainCache>,
-        perturbation: &ChannelPerturbation<'_>,
-        rng: &mut SmallRng,
-        breakdown: &mut Vec<SinrBreakdown>,
-    ) -> Vec<Reception> {
-        breakdown.clear();
-        self.resolve_perturbed(positions, transmitters, listeners, cache, perturbation, rng)
-    }
-
-    /// Like [`Channel::resolve_perturbed`], optionally consulting a
-    /// [`FarFieldEngine`] for tile-aggregated interference pruning.
-    ///
-    /// The contract is the same **decision-exactness** guarantee as the
-    /// gain cache, one tier up: for any channel, `resolve_farfield` with an
-    /// engine built by [`Channel::build_farfield_engine`] over the same
-    /// `positions` returns a `Reception` vector **bit-identical** to
-    /// [`Channel::resolve_perturbed`] (and consumes the `rng` identically —
-    /// the engine is only ever offered to channels whose resolve draws no
-    /// randomness). Passing `None`, an engine that does not
-    /// [match](FarFieldEngine::matches) `positions`, or calling on a
-    /// channel without a pruned path falls back to `resolve_perturbed`
-    /// outright — which is this default implementation.
-    ///
-    /// The engine is `&mut` for its per-round scratch and decision
-    /// counters; the receptions never depend on that mutable state.
-    fn resolve_farfield(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        engine: Option<&mut FarFieldEngine>,
-        perturbation: &ChannelPerturbation<'_>,
-        rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        let _ = engine;
-        self.resolve_perturbed(positions, transmitters, listeners, None, perturbation, rng)
-    }
-
-    /// Like [`Channel::resolve_farfield`], optionally consulting a
-    /// [`HierarchicalFarFieldEngine`] — the tile-tree engine that serves
-    /// deployments beyond the flat engine's tile-count cap — and running
-    /// listener chunks on `executor`.
-    ///
-    /// The contract is the same **decision-exactness** guarantee as
-    /// [`Channel::resolve_farfield`]: with an engine built by
-    /// [`Channel::build_hierarchical_engine`] over the same `positions`,
-    /// the `Reception` vector is **bit-identical** to
-    /// [`Channel::resolve_perturbed`] (and the rng is consumed
-    /// identically), *for any executor* — chunk boundaries are fixed and
-    /// outputs merge in chunk order, so scheduling cannot reach the
-    /// results. Passing `None`, a non-[matching](HierarchicalFarFieldEngine::matches)
-    /// engine, or calling on a channel without a pruned path falls back to
-    /// `resolve_perturbed` outright — which is this default implementation.
-    #[allow(clippy::too_many_arguments)] // mirrors resolve_farfield + the executor
-    fn resolve_hierarchical(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        engine: Option<&mut HierarchicalFarFieldEngine>,
-        executor: &dyn ChunkExecutor,
-        perturbation: &ChannelPerturbation<'_>,
-        rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        let _ = (engine, executor);
-        self.resolve_perturbed(positions, transmitters, listeners, None, perturbation, rng)
-    }
-
     /// The received power at `to` of an external interferer (a jammer)
     /// transmitting from `from` with power `power`, under this channel's
     /// propagation model.
@@ -207,66 +117,27 @@ pub trait Channel: sealed::Sealed + Send + Sync + std::fmt::Debug {
     /// blankets every listener — the radio models have no notion of
     /// distance). Used by the simulator to precompute per-node jammer
     /// gains once per deployment, so jamming rides the same
-    /// precompute-once fast path as the [`GainCache`].
+    /// precompute-once fast path as the [`GainCache`](crate::GainCache).
     fn interferer_gain(&self, from: Point, to: Point, power: f64) -> f64 {
         let _ = (from, to);
         power
     }
 
-    /// Builds the [`GainCache`] this channel can exploit for `positions`,
-    /// or `None` when the model has no deterministic pairwise gains (the
-    /// radio channels) or the deployment exceeds the cache's size guard.
+    /// The highest [`EngineTier`] that can serve this channel; every tier
+    /// below it can too.
     ///
-    /// Exists on the trait (rather than on the concrete types) so
-    /// simulators holding a `Box<dyn Channel>` can build the matching
-    /// cache without knowing the concrete model or its parameters.
-    fn build_gain_cache(&self, positions: &[Point]) -> Option<GainCache> {
-        let _ = positions;
-        None
+    /// The default, [`EngineTier::Exact`], is right for the geometry-free
+    /// radio models. Rayleigh fading stops at the gain cache: it draws
+    /// one fade per (listener, transmitter) pair in canonical order, so
+    /// pruning pairs would desynchronize the rng stream. The deterministic
+    /// SINR family reaches the tile tree.
+    fn max_tier(&self) -> EngineTier {
+        EngineTier::Exact
     }
 
-    /// Whether a [`GainCache`] actually speeds this channel up at
-    /// deployment size `n`. The simulator consults this before calling
-    /// [`Channel::build_gain_cache`]; since cached and uncached resolves
-    /// are bit-identical by contract, declining the cache is purely a
-    /// performance policy and can never change results.
-    ///
-    /// Default `true`: for the deterministic SINR family a cached row
-    /// replaces the entire scan arithmetic, which wins at every size the
-    /// cache's own guard admits. The Rayleigh channel overrides this — its
-    /// per-pair fade work dwarfs the deterministic-gain recompute, so
-    /// beyond [`RAYLEIGH_CACHE_PROFITABLE_NODES`](crate::RAYLEIGH_CACHE_PROFITABLE_NODES)
-    /// the memory-bound row reads lose to the batched kernels.
-    fn gain_cache_profitable(&self, n: usize) -> bool {
-        let _ = n;
-        true
-    }
-
-    /// Builds the [`FarFieldEngine`] this channel can exploit for
-    /// `positions`, or `None` when the model cannot support the
-    /// decision-exactness contract: the radio channels are geometry-free,
-    /// and Rayleigh fading draws per-pair randomness in canonical order
-    /// that pruning would desynchronize.
-    ///
-    /// Unlike the gain cache, the engine has no size guard — its memory is
-    /// bounded by the tile-pair tables ([`MAX_TILES_PER_SIDE`](crate::MAX_TILES_PER_SIDE)⁴
-    /// entries), not by `n²` — which is exactly what lets it serve the
-    /// deployments the cache refuses.
-    fn build_farfield_engine(&self, positions: &[Point]) -> Option<FarFieldEngine> {
-        let _ = positions;
-        None
-    }
-
-    /// Builds the [`HierarchicalFarFieldEngine`] this channel can exploit
-    /// for `positions`, or `None` under the same conditions as
-    /// [`Channel::build_farfield_engine`] (the contract is identical; only
-    /// the aggregation structure differs). Memory is linear in the fine
-    /// tile count, so there is no size guard in either direction.
-    fn build_hierarchical_engine(
-        &self,
-        positions: &[Point],
-    ) -> Option<HierarchicalFarFieldEngine> {
-        let _ = positions;
+    /// The SINR parameters whose pairwise gains the engines precompute,
+    /// or `None` for geometry-free models.
+    fn sinr_params(&self) -> Option<&SinrParams> {
         None
     }
 

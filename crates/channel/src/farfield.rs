@@ -31,8 +31,8 @@
 //!
 //! # The decision-exactness contract
 //!
-//! `resolve_farfield` is *not* an approximation: its `Reception` vectors
-//! are **bit-identical** to `resolve`/`resolve_cached` on all inputs. The
+//! The far-field tier is *not* an approximation: its `Reception` vectors
+//! are **bit-identical** to `resolve` on all inputs. The
 //! pruned path only ever skips work whose outcome is already certain:
 //!
 //! * **Certain silence** — the exact denominator is at least the (possibly
@@ -60,7 +60,9 @@
 //! Stochastic channels are excluded by design: Rayleigh fading draws one
 //! rng variate per (listener, transmitter) pair in canonical order, so any
 //! pruning would desynchronize the rng stream. `RayleighSinrChannel`
-//! therefore builds no engine and `resolve_farfield` falls back wholesale.
+//! therefore stops at the gain-cache tier ([`Channel::max_tier`]).
+//!
+//! [`Channel::max_tier`]: crate::Channel::max_tier
 
 use fading_geom::{Point, PointsSoA, TileIndex};
 
@@ -127,6 +129,19 @@ pub struct FarFieldStats {
 }
 
 impl FarFieldStats {
+    /// Adds every counter of `other` into `self` (the counters are u64
+    /// sums, so merge order never matters).
+    pub fn add(&mut self, other: &FarFieldStats) {
+        self.rounds += other.rounds;
+        self.empty_round_silences += other.empty_round_silences;
+        self.nonfinite_fallbacks += other.nonfinite_fallbacks;
+        self.noise_floor_silences += other.noise_floor_silences;
+        self.no_near_winner_fallbacks += other.no_near_winner_fallbacks;
+        self.far_rival_fallbacks += other.far_rival_fallbacks;
+        self.bracket_decisions += other.bracket_decisions;
+        self.bracket_straddle_fallbacks += other.bracket_straddle_fallbacks;
+    }
+
     /// Listener decisions settled by the near scan + far bracket alone
     /// (including listeners of transmitter-free rounds).
     #[must_use]
@@ -173,7 +188,7 @@ impl FarFieldStats {
 
 /// Per-tile-pair gain bounds plus per-round scratch for the tile-aggregated
 /// resolve. Built once per deployment by
-/// [`Channel::build_farfield_engine`](crate::Channel::build_farfield_engine);
+/// [`ResolveEngine::build`](crate::ResolveEngine::build);
 /// see the [module docs](self) for the algorithm and its exactness
 /// argument.
 #[derive(Debug, Clone)]
@@ -192,8 +207,7 @@ pub struct FarFieldEngine {
     pair_g_hi: Vec<f64>,
     /// Live-node flags mirrored from the simulator's knockout/churn state.
     alive: Vec<bool>,
-    /// Live members per tile, maintained incrementally alongside
-    /// `ActiveInterference`.
+    /// Live members per tile, maintained incrementally.
     alive_per_tile: Vec<u32>,
     num_alive: usize,
     /// SoA mirror of the build positions, feeding the batched kernels

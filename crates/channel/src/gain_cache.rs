@@ -1,4 +1,4 @@
-//! Precomputed pairwise gain matrix and incremental interference totals.
+//! Precomputed pairwise gain matrix.
 //!
 //! Every deterministic SINR quantity in this crate reduces to sums of the
 //! pairwise power gains `G[u][v] = P / d(u,v)^α`. For a static deployment
@@ -6,8 +6,9 @@
 //! [`Channel::resolve`](crate::Channel::resolve) recomputes a distance,
 //! a [`pow_alpha`] and a division for every (transmitter, listener) pair in
 //! every round. [`GainCache`] hoists that work out of the round loop: the
-//! full `n × n` matrix is computed **once** per deployment, and the cached
-//! resolve paths ([`Channel::resolve_cached`](crate::Channel::resolve_cached))
+//! full `n × n` matrix is computed **once** per deployment, and rounds
+//! resolved through it ([`ResolveEngine::GainCache`](crate::ResolveEngine)
+//! handed to [`Channel::resolve_with`](crate::Channel::resolve_with))
 //! reduce the per-round inner loop to a table lookup and an add.
 //!
 //! Bit-exactness contract: `GainCache::build` stores *exactly* the value
@@ -22,13 +23,7 @@
 //! limit ([`DEFAULT_MAX_CACHED_NODES`]); past it, [`GainCache::build`]
 //! returns `None` and callers fall back to on-the-fly computation. The
 //! cache is only valid for fixed positions — mobile deployments must
-//! bypass it (pass `None` to `resolve_cached`).
-//!
-//! [`ActiveInterference`] layers a running per-listener total on top of the
-//! matrix: `T[v] = Σ_{w active, w ≠ v} G[w][v]`, maintained incrementally
-//! as nodes deactivate (`O(n)` per knockout instead of `O(n²)` to re-sum).
-//! The paper's analysis (Lemmas 3–4) bounds exactly this quantity, so the
-//! engine gives the analysis/metrics layer cheap per-round access to it.
+//! resolve through [`ResolveEngine::Exact`](crate::ResolveEngine::Exact).
 
 use fading_geom::{Point, PointsSoA};
 
@@ -46,8 +41,8 @@ pub const DEFAULT_MAX_CACHED_NODES: usize = 4096;
 /// set: `gain(u, v) = P / d(u,v)^α`, stored as a flat row-major matrix
 /// (one row per *listener*).
 ///
-/// Build once per deployment via [`GainCache::build`]; pass to
-/// [`Channel::resolve_cached`](crate::Channel::resolve_cached) each round.
+/// Build once per deployment via [`GainCache::build`]; resolve rounds
+/// through it as [`ResolveEngine::GainCache`](crate::ResolveEngine::GainCache).
 ///
 /// # Example
 ///
@@ -187,146 +182,6 @@ impl GainCache {
     }
 }
 
-/// Running total interference per listener over the **active** node set,
-/// updated incrementally as nodes deactivate.
-///
-/// Maintains `total_at(v) = Σ_{w active, w ≠ v} gain(w, v)` — the worst-case
-/// interference at `v` if every still-active node transmitted at once (the
-/// quantity the paper's Lemmas 3–4 bound). A knockout is `O(n)`
-/// (one subtraction per listener) instead of the `O(n²)` full re-sum.
-///
-/// Incremental subtraction accumulates floating-point error on the order of
-/// an ulp per update; [`ActiveInterference::recompute_at`] re-sums exactly
-/// for callers (and tests) that need a fresh value.
-///
-/// # Example
-///
-/// ```
-/// use fading_channel::{ActiveInterference, GainCache, SinrParams};
-/// use fading_geom::Point;
-///
-/// let params = SinrParams::builder().power(16.0).alpha(3.0).build()?;
-/// let pos = [Point::new(0.0, 0.0), Point::new(2.0, 0.0), Point::new(4.0, 0.0)];
-/// let cache = GainCache::build(&pos, &params).unwrap();
-/// let mut ai = ActiveInterference::new(&cache);
-/// let before = ai.total_at(0);
-/// ai.deactivate(&cache, 1);
-/// assert!(ai.total_at(0) < before);
-/// # Ok::<(), fading_channel::ChannelError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct ActiveInterference {
-    totals: Vec<f64>,
-    active: Vec<bool>,
-    num_active: usize,
-}
-
-impl ActiveInterference {
-    /// Starts with every node active: `total_at(v)` sums `v`'s whole gain
-    /// row (the diagonal contributes 0).
-    #[must_use]
-    pub fn new(cache: &GainCache) -> Self {
-        let n = cache.len();
-        let totals = (0..n).map(|v| cache.row(v).iter().sum()).collect();
-        ActiveInterference {
-            totals,
-            active: vec![true; n],
-            num_active: n,
-        }
-    }
-
-    /// Marks `w` inactive and subtracts its gain contribution from every
-    /// other node's total. Idempotent: deactivating an already-inactive
-    /// node is a no-op.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is out of range or `cache` has a different node count.
-    pub fn deactivate(&mut self, cache: &GainCache, w: NodeId) {
-        assert_eq!(cache.len(), self.totals.len(), "cache/engine size mismatch");
-        assert!(w < self.totals.len(), "node id out of range");
-        if !self.active[w] {
-            return;
-        }
-        self.active[w] = false;
-        self.num_active -= 1;
-        // gain(w, v) == gain(v, w) bitwise (distance is computed from an
-        // exact IEEE negation, so both orders square the same values),
-        // which lets this walk w's contiguous *row* in step with the
-        // totals instead of striding the matrix column-wise through the
-        // bounds-asserting `gain` accessor.
-        for (v, (total, &g)) in self.totals.iter_mut().zip(cache.row(w)).enumerate() {
-            if v != w {
-                *total -= g;
-            }
-        }
-    }
-
-    /// Marks `w` active again and adds its gain contribution back to every
-    /// other node's total — the inverse of [`ActiveInterference::deactivate`],
-    /// needed when a fault plan revives a crashed node. Idempotent:
-    /// activating an already-active node is a no-op.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is out of range or `cache` has a different node count.
-    pub fn activate(&mut self, cache: &GainCache, w: NodeId) {
-        assert_eq!(cache.len(), self.totals.len(), "cache/engine size mismatch");
-        assert!(w < self.totals.len(), "node id out of range");
-        if self.active[w] {
-            return;
-        }
-        self.active[w] = true;
-        self.num_active += 1;
-        // Same row-for-column substitution as `deactivate`.
-        for (v, (total, &g)) in self.totals.iter_mut().zip(cache.row(w)).enumerate() {
-            if v != w {
-                *total += g;
-            }
-        }
-    }
-
-    /// The running total interference at `v` from all active nodes other
-    /// than `v` itself.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[inline]
-    #[must_use]
-    pub fn total_at(&self, v: NodeId) -> f64 {
-        self.totals[v]
-    }
-
-    /// Whether node `w` is still counted as active.
-    #[must_use]
-    pub fn is_active(&self, w: NodeId) -> bool {
-        self.active.get(w).copied().unwrap_or(false)
-    }
-
-    /// Number of nodes still active.
-    #[must_use]
-    pub fn num_active(&self) -> usize {
-        self.num_active
-    }
-
-    /// Re-sums `total_at(v)` from scratch over the current active set —
-    /// the drift-free reference value for the incremental total.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range or `cache` has a different node count.
-    #[must_use]
-    pub fn recompute_at(&self, cache: &GainCache, v: NodeId) -> f64 {
-        assert_eq!(cache.len(), self.totals.len(), "cache/engine size mismatch");
-        let row = cache.row(v);
-        (0..self.totals.len())
-            .filter(|&w| w != v && self.active[w])
-            .map(|w| row[w])
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,94 +284,11 @@ mod tests {
     }
 
     #[test]
-    fn deactivate_row_walk_matches_column_walk() {
-        // The hot loops subtract w's *row* where they previously looked up
-        // the column; this pins the bitwise symmetry that substitution
-        // relies on, on an asymmetric-looking deployment.
-        let pos = vec![
-            Point::new(0.3, -1.7),
-            Point::new(2.9, 4.1),
-            Point::new(-5.0, 0.2),
-            Point::new(7.7, 7.7),
-            Point::new(-0.01, 3.3),
-        ];
-        let cache = GainCache::build(&pos, &params()).unwrap();
-        for w in 0..pos.len() {
-            for (v, &g) in cache.row(w).iter().enumerate() {
-                assert_eq!(g, cache.gain(w, v), "w={w} v={v}");
-            }
-        }
-        // And the incremental totals still land exactly where a column
-        // walk would have put them (same values, same order).
-        let mut ai = ActiveInterference::new(&cache);
-        ai.deactivate(&cache, 2);
-        ai.activate(&cache, 2);
-        ai.deactivate(&cache, 0);
-        let mut expected: Vec<f64> = (0..pos.len())
-            .map(|v| cache.row(v).iter().sum::<f64>())
-            .collect();
-        for (v, e) in expected.iter_mut().enumerate() {
-            if v != 2 {
-                *e -= cache.gain(2, v);
-            }
-            if v != 2 {
-                *e += cache.gain(2, v);
-            }
-            if v != 0 {
-                *e -= cache.gain(0, v);
-            }
-        }
-        for (v, &e) in expected.iter().enumerate() {
-            assert_eq!(ai.total_at(v), e, "v={v}");
-        }
-    }
-
-    #[test]
     fn interference_at_node_sums_in_order() {
         let pos = line(4);
         let cache = GainCache::build(&pos, &params()).unwrap();
         let tx = [0usize, 2, 3];
         let direct: f64 = tx.iter().map(|&w| cache.gain(w, 1)).sum();
         assert_eq!(cache.interference_at_node(&tx, 1), direct);
-    }
-
-    #[test]
-    fn active_interference_tracks_knockouts() {
-        let pos = line(6);
-        let cache = GainCache::build(&pos, &params()).unwrap();
-        let mut ai = ActiveInterference::new(&cache);
-        assert_eq!(ai.num_active(), 6);
-        assert_eq!(ai.total_at(2), cache.row(2).iter().sum::<f64>());
-
-        ai.deactivate(&cache, 4);
-        assert!(!ai.is_active(4));
-        assert_eq!(ai.num_active(), 5);
-        // Idempotent.
-        ai.deactivate(&cache, 4);
-        assert_eq!(ai.num_active(), 5);
-
-        for v in 0..6 {
-            let exact = ai.recompute_at(&cache, v);
-            let incr = ai.total_at(v);
-            assert!(
-                (incr - exact).abs() <= 1e-9 * exact.abs().max(1.0),
-                "v={v} incremental={incr} exact={exact}"
-            );
-        }
-    }
-
-    #[test]
-    fn deactivating_everyone_zeroes_totals() {
-        let pos = line(4);
-        let cache = GainCache::build(&pos, &params()).unwrap();
-        let mut ai = ActiveInterference::new(&cache);
-        for w in 0..4 {
-            ai.deactivate(&cache, w);
-        }
-        assert_eq!(ai.num_active(), 0);
-        for v in 0..4 {
-            assert_eq!(ai.recompute_at(&cache, v), 0.0);
-            assert!(ai.total_at(v).abs() <= 1e-9);
-        }
     }
 }

@@ -32,7 +32,7 @@
 //! the near scan, and every accepted bracket is certified by the tree's
 //! content bboxes — so the 5-rung decision ladder ([`decide_ladder`]) and
 //! its exactness argument carry over verbatim from the flat engine. The
-//! receptions are **bit-identical** to `resolve`/`resolve_perturbed` on
+//! receptions are **bit-identical** to the exact scan on
 //! all inputs; `tests/farfield_equivalence.rs` and
 //! `tests/hierarchical_bounds.rs` enforce it end to end.
 //!
@@ -97,7 +97,7 @@ struct NearScratch {
 
 /// Multi-resolution far-field engine over a [`TileTree`]. Built once per
 /// deployment by
-/// [`Channel::build_hierarchical_engine`](crate::Channel::build_hierarchical_engine);
+/// [`ResolveEngine::build`](crate::ResolveEngine::build);
 /// see the [module docs](self) for the traversal and its exactness
 /// argument.
 #[derive(Debug)]
@@ -621,12 +621,7 @@ impl HierarchicalFarFieldEngine {
             out.extend(rx);
             // Per-rung counters are u64 sums, so any chunking yields the
             // same totals.
-            self.stats.nonfinite_fallbacks += local.nonfinite_fallbacks;
-            self.stats.noise_floor_silences += local.noise_floor_silences;
-            self.stats.no_near_winner_fallbacks += local.no_near_winner_fallbacks;
-            self.stats.far_rival_fallbacks += local.far_rival_fallbacks;
-            self.stats.bracket_decisions += local.bracket_decisions;
-            self.stats.bracket_straddle_fallbacks += local.bracket_straddle_fallbacks;
+            self.stats.add(&local);
         }
         out
     }

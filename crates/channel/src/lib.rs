@@ -34,15 +34,17 @@
 //! All channels implement the sealed [`Channel`] trait and can be driven by
 //! the `fading-sim` simulator.
 //!
-//! For static deployments, [`GainCache`] precomputes the `n × n` pairwise
-//! gain matrix once and [`Channel::resolve_cached`] resolves rounds against
-//! it with results bit-identical to [`Channel::resolve`]; see the
-//! [`gain_cache`](GainCache) module docs for the exactness contract and
-//! the size guard. Beyond the cache, two far-field engines prune the
-//! per-round work under the same bit-exactness contract:
+//! Rounds of a static deployment resolve through one [`ResolveEngine`]
+//! handed to [`Channel::resolve_with`], with results bit-identical to
+//! [`Channel::resolve`] on every tier ([`EngineTier`]): the exact scan;
+//! [`GainCache`], the `n × n` pairwise gain matrix precomputed once (see
+//! its module docs for the exactness contract and the size guard); and
+//! two far-field engines that prune the per-round work,
 //! [`FarFieldEngine`] (flat tile-pair tables) and
 //! [`HierarchicalFarFieldEngine`] (a [`fading_geom::TileTree`] traversal
 //! with no quadratic precompute, parallelizable via [`ChunkExecutor`]).
+//! [`EngineTier::auto`] picks the tier from the channel and the
+//! deployment size.
 //!
 //! All tiers bottom out in the batched per-α SINR kernels of the
 //! [`kernels`] module — structure-of-arrays distance/gain batches,
@@ -81,6 +83,7 @@
 
 mod breakdown;
 mod channel;
+mod engine;
 mod error;
 mod exec;
 mod farfield;
@@ -97,6 +100,7 @@ mod sinr;
 
 pub use breakdown::SinrBreakdown;
 pub use channel::Channel;
+pub use engine::{EngineTier, ResolveEngine, HIERARCHICAL_AUTO_THRESHOLD};
 pub use error::ChannelError;
 pub use exec::{ChunkExecutor, SerialExecutor};
 pub use farfield::{
@@ -107,7 +111,7 @@ pub use hierarchical::{
     HierarchicalFarFieldEngine, HIER_ACCEPT_RATIO_SQ, HIER_CHUNK, HIER_MAX_TILES_PER_SIDE,
     HIER_TARGET_TILE_OCCUPANCY,
 };
-pub use gain_cache::{ActiveInterference, GainCache, DEFAULT_MAX_CACHED_NODES};
+pub use gain_cache::{GainCache, DEFAULT_MAX_CACHED_NODES};
 pub use lossy::LossySinrChannel;
 pub use params::{SinrParams, SinrParamsBuilder, DEFAULT_SINGLE_HOP_MARGIN};
 pub use perturbation::ChannelPerturbation;

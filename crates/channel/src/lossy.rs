@@ -7,8 +7,8 @@ use fading_geom::Point;
 
 use crate::channel::{sealed, Channel};
 use crate::{
-    ChannelPerturbation, ChunkExecutor, FarFieldEngine, GainCache, HierarchicalFarFieldEngine,
-    NodeId, Reception, SinrBreakdown, SinrChannel, SinrParams,
+    ChannelPerturbation, ChunkExecutor, EngineTier, NodeId, Reception, ResolveEngine,
+    SerialExecutor, SinrBreakdown, SinrChannel, SinrParams,
 };
 
 /// A SINR channel in which every successfully decoded message is
@@ -90,151 +90,44 @@ impl Channel for LossySinrChannel {
         listeners: &[NodeId],
         rng: &mut SmallRng,
     ) -> Vec<Reception> {
-        let mut receptions = self.inner.resolve(positions, transmitters, listeners, rng);
-        if self.drop_prob > 0.0 {
-            for r in &mut receptions {
-                if r.is_message() && rng.gen_bool(self.drop_prob) {
-                    *r = Reception::Silence;
-                }
-            }
-        }
-        receptions
-    }
-
-    fn resolve_cached(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        cache: Option<&GainCache>,
-        rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        // Reuse the inner SINR cached path; the drop pass afterwards draws
-        // from the rng in the same order as the uncached resolve.
-        let mut receptions = self
-            .inner
-            .resolve_cached(positions, transmitters, listeners, cache, rng);
-        if self.drop_prob > 0.0 {
-            for r in &mut receptions {
-                if r.is_message() && rng.gen_bool(self.drop_prob) {
-                    *r = Reception::Silence;
-                }
-            }
-        }
-        receptions
-    }
-
-    fn resolve_perturbed(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        cache: Option<&GainCache>,
-        perturbation: &ChannelPerturbation<'_>,
-        rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        // The perturbation applies to the SINR physics; the i.i.d. drop
-        // pass afterwards draws from the rng in the same order as the
-        // clean resolve paths.
-        let mut receptions = self
-            .inner
-            .resolve_perturbed(positions, transmitters, listeners, cache, perturbation, rng);
-        if self.drop_prob > 0.0 {
-            for r in &mut receptions {
-                if r.is_message() && rng.gen_bool(self.drop_prob) {
-                    *r = Reception::Silence;
-                }
-            }
-        }
-        receptions
-    }
-
-    fn resolve_instrumented(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        cache: Option<&GainCache>,
-        perturbation: &ChannelPerturbation<'_>,
-        rng: &mut SmallRng,
-        breakdown: &mut Vec<SinrBreakdown>,
-    ) -> Vec<Reception> {
-        // The inner SINR physics produce the breakdowns; the i.i.d. drop
-        // pass afterwards draws from the rng in the same order as the
-        // uninstrumented paths. A dropped message keeps `decoded = true` in
-        // its breakdown — the SINR test passed; the loss layer is a
-        // separate, post-SINR effect (see `SinrBreakdown`).
-        let mut receptions = self.inner.resolve_instrumented(
+        self.resolve_with(
             positions,
             transmitters,
             listeners,
-            cache,
+            &mut ResolveEngine::Exact,
+            &ChannelPerturbation::neutral(),
+            &SerialExecutor,
+            rng,
+            None,
+        )
+    }
+
+    fn resolve_with(
+        &self,
+        positions: &[Point],
+        transmitters: &[NodeId],
+        listeners: &[NodeId],
+        engine: &mut ResolveEngine,
+        perturbation: &ChannelPerturbation<'_>,
+        executor: &dyn ChunkExecutor,
+        rng: &mut SmallRng,
+        breakdown: Option<&mut Vec<SinrBreakdown>>,
+    ) -> Vec<Reception> {
+        // The inner SINR physics run on whatever tier the engine serves,
+        // drawing nothing from the rng; the i.i.d. drop pass afterwards
+        // runs serially in listener order, so every tier draws the same
+        // stream. A dropped message keeps `decoded = true` in its
+        // breakdown — the SINR test passed; the loss layer is a separate,
+        // post-SINR effect (see `SinrBreakdown`).
+        let mut receptions = self.inner.resolve_with(
+            positions,
+            transmitters,
+            listeners,
+            engine,
             perturbation,
+            executor,
             rng,
             breakdown,
-        );
-        if self.drop_prob > 0.0 {
-            for r in &mut receptions {
-                if r.is_message() && rng.gen_bool(self.drop_prob) {
-                    *r = Reception::Silence;
-                }
-            }
-        }
-        receptions
-    }
-
-    fn resolve_farfield(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        engine: Option<&mut FarFieldEngine>,
-        perturbation: &ChannelPerturbation<'_>,
-        rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        // The inner SINR physics take the pruned path; the i.i.d. drop
-        // pass afterwards draws from the rng in the same order as the
-        // other resolve paths (the pruned resolve draws nothing).
-        let mut receptions = self.inner.resolve_farfield(
-            positions,
-            transmitters,
-            listeners,
-            engine,
-            perturbation,
-            rng,
-        );
-        if self.drop_prob > 0.0 {
-            for r in &mut receptions {
-                if r.is_message() && rng.gen_bool(self.drop_prob) {
-                    *r = Reception::Silence;
-                }
-            }
-        }
-        receptions
-    }
-
-    fn resolve_hierarchical(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        engine: Option<&mut HierarchicalFarFieldEngine>,
-        executor: &dyn ChunkExecutor,
-        perturbation: &ChannelPerturbation<'_>,
-        rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        // The inner SINR physics take the pruned path (drawing nothing
-        // from the rng, on any executor); the i.i.d. drop pass afterwards
-        // runs serially in listener order, drawing from the rng exactly as
-        // the other resolve paths do.
-        let mut receptions = self.inner.resolve_hierarchical(
-            positions,
-            transmitters,
-            listeners,
-            engine,
-            executor,
-            perturbation,
-            rng,
         );
         if self.drop_prob > 0.0 {
             for r in &mut receptions {
@@ -250,16 +143,12 @@ impl Channel for LossySinrChannel {
         self.inner.interferer_gain(from, to, power)
     }
 
-    fn build_gain_cache(&self, positions: &[Point]) -> Option<GainCache> {
-        self.inner.build_gain_cache(positions)
+    fn max_tier(&self) -> EngineTier {
+        self.inner.max_tier()
     }
 
-    fn build_farfield_engine(&self, positions: &[Point]) -> Option<FarFieldEngine> {
-        self.inner.build_farfield_engine(positions)
-    }
-
-    fn build_hierarchical_engine(&self, positions: &[Point]) -> Option<HierarchicalFarFieldEngine> {
-        self.inner.build_hierarchical_engine(positions)
+    fn sinr_params(&self) -> Option<&SinrParams> {
+        self.inner.sinr_params()
     }
 
     fn name(&self) -> &'static str {

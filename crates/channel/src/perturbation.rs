@@ -10,10 +10,9 @@
 //!
 //! Determinism contract: a [neutral](ChannelPerturbation::is_neutral)
 //! perturbation must be indistinguishable from no perturbation at all —
-//! [`Channel::resolve_perturbed`](crate::Channel::resolve_perturbed) falls
-//! back to [`Channel::resolve_cached`](crate::Channel::resolve_cached)
-//! outright, consuming the rng identically, so fault-capable simulations
-//! with an empty plan are byte-identical to plain ones.
+//! [`Channel::resolve_with`](crate::Channel::resolve_with) resolves it with
+//! the clean expressions, consuming the rng identically, so fault-capable
+//! simulations with an empty plan are byte-identical to plain ones.
 
 use crate::NodeId;
 

@@ -8,7 +8,10 @@ use fading_geom::Point;
 use crate::channel::{sealed, Channel};
 use crate::kernels::{gain_batch, ScanScratch};
 use crate::sinr::pow_alpha;
-use crate::{ChannelPerturbation, GainCache, NodeId, Reception, SinrBreakdown, SinrParams};
+use crate::{
+    ChannelPerturbation, ChunkExecutor, EngineTier, GainCache, NodeId, Reception, ResolveEngine,
+    SinrBreakdown, SinrParams,
+};
 
 /// Largest deployment for which the Rayleigh channel keeps its gain cache.
 ///
@@ -21,7 +24,7 @@ use crate::{ChannelPerturbation, GainCache, NodeId, Reception, SinrBreakdown, Si
 /// n = 4096: 43.1 ms cached vs 33.4 ms uncached per round). Cached and
 /// uncached results are bit-identical (the fade stream is independent of
 /// the cache), so bypassing the cache above this size never changes
-/// results — see [`Channel::gain_cache_profitable`].
+/// results — see [`EngineTier::auto`].
 pub const RAYLEIGH_CACHE_PROFITABLE_NODES: usize = 1024;
 
 /// A SINR channel with Rayleigh fading: every transmitter–listener power
@@ -73,9 +76,9 @@ impl RayleighSinrChannel {
     /// Rayleigh counterpart of `SinrChannel::resolve_core`, with one
     /// `Exp(1)` fade drawn per (listener, transmitter) pair in loop order.
     /// Because the fade draws happen in the exact same sequence regardless
-    /// of `cache`, `perturbation`, or `breakdown`, every wrapper consumes
-    /// the rng identically and the bit-exactness contracts hold by
-    /// construction.
+    /// of `cache`, `perturbation`, or `breakdown`, every entry point
+    /// consumes the rng identically and the bit-exactness contracts hold
+    /// by construction.
     #[allow(clippy::too_many_arguments)] // the union of every wrapper's parameters
     fn resolve_core(
         &self,
@@ -87,6 +90,9 @@ impl RayleighSinrChannel {
         rng: &mut SmallRng,
         mut breakdown: Option<&mut Vec<SinrBreakdown>>,
     ) -> Vec<Reception> {
+        if let Some(b) = breakdown.as_deref_mut() {
+            b.clear();
+        }
         let p = self.params.power();
         let alpha = self.params.alpha();
         let beta = self.params.beta();
@@ -183,54 +189,21 @@ impl Channel for RayleighSinrChannel {
         self.resolve_core(positions, transmitters, listeners, None, None, rng, None)
     }
 
-    fn resolve_cached(
+    fn resolve_with(
         &self,
         positions: &[Point],
         transmitters: &[NodeId],
         listeners: &[NodeId],
-        cache: Option<&GainCache>,
-        rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        let cache = cache.filter(|c| c.matches(positions, &self.params));
-        self.resolve_core(positions, transmitters, listeners, cache, None, rng, None)
-    }
-
-    fn resolve_perturbed(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        cache: Option<&GainCache>,
+        engine: &mut ResolveEngine,
         perturbation: &ChannelPerturbation<'_>,
+        _executor: &dyn ChunkExecutor,
         rng: &mut SmallRng,
+        breakdown: Option<&mut Vec<SinrBreakdown>>,
     ) -> Vec<Reception> {
-        if perturbation.is_neutral() {
-            return self.resolve_cached(positions, transmitters, listeners, cache, rng);
-        }
-        let cache = cache.filter(|c| c.matches(positions, &self.params));
-        self.resolve_core(
-            positions,
-            transmitters,
-            listeners,
-            cache,
-            Some(perturbation),
-            rng,
-            None,
-        )
-    }
-
-    fn resolve_instrumented(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        cache: Option<&GainCache>,
-        perturbation: &ChannelPerturbation<'_>,
-        rng: &mut SmallRng,
-        breakdown: &mut Vec<SinrBreakdown>,
-    ) -> Vec<Reception> {
-        breakdown.clear();
-        let cache = cache.filter(|c| c.matches(positions, &self.params));
+        let cache = match engine {
+            ResolveEngine::GainCache(c) if c.matches(positions, &self.params) => Some(&*c),
+            _ => None,
+        };
         let perturbation = Some(perturbation).filter(|pt| !pt.is_neutral());
         self.resolve_core(
             positions,
@@ -239,7 +212,7 @@ impl Channel for RayleighSinrChannel {
             cache,
             perturbation,
             rng,
-            Some(breakdown),
+            breakdown,
         )
     }
 
@@ -247,23 +220,16 @@ impl Channel for RayleighSinrChannel {
         power / pow_alpha(from.distance_sq(to), self.params.alpha())
     }
 
-    fn build_gain_cache(&self, positions: &[Point]) -> Option<GainCache> {
-        GainCache::build(positions, &self.params)
+    fn max_tier(&self) -> EngineTier {
+        // One fade per (listener, transmitter) pair in canonical order:
+        // skipping any pair would desynchronize the rng stream, so the
+        // tiled tiers cannot be decision-exact here.
+        EngineTier::GainCache
     }
 
-    fn gain_cache_profitable(&self, n: usize) -> bool {
-        // See `RAYLEIGH_CACHE_PROFITABLE_NODES`: past LLC the cached rows
-        // are memory-bound and lose to recomputing gains with the batched
-        // kernels. Bit-identical either way, so this is pure policy.
-        n <= RAYLEIGH_CACHE_PROFITABLE_NODES
+    fn sinr_params(&self) -> Option<&SinrParams> {
+        Some(&self.params)
     }
-
-    // No `build_farfield_engine` or `build_hierarchical_engine` override:
-    // this channel draws one fade per (listener, transmitter) pair in
-    // canonical order, so skipping any pair would desynchronize the rng
-    // stream — pruning cannot be decision-exact here. The trait defaults
-    // (no engine, wholesale fallback) are the correct behavior, not an
-    // omission.
 
     fn name(&self) -> &'static str {
         "rayleigh-sinr"

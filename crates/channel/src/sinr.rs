@@ -7,8 +7,8 @@ use fading_geom::Point;
 use crate::channel::{sealed, Channel};
 use crate::kernels::{fold_scan, gain_batch, scan_block, ScanFold, ScanScratch, LISTENER_BLOCK};
 use crate::{
-    ChannelPerturbation, ChunkExecutor, FarFieldEngine, GainCache, HierarchicalFarFieldEngine,
-    NodeId, Reception, SinrBreakdown, SinrParams,
+    ChannelPerturbation, ChunkExecutor, EngineTier, GainCache, NodeId, Reception, ResolveEngine,
+    SinrBreakdown, SinrParams,
 };
 
 /// Computes `d^alpha` given the *squared* distance `d_sq = d²`.
@@ -230,12 +230,10 @@ impl SinrChannel {
         }
     }
 
-    /// The single resolve loop every public path funnels through.
-    ///
-    /// All four trait entry points (`resolve`, `resolve_cached`,
-    /// `resolve_perturbed`, `resolve_instrumented`) are thin wrappers over
-    /// this function, so their bit-exactness contracts hold *by
-    /// construction* rather than by keeping parallel loops in sync:
+    /// The single exact resolve loop: `resolve` and every untiled
+    /// `resolve_with` round funnel through it, so their bit-exactness
+    /// contracts hold *by construction* rather than by keeping parallel
+    /// loops in sync:
     ///
     /// * `cache` must already be validated against `positions` (`None`
     ///   recomputes gains from geometry); cached and uncached differ only
@@ -245,8 +243,8 @@ impl SinrChannel {
     ///   `scaled_noise + extra + (total - best_sig)`. Callers map neutral
     ///   perturbations to `None`, which preserves the historical clean-path
     ///   expressions exactly.
-    /// * `breakdown`, when supplied, only *reads* the already-computed
-    ///   terms — it cannot alter the decision.
+    /// * `breakdown`, when supplied, is cleared and then only *reads* the
+    ///   already-computed terms — it cannot alter the decision.
     fn resolve_core(
         &self,
         positions: &[Point],
@@ -256,6 +254,9 @@ impl SinrChannel {
         perturbation: Option<&ChannelPerturbation<'_>>,
         mut breakdown: Option<&mut Vec<SinrBreakdown>>,
     ) -> Vec<Reception> {
+        if let Some(b) = breakdown.as_deref_mut() {
+            b.clear();
+        }
         let p = self.params.power();
         let alpha = self.params.alpha();
         let beta = self.params.beta();
@@ -377,125 +378,61 @@ impl Channel for SinrChannel {
         self.resolve_core(positions, transmitters, listeners, None, None, None)
     }
 
-    fn resolve_cached(
+    fn resolve_with(
         &self,
         positions: &[Point],
         transmitters: &[NodeId],
         listeners: &[NodeId],
-        cache: Option<&GainCache>,
-        _rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        let cache = cache.filter(|c| c.matches(positions, &self.params));
-        self.resolve_core(positions, transmitters, listeners, cache, None, None)
-    }
-
-    fn resolve_perturbed(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        cache: Option<&GainCache>,
+        engine: &mut ResolveEngine,
         perturbation: &ChannelPerturbation<'_>,
-        rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        if perturbation.is_neutral() {
-            return self.resolve_cached(positions, transmitters, listeners, cache, rng);
-        }
-        let cache = cache.filter(|c| c.matches(positions, &self.params));
-        self.resolve_core(positions, transmitters, listeners, cache, Some(perturbation), None)
-    }
-
-    fn resolve_instrumented(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        cache: Option<&GainCache>,
-        perturbation: &ChannelPerturbation<'_>,
+        executor: &dyn ChunkExecutor,
         _rng: &mut SmallRng,
-        breakdown: &mut Vec<SinrBreakdown>,
+        breakdown: Option<&mut Vec<SinrBreakdown>>,
     ) -> Vec<Reception> {
-        breakdown.clear();
-        let cache = cache.filter(|c| c.matches(positions, &self.params));
+        let params = &self.params;
         // A neutral perturbation routes to the clean denominator grouping,
-        // exactly as the uninstrumented dispatch does.
+        // which reproduces `resolve`'s expression bit for bit.
         let perturbation = Some(perturbation).filter(|pt| !pt.is_neutral());
+        // The tiled tiers skip exactly the per-pair terms a breakdown
+        // reports, so instrumented rounds take the full scan.
+        let tiled = breakdown.is_none();
+        let cache = match engine {
+            ResolveEngine::FarField(e) if tiled && e.matches(positions, params) => {
+                return e.resolve_sinr(params, positions, transmitters, listeners, perturbation);
+            }
+            ResolveEngine::Hierarchical(e) if tiled && e.matches(positions, params) => {
+                return e.resolve_sinr(
+                    params,
+                    positions,
+                    transmitters,
+                    listeners,
+                    perturbation,
+                    executor,
+                );
+            }
+            ResolveEngine::GainCache(c) if c.matches(positions, params) => Some(&*c),
+            _ => None,
+        };
         self.resolve_core(
             positions,
             transmitters,
             listeners,
             cache,
             perturbation,
-            Some(breakdown),
+            breakdown,
         )
-    }
-
-    fn resolve_farfield(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        engine: Option<&mut FarFieldEngine>,
-        perturbation: &ChannelPerturbation<'_>,
-        rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        match engine.filter(|e| e.matches(positions, &self.params)) {
-            Some(e) => {
-                // A neutral perturbation routes to the clean denominator
-                // grouping, exactly as resolve_core's dispatch does.
-                let perturbation = Some(perturbation).filter(|pt| !pt.is_neutral());
-                e.resolve_sinr(&self.params, positions, transmitters, listeners, perturbation)
-            }
-            None => {
-                self.resolve_perturbed(positions, transmitters, listeners, None, perturbation, rng)
-            }
-        }
-    }
-
-    fn resolve_hierarchical(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        engine: Option<&mut HierarchicalFarFieldEngine>,
-        executor: &dyn ChunkExecutor,
-        perturbation: &ChannelPerturbation<'_>,
-        rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        match engine.filter(|e| e.matches(positions, &self.params)) {
-            Some(e) => {
-                // A neutral perturbation routes to the clean denominator
-                // grouping, exactly as resolve_core's dispatch does.
-                let perturbation = Some(perturbation).filter(|pt| !pt.is_neutral());
-                e.resolve_sinr(
-                    &self.params,
-                    positions,
-                    transmitters,
-                    listeners,
-                    perturbation,
-                    executor,
-                )
-            }
-            None => {
-                self.resolve_perturbed(positions, transmitters, listeners, None, perturbation, rng)
-            }
-        }
     }
 
     fn interferer_gain(&self, from: Point, to: Point, power: f64) -> f64 {
         power / pow_alpha(from.distance_sq(to), self.params.alpha())
     }
 
-    fn build_gain_cache(&self, positions: &[Point]) -> Option<GainCache> {
-        GainCache::build(positions, &self.params)
+    fn max_tier(&self) -> EngineTier {
+        EngineTier::Hierarchical
     }
 
-    fn build_farfield_engine(&self, positions: &[Point]) -> Option<FarFieldEngine> {
-        FarFieldEngine::build(positions, &self.params)
-    }
-
-    fn build_hierarchical_engine(&self, positions: &[Point]) -> Option<HierarchicalFarFieldEngine> {
-        HierarchicalFarFieldEngine::build(positions, &self.params)
+    fn sinr_params(&self) -> Option<&SinrParams> {
+        Some(&self.params)
     }
 
     fn resolve_draws_rng(&self) -> bool {

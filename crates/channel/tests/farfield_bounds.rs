@@ -10,13 +10,27 @@
 //! does fall back rather than guess.
 
 use fading_channel::{
-    pow_alpha, Channel, ChannelPerturbation, FarFieldEngine, Reception, SinrChannel, SinrParams,
-    NEAR_RING,
+    pow_alpha, Channel, ChannelPerturbation, FarFieldEngine, Reception, ResolveEngine,
+    SerialExecutor, SinrChannel, SinrParams, NEAR_RING,
 };
 use fading_geom::Point;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+
+/// A flat far-field engine over an explicit tiling, as a resolve engine
+/// (the exact tier when the tiling cannot be built).
+fn tiled(positions: &[Point], params: &SinrParams, tiles_per_side: usize) -> ResolveEngine {
+    FarFieldEngine::build_with_tiling(positions, params, tiles_per_side)
+        .map_or(ResolveEngine::Exact, ResolveEngine::FarField)
+}
+
+fn flat(engine: &ResolveEngine) -> &FarFieldEngine {
+    match engine {
+        ResolveEngine::FarField(e) => e,
+        other => panic!("expected the far-field engine, got {:?}", other.tier()),
+    }
+}
 
 fn params_with(alpha: f64, beta: f64, noise: f64, power: f64) -> SinrParams {
     SinrParams::builder()
@@ -121,15 +135,17 @@ proptest! {
                 _ => {}
             }
         }
-        let mut engine = FarFieldEngine::build_with_tiling(&positions, &params, tiles_per_side);
+        let mut engine = tiled(&positions, &params, tiles_per_side);
         let exact = ch.resolve(&positions, &tx, &ls, &mut SmallRng::seed_from_u64(seed));
-        let fast = ch.resolve_farfield(
+        let fast = ch.resolve_with(
             &positions,
             &tx,
             &ls,
-            engine.as_mut(),
+            &mut engine,
             &ChannelPerturbation::neutral(),
+            &SerialExecutor,
             &mut SmallRng::seed_from_u64(seed),
+            None,
         );
         prop_assert_eq!(exact, fast);
     }
@@ -166,11 +182,11 @@ fn knife_edge_margin_forces_exact_fallback() {
 
     let tx: Vec<usize> = vec![1, 2, 3, 4, 5];
     let ls: Vec<usize> = vec![0];
-    let mut engine = FarFieldEngine::build_with_tiling(&positions, &params, 8);
+    let mut engine = tiled(&positions, &params, 8);
 
     // Sanity: the far cluster is genuinely outside the near ring.
     {
-        let e = engine.as_ref().unwrap();
+        let e = flat(&engine);
         let t0 = e.tiles().tile_of(0);
         let t2 = e.tiles().tile_of(2);
         assert!(
@@ -180,18 +196,20 @@ fn knife_edge_margin_forces_exact_fallback() {
     }
 
     let exact = ch.resolve(&positions, &tx, &ls, &mut SmallRng::seed_from_u64(7));
-    let fast = ch.resolve_farfield(
+    let fast = ch.resolve_with(
         &positions,
         &tx,
         &ls,
-        engine.as_mut(),
+        &mut engine,
         &ChannelPerturbation::neutral(),
+        &SerialExecutor,
         &mut SmallRng::seed_from_u64(7),
+        None,
     );
     assert_eq!(exact, fast);
     // The margin is exactly zero, so the bracket cannot settle it: the
     // decision must have come from the exact fallback rung.
-    let stats = engine.unwrap().stats();
+    let stats = engine.stats();
     assert_eq!(
         stats.exact_fallbacks(),
         1,
@@ -223,22 +241,24 @@ fn far_only_cluster_forces_fallback_and_decodes() {
     ];
     let tx = vec![1];
     let ls = vec![0];
-    let mut engine = FarFieldEngine::build_with_tiling(&positions, &params, 8);
+    let mut engine = tiled(&positions, &params, 8);
     {
-        let e = engine.as_ref().unwrap();
+        let e = flat(&engine);
         let t0 = e.tiles().tile_of(0);
         let t1 = e.tiles().tile_of(1);
         assert!(e.tiles().chebyshev(t0, t1) > NEAR_RING);
     }
 
     let exact = ch.resolve(&positions, &tx, &ls, &mut SmallRng::seed_from_u64(21));
-    let fast = ch.resolve_farfield(
+    let fast = ch.resolve_with(
         &positions,
         &tx,
         &ls,
-        engine.as_mut(),
+        &mut engine,
         &ChannelPerturbation::neutral(),
+        &SerialExecutor,
         &mut SmallRng::seed_from_u64(21),
+        None,
     );
     assert_eq!(exact, fast);
     assert_eq!(
@@ -246,7 +266,7 @@ fn far_only_cluster_forces_fallback_and_decodes() {
         vec![Reception::Message { from: 1 }],
         "the far transmitter should decode: sig = 10⁶/(30√2)³ ≈ 13.1 ≫ β·noise"
     );
-    let stats = engine.unwrap().stats();
+    let stats = engine.stats();
     assert!(
         stats.exact_fallbacks() >= 1,
         "a decodable far-only sender cannot be settled by bounds alone: {stats:?}"

@@ -1,10 +1,11 @@
 //! Decision-exactness oracle for the far-field engine.
 //!
-//! The contract under test ([`Channel::resolve_farfield`]) is *bit-exact*
-//! equivalence: resolving a round through a [`FarFieldEngine`] must yield a
-//! `Reception` vector **identical** (`==`, not approximately equal) to the
-//! exact paths — `resolve` for neutral perturbations, `resolve_perturbed`
-//! for faulted rounds — while consuming the channel rng identically. The
+//! The contract under test ([`Channel::resolve_with`] handed a
+//! [`ResolveEngine::FarField`]) is *bit-exact* equivalence: resolving a
+//! round through a [`FarFieldEngine`] must yield a `Reception` vector
+//! **identical** (`==`, not approximately equal) to the exact tier —
+//! `resolve` for neutral perturbations, the exact engine for faulted
+//! rounds — while consuming the channel rng identically. The
 //! property tests drive arbitrary deployments, transmitter/listener
 //! partitions, parameter draws, and perturbations (noise scaling +
 //! per-node jammer interference) through both paths for each path-loss
@@ -14,8 +15,8 @@
 //! would put 40 nodes in a single tile and never prune).
 
 use fading_channel::{
-    Channel, ChannelPerturbation, FarFieldEngine, LossySinrChannel, RadioChannel,
-    RayleighSinrChannel, Reception, SinrChannel, SinrParams,
+    Channel, ChannelPerturbation, EngineTier, FarFieldEngine, LossySinrChannel, RadioChannel,
+    RayleighSinrChannel, Reception, ResolveEngine, SerialExecutor, SinrChannel, SinrParams,
 };
 use fading_geom::Point;
 use proptest::prelude::*;
@@ -59,6 +60,34 @@ fn params_with(alpha: f64, beta: f64, noise: f64, power: f64) -> SinrParams {
         .expect("strategy stays in the valid range")
 }
 
+/// A flat far-field engine over an explicit tiling, as a resolve engine
+/// (the exact tier when the tiling cannot be built).
+fn tiled(positions: &[Point], params: &SinrParams, tiles_per_side: usize) -> ResolveEngine {
+    FarFieldEngine::build_with_tiling(positions, params, tiles_per_side)
+        .map_or(ResolveEngine::Exact, ResolveEngine::FarField)
+}
+
+/// One round on `ch` through `engine` (serial executor, no breakdowns).
+fn round<C: Channel>(
+    ch: &C,
+    positions: &[Point],
+    (tx, ls): (&[usize], &[usize]),
+    engine: &mut ResolveEngine,
+    perturbation: &ChannelPerturbation<'_>,
+    rng: &mut SmallRng,
+) -> Vec<Reception> {
+    ch.resolve_with(
+        positions,
+        tx,
+        ls,
+        engine,
+        perturbation,
+        &SerialExecutor,
+        rng,
+        None,
+    )
+}
+
 /// Builds the jammer-interference vector for a perturbation: every third
 /// node (by a role-derived mask) receives `jam_power`.
 fn jam_extra(roles: &[u8], n: usize, jam_power: f64) -> Vec<f64> {
@@ -80,7 +109,7 @@ fn assert_farfield_equiv<C: Channel>(
     positions: &[Point],
     tx: &[usize],
     ls: &[usize],
-    engine: &mut Option<FarFieldEngine>,
+    engine: &mut ResolveEngine,
     perturbation: &ChannelPerturbation<'_>,
     seed: u64,
 ) {
@@ -88,14 +117,8 @@ fn assert_farfield_equiv<C: Channel>(
     let mut rng_exact = SmallRng::seed_from_u64(seed);
     let mut rng_fast = SmallRng::seed_from_u64(seed);
     let exact = ch.resolve(positions, tx, ls, &mut rng_exact);
-    let fast = ch.resolve_farfield(
-        positions,
-        tx,
-        ls,
-        engine.as_mut(),
-        &ChannelPerturbation::neutral(),
-        &mut rng_fast,
-    );
+    let neutral = ChannelPerturbation::neutral();
+    let fast = round(ch, positions, (tx, ls), engine, &neutral, &mut rng_fast);
     assert_eq!(
         exact,
         fast,
@@ -112,19 +135,20 @@ fn assert_farfield_equiv<C: Channel>(
         ch.name()
     );
 
-    // Faulted round: farfield vs resolve_perturbed under the same
+    // Faulted round: farfield vs the exact tier under the same
     // noise-scale + jammer perturbation.
     let mut rng_exact = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9);
     let mut rng_fast = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9);
-    let exact = ch.resolve_perturbed(positions, tx, ls, None, perturbation, &mut rng_exact);
-    let fast = ch.resolve_farfield(
+    let mut exact_engine = ResolveEngine::Exact;
+    let exact = round(
+        ch,
         positions,
-        tx,
-        ls,
-        engine.as_mut(),
+        (tx, ls),
+        &mut exact_engine,
         perturbation,
-        &mut rng_fast,
+        &mut rng_exact,
     );
+    let fast = round(ch, positions, (tx, ls), engine, perturbation, &mut rng_fast);
     assert_eq!(
         exact,
         fast,
@@ -141,7 +165,7 @@ fn assert_farfield_equiv<C: Channel>(
 
 /// The full per-case oracle: SINR and lossy SINR take the pruned path
 /// (engines forced to a multi-tile layout so far aggregation actually
-/// runs); Rayleigh builds no engine and must fall back wholesale.
+/// runs); Rayleigh cannot be served by the tier and resolves exactly.
 #[allow(clippy::too_many_arguments)] // mirrors the proptest argument list
 fn check_all_channels(
     alpha: f64,
@@ -163,12 +187,16 @@ fn check_all_channels(
     let sinr = SinrChannel::new(params);
     // Forced multi-tile layout: with ≤ 48 nodes the production sizing
     // would use one tile and the far path would never engage.
-    let mut engine = FarFieldEngine::build_with_tiling(positions, &params, 5);
-    assert!(engine.is_some(), "multi-tile engine must build");
+    let mut engine = tiled(positions, &params, 5);
+    assert_eq!(
+        engine.tier(),
+        EngineTier::FarField,
+        "multi-tile engine must build"
+    );
     assert_farfield_equiv(&sinr, positions, &tx, &ls, &mut engine, &perturbation, seed);
     // And through the production builder (single tile ⇒ pure near scan).
-    let mut default_engine = sinr.build_farfield_engine(positions);
-    assert!(default_engine.is_some());
+    let mut default_engine = ResolveEngine::build(&sinr, EngineTier::FarField, positions);
+    assert_eq!(default_engine.tier(), EngineTier::FarField);
     assert_farfield_equiv(
         &sinr,
         positions,
@@ -180,7 +208,7 @@ fn check_all_channels(
     );
 
     let lossy = LossySinrChannel::new(params, drop_prob).expect("drop_prob in [0, 1)");
-    let mut lengine = FarFieldEngine::build_with_tiling(positions, &params, 5);
+    let mut lengine = tiled(positions, &params, 5);
     assert_farfield_equiv(
         &lossy,
         positions,
@@ -191,11 +219,11 @@ fn check_all_channels(
         seed,
     );
 
-    // Rayleigh: no engine by contract (per-pair rng draws); the trait
-    // default must fall back and stay exact.
+    // Rayleigh: no far-field tier by contract (per-pair rng draws); a
+    // round on the exact tier must stay exact.
     let rayleigh = RayleighSinrChannel::new(params);
-    assert!(rayleigh.build_farfield_engine(positions).is_none());
-    let mut none = None;
+    assert!(rayleigh.max_tier() < EngineTier::FarField);
+    let mut none = ResolveEngine::Exact;
     assert_farfield_equiv(
         &rayleigh,
         positions,
@@ -296,16 +324,18 @@ proptest! {
         let neutral = ChannelPerturbation::neutral();
 
         // Wrong node count: engine over a prefix of the deployment.
-        let mut stale = FarFieldEngine::build(&positions[..positions.len() - 1], &params);
+        let mut stale = FarFieldEngine::build(&positions[..positions.len() - 1], &params)
+            .map_or(ResolveEngine::Exact, ResolveEngine::FarField);
         assert_farfield_equiv(&ch, &positions, &tx, &ls, &mut stale, &neutral, seed);
 
         // Wrong parameters: engine built under a different power.
         let other = params_with(3.0, 2.0, 1.0, 2e4);
-        let mut wrong = FarFieldEngine::build(&positions, &other);
+        let mut wrong = FarFieldEngine::build(&positions, &other)
+            .map_or(ResolveEngine::Exact, ResolveEngine::FarField);
         assert_farfield_equiv(&ch, &positions, &tx, &ls, &mut wrong, &neutral, seed);
 
         // No engine at all.
-        let mut none = None;
+        let mut none = ResolveEngine::Exact;
         assert_farfield_equiv(&ch, &positions, &tx, &ls, &mut none, &neutral, seed);
     }
 }
@@ -318,17 +348,18 @@ fn radio_channels_take_the_default_fallback() {
         Point::new(2.0, 0.0),
     ];
     let radio = RadioChannel::new();
-    assert!(radio.build_farfield_engine(&positions).is_none());
+    assert_eq!(radio.max_tier(), EngineTier::Exact);
 
     // Handing the geometry-free model a foreign engine must not change its
     // semantics (the default trait impl ignores it).
     let params = params_with(3.0, 2.0, 1.0, 1e4);
-    let mut foreign = FarFieldEngine::build(&positions, &params);
-    let rx = radio.resolve_farfield(
+    let mut foreign =
+        ResolveEngine::build(&SinrChannel::new(params), EngineTier::FarField, &positions);
+    let rx = round(
+        &radio,
         &positions,
-        &[0],
-        &[1, 2],
-        foreign.as_mut(),
+        (&[0], &[1, 2]),
+        &mut foreign,
         &ChannelPerturbation::neutral(),
         &mut SmallRng::seed_from_u64(3),
     );
@@ -353,21 +384,21 @@ fn pruned_path_settles_decisions_on_spread_deployments() {
         .map(|i| Point::new((i % 32) as f64 * 3.0, (i / 32) as f64 * 3.0))
         .collect();
     let ch = SinrChannel::new(params);
-    let mut engine = FarFieldEngine::build_with_tiling(&positions, &params, 8);
+    let mut engine = tiled(&positions, &params, 8);
     let tx: Vec<usize> = (0..1024).step_by(5).collect();
     let ls: Vec<usize> = (0..1024).filter(|i| i % 5 != 0).collect();
     let mut rng = SmallRng::seed_from_u64(11);
     let exact = ch.resolve(&positions, &tx, &ls, &mut rng);
-    let fast = ch.resolve_farfield(
+    let fast = round(
+        &ch,
         &positions,
-        &tx,
-        &ls,
-        engine.as_mut(),
+        (&tx, &ls),
+        &mut engine,
         &ChannelPerturbation::neutral(),
         &mut SmallRng::seed_from_u64(11),
     );
     assert_eq!(exact, fast);
-    let stats = engine.unwrap().stats();
+    let stats = engine.stats();
     let settled = stats.fast_decisions() + stats.noise_floor_silences;
     assert!(
         settled > stats.exact_fallbacks(),

@@ -1,8 +1,9 @@
 //! Cached/uncached equivalence oracle for the gain-cache engine.
 //!
-//! The contract under test ([`Channel::resolve_cached`]) is *bit-exact*
-//! equivalence: for every deterministic-gain channel, resolving a round
-//! through a [`GainCache`] must yield a `Reception` vector **identical**
+//! The contract under test ([`Channel::resolve_with`] handed a
+//! [`ResolveEngine::GainCache`]) is *bit-exact* equivalence: for every
+//! deterministic-gain channel, resolving a round through a [`GainCache`]
+//! must yield a `Reception` vector **identical**
 //! (`==`, not approximately equal) to the uncached path, while consuming
 //! the channel rng identically. The property tests below drive arbitrary
 //! deployments, transmitter/listener partitions, and parameter draws
@@ -10,8 +11,8 @@
 //! (`α ∈ {2.5, 3, 4, 6}`), 256 cases per exponent.
 
 use fading_channel::{
-    Channel, GainCache, LossySinrChannel, RadioChannel, RayleighSinrChannel, Reception,
-    SinrChannel, SinrParams,
+    Channel, ChannelPerturbation, EngineTier, GainCache, LossySinrChannel, RadioChannel,
+    RayleighSinrChannel, Reception, ResolveEngine, SerialExecutor, SinrChannel, SinrParams,
 };
 use fading_geom::Point;
 use proptest::prelude::*;
@@ -62,13 +63,22 @@ fn assert_channel_equiv<C: Channel>(
     positions: &[Point],
     tx: &[usize],
     ls: &[usize],
-    cache: Option<&GainCache>,
+    mut engine: ResolveEngine,
     seed: u64,
 ) {
     let mut rng_uncached = SmallRng::seed_from_u64(seed);
     let mut rng_cached = SmallRng::seed_from_u64(seed);
     let uncached = ch.resolve(positions, tx, ls, &mut rng_uncached);
-    let cached = ch.resolve_cached(positions, tx, ls, cache, &mut rng_cached);
+    let cached = ch.resolve_with(
+        positions,
+        tx,
+        ls,
+        &mut engine,
+        &ChannelPerturbation::neutral(),
+        &SerialExecutor,
+        &mut rng_cached,
+        None,
+    );
     assert_eq!(
         uncached,
         cached,
@@ -87,7 +97,7 @@ fn assert_channel_equiv<C: Channel>(
 }
 
 /// The full per-case oracle: checks SINR, Rayleigh, and lossy SINR over
-/// the same deployment, with caches built through the trait method.
+/// the same deployment, with caches built through `ResolveEngine::build`.
 #[allow(clippy::too_many_arguments)] // mirrors the proptest argument list
 fn check_all_channels(
     alpha: f64,
@@ -102,19 +112,24 @@ fn check_all_channels(
     let (tx, ls) = partition(roles, positions.len());
     let params = params_with(alpha, beta, noise, power);
 
+    let cache_for = |ch: &dyn Channel| {
+        let engine = ResolveEngine::build(ch, EngineTier::GainCache, positions);
+        assert_eq!(
+            engine.tier(),
+            EngineTier::GainCache,
+            "deployments under test are within the size guard"
+        );
+        engine
+    };
+
     let sinr = SinrChannel::new(params);
-    let cache = sinr
-        .build_gain_cache(positions)
-        .expect("deployments under test are within the size guard");
-    assert_channel_equiv(&sinr, positions, &tx, &ls, Some(&cache), seed);
+    assert_channel_equiv(&sinr, positions, &tx, &ls, cache_for(&sinr), seed);
 
     let rayleigh = RayleighSinrChannel::new(params);
-    let rcache = rayleigh.build_gain_cache(positions).expect("within guard");
-    assert_channel_equiv(&rayleigh, positions, &tx, &ls, Some(&rcache), seed);
+    assert_channel_equiv(&rayleigh, positions, &tx, &ls, cache_for(&rayleigh), seed);
 
     let lossy = LossySinrChannel::new(params, drop_prob).expect("drop_prob in [0, 1)");
-    let lcache = lossy.build_gain_cache(positions).expect("within guard");
-    assert_channel_equiv(&lossy, positions, &tx, &ls, Some(&lcache), seed);
+    assert_channel_equiv(&lossy, positions, &tx, &ls, cache_for(&lossy), seed);
 }
 
 proptest! {
@@ -191,46 +206,15 @@ proptest! {
         // Wrong node count: cache over a prefix of the deployment.
         let stale = GainCache::build(&positions[..positions.len() - 1], &params)
             .expect("within guard");
-        assert_channel_equiv(&ch, &positions, &tx, &ls, Some(&stale), seed);
+        assert_channel_equiv(&ch, &positions, &tx, &ls, ResolveEngine::GainCache(stale), seed);
 
         // Wrong parameters: cache built under a different power.
         let other = params_with(3.0, 2.0, 1.0, 2e4);
         let wrong = GainCache::build(&positions, &other).expect("within guard");
-        assert_channel_equiv(&ch, &positions, &tx, &ls, Some(&wrong), seed);
+        assert_channel_equiv(&ch, &positions, &tx, &ls, ResolveEngine::GainCache(wrong), seed);
 
         // No cache at all.
-        assert_channel_equiv(&ch, &positions, &tx, &ls, None, seed);
-    }
-
-    /// The incremental active-interference totals stay within 1e-9
-    /// relative error of an exact re-sum through an arbitrary knockout
-    /// sequence.
-    #[test]
-    fn active_interference_matches_exact_resum(
-        positions in arb_positions(4, 32),
-        knockouts in prop::collection::vec(any::<u32>(), 0..32),
-    ) {
-        use fading_channel::ActiveInterference;
-        let params = params_with(3.0, 2.0, 1.0, 1e4);
-        let cache = GainCache::build(&positions, &params).expect("within guard");
-        let mut ai = ActiveInterference::new(&cache);
-        // Error scale: the all-active total is the largest magnitude the
-        // running sum ever holds, so drift is relative to it (the exact
-        // value itself can cancel to 0 once neighbors knock out).
-        let scales: Vec<f64> = (0..positions.len())
-            .map(|v| ai.total_at(v).max(1.0))
-            .collect();
-        for &k in &knockouts {
-            ai.deactivate(&cache, k as usize % positions.len());
-            for (v, &scale) in scales.iter().enumerate() {
-                let exact = ai.recompute_at(&cache, v);
-                let incr = ai.total_at(v);
-                prop_assert!(
-                    (incr - exact).abs() <= 1e-9 * scale,
-                    "v={} incremental={} exact={}", v, incr, exact
-                );
-            }
-        }
+        assert_channel_equiv(&ch, &positions, &tx, &ls, ResolveEngine::Exact, seed);
     }
 }
 
@@ -255,38 +239,46 @@ fn gain_cache_is_symmetric_with_zero_diagonal() {
 }
 
 #[test]
-fn size_guard_bypasses_cache_but_resolve_cached_still_works() {
+fn size_guard_bypasses_cache_but_resolve_with_still_works() {
     let positions: Vec<Point> = (0..12).map(|i| Point::new(i as f64, 0.0)).collect();
     let params = params_with(3.0, 2.0, 1.0, 1e4);
     assert!(GainCache::build_with_limit(&positions, &params, 11).is_none());
 
-    // The trait-level builder applies the default guard; at n = 12 the
-    // cache exists, and an oversized deployment would just yield None —
-    // which resolve_cached treats as "fall back", exercised here via the
-    // explicit None.
+    // The engine builder applies the default guard; at n = 12 the cache
+    // exists, and an oversized deployment would just build the exact
+    // tier — exercised here explicitly.
     let ch = SinrChannel::new(params);
-    assert!(ch.build_gain_cache(&positions).is_some());
+    assert_eq!(
+        ResolveEngine::build(&ch, EngineTier::GainCache, &positions).tier(),
+        EngineTier::GainCache
+    );
     let tx = [0usize, 5];
     let ls = [1usize, 2, 3];
-    assert_channel_equiv(&ch, &positions, &tx, &ls, None, 99);
+    assert_channel_equiv(&ch, &positions, &tx, &ls, ResolveEngine::Exact, 99);
 }
 
 #[test]
 fn radio_channels_have_no_cache_and_ignore_one() {
     let positions = [Point::new(0.0, 0.0), Point::new(1.0, 0.0), Point::new(2.0, 0.0)];
     let radio = RadioChannel::new();
-    assert!(radio.build_gain_cache(&positions).is_none());
+    assert_eq!(
+        ResolveEngine::build(&radio, EngineTier::GainCache, &positions).tier(),
+        EngineTier::Exact
+    );
 
     // Handing the geometry-free model someone else's cache must not
     // change its semantics (the default trait impl ignores it).
     let params = params_with(3.0, 2.0, 1.0, 1e4);
     let foreign = GainCache::build(&positions, &params).unwrap();
-    let rx = radio.resolve_cached(
+    let rx = radio.resolve_with(
         &positions,
         &[0],
         &[1, 2],
-        Some(&foreign),
+        &mut ResolveEngine::GainCache(foreign),
+        &ChannelPerturbation::neutral(),
+        &SerialExecutor,
         &mut SmallRng::seed_from_u64(3),
+        None,
     );
     assert_eq!(
         rx,

@@ -12,13 +12,26 @@
 //! rather than guess.
 
 use fading_channel::{
-    pow_alpha, Channel, ChannelPerturbation, HierarchicalFarFieldEngine, Reception,
+    pow_alpha, Channel, ChannelPerturbation, HierarchicalFarFieldEngine, Reception, ResolveEngine,
     SerialExecutor, SinrChannel, SinrParams, NEAR_RING,
 };
 use fading_geom::{Point, TileTree};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+/// A tile-tree engine over an explicit fine tiling, as a resolve engine.
+fn tiled(positions: &[Point], params: &SinrParams, tiles_per_side: usize) -> ResolveEngine {
+    HierarchicalFarFieldEngine::build_with_tiling(positions, params, tiles_per_side)
+        .map_or(ResolveEngine::Exact, ResolveEngine::Hierarchical)
+}
+
+fn tree(engine: &ResolveEngine) -> &TileTree {
+    match engine {
+        ResolveEngine::Hierarchical(e) => e.tree(),
+        other => panic!("expected the hierarchical engine, got {:?}", other.tier()),
+    }
+}
 
 fn params_with(alpha: f64, beta: f64, noise: f64, power: f64) -> SinrParams {
     SinrParams::builder()
@@ -253,11 +266,11 @@ fn coarse_knife_edge_margin_forces_exact_fallback() {
 
     let tx: Vec<usize> = (1..66).collect();
     let ls: Vec<usize> = vec![0];
-    let mut engine = HierarchicalFarFieldEngine::build_with_tiling(&positions, &params, 8);
+    let mut engine = tiled(&positions, &params, 8);
 
     // Structural sanity: the geometry really exercises a coarse accept.
     {
-        let tree = engine.as_ref().unwrap().tree();
+        let tree = tree(&engine);
         assert_eq!(tree.num_levels(), 4, "8×8 fine grid must stack 4 levels");
         let t0 = tree.fine().tile_of(0);
         let tc = tree.fine().tile_of(2);
@@ -280,19 +293,20 @@ fn coarse_knife_edge_margin_forces_exact_fallback() {
     }
 
     let exact = ch.resolve(&positions, &tx, &ls, &mut SmallRng::seed_from_u64(7));
-    let fast = ch.resolve_hierarchical(
+    let fast = ch.resolve_with(
         &positions,
         &tx,
         &ls,
-        engine.as_mut(),
-        &SerialExecutor,
+        &mut engine,
         &ChannelPerturbation::neutral(),
+        &SerialExecutor,
         &mut SmallRng::seed_from_u64(7),
+        None,
     );
     assert_eq!(exact, fast);
     // The margin is exactly zero, so the bracket cannot settle it: the
     // decision must have come from the exact fallback rung.
-    let stats = engine.unwrap().stats();
+    let stats = engine.stats();
     assert_eq!(
         stats.exact_fallbacks(),
         1,
@@ -322,23 +336,24 @@ fn far_only_sender_forces_fallback_and_decodes() {
     ];
     let tx = vec![1];
     let ls = vec![0];
-    let mut engine = HierarchicalFarFieldEngine::build_with_tiling(&positions, &params, 8);
+    let mut engine = tiled(&positions, &params, 8);
     {
-        let tree = engine.as_ref().unwrap().tree();
+        let tree = tree(&engine);
         let t0 = tree.fine().tile_of(0);
         let t1 = tree.fine().tile_of(1);
         assert!(tree.fine().chebyshev(t0, t1) > NEAR_RING);
     }
 
     let exact = ch.resolve(&positions, &tx, &ls, &mut SmallRng::seed_from_u64(21));
-    let fast = ch.resolve_hierarchical(
+    let fast = ch.resolve_with(
         &positions,
         &tx,
         &ls,
-        engine.as_mut(),
-        &SerialExecutor,
+        &mut engine,
         &ChannelPerturbation::neutral(),
+        &SerialExecutor,
         &mut SmallRng::seed_from_u64(21),
+        None,
     );
     assert_eq!(exact, fast);
     assert_eq!(
@@ -346,7 +361,7 @@ fn far_only_sender_forces_fallback_and_decodes() {
         vec![Reception::Message { from: 1 }],
         "the far transmitter should decode: sig = 10⁶/(120√2)³ ≈ 0.2 ≥ β·noise"
     );
-    let stats = engine.unwrap().stats();
+    let stats = engine.stats();
     assert!(
         stats.exact_fallbacks() >= 1,
         "a decodable far-only sender cannot be settled by bounds alone: {stats:?}"

@@ -1,12 +1,13 @@
 //! Decision-exactness oracle for the hierarchical (tile-tree) far-field
 //! engine.
 //!
-//! The contract under test ([`Channel::resolve_hierarchical`]) is the same
-//! *bit-exact* equivalence the flat engine guarantees: resolving a round
-//! through a [`HierarchicalFarFieldEngine`] must yield a `Reception`
-//! vector **identical** (`==`, not approximately equal) to the exact
-//! paths — `resolve` for neutral perturbations, `resolve_perturbed` for
-//! faulted rounds — while consuming the channel rng identically. The
+//! The contract under test ([`Channel::resolve_with`] handed a
+//! [`ResolveEngine::Hierarchical`]) is the same *bit-exact* equivalence
+//! the flat engine guarantees: resolving a round through a
+//! [`HierarchicalFarFieldEngine`] must yield a `Reception` vector
+//! **identical** (`==`, not approximately equal) to the exact tier —
+//! `resolve` for neutral perturbations, the exact engine for faulted
+//! rounds — while consuming the channel rng identically. The
 //! property tests drive arbitrary deployments, transmitter/listener
 //! partitions, parameter draws, and perturbations (noise scaling +
 //! per-node jammer interference) through both paths for each path-loss
@@ -18,8 +19,9 @@
 //! degenerates to 1×k levels).
 
 use fading_channel::{
-    Channel, ChannelPerturbation, HierarchicalFarFieldEngine, LossySinrChannel, RadioChannel,
-    RayleighSinrChannel, Reception, SerialExecutor, SinrChannel, SinrParams,
+    Channel, ChannelPerturbation, EngineTier, HierarchicalFarFieldEngine, LossySinrChannel,
+    RadioChannel, RayleighSinrChannel, Reception, ResolveEngine, SerialExecutor, SinrChannel,
+    SinrParams,
 };
 use fading_geom::Point;
 use proptest::prelude::*;
@@ -99,6 +101,42 @@ fn params_with(alpha: f64, beta: f64, noise: f64, power: f64) -> SinrParams {
         .expect("strategy stays in the valid range")
 }
 
+/// A tile-tree engine over an explicit fine tiling, as a resolve engine
+/// (the exact tier when the tiling cannot be built).
+fn tiled(positions: &[Point], params: &SinrParams, tiles_per_side: usize) -> ResolveEngine {
+    HierarchicalFarFieldEngine::build_with_tiling(positions, params, tiles_per_side)
+        .map_or(ResolveEngine::Exact, ResolveEngine::Hierarchical)
+}
+
+/// Number of levels of a hierarchical engine's tree (0 for other tiers).
+fn levels(engine: &ResolveEngine) -> usize {
+    match engine {
+        ResolveEngine::Hierarchical(e) => e.tree().num_levels(),
+        _ => 0,
+    }
+}
+
+/// One round on `ch` through `engine` (serial executor, no breakdowns).
+fn round<C: Channel>(
+    ch: &C,
+    positions: &[Point],
+    (tx, ls): (&[usize], &[usize]),
+    engine: &mut ResolveEngine,
+    perturbation: &ChannelPerturbation<'_>,
+    rng: &mut SmallRng,
+) -> Vec<Reception> {
+    ch.resolve_with(
+        positions,
+        tx,
+        ls,
+        engine,
+        perturbation,
+        &SerialExecutor,
+        rng,
+        None,
+    )
+}
+
 /// Builds the jammer-interference vector for a perturbation: every third
 /// node (by a role-derived mask) receives `jam_power`.
 fn jam_extra(roles: &[u8], n: usize, jam_power: f64) -> Vec<f64> {
@@ -120,24 +158,16 @@ fn assert_hierarchical_equiv<C: Channel>(
     positions: &[Point],
     tx: &[usize],
     ls: &[usize],
-    engine: &mut Option<HierarchicalFarFieldEngine>,
+    engine: &mut ResolveEngine,
     perturbation: &ChannelPerturbation<'_>,
     seed: u64,
 ) {
-    let executor = SerialExecutor;
     // Neutral round: hierarchical vs plain resolve.
     let mut rng_exact = SmallRng::seed_from_u64(seed);
     let mut rng_fast = SmallRng::seed_from_u64(seed);
     let exact = ch.resolve(positions, tx, ls, &mut rng_exact);
-    let fast = ch.resolve_hierarchical(
-        positions,
-        tx,
-        ls,
-        engine.as_mut(),
-        &executor,
-        &ChannelPerturbation::neutral(),
-        &mut rng_fast,
-    );
+    let neutral = ChannelPerturbation::neutral();
+    let fast = round(ch, positions, (tx, ls), engine, &neutral, &mut rng_fast);
     assert_eq!(
         exact,
         fast,
@@ -154,20 +184,20 @@ fn assert_hierarchical_equiv<C: Channel>(
         ch.name()
     );
 
-    // Faulted round: hierarchical vs resolve_perturbed under the same
+    // Faulted round: hierarchical vs the exact tier under the same
     // noise-scale + jammer perturbation.
     let mut rng_exact = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9);
     let mut rng_fast = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9);
-    let exact = ch.resolve_perturbed(positions, tx, ls, None, perturbation, &mut rng_exact);
-    let fast = ch.resolve_hierarchical(
+    let mut exact_engine = ResolveEngine::Exact;
+    let exact = round(
+        ch,
         positions,
-        tx,
-        ls,
-        engine.as_mut(),
-        &executor,
+        (tx, ls),
+        &mut exact_engine,
         perturbation,
-        &mut rng_fast,
+        &mut rng_exact,
     );
+    let fast = round(ch, positions, (tx, ls), engine, perturbation, &mut rng_fast);
     assert_eq!(
         exact,
         fast,
@@ -184,7 +214,7 @@ fn assert_hierarchical_equiv<C: Channel>(
 
 /// The full per-case oracle: SINR and lossy SINR take the pruned path
 /// (engines forced to a multi-tile fine grid so the pyramid has real
-/// depth); Rayleigh builds no engine and must fall back wholesale.
+/// depth); Rayleigh cannot be served by the tier and resolves exactly.
 #[allow(clippy::too_many_arguments)] // mirrors the proptest argument list
 fn check_all_channels(
     alpha: f64,
@@ -206,17 +236,21 @@ fn check_all_channels(
     let sinr = SinrChannel::new(params);
     // Forced 8-per-side fine grid ⇒ a 4-level pyramid (8 → 4 → 2 → 1),
     // so coarse-level accepts genuinely happen at these small n.
-    let mut engine = HierarchicalFarFieldEngine::build_with_tiling(positions, &params, 8);
-    assert!(engine.is_some(), "multi-level engine must build");
+    let mut engine = tiled(positions, &params, 8);
+    assert_eq!(
+        engine.tier(),
+        EngineTier::Hierarchical,
+        "multi-level engine must build"
+    );
     assert!(
-        engine.as_ref().is_some_and(|e| e.tree().num_levels() >= 4),
+        levels(&engine) >= 4,
         "forced tiling should produce a multi-level pyramid"
     );
     assert_hierarchical_equiv(&sinr, positions, &tx, &ls, &mut engine, &perturbation, seed);
     // And through the production builder (small n ⇒ shallow tree, the
     // near scan dominates).
-    let mut default_engine = sinr.build_hierarchical_engine(positions);
-    assert!(default_engine.is_some());
+    let mut default_engine = ResolveEngine::build(&sinr, EngineTier::Hierarchical, positions);
+    assert_eq!(default_engine.tier(), EngineTier::Hierarchical);
     assert_hierarchical_equiv(
         &sinr,
         positions,
@@ -228,7 +262,7 @@ fn check_all_channels(
     );
 
     let lossy = LossySinrChannel::new(params, drop_prob).expect("drop_prob in [0, 1)");
-    let mut lengine = HierarchicalFarFieldEngine::build_with_tiling(positions, &params, 8);
+    let mut lengine = tiled(positions, &params, 8);
     assert_hierarchical_equiv(
         &lossy,
         positions,
@@ -239,11 +273,11 @@ fn check_all_channels(
         seed,
     );
 
-    // Rayleigh: no engine by contract (per-pair rng draws); the trait
-    // default must fall back and stay exact.
+    // Rayleigh: no tiled tier by contract (per-pair rng draws); a round
+    // on the exact tier must stay exact.
     let rayleigh = RayleighSinrChannel::new(params);
-    assert!(rayleigh.build_hierarchical_engine(positions).is_none());
-    let mut none = None;
+    assert!(rayleigh.max_tier() < EngineTier::Hierarchical);
+    let mut none = ResolveEngine::Exact;
     assert_hierarchical_equiv(
         &rayleigh,
         positions,
@@ -348,16 +382,18 @@ proptest! {
 
         // Wrong node count: engine over a prefix of the deployment.
         let mut stale =
-            HierarchicalFarFieldEngine::build(&positions[..positions.len() - 1], &params);
+            HierarchicalFarFieldEngine::build(&positions[..positions.len() - 1], &params)
+                .map_or(ResolveEngine::Exact, ResolveEngine::Hierarchical);
         assert_hierarchical_equiv(&ch, &positions, &tx, &ls, &mut stale, &neutral, seed);
 
         // Wrong parameters: engine built under a different power.
         let other = params_with(3.0, 2.0, 1.0, 2e4);
-        let mut wrong = HierarchicalFarFieldEngine::build(&positions, &other);
+        let mut wrong = HierarchicalFarFieldEngine::build(&positions, &other)
+            .map_or(ResolveEngine::Exact, ResolveEngine::Hierarchical);
         assert_hierarchical_equiv(&ch, &positions, &tx, &ls, &mut wrong, &neutral, seed);
 
         // No engine at all.
-        let mut none = None;
+        let mut none = ResolveEngine::Exact;
         assert_hierarchical_equiv(&ch, &positions, &tx, &ls, &mut none, &neutral, seed);
     }
 }
@@ -370,18 +406,21 @@ fn radio_channels_take_the_default_fallback() {
         Point::new(2.0, 0.0),
     ];
     let radio = RadioChannel::new();
-    assert!(radio.build_hierarchical_engine(&positions).is_none());
+    assert_eq!(radio.max_tier(), EngineTier::Exact);
 
     // Handing the geometry-free model a foreign engine must not change its
     // semantics (the default trait impl ignores it).
     let params = params_with(3.0, 2.0, 1.0, 1e4);
-    let mut foreign = HierarchicalFarFieldEngine::build(&positions, &params);
-    let rx = radio.resolve_hierarchical(
+    let mut foreign = ResolveEngine::build(
+        &SinrChannel::new(params),
+        EngineTier::Hierarchical,
         &positions,
-        &[0],
-        &[1, 2],
-        foreign.as_mut(),
-        &SerialExecutor,
+    );
+    let rx = round(
+        &radio,
+        &positions,
+        (&[0], &[1, 2]),
+        &mut foreign,
         &ChannelPerturbation::neutral(),
         &mut SmallRng::seed_from_u64(3),
     );
@@ -407,26 +446,25 @@ fn pruned_path_settles_decisions_on_spread_deployments() {
         .map(|i| Point::new((i % 32) as f64 * 3.0, (i / 32) as f64 * 3.0))
         .collect();
     let ch = SinrChannel::new(params);
-    let mut engine = HierarchicalFarFieldEngine::build_with_tiling(&positions, &params, 16);
+    let mut engine = tiled(&positions, &params, 16);
     assert!(
-        engine.as_ref().is_some_and(|e| e.tree().num_levels() >= 5),
+        levels(&engine) >= 5,
         "16 tiles per side should yield a 5-level pyramid"
     );
     let tx: Vec<usize> = (0..1024).step_by(5).collect();
     let ls: Vec<usize> = (0..1024).filter(|i| i % 5 != 0).collect();
     let mut rng = SmallRng::seed_from_u64(11);
     let exact = ch.resolve(&positions, &tx, &ls, &mut rng);
-    let fast = ch.resolve_hierarchical(
+    let fast = round(
+        &ch,
         &positions,
-        &tx,
-        &ls,
-        engine.as_mut(),
-        &SerialExecutor,
+        (&tx, &ls),
+        &mut engine,
         &ChannelPerturbation::neutral(),
         &mut SmallRng::seed_from_u64(11),
     );
     assert_eq!(exact, fast);
-    let stats = engine.unwrap().stats();
+    let stats = engine.stats();
     let settled = stats.fast_decisions() + stats.noise_floor_silences;
     assert!(
         settled > stats.exact_fallbacks(),

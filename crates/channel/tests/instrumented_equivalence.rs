@@ -1,16 +1,18 @@
 //! Instrumented/uninstrumented equivalence oracle.
 //!
-//! The contract under test ([`Channel::resolve_instrumented`]) is that
-//! instrumentation is a pure observer: for every channel, perturbation,
-//! and cache setting, the instrumented path returns a `Reception` vector
-//! **bit-identical** to [`Channel::resolve_perturbed`] on the same inputs
+//! The contract under test ([`Channel::resolve_with`] with a breakdown
+//! buffer) is that instrumentation is a pure observer: for every channel,
+//! perturbation, and cache setting, the instrumented round returns a
+//! `Reception` vector **bit-identical** to the uninstrumented one on the
+//! same inputs
 //! while consuming the rng identically, and the reported
 //! [`SinrBreakdown`]s are internally consistent with the decisions
 //! (`decoded ⇔ margin ≥ 0 ⇔ Reception::Message`).
 
 use fading_channel::{
-    Channel, ChannelPerturbation, LossySinrChannel, RadioCdChannel, RadioChannel,
-    RayleighSinrChannel, Reception, SinrBreakdown, SinrChannel, SinrParams,
+    Channel, ChannelPerturbation, EngineTier, LossySinrChannel, RadioCdChannel, RadioChannel,
+    RayleighSinrChannel, Reception, ResolveEngine, SerialExecutor, SinrBreakdown, SinrChannel,
+    SinrParams,
 };
 use fading_geom::Point;
 use proptest::prelude::*;
@@ -54,7 +56,7 @@ fn params() -> SinrParams {
         .unwrap()
 }
 
-/// Asserts the instrumented path matches `resolve_perturbed` bit for bit
+/// Asserts the instrumented round matches the uninstrumented one bit for bit
 /// (receptions and final rng state) under both cache settings, and sanity
 /// checks the breakdowns when the channel reports them.
 fn assert_instrumented_equiv<C: Channel>(
@@ -66,12 +68,25 @@ fn assert_instrumented_equiv<C: Channel>(
     seed: u64,
     expect_breakdowns: bool,
 ) {
-    let cache = ch.build_gain_cache(positions);
     for use_cache in [false, true] {
-        let cache = if use_cache { cache.as_ref() } else { None };
+        let tier = if use_cache {
+            EngineTier::GainCache
+        } else {
+            EngineTier::Exact
+        };
+        let mut engine = ResolveEngine::build(ch, tier, positions);
         let mut rng_plain = SmallRng::seed_from_u64(seed);
         let mut rng_inst = SmallRng::seed_from_u64(seed);
-        let plain = ch.resolve_perturbed(positions, tx, ls, cache, perturbation, &mut rng_plain);
+        let plain = ch.resolve_with(
+            positions,
+            tx,
+            ls,
+            &mut engine,
+            perturbation,
+            &SerialExecutor,
+            &mut rng_plain,
+            None,
+        );
         let mut breakdown: Vec<SinrBreakdown> = vec![SinrBreakdown {
             listener: usize::MAX,
             best_tx: None,
@@ -82,14 +97,15 @@ fn assert_instrumented_equiv<C: Channel>(
             margin: -1.0,
             decoded: false,
         }];
-        let inst = ch.resolve_instrumented(
+        let inst = ch.resolve_with(
             positions,
             tx,
             ls,
-            cache,
+            &mut engine,
             perturbation,
+            &SerialExecutor,
             &mut rng_inst,
-            &mut breakdown,
+            Some(&mut breakdown),
         );
         assert_eq!(
             plain,
@@ -217,14 +233,15 @@ fn breakdown_terms_recompose_equation_one() {
     ];
     let mut breakdown = Vec::new();
     let mut rng = SmallRng::seed_from_u64(0);
-    let rx = ch.resolve_instrumented(
+    let rx = ch.resolve_with(
         &pos,
         &[1, 2],
         &[0],
-        None,
+        &mut ResolveEngine::Exact,
         &ChannelPerturbation::neutral(),
+        &SerialExecutor,
         &mut rng,
-        &mut breakdown,
+        Some(&mut breakdown),
     );
     assert_eq!(rx, vec![Reception::Message { from: 1 }]);
     let b = breakdown[0];
@@ -248,14 +265,15 @@ fn jammed_breakdown_includes_extra_term() {
     let jam = [7.0, 0.0];
     let mut breakdown = Vec::new();
     let mut rng = SmallRng::seed_from_u64(0);
-    let rx = ch.resolve_instrumented(
+    let rx = ch.resolve_with(
         &pos,
         &[1],
         &[0],
-        None,
+        &mut ResolveEngine::Exact,
         &ChannelPerturbation::new(3.0, &jam),
+        &SerialExecutor,
         &mut rng,
-        &mut breakdown,
+        Some(&mut breakdown),
     );
     let b = breakdown[0];
     // noise scaled 1×3, extra 7, interference 0 ⇒ denominator 10;

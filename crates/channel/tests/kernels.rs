@@ -17,11 +17,36 @@
 //!    tie-break, exercised with mirror-symmetric (equal-gain) transmitters.
 
 use fading_channel::kernels::{distance_sq_batch, fold_scan, gain_batch, pow_alpha_batch};
-use fading_channel::{pow_alpha, Channel, GainCache, Reception, SinrChannel, SinrParams};
+use fading_channel::{
+    pow_alpha, Channel, ChannelPerturbation, GainCache, Reception, ResolveEngine, SerialExecutor,
+    SinrChannel, SinrParams,
+};
 use fading_geom::{Point, PointsSoA};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+
+/// One round through the gain cache (serial executor, neutral, no
+/// breakdowns).
+fn resolve_cached(
+    ch: &SinrChannel,
+    positions: &[Point],
+    tx: &[usize],
+    ls: &[usize],
+    cache: GainCache,
+    rng: &mut SmallRng,
+) -> Vec<Reception> {
+    ch.resolve_with(
+        positions,
+        tx,
+        ls,
+        &mut ResolveEngine::GainCache(cache),
+        &ChannelPerturbation::neutral(),
+        &SerialExecutor,
+        rng,
+        None,
+    )
+}
 
 fn params_with_alpha(alpha: f64) -> SinrParams {
     SinrParams::builder()
@@ -196,8 +221,7 @@ proptest! {
 
         let cache = GainCache::build(&positions, &params).expect("within size guard");
         let mut rng = SmallRng::seed_from_u64(1);
-        let cached =
-            ch.resolve_cached(&positions, &transmitters, &listeners, Some(&cache), &mut rng);
+        let cached = resolve_cached(&ch, &positions, &transmitters, &listeners, cache, &mut rng);
         prop_assert_eq!(&batched, &cached, "batched vs cached diverged at alpha={}", alpha);
 
         // Scalar reference: the canonical fold, written out longhand.
@@ -244,7 +268,7 @@ fn batched_scan_keeps_first_strict_max_on_exact_ties() {
         let mut rng = SmallRng::seed_from_u64(0);
         let batched = ch.resolve(&positions, &tx, &[0], &mut rng);
         let mut rng = SmallRng::seed_from_u64(0);
-        let cached = ch.resolve_cached(&positions, &tx, &[0], Some(&cache), &mut rng);
+        let cached = resolve_cached(&ch, &positions, &tx, &[0], cache.clone(), &mut rng);
         assert_eq!(batched, cached, "tie-break diverged for order {tx:?}");
         // With β = 1.5 > 1 and two equal signals the SINR is ~1, so the
         // decode fails — but the *fold* still has a well-defined winner.

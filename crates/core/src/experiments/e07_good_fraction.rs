@@ -1,7 +1,7 @@
 //! E7 — Lemma 6: dominant link classes are mostly good.
 
 use fading_analysis::{GoodNodes, LinkClasses};
-use fading_channel::{ChannelPerturbation, SinrBreakdown};
+use fading_channel::{ChannelPerturbation, ResolveEngine, SerialExecutor, SinrBreakdown};
 use fading_geom::{Deployment, Point};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -43,11 +43,11 @@ fn lemma6_deployment(dom_pairs: usize, loaded: usize) -> Deployment {
 /// Measures the dominant pairs' decode success from channel telemetry:
 /// every node except the pair partners transmits at once (anchors plus all
 /// loaded-cluster nodes — the worst case the deployment supports), the
-/// partners listen, and [`Channel::resolve_instrumented`] reports one
+/// partners listen, and [`Channel::resolve_with`] reports one
 /// [`SinrBreakdown`] per partner. Returns the fraction of partners whose
 /// Equation 1 test passed.
 ///
-/// [`Channel::resolve_instrumented`]: fading_channel::Channel::resolve_instrumented
+/// [`Channel::resolve_with`]: fading_channel::Channel::resolve_with
 fn dominant_pair_decode_fraction(d: &Deployment, dom_pairs: usize, loaded: usize, seed: u64) -> f64 {
     let channel = sinr_for(d).build();
     // Mirror the construction order of `lemma6_deployment`: anchor, partner,
@@ -65,14 +65,15 @@ fn dominant_pair_decode_fraction(d: &Deployment, dom_pairs: usize, loaded: usize
     let transmitters: Vec<usize> = (0..d.len()).filter(|i| !listeners.contains(i)).collect();
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut breakdown: Vec<SinrBreakdown> = Vec::new();
-    let _ = channel.resolve_instrumented(
+    let _ = channel.resolve_with(
         d.points(),
         &transmitters,
         &listeners,
-        None,
+        &mut ResolveEngine::Exact,
         &ChannelPerturbation::neutral(),
+        &SerialExecutor,
         &mut rng,
-        &mut breakdown,
+        Some(&mut breakdown),
     );
     debug_assert_eq!(breakdown.len(), listeners.len());
     breakdown.iter().filter(|b| b.decoded).count() as f64 / breakdown.len() as f64

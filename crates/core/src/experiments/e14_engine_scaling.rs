@@ -3,7 +3,7 @@
 use std::time::Instant;
 
 use fading_protocols::ProtocolKind;
-use fading_sim::Simulation;
+use fading_sim::{EngineTier, Simulation};
 
 use super::common::{sinr_for, standard_deployment, ExperimentConfig};
 use crate::table::fmt_f64;
@@ -14,7 +14,7 @@ use crate::Table;
 enum Tier {
     /// No acceleration: the O(listeners × transmitters) exact scan.
     Exact,
-    /// Gain-cache engine (precomputed pairwise gains, incremental totals).
+    /// Gain-cache engine (precomputed pairwise gains).
     GainCache,
     /// Far-field engine (tile-aggregated interference bounds).
     FarField,
@@ -30,20 +30,11 @@ impl Tier {
     }
 
     fn pin(self, sim: &mut Simulation) {
-        match self {
-            Tier::Exact => {
-                sim.set_gain_cache_enabled(false);
-                sim.set_farfield_enabled(false);
-            }
-            Tier::GainCache => {
-                sim.set_gain_cache_enabled(true);
-                sim.set_farfield_enabled(false);
-            }
-            Tier::FarField => {
-                sim.set_gain_cache_enabled(false);
-                sim.set_farfield_enabled(true);
-            }
-        }
+        sim.set_tier(match self {
+            Tier::Exact => EngineTier::Exact,
+            Tier::GainCache => EngineTier::GainCache,
+            Tier::FarField => EngineTier::FarField,
+        });
     }
 }
 

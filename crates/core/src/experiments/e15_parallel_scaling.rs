@@ -3,7 +3,7 @@
 use std::time::Instant;
 
 use fading_protocols::ProtocolKind;
-use fading_sim::Simulation;
+use fading_sim::{EngineTier, Simulation};
 
 use super::common::{sinr_for, standard_deployment, ExperimentConfig};
 use crate::table::fmt_f64;
@@ -32,19 +32,11 @@ impl Tier {
     }
 
     fn pin(self, sim: &mut Simulation) {
-        sim.set_gain_cache_enabled(false);
         match self {
-            Tier::Exact => {
-                sim.set_farfield_enabled(false);
-                sim.set_hierarchical_enabled(false);
-            }
-            Tier::FarField => {
-                sim.set_farfield_enabled(true);
-                sim.set_hierarchical_enabled(false);
-            }
+            Tier::Exact => sim.set_tier(EngineTier::Exact),
+            Tier::FarField => sim.set_tier(EngineTier::FarField),
             Tier::Hier { threads } => {
-                sim.set_farfield_enabled(false);
-                sim.set_hierarchical_enabled(true);
+                sim.set_tier(EngineTier::Hierarchical);
                 sim.set_resolve_threads(threads);
             }
         }

@@ -86,9 +86,9 @@ pub mod prelude {
     pub use crate::table::Table;
     pub use fading_analysis::{ClassBoundSchedule, GoodNodes, LinkClasses, ScheduleParams};
     pub use fading_channel::{
-        ActiveInterference, Channel, ChunkExecutor, FarFieldEngine, FarFieldStats, GainCache,
+        Channel, ChunkExecutor, EngineTier, FarFieldEngine, FarFieldStats, GainCache,
         HierarchicalFarFieldEngine, RadioCdChannel, RadioChannel, RayleighSinrChannel, Reception,
-        SerialExecutor, SinrChannel, SinrParams,
+        ResolveEngine, SerialExecutor, SinrChannel, SinrParams,
     };
     pub use fading_geom::{generators, Deployment, Point};
     pub use fading_hitting::{

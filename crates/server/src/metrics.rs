@@ -21,9 +21,8 @@ use fading_cr::sim::obs::export::prometheus::{counters_to_prometheus, registry_t
 use fading_cr::sim::obs::timeseries::TsSample;
 use fading_cr::sim::obs::{EngineCounters, ProgressEvent};
 use fading_cr::sim::recover::FleetSummary;
+use fading_cr::sim::telemetry::jsonl::json_escape;
 use fading_cr::sim::telemetry::{Histogram, MetricsRegistry};
-
-use crate::protocol::json_escape;
 
 /// Aggregated service metrics behind one lock (server threads record,
 /// the scrape endpoint renders).

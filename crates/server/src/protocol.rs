@@ -25,7 +25,7 @@
 use std::fmt::Write as _;
 
 use fading_cr::jobspec::{JobSpec, JobSpecError};
-use fading_cr::sim::telemetry::jsonl::{parse_json, JsonValue};
+use fading_cr::sim::telemetry::jsonl::{json_escape, parse_json, JsonValue};
 
 /// A parsed client request.
 #[derive(Debug)]
@@ -83,26 +83,6 @@ impl JobState {
             JobState::Unknown => "unknown",
         }
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Parses one request line.

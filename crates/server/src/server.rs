@@ -40,13 +40,13 @@ use fading_cr::sim::montecarlo::{run_trials_supervised_with_manifest_observed, S
 use fading_cr::sim::obs::timeseries::{frame_to_json, TimeSeries, TsFrame};
 use fading_cr::sim::obs::{EngineCounters, NoopProgress, ProgressEvent, ProgressSink};
 use fading_cr::sim::recover::{trial_line, SupervisorConfig, TrialManifest};
-use fading_cr::sim::telemetry::jsonl::write_events_to_path;
+use fading_cr::sim::telemetry::jsonl::{json_escape, write_events_to_path};
 use fading_cr::sim::telemetry::{MemorySink, MetricsRegistry, TelemetryDetail};
 use fading_cr::sim::RunResult;
 
 use crate::interrupt;
 use crate::metrics::ServerMetrics;
-use crate::protocol::{error_response, json_escape, ok_response, parse_request, JobState, Request};
+use crate::protocol::{error_response, ok_response, parse_request, JobState, Request};
 use crate::queue::JobQueue;
 use crate::stream::{with_job_fields, EventHub, SloRules, SloWatch, Subscription};
 
@@ -586,7 +586,7 @@ impl Server {
             Ok(Request::Status { id }) => {
                 let state = self.job_state(&id);
                 ok_response(&[
-                    ("id", format!("\"{}\"", crate::protocol::json_escape(&id))),
+                    ("id", format!("\"{}\"", json_escape(&id))),
                     ("state", format!("\"{}\"", state.label())),
                 ])
             }

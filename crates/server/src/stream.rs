@@ -27,9 +27,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use fading_cr::sim::obs::timeseries::TimeSeries;
-use fading_cr::sim::telemetry::jsonl::{parse_json, JsonValue};
-
-use crate::protocol::json_escape;
+use fading_cr::sim::telemetry::jsonl::{json_escape, parse_json, JsonValue};
 
 /// Default bound on one subscriber's pending-line queue. At ~100 bytes a
 /// line this caps a stalled subscriber at ~100 KiB of retained lines.

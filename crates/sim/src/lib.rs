@@ -106,10 +106,12 @@ pub use recover::{
 };
 pub use result::{RoundRecord, RunOutcome, RunResult, Trace, TraceLevel};
 pub use rng::{channel_rng, fault_rng, node_rng, self_check_rng, split_mix64};
-pub use simulation::{SimError, Simulation, StepOutcome, HIERARCHICAL_AUTO_THRESHOLD};
+pub use simulation::{SimError, Simulation, StepOutcome};
 pub use telemetry::{
     MemorySink, MetricsRegistry, NoopSink, RoundEvent, TelemetryDetail, TelemetrySink,
 };
 
 // Re-export the vocabulary types callers always need alongside the simulator.
-pub use fading_channel::{ActiveInterference, Channel, GainCache, NodeId, Reception};
+pub use fading_channel::{
+    Channel, EngineTier, GainCache, NodeId, Reception, ResolveEngine, HIERARCHICAL_AUTO_THRESHOLD,
+};

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use crate::obs::progress::{NoopProgress, ProgressSink};
 use crate::recover::{
     supervise_trial_observed, FleetSummary, SnapshotError, SupervisedRun, SupervisorConfig,
-    TrialFn, TrialManifest, TrialOutcome,
+    TrialFn, TrialManifest,
 };
 use crate::RunResult;
 
@@ -82,37 +82,47 @@ where
     F: Fn(u64) -> (RunResult, T) + Sync,
     T: Send,
 {
-    let threads = threads.max(1).min(trials.max(1));
+    let seeds: Vec<u64> = (0..trials as u64).map(|i| seed_base + i).collect();
+    for_each_seed(&seeds, threads, f)
+}
+
+/// The work loop behind every runner: calls `work(seed)` for each of
+/// `seeds` on up to `threads` scoped workers (clamped to `1..=seeds.len()`),
+/// each claiming the next unclaimed seed, and returns the outputs **in
+/// `seeds` order** whatever the thread count or completion order.
+fn for_each_seed<T, F>(seeds: &[u64], threads: usize, work: F) -> Vec<T>
+where
+    F: Fn(u64) -> T + Sync,
+    T: Send,
+{
+    let threads = threads.max(1).min(seeds.len().max(1));
     let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<(RunResult, T)>>> =
-        Mutex::new((0..trials).map(|_| None).collect());
+    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..seeds.len()).map(|_| None).collect());
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= trials {
+                if i >= seeds.len() {
                     break;
                 }
-                let result = f(seed_base + i as u64);
-                // A worker that panicked inside `f` poisons the lock while
-                // never writing its slot; recover the guard so the other
-                // workers' completed trials aren't thrown away with it
-                // (the scope still propagates the panic itself).
-                results
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)[i] = Some(result);
+                let out = work(seeds[i]);
+                // A worker that panicked inside `work` poisons the lock
+                // while never writing its slot; recover the guard so the
+                // other workers' completed trials aren't thrown away with
+                // it (the scope still propagates the panic itself).
+                slots.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(out);
             });
         }
     });
     // `thread::scope` has already joined every worker (re-raising any
     // panic), so at this point each slot was written exactly once.
-    results
+    slots
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner)
         .into_iter()
-        .enumerate()
-        .map(|(i, r)| {
-            r.unwrap_or_else(|| unreachable!("trial {i} finished without storing a result"))
+        .zip(seeds)
+        .map(|(out, seed)| {
+            out.unwrap_or_else(|| unreachable!("seed {seed} finished without storing a result"))
         })
         .collect()
 }
@@ -121,8 +131,10 @@ where
 /// [`recover::supervisor`](crate::recover::supervisor): panics are caught
 /// and classified, panicked trials are retried (same seed) up to
 /// `cfg.max_retries` times, and — when `cfg.timeout` is set — a hung
-/// trial becomes a typed [`TrialOutcome::TimedOut`] instead of wedging
-/// the pool. One poisoned trial no longer takes the whole batch down.
+/// trial becomes a typed
+/// [`TrialOutcome::TimedOut`](crate::recover::TrialOutcome::TimedOut)
+/// instead of wedging the pool. One poisoned trial no longer takes the
+/// whole batch down.
 ///
 /// Outcomes come back **in seed order** with a [`FleetSummary`] tally
 /// (`succeeded`/`retried`/`timed_out`/`poisoned`). Successful results are
@@ -168,34 +180,10 @@ where
     F: Fn(u64) -> RunResult + Send + Sync + 'static,
 {
     let trial: Arc<TrialFn> = Arc::new(f);
-    let threads = threads.max(1).min(trials.max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<TrialOutcome>>> = Mutex::new((0..trials).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= trials {
-                    break;
-                }
-                let outcome = supervise_trial_observed(cfg, seed_base + i as u64, &trial, sink);
-                // `supervise_trial` never unwinds, but mirror
-                // `run_trials_with`'s poison recovery for uniformity.
-                slots
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)[i] = Some(outcome);
-            });
-        }
+    let seeds: Vec<u64> = (0..trials as u64).map(|i| seed_base + i).collect();
+    let outcomes = for_each_seed(&seeds, threads, |seed| {
+        supervise_trial_observed(cfg, seed, &trial, sink)
     });
-    let outcomes: Vec<TrialOutcome> = slots
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .into_iter()
-        .enumerate()
-        .map(|(i, o)| {
-            o.unwrap_or_else(|| unreachable!("trial {i} finished without storing an outcome"))
-        })
-        .collect();
     let mut summary = FleetSummary::default();
     for outcome in &outcomes {
         summary.record(outcome);
@@ -234,31 +222,11 @@ where
         .map(|i| seed_base + i)
         .filter(|&seed| !manifest.is_done(seed))
         .collect();
-    let threads = threads.max(1).min(pending.len().max(1));
-    let next = AtomicUsize::new(0);
     // Workers compute trials in parallel but append under one lock, so
     // each manifest line lands intact. The first IO failure is latched;
     // later completions still compute but stop recording.
     let sink: Mutex<(&mut TrialManifest, Option<SnapshotError>)> = Mutex::new((manifest, None));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= pending.len() {
-                    break;
-                }
-                let seed = pending[i];
-                let result = f(seed);
-                let mut guard = sink.lock().unwrap_or_else(PoisonError::into_inner);
-                let (manifest, err) = &mut *guard;
-                if err.is_none() {
-                    if let Err(e) = manifest.record(seed, &result) {
-                        *err = Some(e);
-                    }
-                }
-            });
-        }
-    });
+    for_each_seed(&pending, threads, |seed| record(&sink, seed, &f(seed)));
     let (manifest, err) = sink.into_inner().unwrap_or_else(PoisonError::into_inner);
     if let Some(e) = err {
         return Err(e);
@@ -271,6 +239,22 @@ where
             })
         })
         .collect()
+}
+
+/// Appends one completed trial to the shared manifest, unless an earlier
+/// append already failed (the first IO error is latched in the pair).
+fn record(
+    sink: &Mutex<(&mut TrialManifest, Option<SnapshotError>)>,
+    seed: u64,
+    result: &RunResult,
+) {
+    let mut guard = sink.lock().unwrap_or_else(PoisonError::into_inner);
+    let (manifest, err) = &mut *guard;
+    if err.is_none() {
+        if let Err(e) = manifest.record(seed, result) {
+            *err = Some(e);
+        }
+    }
 }
 
 /// The outcome of one supervised, manifest-backed shard of trials: the
@@ -364,35 +348,15 @@ where
         .filter(|&seed| !manifest.is_done(seed))
         .collect();
     let resumed = (trials - pending.len()) as u64;
-    let threads = threads.max(1).min(pending.len().max(1));
-    let next = AtomicUsize::new(0);
-    let outcomes: Mutex<Vec<Option<TrialOutcome>>> =
-        Mutex::new((0..pending.len()).map(|_| None).collect());
     // As in `run_trials_with_manifest`: compute in parallel, append under
     // one lock so each line lands intact, latch the first IO failure.
     let sink: Mutex<(&mut TrialManifest, Option<SnapshotError>)> = Mutex::new((manifest, None));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= pending.len() {
-                    break;
-                }
-                let outcome = supervise_trial_observed(cfg, pending[i], &trial, progress);
-                if let Some(result) = outcome.result() {
-                    let mut guard = sink.lock().unwrap_or_else(PoisonError::into_inner);
-                    let (manifest, err) = &mut *guard;
-                    if err.is_none() {
-                        if let Err(e) = manifest.record(pending[i], result) {
-                            *err = Some(e);
-                        }
-                    }
-                }
-                outcomes
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)[i] = Some(outcome);
-            });
+    let outcomes = for_each_seed(&pending, threads, |seed| {
+        let outcome = supervise_trial_observed(cfg, seed, &trial, progress);
+        if let Some(result) = outcome.result() {
+            record(&sink, seed, result);
         }
+        outcome
     });
     let (manifest, err) = sink.into_inner().unwrap_or_else(PoisonError::into_inner);
     if let Some(e) = err {
@@ -403,12 +367,7 @@ where
         succeeded: resumed,
         ..FleetSummary::default()
     };
-    for outcome in outcomes
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .iter()
-        .flatten()
-    {
+    for outcome in &outcomes {
         summary.record(outcome);
     }
     let results = (0..trials as u64)

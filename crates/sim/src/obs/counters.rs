@@ -4,14 +4,11 @@ use fading_channel::FarFieldStats;
 
 /// Which resolve tier served one round's channel resolution.
 ///
-/// The step loop picks the path per round (see DESIGN.md §10's tier
-/// table): the hierarchical engine above the flat engine's comfort zone,
-/// the far-field engine when enabled and no SINR detail is wanted, the
-/// instrumented scan when a sink asked for SINR breakdowns, the gain
-/// cache when built and enabled, the exact scan otherwise. The choice
-/// never changes receptions — all five paths are bit-identical by
-/// contract — so recording it in [`RoundEvent`] is observability, not
-/// behavior.
+/// The step loop reads the path off the simulation's one engine (see
+/// DESIGN.md §10's tier table), except that a round whose sink asked for
+/// SINR breakdowns is the instrumented scan. The choice never changes
+/// receptions — all five paths are bit-identical by contract — so
+/// recording it in [`RoundEvent`] is observability, not behavior.
 ///
 /// [`RoundEvent`]: crate::telemetry::RoundEvent
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -86,11 +83,12 @@ pub struct EngineCounters {
     pub exact_rounds: u64,
     /// Rounds resolved through the instrumented (SINR-detail) scan.
     pub instrumented_rounds: u64,
-    /// Whether a gain cache was built for this deployment (size guard
-    /// admitted it and the channel has deterministic gains).
+    /// Whether a gain-cache engine was built for this simulation (its
+    /// tier was chosen or set, and the size guard admitted it).
     pub gain_cache_built: bool,
-    /// Rounds in which a built cache was bypassed (disabled by
-    /// `set_gain_cache_enabled(false)` or superseded by another path).
+    /// Rounds in which a built cache was bypassed. Always 0: a
+    /// simulation holds one engine, so a built cache serves every round.
+    /// Kept so encoded counters keep their shape.
     pub gain_cache_bypassed_rounds: u64,
     /// Rounds resolved under a non-neutral perturbation (jamming and/or
     /// noise scaling active).
@@ -164,15 +162,7 @@ impl EngineCounters {
         self.self_check_samples += other.self_check_samples;
         self.self_check_violations += other.self_check_violations;
         self.tier_demotions += other.tier_demotions;
-        let f = &other.farfield;
-        self.farfield.rounds += f.rounds;
-        self.farfield.empty_round_silences += f.empty_round_silences;
-        self.farfield.nonfinite_fallbacks += f.nonfinite_fallbacks;
-        self.farfield.noise_floor_silences += f.noise_floor_silences;
-        self.farfield.no_near_winner_fallbacks += f.no_near_winner_fallbacks;
-        self.farfield.far_rival_fallbacks += f.far_rival_fallbacks;
-        self.farfield.bracket_decisions += f.bracket_decisions;
-        self.farfield.bracket_straddle_fallbacks += f.bracket_straddle_fallbacks;
+        self.farfield.add(&other.farfield);
     }
 }
 

@@ -12,25 +12,9 @@ use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use crate::obs::SpanRecord;
-use crate::telemetry::jsonl::{parse_json, JsonValue};
+use crate::telemetry::jsonl::{json_escape, parse_json, JsonValue};
 
 use super::ExportError;
-
-fn escape_json(out: &mut String, s: &str) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 /// Writes `ns` nanoseconds as an exact decimal microsecond literal
 /// (`12345` ns → `12.345`): at most three fractional digits, so the text
@@ -55,7 +39,7 @@ pub fn spans_to_chrome_trace(spans: &[SpanRecord]) -> String {
             out.push_str(",\n");
         }
         out.push_str("{\"name\":\"");
-        escape_json(&mut out, &s.name);
+        out.push_str(&json_escape(&s.name));
         let _ = write!(out, "\",\"cat\":\"sim\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":", s.thread);
         fmt_us(&mut out, s.start_ns);
         out.push_str(",\"dur\":");

@@ -19,14 +19,14 @@ use std::path::Path;
 use crate::protocol::ProtocolStateError;
 use crate::result::RoundRecord;
 use crate::EngineCounters;
-use fading_channel::FarFieldStats;
+use fading_channel::{EngineTier, FarFieldStats};
 
 /// Format magic: the first four bytes of every snapshot file.
 const MAGIC: [u8; 4] = *b"FSNP";
 
 /// Current snapshot format version. Bumped on any layout change; older
 /// readers reject newer snapshots with [`SnapshotError::VersionMismatch`].
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Why a snapshot could not be encoded, decoded, or restored.
 #[derive(Debug)]
@@ -136,13 +136,10 @@ pub struct SimSnapshot {
     pub(crate) trace_cap: u64,
     pub(crate) trace_truncated: bool,
     pub(crate) trace_rounds: Vec<RoundRecord>,
-    pub(crate) cache_enabled: bool,
-    pub(crate) farfield_enabled: bool,
-    pub(crate) hierarchical_enabled: bool,
+    pub(crate) tier: EngineTier,
     pub(crate) resolve_threads: u64,
     pub(crate) counters: EngineCounters,
-    pub(crate) farfield_stats: Option<FarFieldStats>,
-    pub(crate) hierarchical_stats: Option<FarFieldStats>,
+    pub(crate) engine_stats: FarFieldStats,
 }
 
 impl SimSnapshot {
@@ -231,13 +228,10 @@ impl SimSnapshot {
                 }
             }
         }
-        w.bool(self.cache_enabled);
-        w.bool(self.farfield_enabled);
-        w.bool(self.hierarchical_enabled);
+        w.u8(self.tier as u8);
         w.u64(self.resolve_threads);
         w.counters(&self.counters);
-        w.opt_stats(self.farfield_stats.as_ref());
-        w.opt_stats(self.hierarchical_stats.as_ref());
+        w.stats(&self.engine_stats);
 
         let payload = w.buf;
         let mut out = Vec::with_capacity(payload.len() + 24);
@@ -369,13 +363,12 @@ impl SimSnapshot {
                 transmitter_ids,
             });
         }
-        let cache_enabled = r.bool()?;
-        let farfield_enabled = r.bool()?;
-        let hierarchical_enabled = r.bool()?;
+        let tier = *EngineTier::ALL
+            .get(usize::from(r.u8()?))
+            .ok_or_else(|| corrupt("bad engine tier"))?;
         let resolve_threads = r.u64()?;
         let counters = r.counters()?;
-        let farfield_stats = r.opt_stats()?;
-        let hierarchical_stats = r.opt_stats()?;
+        let engine_stats = r.stats()?;
         r.finish()?;
 
         Ok(SimSnapshot {
@@ -399,13 +392,10 @@ impl SimSnapshot {
             trace_cap,
             trace_truncated,
             trace_rounds,
-            cache_enabled,
-            farfield_enabled,
-            hierarchical_enabled,
+            tier,
             resolve_threads,
             counters,
-            farfield_stats,
-            hierarchical_stats,
+            engine_stats,
         })
     }
 
@@ -479,15 +469,6 @@ impl Writer {
         self.u64(s.far_rival_fallbacks);
         self.u64(s.bracket_decisions);
         self.u64(s.bracket_straddle_fallbacks);
-    }
-    fn opt_stats(&mut self, s: Option<&FarFieldStats>) {
-        match s {
-            None => self.u8(0),
-            Some(s) => {
-                self.u8(1);
-                self.stats(s);
-            }
-        }
     }
     fn counters(&mut self, c: &EngineCounters) {
         self.u64(c.rounds);
@@ -607,14 +588,6 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn opt_stats(&mut self) -> Result<Option<FarFieldStats>, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.stats()?)),
-            _ => Err(Self::corrupt("bad option tag")),
-        }
-    }
-
     fn counters(&mut self) -> Result<EngineCounters, SnapshotError> {
         Ok(EngineCounters {
             rounds: self.u64()?,
@@ -679,9 +652,7 @@ mod tests {
                 knocked_out: 1,
                 transmitter_ids: Some(vec![0, 2]),
             }],
-            cache_enabled: true,
-            farfield_enabled: false,
-            hierarchical_enabled: false,
+            tier: EngineTier::FarField,
             resolve_threads: 4,
             counters: EngineCounters {
                 rounds: 17,
@@ -689,12 +660,11 @@ mod tests {
                 gain_cache_built: true,
                 ..EngineCounters::default()
             },
-            farfield_stats: Some(FarFieldStats {
+            engine_stats: FarFieldStats {
                 rounds: 5,
                 bracket_decisions: 40,
                 ..FarFieldStats::default()
-            }),
-            hierarchical_stats: None,
+            },
         }
     }
 

@@ -7,8 +7,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use fading_channel::{
-    ActiveInterference, Channel, ChannelPerturbation, FarFieldEngine, FarFieldStats, GainCache,
-    HierarchicalFarFieldEngine, NodeId, SinrBreakdown,
+    Channel, ChannelPerturbation, EngineTier, NodeId, ResolveEngine, SerialExecutor, SinrBreakdown,
 };
 use fading_geom::{Deployment, Point};
 
@@ -20,17 +19,6 @@ use crate::result::{RoundRecord, RunResult, Trace, TraceLevel};
 use crate::rng::{channel_rng, fault_rng, node_rng, self_check_rng};
 use crate::telemetry::{MetricsRegistry, Phase, RoundEvent, TelemetryDetail, TelemetrySink};
 use crate::{Action, Protocol};
-
-/// Deployment size above which a freshly built [`Simulation`] routes
-/// rounds through the hierarchical far-field engine by default.
-///
-/// Below this the flat [`FarFieldEngine`] (tier 3) is already fast — its
-/// tile-pair tables are capped at `MAX_TILES_PER_SIDE²` entries — and the
-/// tree traversal's extra bookkeeping buys nothing. Above it the flat
-/// engine's per-listener far-field refresh starts scanning tens of
-/// thousands of tiles and the `O(log)`-depth tree takes over (tier 4).
-/// [`Simulation::set_hierarchical_enabled`] overrides in either direction.
-pub const HIERARCHICAL_AUTO_THRESHOLD: usize = 65_536;
 
 /// Why a simulation could not be constructed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,25 +101,10 @@ pub struct Simulation {
     winner: Option<NodeId>,
     trace_level: TraceLevel,
     trace: Trace,
-    // Precomputed pairwise gains (None when the channel has no
-    // deterministic gains or the deployment exceeds the size guard), and
-    // the incremental interference totals maintained on top of them.
-    gain_cache: Option<GainCache>,
-    cache_enabled: bool,
-    active_interference: Option<ActiveInterference>,
-    // Tile-aggregated far-field engine (None when the channel cannot
-    // support the decision-exactness contract — radio and Rayleigh). By
-    // default it serves the tier above the gain cache: enabled exactly
-    // when the deployment exceeded the cache's size guard.
-    farfield: Option<FarFieldEngine>,
-    farfield_enabled: bool,
-    // Hierarchical (tile-tree) far-field engine, the tier above the flat
-    // engine. Built eagerly only when the deployment crosses
-    // HIERARCHICAL_AUTO_THRESHOLD; `set_hierarchical_enabled(true)` builds
-    // it on demand at any size. None when the channel cannot support the
-    // decision-exactness contract (radio and Rayleigh).
-    hierarchical: Option<HierarchicalFarFieldEngine>,
-    hierarchical_enabled: bool,
+    // The one engine serving every round. `EngineTier::auto` picks its
+    // tier at construction; `set_tier` overrides it, and a failed
+    // self-check demotes it one tier at a time.
+    engine: ResolveEngine,
     // Executor for the hierarchical engine's per-listener-chunk resolve.
     // Thread count never changes results (the ChunkExecutor contract);
     // defaults to 1, raised via `set_resolve_threads`.
@@ -164,9 +137,9 @@ pub struct Simulation {
     // every span site is one `Option` check returning an inert guard
     // (guarded by the `tracer_overhead_n2048` bench).
     tracer: Option<Arc<Tracer>>,
-    // Engine-decision counters (see crate::obs::EngineCounters). The
-    // far-field ladder counters live in the engine itself and are merged
-    // in by `engine_counters()`.
+    // Engine-decision counters (see crate::obs::EngineCounters). The live
+    // engine's ladder counters are merged in by `engine_counters()`;
+    // `counters.farfield` holds those of engines it replaced.
     counters: EngineCounters,
     // Scratch buffers for event assembly, reused across rounds.
     sinr_scratch: Vec<SinrBreakdown>,
@@ -200,51 +173,8 @@ impl Simulation {
         let active: Vec<bool> = protocols.iter().map(|p| p.is_active()).collect();
         let num_active = active.iter().filter(|&&a| a).count();
         let positions = deployment.points().to_vec();
-        // Per-channel cache policy: cached and uncached resolves are
-        // bit-identical by contract, so declining the cache here (e.g. the
-        // Rayleigh channel past RAYLEIGH_CACHE_PROFITABLE_NODES, where the
-        // memory-bound n×n rows lose to the batched kernels) is purely a
-        // performance decision and can never change results.
-        let gain_cache = if channel.gain_cache_profitable(n) {
-            channel.build_gain_cache(&positions)
-        } else {
-            None
-        };
-        let mut active_interference = gain_cache.as_ref().map(ActiveInterference::new);
-        if let (Some(engine), Some(cache)) = (&mut active_interference, &gain_cache) {
-            for (i, &is_active) in active.iter().enumerate() {
-                if !is_active {
-                    engine.deactivate(cache, i);
-                }
-            }
-        }
-        let mut farfield = channel.build_farfield_engine(&positions);
-        if let Some(engine) = &mut farfield {
-            for (i, &is_active) in active.iter().enumerate() {
-                if !is_active {
-                    engine.deactivate(i);
-                }
-            }
-        }
-        // Engine-tier default: the far-field path picks up exactly where
-        // the O(n²) gain cache bows out (n > DEFAULT_MAX_CACHED_NODES).
-        let farfield_enabled = gain_cache.is_none();
-        // Tier above that: the hierarchical engine takes over once the
-        // flat engine's tile tables stop scaling.
-        let hierarchical_enabled = n > HIERARCHICAL_AUTO_THRESHOLD;
-        let mut hierarchical = if hierarchical_enabled {
-            channel.build_hierarchical_engine(&positions)
-        } else {
-            None
-        };
-        if let Some(engine) = &mut hierarchical {
-            for (i, &is_active) in active.iter().enumerate() {
-                if !is_active {
-                    engine.deactivate(i);
-                }
-            }
-        }
-        Simulation {
+        let tier = EngineTier::auto(channel.as_ref(), n);
+        let mut sim = Simulation {
             positions,
             channel,
             seed,
@@ -259,13 +189,7 @@ impl Simulation {
             winner: None,
             trace_level: TraceLevel::None,
             trace: Trace::default(),
-            gain_cache,
-            cache_enabled: true,
-            active_interference,
-            farfield,
-            farfield_enabled,
-            hierarchical,
-            hierarchical_enabled,
+            engine: ResolveEngine::Exact,
             resolve_pool: StealPool::new(1),
             transmitters: Vec::new(),
             listeners: Vec::new(),
@@ -289,7 +213,9 @@ impl Simulation {
             trace_cap: Trace::DEFAULT_RECORD_CAP,
             self_check: None,
             self_check_scratch: Vec::new(),
-        }
+        };
+        sim.set_tier(tier);
+        sim
     }
 
     /// Like [`Simulation::new`], but rejects degenerate setups instead of
@@ -397,15 +323,7 @@ impl Simulation {
         if self.active[v] {
             self.active[v] = false;
             self.num_active -= 1;
-            if let (Some(engine), Some(cache)) = (&mut self.active_interference, &self.gain_cache) {
-                engine.deactivate(cache, v);
-            }
-            if let Some(engine) = &mut self.farfield {
-                engine.deactivate(v);
-            }
-            if let Some(engine) = &mut self.hierarchical {
-                engine.deactivate(v);
-            }
+            self.engine.deactivate(v);
             true
         } else {
             false
@@ -421,15 +339,7 @@ impl Simulation {
         if !self.active[v] && self.protocols[v].is_active() {
             self.active[v] = true;
             self.num_active += 1;
-            if let (Some(engine), Some(cache)) = (&mut self.active_interference, &self.gain_cache) {
-                engine.activate(cache, v);
-            }
-            if let Some(engine) = &mut self.farfield {
-                engine.activate(v);
-            }
-            if let Some(engine) = &mut self.hierarchical {
-                engine.activate(v);
-            }
+            self.engine.activate(v);
             true
         } else {
             false
@@ -471,115 +381,43 @@ impl Simulation {
         applied
     }
 
-    /// Enables or disables the gain cache for subsequent rounds.
+    /// Overrides the engine tier for subsequent rounds: builds the highest
+    /// tier at or below `tier` that the channel can serve for this
+    /// deployment (see [`ResolveEngine::build`]), with its occupancy
+    /// synced to the current active set, and drops the previous engine.
     ///
-    /// The cache is on by default whenever the channel built one. Because
-    /// cached resolution is bit-identical to uncached, toggling this never
-    /// changes a run's outcome — only its speed. Exposed so equivalence
-    /// and determinism tests can compare both paths.
-    pub fn set_gain_cache_enabled(&mut self, enabled: bool) {
-        self.cache_enabled = enabled;
-    }
-
-    /// Whether rounds currently resolve through a gain cache (a cache
-    /// exists **and** caching is enabled).
-    #[must_use]
-    pub fn gain_cache_active(&self) -> bool {
-        self.cache_enabled && self.gain_cache.is_some()
-    }
-
-    /// The precomputed gain cache, when the channel built one.
-    #[must_use]
-    pub fn gain_cache(&self) -> Option<&GainCache> {
-        self.gain_cache.as_ref()
-    }
-
-    /// Enables or disables the far-field engine for subsequent rounds.
+    /// A freshly built simulation runs on [`EngineTier::auto`]'s tier.
+    /// Every tier is decision-exact (bit-identical receptions; see
+    /// [`Channel::resolve_with`]), so overriding it never changes a run's
+    /// outcome — only its speed. Exposed so equivalence and determinism
+    /// tests can cross every tier at any size.
     ///
-    /// The engine is on by default exactly when no gain cache exists (the
-    /// deployment exceeded the cache's `O(n²)` size guard), making it the
-    /// third engine tier: exact → gain-cache → far-field as `n` grows.
-    /// Because the far-field resolve is decision-exact (bit-identical
-    /// receptions; see
-    /// [`Channel::resolve_farfield`](fading_channel::Channel::resolve_farfield)),
-    /// toggling this never changes a run's outcome — only its speed.
-    /// Exposed, like [`Simulation::set_gain_cache_enabled`], so equivalence
-    /// and determinism tests can cross all engine tiers.
-    pub fn set_farfield_enabled(&mut self, enabled: bool) {
-        self.farfield_enabled = enabled;
-    }
-
-    /// Whether rounds currently resolve through the far-field engine (an
-    /// engine exists **and** it is enabled). Rounds that need SINR
-    /// breakdowns for telemetry still route through the instrumented exact
-    /// path regardless.
-    #[must_use]
-    pub fn farfield_active(&self) -> bool {
-        self.farfield_enabled && self.farfield.is_some()
-    }
-
-    /// The far-field engine, when the channel built one.
-    #[must_use]
-    pub fn farfield_engine(&self) -> Option<&FarFieldEngine> {
-        self.farfield.as_ref()
-    }
-
-    /// Decision counters of the far-field engine, when one exists:
-    /// how many listener decisions the pruned path settled versus how many
-    /// fell back to the exact scan.
-    #[must_use]
-    pub fn farfield_stats(&self) -> Option<FarFieldStats> {
-        self.farfield.as_ref().map(FarFieldEngine::stats)
-    }
-
-    /// Enables or disables the hierarchical far-field engine for
-    /// subsequent rounds, building it on demand (occupancy synced to the
-    /// current active set) if the channel supports one.
-    ///
-    /// The engine is on by default exactly when the deployment exceeds
-    /// [`HIERARCHICAL_AUTO_THRESHOLD`], making it the fourth engine tier:
-    /// exact → gain-cache → far-field → hierarchical as `n` grows. The
-    /// hierarchical resolve is decision-exact (bit-identical receptions;
-    /// see [`Channel::resolve_hierarchical`]), so toggling this never
-    /// changes a run's outcome — only its speed. Exposed, like the other
-    /// tier toggles, so equivalence and determinism tests can cross every
-    /// tier at any size.
-    ///
-    /// [`Channel::resolve_hierarchical`]: fading_channel::Channel::resolve_hierarchical
-    pub fn set_hierarchical_enabled(&mut self, enabled: bool) {
-        self.hierarchical_enabled = enabled;
-        if enabled && self.hierarchical.is_none() {
-            let mut engine = self.channel.build_hierarchical_engine(&self.positions);
-            if let Some(e) = &mut engine {
-                for (i, &is_active) in self.active.iter().enumerate() {
-                    if !is_active {
-                        e.deactivate(i);
-                    }
-                }
-            }
-            self.hierarchical = engine;
+    /// [`Channel::resolve_with`]: fading_channel::Channel::resolve_with
+    pub fn set_tier(&mut self, tier: EngineTier) {
+        if tier == self.engine.tier() {
+            return;
         }
+        let mut engine = ResolveEngine::build(self.channel.as_ref(), tier, &self.positions);
+        for (i, &is_active) in self.active.iter().enumerate() {
+            if !is_active {
+                engine.deactivate(i);
+            }
+        }
+        let retired = std::mem::replace(&mut self.engine, engine);
+        self.counters.farfield.add(&retired.stats());
+        self.counters.gain_cache_built |= self.engine.tier() == EngineTier::GainCache;
     }
 
-    /// Whether rounds currently resolve through the hierarchical engine
-    /// (an engine exists **and** it is enabled). Rounds that need SINR
-    /// breakdowns for telemetry still route through the instrumented exact
-    /// path regardless.
+    /// The tier serving rounds now.
     #[must_use]
-    pub fn hierarchical_active(&self) -> bool {
-        self.hierarchical_enabled && self.hierarchical.is_some()
+    pub fn tier(&self) -> EngineTier {
+        self.engine.tier()
     }
 
-    /// The hierarchical far-field engine, when one has been built.
+    /// The engine serving rounds now.
     #[must_use]
-    pub fn hierarchical_engine(&self) -> Option<&HierarchicalFarFieldEngine> {
-        self.hierarchical.as_ref()
-    }
-
-    /// Decision counters of the hierarchical engine, when one exists.
-    #[must_use]
-    pub fn hierarchical_stats(&self) -> Option<FarFieldStats> {
-        self.hierarchical.as_ref().map(HierarchicalFarFieldEngine::stats)
+    pub fn engine(&self) -> &ResolveEngine {
+        &self.engine
     }
 
     /// Sets how many worker threads the hierarchical engine's parallel
@@ -598,18 +436,6 @@ impl Simulation {
     #[must_use]
     pub fn resolve_threads(&self) -> usize {
         self.resolve_pool.threads()
-    }
-
-    /// The running total interference at node `v` from all still-active
-    /// nodes (`Σ_{w active, w ≠ v} P / d(w,v)^α`), maintained
-    /// incrementally as nodes knock out. `None` when no gain cache exists
-    /// or `v` is out of range.
-    #[must_use]
-    pub fn active_interference_at(&self, v: NodeId) -> Option<f64> {
-        if v >= self.positions.len() {
-            return None;
-        }
-        self.active_interference.as_ref().map(|ai| ai.total_at(v))
     }
 
     /// Selects how much per-round detail to record. Call before stepping.
@@ -634,9 +460,10 @@ impl Simulation {
     /// read **once, here**. Replaces any previously attached sink.
     ///
     /// Attaching a sink never changes a run's outcome: events are pure
-    /// observations, and when SINR detail routes resolution through
-    /// [`Channel::resolve_instrumented`] that path is contractually
-    /// bit-identical to the uninstrumented one.
+    /// observations, and when SINR detail asks
+    /// [`Channel::resolve_with`](fading_channel::Channel::resolve_with)
+    /// for breakdowns the receptions are contractually bit-identical to
+    /// an uninstrumented round.
     pub fn set_telemetry_sink(&mut self, sink: Box<dyn TelemetrySink>) {
         self.telemetry_detail = sink.detail();
         self.telemetry = Some(sink);
@@ -711,27 +538,13 @@ impl Simulation {
 
     /// One unified snapshot of every engine-decision counter: per-tier
     /// round routing, gain-cache and perturbation activity, and the
-    /// far-field decision ladder's per-rung counters (merged in from the
-    /// live engine). See [`EngineCounters`] for the reconciliation
-    /// invariants.
+    /// far-field decision ladder's per-rung counters (the live engine's
+    /// plus those of every engine it replaced). See [`EngineCounters`] for
+    /// the reconciliation invariants.
     #[must_use]
     pub fn engine_counters(&self) -> EngineCounters {
         let mut c = self.counters;
-        c.gain_cache_built = self.gain_cache.is_some();
-        // Both engines share the same decision ladder; the counters view
-        // aggregates their per-rung stats into one block.
-        let mut ff = self.farfield.as_ref().map(FarFieldEngine::stats).unwrap_or_default();
-        if let Some(h) = self.hierarchical.as_ref().map(HierarchicalFarFieldEngine::stats) {
-            ff.rounds += h.rounds;
-            ff.empty_round_silences += h.empty_round_silences;
-            ff.nonfinite_fallbacks += h.nonfinite_fallbacks;
-            ff.noise_floor_silences += h.noise_floor_silences;
-            ff.no_near_winner_fallbacks += h.no_near_winner_fallbacks;
-            ff.far_rival_fallbacks += h.far_rival_fallbacks;
-            ff.bracket_decisions += h.bracket_decisions;
-            ff.bracket_straddle_fallbacks += h.bracket_straddle_fallbacks;
-        }
-        c.farfield = ff;
+        c.farfield.add(&self.engine.stats());
         c
     }
 
@@ -744,11 +557,13 @@ impl Simulation {
     /// far-field, or hierarchical) on a channel whose resolve draws no
     /// randomness — a partial re-resolve on an RNG-drawing channel would
     /// desynchronize the stream. On any mismatch, or a non-finite signal /
-    /// interference / noise intermediate, the serving tier is **demoted**
-    /// for the rest of the run (hierarchical → far-field → gain-cache →
-    /// exact), recorded in [`EngineCounters::tier_demotions`] and the span
-    /// stream. The check never panics, and because the tiers are
-    /// bit-identical, demotion never changes a healthy run's outcome.
+    /// interference / noise intermediate, the serving tier is **demoted**:
+    /// the next lower tier the channel can serve is built on the spot
+    /// (hierarchical → far-field → gain-cache → exact, skipping a tier
+    /// whose guard refuses the deployment), recorded in
+    /// [`EngineCounters::tier_demotions`] and the span stream. The check
+    /// never panics, and because the tiers are bit-identical, demotion
+    /// never changes a healthy run's outcome.
     ///
     /// Sample selection draws from a dedicated RNG lane derived from the
     /// master seed, so enabling the check does not perturb the run.
@@ -807,8 +622,8 @@ impl Simulation {
     /// Captures a checksummed [`SimSnapshot`] of every piece of mutable run
     /// state: round counter, all RNG lanes (including the fault lane), the
     /// active mask, per-node protocol states, fault-plan progress
-    /// (churn cursor, Gilbert–Elliott burst state), engine-tier toggles
-    /// with occupancy-bearing stats, counters, and the trace.
+    /// (churn cursor, Gilbert–Elliott burst state), the engine tier and
+    /// its ladder counters, counters, and the trace.
     ///
     /// Restoring into an identically constructed simulation (same
     /// deployment, channel, seed, protocol factory, and fault plan) via
@@ -848,16 +663,10 @@ impl Simulation {
             trace_cap: self.trace_cap as u64,
             trace_truncated: self.trace.truncated(),
             trace_rounds: self.trace.rounds().to_vec(),
-            cache_enabled: self.cache_enabled,
-            farfield_enabled: self.farfield_enabled,
-            hierarchical_enabled: self.hierarchical_enabled,
+            tier: self.engine.tier(),
             resolve_threads: self.resolve_pool.threads() as u64,
             counters: self.counters,
-            farfield_stats: self.farfield.as_ref().map(FarFieldEngine::stats),
-            hierarchical_stats: self
-                .hierarchical
-                .as_ref()
-                .map(HierarchicalFarFieldEngine::stats),
+            engine_stats: self.engine.stats(),
         }
     }
 
@@ -871,7 +680,7 @@ impl Simulation {
     ///
     /// [`SnapshotError::Incompatible`] when this simulation has already
     /// stepped, the node counts differ, the construction fingerprint does
-    /// not match, or an engine the snapshot recorded cannot be built here;
+    /// not match, or the snapshot's engine tier cannot be built here;
     /// [`SnapshotError::ProtocolState`] when a protocol rejects its
     /// checkpointed state words.
     pub fn restore(&mut self, snap: &SimSnapshot) -> Result<(), SnapshotError> {
@@ -930,39 +739,20 @@ impl Simulation {
         }
         self.chan_rng = SmallRng::from_state(snap.chan_rng);
         self.fault_rng = SmallRng::from_state(snap.fault_rng);
-        // 4. Engine tiers. The hierarchical engine is built on demand when
-        // the snapshot recorded one (its occupancy syncs to the active
-        // mask reconciled above); a channel that cannot build it is
-        // incompatible with the snapshot.
-        self.cache_enabled = snap.cache_enabled;
-        self.farfield_enabled = snap.farfield_enabled;
-        self.hierarchical_enabled = snap.hierarchical_enabled;
-        if snap.hierarchical_stats.is_some() && self.hierarchical.is_none() {
-            let mut engine = self.channel.build_hierarchical_engine(&self.positions);
-            if let Some(e) = &mut engine {
-                for (i, &is_active) in self.active.iter().enumerate() {
-                    if !is_active {
-                        e.deactivate(i);
-                    }
-                }
-            }
-            self.hierarchical = engine;
-        }
-        if snap.farfield_stats.is_some() != self.farfield.is_some()
-            || snap.hierarchical_stats.is_some() != self.hierarchical.is_some()
-        {
+        // 4. The engine: rebuilt at the snapshot's tier (its occupancy
+        // syncs to the active mask reconciled above); a channel that
+        // cannot serve that tier is incompatible with the snapshot.
+        self.set_tier(snap.tier);
+        if self.engine.tier() != snap.tier {
             return Err(SnapshotError::Incompatible {
-                detail: "engine availability differs from the snapshot's \
-                         (different channel capabilities)"
-                    .to_string(),
+                detail: format!(
+                    "the snapshot's {} engine cannot be built here \
+                     (different channel capabilities)",
+                    snap.tier.name()
+                ),
             });
         }
-        if let (Some(engine), Some(stats)) = (&mut self.farfield, snap.farfield_stats) {
-            engine.set_stats(stats);
-        }
-        if let (Some(engine), Some(stats)) = (&mut self.hierarchical, snap.hierarchical_stats) {
-            engine.set_stats(stats);
-        }
+        self.engine.set_stats(snap.engine_stats);
         // 5. Scalars, fault progress, counters, trace.
         self.round = snap.round;
         self.total_transmissions = snap.total_transmissions;
@@ -1114,52 +904,28 @@ impl Simulation {
         let participants = self.transmitters.len() + self.listeners.len();
         self.mark_phase(Phase::Act, &mut phase_mark);
 
-        // Phase 2: the channel decides what listeners observe. The cached
-        // path is bit-identical to the uncached one, so which branch runs
+        // Phase 2: the channel decides what listeners observe, through the
+        // one engine. Every tier is bit-identical, so which one serves
         // never affects the outcome; likewise a neutral (or absent)
-        // perturbation resolves through the exact same code path, and the
-        // instrumented path (taken when the sink wants SINR breakdowns) is
-        // contractually bit-identical to the uninstrumented one.
-        let cache = if self.cache_enabled {
-            self.gain_cache.as_ref()
-        } else {
-            None
-        };
-        // The far-field tiers only serve uninstrumented rounds: SINR
-        // breakdowns require the full per-pair decomposition the pruned
-        // paths exist to skip. The hierarchical engine outranks the flat
-        // one when both exist and are enabled.
-        let use_hierarchical =
-            self.hierarchical_enabled && !want_sinr && self.hierarchical.is_some();
-        let use_farfield =
-            !use_hierarchical && self.farfield_enabled && !want_sinr && self.farfield.is_some();
-        // Which tier serves this round. The classification is the same for
-        // perturbed and unperturbed rounds: the fault plan changes what is
-        // resolved, not which engine resolves it.
-        let resolve_path = if use_hierarchical {
-            ResolvePath::Hierarchical
-        } else if use_farfield {
-            ResolvePath::FarField
-        } else if want_sinr {
+        // perturbation resolves through the clean expressions, and the
+        // instrumented round (taken when the sink wants SINR breakdowns)
+        // is contractually bit-identical to the uninstrumented one. The
+        // classification is the same for perturbed and unperturbed
+        // rounds: the fault plan changes what is resolved, not which
+        // engine resolves it.
+        let resolve_path = if want_sinr {
             ResolvePath::Instrumented
-        } else if cache.is_some() {
-            ResolvePath::Cached
         } else {
-            ResolvePath::Exact
+            match self.engine.tier() {
+                EngineTier::Exact => ResolvePath::Exact,
+                EngineTier::GainCache => ResolvePath::Cached,
+                EngineTier::FarField => ResolvePath::FarField,
+                EngineTier::Hierarchical => ResolvePath::Hierarchical,
+            }
         };
         // Snapshot the far-field fallback tally so telemetry can report the
         // per-round delta (plain field reads; negligible next to resolve).
-        let ff_fallbacks_before = if use_hierarchical {
-            self.hierarchical
-                .as_ref()
-                .map_or(0, |e| e.stats().exact_fallbacks())
-        } else if use_farfield {
-            self.farfield
-                .as_ref()
-                .map_or(0, |e| e.stats().exact_fallbacks())
-        } else {
-            0
-        };
+        let ff_fallbacks_before = self.engine.stats().exact_fallbacks();
         let span_resolve = self.span("resolve");
         let span_tier = self.span(match resolve_path {
             ResolvePath::Exact => "resolve.exact",
@@ -1170,40 +936,8 @@ impl Simulation {
         });
         let mut event_noise_scale = 1.0;
         let mut event_jam_power = 0.0;
-        let mut receptions = match &self.fault_plan {
-            None if use_hierarchical => self.channel.resolve_hierarchical(
-                &self.positions,
-                &self.transmitters,
-                &self.listeners,
-                self.hierarchical.as_mut(),
-                &self.resolve_pool,
-                &ChannelPerturbation::neutral(),
-                &mut self.chan_rng,
-            ),
-            None if use_farfield => self.channel.resolve_farfield(
-                &self.positions,
-                &self.transmitters,
-                &self.listeners,
-                self.farfield.as_mut(),
-                &ChannelPerturbation::neutral(),
-                &mut self.chan_rng,
-            ),
-            None if !want_sinr => self.channel.resolve_cached(
-                &self.positions,
-                &self.transmitters,
-                &self.listeners,
-                cache,
-                &mut self.chan_rng,
-            ),
-            None => self.channel.resolve_instrumented(
-                &self.positions,
-                &self.transmitters,
-                &self.listeners,
-                cache,
-                &ChannelPerturbation::neutral(),
-                &mut self.chan_rng,
-                &mut self.sinr_scratch,
-            ),
+        let perturbation = match &self.fault_plan {
+            None => ChannelPerturbation::neutral(),
             Some(plan) => {
                 let noise_scale = plan.noise_scale(self.round);
                 let jamming = plan.any_jammer_active(self.round);
@@ -1235,48 +969,20 @@ impl Simulation {
                     event_noise_scale = noise_scale;
                     event_jam_power = extra.iter().sum();
                 }
-                let perturbation = ChannelPerturbation::new(noise_scale, extra);
-                if want_sinr {
-                    self.channel.resolve_instrumented(
-                        &self.positions,
-                        &self.transmitters,
-                        &self.listeners,
-                        cache,
-                        &perturbation,
-                        &mut self.chan_rng,
-                        &mut self.sinr_scratch,
-                    )
-                } else if use_hierarchical {
-                    self.channel.resolve_hierarchical(
-                        &self.positions,
-                        &self.transmitters,
-                        &self.listeners,
-                        self.hierarchical.as_mut(),
-                        &self.resolve_pool,
-                        &perturbation,
-                        &mut self.chan_rng,
-                    )
-                } else if use_farfield {
-                    self.channel.resolve_farfield(
-                        &self.positions,
-                        &self.transmitters,
-                        &self.listeners,
-                        self.farfield.as_mut(),
-                        &perturbation,
-                        &mut self.chan_rng,
-                    )
-                } else {
-                    self.channel.resolve_perturbed(
-                        &self.positions,
-                        &self.transmitters,
-                        &self.listeners,
-                        cache,
-                        &perturbation,
-                        &mut self.chan_rng,
-                    )
-                }
+                ChannelPerturbation::new(noise_scale, extra)
             }
         };
+        let mut receptions = self.channel.resolve_with(
+            &self.positions,
+            &self.transmitters,
+            &self.listeners,
+            &mut self.engine,
+            &perturbation,
+            &self.resolve_pool,
+            &mut self.chan_rng,
+            want_sinr.then_some(&mut self.sinr_scratch),
+        );
+        let ff_fallbacks = (self.engine.stats().exact_fallbacks() - ff_fallbacks_before) as usize;
         drop(span_tier);
         drop(span_resolve);
         debug_assert_eq!(receptions.len(), self.listeners.len());
@@ -1288,16 +994,6 @@ impl Simulation {
             ResolvePath::FarField => self.counters.farfield_rounds += 1,
             ResolvePath::Hierarchical => self.counters.hierarchical_rounds += 1,
             ResolvePath::Instrumented => self.counters.instrumented_rounds += 1,
-        }
-        // A built cache counts as bypassed when this round was not served
-        // through it: either disabled via `set_gain_cache_enabled(false)`,
-        // or superseded by the far-field tier. (The instrumented path still
-        // carries the cache when enabled, so it does not count.)
-        if self.gain_cache.is_some()
-            && resolve_path != ResolvePath::Cached
-            && !(resolve_path == ResolvePath::Instrumented && self.cache_enabled)
-        {
-            self.counters.gain_cache_bypassed_rounds += 1;
         }
         self.counters.churn_applied += churn_applied as u64;
 
@@ -1322,18 +1018,6 @@ impl Simulation {
                 let m = self.listeners.len();
                 let samples = sc.samples.min(m);
                 let inject = std::mem::take(&mut sc.inject_violation);
-                // Rebuild the round's perturbation exactly as the main
-                // resolve saw it (jam_scratch was filled above iff the
-                // round is jammed).
-                let (noise_scale, jamming) = match &self.fault_plan {
-                    Some(plan) => (
-                        plan.noise_scale(self.round),
-                        plan.any_jammer_active(self.round),
-                    ),
-                    None => (1.0, false),
-                };
-                let extra: &[f64] = if jamming { &self.jam_scratch } else { &[] };
-                let perturbation = ChannelPerturbation::new(noise_scale, extra);
                 let mut violated = false;
                 for s in 0..samples {
                     let idx = sc.rng.gen_range(0..m);
@@ -1342,14 +1026,15 @@ impl Simulation {
                     // draws); the clone just keeps the signature happy
                     // without touching the real stream.
                     let mut audit_rng = self.chan_rng.clone();
-                    let expected = self.channel.resolve_instrumented(
+                    let expected = self.channel.resolve_with(
                         &self.positions,
                         &self.transmitters,
                         &audit,
-                        None,
+                        &mut ResolveEngine::Exact,
                         &perturbation,
+                        &SerialExecutor,
                         &mut audit_rng,
-                        &mut self.self_check_scratch,
+                        Some(&mut self.self_check_scratch),
                     );
                     self.counters.self_check_samples += 1;
                     let nonfinite = self.self_check_scratch.first().is_some_and(|b| {
@@ -1366,15 +1051,14 @@ impl Simulation {
                     }
                 }
                 if violated {
-                    // Graceful degradation: drop exactly the tier that
-                    // served this round; the next round re-selects among
-                    // the remaining ones (hierarchical → far-field →
-                    // gain-cache → exact).
+                    // Graceful degradation: replace the tier that served
+                    // this round with the next lower one the channel can
+                    // serve (hierarchical → far-field → gain-cache →
+                    // exact). Only fast tiers are audited, so a lower tier
+                    // always exists.
                     let _span_demote = self.span("self_check.demote");
-                    match resolve_path {
-                        ResolvePath::Hierarchical => self.hierarchical_enabled = false,
-                        ResolvePath::FarField => self.farfield_enabled = false,
-                        _ => self.cache_enabled = false,
+                    if let Some(lower) = self.engine.tier().lower() {
+                        self.set_tier(lower);
                     }
                     self.counters.tier_demotions += 1;
                 }
@@ -1417,17 +1101,7 @@ impl Simulation {
                 if want_ids {
                     self.knocked_scratch.push(v);
                 }
-                if let (Some(engine), Some(cache)) =
-                    (&mut self.active_interference, &self.gain_cache)
-                {
-                    engine.deactivate(cache, v);
-                }
-                if let Some(engine) = &mut self.farfield {
-                    engine.deactivate(v);
-                }
-                if let Some(engine) = &mut self.hierarchical {
-                    engine.deactivate(v);
-                }
+                self.engine.deactivate(v);
             }
         }
         drop(span_feedback);
@@ -1490,21 +1164,6 @@ impl Simulation {
 
         if telemetry_on {
             let _span_telemetry = self.span("telemetry");
-            let ff_fallbacks = if use_hierarchical {
-                let after = self
-                    .hierarchical
-                    .as_ref()
-                    .map_or(0, |e| e.stats().exact_fallbacks());
-                (after - ff_fallbacks_before) as usize
-            } else if use_farfield {
-                let after = self
-                    .farfield
-                    .as_ref()
-                    .map_or(0, |e| e.stats().exact_fallbacks());
-                (after - ff_fallbacks_before) as usize
-            } else {
-                0
-            };
             let event = RoundEvent {
                 round: self.round,
                 active_pre_churn,
@@ -2110,7 +1769,11 @@ mod tests {
                 .with_churn(ChurnEvent::late_wake(3, 1).unwrap())
                 .with_loss(GilbertElliott::new(0.2, 0.3, 0.05, 0.8).unwrap());
             sim.set_fault_plan(plan).unwrap();
-            sim.set_gain_cache_enabled(cache_on);
+            sim.set_tier(if cache_on {
+                EngineTier::GainCache
+            } else {
+                EngineTier::Exact
+            });
             sim.set_trace_level(TraceLevel::Full);
             sim.run_until_resolved(5_000)
         };
@@ -2134,32 +1797,40 @@ mod tests {
         assert!(counters.self_check_samples >= counters.self_check_rounds);
         assert_eq!(counters.self_check_violations, 0);
         assert_eq!(counters.tier_demotions, 0);
-        assert!(sim.gain_cache_active(), "no demotion on a healthy run");
+        assert_eq!(sim.tier(), EngineTier::GainCache, "no demotion on a healthy run");
         assert_eq!(checked, clean, "auditing must not perturb the run");
     }
 
     #[test]
     fn injected_violation_demotes_the_tier_without_panicking() {
-        let clean = {
+        // One case per rung of the ladder: the serving tier, and the tier
+        // the demotion must build on demand.
+        for (from, to) in [
+            (EngineTier::Hierarchical, EngineTier::FarField),
+            (EngineTier::FarField, EngineTier::GainCache),
+            (EngineTier::GainCache, EngineTier::Exact),
+        ] {
+            let clean = {
+                let mut sim = knockout_sim(31);
+                sim.set_tier(from);
+                sim.set_trace_level(TraceLevel::Full);
+                sim.run_until_resolved(5_000)
+            };
             let mut sim = knockout_sim(31);
+            sim.set_tier(from);
+            assert_eq!(sim.tier(), from);
             sim.set_trace_level(TraceLevel::Full);
-            sim.run_until_resolved(5_000)
-        };
-        let mut sim = knockout_sim(31);
-        sim.set_trace_level(TraceLevel::Full);
-        sim.set_self_check(2);
-        sim.inject_self_check_violation();
-        let result = sim.run_until_resolved(5_000);
-        let counters = sim.engine_counters();
-        assert_eq!(counters.tier_demotions, 1, "exactly one demotion");
-        assert!(counters.self_check_violations >= 1);
-        assert!(
-            !sim.gain_cache_active(),
-            "the serving gain-cache tier must be demoted"
-        );
-        // The tiers are bit-identical, so a (spurious) demotion degrades
-        // speed, never the outcome.
-        assert_eq!(result, clean);
+            sim.set_self_check(2);
+            sim.inject_self_check_violation();
+            let result = sim.run_until_resolved(5_000);
+            let counters = sim.engine_counters();
+            assert_eq!(counters.tier_demotions, 1, "{from:?}: exactly one demotion");
+            assert!(counters.self_check_violations >= 1);
+            assert_eq!(sim.tier(), to, "{from:?} must demote to {to:?}");
+            // The tiers are bit-identical, so a (spurious) demotion
+            // degrades speed, never the outcome.
+            assert_eq!(result, clean, "{from:?}: demotion changed the run");
+        }
     }
 
     #[test]

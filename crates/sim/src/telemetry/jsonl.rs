@@ -69,6 +69,30 @@ fn parse_err(msg: impl Into<String>) -> JsonlError {
     }
 }
 
+/// Escapes `s` for embedding in a JSON string literal: quotes,
+/// backslashes, and every control character below 0x20 (`\n`, `\r`,
+/// `\t` by name, the rest as `\u00XX`). Everything else, non-ASCII text
+/// included, passes through; [`parse_json`] reads the result back to `s`.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
+    use fmt::Write as _;
+    let mut out = String::with_capacity(s.len() + 8);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// Formats an `f64` so it round-trips exactly: shortest `{:?}` form for
 /// finite values, bare `inf` / `-inf` / `NaN` tokens otherwise.
 fn fmt_f64(out: &mut String, v: f64) {
@@ -1188,6 +1212,20 @@ mod tests {
                 assert_eq!(f[0].1, JsonValue::Str("a\"b\\c\ndA".to_string()));
             }
             other => panic!("expected object, got {other:?}"),
+        }
+        // Escape then parse returns the original string: quotes,
+        // backslashes, every control character below 0x20, non-ASCII.
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        for s in [
+            String::new(),
+            "say \"hi\"".to_string(),
+            r"C:\dir\file \\ end\".to_string(),
+            controls,
+            "naïve Ωmega — 混合 🛰".to_string(),
+            "\"\\\u{1}\u{1f}\u{7f}é\n".to_string(),
+        ] {
+            let literal = format!("\"{}\"", json_escape(&s));
+            assert_eq!(parse_json(&literal).unwrap(), JsonValue::Str(s.clone()), "{literal}");
         }
     }
 }

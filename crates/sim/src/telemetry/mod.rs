@@ -8,11 +8,11 @@
 //!
 //! * **Determinism**: events are derived exclusively from simulation state,
 //!   never from wall clocks or sink behavior. Attaching any sink leaves the
-//!   run's `RunResult` byte-identical to a sink-free run across cache and
-//!   thread settings (the sink *observes* the same resolve paths; when it
-//!   requests SINR detail the channel switches to
-//!   [`resolve_instrumented`](fading_channel::Channel::resolve_instrumented),
-//!   which is contractually bit-identical).
+//!   run's `RunResult` byte-identical to a sink-free run across engine
+//!   tiers and thread settings (the sink *observes* the same resolve
+//!   paths; when it requests SINR detail the round asks
+//!   [`resolve_with`](fading_channel::Channel::resolve_with) for
+//!   breakdowns, which is contractually bit-identical).
 //! * **Zero cost when disabled**: with no sink attached, the step loop
 //!   pays only a handful of `Option::is_some` checks (guarded by the
 //!   `telemetry_overhead_n2048` bench, ≤ 5 % of baseline step time).

@@ -18,7 +18,9 @@ use fading_channel::{
 };
 use fading_geom::{Deployment, Point};
 use fading_sim::faults::{ChurnEvent, FaultPlan, GilbertElliott, Jammer, NoiseBurst};
-use fading_sim::{montecarlo, Action, Protocol, RunOutcome, RunResult, Simulation, TraceLevel};
+use fading_sim::{
+    montecarlo, Action, EngineTier, Protocol, RunOutcome, RunResult, Simulation, TraceLevel,
+};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -126,7 +128,11 @@ fn run_batch(
         });
         sim.set_fault_plan(plan.clone())
             .expect("plan validated against this deployment size");
-        sim.set_gain_cache_enabled(cached);
+        sim.set_tier(if cached {
+            EngineTier::GainCache
+        } else {
+            EngineTier::Exact
+        });
         sim.set_trace_level(TraceLevel::Full);
         sim.run_until_resolved(ROUND_CAP)
     })

@@ -12,7 +12,9 @@ use fading_channel::{
 };
 use fading_geom::{Deployment, Point};
 use fading_sim::faults::{ChurnEvent, FaultPlan, GilbertElliott, Jammer, NoiseBurst};
-use fading_sim::{montecarlo, Action, Protocol, RunResult, Simulation, TraceLevel};
+use fading_sim::{
+    montecarlo, Action, EngineTier, Protocol, ResolveEngine, RunResult, Simulation, TraceLevel,
+};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -59,7 +61,11 @@ where
                 active: true,
             })
         });
-        sim.set_gain_cache_enabled(cached);
+        sim.set_tier(if cached {
+            EngineTier::GainCache
+        } else {
+            EngineTier::Exact
+        });
         sim.set_trace_level(TraceLevel::Full);
         sim.run_until_resolved(20_000)
     })
@@ -137,7 +143,11 @@ where
             })
         });
         sim.set_fault_plan(stress_plan()).expect("plan fits deployment");
-        sim.set_gain_cache_enabled(cached);
+        sim.set_tier(if cached {
+            EngineTier::GainCache
+        } else {
+            EngineTier::Exact
+        });
         sim.set_trace_level(TraceLevel::Full);
         sim.run_until_resolved(20_000)
     })
@@ -221,20 +231,26 @@ fn simulation_exposes_cache_state() {
             active: true,
         })
     });
-    assert!(sim.gain_cache_active(), "SINR channel should build a cache");
-    assert_eq!(sim.gain_cache().map(|c| c.len()), Some(16));
-    sim.set_gain_cache_enabled(false);
-    assert!(!sim.gain_cache_active());
-    assert!(sim.gain_cache().is_some(), "disabling keeps the cache built");
+    assert_eq!(sim.tier(), EngineTier::GainCache, "SINR channel should build a cache");
+    match sim.engine() {
+        ResolveEngine::GainCache(c) => assert_eq!(c.len(), 16),
+        other => panic!("expected the gain cache, got {:?}", other.tier()),
+    }
+    sim.set_tier(EngineTier::Exact);
+    assert_eq!(sim.tier(), EngineTier::Exact);
+    assert!(
+        matches!(sim.engine(), ResolveEngine::Exact),
+        "the override replaces the cache"
+    );
 }
 
 /// Regression: the Rayleigh channel's n×n gain cache is memory-bound past
 /// LLC and *slower* than recomputing deterministic gains with the batched
 /// kernels (measured 43.1 ms cached vs 33.4 ms uncached per round at
-/// n = 4096). The simulator must respect the channel's
-/// `gain_cache_profitable` policy: Rayleigh keeps the cache up to
-/// `RAYLEIGH_CACHE_PROFITABLE_NODES` and bypasses it above, while the
-/// deterministic SINR channel keeps it at every size its own guard admits.
+/// n = 4096). The auto tier must reflect that: Rayleigh keeps the cache up
+/// to `RAYLEIGH_CACHE_PROFITABLE_NODES` and resolves exactly above it,
+/// while the deterministic SINR channel keeps it at every size its own
+/// guard admits.
 /// Bypassing never changes results (cached ≡ uncached bit-exactly), which
 /// `rayleigh_results_invariant_under_cache_and_thread_count` pins.
 #[test]
@@ -253,49 +269,24 @@ fn rayleigh_bypasses_gain_cache_above_profitability_threshold() {
 
     // At and below the threshold the cache still wins and is kept.
     let small = make_sim(Box::new(RayleighSinrChannel::new(params())), 16);
-    assert!(small.gain_cache_active(), "small Rayleigh should cache");
+    assert_eq!(small.tier(), EngineTier::GainCache, "small Rayleigh should cache");
 
     // Above it the simulator must not even build the cache...
     let n = RAYLEIGH_CACHE_PROFITABLE_NODES + 1;
     let big = make_sim(Box::new(RayleighSinrChannel::new(params())), n);
     assert!(
-        big.gain_cache().is_none(),
+        matches!(big.engine(), ResolveEngine::Exact),
         "Rayleigh cache should be bypassed at n = {n}"
     );
-    assert!(!big.gain_cache_active());
 
     // ...while the deterministic channel keeps caching at the same size
     // (the policy is per-channel, not global).
     let sinr = make_sim(Box::new(SinrChannel::new(params())), n);
-    assert!(
-        sinr.gain_cache_active(),
+    assert_eq!(
+        sinr.tier(),
+        EngineTier::GainCache,
         "SINR should still cache at n = {n}"
     );
-}
-
-#[test]
-fn active_interference_shrinks_as_nodes_knock_out() {
-    let deployment = Deployment::uniform_square(24, 15.0, 3);
-    let channel = SinrChannel::new(params());
-    let mut sim = Simulation::new(deployment, Box::new(channel), 17, |_| {
-        Box::new(Knockout {
-            p: 0.25,
-            active: true,
-        })
-    });
-    let initial: Vec<f64> = (0..sim.len())
-        .map(|v| sim.active_interference_at(v).expect("cache exists"))
-        .collect();
-    assert!(initial.iter().all(|&t| t > 0.0));
-
-    let result = sim.run_until_resolved(20_000);
-    assert!(result.resolved());
-    assert!(sim.num_active() < sim.len(), "someone must knock out");
-    for (v, &was) in initial.iter().enumerate() {
-        let now = sim.active_interference_at(v).expect("cache exists");
-        assert!(now <= was, "interference at {v} grew: {now} > {was}");
-    }
-    assert_eq!(sim.active_interference_at(usize::MAX), None);
 }
 
 /// Like [`run_batch`]/[`run_faulted_batch`], but exercising the far-field
@@ -322,8 +313,11 @@ where
         if faulted {
             sim.set_fault_plan(stress_plan()).expect("plan fits deployment");
         }
-        sim.set_gain_cache_enabled(false);
-        sim.set_farfield_enabled(farfield);
+        sim.set_tier(if farfield {
+            EngineTier::FarField
+        } else {
+            EngineTier::Exact
+        });
         sim.set_trace_level(TraceLevel::Full);
         sim.run_until_resolved(20_000)
     })
@@ -363,8 +357,9 @@ fn sinr_results_invariant_under_farfield_and_thread_count() {
 
 #[test]
 fn rayleigh_results_invariant_under_farfield_and_thread_count() {
-    // Rayleigh builds no engine (per-pair fading draws pin the rng
-    // schedule); enabling the tier must be a clean no-op.
+    // Rayleigh cannot be served by the far-field tier (per-pair fading
+    // draws pin the rng schedule); asking for it builds the highest tier
+    // Rayleigh supports, which must be just as invisible.
     assert_farfield_and_threads_invariant(|| Box::new(RayleighSinrChannel::new(params())));
 }
 
@@ -373,6 +368,13 @@ fn lossy_results_invariant_under_farfield_and_thread_count() {
     assert_farfield_and_threads_invariant(|| {
         Box::new(LossySinrChannel::new(params(), 0.2).expect("valid drop_prob"))
     });
+}
+
+fn farfield(sim: &Simulation) -> &fading_channel::FarFieldEngine {
+    match sim.engine() {
+        ResolveEngine::FarField(e) => e,
+        other => panic!("expected the far-field engine, got {:?}", other.tier()),
+    }
 }
 
 #[test]
@@ -385,22 +387,17 @@ fn simulation_exposes_farfield_state() {
             active: true,
         })
     });
-    // A 16-node SINR sim builds both tiers, but the gain cache wins the
-    // default at this size: farfield is built yet dormant.
-    assert!(sim.gain_cache_active());
-    assert!(!sim.farfield_active(), "cache tier should win at n=16");
-    assert!(sim.farfield_engine().is_some(), "engine is built regardless");
-    sim.set_farfield_enabled(true);
-    assert!(sim.farfield_active());
-    assert_eq!(sim.farfield_engine().map(|e| e.num_active()), Some(16));
-    assert_eq!(
-        sim.farfield_stats().map(|s| s.rounds),
-        Some(0),
-        "no rounds resolved yet"
+    // The gain cache is the default at this size; the far-field engine is
+    // built only when the tier is set.
+    assert_eq!(sim.tier(), EngineTier::GainCache, "cache tier should win at n=16");
+    sim.set_tier(EngineTier::FarField);
+    assert_eq!(farfield(&sim).num_active(), 16);
+    assert_eq!(sim.engine().stats().rounds, 0, "no rounds resolved yet");
+    sim.set_tier(EngineTier::Exact);
+    assert!(
+        matches!(sim.engine(), ResolveEngine::Exact),
+        "the override replaces the engine"
     );
-    sim.set_farfield_enabled(false);
-    assert!(!sim.farfield_active());
-    assert!(sim.farfield_engine().is_some(), "disabling keeps it built");
 }
 
 #[test]
@@ -413,16 +410,15 @@ fn farfield_occupancy_shrinks_as_nodes_knock_out() {
             active: true,
         })
     });
-    sim.set_gain_cache_enabled(false);
-    sim.set_farfield_enabled(true);
+    sim.set_tier(EngineTier::FarField);
     sim.set_trace_level(TraceLevel::Counts);
-    assert_eq!(sim.farfield_engine().map(|e| e.num_active()), Some(24));
+    assert_eq!(farfield(&sim).num_active(), 24);
 
     let result = sim.run_until_resolved(20_000);
     assert!(result.resolved());
     assert!(sim.num_active() < sim.len(), "someone must knock out");
 
-    let engine = sim.farfield_engine().expect("engine stays built");
+    let engine = farfield(&sim);
     assert_eq!(
         engine.num_active(),
         sim.num_active(),
@@ -432,7 +428,7 @@ fn farfield_occupancy_shrinks_as_nodes_knock_out() {
         .map(|t| engine.active_in_tile(t))
         .sum();
     assert_eq!(per_tile_sum, engine.num_active());
-    let stats = sim.farfield_stats().expect("engine stays built");
+    let stats = engine.stats();
     assert!(stats.rounds > 0, "the engine should have served rounds");
     let listeners_served: u64 = result
         .trace()
@@ -463,7 +459,11 @@ fn radio_channel_has_no_cache_but_runs_identically() {
                 active: true,
             })
         });
-        sim.set_gain_cache_enabled(cached);
+        sim.set_tier(if cached {
+            EngineTier::GainCache
+        } else {
+            EngineTier::Exact
+        });
         sim.set_trace_level(TraceLevel::Full);
         sim.run_until_resolved(20_000)
     };
@@ -478,6 +478,5 @@ fn radio_channel_has_no_cache_but_runs_identically() {
             active: true,
         })
     });
-    assert!(!sim.gain_cache_active());
-    assert_eq!(sim.active_interference_at(0), None);
+    assert!(matches!(sim.engine(), ResolveEngine::Exact));
 }

@@ -8,7 +8,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use fading_channel::{Channel, RadioChannel, SinrChannel, SinrParams};
+use fading_channel::{Channel, EngineTier, RadioChannel, SinrChannel, SinrParams};
 use fading_geom::Deployment;
 use fading_sim::obs::export::{chrome, flamegraph, prometheus};
 use fading_sim::telemetry::jsonl;
@@ -207,8 +207,7 @@ fn real_run_spans_round_trip_through_collapsed_flamegraph() {
 #[test]
 fn real_run_counters_round_trip_through_prometheus_and_jsonl() {
     let mut sim = knockout_sim(24, 7, sinr_channel());
-    sim.set_gain_cache_enabled(false);
-    sim.set_farfield_enabled(true);
+    sim.set_tier(EngineTier::FarField);
     let result = sim.run_until_resolved(5_000);
     assert!(result.resolved());
     let counters = sim.engine_counters();
@@ -259,8 +258,13 @@ fn counters_route_every_round_exactly_once_across_configurations() {
         (true, false, true),
     ] {
         let mut sim = knockout_sim(20, 13, sinr_channel());
-        sim.set_gain_cache_enabled(cache_on);
-        sim.set_farfield_enabled(farfield_on);
+        sim.set_tier(if farfield_on {
+            EngineTier::FarField
+        } else if cache_on {
+            EngineTier::GainCache
+        } else {
+            EngineTier::Exact
+        });
         if want_sinr {
             sim.set_telemetry_sink(Box::new(MemorySink::new(TelemetryDetail::full())));
         }
@@ -289,12 +293,10 @@ fn counters_route_every_round_exactly_once_across_configurations() {
             "every round should take the configured path"
         );
         assert!(c.gain_cache_built, "n=20 SINR builds a cache");
-        if !cache_on && !farfield_on {
-            assert_eq!(
-                c.gain_cache_bypassed_rounds, c.rounds,
-                "disabled cache counts as bypassed every round"
-            );
-        }
+        assert_eq!(
+            c.gain_cache_bypassed_rounds, 0,
+            "one engine serves every round, so nothing is bypassed"
+        );
         if farfield_on {
             assert_eq!(
                 c.farfield.fast_decisions()
@@ -323,8 +325,7 @@ fn radio_channel_runs_report_exact_route_and_no_cache() {
 #[test]
 fn telemetry_events_carry_resolve_path_and_farfield_fallback_deltas() {
     let mut sim = knockout_sim(24, 9, sinr_channel());
-    sim.set_gain_cache_enabled(false);
-    sim.set_farfield_enabled(true);
+    sim.set_tier(EngineTier::FarField);
     sim.set_telemetry_sink(Box::new(MemorySink::new(TelemetryDetail::counts())));
     let result = sim.run_until_resolved(5_000);
     assert!(result.resolved());

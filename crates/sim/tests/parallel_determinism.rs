@@ -11,8 +11,8 @@
 //! stealing scheduler.
 
 use fading_channel::{
-    Channel, ChannelPerturbation, LossySinrChannel, RayleighSinrChannel, Reception,
-    SerialExecutor, SinrChannel, SinrParams,
+    Channel, ChannelPerturbation, EngineTier, HierarchicalFarFieldEngine, LossySinrChannel,
+    RayleighSinrChannel, Reception, ResolveEngine, SerialExecutor, SinrChannel, SinrParams,
 };
 use fading_geom::Deployment;
 use fading_sim::faults::{ChurnEvent, FaultPlan, GilbertElliott, Jammer, NoiseBurst};
@@ -69,8 +69,8 @@ fn stress_plan() -> FaultPlan {
 }
 
 /// One seeded trial batch with the hierarchical tier and resolve-thread
-/// count under test. The gain cache is disabled so every round actually
-/// routes through the tier being compared (hierarchical vs. exact).
+/// count under test. The tier is set so every round actually routes
+/// through the engine being compared (hierarchical vs. exact).
 fn run_hier_batch<F>(
     make_channel: &F,
     hierarchical: bool,
@@ -92,8 +92,11 @@ where
         if faulted {
             sim.set_fault_plan(stress_plan()).expect("plan fits deployment");
         }
-        sim.set_gain_cache_enabled(false);
-        sim.set_hierarchical_enabled(hierarchical);
+        sim.set_tier(if hierarchical {
+            EngineTier::Hierarchical
+        } else {
+            EngineTier::Exact
+        });
         sim.set_resolve_threads(resolve_threads);
         sim.set_trace_level(TraceLevel::Full);
         sim.run_until_resolved(20_000)
@@ -141,8 +144,9 @@ fn lossy_results_invariant_under_hierarchical_and_resolve_threads() {
 
 #[test]
 fn rayleigh_results_invariant_under_hierarchical_and_resolve_threads() {
-    // Rayleigh builds no hierarchical engine (per-pair fading draws pin
-    // the rng schedule); enabling the tier must be a clean no-op.
+    // Rayleigh cannot be served by the hierarchical tier (per-pair fading
+    // draws pin the rng schedule); asking for it builds the highest tier
+    // Rayleigh supports, which must be just as invisible.
     assert_hierarchical_and_threads_invariant(|| Box::new(RayleighSinrChannel::new(params())));
 }
 
@@ -167,17 +171,22 @@ fn multi_chunk_resolve_is_executor_invariant() {
     );
 
     let run = |executor: &dyn fading_channel::ChunkExecutor| {
-        let mut engine = ch.build_hierarchical_engine(&positions);
-        assert!(engine.is_some(), "SINR must build a hierarchical engine");
+        let mut engine = ResolveEngine::build(&ch, EngineTier::Hierarchical, &positions);
+        assert_eq!(
+            engine.tier(),
+            EngineTier::Hierarchical,
+            "SINR must build a hierarchical engine"
+        );
         let mut rng = SmallRng::seed_from_u64(7);
-        let rx = ch.resolve_hierarchical(
+        let rx = ch.resolve_with(
             &positions,
             &transmitters,
             &listeners,
-            engine.as_mut(),
-            executor,
+            &mut engine,
             &ChannelPerturbation::neutral(),
+            executor,
             &mut rng,
+            None,
         );
         (rx, rng)
     };
@@ -235,7 +244,7 @@ fn adversarial_sleeps_cannot_leak_completion_order_into_results() {
     );
 }
 
-/// API surface: the hierarchical tier is dormant below the auto
+/// API surface: the hierarchical tier is not built below the auto
 /// threshold, builds on demand, tracks knockout occupancy, and the
 /// resolve-pool width is a visible, settable knob.
 #[test]
@@ -248,35 +257,33 @@ fn simulation_exposes_hierarchical_state() {
             active: true,
         })
     });
-    assert!(
-        !sim.hierarchical_active(),
+    assert_ne!(
+        sim.tier(),
+        EngineTier::Hierarchical,
         "24 nodes sit far below HIERARCHICAL_AUTO_THRESHOLD"
     );
-    assert!(sim.hierarchical_engine().is_none(), "not built eagerly");
     assert_eq!(sim.resolve_threads(), 1, "serial resolve by default");
 
-    sim.set_gain_cache_enabled(false);
-    sim.set_hierarchical_enabled(true);
+    sim.set_tier(EngineTier::Hierarchical);
     sim.set_resolve_threads(8);
-    assert!(sim.hierarchical_active());
     assert_eq!(sim.resolve_threads(), 8);
     assert_eq!(
-        sim.hierarchical_engine().map(|e| e.num_active()),
-        Some(24),
+        hierarchical(&sim).num_active(),
+        24,
         "on-demand build syncs occupancy with the live set"
     );
-    assert_eq!(sim.hierarchical_stats().map(|s| s.rounds), Some(0));
+    assert_eq!(sim.engine().stats().rounds, 0);
 
     let result = sim.run_until_resolved(20_000);
     assert!(result.resolved());
     assert!(sim.num_active() < sim.len(), "someone must knock out");
-    let engine = sim.hierarchical_engine().expect("engine stays built");
+    let engine = hierarchical(&sim);
     assert_eq!(
         engine.num_active(),
         sim.num_active(),
         "tree occupancy must track the simulation's live-node count"
     );
-    let stats = sim.hierarchical_stats().expect("engine stays built");
+    let stats = engine.stats();
     assert!(stats.rounds > 0, "the tier should have served rounds");
     assert_eq!(
         stats.fast_decisions() + stats.noise_floor_silences + stats.exact_fallbacks(),
@@ -284,10 +291,16 @@ fn simulation_exposes_hierarchical_state() {
         "rung counters must reconcile with listeners resolved"
     );
 
-    sim.set_hierarchical_enabled(false);
-    assert!(!sim.hierarchical_active());
+    sim.set_tier(EngineTier::Exact);
     assert!(
-        sim.hierarchical_engine().is_some(),
-        "disabling keeps the engine built"
+        matches!(sim.engine(), ResolveEngine::Exact),
+        "the override replaces the engine"
     );
+}
+
+fn hierarchical(sim: &Simulation) -> &HierarchicalFarFieldEngine {
+    match sim.engine() {
+        ResolveEngine::Hierarchical(e) => e,
+        other => panic!("expected the hierarchical engine, got {:?}", other.tier()),
+    }
 }

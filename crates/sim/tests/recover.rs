@@ -8,7 +8,7 @@ use fading_channel::{Reception, SinrChannel, SinrParams};
 use fading_geom::{Deployment, Point};
 use fading_sim::faults::{ChurnEvent, FaultPlan, GilbertElliott, Jammer, NoiseBurst};
 use fading_sim::recover::{SimSnapshot, SnapshotError};
-use fading_sim::{Action, Protocol, ProtocolStateError, Simulation, TraceLevel};
+use fading_sim::{Action, EngineTier, Protocol, ProtocolStateError, Simulation, TraceLevel};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -72,15 +72,15 @@ fn stress_plan() -> FaultPlan {
         .with_loss(GilbertElliott::new(0.15, 0.3, 0.02, 0.7).expect("valid"))
 }
 
-/// The four engine tiers: (label, gain cache, far-field, hierarchical).
-const TIERS: [(&str, bool, bool, bool); 4] = [
-    ("exact", false, false, false),
-    ("gain-cache", true, false, false),
-    ("farfield", false, true, false),
-    ("hierarchical", false, false, true),
+/// The four engine tiers, with their labels.
+const TIERS: [(&str, EngineTier); 4] = [
+    ("exact", EngineTier::Exact),
+    ("gain-cache", EngineTier::GainCache),
+    ("farfield", EngineTier::FarField),
+    ("hierarchical", EngineTier::Hierarchical),
 ];
 
-fn build_sim(seed: u64, cache: bool, farfield: bool, hierarchical: bool) -> Simulation {
+fn build_sim(seed: u64, tier: EngineTier) -> Simulation {
     let deployment = Deployment::uniform_square(24, 15.0, seed);
     let mut sim = Simulation::new(
         deployment,
@@ -94,9 +94,7 @@ fn build_sim(seed: u64, cache: bool, farfield: bool, hierarchical: bool) -> Simu
         },
     );
     sim.set_fault_plan(stress_plan()).expect("plan fits deployment");
-    sim.set_gain_cache_enabled(cache);
-    sim.set_farfield_enabled(farfield);
-    sim.set_hierarchical_enabled(hierarchical);
+    sim.set_tier(tier);
     sim.set_trace_level(TraceLevel::Full);
     sim
 }
@@ -104,22 +102,22 @@ fn build_sim(seed: u64, cache: bool, farfield: bool, hierarchical: bool) -> Simu
 /// Interrupt after `cut` rounds, serialize the snapshot through its byte
 /// codec, restore into a *fresh* simulation, and require the resumed
 /// result to equal the uninterrupted one — traces included.
-fn assert_resume_identical(label: &str, cache: bool, farfield: bool, hierarchical: bool) {
+fn assert_resume_identical(label: &str, tier: EngineTier) {
     for seed in [3u64, 19, 71] {
-        let uninterrupted = build_sim(seed, cache, farfield, hierarchical)
+        let uninterrupted = build_sim(seed, tier)
             .run_until_resolved(20_000);
 
         // Cut mid-churn: after round 7 the crash (round 6) has fired but
         // the revive (round 12) is pending, the jammer budget and the
         // Gilbert–Elliott chain are mid-flight.
-        let mut victim = build_sim(seed, cache, farfield, hierarchical);
+        let mut victim = build_sim(seed, tier);
         for _ in 0..7 {
             victim.step();
         }
         let bytes = victim.snapshot().to_bytes();
         let snap = SimSnapshot::from_bytes(&bytes).expect("snapshot codec round-trips");
 
-        let mut resumed = build_sim(seed, cache, farfield, hierarchical);
+        let mut resumed = build_sim(seed, tier);
         resumed.restore(&snap).expect("snapshot fits the fresh twin");
         let result = resumed.run_until_resolved(20_000);
         assert_eq!(
@@ -131,8 +129,8 @@ fn assert_resume_identical(label: &str, cache: bool, farfield: bool, hierarchica
 
 #[test]
 fn resume_is_byte_identical_on_every_tier_under_faults() {
-    for (label, cache, farfield, hierarchical) in TIERS {
-        assert_resume_identical(label, cache, farfield, hierarchical);
+    for (label, tier) in TIERS {
+        assert_resume_identical(label, tier);
     }
 }
 
@@ -140,7 +138,7 @@ fn resume_is_byte_identical_on_every_tier_under_faults() {
 fn resume_with_self_check_enabled_is_byte_identical() {
     let seed = 23;
     let build = || {
-        let mut sim = build_sim(seed, false, true, false);
+        let mut sim = build_sim(seed, EngineTier::FarField);
         sim.set_self_check(2);
         sim
     };
@@ -163,7 +161,7 @@ fn resume_with_self_check_enabled_is_byte_identical() {
 
 #[test]
 fn corrupted_snapshot_fails_loudly_with_a_typed_error() {
-    let mut sim = build_sim(5, true, false, false);
+    let mut sim = build_sim(5, EngineTier::GainCache);
     for _ in 0..4 {
         sim.step();
     }

@@ -10,8 +10,8 @@ use fading_geom::{Deployment, Point};
 use fading_sim::faults::{ChurnEvent, FaultPlan, GilbertElliott, Jammer, NoiseBurst};
 use fading_sim::telemetry::{jsonl, replay_active_sets};
 use fading_sim::{
-    montecarlo, Action, MemorySink, NoopSink, NodeId, Protocol, Reception, RunResult, Simulation,
-    TelemetryDetail, Trace, TraceLevel,
+    montecarlo, Action, EngineTier, MemorySink, NoopSink, NodeId, Protocol, Reception, RunResult,
+    Simulation, TelemetryDetail, Trace, TraceLevel,
 };
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -109,7 +109,11 @@ fn run_matrix_cell(
     if faulted {
         sim.set_fault_plan(everything_plan()).unwrap();
     }
-    sim.set_gain_cache_enabled(cache_on);
+    sim.set_tier(if cache_on {
+        EngineTier::GainCache
+    } else {
+        EngineTier::Exact
+    });
     sim.set_trace_level(TraceLevel::Full);
     match sink {
         Sink::None => {}
@@ -253,7 +257,11 @@ fn late_wake_active_before_counts_participants_only() {
             .with_churn(ChurnEvent::late_wake(4, 2).unwrap())
             .with_churn(ChurnEvent::late_wake(4, 3).unwrap());
         sim.set_fault_plan(plan).unwrap();
-        sim.set_gain_cache_enabled(cache_on);
+        sim.set_tier(if cache_on {
+            EngineTier::GainCache
+        } else {
+            EngineTier::Exact
+        });
         sim.set_trace_level(TraceLevel::Counts);
         sim.set_telemetry_sink(Box::new(MemorySink::new(TelemetryDetail::counts())));
         sim
