@@ -14,6 +14,7 @@ use std::time::{Duration, Instant};
 
 use fading_cr::prelude::*;
 use fading_cr::sim::recover::{supervise_trial, SupervisorConfig, TrialFn};
+use fading_cr::sim::NoopProgress;
 
 const N: usize = 2048;
 const ROUNDS: u64 = 48;
@@ -40,7 +41,7 @@ fn time_direct() -> Duration {
 
 fn time_supervised(cfg: &SupervisorConfig, trial: &Arc<TrialFn>) -> Duration {
     let start = Instant::now();
-    let outcome = supervise_trial(cfg, 7, trial);
+    let outcome = supervise_trial(cfg, 7, trial, &NoopProgress);
     let elapsed = start.elapsed();
     assert!(outcome.is_success(), "the trial itself must not fail");
     std::hint::black_box(outcome);

@@ -42,16 +42,14 @@
 //! so after a serial prepare phase (bucketing, mass propagation, one
 //! traversal per distinct listener tile) the per-listener ladder runs on a
 //! [`ChunkExecutor`]: listeners are split into fixed
-//! [`HIER_CHUNK`]-sized chunks (independent of thread count), each task
-//! writes its own output slot, slots are merged in chunk order, and the
+//! [`HIER_CHUNK`]-sized chunks (independent of thread count),
+//! [`map_ordered`] returns their outputs in chunk order, and the
 //! per-chunk ladder counters are summed (u64 addition — commutative), so
 //! any executor scheduling produces byte-identical results.
 
-use std::sync::Mutex;
-
 use fading_geom::{Point, PointsSoA, TileTree};
 
-use crate::exec::ChunkExecutor;
+use crate::exec::{map_ordered, ChunkExecutor};
 use crate::farfield::{decide_ladder, DecisionInputs};
 use crate::kernels::gain_batch;
 use crate::sinr::{scan_transmitters_soa, ScanOutcome};
@@ -579,45 +577,33 @@ impl HierarchicalFarFieldEngine {
         }
         self.stack = stack;
 
-        // Parallel phase: fixed-size listener chunks, each writing its own
-        // slot; merged in chunk order below, so executor scheduling cannot
-        // reach the results.
+        // Parallel phase: fixed-size listener chunks, returned in chunk
+        // order, so executor scheduling cannot reach the results.
         let num_chunks = listeners.len().div_ceil(HIER_CHUNK);
-        let slots = {
-            let this = &*self;
-            type ChunkSlot = Option<(Vec<Reception>, FarFieldStats)>;
-            let slots: Mutex<Vec<ChunkSlot>> = Mutex::new(vec![None; num_chunks]);
-            executor.run(num_chunks, &|chunk| {
-                let start = chunk * HIER_CHUNK;
-                let end = (start + HIER_CHUNK).min(listeners.len());
-                let mut local = FarFieldStats::default();
-                let mut scratch = NearScratch::default();
-                let mut rx = Vec::with_capacity(end - start);
-                for &v in &listeners[start..end] {
-                    rx.push(this.decide_listener(
-                        v,
-                        positions,
-                        transmitters,
-                        perturbation,
-                        noise,
-                        beta,
-                        &mut local,
-                        &mut scratch,
-                    ));
-                }
-                let mut guard = slots.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                guard[chunk] = Some((rx, local));
-            });
-            slots
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-        };
+        let this = &*self;
+        let chunks = map_ordered(executor, num_chunks, |chunk| {
+            let start = chunk * HIER_CHUNK;
+            let end = (start + HIER_CHUNK).min(listeners.len());
+            let mut local = FarFieldStats::default();
+            let mut scratch = NearScratch::default();
+            let mut rx = Vec::with_capacity(end - start);
+            for &v in &listeners[start..end] {
+                rx.push(this.decide_listener(
+                    v,
+                    positions,
+                    transmitters,
+                    perturbation,
+                    noise,
+                    beta,
+                    &mut local,
+                    &mut scratch,
+                ));
+            }
+            (rx, local)
+        });
 
         let mut out = Vec::with_capacity(listeners.len());
-        for slot in slots {
-            let Some((rx, local)) = slot else {
-                unreachable!("executor must complete every chunk")
-            };
+        for (rx, local) in chunks {
             out.extend(rx);
             // Per-rung counters are u64 sums, so any chunking yields the
             // same totals.

@@ -85,7 +85,7 @@ mod breakdown;
 mod channel;
 mod engine;
 mod error;
-mod exec;
+pub mod exec;
 mod farfield;
 mod hierarchical;
 mod gain_cache;

@@ -18,10 +18,8 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use fading_sim::montecarlo::{
-    run_trials, run_trials_supervised, run_trials_with_manifest,
-};
-use fading_sim::recover::{SupervisorConfig, TrialManifest};
+use fading_sim::montecarlo::{run_trials, TrialRunner};
+use fading_sim::recover::TrialManifest;
 use fading_sim::Simulation;
 
 use super::common::{sinr_for, standard_deployment, ExperimentConfig};
@@ -63,18 +61,14 @@ pub fn e16_recovery(cfg: &ExperimentConfig) -> Table {
     // the fleet result is byte-identical to the reference).
     let tripped = AtomicBool::new(false);
     let cfg_owned = *cfg;
-    let sup = run_trials_supervised(
-        trials,
-        cfg.threads,
-        seed_base,
-        &SupervisorConfig::default(),
-        move |seed| {
+    let sup = TrialRunner::new(trials, cfg.threads, seed_base)
+        .run(move |seed| {
             if seed == seed_base + PANIC_OFFSET && !tripped.swap(true, Ordering::SeqCst) {
                 panic!("e16 injected panic (caught by the supervisor)");
             }
             trial(&cfg_owned, n, seed)
-        },
-    );
+        })
+        .expect("no manifest, so no manifest I/O");
     let supervised_exact = sup.results() == reference.iter().collect::<Vec<_>>();
     table.row([
         "supervised".to_string(),
@@ -99,20 +93,19 @@ pub fn e16_recovery(cfg: &ExperimentConfig) -> Table {
     let first = trials / 2;
     let mut manifest = TrialManifest::open(&manifest_path).expect(expect);
     let cfg_owned = *cfg;
-    run_trials_with_manifest(first, cfg.threads, seed_base, &mut manifest, |seed| {
-        trial(&cfg_owned, n, seed)
-    })
-    .expect(expect);
+    TrialRunner::new(first, cfg.threads, seed_base)
+        .manifest(&mut manifest)
+        .run(move |seed| trial(&cfg_owned, n, seed))
+        .expect(expect);
     // Re-open from disk — the resume path a killed process would take.
     let mut manifest = TrialManifest::open(&manifest_path).expect(expect);
     let already = manifest.completed();
-    let cfg_owned = *cfg;
-    let resumed = run_trials_with_manifest(trials, cfg.threads, seed_base, &mut manifest, |seed| {
-        trial(&cfg_owned, n, seed)
-    })
-    .expect(expect);
+    let resumed = TrialRunner::new(trials, cfg.threads, seed_base)
+        .manifest(&mut manifest)
+        .run(move |seed| trial(&cfg_owned, n, seed))
+        .expect(expect);
     std::fs::remove_file(&manifest_path).ok();
-    let resume_exact = resumed == reference;
+    let resume_exact = resumed.results() == reference.iter().collect::<Vec<_>>();
     table.row([
         "manifest resume".to_string(),
         n.to_string(),

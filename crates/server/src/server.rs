@@ -2,10 +2,10 @@
 //!
 //! A [`Server`] owns a [`JobQueue`] and runs a small pool of job workers.
 //! Each claimed spec is validated into a `Scenario`, its trials are
-//! sharded across threads through
-//! [`run_trials_supervised_with_manifest`] — so panicked trials are
-//! tallied instead of fatal, and a SIGKILL loses at most the in-flight
-//! trials — and its artifacts land in the job's output directory:
+//! sharded across threads through a manifest-backed
+//! [`TrialRunner`] — so panicked trials are tallied instead of fatal, and
+//! a SIGKILL loses at most the in-flight trials — and its artifacts land
+//! in the job's output directory:
 //!
 //! ```text
 //! jobs/<id>/manifest.jsonl    append-only per-trial resume log
@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use fading_cr::jobspec::JobSpec;
-use fading_cr::sim::montecarlo::{run_trials_supervised_with_manifest_observed, ShardedRun, Summary};
+use fading_cr::sim::montecarlo::{Summary, TrialRun, TrialRunner};
 use fading_cr::sim::obs::timeseries::{frame_to_json, TimeSeries, TsFrame};
 use fading_cr::sim::obs::{EngineCounters, NoopProgress, ProgressEvent, ProgressSink};
 use fading_cr::sim::recover::{trial_line, SupervisorConfig, TrialManifest};
@@ -682,8 +682,8 @@ impl ProgressSink for ServerProgress<'_> {
 /// What one completed job reports back.
 #[derive(Debug)]
 pub struct JobReport {
-    /// The sharded-run outcome (results, supervision tally, resume count).
-    pub run: ShardedRun,
+    /// The trial-run outcome (outcomes, supervision tally, resume count).
+    pub run: TrialRun,
     /// Engine counters merged over every trial run here.
     pub counters: EngineCounters,
     /// Span histograms, when [`ServerConfig::collect_spans`] is on.
@@ -766,16 +766,12 @@ pub fn run_job_observed(
         }
     };
 
-    let run = run_trials_supervised_with_manifest_observed(
-        spec.trials,
-        cfg.trial_threads,
-        spec.seed_base,
-        &cfg.supervisor,
-        &mut manifest,
-        progress,
-        trial_fn,
-    )
-    .map_err(|e| format!("trial fleet failed: {e}"))?;
+    let run = TrialRunner::new(spec.trials, cfg.trial_threads, spec.seed_base)
+        .supervisor(cfg.supervisor)
+        .manifest(&mut manifest)
+        .progress(progress)
+        .run(trial_fn)
+        .map_err(|e| format!("trial fleet failed: {e}"))?;
 
     write_artifacts(&job_dir, spec, &run).map_err(|e| format!("writing artifacts: {e}"))?;
     let counters = *counters_acc.lock().unwrap_or_else(PoisonError::into_inner);
@@ -803,12 +799,12 @@ fn fmt_f64(v: f64) -> String {
 
 /// Writes `trials.jsonl` (seed-ordered, byte-stable across resumes) and
 /// `result.json`.
-fn write_artifacts(job_dir: &Path, spec: &JobSpec, run: &ShardedRun) -> io::Result<()> {
+fn write_artifacts(job_dir: &Path, spec: &JobSpec, run: &TrialRun) -> io::Result<()> {
     let mut trials = String::new();
-    let mut completed: Vec<RunResult> = Vec::with_capacity(run.results.len());
-    for (i, slot) in run.results.iter().enumerate() {
-        if let Some(result) = slot {
-            trials.push_str(&trial_line(spec.seed_base + i as u64, result));
+    let mut completed: Vec<RunResult> = Vec::with_capacity(run.outcomes.len());
+    for outcome in &run.outcomes {
+        if let Some(result) = outcome.result() {
+            trials.push_str(&trial_line(outcome.seed(), result));
             trials.push('\n');
             completed.push(result.clone());
         }

@@ -32,10 +32,9 @@
 //!   flamegraph exporters.
 //! * [`recover`] — fault-tolerant execution: checksummed
 //!   checkpoint/resume ([`Simulation::snapshot`] / [`Simulation::restore`]),
-//!   supervised trials with panic isolation and a watchdog
-//!   ([`montecarlo::run_trials_supervised`]), resume manifests
-//!   ([`montecarlo::run_trials_with_manifest`]), and opt-in self-checking
-//!   engines with graceful tier degradation
+//!   supervised trials with panic isolation, a watchdog and resume
+//!   manifests (all through [`montecarlo::TrialRunner`]), and opt-in
+//!   self-checking engines with graceful tier degradation
 //!   ([`Simulation::set_self_check`]).
 //!
 //! Everything is deterministic given the master seed: node RNGs are derived
@@ -101,8 +100,8 @@ pub use obs::{
 pub use pool::StealPool;
 pub use protocol::{Protocol, ProtocolStateError};
 pub use recover::{
-    FleetSummary, PanicKind, SimSnapshot, SnapshotError, SupervisedRun, SupervisorConfig,
-    TrialManifest, TrialOutcome,
+    FleetSummary, PanicKind, SimSnapshot, SnapshotError, SupervisorConfig, TrialManifest,
+    TrialOutcome,
 };
 pub use result::{RoundRecord, RunOutcome, RunResult, Trace, TraceLevel};
 pub use rng::{channel_rng, fault_rng, node_rng, self_check_rng, split_mix64};

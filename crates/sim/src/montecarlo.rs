@@ -3,19 +3,29 @@
 //! The paper's guarantees are "with high probability"; empirically that
 //! means running many independent seeded trials and summarizing the
 //! distribution of rounds-to-resolution. Trials are embarrassingly
-//! parallel: [`run_trials`] fans seeds out over a `std::thread::scope`
-//! while keeping results in seed order, so parallel and serial execution
-//! produce byte-identical output.
+//! parallel: each seed is one task of an ordered parallel map
+//! ([`fading_channel::exec::map_ordered`] over a [`StealPool`]), so results
+//! come back in seed order and parallel and serial execution produce
+//! byte-identical output.
+//!
+//! Two entry points:
+//!
+//! * [`run_trials`] / [`run_trials_with`] — the plain form: a borrowed
+//!   closure, no supervision.
+//! * [`TrialRunner`] — the fault-tolerant form: every trial runs under the
+//!   [`supervisor`](crate::recover::supervisor), and a
+//!   [`TrialManifest`] and a [`ProgressSink`] can be attached.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
+use fading_channel::exec::map_ordered;
 use serde::{Deserialize, Serialize};
 
 use crate::obs::progress::{NoopProgress, ProgressSink};
+use crate::pool::StealPool;
 use crate::recover::{
-    supervise_trial_observed, FleetSummary, SnapshotError, SupervisedRun, SupervisorConfig,
-    TrialFn, TrialManifest,
+    supervise_trial, FleetSummary, SnapshotError, SupervisorConfig, TrialFn, TrialManifest,
+    TrialOutcome,
 };
 use crate::RunResult;
 
@@ -82,302 +92,258 @@ where
     F: Fn(u64) -> (RunResult, T) + Sync,
     T: Send,
 {
-    let seeds: Vec<u64> = (0..trials as u64).map(|i| seed_base + i).collect();
-    for_each_seed(&seeds, threads, f)
+    map_ordered(&StealPool::new(threads), trials, |i| f(seed_base + i as u64))
 }
 
-/// The work loop behind every runner: calls `work(seed)` for each of
-/// `seeds` on up to `threads` scoped workers (clamped to `1..=seeds.len()`),
-/// each claiming the next unclaimed seed, and returns the outputs **in
-/// `seeds` order** whatever the thread count or completion order.
-fn for_each_seed<T, F>(seeds: &[u64], threads: usize, work: F) -> Vec<T>
-where
-    F: Fn(u64) -> T + Sync,
-    T: Send,
-{
-    let threads = threads.max(1).min(seeds.len().max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..seeds.len()).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= seeds.len() {
-                    break;
-                }
-                let out = work(seeds[i]);
-                // A worker that panicked inside `work` poisons the lock
-                // while never writing its slot; recover the guard so the
-                // other workers' completed trials aren't thrown away with
-                // it (the scope still propagates the panic itself).
-                slots.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(out);
-            });
+/// The fault-tolerant trial runner: seeds `seed_base..seed_base+trials` on
+/// up to `threads` workers, every trial supervised, outcomes returned **in
+/// seed order** as a [`TrialRun`].
+///
+/// Three optional setters choose the rest:
+///
+/// * [`supervisor`](Self::supervisor) — the [`SupervisorConfig`] (default:
+///   one same-seed retry, no timeout). Panics are always caught and
+///   classified; with a timeout, a hung trial becomes a typed
+///   [`TrialOutcome::TimedOut`] instead of wedging the pool. Without one,
+///   supervision is the inline `catch_unwind` path, within the bench
+///   gate's 2% budget.
+/// * [`manifest`](Self::manifest) — a [`TrialManifest`] to resume from and
+///   record into: seeds already on record are **skipped** (counted as
+///   succeeded, no progress events), and each fresh success is appended
+///   and synced *as it finishes*, so a crash or SIGKILL mid-batch loses at
+///   most the trials in flight. Every successful result is then the
+///   manifest's record, so a resumed run equals an uninterrupted one
+///   (manifests do not persist traces; fleets run at
+///   [`TraceLevel::None`](crate::TraceLevel::None)).
+/// * [`progress`](Self::progress) — a [`ProgressSink`] receiving every
+///   trial transition (started / retried / finished / timed-out /
+///   poisoned) from the worker supervising that trial. The sink only
+///   observes: a watched run is byte-identical to an unwatched one.
+///
+/// # Example
+///
+/// ```
+/// use fading_channel::{SinrChannel, SinrParams};
+/// use fading_geom::Deployment;
+/// use fading_sim::montecarlo::TrialRunner;
+/// use fading_sim::{Action, Protocol, Reception, Simulation};
+/// # use rand::{rngs::SmallRng, Rng};
+/// # #[derive(Debug)]
+/// # struct Simple { active: bool }
+/// # impl Protocol for Simple {
+/// #     fn act(&mut self, _r: u64, rng: &mut SmallRng) -> Action {
+/// #         if rng.gen_bool(0.25) { Action::Transmit } else { Action::Listen }
+/// #     }
+/// #     fn feedback(&mut self, _r: u64, rx: &Reception) {
+/// #         if rx.is_message() { self.active = false; }
+/// #     }
+/// #     fn is_active(&self) -> bool { self.active }
+/// #     fn name(&self) -> &'static str { "simple" }
+/// # }
+///
+/// let run = TrialRunner::new(4, 2, 10)
+///     .run(|seed| {
+///         let d = Deployment::uniform_square(16, 10.0, seed);
+///         let ch = SinrChannel::new(SinrParams::default_single_hop());
+///         Simulation::new(d, Box::new(ch), seed, |_| Box::new(Simple { active: true }))
+///             .run_until_resolved(10_000)
+///     })
+///     .expect("no manifest, so no manifest IO");
+/// assert!(run.complete());
+/// assert_eq!(run.summary.succeeded, 4);
+/// assert_eq!(run.outcomes[0].seed(), 10);
+/// ```
+pub struct TrialRunner<'a> {
+    trials: usize,
+    threads: usize,
+    seed_base: u64,
+    supervisor: SupervisorConfig,
+    manifest: Option<&'a mut TrialManifest>,
+    progress: &'a dyn ProgressSink,
+}
+
+impl std::fmt::Debug for TrialRunner<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TrialRunner")
+            .field("trials", &self.trials)
+            .field("threads", &self.threads)
+            .field("seed_base", &self.seed_base)
+            .field("supervisor", &self.supervisor)
+            .field("manifest", &self.manifest.as_ref().map(|m| m.path()))
+            .finish_non_exhaustive()
+    }
+}
+
+impl<'a> TrialRunner<'a> {
+    /// A runner for `trials` seeds starting at `seed_base` on up to
+    /// `threads` workers (clamped to at least 1), with the default
+    /// supervisor, no manifest and no progress sink.
+    #[must_use]
+    pub fn new(trials: usize, threads: usize, seed_base: u64) -> Self {
+        TrialRunner {
+            trials,
+            threads,
+            seed_base,
+            supervisor: SupervisorConfig::default(),
+            manifest: None,
+            progress: &NoopProgress,
         }
-    });
-    // `thread::scope` has already joined every worker (re-raising any
-    // panic), so at this point each slot was written exactly once.
-    slots
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .into_iter()
-        .zip(seeds)
-        .map(|(out, seed)| {
-            out.unwrap_or_else(|| unreachable!("seed {seed} finished without storing a result"))
-        })
-        .collect()
-}
-
-/// Like [`run_trials`], but every trial runs under the
-/// [`recover::supervisor`](crate::recover::supervisor): panics are caught
-/// and classified, panicked trials are retried (same seed) up to
-/// `cfg.max_retries` times, and — when `cfg.timeout` is set — a hung
-/// trial becomes a typed
-/// [`TrialOutcome::TimedOut`](crate::recover::TrialOutcome::TimedOut)
-/// instead of wedging the pool. One poisoned trial no longer takes the
-/// whole batch down.
-///
-/// Outcomes come back **in seed order** with a [`FleetSummary`] tally
-/// (`succeeded`/`retried`/`timed_out`/`poisoned`). Successful results are
-/// available via [`SupervisedRun::results`].
-///
-/// `f` must be `Send + Sync + 'static` because the watchdog path hands it
-/// to a detached thread; with `cfg.timeout == None` trials run inline
-/// under `catch_unwind` only, which keeps supervision overhead within the
-/// bench gate's 2% budget.
-pub fn run_trials_supervised<F>(
-    trials: usize,
-    threads: usize,
-    seed_base: u64,
-    cfg: &SupervisorConfig,
-    f: F,
-) -> SupervisedRun
-where
-    F: Fn(u64) -> RunResult + Send + Sync + 'static,
-{
-    run_trials_supervised_observed(trials, threads, seed_base, cfg, &NoopProgress, f)
-}
-
-/// [`run_trials_supervised`] with live progress: every trial transition
-/// (started / retried / finished / timed-out / poisoned) is delivered to
-/// `sink` as a typed [`ProgressEvent`](crate::obs::ProgressEvent) from
-/// the worker thread supervising that trial, as it happens.
-///
-/// The sink only observes — outcomes, ordering, and the returned
-/// [`SupervisedRun`] are byte-identical to the unobserved runner
-/// (`run_trials_supervised` *is* this function with a
-/// [`NoopProgress`](crate::obs::NoopProgress) sink). Events from
-/// different seeds interleave by scheduling; within one seed the sequence
-/// is always started → retried\* → terminal.
-pub fn run_trials_supervised_observed<F>(
-    trials: usize,
-    threads: usize,
-    seed_base: u64,
-    cfg: &SupervisorConfig,
-    sink: &dyn ProgressSink,
-    f: F,
-) -> SupervisedRun
-where
-    F: Fn(u64) -> RunResult + Send + Sync + 'static,
-{
-    let trial: Arc<TrialFn> = Arc::new(f);
-    let seeds: Vec<u64> = (0..trials as u64).map(|i| seed_base + i).collect();
-    let outcomes = for_each_seed(&seeds, threads, |seed| {
-        supervise_trial_observed(cfg, seed, &trial, sink)
-    });
-    let mut summary = FleetSummary::default();
-    for outcome in &outcomes {
-        summary.record(outcome);
     }
-    SupervisedRun { outcomes, summary }
-}
 
-/// Like [`run_trials`], but completed trials are recorded in (and resumed
-/// from) a [`TrialManifest`]: trials whose seed is already on record are
-/// **skipped**, and every freshly-completed trial is appended and synced
-/// to the manifest *as it finishes* — so a crash or SIGKILL mid-batch
-/// loses at most the trials that were in flight.
-///
-/// Returns the results for **all** `trials` seeds in seed order, resumed
-/// and fresh alike, each read back from the manifest store. Manifests do
-/// not persist traces, so a resumed batch is byte-identical to an
-/// uninterrupted one exactly when trials run at
-/// [`TraceLevel::None`](crate::TraceLevel::None) (the fleet default).
-///
-/// # Errors
-///
-/// [`SnapshotError::Io`] when appending to the manifest fails;
-/// [`SnapshotError::Corrupt`] if the manifest ends up missing a completed
-/// trial (cannot happen through this API).
-pub fn run_trials_with_manifest<F>(
-    trials: usize,
-    threads: usize,
-    seed_base: u64,
-    manifest: &mut TrialManifest,
-    f: F,
-) -> Result<Vec<RunResult>, SnapshotError>
-where
-    F: Fn(u64) -> RunResult + Sync,
-{
-    let pending: Vec<u64> = (0..trials as u64)
-        .map(|i| seed_base + i)
-        .filter(|&seed| !manifest.is_done(seed))
-        .collect();
-    // Workers compute trials in parallel but append under one lock, so
-    // each manifest line lands intact. The first IO failure is latched;
-    // later completions still compute but stop recording.
-    let sink: Mutex<(&mut TrialManifest, Option<SnapshotError>)> = Mutex::new((manifest, None));
-    for_each_seed(&pending, threads, |seed| record(&sink, seed, &f(seed)));
-    let (manifest, err) = sink.into_inner().unwrap_or_else(PoisonError::into_inner);
-    if let Some(e) = err {
-        return Err(e);
+    /// Supervises every trial with `cfg`.
+    #[must_use]
+    pub fn supervisor(mut self, cfg: SupervisorConfig) -> Self {
+        self.supervisor = cfg;
+        self
     }
-    (0..trials as u64)
-        .map(|i| {
-            let seed = seed_base + i;
-            manifest.get(seed).cloned().ok_or_else(|| SnapshotError::Corrupt {
-                detail: format!("manifest missing completed trial for seed {seed}"),
-            })
+
+    /// Resumes from and records into `manifest`.
+    #[must_use]
+    pub fn manifest(mut self, manifest: &'a mut TrialManifest) -> Self {
+        self.manifest = Some(manifest);
+        self
+    }
+
+    /// Delivers every trial transition to `sink`.
+    #[must_use]
+    pub fn progress(mut self, sink: &'a dyn ProgressSink) -> Self {
+        self.progress = sink;
+        self
+    }
+
+    /// Runs the batch: `f` maps a seed to a completed [`RunResult`].
+    ///
+    /// `f` must be `Send + Sync + 'static` because the watchdog path hands
+    /// it to a detached thread.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Io`] when appending to the manifest fails (the
+    /// first failure is latched and stops recording; in-flight trials
+    /// still finish); [`SnapshotError::Corrupt`] if the manifest ends up
+    /// missing a successful trial (cannot happen through this API).
+    pub fn run<F>(self, f: F) -> Result<TrialRun, SnapshotError>
+    where
+        F: Fn(u64) -> RunResult + Send + Sync + 'static,
+    {
+        let TrialRunner {
+            trials,
+            threads,
+            seed_base,
+            supervisor,
+            manifest,
+            progress,
+        } = self;
+        let trial: Arc<TrialFn> = Arc::new(f);
+        let pending: Vec<u64> = (0..trials as u64)
+            .map(|i| seed_base + i)
+            .filter(|&seed| !manifest.as_deref().is_some_and(|m| m.is_done(seed)))
+            .collect();
+        let resumed = (trials - pending.len()) as u64;
+        // Workers compute trials in parallel but append under one lock, so
+        // each manifest line lands intact. The first IO failure is latched;
+        // later completions still compute but stop recording.
+        let sink: Mutex<(Option<&mut TrialManifest>, Option<SnapshotError>)> =
+            Mutex::new((manifest, None));
+        let fresh = map_ordered(&StealPool::new(threads), pending.len(), |i| {
+            let outcome = supervise_trial(&supervisor, pending[i], &trial, progress);
+            if let Some(result) = outcome.result() {
+                record(&sink, pending[i], result);
+            }
+            outcome
+        });
+        let (manifest, err) = sink.into_inner().unwrap_or_else(PoisonError::into_inner);
+        if let Some(e) = err {
+            return Err(e);
+        }
+
+        let mut fresh = fresh.into_iter().peekable();
+        let mut outcomes = Vec::with_capacity(trials);
+        for seed in (0..trials as u64).map(|i| seed_base + i) {
+            let outcome = match fresh.next_if(|o| o.seed() == seed) {
+                // Manifest-backed successes report the manifest's record.
+                Some(TrialOutcome::Succeeded { retries, .. }) if manifest.is_some() => {
+                    TrialOutcome::Succeeded {
+                        seed,
+                        result: on_record(manifest.as_deref(), seed)?,
+                        retries,
+                    }
+                }
+                Some(outcome) => outcome,
+                // Resumed: completed in an earlier incarnation.
+                None => TrialOutcome::Succeeded {
+                    seed,
+                    result: on_record(manifest.as_deref(), seed)?,
+                    retries: 0,
+                },
+            };
+            outcomes.push(outcome);
+        }
+        let mut summary = FleetSummary::default();
+        for outcome in &outcomes {
+            summary.record(outcome);
+        }
+        Ok(TrialRun {
+            outcomes,
+            summary,
+            resumed,
         })
-        .collect()
+    }
 }
 
-/// Appends one completed trial to the shared manifest, unless an earlier
-/// append already failed (the first IO error is latched in the pair).
+/// Appends one completed trial to the shared manifest, if there is one and
+/// no earlier append failed (the first IO error is latched in the pair).
 fn record(
-    sink: &Mutex<(&mut TrialManifest, Option<SnapshotError>)>,
+    sink: &Mutex<(Option<&mut TrialManifest>, Option<SnapshotError>)>,
     seed: u64,
     result: &RunResult,
 ) {
     let mut guard = sink.lock().unwrap_or_else(PoisonError::into_inner);
-    let (manifest, err) = &mut *guard;
-    if err.is_none() {
+    if let (Some(manifest), err @ None) = &mut *guard {
         if let Err(e) = manifest.record(seed, result) {
             *err = Some(e);
         }
     }
 }
 
-/// The outcome of one supervised, manifest-backed shard of trials: the
-/// seed-ordered results (where available), the supervision tally, and how
-/// many trials were resumed from disk instead of re-run.
+/// The manifest's record for `seed`.
+fn on_record(manifest: Option<&TrialManifest>, seed: u64) -> Result<RunResult, SnapshotError> {
+    manifest
+        .and_then(|m| m.get(seed))
+        .cloned()
+        .ok_or_else(|| SnapshotError::Corrupt {
+            detail: format!("manifest missing completed trial for seed {seed}"),
+        })
+}
+
+/// The outcome of one [`TrialRunner`] batch: per-seed outcomes, the
+/// supervision tally, and how many trials were resumed from a manifest
+/// instead of re-run.
 #[derive(Debug)]
-pub struct ShardedRun {
-    /// Per-seed results in seed order; `None` where the trial poisoned or
-    /// timed out and therefore never reached the manifest.
-    pub results: Vec<Option<RunResult>>,
-    /// Supervision tally over **all** `trials` seeds; resumed trials count
-    /// as succeeded (they completed in an earlier incarnation).
+pub struct TrialRun {
+    /// Per-trial outcomes, ordered by seed (`seed_base + i`). Resumed seeds
+    /// are [`TrialOutcome::Succeeded`] with zero retries.
+    pub outcomes: Vec<TrialOutcome>,
+    /// Supervision tally over **all** seeds; resumed trials count as
+    /// succeeded (they completed in an earlier incarnation).
     pub summary: FleetSummary,
     /// How many trials were satisfied from the manifest without re-running.
     pub resumed: u64,
 }
 
-impl ShardedRun {
-    /// `true` when every trial has a result on record.
+impl TrialRun {
+    /// The successful results in seed order (panicked and timed-out trials
+    /// are skipped).
+    #[must_use]
+    pub fn results(&self) -> Vec<&RunResult> {
+        self.outcomes.iter().filter_map(TrialOutcome::result).collect()
+    }
+
+    /// `true` when every trial succeeded.
     #[must_use]
     pub fn complete(&self) -> bool {
-        self.results.iter().all(Option::is_some)
+        self.outcomes.iter().all(TrialOutcome::is_success)
     }
-}
-
-/// The full service-path trial runner: combines [`run_trials_supervised`]
-/// (panic capture, same-seed retries, watchdog timeouts) with
-/// [`run_trials_with_manifest`] (skip completed seeds, append+sync each
-/// fresh success). This is what a long-running job server shards work
-/// through: a SIGKILL loses at most the in-flight trials, and a poisoned
-/// trial is tallied instead of taking the job down.
-///
-/// Trials already in `manifest` are counted as succeeded without re-running;
-/// only successful outcomes are recorded (a panicked or timed-out trial
-/// leaves no manifest line, so a later resume retries it from scratch).
-///
-/// # Errors
-///
-/// [`SnapshotError::Io`] when appending to the manifest fails; the first
-/// failure is latched and aborts recording (in-flight trials still finish).
-pub fn run_trials_supervised_with_manifest<F>(
-    trials: usize,
-    threads: usize,
-    seed_base: u64,
-    cfg: &SupervisorConfig,
-    manifest: &mut TrialManifest,
-    f: F,
-) -> Result<ShardedRun, SnapshotError>
-where
-    F: Fn(u64) -> RunResult + Send + Sync + 'static,
-{
-    run_trials_supervised_with_manifest_observed(
-        trials,
-        threads,
-        seed_base,
-        cfg,
-        manifest,
-        &NoopProgress,
-        f,
-    )
-}
-
-/// [`run_trials_supervised_with_manifest`] with live progress delivered
-/// to `progress`, exactly as in [`run_trials_supervised_observed`].
-///
-/// Resumed trials (seeds already in the manifest) emit **no** events —
-/// they completed in an earlier incarnation; only freshly-run seeds are
-/// observed. The sink cannot perturb results: the service-path
-/// determinism drill pins a watched run byte-identical to an unwatched
-/// one, stalled subscriber included.
-///
-/// # Errors
-///
-/// [`SnapshotError::Io`] when appending to the manifest fails; the first
-/// failure is latched and aborts recording (in-flight trials still finish).
-pub fn run_trials_supervised_with_manifest_observed<F>(
-    trials: usize,
-    threads: usize,
-    seed_base: u64,
-    cfg: &SupervisorConfig,
-    manifest: &mut TrialManifest,
-    progress: &dyn ProgressSink,
-    f: F,
-) -> Result<ShardedRun, SnapshotError>
-where
-    F: Fn(u64) -> RunResult + Send + Sync + 'static,
-{
-    let trial: Arc<TrialFn> = Arc::new(f);
-    let pending: Vec<u64> = (0..trials as u64)
-        .map(|i| seed_base + i)
-        .filter(|&seed| !manifest.is_done(seed))
-        .collect();
-    let resumed = (trials - pending.len()) as u64;
-    // As in `run_trials_with_manifest`: compute in parallel, append under
-    // one lock so each line lands intact, latch the first IO failure.
-    let sink: Mutex<(&mut TrialManifest, Option<SnapshotError>)> = Mutex::new((manifest, None));
-    let outcomes = for_each_seed(&pending, threads, |seed| {
-        let outcome = supervise_trial_observed(cfg, seed, &trial, progress);
-        if let Some(result) = outcome.result() {
-            record(&sink, seed, result);
-        }
-        outcome
-    });
-    let (manifest, err) = sink.into_inner().unwrap_or_else(PoisonError::into_inner);
-    if let Some(e) = err {
-        return Err(e);
-    }
-    let mut summary = FleetSummary {
-        trials: resumed,
-        succeeded: resumed,
-        ..FleetSummary::default()
-    };
-    for outcome in &outcomes {
-        summary.record(outcome);
-    }
-    let results = (0..trials as u64)
-        .map(|i| manifest.get(seed_base + i).cloned())
-        .collect();
-    Ok(ShardedRun {
-        results,
-        summary,
-        resumed,
-    })
 }
 
 /// Distribution summary of a batch of trials.
@@ -684,13 +650,23 @@ mod tests {
         let _ = percentile_f64(&[], 50.0);
     }
 
+    /// A clean per-test manifest path under the temp dir.
+    fn manifest_path(dir: &str, file: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(file);
+        std::fs::remove_file(&path).ok();
+        path
+    }
+
     #[test]
-    fn run_trials_supervised_isolates_panics_and_keeps_seed_order() {
-        let cfg = SupervisorConfig::default();
-        let run = run_trials_supervised(8, 4, 10, &cfg, |seed| {
-            assert!(seed != 13, "injected poison for seed 13");
-            result_with_rounds(Some(seed))
-        });
+    fn trial_runner_isolates_panics_and_keeps_seed_order() {
+        let run = TrialRunner::new(8, 4, 10)
+            .run(|seed| {
+                assert!(seed != 13, "injected poison for seed 13");
+                result_with_rounds(Some(seed))
+            })
+            .unwrap();
         assert_eq!(run.outcomes.len(), 8);
         assert_eq!(run.summary.trials, 8);
         assert_eq!(run.summary.succeeded, 7);
@@ -708,10 +684,13 @@ mod tests {
     }
 
     #[test]
-    fn run_trials_supervised_matches_unsupervised_results() {
+    fn trial_runner_matches_unsupervised_results() {
         let f = |seed: u64| result_with_rounds(Some(seed * 3 + 1));
         let plain = run_trials(6, 2, 40, f);
-        let supervised = run_trials_supervised(6, 2, 40, &SupervisorConfig::default(), f);
+        let supervised = TrialRunner::new(6, 2, 40)
+            .supervisor(SupervisorConfig::default())
+            .run(f)
+            .unwrap();
         let resumed: Vec<&RunResult> = supervised.results();
         assert_eq!(resumed.len(), plain.len());
         for (a, b) in plain.iter().zip(resumed) {
@@ -720,32 +699,38 @@ mod tests {
     }
 
     #[test]
-    fn run_trials_with_manifest_skips_completed_trials_on_resume() {
-        use std::sync::atomic::AtomicUsize;
+    fn manifest_run_skips_completed_trials_on_resume() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
 
-        let dir = std::env::temp_dir().join("fading-sim-montecarlo-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("resume.jsonl");
-        std::fs::remove_file(&path).ok();
-
-        let calls = AtomicUsize::new(0);
-        let f = |seed: u64| {
-            calls.fetch_add(1, Ordering::SeqCst);
-            result_with_rounds(Some(seed + 1))
+        let path = manifest_path("fading-sim-montecarlo-test", "resume.jsonl");
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counted = |calls: &Arc<AtomicUsize>| {
+            let calls = Arc::clone(calls);
+            move |seed: u64| {
+                calls.fetch_add(1, Ordering::SeqCst);
+                result_with_rounds(Some(seed + 1))
+            }
         };
 
         // First pass: only 3 of 6 trials "complete" before the crash.
         let mut first = crate::TrialManifest::open(&path).unwrap();
-        let partial = run_trials_with_manifest(3, 2, 50, &mut first, f).unwrap();
-        assert_eq!(partial.len(), 3);
+        let partial = TrialRunner::new(3, 2, 50)
+            .manifest(&mut first)
+            .run(counted(&calls))
+            .unwrap();
+        assert_eq!(partial.results().len(), 3);
         assert_eq!(calls.load(Ordering::SeqCst), 3);
         drop(first);
 
         // Resume: the full batch only runs the 3 missing seeds.
         let mut resumed = crate::TrialManifest::open(&path).unwrap();
         assert_eq!(resumed.completed(), 3);
-        let full = run_trials_with_manifest(6, 2, 50, &mut resumed, f).unwrap();
+        let full = TrialRunner::new(6, 2, 50)
+            .manifest(&mut resumed)
+            .run(counted(&calls))
+            .unwrap();
         assert_eq!(calls.load(Ordering::SeqCst), 6, "completed seeds are not re-run");
+        let full = full.results();
         assert_eq!(full.len(), 6);
         for (i, r) in full.iter().enumerate() {
             assert_eq!(r.resolved_at(), Some(50 + i as u64 + 1), "seed order preserved");
@@ -753,21 +738,20 @@ mod tests {
 
         // A fresh uninterrupted run over a clean manifest produces the
         // identical result vector.
-        let clean = dir.join("fresh.jsonl");
-        std::fs::remove_file(&clean).ok();
+        let clean = manifest_path("fading-sim-montecarlo-test", "fresh.jsonl");
         let mut fresh = crate::TrialManifest::open(&clean).unwrap();
-        let uninterrupted = run_trials_with_manifest(6, 2, 50, &mut fresh, f).unwrap();
-        assert_eq!(uninterrupted, full, "resumed == uninterrupted");
+        let uninterrupted = TrialRunner::new(6, 2, 50)
+            .manifest(&mut fresh)
+            .run(counted(&calls))
+            .unwrap();
+        assert_eq!(uninterrupted.results(), full, "resumed == uninterrupted");
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&clean).ok();
     }
 
     #[test]
     fn supervised_manifest_run_resumes_and_tallies_failures() {
-        let dir = std::env::temp_dir().join("fading-sim-supmanifest-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("fleet.jsonl");
-        std::fs::remove_file(&path).ok();
+        let path = manifest_path("fading-sim-supmanifest-test", "fleet.jsonl");
         let cfg = SupervisorConfig {
             max_retries: 0,
             timeout: None,
@@ -779,30 +763,34 @@ mod tests {
         };
 
         let mut first = crate::TrialManifest::open(&path).unwrap();
-        let run = run_trials_supervised_with_manifest(4, 2, 70, &cfg, &mut first, f).unwrap();
+        let run = TrialRunner::new(4, 2, 70)
+            .supervisor(cfg)
+            .manifest(&mut first)
+            .run(f)
+            .unwrap();
         assert_eq!(run.summary.trials, 4);
         assert_eq!(run.summary.succeeded, 3);
         assert_eq!(run.summary.poisoned, 1);
         assert_eq!(run.resumed, 0);
         assert!(!run.complete());
-        assert!(run.results[2].is_none(), "poisoned seed has no result");
+        assert!(run.outcomes[2].result().is_none(), "poisoned seed has no result");
         drop(first);
 
         // Resume with a healthy trial fn: only the poisoned seed re-runs
         // (`resumed` counts the seeds satisfied straight from the manifest).
         let mut second = crate::TrialManifest::open(&path).unwrap();
-        let run2 =
-            run_trials_supervised_with_manifest(4, 2, 70, &cfg, &mut second, |seed: u64| {
-                result_with_rounds(Some(seed + 1))
-            })
+        let run2 = TrialRunner::new(4, 2, 70)
+            .supervisor(cfg)
+            .manifest(&mut second)
+            .run(|seed: u64| result_with_rounds(Some(seed + 1)))
             .unwrap();
         assert_eq!(run2.resumed, 3);
         assert_eq!(run2.summary.succeeded, 4);
         assert!(run2.complete());
         let rounds: Vec<_> = run2
-            .results
+            .results()
             .iter()
-            .map(|r| r.as_ref().unwrap().resolved_at().unwrap())
+            .map(|r| r.resolved_at().unwrap())
             .collect();
         assert_eq!(rounds, vec![71, 72, 73, 74], "seed order preserved");
         std::fs::remove_file(&path).ok();
@@ -813,9 +801,13 @@ mod tests {
         use crate::obs::progress::{MemoryProgress, ProgressEvent};
         let f = |seed: u64| result_with_rounds(Some(seed + 2));
         let cfg = SupervisorConfig::default();
-        let plain = run_trials_supervised(10, 4, 30, &cfg, f);
+        let plain = TrialRunner::new(10, 4, 30).supervisor(cfg).run(f).unwrap();
         let sink = MemoryProgress::new();
-        let observed = run_trials_supervised_observed(10, 4, 30, &cfg, &sink, f);
+        let observed = TrialRunner::new(10, 4, 30)
+            .supervisor(cfg)
+            .progress(&sink)
+            .run(f)
+            .unwrap();
         assert_eq!(plain.summary, observed.summary);
         for (a, b) in plain.outcomes.iter().zip(&observed.outcomes) {
             assert_eq!(a.seed(), b.seed());
@@ -839,16 +831,17 @@ mod tests {
     #[test]
     fn observed_manifest_runner_skips_events_for_resumed_seeds() {
         use crate::obs::progress::MemoryProgress;
-        let dir = std::env::temp_dir().join("fading-sim-observed-manifest-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("fleet.jsonl");
-        std::fs::remove_file(&path).ok();
+        let path = manifest_path("fading-sim-observed-manifest-test", "fleet.jsonl");
         let cfg = SupervisorConfig::default();
         let f = |seed: u64| result_with_rounds(Some(seed + 1));
 
         let mut first = crate::TrialManifest::open(&path).unwrap();
         let sink = MemoryProgress::new();
-        let run = run_trials_supervised_with_manifest_observed(3, 2, 90, &cfg, &mut first, &sink, f)
+        let run = TrialRunner::new(3, 2, 90)
+            .supervisor(cfg)
+            .manifest(&mut first)
+            .progress(&sink)
+            .run(f)
             .unwrap();
         assert!(run.complete());
         assert_eq!(sink.take().len(), 6);
@@ -857,9 +850,12 @@ mod tests {
         // Resume over the same manifest: all 5 seeds satisfied means only
         // the 2 fresh ones emit events.
         let mut second = crate::TrialManifest::open(&path).unwrap();
-        let run2 =
-            run_trials_supervised_with_manifest_observed(5, 2, 90, &cfg, &mut second, &sink, f)
-                .unwrap();
+        let run2 = TrialRunner::new(5, 2, 90)
+            .supervisor(cfg)
+            .manifest(&mut second)
+            .progress(&sink)
+            .run(f)
+            .unwrap();
         assert_eq!(run2.resumed, 3);
         let events = sink.take();
         assert_eq!(events.len(), 4, "resumed seeds are silent");

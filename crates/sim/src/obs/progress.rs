@@ -4,15 +4,17 @@
 //! [`FleetSummary`](crate::recover::FleetSummary) came out, and everything
 //! in between — which seed is running, which one is on its second retry,
 //! which one just hit the watchdog — was invisible. A [`ProgressSink`]
-//! attached to the observed runner variants
-//! ([`montecarlo::run_trials_supervised_observed`] and
-//! [`montecarlo::run_trials_supervised_with_manifest_observed`]) receives
-//! one typed [`ProgressEvent`] per trial transition, as it happens.
+//! attached to a [`TrialRunner`](crate::montecarlo::TrialRunner) through
+//! [`TrialRunner::progress`](crate::montecarlo::TrialRunner::progress)
+//! receives one typed [`ProgressEvent`] per trial transition, as it
+//! happens.
 //!
 //! The determinism contract extends here: a sink only *observes* the
-//! supervisor — it can never change a trial's outcome, and the observed
-//! runners produce byte-identical [`RunResult`](crate::RunResult)s to the
-//! unobserved ones (pinned by `crates/sim/tests/progress.rs`). Events are
+//! supervisor — it can never change a trial's outcome, and an observed
+//! run produces byte-identical [`RunResult`](crate::RunResult)s to an
+//! unobserved one (pinned by the `montecarlo` unit tests, the root
+//! package's `tests/trial_runner.rs` and the server's
+//! `tests/watch_determinism.rs`). Events are
 //! emitted from whichever worker thread supervises the trial, so a sink
 //! must be internally synchronized (`Send + Sync`); *ordering across
 //! seeds* follows scheduling, while the per-seed sequence
@@ -23,9 +25,6 @@
 //! guarantee as the other exporters; the job server forwards these lines
 //! to `watch` subscribers verbatim (plus job/timestamp fields, which the
 //! parser here ignores as unknown keys).
-//!
-//! [`montecarlo::run_trials_supervised_observed`]: crate::montecarlo::run_trials_supervised_observed
-//! [`montecarlo::run_trials_supervised_with_manifest_observed`]: crate::montecarlo::run_trials_supervised_with_manifest_observed
 
 use std::sync::Mutex;
 

@@ -1,24 +1,21 @@
-//! A hand-rolled work-stealing thread pool for in-round data parallelism.
+//! A shared-counter thread pool for batches of independent tasks.
 //!
 //! [`StealPool`] implements `fading-channel`'s [`ChunkExecutor`]: it runs a
-//! batch of independent, identically-shaped tasks (the hierarchical
-//! engine's listener chunks) across OS threads. The vendored-dependency
-//! constraint rules out rayon, and the workload doesn't need a persistent
-//! pool — a round's resolve is one bulk-synchronous batch — so each
-//! [`StealPool::run`] spawns a `std::thread::scope`, which also keeps the
-//! crate `#![forbid(unsafe_code)]`-clean (scoped threads borrow the task
-//! closure safely).
+//! batch of independent tasks — the hierarchical engine's listener chunks,
+//! or a Monte-Carlo batch's trials — across OS threads. The
+//! vendored-dependency constraint rules out rayon, and the workload doesn't
+//! need a persistent pool — a round's resolve is one bulk-synchronous
+//! batch — so each [`StealPool::run`] opens a `std::thread::scope`, which
+//! also keeps the crate `#![forbid(unsafe_code)]`-clean (scoped threads
+//! borrow the task closure safely).
 //!
 //! # Scheduling
 //!
-//! `0..num_tasks` is pre-split into one contiguous range per worker, each
-//! packed `(lo, hi)` into a single `AtomicU64`. A worker pops from the
-//! *front* of its own range; an idle worker steals from the *back* of a
-//! victim's range (one task at a time — chunk granularity is coarse enough
-//! that finer amortization buys nothing). Both operations are CAS loops on
-//! the packed word, so a task index is handed out exactly once. Ranges
-//! only ever shrink, so a full idle sweep finding every range empty is a
-//! correct termination proof.
+//! Every worker claims the next unclaimed task index from one shared
+//! `AtomicUsize` (`fetch_add`), so each index is handed out exactly once
+//! and a worker stuck on a slow task never holds back the rest of the
+//! batch: the others keep claiming. The calling thread is worker 0, so a
+//! one-worker batch spawns nothing.
 //!
 //! # Determinism
 //!
@@ -28,83 +25,18 @@
 //! with adversarial per-task sleeps to prove completion order cannot leak
 //! into results.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use fading_channel::ChunkExecutor;
 
-/// A scoped work-stealing executor over a fixed number of worker threads.
+/// A scoped executor over a fixed number of worker threads, each claiming
+/// the next task from a shared counter.
 ///
-/// `threads = 1` runs every batch inline on the calling thread (no spawns,
-/// no atomics); results are byte-identical either way.
+/// `threads = 1` runs every batch on the calling thread (no spawns);
+/// results are byte-identical either way.
 #[derive(Debug, Clone, Copy)]
 pub struct StealPool {
     threads: usize,
-}
-
-#[inline]
-fn pack(lo: u32, hi: u32) -> u64 {
-    (u64::from(hi) << 32) | u64::from(lo)
-}
-
-#[inline]
-fn unpack(v: u64) -> (u32, u32) {
-    (v as u32, (v >> 32) as u32)
-}
-
-/// Pops the front of a packed range, or `None` when it is empty.
-fn take_front(r: &AtomicU64) -> Option<usize> {
-    let mut cur = r.load(Ordering::Acquire);
-    loop {
-        let (lo, hi) = unpack(cur);
-        if lo >= hi {
-            return None;
-        }
-        match r.compare_exchange_weak(cur, pack(lo + 1, hi), Ordering::AcqRel, Ordering::Acquire) {
-            Ok(_) => return Some(lo as usize),
-            Err(seen) => cur = seen,
-        }
-    }
-}
-
-/// Steals the back of a packed range, or `None` when it is empty.
-fn take_back(r: &AtomicU64) -> Option<usize> {
-    let mut cur = r.load(Ordering::Acquire);
-    loop {
-        let (lo, hi) = unpack(cur);
-        if lo >= hi {
-            return None;
-        }
-        match r.compare_exchange_weak(cur, pack(lo, hi - 1), Ordering::AcqRel, Ordering::Acquire) {
-            Ok(_) => return Some((hi - 1) as usize),
-            Err(seen) => cur = seen,
-        }
-    }
-}
-
-fn worker_loop(me: usize, ranges: &[AtomicU64], task: &(dyn Fn(usize) + Sync)) {
-    loop {
-        // Drain own range front-to-back.
-        if let Some(i) = take_front(&ranges[me]) {
-            task(i);
-            continue;
-        }
-        // Idle: sweep victims (round-robin from the right neighbor),
-        // stealing from the back to stay off the owner's front.
-        let mut stole = false;
-        for off in 1..ranges.len() {
-            let victim = (me + off) % ranges.len();
-            if let Some(i) = take_back(&ranges[victim]) {
-                task(i);
-                stole = true;
-                break;
-            }
-        }
-        if !stole {
-            // Every range was empty when swept, and ranges only shrink —
-            // no task remains unclaimed.
-            return;
-        }
-    }
 }
 
 impl StealPool {
@@ -125,38 +57,23 @@ impl StealPool {
     /// Runs `task(i)` for every `i in 0..num_tasks`, returning after all
     /// completed (the [`ChunkExecutor`] contract). Worker threads are
     /// scoped to this call; a panicking task propagates the panic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_tasks` exceeds `u32::MAX` (the packed-range format;
-    /// four billion chunks is far beyond any real batch).
     pub fn run(&self, num_tasks: usize, task: &(dyn Fn(usize) + Sync)) {
-        assert!(
-            u32::try_from(num_tasks).is_ok(),
-            "batch of {num_tasks} tasks exceeds the packed-range format"
-        );
-        let workers = self.threads.min(num_tasks);
-        if workers <= 1 {
-            for i in 0..num_tasks {
-                task(i);
+        let next = AtomicUsize::new(0);
+        let worker = || loop {
+            // Relaxed: the counter publishes nothing but the index; task
+            // outputs reach the caller through the scope's join.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= num_tasks {
+                return;
             }
-            return;
-        }
-        // Pre-split into one contiguous range per worker.
-        let ranges: Vec<AtomicU64> = (0..workers)
-            .map(|w| {
-                let lo = (w * num_tasks / workers) as u32;
-                let hi = ((w + 1) * num_tasks / workers) as u32;
-                AtomicU64::new(pack(lo, hi))
-            })
-            .collect();
-        let ranges = &ranges;
+            task(i);
+        };
         std::thread::scope(|s| {
-            for w in 1..workers {
-                s.spawn(move || worker_loop(w, ranges, task));
+            for _ in 1..self.threads.min(num_tasks) {
+                s.spawn(worker);
             }
             // The calling thread is worker 0.
-            worker_loop(0, ranges, task);
+            worker();
         });
     }
 }
@@ -207,16 +124,20 @@ mod tests {
     }
 
     #[test]
-    fn packed_range_round_trips() {
-        for (lo, hi) in [(0, 0), (0, 1), (7, 1000), (u32::MAX - 1, u32::MAX)] {
-            assert_eq!(unpack(pack(lo, hi)), (lo, hi));
-        }
+    fn one_thread_runs_on_the_caller_in_index_order() {
+        let caller = std::thread::current().id();
+        let order = std::sync::Mutex::new(Vec::new());
+        StealPool::new(1).run(6, &|i| {
+            assert_eq!(std::thread::current().id(), caller);
+            order.lock().unwrap().push(i);
+        });
+        assert_eq!(order.into_inner().unwrap(), (0..6).collect::<Vec<_>>());
     }
 
     #[test]
     fn stealing_balances_a_skewed_batch() {
-        // One pathologically slow task at the front of worker 0's range;
-        // the rest must complete regardless (stolen by idle workers).
+        // One pathologically slow task at index 0; the rest must complete
+        // regardless (claimed by the other workers).
         let pool = StealPool::new(4);
         let hits: Vec<AtomicU32> = (0..64).map(|_| AtomicU32::new(0)).collect();
         pool.run(64, &|i| {

@@ -2,8 +2,9 @@
 //!
 //! A [`TrialManifest`] is an append-only JSONL file recording one
 //! completed trial per line. Re-opening the manifest after a crash (or a
-//! SIGKILL) and handing it back to
-//! [`run_trials_with_manifest`](crate::montecarlo::run_trials_with_manifest)
+//! SIGKILL) and handing it back to a
+//! [`TrialRunner`](crate::montecarlo::TrialRunner) through
+//! [`TrialRunner::manifest`](crate::montecarlo::TrialRunner::manifest)
 //! skips every trial already on disk, so an interrupted Monte-Carlo batch
 //! resumes from where it died instead of burning its compute again.
 //!

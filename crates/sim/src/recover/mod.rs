@@ -11,11 +11,13 @@
 //! * [`supervisor`] — per-trial panic isolation (`catch_unwind` + a
 //!   panic taxonomy), bounded same-seed retry, a wall-clock watchdog
 //!   producing typed [`TrialOutcome::TimedOut`]s, and the
-//!   [`FleetSummary`] tally; driven by
-//!   [`montecarlo::run_trials_supervised`](crate::montecarlo::run_trials_supervised).
-//! * [`manifest`] — append-only JSONL [`TrialManifest`]s letting
-//!   [`montecarlo::run_trials_with_manifest`](crate::montecarlo::run_trials_with_manifest)
-//!   skip already-completed trials on resume.
+//!   [`FleetSummary`] tally; every trial of a
+//!   [`montecarlo::TrialRunner`](crate::montecarlo::TrialRunner) runs
+//!   under it.
+//! * [`manifest`] — append-only JSONL [`TrialManifest`]s; a
+//!   [`TrialRunner`](crate::montecarlo::TrialRunner) given one through
+//!   [`manifest`](crate::montecarlo::TrialRunner::manifest) skips
+//!   already-completed trials on resume.
 //!
 //! The third robustness pillar — opt-in self-checking engines with
 //! graceful tier degradation — lives on [`Simulation`](crate::Simulation)
@@ -28,6 +30,5 @@ pub mod supervisor;
 pub use manifest::{trial_line, TrialManifest};
 pub use snapshot::{SimSnapshot, SnapshotError, SNAPSHOT_VERSION};
 pub use supervisor::{
-    supervise_trial, supervise_trial_observed, FleetSummary, PanicKind, SupervisedRun,
-    SupervisorConfig, TrialFn, TrialOutcome,
+    supervise_trial, FleetSummary, PanicKind, SupervisorConfig, TrialFn, TrialOutcome,
 };

@@ -19,7 +19,7 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
-use crate::obs::progress::{NoopProgress, ProgressEvent, ProgressSink};
+use crate::obs::progress::{ProgressEvent, ProgressSink};
 use crate::result::RunResult;
 
 /// The supervised trial closure: seed in, result out. `'static` because
@@ -248,24 +248,6 @@ impl FleetSummary {
     }
 }
 
-/// The outcomes and tally of one supervised fleet, seed-ordered.
-#[derive(Debug)]
-pub struct SupervisedRun {
-    /// Per-trial outcomes, ordered by seed (`base_seed + i`).
-    pub outcomes: Vec<TrialOutcome>,
-    /// The aggregate tally.
-    pub summary: FleetSummary,
-}
-
-impl SupervisedRun {
-    /// The successful results in seed order (panicked/timed-out trials
-    /// are skipped).
-    #[must_use]
-    pub fn results(&self) -> Vec<&RunResult> {
-        self.outcomes.iter().filter_map(TrialOutcome::result).collect()
-    }
-}
-
 /// One attempt's fate, before retry bookkeeping.
 enum Attempt {
     Completed(RunResult),
@@ -330,22 +312,15 @@ fn attempt_with_watchdog(trial: &Arc<TrialFn>, seed: u64, timeout: Duration) -> 
 /// Without a timeout the trial runs inline under `catch_unwind` — no
 /// thread, no channel, no allocation on the success path — which is what
 /// keeps supervision overhead within the bench gate's 2% budget.
-#[must_use]
-pub fn supervise_trial(cfg: &SupervisorConfig, seed: u64, trial: &Arc<TrialFn>) -> TrialOutcome {
-    supervise_trial_observed(cfg, seed, trial, &NoopProgress)
-}
-
-/// [`supervise_trial`] with live progress: emits [`ProgressEvent`]s into
-/// `sink` around the same supervision loop — `TrialStarted` before the
-/// first attempt, `TrialRetried` before each re-run, and exactly one
-/// terminal event mirroring the returned [`TrialOutcome`].
 ///
-/// The sink only observes: it is called on this thread (never on the
-/// watchdog's trial thread), it cannot alter the outcome, and
-/// `supervise_trial` is literally this function with a no-op sink — so
-/// observed and unobserved supervision are the same code path.
+/// Progress goes to `sink` as [`ProgressEvent`]s: `TrialStarted` before
+/// the first attempt, `TrialRetried` before each re-run, and exactly one
+/// terminal event mirroring the returned [`TrialOutcome`]. The sink only
+/// observes: it is called on this thread (never on the watchdog's trial
+/// thread) and cannot alter the outcome; pass
+/// [`NoopProgress`](crate::obs::NoopProgress) to observe nothing.
 #[must_use]
-pub fn supervise_trial_observed(
+pub fn supervise_trial(
     cfg: &SupervisorConfig,
     seed: u64,
     trial: &Arc<TrialFn>,
@@ -415,6 +390,7 @@ pub fn supervise_trial_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::progress::NoopProgress;
     use crate::result::Trace;
     use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -429,7 +405,7 @@ mod tests {
     #[test]
     fn successful_trial_passes_through() {
         let cfg = SupervisorConfig::default();
-        let outcome = supervise_trial(&cfg, 7, &arc(dummy_result));
+        let outcome = supervise_trial(&cfg, 7, &arc(dummy_result), &NoopProgress);
         match outcome {
             TrialOutcome::Succeeded {
                 seed,
@@ -459,6 +435,7 @@ mod tests {
                 seen.fetch_add(1, Ordering::SeqCst);
                 panic!("index out of bounds: the len is 4 but the index is 9")
             }),
+            &NoopProgress,
         );
         assert_eq!(attempts.load(Ordering::SeqCst), 3, "1 attempt + 2 retries");
         match outcome {
@@ -493,6 +470,7 @@ mod tests {
                 }
                 dummy_result(seed)
             }),
+            &NoopProgress,
         );
         match outcome {
             TrialOutcome::Succeeded { retries, .. } => assert_eq!(retries, 2),
@@ -515,6 +493,7 @@ mod tests {
                 thread::sleep(Duration::from_secs(300));
                 dummy_result(1)
             }),
+            &NoopProgress,
         );
         match outcome {
             TrialOutcome::TimedOut { seed, timeout, .. } => {
@@ -531,8 +510,8 @@ mod tests {
             max_retries: 0,
             timeout: Some(Duration::from_secs(30)),
         };
-        assert!(supervise_trial(&cfg, 2, &arc(dummy_result)).is_success());
-        let outcome = supervise_trial(&cfg, 2, &arc(|_| panic!("boom")));
+        assert!(supervise_trial(&cfg, 2, &arc(dummy_result), &NoopProgress).is_success());
+        let outcome = supervise_trial(&cfg, 2, &arc(|_| panic!("boom")), &NoopProgress);
         assert!(matches!(outcome, TrialOutcome::Panicked { .. }));
     }
 

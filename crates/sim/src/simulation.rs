@@ -477,12 +477,6 @@ impl Simulation {
         self.telemetry.take()
     }
 
-    /// Whether a telemetry sink is currently attached.
-    #[must_use]
-    pub fn telemetry_attached(&self) -> bool {
-        self.telemetry.is_some()
-    }
-
     /// Enables (or disables) the [`MetricsRegistry`] collecting round
     /// latency, phase timers, and per-round distributions. Enabling when
     /// already enabled keeps the existing registry. Metrics include
@@ -514,21 +508,9 @@ impl Simulation {
     ///
     /// Tracing never changes a run's outcome — spans only observe. A
     /// *disabled* tracer ([`Tracer::set_enabled`]) costs one branch per
-    /// span site; detach entirely with [`Simulation::clear_tracer`] to
-    /// drop even that.
+    /// span site; a simulation that never had one attached skips even that.
     pub fn set_tracer(&mut self, tracer: Arc<Tracer>) {
         self.tracer = Some(tracer);
-    }
-
-    /// Detaches and returns the tracer, if one is attached.
-    pub fn clear_tracer(&mut self) -> Option<Arc<Tracer>> {
-        self.tracer.take()
-    }
-
-    /// The attached tracer, if any.
-    #[must_use]
-    pub fn tracer(&self) -> Option<&Arc<Tracer>> {
-        self.tracer.as_ref()
     }
 
     /// Opens a span on the attached tracer, or returns an inert guard.
