@@ -4,11 +4,20 @@
 //! "hierarchical tier is fast" claim silently erodes into "hierarchical
 //! tier is a slow wrapper around the exact scan".
 //!
-//! The bound (6%) sits above the committed snapshot's measured fractions
-//! (≤ ~4.5% across the sweep) with headroom for geometry jitter, and far
-//! below the ~100% a broken bracket would produce.
+//! Two gates, because the two workloads differ:
+//!
+//! * **The probe** (a 25%-contention round at fixed sizes). The bound (6%)
+//!   sits above the committed snapshot's measured fractions (≤ ~4.5%
+//!   across the sweep) with headroom for geometry jitter, and far below
+//!   the ~100% a broken bracket would produce.
+//! * **Protocol rounds** (whole FKN runs, whose early rounds hold many
+//!   more listeners per transmitter than the probe). The bound (9%) sits
+//!   above the 5–6% the tile-tree engine measures with its ring-2 near
+//!   field, and below the 17–19% it measured with a ring-1 near field.
 
 use fading_bench::probe::run_probe;
+use fading_cr::channel::{EngineTier, SinrParams};
+use fading_cr::{ChannelKind, Deployment, ProtocolKind, Scenario};
 
 /// The quick-mode sizes (`bench-gate --quick` probes ≤ 4096) plus one
 /// mid-size point; kept small enough for a test-suite run.
@@ -36,5 +45,47 @@ fn hierarchical_fallback_fraction_stays_low() {
             s.farfield_fallback_fraction,
             s.n
         );
+    }
+}
+
+/// Deployment size of the protocol-round gate: large enough for a deep
+/// tree and thousands of transmitters in the first rounds, small enough
+/// for a test-suite run.
+const PROTOCOL_N: usize = 1 << 14;
+
+const MAX_PROTOCOL_FALLBACK_FRACTION: f64 = 0.09;
+
+#[test]
+fn hierarchical_fallback_fraction_stays_low_on_protocol_rounds() {
+    let deployment = Deployment::uniform_density(PROTOCOL_N, 0.25, 2016);
+    for alpha in [2.5, 3.0] {
+        let params = SinrParams::builder()
+            .alpha(alpha)
+            .build()
+            .expect("valid path-loss exponent");
+        let scenario = Scenario::builder()
+            .deployment(deployment.clone())
+            .channel(ChannelKind::Sinr(params.with_power_for(&deployment)))
+            .protocol(ProtocolKind::fkn_default())
+            .build()
+            .expect("uniform deployments with scaled power are single-hop");
+        for seed in [1, 2] {
+            let mut sim = scenario.simulation_with_seed(seed);
+            sim.set_tier(EngineTier::Hierarchical);
+            assert_eq!(sim.tier(), EngineTier::Hierarchical);
+            let result = sim.run_until_resolved(100_000);
+            assert!(
+                result.resolved(),
+                "alpha={alpha} seed={seed} did not resolve"
+            );
+            let stats = sim.engine().stats();
+            assert!(stats.listeners_resolved() > 0);
+            let fraction = stats.exact_fallbacks() as f64 / stats.listeners_resolved() as f64;
+            assert!(
+                fraction <= MAX_PROTOCOL_FALLBACK_FRACTION,
+                "protocol-round fallback fraction {fraction:.4} at alpha={alpha} seed={seed} \
+                 exceeds {MAX_PROTOCOL_FALLBACK_FRACTION}: {stats:?}"
+            );
+        }
     }
 }

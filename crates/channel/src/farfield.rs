@@ -566,7 +566,7 @@ impl FarFieldEngine {
             }
 
             let extra = perturbation.map(|pt| pt.extra_at(v));
-            let reception = decide_ladder(
+            let decision = decide_ladder(
                 &mut self.stats,
                 DecisionInputs {
                     near_sum,
@@ -579,25 +579,19 @@ impl FarFieldEngine {
                     extra,
                     beta,
                 },
-                || {
-                    // Exact fallback: the canonical batched scan over
-                    // *all* transmitters — bit-identical to SinrChannel by
-                    // sharing its kernels and fold.
-                    let ScanOutcome {
-                        total,
-                        best_sig,
-                        best_tx,
-                    } = scan_transmitters_batched(p, alpha, v, vp, transmitters, &mut scan);
-                    let denom = match extra {
-                        Some(e) => noise + e + (total - best_sig),
-                        None => noise + (total - best_sig),
-                    };
-                    match best_tx {
-                        Some(u) if best_sig >= beta * denom => Reception::Message { from: u },
-                        _ => Reception::Silence,
-                    }
-                },
             );
+            let reception = match decision {
+                Decision::Decided(reception) => reception,
+                // Exact fallback: the canonical batched scan over *all*
+                // transmitters — bit-identical to SinrChannel by sharing
+                // its kernels and fold.
+                Decision::Exact => finish_exact(
+                    scan_transmitters_batched(p, alpha, v, vp, transmitters, &mut scan),
+                    noise,
+                    extra,
+                    beta,
+                ),
+            };
             out.push(reception);
         }
         self.scan = scan;
@@ -620,16 +614,23 @@ pub(crate) struct DecisionInputs {
     pub(crate) beta: f64,
 }
 
+/// What the decision ladder concluded for one listener.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Decision {
+    /// A rung settled the reception from the near scan and far bracket.
+    Decided(Reception),
+    /// No rung was conclusive: the caller must run the canonical exact
+    /// scan (and [`finish_exact`] its outcome).
+    Exact,
+}
+
 /// The decision ladder (module docs, "decision-exactness contract"),
 /// shared by the flat [`FarFieldEngine`] and the hierarchical engine — the
 /// correctness argument only depends on the *bracket* inputs, not on how
-/// they were aggregated. `fallback` runs the canonical exact scan when no
-/// rung is conclusive; `stats` receives exactly one rung increment.
-pub(crate) fn decide_ladder(
-    stats: &mut FarFieldStats,
-    inp: DecisionInputs,
-    fallback: impl FnOnce() -> Reception,
-) -> Reception {
+/// they were aggregated. `stats` receives exactly one rung increment; a
+/// [`Decision::Exact`] leaves the canonical scan to the caller, so an
+/// engine may batch its fallbacks.
+pub(crate) fn decide_ladder(stats: &mut FarFieldStats, inp: DecisionInputs) -> Decision {
     let DecisionInputs {
         near_sum,
         best_sig,
@@ -645,7 +646,7 @@ pub(crate) fn decide_ladder(
     // touching tile boxes) voids the bracket reasoning entirely.
     if !(near_sum.is_finite() && far_hi.is_finite() && far_cap.is_finite()) {
         stats.nonfinite_fallbacks += 1;
-        return fallback();
+        return Decision::Exact;
     }
     let base = match extra {
         Some(e) => noise + e,
@@ -655,19 +656,19 @@ pub(crate) fn decide_ladder(
     // the exact best signal is ≤ max(near best, far cap).
     if best_sig.max(far_cap) < beta * base {
         stats.noise_floor_silences += 1;
-        return Reception::Silence;
+        return Decision::Decided(Reception::Silence);
     }
     // Rung 3: no near candidate, yet rung 2 could not rule out a far
     // decode — only the exact scan can name the winner.
     let Some(from) = best_tx else {
         stats.no_near_winner_fallbacks += 1;
-        return fallback();
+        return Decision::Exact;
     };
     // Rung 4: the near best must strictly dominate every possible far
     // signal, or the canonical winner might be a far transmitter.
     if far_cap >= best_sig {
         stats.far_rival_fallbacks += 1;
-        return fallback();
+        return Decision::Exact;
     }
     // Rung 5: bracket the canonical interference and require the
     // decision to be invariant across it.
@@ -683,14 +684,38 @@ pub(crate) fn decide_ladder(
     let msg_hi = best_sig >= beta * denom_hi;
     if msg_lo == msg_hi {
         stats.bracket_decisions += 1;
-        if msg_hi {
+        Decision::Decided(if msg_hi {
             Reception::Message { from }
         } else {
             Reception::Silence
-        }
+        })
     } else {
         stats.bracket_straddle_fallbacks += 1;
-        fallback()
+        Decision::Exact
+    }
+}
+
+/// The canonical SINR test on an exact scan's outcome: the same
+/// denominator expression (and evaluation order) as
+/// `SinrChannel::resolve`, so a fallback decides bit-identically.
+pub(crate) fn finish_exact(
+    outcome: ScanOutcome,
+    noise: f64,
+    extra: Option<f64>,
+    beta: f64,
+) -> Reception {
+    let ScanOutcome {
+        total,
+        best_sig,
+        best_tx,
+    } = outcome;
+    let denom = match extra {
+        Some(e) => noise + e + (total - best_sig),
+        None => noise + (total - best_sig),
+    };
+    match best_tx {
+        Some(u) if best_sig >= beta * denom => Reception::Message { from: u },
+        _ => Reception::Silence,
     }
 }
 

@@ -19,14 +19,21 @@
 //! each distinct listener tile the engine walks the tree from the root:
 //!
 //! * nodes with no transmitters beneath them are skipped;
-//! * nodes whose fine-tile span intersects the listener's near ring are
-//!   descended (their mass may include near transmitters, which the exact
-//!   near scan owns);
+//! * nodes whose fine-tile span intersects the listener's near ring
+//!   ([`HIER_NEAR_RING`] tiles, wider than the flat engine's
+//!   [`NEAR_RING`](crate::NEAR_RING)) are descended (their mass may include
+//!   near transmitters, which the exact near scan owns);
 //! * far nodes are **accepted** when their certified distance bracket is
 //!   tight — `d_max² ≤ [`HIER_ACCEPT_RATIO_SQ`] · d_min²` — contributing
 //!   `mass × [P/d_max^α, P/d_min^α]` to the interference bracket (and the
 //!   upper gain to the far cap); loose nodes are descended, bottoming out
 //!   at fine tiles which are always accepted.
+//!
+//! The ring is 2 rather than 1 because fine tiles at Chebyshev distance 2
+//! are accepted with a `d_max/d_min` ratio of ~3–4, which loosens the
+//! bracket and the far cap enough to cause most straddle and far-rival
+//! fallbacks; scanning them exactly costs less than the fallbacks it
+//! saves.
 //!
 //! Every transmitter therefore lands in exactly one accepted node or in
 //! the near scan, and every accepted bracket is certified by the tree's
@@ -38,24 +45,32 @@
 //!
 //! # In-round parallelism
 //!
-//! Listener decisions are independent given the per-tile far aggregates,
-//! so after a serial prepare phase (bucketing, mass propagation, one
-//! traversal per distinct listener tile) the per-listener ladder runs on a
-//! [`ChunkExecutor`]: listeners are split into fixed
-//! [`HIER_CHUNK`]-sized chunks (independent of thread count),
-//! [`map_ordered`] returns their outputs in chunk order, and the
-//! per-chunk ladder counters are summed (u64 addition — commutative), so
-//! any executor scheduling produces byte-identical results.
+//! Both halves of a round run on a [`ChunkExecutor`] through
+//! [`map_ordered`], in fixed-size chunks that never depend on the thread
+//! count, so any executor scheduling produces byte-identical results:
+//!
+//! * **Traversals.** The round's distinct listener tiles are collected
+//!   serially in first-seen order and traversed in [`HIER_TILE_CHUNK`]-tile
+//!   chunks. Each tile's aggregate comes from the same sequential walk
+//!   whichever thread runs it, and the aggregates are written back in
+//!   order.
+//! * **Decisions.** Listeners are split into [`HIER_CHUNK`]-sized chunks.
+//!   Each chunk runs the ladder per listener and collects the listeners
+//!   the ladder leaves undecided; those exact fallbacks are then resolved
+//!   [`LISTENER_BLOCK`] at a time through the fused [`scan_block`] kernel
+//!   (each lane bit-identical to the scalar fold), the tail one by one.
+//!   The per-chunk ladder counters are summed (u64 addition —
+//!   commutative).
 
 use fading_geom::{Point, PointsSoA, TileTree};
 
 use crate::exec::{map_ordered, ChunkExecutor};
-use crate::farfield::{decide_ladder, DecisionInputs};
-use crate::kernels::gain_batch;
+use crate::farfield::{decide_ladder, finish_exact, Decision, DecisionInputs};
+use crate::kernels::{gain_batch, scan_block, LISTENER_BLOCK};
 use crate::sinr::{scan_transmitters_soa, ScanOutcome};
 use crate::{
     pow_alpha, ChannelPerturbation, FarFieldStats, NodeId, Reception, SinrParams,
-    FARFIELD_REL_SLACK, NEAR_RING,
+    FARFIELD_REL_SLACK,
 };
 
 /// Average number of nodes per *fine* tile the hierarchical engine aims
@@ -77,20 +92,33 @@ pub const HIER_MAX_TILES_PER_SIDE: usize = 512;
 /// engine's near-far tile pairs while still aggregating geometrically.
 pub const HIER_ACCEPT_RATIO_SQ: f64 = 2.25;
 
+/// Chebyshev fine-tile radius of the tree engine's near field: tiles
+/// within this ring of the listener's tile are scanned exactly. Wider than
+/// the flat engine's [`NEAR_RING`](crate::NEAR_RING); see the
+/// [module docs](self) for why.
+pub const HIER_NEAR_RING: usize = 2;
+
 /// Listeners per parallel chunk. Fixed (never derived from thread count)
 /// so chunk boundaries — and thus all floating-point accumulation orders —
 /// are identical under any executor.
 pub const HIER_CHUNK: usize = 1024;
 
-/// Chunk-local gain buffers for [`HierarchicalFarFieldEngine`]'s parallel
+/// Distinct listener tiles per parallel traversal task. Fixed for the same
+/// reason as [`HIER_CHUNK`]; each tile's walk is sequential either way.
+pub const HIER_TILE_CHUNK: usize = 64;
+
+/// Chunk-local buffers for [`HierarchicalFarFieldEngine`]'s parallel
 /// listener phase: one per chunk closure, so concurrent
 /// `decide_listener` calls never share mutable state.
 #[derive(Debug, Default)]
 struct NearScratch {
     /// Per-near-tile batched gains (bucket order).
     near_gains: Vec<f64>,
-    /// Exact-fallback gains over all transmitters (slice order).
+    /// Exact-fallback gains over all transmitters (slice order), for the
+    /// tail that does not fill a [`LISTENER_BLOCK`].
     fallback_gains: Vec<f64>,
+    /// Chunk offsets of the listeners the ladder left to the exact scan.
+    pending: Vec<usize>,
 }
 
 /// Multi-resolution far-field engine over a [`TileTree`]. Built once per
@@ -123,8 +151,8 @@ pub struct HierarchicalFarFieldEngine {
     tx_y_in_tile: Vec<Vec<f64>>,
     /// Round-level gathered transmitter coordinates (slice order) for the
     /// batched exact fallback. Written during the serial prepare phase,
-    /// read-only during the parallel listener phase (gain buffers are
-    /// chunk-local — see [`NearScratch`]).
+    /// read-only during the parallel phases (gain buffers are chunk-local
+    /// — see [`NearScratch`]).
     tx_xs: Vec<f64>,
     tx_ys: Vec<f64>,
     /// Per-round transmitter count under each tree node, per level.
@@ -132,15 +160,13 @@ pub struct HierarchicalFarFieldEngine {
     /// Nodes touched this round, per level (level 0 doubles as the list of
     /// fine tiles whose `tx_in_tile` bucket needs clearing).
     touched: Vec<Vec<u32>>,
-    /// Lazily computed per-listener-tile far aggregates, validated by
-    /// `far_stamp` against the current round's `stamp`.
-    far_lo: Vec<f64>,
-    far_hi: Vec<f64>,
-    far_cap: Vec<f64>,
+    /// Per-listener-tile far aggregates `(lo, hi, cap)`, valid for the
+    /// tiles whose `far_stamp` equals the current round's `stamp`.
+    far: Vec<(f64, f64, f64)>,
     far_stamp: Vec<u64>,
     stamp: u64,
-    /// Traversal scratch, reused across listener tiles.
-    stack: Vec<(usize, usize)>,
+    /// This round's distinct listener tiles, in first-seen order.
+    listener_tiles: Vec<u32>,
     stats: FarFieldStats,
 }
 
@@ -198,12 +224,10 @@ impl HierarchicalFarFieldEngine {
             tx_ys: Vec::new(),
             tx_count: (0..num_levels).map(|l| vec![0u32; tree.num_nodes(l)]).collect(),
             touched: vec![Vec::new(); num_levels],
-            far_lo: vec![0.0; num_fine],
-            far_hi: vec![0.0; num_fine],
-            far_cap: vec![0.0; num_fine],
+            far: vec![(0.0, 0.0, 0.0); num_fine],
             far_stamp: vec![0; num_fine],
             stamp: 0,
-            stack: Vec::new(),
+            listener_tiles: Vec::new(),
             stats: FarFieldStats::default(),
             tree,
         })
@@ -281,6 +305,19 @@ impl HierarchicalFarFieldEngine {
         &self.tree
     }
 
+    /// The far-field aggregate `(lo, hi, cap)` the last round with
+    /// transmitters computed for listener fine tile `t`, or `None` when no
+    /// listener of that round sat in `t`. Exposed so tests can pin the
+    /// aggregates' bits across thread counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is out of range.
+    #[must_use]
+    pub fn far_aggregate(&self, t: usize) -> Option<(f64, f64, f64)> {
+        (self.stamp > 0 && self.far_stamp[t] == self.stamp).then(|| self.far[t])
+    }
+
     /// Decision counters accumulated so far.
     #[must_use]
     pub fn stats(&self) -> FarFieldStats {
@@ -301,103 +338,105 @@ impl HierarchicalFarFieldEngine {
 
     /// One Barnes–Hut traversal: the far-field aggregate `(lo, hi, cap)`
     /// for listeners in fine tile `lt`, over this round's transmitter
-    /// masses. `stack` is caller-provided scratch.
-    fn traverse(&self, lt: usize, stack: &mut Vec<(usize, usize)>) -> (f64, f64, f64) {
+    /// masses. `stack` is caller-provided scratch of `(level, col, row)`
+    /// node addresses; children are pushed in row-major order, so the
+    /// accumulation order is a function of the tree and the masses alone.
+    fn traverse(&self, lt: usize, stack: &mut Vec<(usize, usize, usize)>) -> (f64, f64, f64) {
         let fine = self.tree.fine();
-        let (ltc, ltr) = (lt % fine.cols(), lt / fine.cols());
+        let (fine_cols, fine_rows) = (fine.cols(), fine.rows());
+        let (ltc, ltr) = (lt % fine_cols, lt / fine_cols);
         // The near ring in fine-tile coordinates (clipped at the grid edge,
         // exactly like `TileIndex::neighborhood`).
-        let near_c0 = ltc.saturating_sub(NEAR_RING);
-        let near_c1 = (ltc + NEAR_RING).min(fine.cols() - 1);
-        let near_r0 = ltr.saturating_sub(NEAR_RING);
-        let near_r1 = (ltr + NEAR_RING).min(fine.rows() - 1);
+        let near_c0 = ltc.saturating_sub(HIER_NEAR_RING);
+        let near_c1 = (ltc + HIER_NEAR_RING).min(fine_cols - 1);
+        let near_r0 = ltr.saturating_sub(HIER_NEAR_RING);
+        let near_r1 = (ltr + HIER_NEAR_RING).min(fine_rows - 1);
+        let Some(lt_box) = fine.content_bbox(lt) else {
+            unreachable!("a listener's tile holds the listener")
+        };
 
         let p = self.power;
         let alpha = self.alpha;
         let (mut lo, mut hi, mut cap) = (0.0f64, 0.0f64, 0.0f64);
         stack.clear();
-        stack.push(self.tree.root());
-        while let Some((l, idx)) = stack.pop() {
+        stack.push((self.tree.num_levels() - 1, 0, 0));
+        while let Some((l, c, r)) = stack.pop() {
+            let idx = r * self.tree.level_cols(l) + c;
             let mass = self.tx_count[l][idx];
             if mass == 0 {
                 continue;
             }
-            if l > 0 {
-                // Descend nodes overlapping the near ring: their mass may
-                // include near transmitters, which the exact scan owns.
-                let (crange, rrange) = self.tree.fine_tile_range(l, idx);
-                if crange.start <= near_c1
-                    && near_c0 < crange.end
-                    && rrange.start <= near_r1
-                    && near_r0 < rrange.end
-                {
-                    stack.extend(self.tree.children(l, idx).map(|c| (l - 1, c)));
+            let (d_min_sq, d_max_sq) = if l > 0 {
+                // Descend nodes whose fine-tile span overlaps the near
+                // ring: their mass may include near transmitters, which
+                // the exact scan owns. Node (c, r) at level l spans fine
+                // columns [c·2^l, min((c+1)·2^l, cols)), rows likewise.
+                let overlaps_near = c << l <= near_c1
+                    && near_c0 < ((c + 1) << l).min(fine_cols)
+                    && r << l <= near_r1
+                    && near_r0 < ((r + 1) << l).min(fine_rows);
+                // A node with mass holds points, so its bbox is real; a
+                // far node whose opening angle is too wide is refined.
+                let accepted = (!overlaps_near)
+                    .then(|| lt_box.distance_sq_bounds(&self.tree.level_content(l)[idx]))
+                    .filter(|&(d_min_sq, d_max_sq)| d_max_sq <= HIER_ACCEPT_RATIO_SQ * d_min_sq);
+                let Some(bounds) = accepted else {
+                    let c1 = (2 * c + 2).min(self.tree.level_cols(l - 1));
+                    let r1 = (2 * r + 2).min(self.tree.level_rows(l - 1));
+                    for rr in 2 * r..r1 {
+                        for cc in 2 * c..c1 {
+                            stack.push((l - 1, cc, rr));
+                        }
+                    }
                     continue;
-                }
-                let Some((d_min_sq, d_max_sq)) = self.tree.distance_sq_bounds_to(lt, l, idx)
-                else {
-                    unreachable!("listener tile and massive node are both non-empty")
                 };
-                if d_max_sq > HIER_ACCEPT_RATIO_SQ * d_min_sq {
-                    // Too wide an opening angle: refine.
-                    stack.extend(self.tree.children(l, idx).map(|c| (l - 1, c)));
-                    continue;
-                }
-                // Accept the aggregate. d_min² = 0 (touching boxes) makes
-                // the upper gain infinite — rung 1 then falls back, which
-                // is conservative, never wrong.
-                let m = f64::from(mass);
-                lo += m * (p / pow_alpha(d_max_sq, alpha));
-                let g_hi = p / pow_alpha(d_min_sq, alpha);
-                hi += m * g_hi;
-                cap = cap.max(g_hi);
+                bounds
             } else {
                 // Fine tile: near ones belong to the exact scan; far ones
                 // are always accepted (the recursion's base case).
-                if fine.chebyshev(lt, idx) <= NEAR_RING {
+                if c.abs_diff(ltc).max(r.abs_diff(ltr)) <= HIER_NEAR_RING {
                     continue;
                 }
-                let Some((d_min_sq, d_max_sq)) = self.tree.distance_sq_bounds_to(lt, 0, idx)
-                else {
-                    unreachable!("listener tile and massive tile are both non-empty")
-                };
-                let m = f64::from(mass);
-                lo += m * (p / pow_alpha(d_max_sq, alpha));
-                let g_hi = p / pow_alpha(d_min_sq, alpha);
-                hi += m * g_hi;
-                cap = cap.max(g_hi);
-            }
+                lt_box.distance_sq_bounds(&self.tree.level_content(0)[idx])
+            };
+            // Accept the aggregate. d_min² = 0 (touching boxes) makes the
+            // upper gain infinite — rung 1 then falls back, which is
+            // conservative, never wrong.
+            let m = f64::from(mass);
+            lo += m * (p / pow_alpha(d_max_sq, alpha));
+            let g_hi = p / pow_alpha(d_min_sq, alpha);
+            hi += m * g_hi;
+            cap = cap.max(g_hi);
         }
         (lo, hi, cap)
     }
 
     /// One listener's decision: exact near scan + cached far bracket
     /// through the shared ladder. Read-only over the engine (runs
-    /// concurrently across chunks); `stats` and `scratch` are the
-    /// caller's chunk-local accumulator and gain buffers.
+    /// concurrently across chunks); `stats` and `near_gains` are the
+    /// caller's chunk-local accumulator and gain buffer. A
+    /// [`Decision::Exact`] is left to the caller's batched fallback.
     #[allow(clippy::too_many_arguments)] // the round's scalars, spelled out
     fn decide_listener(
         &self,
         v: NodeId,
         positions: &[Point],
-        transmitters: &[NodeId],
         perturbation: Option<&ChannelPerturbation<'_>>,
         noise: f64,
         beta: f64,
         stats: &mut FarFieldStats,
-        scratch: &mut NearScratch,
-    ) -> Reception {
+        near_gains: &mut Vec<f64>,
+    ) -> Decision {
         let p = self.power;
         let alpha = self.alpha;
         let vp = positions[v];
         let fine = self.tree.fine();
         let lt = fine.tile_of(v);
         debug_assert_eq!(self.far_stamp[lt], self.stamp, "prepare pass missed tile {lt}");
-        let far_lo = self.far_lo[lt];
-        let far_hi = self.far_hi[lt];
+        let (far_lo, far_hi, far_cap) = self.far[lt];
         // Widened cap on any single far signal (covers bound rounding and
         // powf non-monotonicity; see FARFIELD_REL_SLACK).
-        let far_cap = self.far_cap[lt] * (1.0 + FARFIELD_REL_SLACK);
+        let far_cap = far_cap * (1.0 + FARFIELD_REL_SLACK);
 
         // Exact near-field scan: one fused gain batch per near tile
         // (canonical per-pair expression, bucket order), folded in bucket
@@ -407,12 +446,12 @@ impl HierarchicalFarFieldEngine {
         let mut best_sig = 0.0f64;
         let mut best_tx: Option<NodeId> = None;
         let mut best_idx = u32::MAX;
-        for near_t in fine.neighborhood(lt, NEAR_RING) {
+        for near_t in fine.neighborhood(lt, HIER_NEAR_RING) {
             let bucket = &self.tx_in_tile[near_t];
             if bucket.is_empty() {
                 continue;
             }
-            scratch.near_gains.resize(bucket.len(), 0.0);
+            near_gains.resize(bucket.len(), 0.0);
             gain_batch(
                 p,
                 alpha,
@@ -420,9 +459,9 @@ impl HierarchicalFarFieldEngine {
                 &self.tx_y_in_tile[near_t],
                 vp.x,
                 vp.y,
-                &mut scratch.near_gains,
+                near_gains,
             );
-            for (&sig, &(u, idx)) in scratch.near_gains.iter().zip(bucket) {
+            for (&sig, &(u, idx)) in near_gains.iter().zip(bucket) {
                 let u = u as usize;
                 debug_assert_ne!(u, v, "a node cannot transmit and listen simultaneously");
                 near_sum += sig;
@@ -437,7 +476,6 @@ impl HierarchicalFarFieldEngine {
             }
         }
 
-        let extra = perturbation.map(|pt| pt.extra_at(v));
         decide_ladder(
             stats,
             DecisionInputs {
@@ -448,39 +486,85 @@ impl HierarchicalFarFieldEngine {
                 far_hi,
                 far_cap,
                 noise,
-                extra,
+                extra: perturbation.map(|pt| pt.extra_at(v)),
                 beta,
             },
-            || {
-                // Exact fallback: the canonical batched scan over *all*
-                // transmitters — bit-identical to SinrChannel by sharing
-                // its kernels and fold. The gather (`tx_xs`/`tx_ys`) is
-                // round-level and read-only; the gain buffer is
-                // chunk-local.
-                let ScanOutcome {
-                    total,
-                    best_sig,
-                    best_tx,
-                } = scan_transmitters_soa(
-                    p,
-                    alpha,
-                    v,
-                    vp,
-                    transmitters,
-                    &self.tx_xs,
-                    &self.tx_ys,
-                    &mut scratch.fallback_gains,
-                );
-                let denom = match extra {
-                    Some(e) => noise + e + (total - best_sig),
-                    None => noise + (total - best_sig),
-                };
-                match best_tx {
-                    Some(u) if best_sig >= beta * denom => Reception::Message { from: u },
-                    _ => Reception::Silence,
-                }
-            },
         )
+    }
+
+    /// Resolves one listener chunk: the ladder per listener, then the
+    /// chunk's exact fallbacks in [`LISTENER_BLOCK`]-wide fused scans over
+    /// the round's gathered transmitters (`tx_xs`/`tx_ys`, read-only here),
+    /// the tail that does not fill a block one listener at a time. Every
+    /// fallback is the canonical fold, so the receptions are
+    /// bit-identical to [`SinrChannel`](crate::SinrChannel) whichever way
+    /// it was scanned.
+    #[allow(clippy::too_many_arguments)] // the round's scalars, spelled out
+    fn resolve_chunk(
+        &self,
+        chunk: &[NodeId],
+        positions: &[Point],
+        transmitters: &[NodeId],
+        perturbation: Option<&ChannelPerturbation<'_>>,
+        noise: f64,
+        beta: f64,
+        stats: &mut FarFieldStats,
+    ) -> Vec<Reception> {
+        let mut scratch = NearScratch::default();
+        let mut rx = Vec::with_capacity(chunk.len());
+        for &v in chunk {
+            let decision = self.decide_listener(
+                v,
+                positions,
+                perturbation,
+                noise,
+                beta,
+                stats,
+                &mut scratch.near_gains,
+            );
+            rx.push(match decision {
+                Decision::Decided(reception) => reception,
+                Decision::Exact => {
+                    scratch.pending.push(rx.len());
+                    Reception::Silence
+                }
+            });
+        }
+
+        let (p, alpha) = (self.power, self.alpha);
+        let finish = |i: usize, outcome: ScanOutcome| {
+            let extra = perturbation.map(|pt| pt.extra_at(chunk[i]));
+            finish_exact(outcome, noise, extra, beta)
+        };
+        let mut blocks = scratch.pending.chunks_exact(LISTENER_BLOCK);
+        for block in &mut blocks {
+            let mut vx = [0.0; LISTENER_BLOCK];
+            let mut vy = [0.0; LISTENER_BLOCK];
+            for (j, &i) in block.iter().enumerate() {
+                let vp = positions[chunk[i]];
+                vx[j] = vp.x;
+                vy[j] = vp.y;
+            }
+            let folds = scan_block(p, alpha, &self.tx_xs, &self.tx_ys, &vx, &vy);
+            for (&i, fold) in block.iter().zip(folds) {
+                rx[i] = finish(i, ScanOutcome::from_fold(fold, transmitters));
+            }
+        }
+        for &i in blocks.remainder() {
+            let v = chunk[i];
+            let outcome = scan_transmitters_soa(
+                p,
+                alpha,
+                v,
+                positions[v],
+                transmitters,
+                &self.tx_xs,
+                &self.tx_ys,
+                &mut scratch.fallback_gains,
+            );
+            rx[i] = finish(i, outcome);
+        }
+        rx
     }
 
     /// Resolves one round with the tree-aggregated fast path; reception
@@ -538,7 +622,7 @@ impl HierarchicalFarFieldEngine {
             self.tx_count[0][t] += 1;
         }
         // Round-level SoA gather for the exact fallback scan: written here
-        // in the serial prepare, read-only during the parallel phase.
+        // in the serial prepare, read-only during the parallel phases.
         self.soa.gather(transmitters, &mut self.tx_xs, &mut self.tx_ys);
         for l in 1..self.tree.num_levels() {
             let cols = self.tree.level_cols(l);
@@ -562,43 +646,51 @@ impl HierarchicalFarFieldEngine {
         }
         self.stamp += 1;
 
-        // Serial prepare: one traversal per distinct listener tile (all
-        // listeners of a tile share the aggregate).
-        let mut stack = std::mem::take(&mut self.stack);
+        // The round's distinct listener tiles, in first-seen order (all
+        // listeners of a tile share its aggregate).
+        let mut tiles = std::mem::take(&mut self.listener_tiles);
+        tiles.clear();
         for &v in listeners {
             let lt = self.tree.fine().tile_of(v);
             if self.far_stamp[lt] != self.stamp {
-                let (lo, hi, cap) = self.traverse(lt, &mut stack);
-                self.far_lo[lt] = lo;
-                self.far_hi[lt] = hi;
-                self.far_cap[lt] = cap;
                 self.far_stamp[lt] = self.stamp;
+                tiles.push(lt as u32);
             }
         }
-        self.stack = stack;
 
-        // Parallel phase: fixed-size listener chunks, returned in chunk
-        // order, so executor scheduling cannot reach the results.
-        let num_chunks = listeners.len().div_ceil(HIER_CHUNK);
+        // Parallel traversals in fixed-size tile chunks, returned in chunk
+        // order and written back in tile order.
         let this = &*self;
-        let chunks = map_ordered(executor, num_chunks, |chunk| {
+        let aggregates = map_ordered(executor, tiles.len().div_ceil(HIER_TILE_CHUNK), |chunk| {
+            let start = chunk * HIER_TILE_CHUNK;
+            let end = (start + HIER_TILE_CHUNK).min(tiles.len());
+            let mut stack = Vec::new();
+            tiles[start..end]
+                .iter()
+                .map(|&lt| this.traverse(lt as usize, &mut stack))
+                .collect::<Vec<_>>()
+        });
+        for (&lt, aggregate) in tiles.iter().zip(aggregates.into_iter().flatten()) {
+            self.far[lt as usize] = aggregate;
+        }
+        self.listener_tiles = tiles;
+
+        // Parallel decisions: fixed-size listener chunks, returned in chunk
+        // order, so executor scheduling cannot reach the results.
+        let this = &*self;
+        let chunks = map_ordered(executor, listeners.len().div_ceil(HIER_CHUNK), |chunk| {
             let start = chunk * HIER_CHUNK;
             let end = (start + HIER_CHUNK).min(listeners.len());
             let mut local = FarFieldStats::default();
-            let mut scratch = NearScratch::default();
-            let mut rx = Vec::with_capacity(end - start);
-            for &v in &listeners[start..end] {
-                rx.push(this.decide_listener(
-                    v,
-                    positions,
-                    transmitters,
-                    perturbation,
-                    noise,
-                    beta,
-                    &mut local,
-                    &mut scratch,
-                ));
-            }
+            let rx = this.resolve_chunk(
+                &listeners[start..end],
+                positions,
+                transmitters,
+                perturbation,
+                noise,
+                beta,
+                &mut local,
+            );
             (rx, local)
         });
 

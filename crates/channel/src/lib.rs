@@ -109,7 +109,7 @@ pub use farfield::{
 };
 pub use hierarchical::{
     HierarchicalFarFieldEngine, HIER_ACCEPT_RATIO_SQ, HIER_CHUNK, HIER_MAX_TILES_PER_SIDE,
-    HIER_TARGET_TILE_OCCUPANCY,
+    HIER_NEAR_RING, HIER_TARGET_TILE_OCCUPANCY, HIER_TILE_CHUNK,
 };
 pub use gain_cache::{GainCache, DEFAULT_MAX_CACHED_NODES};
 pub use lossy::LossySinrChannel;

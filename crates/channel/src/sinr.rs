@@ -53,6 +53,17 @@ pub(crate) struct ScanOutcome {
     pub(crate) best_tx: Option<NodeId>,
 }
 
+impl ScanOutcome {
+    /// Names the winner of a slice-order `fold` over `transmitters`.
+    pub(crate) fn from_fold(fold: ScanFold, transmitters: &[NodeId]) -> Self {
+        ScanOutcome {
+            total: fold.total,
+            best_sig: fold.best_sig,
+            best_tx: fold.best_idx.map(|i| transmitters[i]),
+        }
+    }
+}
+
 /// The canonical per-listener accumulation loop.
 ///
 /// Every exact resolve path — and the far-field engine's exact fallback —
@@ -139,16 +150,7 @@ pub(crate) fn scan_transmitters_soa(
     debug_assert_eq!(xs.len(), transmitters.len(), "stale gather");
     gains.resize(transmitters.len(), 0.0);
     gain_batch(p, alpha, xs, ys, vp.x, vp.y, gains);
-    let ScanFold {
-        total,
-        best_sig,
-        best_idx,
-    } = fold_scan(gains);
-    ScanOutcome {
-        total,
-        best_sig,
-        best_tx: best_idx.map(|i| transmitters[i]),
-    }
+    ScanOutcome::from_fold(fold_scan(gains), transmitters)
 }
 
 /// The paper's fading channel: reception is governed exactly by the SINR
@@ -338,11 +340,7 @@ impl SinrChannel {
                         }
                         let folds = scan_block(p, alpha, &scratch.xs, &scratch.ys, &vx, &vy);
                         for (&v, fold) in block.iter().zip(folds) {
-                            let outcome = ScanOutcome {
-                                total: fold.total,
-                                best_sig: fold.best_sig,
-                                best_tx: fold.best_idx.map(|i| transmitters[i]),
-                            };
+                            let outcome = ScanOutcome::from_fold(fold, transmitters);
                             finish(v, outcome, &mut out, &mut breakdown);
                         }
                     } else {

@@ -13,7 +13,7 @@
 
 use fading_channel::{
     pow_alpha, Channel, ChannelPerturbation, HierarchicalFarFieldEngine, Reception, ResolveEngine,
-    SerialExecutor, SinrChannel, SinrParams, NEAR_RING,
+    SerialExecutor, SinrChannel, SinrParams, HIER_NEAR_RING,
 };
 use fading_geom::{Point, TileTree};
 use proptest::prelude::*;
@@ -26,11 +26,15 @@ fn tiled(positions: &[Point], params: &SinrParams, tiles_per_side: usize) -> Res
         .map_or(ResolveEngine::Exact, ResolveEngine::Hierarchical)
 }
 
-fn tree(engine: &ResolveEngine) -> &TileTree {
+fn hier(engine: &ResolveEngine) -> &HierarchicalFarFieldEngine {
     match engine {
-        ResolveEngine::Hierarchical(e) => e.tree(),
+        ResolveEngine::Hierarchical(e) => e,
         other => panic!("expected the hierarchical engine, got {:?}", other.tier()),
     }
+}
+
+fn tree(engine: &ResolveEngine) -> &TileTree {
+    hier(engine).tree()
 }
 
 fn params_with(alpha: f64, beta: f64, noise: f64, power: f64) -> SinrParams {
@@ -275,8 +279,12 @@ fn coarse_knife_edge_margin_forces_exact_fallback() {
         let t0 = tree.fine().tile_of(0);
         let tc = tree.fine().tile_of(2);
         assert!(
-            tree.fine().chebyshev(t0, tc) > NEAR_RING,
+            tree.fine().chebyshev(t0, tc) > HIER_NEAR_RING,
             "test geometry regressed: far cluster fell inside the near ring"
+        );
+        assert!(
+            tree.fine().chebyshev(t0, tree.fine().tile_of(1)) <= HIER_NEAR_RING,
+            "test geometry regressed: the near sender left the near ring"
         );
         // Level-1 node (2, 2) covers fine tiles (4..6)²: it holds exactly
         // the 64-strong cluster and its bbox is a single point, so the
@@ -318,6 +326,14 @@ fn coarse_knife_edge_margin_forces_exact_fallback() {
     );
     // And the decision itself sits on the boundary: `>=` admits it.
     assert_eq!(exact, vec![Reception::Message { from: 1 }]);
+    // The far bracket is the whole cluster, aggregated exactly: 64 gains
+    // of 2⁻¹⁴ at both ends, so the straddle really came from the far
+    // field and not from a cluster scanned as near.
+    let t0 = tree(&engine).fine().tile_of(0);
+    assert_eq!(
+        hier(&engine).far_aggregate(t0),
+        Some((0.00390625, 0.00390625, 2f64.powi(-14)))
+    );
 }
 
 /// Far-only decode through the tree: the strongest signal lives outside
@@ -341,7 +357,7 @@ fn far_only_sender_forces_fallback_and_decodes() {
         let tree = tree(&engine);
         let t0 = tree.fine().tile_of(0);
         let t1 = tree.fine().tile_of(1);
-        assert!(tree.fine().chebyshev(t0, t1) > NEAR_RING);
+        assert!(tree.fine().chebyshev(t0, t1) > HIER_NEAR_RING);
     }
 
     let exact = ch.resolve(&positions, &tx, &ls, &mut SmallRng::seed_from_u64(21));
@@ -369,5 +385,14 @@ fn far_only_sender_forces_fallback_and_decodes() {
     assert!(
         stats.no_near_winner_fallbacks >= 1,
         "with no near candidate the ladder must exit at rung 3: {stats:?}"
+    );
+    // The sender reached the listener only as far mass.
+    let t0 = tree(&engine).fine().tile_of(0);
+    let (lo, _, cap) = hier(&engine)
+        .far_aggregate(t0)
+        .expect("listener tile traversed");
+    assert!(
+        lo > 0.0 && cap > 0.0,
+        "the sender must be aggregated as far"
     );
 }

@@ -18,10 +18,13 @@
 //! **corridor** fields (long thin strips, so the ceil-halving pyramid
 //! degenerates to 1×k levels).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use fading_channel::kernels::LISTENER_BLOCK;
 use fading_channel::{
-    Channel, ChannelPerturbation, EngineTier, HierarchicalFarFieldEngine, LossySinrChannel,
-    RadioChannel, RayleighSinrChannel, Reception, ResolveEngine, SerialExecutor, SinrChannel,
-    SinrParams,
+    Channel, ChannelPerturbation, ChunkExecutor, EngineTier, FarFieldStats,
+    HierarchicalFarFieldEngine, LossySinrChannel, RadioChannel, RayleighSinrChannel, Reception,
+    ResolveEngine, SerialExecutor, SinrChannel, SinrParams, HIER_CHUNK, HIER_TILE_CHUNK,
 };
 use fading_geom::Point;
 use proptest::prelude::*;
@@ -482,4 +485,237 @@ fn pruned_path_settles_decisions_on_spread_deployments() {
         stats.listeners_resolved(),
         "rung counters must reconcile with listeners resolved: {stats:?}"
     );
+}
+
+/// A scoped-thread executor: `threads` workers claim task indices from a
+/// shared counter, so tasks finish in a scheduling-dependent order.
+struct Threads(usize);
+
+impl ChunkExecutor for Threads {
+    fn run(&self, num_tasks: usize, task: &(dyn Fn(usize) + Sync)) {
+        let next = AtomicUsize::new(0);
+        let worker = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= num_tasks {
+                return;
+            }
+            task(i);
+        };
+        std::thread::scope(|s| {
+            for _ in 1..self.0 {
+                s.spawn(worker);
+            }
+            worker();
+        });
+    }
+}
+
+/// One tile-tree round through `engine` on `executor`: the receptions,
+/// the round's decision counters, and every fine tile's far aggregate as
+/// raw bits.
+fn threaded_round(
+    engine: &mut ResolveEngine,
+    ch: &SinrChannel,
+    positions: &[Point],
+    (tx, ls): (&[usize], &[usize]),
+    perturbation: &ChannelPerturbation<'_>,
+    executor: &dyn ChunkExecutor,
+) -> (Vec<Reception>, FarFieldStats, Vec<Option<[u64; 3]>>) {
+    engine.set_stats(FarFieldStats::default());
+    let rx = ch.resolve_with(
+        positions,
+        tx,
+        ls,
+        engine,
+        perturbation,
+        executor,
+        &mut SmallRng::seed_from_u64(5),
+        None,
+    );
+    let ResolveEngine::Hierarchical(e) = engine else {
+        panic!("expected the hierarchical engine, got {:?}", engine.tier());
+    };
+    let aggregates = (0..e.tree().fine().num_tiles())
+        .map(|t| {
+            e.far_aggregate(t)
+                .map(|(lo, hi, cap)| [lo.to_bits(), hi.to_bits(), cap.to_bits()])
+        })
+        .collect();
+    (rx, e.stats(), aggregates)
+}
+
+/// Resolves the round at 1, 2 and 8 threads, asserts the receptions
+/// equal `want` and that receptions, counters and far-aggregate bits do
+/// not depend on the thread count; returns the counters.
+fn assert_thread_invariant(
+    engine: &mut ResolveEngine,
+    ch: &SinrChannel,
+    positions: &[Point],
+    round: (&[usize], &[usize]),
+    perturbation: &ChannelPerturbation<'_>,
+    want: &[Reception],
+) -> FarFieldStats {
+    let one = threaded_round(engine, ch, positions, round, perturbation, &Threads(1));
+    assert_eq!(one.0, want, "receptions diverged from the exact tier");
+    for threads in [2, 8] {
+        let many = threaded_round(
+            engine,
+            ch,
+            positions,
+            round,
+            perturbation,
+            &Threads(threads),
+        );
+        assert_eq!(
+            many.0, one.0,
+            "receptions depend on the thread count ({threads})"
+        );
+        assert_eq!(
+            many.1, one.1,
+            "counters depend on the thread count ({threads})"
+        );
+        assert_eq!(
+            many.2, one.2,
+            "far aggregates depend on the thread count ({threads})"
+        );
+    }
+    one.1
+}
+
+/// The batched exact fallback: 45 listeners in one chunk fall back (one
+/// full `LISTENER_BLOCK` through the fused block scan plus a 13-listener
+/// tail through the single-listener scan), interleaved with listeners the
+/// bracket settles, so the pending offsets are scattered through the
+/// chunk. Checked with the perturbation's `extra` term off (against
+/// `resolve`) and on (against the exact tier), where the jammed
+/// listeners' fallbacks land on both sides of the threshold.
+///
+/// Geometry (α = 3, P = 10⁶, β = 1.5, noise = 0.1, 8×8 tiling over
+/// [0, 128]²): the fallback listeners sit in fine tile (0, 0), the lone
+/// transmitter at (120, 120). Each hears it at 0.21–0.27, above β·noise =
+/// 0.15, with nothing in its near ring, so the ladder exits at rung 3.
+/// With `extra = 0.06` on every third of them the threshold moves to 0.24,
+/// inside that range and below the far cap, so they still fall back and
+/// the exact scan decodes some and silences others.
+#[test]
+fn batched_fallbacks_match_exact_with_and_without_extra() {
+    let params = params_with(3.0, 1.5, 0.1, 1e6);
+    let ch = SinrChannel::new(params);
+    let mut positions = vec![
+        Point::new(0.0, 0.0),
+        Point::new(128.0, 128.0),
+        Point::new(120.0, 120.0),
+    ];
+    let far: Vec<usize> = (0..45)
+        .map(|i| {
+            positions.push(Point::new(
+                1.0 + (i % 9) as f64 * 1.5,
+                1.0 + (i / 9) as f64 * 1.5,
+            ));
+            positions.len() - 1
+        })
+        .collect();
+    let near: Vec<usize> = (0..20)
+        .map(|i| {
+            positions.push(Point::new(
+                110.0 + (i % 5) as f64 * 2.0,
+                110.0 + (i / 5) as f64 * 2.0,
+            ));
+            positions.len() - 1
+        })
+        .collect();
+    let tx = vec![2];
+    let mut ls = Vec::new();
+    for (k, &v) in far.iter().enumerate() {
+        ls.push(v);
+        if let Some(&d) = near.get(k / 2).filter(|_| k % 2 == 0) {
+            ls.push(d);
+        }
+    }
+    assert!(ls.len() <= HIER_CHUNK, "the fallbacks must share one chunk");
+    let mut extra = vec![0.0; positions.len()];
+    for &v in far.iter().step_by(3) {
+        extra[v] = 0.06;
+    }
+    let mut engine = tiled(&positions, &params, 8);
+
+    let exact = ch.resolve(&positions, &tx, &ls, &mut SmallRng::seed_from_u64(5));
+    let neutral = ChannelPerturbation::neutral();
+    let stats = assert_thread_invariant(&mut engine, &ch, &positions, (&tx, &ls), &neutral, &exact);
+    assert_eq!(stats.no_near_winner_fallbacks, 45, "{stats:?}");
+    assert_eq!(
+        stats.exact_fallbacks() % LISTENER_BLOCK as u64,
+        13,
+        "{stats:?}"
+    );
+    assert_eq!(stats.listeners_resolved(), ls.len() as u64);
+    assert!(exact.iter().filter(|r| r.is_message()).count() == ls.len());
+
+    let jammed = ChannelPerturbation::new(1.0, &extra);
+    let exact = round(
+        &ch,
+        &positions,
+        (&tx, &ls),
+        &mut ResolveEngine::Exact,
+        &jammed,
+        &mut SmallRng::seed_from_u64(5),
+    );
+    let stats = assert_thread_invariant(&mut engine, &ch, &positions, (&tx, &ls), &jammed, &exact);
+    assert_eq!(stats.no_near_winner_fallbacks, 45, "{stats:?}");
+    let decoded = far.iter().step_by(3).filter(|v| {
+        let i = ls.iter().position(|l| l == *v).expect("listener");
+        exact[i].is_message()
+    });
+    let jammed_decodes = decoded.count();
+    assert!(
+        jammed_decodes > 0 && jammed_decodes < 15,
+        "jammed fallbacks should land on both sides of the threshold: {jammed_decodes} of 15"
+    );
+}
+
+/// Thread-count invariance on a round with several traversal chunks
+/// (`HIER_TILE_CHUNK` tiles each) and several listener chunks: the
+/// receptions equal the exact scan, and the counters and every tile's
+/// far-aggregate bits are the same at 1, 2 and 8 threads, with and
+/// without a perturbation.
+#[test]
+fn parallel_traversal_is_thread_count_invariant() {
+    let params = params_with(3.0, 2.0, 1.0, 16.0);
+    let ch = SinrChannel::new(params);
+    let positions: Vec<Point> = (0..2304)
+        .map(|i| {
+            let jitter = ((i * 7919) % 13) as f64 * 0.05;
+            Point::new(
+                (i % 48) as f64 * 2.0 + jitter,
+                (i / 48) as f64 * 2.0 + jitter,
+            )
+        })
+        .collect();
+    let tx: Vec<usize> = (0..positions.len()).step_by(7).collect();
+    let ls: Vec<usize> = (0..positions.len()).filter(|i| i % 7 != 0).collect();
+    assert!(ls.len() > HIER_CHUNK, "need several listener chunks");
+    let mut engine = tiled(&positions, &params, 24);
+    assert!(
+        levels(&engine) >= 5 && 24 * 24 > 4 * HIER_TILE_CHUNK,
+        "need a deep tree and several traversal chunks"
+    );
+
+    let exact = ch.resolve(&positions, &tx, &ls, &mut SmallRng::seed_from_u64(5));
+    let neutral = ChannelPerturbation::neutral();
+    let stats = assert_thread_invariant(&mut engine, &ch, &positions, (&tx, &ls), &neutral, &exact);
+    assert_eq!(stats.listeners_resolved(), ls.len() as u64);
+
+    let extra: Vec<f64> = (0..positions.len())
+        .map(|i| (i % 5) as f64 * 0.01)
+        .collect();
+    let jammed = ChannelPerturbation::new(1.5, &extra);
+    let exact = round(
+        &ch,
+        &positions,
+        (&tx, &ls),
+        &mut ResolveEngine::Exact,
+        &jammed,
+        &mut SmallRng::seed_from_u64(5),
+    );
+    assert_thread_invariant(&mut engine, &ch, &positions, (&tx, &ls), &jammed, &exact);
 }

@@ -464,25 +464,23 @@ mod tests {
 
     #[test]
     fn rejects_bad_fields() {
-        let cases: Vec<(&str, Box<dyn Fn(&mut JobSpec)>)> = vec![
-            ("empty id", Box::new(|s| s.id.clear())),
-            ("id with slash", Box::new(|s| s.id = "../escape".into())),
-            ("n too small", Box::new(|s| s.n = 1)),
-            ("zero trials", Box::new(|s| s.trials = 0)),
-            ("zero rounds", Box::new(|s| s.max_rounds = 0)),
-            ("bad density", Box::new(|s| s.density = 0.0)),
-            (
-                "bad probability",
-                Box::new(|s| s.protocol = ProtocolKind::Fkn { p: 1.5 }),
-            ),
-            (
-                "n_bound below n",
-                Box::new(|s| s.protocol = ProtocolKind::CyclicSweep { n_bound: 2 }),
-            ),
-            (
-                "bad drop_prob",
-                Box::new(|s| s.channel = ChannelSpec::Lossy { drop_prob: 1.0 }),
-            ),
+        type Tweak = fn(&mut JobSpec);
+        let cases: [(&str, Tweak); 9] = [
+            ("empty id", |s| s.id.clear()),
+            ("id with slash", |s| s.id = "../escape".into()),
+            ("n too small", |s| s.n = 1),
+            ("zero trials", |s| s.trials = 0),
+            ("zero rounds", |s| s.max_rounds = 0),
+            ("bad density", |s| s.density = 0.0),
+            ("bad probability", |s| {
+                s.protocol = ProtocolKind::Fkn { p: 1.5 };
+            }),
+            ("n_bound below n", |s| {
+                s.protocol = ProtocolKind::CyclicSweep { n_bound: 2 };
+            }),
+            ("bad drop_prob", |s| {
+                s.channel = ChannelSpec::Lossy { drop_prob: 1.0 };
+            }),
         ];
         for (name, tweak) in cases {
             let mut spec = JobSpec::example("bad");

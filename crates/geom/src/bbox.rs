@@ -111,6 +111,26 @@ impl Bbox {
         let dy = (self.min.y - p.y).max(0.0).max(p.y - self.max.y);
         dx * dx + dy * dy
     }
+
+    /// Conservative `(min, max)` **squared** distance between any point of
+    /// `self` and any point of `other`: the per-axis gap (0 where the
+    /// spans overlap) and reach (the largest coordinate difference the two
+    /// spans allow), each combined as `x² + y²`.
+    #[must_use]
+    pub fn distance_sq_bounds(&self, other: &Bbox) -> (f64, f64) {
+        let (a, b) = (self, other);
+        let gap = |a_min: f64, a_max: f64, b_min: f64, b_max: f64| -> f64 {
+            (b_min - a_max).max(a_min - b_max).max(0.0)
+        };
+        let reach = |a_min: f64, a_max: f64, b_min: f64, b_max: f64| -> f64 {
+            (b_max - a_min).max(a_max - b_min)
+        };
+        let gx = gap(a.min.x, a.max.x, b.min.x, b.max.x);
+        let gy = gap(a.min.y, a.max.y, b.min.y, b.max.y);
+        let rx = reach(a.min.x, a.max.x, b.min.x, b.max.x);
+        let ry = reach(a.min.y, a.max.y, b.min.y, b.max.y);
+        (gx * gx + gy * gy, rx * rx + ry * ry)
+    }
 }
 
 #[cfg(test)]
@@ -122,6 +142,17 @@ mod tests {
         let b = Bbox::new(Point::new(5.0, -1.0), Point::new(1.0, 3.0));
         assert_eq!(b.min(), Point::new(1.0, -1.0));
         assert_eq!(b.max(), Point::new(5.0, 3.0));
+    }
+
+    #[test]
+    fn distance_sq_bounds_bracket_corner_pairs() {
+        let a = Bbox::new(Point::new(0.0, 0.0), Point::new(1.0, 2.0));
+        let b = Bbox::new(Point::new(4.0, 6.0), Point::new(5.0, 7.0));
+        // Gap (3, 4) and reach (5, 7).
+        assert_eq!(a.distance_sq_bounds(&b), (25.0, 74.0));
+        assert_eq!(b.distance_sq_bounds(&a), (25.0, 74.0));
+        // Overlapping boxes have no gap; a box reaches its own diagonal.
+        assert_eq!(a.distance_sq_bounds(&a), (0.0, 5.0));
     }
 
     #[test]

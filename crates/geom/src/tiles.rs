@@ -211,21 +211,7 @@ impl TileIndex {
         if self.counts[t] == 0 || self.counts[s] == 0 {
             return None;
         }
-        let a = &self.content[t];
-        let b = &self.content[s];
-        // Per-axis separation (0 when the spans overlap) and reach (largest
-        // coordinate difference attainable between the two spans).
-        let gap = |a_min: f64, a_max: f64, b_min: f64, b_max: f64| -> f64 {
-            (b_min - a_max).max(a_min - b_max).max(0.0)
-        };
-        let reach = |a_min: f64, a_max: f64, b_min: f64, b_max: f64| -> f64 {
-            (b_max - a_min).max(a_max - b_min)
-        };
-        let gx = gap(a.min().x, a.max().x, b.min().x, b.max().x);
-        let gy = gap(a.min().y, a.max().y, b.min().y, b.max().y);
-        let rx = reach(a.min().x, a.max().x, b.min().x, b.max().x);
-        let ry = reach(a.min().y, a.max().y, b.min().y, b.max().y);
-        Some((gx * gx + gy * gy, rx * rx + ry * ry))
+        Some(self.content[t].distance_sq_bounds(&self.content[s]))
     }
 
     /// Iterates the tile ids within Chebyshev distance `ring` of tile `t`

@@ -55,22 +55,6 @@ pub struct TileTree {
     levels: Vec<TreeLevel>,
 }
 
-/// Conservative `(min, max)` squared distance between two content bboxes
-/// (the gap/reach argument of [`TileIndex::distance_sq_bounds`]).
-fn bbox_distance_sq_bounds(a: &Bbox, b: &Bbox) -> (f64, f64) {
-    let gap = |a_min: f64, a_max: f64, b_min: f64, b_max: f64| -> f64 {
-        (b_min - a_max).max(a_min - b_max).max(0.0)
-    };
-    let reach = |a_min: f64, a_max: f64, b_min: f64, b_max: f64| -> f64 {
-        (b_max - a_min).max(a_max - b_min)
-    };
-    let gx = gap(a.min().x, a.max().x, b.min().x, b.max().x);
-    let gy = gap(a.min().y, a.max().y, b.min().y, b.max().y);
-    let rx = reach(a.min().x, a.max().x, b.min().x, b.max().x);
-    let ry = reach(a.min().y, a.max().y, b.min().y, b.max().y);
-    (gx * gx + gy * gy, rx * rx + ry * ry)
-}
-
 impl TileTree {
     /// Builds a tree whose fine level is a `tiles_per_side × tiles_per_side`
     /// tiling (see [`TileIndex::build`] for the `None` conditions).
@@ -186,6 +170,19 @@ impl TileTree {
         (self.levels.len() - 1, 0)
     }
 
+    /// The content bboxes of every node at `level`, row-major (index =
+    /// `row * level_cols(level) + col`) — the slice form of
+    /// [`TileTree::node_bbox`] for hot traversals. An empty node's entry
+    /// is a placeholder, not a bbox of anything.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level` is out of range.
+    #[must_use]
+    pub fn level_content(&self, level: usize) -> &[Bbox] {
+        &self.levels[level].content
+    }
+
     /// Points under node `(level, idx)`.
     ///
     /// # Panics
@@ -206,21 +203,6 @@ impl TileTree {
     #[must_use]
     pub fn node_bbox(&self, level: usize, idx: usize) -> Option<Bbox> {
         (self.levels[level].counts[idx] > 0).then(|| self.levels[level].content[idx])
-    }
-
-    /// Squared diagonal of the content bbox of node `(level, idx)` — the
-    /// opening-criterion size measure — or `None` when the node is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` or `idx` is out of range.
-    #[must_use]
-    pub fn node_diag_sq(&self, level: usize, idx: usize) -> Option<f64> {
-        self.node_bbox(level, idx).map(|b| {
-            let w = b.width();
-            let h = b.height();
-            w * w + h * h
-        })
     }
 
     /// The children of node `(level, idx)` at `level - 1` (1, 2, or 4 of
@@ -282,7 +264,7 @@ impl TileTree {
     ) -> Option<(f64, f64)> {
         let a = self.fine.content_bbox(t)?;
         let b = self.node_bbox(level, idx)?;
-        Some(bbox_distance_sq_bounds(&a, &b))
+        Some(a.distance_sq_bounds(&b))
     }
 }
 
@@ -415,16 +397,17 @@ mod tests {
     }
 
     #[test]
-    fn diag_sq_matches_the_content_bbox() {
-        let tree = TileTree::build(&grid_points(6, 1.0), 3).unwrap();
-        let (rl, root) = tree.root();
-        let b = tree.node_bbox(rl, root).unwrap();
-        let expect = b.width() * b.width() + b.height() * b.height();
-        assert_eq!(tree.node_diag_sq(rl, root), Some(expect));
-        // Coincident points: zero-size node.
-        let dot = TileTree::build(&[Point::new(1.0, 1.0); 3], 4).unwrap();
-        let (dl, droot) = dot.root();
-        assert_eq!(dot.node_diag_sq(dl, droot), Some(0.0));
+    fn level_content_matches_node_bboxes() {
+        let tree = TileTree::build(&clustered_points(), 8).unwrap();
+        for l in 0..tree.num_levels() {
+            let content = tree.level_content(l);
+            assert_eq!(content.len(), tree.num_nodes(l));
+            for (idx, bbox) in content.iter().enumerate() {
+                if let Some(want) = tree.node_bbox(l, idx) {
+                    assert_eq!(*bbox, want, "node ({l}, {idx})");
+                }
+            }
+        }
     }
 
     #[test]

@@ -325,15 +325,32 @@ mod tests {
             .value
     }
 
+    /// Asserts the named sample holds exactly `want`: tallies are whole
+    /// numbers, which render and parse exactly.
+    fn assert_tally(
+        samples: &[fading_cr::sim::obs::export::prometheus::PromSample],
+        name: &str,
+        want: u32,
+    ) {
+        let got = sample(samples, name);
+        assert_eq!(
+            got.to_bits(),
+            f64::from(want).to_bits(),
+            "{name}: got {got}, want {want}"
+        );
+    }
+
     #[test]
     fn scrape_parses_with_paired_parser_and_tallies() {
         let metrics = ServerMetrics::new();
         metrics.record_submitted();
         metrics.record_submitted();
         metrics.record_started();
-        let mut fleet = FleetSummary::default();
-        fleet.trials = 4;
-        fleet.succeeded = 4;
+        let fleet = FleetSummary {
+            trials: 4,
+            succeeded: 4,
+            ..FleetSummary::default()
+        };
         metrics.record_completed(
             Duration::from_millis(12),
             &fleet,
@@ -347,14 +364,14 @@ mod tests {
 
         let text = metrics.render_prometheus();
         let samples = parse_prometheus(&text).expect("scrape must parse");
-        assert_eq!(sample(&samples, "fading_jobs_submitted_total"), 2.0);
-        assert_eq!(sample(&samples, "fading_jobs_completed_total"), 1.0);
-        assert_eq!(sample(&samples, "fading_jobs_failed_total"), 1.0);
-        assert_eq!(sample(&samples, "fading_queue_depth"), 5.0);
-        assert_eq!(sample(&samples, "fading_jobs_in_flight"), 0.0);
-        assert_eq!(sample(&samples, "fading_fleet_succeeded_total"), 4.0);
-        assert_eq!(sample(&samples, "fading_trials_resumed_total"), 1.0);
-        assert_eq!(sample(&samples, "fading_job_latency_ms_count"), 1.0);
+        assert_tally(&samples, "fading_jobs_submitted_total", 2);
+        assert_tally(&samples, "fading_jobs_completed_total", 1);
+        assert_tally(&samples, "fading_jobs_failed_total", 1);
+        assert_tally(&samples, "fading_queue_depth", 5);
+        assert_tally(&samples, "fading_jobs_in_flight", 0);
+        assert_tally(&samples, "fading_fleet_succeeded_total", 4);
+        assert_tally(&samples, "fading_trials_resumed_total", 1);
+        assert_tally(&samples, "fading_job_latency_ms_count", 1);
     }
 
     #[test]
@@ -405,7 +422,7 @@ mod tests {
 
         let text = metrics.render_prometheus();
         let samples = parse_prometheus(&text).expect("scrape must parse");
-        assert_eq!(sample(&samples, "fading_watch_dropped_total"), 7.0);
+        assert_tally(&samples, "fading_watch_dropped_total", 7);
         let alerts: Vec<_> = samples
             .iter()
             .filter(|s| s.name == "fading_alerts_total")

@@ -196,7 +196,7 @@ fn watch_streams_progress_frames_and_alerts_end_to_end() {
             .filter(|l| l.contains("\"event\":\"trial_"))
             .map(|l| ProgressEvent::from_json(l).expect("trial event parses"))
             .collect();
-        assert_eq!(events.len(), 2 * spec.trials as usize, "{}", spec.id);
+        assert_eq!(events.len(), 2 * spec.trials, "{}", spec.id);
         for (i, pair) in events.chunks(2).enumerate() {
             let seed = spec.seed_base + i as u64;
             assert!(
