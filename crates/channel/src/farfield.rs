@@ -18,7 +18,7 @@
 //! Per round, transmitters are bucketed by tile; per listener, the engine:
 //!
 //! 1. scans the **near field** (the listener tile's 3×3 Chebyshev
-//!    neighborhood) exactly, with the canonical per-pair expression;
+//!    neighborhood) with the per-pair gain expression;
 //! 2. aggregates every **far** tile as `mass × gain` bounds, giving
 //!    `I_lo ≤ I_far ≤ I_hi` and a cap on any single far signal;
 //! 3. decides the reception from the bracket: when `best_sig` clears (or
@@ -28,6 +28,15 @@
 //! 4. otherwise **falls back** to the canonical exact scan for that
 //!    listener (shared code with [`SinrChannel`], so it is identical by
 //!    construction).
+//!
+//! For α ∈ {2, 3, 4, 6} every gain above is the canonical expression. For
+//! any other α the engine computes them with the crate's bounded
+//! generic-α kernel (gains within `2δ`, δ = 2⁻⁴⁰, of the canonical ones)
+//! and widens each certificate by that error; an exact fallback then runs
+//! a bounded slice-order scan first and the canonical `powf` scan only if
+//! that scan's bracket cannot settle the listener. DESIGN.md §10.2 has the
+//! argument, including why the widened ladder still names the canonical
+//! winner.
 //!
 //! # The decision-exactness contract
 //!
@@ -43,16 +52,20 @@
 //!   signals are capped by the per-tile upper gain; only when the near
 //!   best *strictly* beats that cap is the winner certainly near, in which
 //!   case the near scan (same expression, first-index tie-break) has
-//!   already identified it exactly.
+//!   already identified it exactly — or, under the bounded kernel, a
+//!   certified `Message` over a floor ≥ 0 proves its sender strictly
+//!   strongest (β ≥ 1).
 //! * **Bracketed decision** — the exact interference the canonical fold
-//!   produces differs from `near + far` only by summation order, i.e. by a
-//!   relative error ≪ [`FARFIELD_REL_SLACK`]; the widened
+//!   produces differs from `near + far` only by summation order and the
+//!   bounded kernel's error, i.e. by a relative error ≪
+//!   [`FARFIELD_REL_SLACK`] (`FARFIELD_SLACK_BUDGET` sums it); the widened
 //!   `[I_lo, I_hi]` bracket therefore contains it, and a decision that is
 //!   invariant across the bracket is the exact decision.
 //!
-//! Every uncertain case — non-finite intermediate, no near winner, a far
-//! tile that could rival the near best, a bracket that straddles the
-//! threshold — takes the exact fallback. The equivalence proptests in
+//! Every uncertain case — non-finite intermediate (including a NaN from
+//! the bounded kernel), no near winner, a far tile that could rival the
+//! near best, a bracket that straddles the threshold — takes the exact
+//! fallback. The equivalence proptests in
 //! `tests/farfield_equivalence.rs` enforce the contract end to end, and
 //! `tests/farfield_bounds.rs` checks the bounds bracket real sums and that
 //! adversarial clustered deployments do trigger the fallback.
@@ -66,8 +79,11 @@
 
 use fading_geom::{Point, PointsSoA, TileIndex};
 
-use crate::kernels::{gain_batch, pow_alpha_batch, ScanScratch};
-use crate::sinr::{scan_transmitters_batched, ScanOutcome};
+use crate::kernels::{
+    gain_batch_with, pow_alpha_batch_with, with_bounded_kernel, AlphaKernel, ScanScratch,
+    BOUNDED_POW_REL_ERR,
+};
+use crate::sinr::{scan_soa_with, scan_transmitters_batched, ScanOutcome};
 use crate::{ChannelPerturbation, NodeId, Reception, SinrParams};
 
 /// Average number of nodes per tile the engine aims for when sizing the
@@ -85,14 +101,49 @@ pub const NEAR_RING: usize = 1;
 /// Relative slack by which the far-field bracket is widened before the
 /// decision test.
 ///
-/// This absorbs every source of discrepancy between the bracket and the
-/// value the canonical fold computes: summation reorder (bounded by
-/// `k·ε ≈ 1.5e-11` at `k = 65536`, `ε = 2⁻⁵²`), the few-ulp rounding of
-/// the tile-pair distance bounds, and the (unspecified, but tiny)
-/// non-monotonicity of `powf` for non-integer `α`. The slack is ~70×
-/// larger than the worst of these at the maximum supported scale and only
-/// costs a sliver of extra fallbacks near the decision boundary.
+/// It must absorb every source of discrepancy between the bracket and the
+/// value the canonical fold computes: summation reorder, the bounded
+/// generic-α kernel's error, and the rounding of the distance bounds. The
+/// crate's `FARFIELD_SLACK_BUDGET` constant sums them (≈ 6.2e-11 at
+/// k = 2¹⁸ transmitters) and a unit test keeps that sum below a tenth of
+/// this slack. Extra slack only costs a sliver of fallbacks near the
+/// decision boundary.
 pub const FARFIELD_REL_SLACK: f64 = 1e-9;
+
+/// Transmitter count the slack budget is sized for: the largest round
+/// any committed workload resolves on a tiled tier (the n = 2²⁰ probe at
+/// 25% contention, k = 2¹⁸). Past it the reorder term still fits the
+/// slack itself up to k ≈ 4·10⁶, only without the tenfold margin.
+pub(crate) const SLACK_BUDGET_TRANSMITTERS: usize = 1 << 18;
+
+/// Relative rounding allowance for the certified distance bounds: the
+/// few-ulp error of the tile and tree-node distance brackets, raised to
+/// `α/2`, plus the (unspecified, but ulp-sized) non-monotonicity of
+/// `powf` for non-integer `α`.
+pub(crate) const BOUND_ROUNDING_REL_ERR: f64 = 1.0 / (1u64 << 44) as f64;
+
+/// Everything [`FARFIELD_REL_SLACK`] must cover in a round with `k`
+/// transmitters, as a relative error of the bracketed sum:
+///
+/// * **reorder** — the bracket and the canonical slice-order fold add the
+///   same gains in different orders; each fold errs by at most
+///   `(k − 1)·2⁻⁵³` of the sum, so they differ by `k·2⁻⁵²` at most;
+/// * **bounded kernel** — near gains and `best_sig` computed by the
+///   bounded generic-α kernel are each within `2δ` of the canonical gain
+///   (`δ` = `BOUNDED_POW_REL_ERR` = 2⁻⁴⁰), once for the near sum and
+///   once for the best signal;
+/// * **bound rounding** — [`BOUND_ROUNDING_REL_ERR`].
+pub(crate) const fn slack_budget(k: usize) -> f64 {
+    k as f64 * f64::EPSILON + 2.0 * (2.0 * BOUNDED_POW_REL_ERR) + BOUND_ROUNDING_REL_ERR
+}
+
+/// The slack budget at [`SLACK_BUDGET_TRANSMITTERS`] (≈ 6.2e-11, of which
+/// the reorder term is ≈ 5.8e-11).
+pub(crate) const FARFIELD_SLACK_BUDGET: f64 = slack_budget(SLACK_BUDGET_TRANSMITTERS);
+
+// The budget must leave the slack a tenfold margin; checked at compile
+// time (and by `tests::slack_budget_leaves_a_tenfold_margin`).
+const _: () = assert!(FARFIELD_SLACK_BUDGET <= FARFIELD_REL_SLACK / 10.0);
 
 /// Decision counters accumulated by a [`FarFieldEngine`] across rounds,
 /// one named counter per rung of the decision ladder (module docs,
@@ -126,6 +177,12 @@ pub struct FarFieldStats {
     pub bracket_decisions: u64,
     /// Rung 5: the bracket straddled the `β` threshold → exact fallback.
     pub bracket_straddle_fallbacks: u64,
+    /// Exact fallbacks (any rung) that the bounded-kernel first pass could
+    /// not settle, so the canonical `powf` scan ran for them. A sub-count
+    /// of [`exact_fallbacks`](FarFieldStats::exact_fallbacks), not a rung:
+    /// it never enters [`listeners_resolved`](FarFieldStats::listeners_resolved).
+    /// Always 0 for α ∈ {2, 3, 4, 6}, whose first pass is canonical.
+    pub canonical_rescans: u64,
 }
 
 impl FarFieldStats {
@@ -140,6 +197,7 @@ impl FarFieldStats {
         self.far_rival_fallbacks += other.far_rival_fallbacks;
         self.bracket_decisions += other.bracket_decisions;
         self.bracket_straddle_fallbacks += other.bracket_straddle_fallbacks;
+        self.canonical_rescans += other.canonical_rescans;
     }
 
     /// Listener decisions settled by the near scan + far bracket alone
@@ -273,39 +331,15 @@ impl FarFieldEngine {
         let num_tiles = tiles.num_tiles();
         let p = params.power();
         let alpha = params.alpha();
-        // Row-batched pair-table build: per source tile, gather the
-        // distance bounds for the whole row, then one per-α pow batch and
-        // one division pass each for the lower and upper gains. Pairs with
-        // an empty side keep the `∞` sentinel distance, whose gain
-        // `p / ∞ = 0` matches the scalar build's untouched 0.0 slot;
-        // d_min_sq = 0 (overlapping/touching content boxes) yields an
-        // infinite upper bound, which forces the exact fallback for any
-        // listener near such a pair — conservative, never wrong.
         let mut pair_g_lo = vec![0.0; num_tiles * num_tiles];
         let mut pair_g_hi = vec![0.0; num_tiles * num_tiles];
-        let mut d_far = vec![f64::INFINITY; num_tiles];
-        let mut d_near = vec![f64::INFINITY; num_tiles];
-        let mut powed = vec![0.0; num_tiles];
-        for t in 0..num_tiles {
-            d_far.fill(f64::INFINITY);
-            d_near.fill(f64::INFINITY);
-            for s in 0..num_tiles {
-                if let Some((d_min_sq, d_max_sq)) = tiles.distance_sq_bounds(t, s) {
-                    d_far[s] = d_max_sq;
-                    d_near[s] = d_min_sq;
-                }
-            }
-            let row_lo = &mut pair_g_lo[t * num_tiles..(t + 1) * num_tiles];
-            pow_alpha_batch(alpha, &d_far, &mut powed);
-            for (slot, &pw) in row_lo.iter_mut().zip(&powed) {
-                *slot = p / pw;
-            }
-            let row_hi = &mut pair_g_hi[t * num_tiles..(t + 1) * num_tiles];
-            pow_alpha_batch(alpha, &d_near, &mut powed);
-            for (slot, &pw) in row_hi.iter_mut().zip(&powed) {
-                *slot = p / pw;
-            }
-        }
+        with_bounded_kernel!(alpha, |k| fill_pair_tables(
+            k,
+            &tiles,
+            p,
+            &mut pair_g_lo,
+            &mut pair_g_hi
+        ));
         let alive_per_tile = (0..num_tiles).map(|t| tiles.count(t) as u32).collect();
         Some(FarFieldEngine {
             tiles,
@@ -449,6 +483,28 @@ impl FarFieldEngine {
         perturbation: Option<&ChannelPerturbation<'_>>,
     ) -> Vec<Reception> {
         debug_assert!(self.matches(positions, params));
+        with_bounded_kernel!(self.alpha, |k| self.resolve_round(
+            k,
+            params,
+            positions,
+            transmitters,
+            listeners,
+            perturbation
+        ))
+    }
+
+    /// [`resolve_sinr`](Self::resolve_sinr) for one kernel class: near
+    /// scans and first-pass fallback scans run through `k`, whose
+    /// [`REL_ERR`](AlphaKernel::REL_ERR) the ladder widens `best_sig` by.
+    fn resolve_round<K: AlphaKernel>(
+        &mut self,
+        k: K,
+        params: &SinrParams,
+        positions: &[Point],
+        transmitters: &[NodeId],
+        listeners: &[NodeId],
+        perturbation: Option<&ChannelPerturbation<'_>>,
+    ) -> Vec<Reception> {
         let p = self.power;
         let alpha = self.alpha;
         let beta = params.beta();
@@ -526,11 +582,11 @@ impl FarFieldEngine {
             // and powf non-monotonicity; see FARFIELD_REL_SLACK).
             let far_cap = self.far_cap[lt] * (1.0 + FARFIELD_REL_SLACK);
 
-            // Exact near-field scan: one fused gain batch per near tile
-            // (canonical per-pair expression, bucket order), folded in
-            // bucket order with winner = minimal slice index among the
-            // strict maxima — exactly the canonical fold's
-            // first-strict-max.
+            // Near-field scan: one fused gain batch per near tile through
+            // `k` (bucket order), folded in bucket order with winner =
+            // minimal slice index among the strict maxima — exactly the
+            // canonical fold's first-strict-max when `k` is canonical, and
+            // within `K::GAIN_REL_ERR` of it otherwise.
             let mut near_sum = 0.0f64;
             let mut best_sig = 0.0f64;
             let mut best_tx: Option<NodeId> = None;
@@ -541,9 +597,9 @@ impl FarFieldEngine {
                     continue;
                 }
                 near_gains.resize(bucket.len(), 0.0);
-                gain_batch(
+                gain_batch_with(
+                    k,
                     p,
-                    alpha,
                     &self.tx_x_in_tile[near_t],
                     &self.tx_y_in_tile[near_t],
                     vp.x,
@@ -578,25 +634,79 @@ impl FarFieldEngine {
                     noise,
                     extra,
                     beta,
+                    gain_rel_err: K::GAIN_REL_ERR,
                 },
             );
             let reception = match decision {
                 Decision::Decided(reception) => reception,
-                // Exact fallback: the canonical batched scan over *all*
-                // transmitters — bit-identical to SinrChannel by sharing
-                // its kernels and fold.
-                Decision::Exact => finish_exact(
-                    scan_transmitters_batched(p, alpha, v, vp, transmitters, &mut scan),
-                    noise,
-                    extra,
-                    beta,
-                ),
+                // Exact fallback over *all* transmitters: a slice-order
+                // scan through `k`, then — only if that cannot certify the
+                // decision — the canonical scan SinrChannel itself runs.
+                Decision::Exact => {
+                    let first = scan_soa_with(
+                        k,
+                        p,
+                        v,
+                        vp,
+                        transmitters,
+                        &scan.xs,
+                        &scan.ys,
+                        &mut scan.gains,
+                    );
+                    finish_fallback::<K>(first, noise, extra, beta, &mut self.stats, || {
+                        scan_transmitters_batched(p, alpha, v, vp, transmitters, &mut scan)
+                    })
+                }
             };
             out.push(reception);
         }
         self.scan = scan;
         self.near_gains = near_gains;
         out
+    }
+}
+
+/// Fills the tile-pair gain tables through kernel `k`, one row at a time:
+/// per source tile, the distance bounds for the whole row, then one pow
+/// batch and one division pass each for the lower and upper gains,
+/// widened by `k`'s [`GAIN_REL_ERR`](AlphaKernel::GAIN_REL_ERR) so they
+/// bracket the canonical gains (the widening is a multiplication by 1.0
+/// for the canonical classes). Pairs with an empty side keep the `∞`
+/// sentinel distance, whose gain `p / ∞ = 0` matches an untouched slot;
+/// d_min_sq = 0 (overlapping/touching content boxes) yields an infinite
+/// upper bound, which forces the exact fallback for any listener near
+/// such a pair — conservative, never wrong.
+fn fill_pair_tables<K: AlphaKernel>(
+    k: K,
+    tiles: &TileIndex,
+    p: f64,
+    pair_g_lo: &mut [f64],
+    pair_g_hi: &mut [f64],
+) {
+    let num_tiles = tiles.num_tiles();
+    let (widen_lo, widen_hi) = (1.0 - K::GAIN_REL_ERR, 1.0 + K::GAIN_REL_ERR);
+    let mut d_far = vec![f64::INFINITY; num_tiles];
+    let mut d_near = vec![f64::INFINITY; num_tiles];
+    let mut powed = vec![0.0; num_tiles];
+    for t in 0..num_tiles {
+        d_far.fill(f64::INFINITY);
+        d_near.fill(f64::INFINITY);
+        for s in 0..num_tiles {
+            if let Some((d_min_sq, d_max_sq)) = tiles.distance_sq_bounds(t, s) {
+                d_far[s] = d_max_sq;
+                d_near[s] = d_min_sq;
+            }
+        }
+        let row_lo = &mut pair_g_lo[t * num_tiles..(t + 1) * num_tiles];
+        pow_alpha_batch_with(k, &d_far, &mut powed);
+        for (slot, &pw) in row_lo.iter_mut().zip(&powed) {
+            *slot = (p / pw) * widen_lo;
+        }
+        let row_hi = &mut pair_g_hi[t * num_tiles..(t + 1) * num_tiles];
+        pow_alpha_batch_with(k, &d_near, &mut powed);
+        for (slot, &pw) in row_hi.iter_mut().zip(&powed) {
+            *slot = (p / pw) * widen_hi;
+        }
     }
 }
 
@@ -612,6 +722,10 @@ pub(crate) struct DecisionInputs {
     pub(crate) noise: f64,
     pub(crate) extra: Option<f64>,
     pub(crate) beta: f64,
+    /// Relative error of each near gain against the canonical one (the
+    /// scanning kernel's [`GAIN_REL_ERR`](AlphaKernel::GAIN_REL_ERR); 0
+    /// when the near scan is canonical).
+    pub(crate) gain_rel_err: f64,
 }
 
 /// What the decision ladder concluded for one listener.
@@ -619,18 +733,50 @@ pub(crate) struct DecisionInputs {
 pub(crate) enum Decision {
     /// A rung settled the reception from the near scan and far bracket.
     Decided(Reception),
-    /// No rung was conclusive: the caller must run the canonical exact
-    /// scan (and [`finish_exact`] its outcome).
+    /// No rung was conclusive: the caller must run the exact fallback
+    /// ([`finish_fallback`]).
     Exact,
+}
+
+/// The rung of the ladder a listener stopped on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rung {
+    NonFinite,
+    NoiseFloor,
+    NoNearWinner,
+    FarRival,
+    Bracket(Reception),
+    Straddle,
 }
 
 /// The decision ladder (module docs, "decision-exactness contract"),
 /// shared by the flat [`FarFieldEngine`] and the hierarchical engine — the
 /// correctness argument only depends on the *bracket* inputs, not on how
 /// they were aggregated. `stats` receives exactly one rung increment; a
-/// [`Decision::Exact`] leaves the canonical scan to the caller, so an
+/// [`Decision::Exact`] leaves the fallback scan to the caller, so an
 /// engine may batch its fallbacks.
 pub(crate) fn decide_ladder(stats: &mut FarFieldStats, inp: DecisionInputs) -> Decision {
+    let (counter, decision) = match ladder(inp) {
+        Rung::NonFinite => (&mut stats.nonfinite_fallbacks, Decision::Exact),
+        Rung::NoiseFloor => (
+            &mut stats.noise_floor_silences,
+            Decision::Decided(Reception::Silence),
+        ),
+        Rung::NoNearWinner => (&mut stats.no_near_winner_fallbacks, Decision::Exact),
+        Rung::FarRival => (&mut stats.far_rival_fallbacks, Decision::Exact),
+        Rung::Bracket(reception) => (&mut stats.bracket_decisions, Decision::Decided(reception)),
+        Rung::Straddle => (&mut stats.bracket_straddle_fallbacks, Decision::Exact),
+    };
+    *counter += 1;
+    decision
+}
+
+/// The ladder's rungs in order. `best_sig` is widened to
+/// `[b_lo, b_hi]` by `gain_rel_err`, so every rung that compares it
+/// holds for the canonical best signal too; with `gain_rel_err = 0` the
+/// widening is a multiplication by 1.0 and the rungs are the unwidened
+/// ones.
+fn ladder(inp: DecisionInputs) -> Rung {
     let DecisionInputs {
         near_sum,
         best_sig,
@@ -641,37 +787,42 @@ pub(crate) fn decide_ladder(stats: &mut FarFieldStats, inp: DecisionInputs) -> D
         noise,
         extra,
         beta,
+        gain_rel_err,
     } = inp;
     // Rung 1: any non-finite intermediate (overflow, coincident nodes,
-    // touching tile boxes) voids the bracket reasoning entirely.
+    // touching tile boxes, a NaN from the bounded kernel) voids the
+    // bracket reasoning entirely.
     if !(near_sum.is_finite() && far_hi.is_finite() && far_cap.is_finite()) {
-        stats.nonfinite_fallbacks += 1;
-        return Decision::Exact;
+        return Rung::NonFinite;
     }
+    let b_lo = best_sig * (1.0 - gain_rel_err);
+    let b_hi = best_sig * (1.0 + gain_rel_err);
     let base = match extra {
         Some(e) => noise + e,
         None => noise,
     };
     // Rung 2: certain silence — the exact denominator is ≥ base, and
     // the exact best signal is ≤ max(near best, far cap).
-    if best_sig.max(far_cap) < beta * base {
-        stats.noise_floor_silences += 1;
-        return Decision::Decided(Reception::Silence);
+    if b_hi.max(far_cap) < beta * base {
+        return Rung::NoiseFloor;
     }
     // Rung 3: no near candidate, yet rung 2 could not rule out a far
     // decode — only the exact scan can name the winner.
     let Some(from) = best_tx else {
-        stats.no_near_winner_fallbacks += 1;
-        return Decision::Exact;
+        return Rung::NoNearWinner;
     };
     // Rung 4: the near best must strictly dominate every possible far
     // signal, or the canonical winner might be a far transmitter.
-    if far_cap >= best_sig {
-        stats.far_rival_fallbacks += 1;
-        return Decision::Exact;
+    if far_cap >= b_lo {
+        return Rung::FarRival;
     }
     // Rung 5: bracket the canonical interference and require the
-    // decision to be invariant across it.
+    // decision to be invariant across it. A certified Message also
+    // certifies the winner: with β ≥ 1 and a floor `base` ≥ 0, `from`
+    // then out-signals every other transmitter strictly (DESIGN.md
+    // §10.2). A near scan with gain error names its sender through that
+    // lemma alone, so it certifies no Message over a negative (or NaN)
+    // floor, which only a caller's negative perturbation can produce.
     let interference_near = near_sum - best_sig;
     let slack = FARFIELD_REL_SLACK * (near_sum + far_hi + best_sig);
     let i_lo = ((interference_near + far_lo) - slack).max(0.0);
@@ -680,18 +831,53 @@ pub(crate) fn decide_ladder(stats: &mut FarFieldStats, inp: DecisionInputs) -> D
         Some(e) => (noise + e + i_lo, noise + e + i_hi),
         None => (noise + i_lo, noise + i_hi),
     };
-    let msg_lo = best_sig >= beta * denom_lo;
-    let msg_hi = best_sig >= beta * denom_hi;
-    if msg_lo == msg_hi {
-        stats.bracket_decisions += 1;
-        Decision::Decided(if msg_hi {
-            Reception::Message { from }
-        } else {
-            Reception::Silence
-        })
+    let winner_certified = gain_rel_err == 0.0 || base >= 0.0;
+    if b_lo >= beta * denom_hi && winner_certified {
+        Rung::Bracket(Reception::Message { from })
+    } else if b_hi < beta * denom_lo {
+        Rung::Bracket(Reception::Silence)
     } else {
-        stats.bracket_straddle_fallbacks += 1;
-        Decision::Exact
+        Rung::Straddle
+    }
+}
+
+/// Settles an exact fallback from its first-pass scan `first`, a
+/// slice-order scan over every transmitter through kernel `K`. For a
+/// canonical `K` that scan *is* the canonical one and decides directly.
+/// Otherwise the ladder brackets it — no far field, the same slack — and
+/// only a listener that bracket cannot settle pays for `rescan`, the
+/// canonical scan (counted in
+/// [`canonical_rescans`](FarFieldStats::canonical_rescans)).
+pub(crate) fn finish_fallback<K: AlphaKernel>(
+    first: ScanOutcome,
+    noise: f64,
+    extra: Option<f64>,
+    beta: f64,
+    stats: &mut FarFieldStats,
+    rescan: impl FnOnce() -> ScanOutcome,
+) -> Reception {
+    if K::REL_ERR == 0.0 {
+        return finish_exact(first, noise, extra, beta);
+    }
+    let certified = ladder(DecisionInputs {
+        near_sum: first.total,
+        best_sig: first.best_sig,
+        best_tx: first.best_tx,
+        far_lo: 0.0,
+        far_hi: 0.0,
+        far_cap: 0.0,
+        noise,
+        extra,
+        beta,
+        gain_rel_err: K::GAIN_REL_ERR,
+    });
+    match certified {
+        Rung::NoiseFloor => Reception::Silence,
+        Rung::Bracket(reception) => reception,
+        _ => {
+            stats.canonical_rescans += 1;
+            finish_exact(rescan(), noise, extra, beta)
+        }
     }
 }
 
@@ -740,6 +926,134 @@ mod tests {
         (0..n_side * n_side)
             .map(|i| Point::new((i % n_side) as f64 * spacing, (i / n_side) as f64 * spacing))
             .collect()
+    }
+
+    #[test]
+    fn slack_budget_leaves_a_tenfold_margin() {
+        // Every committed workload's largest round, up to the n = 2²⁰
+        // probe at 25% contention, keeps a tenfold margin; the bounded
+        // kernel's share is a small part of it.
+        for k in [1, 65_536, SLACK_BUDGET_TRANSMITTERS] {
+            let budget = slack_budget(k);
+            assert!(
+                budget <= FARFIELD_REL_SLACK / 10.0,
+                "budget {budget:e} at k = {k} vs slack {FARFIELD_REL_SLACK:e}"
+            );
+            assert!(budget - slack_budget(0) >= k as f64 * 2f64.powi(-52));
+        }
+        assert!((5.8e-11..5.9e-11).contains(&(slack_budget(1 << 18) - slack_budget(0))));
+        assert!(slack_budget(0) < FARFIELD_REL_SLACK / 200.0);
+        // Every node of an n = 2²⁰ deployment transmitting still fits the
+        // slack itself, only without the tenfold margin.
+        assert!(slack_budget(1 << 20) <= FARFIELD_REL_SLACK / 4.0);
+        assert_eq!(
+            FARFIELD_SLACK_BUDGET,
+            slack_budget(SLACK_BUDGET_TRANSMITTERS)
+        );
+    }
+
+    #[test]
+    fn special_bounded_gains_never_decide() {
+        use crate::kernels::{fold_scan, AlphaBounded};
+        let k = AlphaBounded::new(2.5);
+        // d² = 0 gives an infinite gain; subnormal and NaN d² give NaN.
+        for d_sq in [0.0, f64::from_bits(1), f64::MIN_POSITIVE / 2.0, f64::NAN] {
+            let fold = fold_scan(&[0.5, 16.0 / k.pow_alpha(d_sq)]);
+            let first = ScanOutcome::from_fold(fold, &[7, 9]);
+            let mut stats = FarFieldStats::default();
+            let decision = decide_ladder(
+                &mut stats,
+                DecisionInputs {
+                    near_sum: first.total,
+                    best_sig: first.best_sig,
+                    best_tx: first.best_tx,
+                    far_lo: 0.0,
+                    far_hi: 0.0,
+                    far_cap: 0.0,
+                    noise: 1.0,
+                    extra: None,
+                    beta: 2.0,
+                    gain_rel_err: AlphaBounded::GAIN_REL_ERR,
+                },
+            );
+            assert_eq!(decision, Decision::Exact, "d_sq={d_sq:e}");
+            assert_eq!(stats.nonfinite_fallbacks, 1, "d_sq={d_sq:e}");
+            let canonical = ScanOutcome {
+                total: 2.5,
+                best_sig: 2.0,
+                best_tx: Some(9),
+            };
+            let mut rescanned = false;
+            let rx = finish_fallback::<AlphaBounded>(first, 0.1, None, 1.5, &mut stats, || {
+                rescanned = true;
+                canonical
+            });
+            assert!(
+                rescanned,
+                "d_sq={d_sq:e}: a poisoned first pass must rescan"
+            );
+            assert_eq!(rx, Reception::Message { from: 9 });
+            assert_eq!(stats.canonical_rescans, 1);
+        }
+    }
+
+    #[test]
+    fn negative_floor_certifies_no_bounded_message() {
+        use crate::kernels::AlphaBounded;
+        // A strong near sender over weak interference: a Message bracket
+        // at any floor ≤ 1. With a negative jammer term the floor drops
+        // below 0, where the winner lemma no longer names the sender of a
+        // bounded near scan — only the canonical scan may.
+        let inputs = |extra: f64, gain_rel_err: f64| DecisionInputs {
+            near_sum: 10.5,
+            best_sig: 10.0,
+            best_tx: Some(7),
+            far_lo: 0.0,
+            far_hi: 0.0,
+            far_cap: 0.0,
+            noise: 1.0,
+            extra: Some(extra),
+            beta: 2.0,
+            gain_rel_err,
+        };
+        let delta = AlphaBounded::GAIN_REL_ERR;
+        for extra in [-1.5, -3.0, f64::NAN] {
+            let mut stats = FarFieldStats::default();
+            let decision = decide_ladder(&mut stats, inputs(extra, delta));
+            assert_eq!(decision, Decision::Exact, "extra={extra}");
+            assert_eq!(stats.bracket_straddle_fallbacks, 1, "extra={extra}");
+            let first = ScanOutcome {
+                total: 10.5,
+                best_sig: 10.0,
+                best_tx: Some(7),
+            };
+            let canonical = || ScanOutcome {
+                total: 10.5,
+                best_sig: 10.0,
+                best_tx: Some(9),
+            };
+            let rx = finish_fallback::<AlphaBounded>(
+                first,
+                1.0,
+                Some(extra),
+                2.0,
+                &mut stats,
+                canonical,
+            );
+            assert_eq!(stats.canonical_rescans, 1, "extra={extra}");
+            assert_eq!(rx, finish_exact(canonical(), 1.0, Some(extra), 2.0));
+        }
+        // A floor ≥ 0 certifies, bounded or canonical (the slack gives the
+        // lemma its strict margin at a zero floor); a canonical near scan
+        // names its sender directly at any floor.
+        for (extra, gain_rel_err) in [(0.5, delta), (-1.0, delta), (0.5, 0.0), (-3.0, 0.0)] {
+            let mut stats = FarFieldStats::default();
+            assert_eq!(
+                decide_ladder(&mut stats, inputs(extra, gain_rel_err)),
+                Decision::Decided(Reception::Message { from: 7 }),
+                "extra={extra} gain_rel_err={gain_rel_err:e}"
+            );
+        }
     }
 
     #[test]

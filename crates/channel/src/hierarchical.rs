@@ -488,6 +488,8 @@ impl HierarchicalFarFieldEngine {
                 noise,
                 extra: perturbation.map(|pt| pt.extra_at(v)),
                 beta,
+                // The tree scans its near tiles canonically at every α.
+                gain_rel_err: 0.0,
             },
         )
     }

@@ -1,7 +1,7 @@
 //! Batched per-α SINR kernels over structure-of-arrays slices.
 //!
 //! Every engine tier bottoms out in the same per-pair expression:
-//! `gain = P / pow_alpha(d²(u, v), α)`. The scalar [`pow_alpha`] dispatches
+//! `gain = P / pow_alpha(d²(u, v), α)`. The scalar [`pow_alpha`](crate::pow_alpha) dispatches
 //! on `α` per call — branch-predictable, but the branch (and the AoS
 //! `Point` loads around it) keep the autovectorizer out of the loop. This
 //! module hoists the dispatch *outside* the loop: [`AlphaClass::of`]
@@ -23,6 +23,13 @@
 //! * downstream consumers fold the gain scratch **in slice order**
 //!   ([`fold_scan`]), reproducing the canonical `total += sig` /
 //!   first-strict-max accumulation of `scan_transmitters` add for add.
+//!
+//! The one class outside this contract is the crate-private bounded
+//! generic-α kernel (`AlphaBounded`): a vectorizable `exp2(h·log₂ x)`
+//! within δ = 2⁻⁴⁰ of `powf`, declared through [`AlphaKernel::REL_ERR`].
+//! It serves only the flat far-field engine's certified paths, which
+//! widen by that error (DESIGN.md §10.2); no path that defines semantics
+//! uses it.
 //!
 //! No SIMD reassociation of the *fold* is attempted — a single listener's
 //! `total += sig` chain is folded strictly in slice order. What *is*
@@ -55,11 +62,26 @@ mod private {
 }
 
 /// A path-loss exponent class: computes `d^α` from `d²` with the class's
-/// fixed arithmetic. Sealed — the five implementations below mirror the
-/// fast paths of the scalar [`pow_alpha`] exactly.
+/// fixed arithmetic. Sealed — the five public implementations below
+/// mirror the fast paths of the scalar [`pow_alpha`](crate::pow_alpha) exactly; the
+/// crate-private bounded generic kernel is the one class that does not,
+/// and declares its error through [`AlphaKernel::REL_ERR`].
 pub trait AlphaKernel: private::Sealed + Copy {
-    /// `d^α` given the squared distance `d²`, bit-identical to the scalar
-    /// [`pow_alpha`] fast path for this class.
+    /// Certified bound on `|pow_alpha(d²) / canonical − 1|`, *canonical*
+    /// being the scalar [`pow_alpha`](crate::pow_alpha): `0.0` for every class that is
+    /// bit-identical to it, so brackets widened by it compile to the
+    /// unwidened code for those classes.
+    const REL_ERR: f64 = 0.0;
+
+    /// Certified bound on the relative error of a gain `P / pow_alpha(d²)`
+    /// against the canonical gain: `2·REL_ERR`, which covers `REL_ERR`
+    /// itself plus the two divisions' rounding (each 2⁻⁵³, far below
+    /// `REL_ERR` whenever it is non-zero).
+    const GAIN_REL_ERR: f64 = 2.0 * Self::REL_ERR;
+
+    /// `d^α` given the squared distance `d²`: bit-identical to the scalar
+    /// [`pow_alpha`](crate::pow_alpha) fast path for this class, or within
+    /// [`REL_ERR`](AlphaKernel::REL_ERR) of it.
     fn pow_alpha(self, d_sq: f64) -> f64;
 }
 
@@ -86,11 +108,21 @@ pub struct AlphaGeneric {
     half_alpha: f64,
 }
 
+impl AlphaGeneric {
+    /// The canonical generic kernel for exponent `alpha`.
+    pub(crate) fn new(alpha: f64) -> Self {
+        AlphaGeneric {
+            half_alpha: alpha * 0.5,
+        }
+    }
+}
+
 impl private::Sealed for Alpha2 {}
 impl private::Sealed for Alpha3 {}
 impl private::Sealed for Alpha4 {}
 impl private::Sealed for Alpha6 {}
 impl private::Sealed for AlphaGeneric {}
+impl private::Sealed for AlphaBounded {}
 
 impl AlphaKernel for Alpha2 {
     #[inline(always)]
@@ -127,8 +159,201 @@ impl AlphaKernel for AlphaGeneric {
     }
 }
 
+/// The certified relative error δ of the bounded generic-α kernel:
+/// wherever [`AlphaBounded`] returns a finite non-zero value `r`,
+/// `|r / powf(d², α/2) − 1| ≤ δ = 2⁻⁴⁰ ≈ 9.1e-13`. The kernel itself
+/// measures about 2⁻⁵⁰ for α ≤ 8 (`tests::bounded_pow_is_within_delta_of_powf`
+/// sweeps every binade), so δ is a margin of three orders of magnitude,
+/// and the kernel's share of the slack budget
+/// ([`FARFIELD_SLACK_BUDGET`](crate::farfield::FARFIELD_SLACK_BUDGET))
+/// stays two orders below [`FARFIELD_REL_SLACK`](crate::FARFIELD_REL_SLACK).
+pub(crate) const BOUNDED_POW_REL_ERR: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// Largest exponent the bounded kernel serves: the range its bound test
+/// sweeps (E6 stops at α = 5), where the measured error sits 256× inside
+/// δ. Larger exponents keep the canonical `powf` kernel (δ = 0)
+/// everywhere.
+pub(crate) const BOUNDED_MAX_ALPHA: f64 = 8.0;
+
+/// `2/ln 2 / (2k + 1)`: the series `log₂ m = Σ_k c_k·s^(2k+1)` with
+/// `s = (m − 1)/(m + 1)`, truncated where `|s| ≤ 3 − 2√2` makes the next
+/// term smaller than 2⁻⁵⁶.
+const LOG2_SERIES: [f64; 10] = {
+    let two_over_ln2 = 2.0 / std::f64::consts::LN_2;
+    let mut c = [0.0; 10];
+    let mut k = 0;
+    while k < 10 {
+        c[k] = two_over_ln2 / (2 * k + 1) as f64;
+        k += 1;
+    }
+    c
+};
+
+/// `(ln 2)^k / k!`: the Taylor series of `2^f`, truncated where
+/// `|f| ≤ ½` makes the next term smaller than 2⁻⁵².
+const EXP2_SERIES: [f64; 13] = {
+    let mut c = [1.0; 13];
+    let mut k = 1;
+    while k < 13 {
+        c[k] = c[k - 1] * std::f64::consts::LN_2 / k as f64;
+        k += 1;
+    }
+    c
+};
+
+/// `2⁵²`: adding it to a small non-negative integer-valued double puts
+/// the integer in the low mantissa bits (and back).
+const TWO_52: f64 = 4_503_599_627_370_496.0;
+
+/// `1.5·2⁵²`: `(x + R) − R` rounds `|x| < 2⁵¹` to the nearest integer
+/// with two adds, which vectorize where `round()` does not.
+const ROUND_MAGIC: f64 = 6_755_399_441_055_744.0;
+
+/// The bounded generic-α class: `x^(α/2)` as `exp2(h·log₂ x)` with
+/// `h = α/2`, branch-free so the AVX2 instantiations vectorize it.
+/// Crate-private: it serves only the flat far-field engine's certified
+/// paths (far-bound tables, near-ring scans, first-pass fallback scans),
+/// which widen every bracket by
+/// [`REL_ERR`](AlphaKernel::REL_ERR) `=` [`BOUNDED_POW_REL_ERR`]. The
+/// canonical semantics stay with [`AlphaGeneric`] (`powf`).
+///
+/// * **Range reduction** by bit arithmetic: `x = 2^e·m` with
+///   `m ∈ [√½, √2)`, `e` read from the exponent field.
+/// * **`log₂ m`** from the odd series in `s = (m − 1)/(m + 1)` (Estrin).
+/// * **`h·e` exactly**: `h` is split (Veltkamp) into a 26-bit head and a
+///   tail, so `h_hi·e` and `h_lo·e` are exact products and only the
+///   fractional remainder `t` carries rounding; `|t| ≤ ½ + h/2`.
+/// * **`2^t`** as `2^k·2^f`, `f = t − round(t)` exact, `2^f` from its
+///   Taylor series (Estrin), `2^k` built in the exponent field.
+///
+/// Inputs outside the positive normal range, and results whose binary
+/// exponent leaves `[−1020, 1020]`, return NaN — except `0` and `+∞`,
+/// which return `0` and `+∞` exactly as `powf` does (gains `+∞` and `0`).
+/// A NaN gain poisons every sum it enters, which the decision ladder
+/// treats as "not certified" (rung 1, or the canonical rescan), never as
+/// a decision.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AlphaBounded {
+    /// `α/2`.
+    h: f64,
+    /// The top 26 significant bits of `h`.
+    h_hi: f64,
+    /// `h − h_hi`, exact.
+    h_lo: f64,
+}
+
+impl AlphaBounded {
+    /// The bounded kernel for exponent `alpha`.
+    pub(crate) fn new(alpha: f64) -> Self {
+        let h = alpha * 0.5;
+        let c = h * 134_217_729.0; // 2²⁷ + 1
+        let h_hi = c - (c - h);
+        AlphaBounded {
+            h,
+            h_hi,
+            h_lo: h - h_hi,
+        }
+    }
+}
+
+impl AlphaKernel for AlphaBounded {
+    const REL_ERR: f64 = BOUNDED_POW_REL_ERR;
+
+    #[inline(always)]
+    fn pow_alpha(self, x: f64) -> f64 {
+        const SQRT_HALF_BITS: u64 = 0x3FE6_A09E_667F_3BCD;
+        const ONE_BITS: u64 = 0x3FF0_0000_0000_0000;
+        const MIN_NORMAL_BITS: u64 = 0x0010_0000_0000_0000;
+        const INF_BITS: u64 = 0x7FF0_0000_0000_0000;
+        let AlphaBounded { h, h_hi, h_lo } = self;
+        let bits = x.to_bits();
+        // e + 1023 in the exponent field: subtracting √½'s bits borrows
+        // from the exponent exactly when the mantissa lies below √½.
+        let eb = bits.wrapping_sub(SQRT_HALF_BITS).wrapping_add(ONE_BITS) >> 52;
+        let m = f64::from_bits(bits.wrapping_sub(eb << 52).wrapping_add(ONE_BITS));
+        let e = f64::from_bits(eb | TWO_52.to_bits()) - (TWO_52 + 1023.0);
+
+        let s = (m - 1.0) / (m + 1.0);
+        let z = s * s;
+        let c = &LOG2_SERIES;
+        let (z2, z4) = (z * z, z * z * (z * z));
+        let p = (((c[0] + c[1] * z) + (c[2] + c[3] * z) * z2)
+            + ((c[4] + c[5] * z) + (c[6] + c[7] * z) * z2) * z4)
+            + (c[8] + c[9] * z) * (z4 * z4);
+        let log2_m = s * p;
+
+        let a = h_hi * e;
+        let k1 = (a + ROUND_MAGIC) - ROUND_MAGIC;
+        let t = ((a - k1) + h_lo * e) + h * log2_m;
+        let k2 = (t + ROUND_MAGIC) - ROUND_MAGIC;
+        let f = t - k2;
+        let q = &EXP2_SERIES;
+        let (f2, f4) = (f * f, f * f * (f * f));
+        let poly = (((q[0] + q[1] * f) + (q[2] + q[3] * f) * f2)
+            + ((q[4] + q[5] * f) + (q[6] + q[7] * f) * f2) * f4)
+            + (((q[8] + q[9] * f) + (q[10] + q[11] * f) * f2) + q[12] * f4) * (f4 * f4);
+
+        let k = k1 + k2;
+        let k_clamped = k.clamp(-1020.0, 1020.0);
+        let scale = f64::from_bits((k_clamped + (TWO_52 + 1023.0)).to_bits() << 52);
+        let r = poly * scale;
+
+        let normal_in = bits.wrapping_sub(MIN_NORMAL_BITS) < INF_BITS - MIN_NORMAL_BITS;
+        // 0 and +∞ map exactly as powf maps them; everything else outside
+        // the certified domain is NaN.
+        let special = if (x == 0.0) | (x == f64::INFINITY) {
+            x
+        } else {
+            f64::NAN
+        };
+        if normal_in & (k == k_clamped) {
+            r
+        } else {
+            special
+        }
+    }
+}
+
+/// Runs `$body` with `$k` bound to the kernel the flat far-field engine's
+/// certified paths use for exponent `$alpha`: the canonical class for
+/// α ∈ {2, 3, 4, 6} (and beyond [`BOUNDED_MAX_ALPHA`]), whose
+/// [`REL_ERR`](AlphaKernel::REL_ERR) is 0, and [`AlphaBounded`]
+/// otherwise. `$body` is monomorphized once per arm.
+macro_rules! with_bounded_kernel {
+    ($alpha:expr, |$k:ident| $body:expr) => {{
+        let alpha: f64 = $alpha;
+        match $crate::kernels::AlphaClass::of(alpha) {
+            $crate::kernels::AlphaClass::Two => {
+                let $k = $crate::kernels::Alpha2;
+                $body
+            }
+            $crate::kernels::AlphaClass::Three => {
+                let $k = $crate::kernels::Alpha3;
+                $body
+            }
+            $crate::kernels::AlphaClass::Four => {
+                let $k = $crate::kernels::Alpha4;
+                $body
+            }
+            $crate::kernels::AlphaClass::Six => {
+                let $k = $crate::kernels::Alpha6;
+                $body
+            }
+            $crate::kernels::AlphaClass::Generic if alpha <= $crate::kernels::BOUNDED_MAX_ALPHA => {
+                let $k = $crate::kernels::AlphaBounded::new(alpha);
+                $body
+            }
+            $crate::kernels::AlphaClass::Generic => {
+                let $k = $crate::kernels::AlphaGeneric::new(alpha);
+                $body
+            }
+        }
+    }};
+}
+pub(crate) use with_bounded_kernel;
+
 /// The exponent classes the batched kernels monomorphize over — the same
-/// set the scalar [`pow_alpha`] special-cases, plus the generic `powf`
+/// set the scalar [`pow_alpha`](crate::pow_alpha) special-cases, plus the generic `powf`
 /// remainder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlphaClass {
@@ -146,7 +371,7 @@ pub enum AlphaClass {
 
 impl AlphaClass {
     /// Classifies a path-loss exponent, mirroring the scalar
-    /// [`pow_alpha`] dispatch exactly.
+    /// [`pow_alpha`](crate::pow_alpha) dispatch exactly.
     #[must_use]
     pub fn of(alpha: f64) -> Self {
         if alpha == 2.0 {
@@ -209,7 +434,7 @@ unsafe fn pow_alpha_batch_avx2<K: AlphaKernel>(k: K, d_sq: &[f64], out: &mut [f6
 /// dispatch is pure throughput policy.
 #[inline]
 #[allow(unsafe_code)] // detection-guarded call; see the crate-root lint note
-fn pow_alpha_batch_with<K: AlphaKernel>(k: K, d_sq: &[f64], out: &mut [f64]) {
+pub(crate) fn pow_alpha_batch_with<K: AlphaKernel>(k: K, d_sq: &[f64], out: &mut [f64]) {
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 support was just verified at runtime.
@@ -219,7 +444,7 @@ fn pow_alpha_batch_with<K: AlphaKernel>(k: K, d_sq: &[f64], out: &mut [f64]) {
     pow_alpha_batch_inner(k, d_sq, out);
 }
 
-/// Batched [`pow_alpha`]: fills `out[i] = pow_alpha(d_sq[i], alpha)` with
+/// Batched [`pow_alpha`](crate::pow_alpha): fills `out[i] = pow_alpha(d_sq[i], alpha)` with
 /// one per-α monomorphized pass. Bit-identical to calling the scalar
 /// function element-wise (module docs, "summation-order contract").
 ///
@@ -233,13 +458,7 @@ pub fn pow_alpha_batch(alpha: f64, d_sq: &[f64], out: &mut [f64]) {
         AlphaClass::Three => pow_alpha_batch_with(Alpha3, d_sq, out),
         AlphaClass::Four => pow_alpha_batch_with(Alpha4, d_sq, out),
         AlphaClass::Six => pow_alpha_batch_with(Alpha6, d_sq, out),
-        AlphaClass::Generic => pow_alpha_batch_with(
-            AlphaGeneric {
-                half_alpha: alpha * 0.5,
-            },
-            d_sq,
-            out,
-        ),
+        AlphaClass::Generic => pow_alpha_batch_with(AlphaGeneric::new(alpha), d_sq, out),
     }
 }
 
@@ -312,7 +531,7 @@ unsafe fn gain_batch_avx2<K: AlphaKernel>(
 /// arms are bit-identical).
 #[inline]
 #[allow(unsafe_code)] // detection-guarded call; see the crate-root lint note
-fn gain_batch_with<K: AlphaKernel>(
+pub(crate) fn gain_batch_with<K: AlphaKernel>(
     k: K,
     power: f64,
     xs: &[f64],
@@ -355,17 +574,9 @@ pub fn gain_batch(
         AlphaClass::Three => gain_batch_with(Alpha3, power, xs, ys, vx, vy, out),
         AlphaClass::Four => gain_batch_with(Alpha4, power, xs, ys, vx, vy, out),
         AlphaClass::Six => gain_batch_with(Alpha6, power, xs, ys, vx, vy, out),
-        AlphaClass::Generic => gain_batch_with(
-            AlphaGeneric {
-                half_alpha: alpha * 0.5,
-            },
-            power,
-            xs,
-            ys,
-            vx,
-            vy,
-            out,
-        ),
+        AlphaClass::Generic => {
+            gain_batch_with(AlphaGeneric::new(alpha), power, xs, ys, vx, vy, out)
+        }
     }
 }
 
@@ -485,16 +696,7 @@ pub fn scan_block(
         AlphaClass::Three => scan_block_with(Alpha3, power, xs, ys, vx, vy),
         AlphaClass::Four => scan_block_with(Alpha4, power, xs, ys, vx, vy),
         AlphaClass::Six => scan_block_with(Alpha6, power, xs, ys, vx, vy),
-        AlphaClass::Generic => scan_block_with(
-            AlphaGeneric {
-                half_alpha: alpha * 0.5,
-            },
-            power,
-            xs,
-            ys,
-            vx,
-            vy,
-        ),
+        AlphaClass::Generic => scan_block_with(AlphaGeneric::new(alpha), power, xs, ys, vx, vy),
     }
 }
 
@@ -573,6 +775,122 @@ mod tests {
         assert_eq!(AlphaClass::of(6.0), AlphaClass::Six);
         assert_eq!(AlphaClass::of(2.5), AlphaClass::Generic);
         assert_eq!(AlphaClass::of(5.0), AlphaClass::Generic);
+    }
+
+    /// Deterministic uniform draws in `[0, 1)`.
+    fn uniform(mut state: u64) -> impl FnMut() -> f64 {
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    #[test]
+    fn bounded_pow_is_within_delta_of_powf() {
+        // E6's exponent grid plus random exponents in (2, 8]; per binade of
+        // positive normal inputs, the binade's edges, the √½ and √2
+        // reduction boundaries, and random mantissas.
+        let mut next = uniform(0x5eed_b0d5);
+        let mut alphas = vec![2.05, 2.1, 2.25, 2.5, 2.75, 3.0, 3.5, 4.0, 5.0, 6.0];
+        alphas.extend((0..24).map(|_| BOUNDED_MAX_ALPHA - 6.0 * next()));
+        alphas.push(BOUNDED_MAX_ALPHA);
+        let sqrt2 = std::f64::consts::SQRT_2;
+        let mut worst = 0.0f64;
+        for &alpha in &alphas {
+            let k = AlphaBounded::new(alpha);
+            let h = alpha * 0.5;
+            for exp in -1022..=1023i32 {
+                let binade = f64::from_bits(((exp + 1023) as u64) << 52);
+                let mut mantissas = vec![
+                    1.0,
+                    2.0 - f64::EPSILON,
+                    sqrt2 * 0.5 * 2.0,
+                    f64::from_bits(sqrt2.to_bits() - 1),
+                    f64::from_bits((0.5 * sqrt2).to_bits() + 1) * 2.0,
+                ];
+                mantissas.extend((0..4).map(|_| 1.0 + next()));
+                for m in mantissas {
+                    let x = m * binade;
+                    let got = k.pow_alpha(x);
+                    let want = x.powf(h);
+                    if got.is_nan() {
+                        // Refused only at (or past) the edge of the
+                        // normal range, never inside it.
+                        assert!(
+                            !(want > 2f64.powi(-1019) && want < 2f64.powi(1019)),
+                            "alpha={alpha} x={x:e}: refused an in-range result {want:e}"
+                        );
+                        continue;
+                    }
+                    let rel = (got / want - 1.0).abs();
+                    worst = worst.max(rel);
+                    assert!(
+                        rel <= BOUNDED_POW_REL_ERR,
+                        "alpha={alpha} x={x:e}: {got:e} vs powf {want:e} (rel {rel:e})"
+                    );
+                }
+            }
+        }
+        // Over the whole served range α ≤ BOUNDED_MAX_ALPHA the kernel sits
+        // well over two orders of magnitude inside its bound.
+        assert!(
+            worst < BOUNDED_POW_REL_ERR / 256.0,
+            "worst relative error {worst:e}"
+        );
+    }
+
+    #[test]
+    fn bounded_pow_special_inputs_never_certify() {
+        let subnormals = [
+            f64::from_bits(1),
+            f64::MIN_POSITIVE * 0.5,
+            f64::from_bits(f64::MIN_POSITIVE.to_bits() - 1),
+        ];
+        for alpha in [2.05, 2.5, 3.7, 7.9] {
+            let k = AlphaBounded::new(alpha);
+            // 0 and +∞ are exact (gains +∞ and 0, as powf gives): an
+            // infinite gain trips rung 1, a zero gain is the canonical one.
+            assert_eq!(k.pow_alpha(0.0).to_bits(), 0.0f64.to_bits());
+            assert_eq!(k.pow_alpha(f64::INFINITY), f64::INFINITY);
+            assert_eq!(
+                16.0 / k.pow_alpha(f64::INFINITY),
+                16.0 / pow_alpha(f64::INFINITY, alpha)
+            );
+            assert!(!(16.0 / k.pow_alpha(0.0)).is_finite());
+            // Subnormal, negative and NaN inputs give NaN gains, which
+            // poison every sum they enter (rung 1 or the canonical rescan).
+            for x in subnormals
+                .into_iter()
+                .chain([-1.0, f64::NAN, f64::NEG_INFINITY])
+            {
+                assert!(k.pow_alpha(x).is_nan(), "alpha={alpha} x={x:e}");
+                assert!((16.0 / k.pow_alpha(x)).is_nan(), "alpha={alpha} x={x:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_dispatch_is_canonical_outside_the_generic_class() {
+        fn probe<K: AlphaKernel>(k: K, x: f64) -> (f64, f64) {
+            (K::REL_ERR, k.pow_alpha(x))
+        }
+        for alpha in [2.0, 3.0, 4.0, 6.0, 8.5, 100.5] {
+            for x in [0.0, 0.37, 1.0, 5.5, 1e9] {
+                let (err, got) = with_bounded_kernel!(alpha, |k| probe(k, x));
+                assert_eq!(err, 0.0, "alpha={alpha}");
+                assert_eq!(
+                    got.to_bits(),
+                    pow_alpha(x, alpha).to_bits(),
+                    "alpha={alpha}"
+                );
+            }
+        }
+        for alpha in [2.05, 2.5, 3.7, BOUNDED_MAX_ALPHA] {
+            let (err, _) = with_bounded_kernel!(alpha, |k| probe(k, 2.0));
+            assert_eq!(err, BOUNDED_POW_REL_ERR);
+        }
     }
 
     #[test]

@@ -5,7 +5,10 @@ use rand::rngs::SmallRng;
 use fading_geom::Point;
 
 use crate::channel::{sealed, Channel};
-use crate::kernels::{fold_scan, gain_batch, scan_block, ScanFold, ScanScratch, LISTENER_BLOCK};
+use crate::kernels::{
+    fold_scan, gain_batch, gain_batch_with, scan_block, AlphaKernel, ScanFold, ScanScratch,
+    LISTENER_BLOCK,
+};
 use crate::{
     ChannelPerturbation, ChunkExecutor, EngineTier, GainCache, NodeId, Reception, ResolveEngine,
     SinrBreakdown, SinrParams,
@@ -150,6 +153,32 @@ pub(crate) fn scan_transmitters_soa(
     debug_assert_eq!(xs.len(), transmitters.len(), "stale gather");
     gains.resize(transmitters.len(), 0.0);
     gain_batch(p, alpha, xs, ys, vp.x, vp.y, gains);
+    ScanOutcome::from_fold(fold_scan(gains), transmitters)
+}
+
+/// [`scan_transmitters_soa`] through an explicit kernel class: the same
+/// gain batch and slice-order fold, with `k` in place of the class
+/// `alpha` selects. The flat far-field engine's first-pass fallback
+/// scans use it with the bounded generic kernel.
+#[inline]
+#[allow(clippy::too_many_arguments)] // the scan inputs plus the split scratch
+pub(crate) fn scan_soa_with<K: AlphaKernel>(
+    k: K,
+    p: f64,
+    v: NodeId,
+    vp: Point,
+    transmitters: &[NodeId],
+    xs: &[f64],
+    ys: &[f64],
+    gains: &mut Vec<f64>,
+) -> ScanOutcome {
+    debug_assert!(
+        transmitters.iter().all(|&u| u != v),
+        "a node cannot transmit and listen simultaneously"
+    );
+    debug_assert_eq!(xs.len(), transmitters.len(), "stale gather");
+    gains.resize(transmitters.len(), 0.0);
+    gain_batch_with(k, p, xs, ys, vp.x, vp.y, gains);
     ScanOutcome::from_fold(fold_scan(gains), transmitters)
 }
 

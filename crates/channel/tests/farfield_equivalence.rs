@@ -9,10 +9,14 @@
 //! property tests drive arbitrary deployments, transmitter/listener
 //! partitions, parameter draws, and perturbations (noise scaling +
 //! per-node jammer interference) through both paths for each path-loss
-//! exponent the experiments use (`α ∈ {2.5, 3, 4, 6}`), 256 cases per
-//! exponent, and additionally **force multi-tile layouts** so the pruned
-//! path genuinely exercises the far aggregation (the production sizing
-//! would put 40 nodes in a single tile and never prune).
+//! exponent class — the integer fast paths `α ∈ {3, 4, 6}` and the
+//! generic class at `α ∈ {2.05, 2.5, 3.7}`, which the engine serves with
+//! a bounded-error kernel — 256 cases per exponent, and additionally
+//! **force multi-tile layouts** so the pruned path genuinely exercises the
+//! far aggregation (the production sizing would put 40 nodes in a single
+//! tile and never prune). Knife-edge cases pin the bounded kernel's
+//! certificate: a decision within 1e-12 of `β` must reach the canonical
+//! rescan.
 
 use fading_channel::{
     Channel, ChannelPerturbation, EngineTier, FarFieldEngine, LossySinrChannel, RadioChannel,
@@ -238,7 +242,44 @@ fn check_all_channels(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Decision-exactness oracle at the generic-powf exponent α = 2.5.
+    /// Decision-exactness oracle at E6's smallest exponent, α = 2.05: the
+    /// flattest path loss, where far tiles weigh the most.
+    #[test]
+    fn farfield_equals_exact_alpha_2_05(
+        positions in arb_positions(2, 48),
+        roles in prop::collection::vec(0u8..4, 48),
+        beta in 1.0..4.0f64,
+        noise in 0.0..2.0f64,
+        power in 1.0..1e6f64,
+        drop_prob in 0.0..0.9f64,
+        jam_power in 0.0..100.0f64,
+        noise_scale in 0.25..4.0f64,
+        seed in any::<u64>(),
+    ) {
+        check_all_channels(
+            2.05, &positions, &roles, beta, noise, power, drop_prob, jam_power, noise_scale, seed,
+        );
+    }
+
+    /// Decision-exactness oracle at the generic-class exponent α = 3.7.
+    #[test]
+    fn farfield_equals_exact_alpha_3_7(
+        positions in arb_positions(2, 48),
+        roles in prop::collection::vec(0u8..4, 48),
+        beta in 1.0..4.0f64,
+        noise in 0.0..2.0f64,
+        power in 1.0..1e6f64,
+        drop_prob in 0.0..0.9f64,
+        jam_power in 0.0..100.0f64,
+        noise_scale in 0.25..4.0f64,
+        seed in any::<u64>(),
+    ) {
+        check_all_channels(
+            3.7, &positions, &roles, beta, noise, power, drop_prob, jam_power, noise_scale, seed,
+        );
+    }
+
+    /// Decision-exactness oracle at the generic-class exponent α = 2.5.
     #[test]
     fn farfield_equals_exact_alpha_2_5(
         positions in arb_positions(2, 48),
@@ -417,4 +458,82 @@ fn pruned_path_settles_decisions_on_spread_deployments() {
         stats.listeners_resolved(),
         "rung counters must reconcile with listeners resolved: {stats:?}"
     );
+}
+
+/// The largest noise floor at which `best` still decodes against
+/// `interference` under the canonical test `best ≥ β·(noise + I)`; one
+/// ulp more and it is silent.
+fn knife_edge_noise(best: f64, interference: f64, beta: f64) -> f64 {
+    let decodes = |n: f64| best >= beta * (n + interference);
+    let up = |n: f64| f64::from_bits(n.to_bits() + 1);
+    let mut n = best / beta - interference;
+    while !decodes(n) {
+        n = f64::from_bits(n.to_bits() - 1);
+    }
+    while decodes(up(n)) {
+        n = up(n);
+    }
+    n
+}
+
+/// Knife-edge decisions at the generic exponent α = 2.5: one listener, a
+/// near sender and five far interferers, with the noise floor tuned to
+/// the last ulp at which the canonical test still decodes (and to the
+/// first at which it does not). Each SINR lies within 1e-12 of β, far
+/// inside the engine's 1e-9 slack, so neither the ladder nor the bounded
+/// first pass of the fallback may certify it: every case must reach the
+/// canonical rescan, and only that rescan can match the exact tier.
+#[test]
+fn generic_alpha_knife_edge_reaches_the_canonical_rescan() {
+    let (alpha, beta, power) = (2.5, 1.5, 1.0);
+    let far = [(5.3, 6.1), (7.2, 1.7), (2.2, 7.4), (6.6, 6.9), (7.9, 4.4)];
+    let mut cases = 0u64;
+    for case in 0..16 {
+        let j = f64::from(case) / 16.0;
+        let mut positions = vec![
+            Point::new(0.05, 0.1),
+            Point::new(0.9 + 0.3 * j, 0.4 - 0.2 * j),
+        ];
+        positions.extend(
+            far.iter()
+                .map(|&(x, y)| Point::new(x + 0.1 * j, y - 0.05 * j)),
+        );
+        // Pad the bounding box to [0, 8]² for unit tiles under an 8×8 grid.
+        positions.push(Point::new(8.0, 8.0));
+        let tx: Vec<usize> = (1..7).collect();
+        let ls = [0usize];
+
+        let probe = SinrChannel::new(params_with(alpha, beta, 1.0, power));
+        let total = probe.interference_at(&positions, positions[0], &tx);
+        let best = power / fading_channel::pow_alpha(positions[1].distance_sq(positions[0]), alpha);
+        let edge = knife_edge_noise(best, total - best, beta);
+        for noise in [edge, f64::from_bits(edge.to_bits() + 1)] {
+            let params = params_with(alpha, beta, noise, power);
+            let ch = SinrChannel::new(params);
+            let sinr = ch.sinr(&positions, 1, 0, &tx);
+            assert!(
+                (sinr / beta - 1.0).abs() <= 1e-12,
+                "case {case}: SINR {sinr} is not a knife edge of beta {beta}"
+            );
+            let mut engine = tiled(&positions, &params, 8);
+            let exact = ch.resolve(&positions, &tx, &ls, &mut SmallRng::seed_from_u64(1));
+            let fast = round(
+                &ch,
+                &positions,
+                (&tx, &ls),
+                &mut engine,
+                &ChannelPerturbation::neutral(),
+                &mut SmallRng::seed_from_u64(1),
+            );
+            assert_eq!(exact, fast, "case {case}, noise {noise:e}");
+            let stats = engine.stats();
+            assert_eq!(stats.exact_fallbacks(), 1, "case {case}: {stats:?}");
+            assert_eq!(
+                stats.canonical_rescans, 1,
+                "case {case}: certification must refuse a knife edge: {stats:?}"
+            );
+            cases += 1;
+        }
+    }
+    assert_eq!(cases, 32);
 }

@@ -11,8 +11,12 @@
 //! property tests drive arbitrary deployments, transmitter/listener
 //! partitions, parameter draws, and perturbations (noise scaling +
 //! per-node jammer interference) through both paths for each path-loss
-//! exponent the experiments use (`α ∈ {2.5, 3, 4, 6}`), 256 cases per
-//! exponent. Two generator families deliberately stress the tree:
+//! exponent class — the integer fast paths `α ∈ {3, 4, 6}` and the
+//! generic `powf` class at `α ∈ {2.05, 2.5, 3.7}` — 256 cases per
+//! exponent. A knife-edge case pins decisions within 1e-12 of `β`: they
+//! must reach the exact fallback, through both the block and the tail
+//! fallback scans, and the tree — canonical at every α — never needs a
+//! canonical rescan. Two generator families deliberately stress the tree:
 //! **clustered** fields (tight blobs separated by hundreds of units, so
 //! coarse aggregates are accepted levels above the fine tiles) and
 //! **corridor** fields (long thin strips, so the ceil-halving pyramid
@@ -295,7 +299,45 @@ fn check_all_channels(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Decision-exactness oracle at the generic-powf exponent α = 2.5.
+    /// Decision-exactness oracle at E6's smallest exponent, α = 2.05, on
+    /// the clustered generator (the flattest path loss, where coarse far
+    /// aggregates weigh the most).
+    #[test]
+    fn hierarchical_equals_exact_alpha_2_05_clustered(
+        positions in arb_clustered_positions(),
+        roles in prop::collection::vec(0u8..4, 60),
+        beta in 1.0..4.0f64,
+        noise in 0.0..2.0f64,
+        power in 1.0..1e6f64,
+        drop_prob in 0.0..0.9f64,
+        jam_power in 0.0..100.0f64,
+        noise_scale in 0.25..4.0f64,
+        seed in any::<u64>(),
+    ) {
+        check_all_channels(
+            2.05, &positions, &roles, beta, noise, power, drop_prob, jam_power, noise_scale, seed,
+        );
+    }
+
+    /// Decision-exactness oracle at the generic-class exponent α = 3.7.
+    #[test]
+    fn hierarchical_equals_exact_alpha_3_7(
+        positions in arb_lattice_positions(2, 48),
+        roles in prop::collection::vec(0u8..4, 48),
+        beta in 1.0..4.0f64,
+        noise in 0.0..2.0f64,
+        power in 1.0..1e6f64,
+        drop_prob in 0.0..0.9f64,
+        jam_power in 0.0..100.0f64,
+        noise_scale in 0.25..4.0f64,
+        seed in any::<u64>(),
+    ) {
+        check_all_channels(
+            3.7, &positions, &roles, beta, noise, power, drop_prob, jam_power, noise_scale, seed,
+        );
+    }
+
+    /// Decision-exactness oracle at the generic-class exponent α = 2.5.
     #[test]
     fn hierarchical_equals_exact_alpha_2_5(
         positions in arb_lattice_positions(2, 48),
@@ -718,4 +760,74 @@ fn parallel_traversal_is_thread_count_invariant() {
         &mut SmallRng::seed_from_u64(5),
     );
     assert_thread_invariant(&mut engine, &ch, &positions, (&tx, &ls), &jammed, &exact);
+}
+
+/// Knife-edge decisions at the generic exponent α = 2.5, 40 of them in one
+/// listener chunk — one full `LISTENER_BLOCK` through the block scan and
+/// an 8-listener tail. Each listener has its own sender 0.58 units away
+/// and hears the other 39 as interference; its jammer term `extra` is
+/// tuned to the last ulp at which the canonical test still decodes (even
+/// listeners) or to the first at which it does not (odd ones). Every SINR
+/// lies within 1e-12 of β, so no bracket may settle it: all 40 must reach
+/// the exact fallback, at any thread count. The tree's fallback scans are
+/// canonical, so none of them is rescanned.
+#[test]
+fn generic_alpha_knife_edge_reaches_the_exact_fallback() {
+    let (alpha, beta, noise, power) = (2.5, 1.5, 1e-3, 1.0);
+    let params = params_with(alpha, beta, noise, power);
+    let ch = SinrChannel::new(params);
+    let mut positions = Vec::new();
+    let (mut tx, mut ls) = (Vec::new(), Vec::new());
+    for i in 0..40 {
+        let (x, y) = (f64::from(i % 8) * 4.0, f64::from(i / 8) * 4.0);
+        ls.push(positions.len());
+        positions.push(Point::new(x + 0.01 * f64::from(i), y));
+        tx.push(positions.len());
+        positions.push(Point::new(x + 0.5, y + 0.3));
+    }
+    let mut extra = vec![0.0; positions.len()];
+    for (k, &v) in ls.iter().enumerate() {
+        let at = positions[v];
+        let total = ch.interference_at(&positions, at, &tx);
+        let best = power / fading_channel::pow_alpha(positions[v + 1].distance_sq(at), alpha);
+        let interference = total - best;
+        let decodes = |e: f64| best >= beta * (noise + e + interference);
+        let up = |e: f64| f64::from_bits(e.to_bits() + 1);
+        let mut e = best / beta - noise - interference;
+        assert!(e > 0.0, "listener {v} cannot be tuned to a knife edge");
+        while !decodes(e) {
+            e = f64::from_bits(e.to_bits() - 1);
+        }
+        while decodes(up(e)) {
+            e = up(e);
+        }
+        extra[v] = if k % 2 == 0 { e } else { up(e) };
+        let sinr = best / (noise + extra[v] + interference);
+        assert!(
+            (sinr / beta - 1.0).abs() <= 1e-12,
+            "listener {v}: SINR {sinr}"
+        );
+    }
+    let jammed = ChannelPerturbation::new(1.0, &extra);
+    let exact = round(
+        &ch,
+        &positions,
+        (&tx, &ls),
+        &mut ResolveEngine::Exact,
+        &jammed,
+        &mut SmallRng::seed_from_u64(5),
+    );
+    assert_eq!(
+        exact.iter().filter(|r| r.is_message()).count(),
+        20,
+        "the even listeners decode, the odd ones do not"
+    );
+    let mut engine = tiled(&positions, &params, 8);
+    let stats = assert_thread_invariant(&mut engine, &ch, &positions, (&tx, &ls), &jammed, &exact);
+    assert_eq!(stats.listeners_resolved(), 40, "{stats:?}");
+    assert_eq!(stats.exact_fallbacks(), 40, "{stats:?}");
+    assert_eq!(
+        stats.canonical_rescans, 0,
+        "the tree's fallbacks are canonical: {stats:?}"
+    );
 }

@@ -115,7 +115,8 @@ pub struct EngineCounters {
     pub tier_demotions: u64,
     /// The per-rung decision-ladder counters, aggregated over **both**
     /// far-field engines (flat and hierarchical — they share the same
-    /// 5-rung ladder; all zero when neither engine served a round).
+    /// 5-rung ladder; all zero when neither engine served a round), plus
+    /// the `canonical_rescans` sub-count of their exact fallbacks.
     pub farfield: FarFieldStats,
 }
 

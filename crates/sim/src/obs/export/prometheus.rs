@@ -165,6 +165,11 @@ pub fn counters_to_prometheus(c: &EngineCounters) -> String {
             "Rounds the far-field engine resolved",
             c.farfield.rounds,
         ),
+        (
+            "fading_farfield_canonical_rescans_total",
+            "Exact fallbacks the bounded-kernel first pass could not settle",
+            c.farfield.canonical_rescans,
+        ),
     ] {
         header(&mut out, name, "counter", help);
         sample_line(&mut out, name, &[], v as f64);
@@ -441,6 +446,7 @@ pub fn counters_from_prometheus(text: &str) -> Result<EngineCounters, ExportErro
             far_rival_fallbacks: rung("far_rival_fallback")?,
             bracket_decisions: rung("bracket_decision")?,
             bracket_straddle_fallbacks: rung("bracket_straddle_fallback")?,
+            canonical_rescans: plain("fading_farfield_canonical_rescans_total")?,
         },
     })
 }

@@ -26,7 +26,7 @@ const MAGIC: [u8; 4] = *b"FSNP";
 
 /// Current snapshot format version. Bumped on any layout change; older
 /// readers reject newer snapshots with [`SnapshotError::VersionMismatch`].
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Why a snapshot could not be encoded, decoded, or restored.
 #[derive(Debug)]
@@ -469,6 +469,7 @@ impl Writer {
         self.u64(s.far_rival_fallbacks);
         self.u64(s.bracket_decisions);
         self.u64(s.bracket_straddle_fallbacks);
+        self.u64(s.canonical_rescans);
     }
     fn counters(&mut self, c: &EngineCounters) {
         self.u64(c.rounds);
@@ -585,6 +586,7 @@ impl<'a> Reader<'a> {
             far_rival_fallbacks: self.u64()?,
             bracket_decisions: self.u64()?,
             bracket_straddle_fallbacks: self.u64()?,
+            canonical_rescans: self.u64()?,
         })
     }
 
@@ -663,6 +665,8 @@ mod tests {
             engine_stats: FarFieldStats {
                 rounds: 5,
                 bracket_decisions: 40,
+                bracket_straddle_fallbacks: 3,
+                canonical_rescans: 2,
                 ..FarFieldStats::default()
             },
         }

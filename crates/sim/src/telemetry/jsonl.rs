@@ -684,7 +684,8 @@ pub fn counters_to_json(c: &EngineCounters) -> String {
          \"ff_rounds\":{},\"ff_empty_round_silences\":{},\
          \"ff_nonfinite_fallbacks\":{},\"ff_noise_floor_silences\":{},\
          \"ff_no_near_winner_fallbacks\":{},\"ff_far_rival_fallbacks\":{},\
-         \"ff_bracket_decisions\":{},\"ff_bracket_straddle_fallbacks\":{}}}",
+         \"ff_bracket_decisions\":{},\"ff_bracket_straddle_fallbacks\":{},\
+         \"ff_canonical_rescans\":{}}}",
         c.rounds,
         c.farfield_rounds,
         c.hierarchical_rounds,
@@ -710,6 +711,7 @@ pub fn counters_to_json(c: &EngineCounters) -> String {
         f.far_rival_fallbacks,
         f.bracket_decisions,
         f.bracket_straddle_fallbacks,
+        f.canonical_rescans,
     );
     s
 }
@@ -751,6 +753,7 @@ pub fn counters_from_json(line: &str) -> Result<EngineCounters, JsonlError> {
             far_rival_fallbacks: get_u64(f, "ff_far_rival_fallbacks")?,
             bracket_decisions: get_u64(f, "ff_bracket_decisions")?,
             bracket_straddle_fallbacks: get_u64(f, "ff_bracket_straddle_fallbacks")?,
+            canonical_rescans: get_u64(f, "ff_canonical_rescans")?,
         },
     })
 }
@@ -1156,6 +1159,7 @@ mod tests {
                 far_rival_fallbacks: 17,
                 bracket_decisions: 4000,
                 bracket_straddle_fallbacks: 19,
+                canonical_rescans: 7,
             },
         }
     }

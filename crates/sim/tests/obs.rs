@@ -221,6 +221,22 @@ fn real_run_counters_round_trip_through_prometheus_and_jsonl() {
     let line = jsonl::counters_to_json(&counters);
     let from_json = jsonl::counters_from_json(&line).unwrap();
     assert_eq!(from_json, counters, "JSONL round trip must be exact");
+
+    // The canonical-rescan sub-counter rides along too (an integer-α run
+    // never sets it, so set it by hand).
+    let mut rescanned = counters;
+    rescanned.farfield.canonical_rescans = 3;
+    let prom = prometheus::counters_to_prometheus(&rescanned);
+    assert!(
+        prom.contains("fading_farfield_canonical_rescans_total 3"),
+        "{prom}"
+    );
+    assert_eq!(
+        prometheus::counters_from_prometheus(&prom).unwrap(),
+        rescanned
+    );
+    let line = jsonl::counters_to_json(&rescanned);
+    assert_eq!(jsonl::counters_from_json(&line).unwrap(), rescanned);
 }
 
 #[test]
