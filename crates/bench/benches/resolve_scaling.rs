@@ -70,13 +70,13 @@ fn bench_resolve_scaling(c: &mut Criterion) {
         }
         drop(cache);
 
-        let mut engine = ResolveEngine::build(&sinr, EngineTier::FarField, &positions);
+        let mut engine = ResolveEngine::build(&sinr, EngineTier::Hierarchical, &positions);
         assert_eq!(
             engine.tier(),
-            EngineTier::FarField,
-            "farfield engine must build at any n"
+            EngineTier::Hierarchical,
+            "the tile tree must build at any n"
         );
-        group.bench_with_input(BenchmarkId::new("farfield", n), &n, |b, _| {
+        group.bench_with_input(BenchmarkId::new("hierarchical", n), &n, |b, _| {
             let mut rng = SmallRng::seed_from_u64(0);
             b.iter(|| round(&mut engine, &mut rng));
         });

@@ -1,6 +1,5 @@
 //! Hand-timed tier-scaling snapshot: per-round resolve cost of the exact
-//! scan, the gain cache, the flat far-field engine, and the hierarchical
-//! (tile-tree) engine at
+//! scan, the gain cache and the hierarchical (tile-tree) engine at
 //! `n ∈ {1024, 4096, 16384, 65536, 262144, 1048576}` (quadratic tiers are
 //! skipped above their ceilings), written as `BENCH_scaling.json`.
 //!
@@ -46,12 +45,6 @@ fn main() {
             println!(
                 "{:>7} {:>11} {:>6} {:>14.4}",
                 s.n, t.tier, t.iters, t.ms_per_round
-            );
-        }
-        if s.speedup_farfield_vs_exact > 0.0 {
-            println!(
-                "{:>7} {:>11} {:>6} {:>13.2}x",
-                s.n, "ff-speedup", "", s.speedup_farfield_vs_exact
             );
         }
         if s.speedup_hierarchical_vs_exact > 0.0 {

@@ -20,8 +20,9 @@ use crate::probe::{KernelSample, SizeSample};
 pub struct BaselineEntry {
     /// Number of deployed nodes.
     pub n: usize,
-    /// Tier name as committed (`"exact"`, `"gain-cache"`, `"farfield"`,
-    /// `"hierarchical"`).
+    /// Tier name as committed (`"exact"`, `"gain-cache"`,
+    /// `"hierarchical"`, or `"farfield"` for the flat engine an older
+    /// snapshot timed, which no probe measures any more).
     pub tier: String,
     /// Committed mean wall time per resolve round, in milliseconds.
     pub ms_per_round: f64,
@@ -226,15 +227,15 @@ mod tests {
     {
       "n": 1024,
       "tiers": [{"tier": "exact", "iters": 50, "ms_per_round": 2.0},
-                {"tier": "farfield", "iters": 80, "ms_per_round": 0.5}],
-      "speedup_farfield_vs_exact": 4.00,
-      "farfield_fallback_fraction": 0.01
+                {"tier": "hierarchical", "iters": 80, "ms_per_round": 0.5}],
+      "speedup_hierarchical_vs_exact": 4.00,
+      "hierarchical_fallback_fraction": 0.01
     }
   ]
 }"#
     }
 
-    fn measured(exact_ms: f64, far_ms: f64) -> Vec<SizeSample> {
+    fn measured(exact_ms: f64, tree_ms: f64) -> Vec<SizeSample> {
         vec![SizeSample {
             n: 1024,
             tiers: vec![
@@ -244,14 +245,12 @@ mod tests {
                     ms_per_round: exact_ms,
                 },
                 TierSample {
-                    tier: "farfield",
+                    tier: "hierarchical",
                     iters: 3,
-                    ms_per_round: far_ms,
+                    ms_per_round: tree_ms,
                 },
             ],
-            speedup_farfield_vs_exact: exact_ms / far_ms,
-            speedup_hierarchical_vs_exact: 0.0,
-            farfield_fallback_fraction: 0.0,
+            speedup_hierarchical_vs_exact: exact_ms / tree_ms,
             hierarchical_fallback_fraction: 0.0,
         }]
     }
@@ -263,7 +262,7 @@ mod tests {
         assert_eq!(entries[0].n, 1024);
         assert_eq!(entries[0].tier, "exact");
         assert!((entries[0].ms_per_round - 2.0).abs() < 1e-12);
-        assert_eq!(entries[1].tier, "farfield");
+        assert_eq!(entries[1].tier, "hierarchical");
     }
 
     #[test]
@@ -271,8 +270,10 @@ mod tests {
         let text = include_str!("../../../BENCH_scaling.json");
         let entries = parse_baseline(text).unwrap();
         assert!(
-            entries.iter().any(|e| e.n == 65536 && e.tier == "farfield"),
-            "committed baseline should cover the flat engine's range"
+            entries
+                .iter()
+                .any(|e| e.n == 65536 && e.tier == "hierarchical"),
+            "committed baseline should cover the tile tree at n = 65536"
         );
         assert!(
             entries
@@ -300,7 +301,7 @@ mod tests {
     #[test]
     fn threshold_separates_ok_from_regressed() {
         let baseline = parse_baseline(baseline_json()).unwrap();
-        // Exact 1.4x slower, farfield 2x slower: only farfield gates at 1.5.
+        // Exact 1.4x slower, the tree 2x slower: only the tree gates at 1.5.
         let verdicts = judge(&baseline, &measured(2.8, 1.0), 1.5);
         assert_eq!(verdicts.len(), 2);
         assert!(!verdicts[0].regressed, "1.4x is under a 1.5x threshold");

@@ -1,7 +1,7 @@
 //! The resolve-tier scaling probe shared by the `scaling` snapshot binary
 //! and the `bench-gate` regression gate: hand-timed per-round resolve cost
-//! of the exact scan, the gain cache, the flat far-field engine, and the
-//! hierarchical (tile-tree) engine over a size sweep, rendered as the
+//! of the exact scan, the gain cache and the hierarchical (tile-tree)
+//! engine over a size sweep, rendered as the
 //! `BENCH_scaling.json` schema.
 //!
 //! Timing is deliberately simple (adaptive iteration counts against a
@@ -28,12 +28,6 @@ pub const DEFAULT_SIZES: [usize; 6] = [1024, 4096, 16384, 65536, 262_144, 1_048_
 /// Largest size at which the probe times the exact scan — one exact round
 /// above this costs the better part of a minute.
 pub const EXACT_TIER_CEILING: usize = 65_536;
-/// Largest size at which the probe times the flat far-field engine: its
-/// tile grid is capped at `MAX_TILES_PER_SIDE`, so occupancy — and with it
-/// the near-ring scan — grows linearly in `n` past the cap. One size above
-/// [`EXACT_TIER_CEILING`] is kept so the hierarchical tier is cross-checked
-/// against an independent engine there.
-pub const FARFIELD_TIER_CEILING: usize = 262_144;
 /// Worker threads for the hierarchical tier's [`StealPool`] — the
 /// committed snapshot's parallel configuration.
 pub const HIER_PROBE_THREADS: usize = 8;
@@ -65,8 +59,7 @@ pub fn time_ms(mut f: impl FnMut(), budget_ms: f64) -> (u32, f64) {
 /// One timed resolve tier at one deployment size.
 #[derive(Clone, Debug)]
 pub struct TierSample {
-    /// Tier name: `"exact"`, `"gain-cache"`, `"farfield"`, or
-    /// `"hierarchical"`.
+    /// Tier name: `"exact"`, `"gain-cache"`, or `"hierarchical"`.
     pub tier: &'static str,
     /// Iterations the adaptive loop settled on.
     pub iters: u32,
@@ -82,13 +75,8 @@ pub struct SizeSample {
     /// Per-tier timings in ladder order (tiers above their ceiling are
     /// absent).
     pub tiers: Vec<TierSample>,
-    /// `exact ms / farfield ms`; 0 when either tier was not probed.
-    pub speedup_farfield_vs_exact: f64,
     /// `exact ms / hierarchical ms`; 0 when the exact tier was not probed.
     pub speedup_hierarchical_vs_exact: f64,
-    /// Fraction of flat far-field listener decisions that fell back to the
-    /// exact scan during the probe (0 when the tier was not probed).
-    pub farfield_fallback_fraction: f64,
     /// Fraction of hierarchical listener decisions that fell back to the
     /// exact scan during the probe.
     pub hierarchical_fallback_fraction: f64,
@@ -154,9 +142,8 @@ pub fn run_kernel_probe(budget_ms: f64) -> Vec<KernelSample> {
 
 /// Runs the scaling probe over `sizes`, timing each tier against
 /// `budget_ms_for(n)` milliseconds, asserting cross-tier exactness at
-/// every size (each probed tier's receptions must be byte-identical to
-/// the cheapest independent reference: the exact scan up to
-/// [`EXACT_TIER_CEILING`], the flat far-field engine above it). `report`
+/// every size up to [`EXACT_TIER_CEILING`] (each probed tier's receptions
+/// must be byte-identical to the exact scan's). `report`
 /// sees each completed [`SizeSample`] as it lands (the binaries print
 /// progressively; pass `|_| {}` for silence).
 ///
@@ -237,32 +224,9 @@ pub fn run_probe(
         }
         drop(cache);
 
-        let mut farfield_fallback_fraction = 0.0;
-        let far_rx = (n <= FARFIELD_TIER_CEILING).then(|| {
-            let mut engine = ResolveEngine::build(&sinr, EngineTier::FarField, &positions);
-            let receptions = round(&mut engine, &mut rng);
-            if let Some(reference) = &exact_rx {
-                assert_eq!(reference, &receptions, "farfield broke exactness at n={n}");
-            }
-            let (iters, ms) = time_ms(
-                || {
-                    round(&mut engine, &mut rng);
-                },
-                budget_ms,
-            );
-            tiers.push(TierSample {
-                tier: "farfield",
-                iters,
-                ms_per_round: ms,
-            });
-            farfield_fallback_fraction = engine.stats().fallback_fraction();
-            receptions
-        });
-
         let mut hier_engine = ResolveEngine::build(&sinr, EngineTier::Hierarchical, &positions);
         let hier_rx = round(&mut hier_engine, &mut rng);
-        // Cross-check against the cheapest independently computed tier.
-        if let Some(reference) = exact_rx.as_ref().or(far_rx.as_ref()) {
+        if let Some(reference) = &exact_rx {
             assert_eq!(reference, &hier_rx, "hierarchical broke exactness at n={n}");
         }
         let (iters, ms) = time_ms(
@@ -282,10 +246,6 @@ pub fn run_probe(
             .iter()
             .find(|t| t.tier == "exact")
             .map(|t| t.ms_per_round);
-        let far_ms = tiers
-            .iter()
-            .find(|t| t.tier == "farfield")
-            .map(|t| t.ms_per_round);
         let hier_ms = tiers
             .last()
             .expect("hierarchical sample always present")
@@ -293,12 +253,7 @@ pub fn run_probe(
         let sample = SizeSample {
             n,
             tiers,
-            speedup_farfield_vs_exact: match (exact_ms, far_ms) {
-                (Some(e), Some(f)) => e / f,
-                _ => 0.0,
-            },
             speedup_hierarchical_vs_exact: exact_ms.map_or(0.0, |e| e / hier_ms),
-            farfield_fallback_fraction,
             hierarchical_fallback_fraction,
         };
         report(&sample);
@@ -352,15 +307,9 @@ pub fn render_snapshot_json(samples: &[SizeSample], kernels: &[KernelSample]) ->
         }
         size_blocks.push(format!(
             "    {{\n      \"n\": {},\n      \"tiers\": [{tiers_json}],\n      \
-             \"speedup_farfield_vs_exact\": {:.2},\n      \
              \"speedup_hierarchical_vs_exact\": {:.2},\n      \
-             \"farfield_fallback_fraction\": {:.6},\n      \
              \"hierarchical_fallback_fraction\": {:.6}\n    }}",
-            s.n,
-            s.speedup_farfield_vs_exact,
-            s.speedup_hierarchical_vs_exact,
-            s.farfield_fallback_fraction,
-            s.hierarchical_fallback_fraction
+            s.n, s.speedup_hierarchical_vs_exact, s.hierarchical_fallback_fraction
         ));
     }
     let kernels_section = if kernels.is_empty() {
@@ -391,7 +340,8 @@ mod tests {
             samples[0].tiers.last().map(|t| t.tier),
             Some("hierarchical")
         );
-        assert!(samples[0].tier_ms("farfield").is_some());
+        assert!(samples[0].tier_ms("gain-cache").is_some());
+        assert!(samples[0].tier_ms("farfield").is_none());
         assert!(samples[0].speedup_hierarchical_vs_exact > 0.0);
         let json = render_snapshot_json(&samples, &[]);
         assert!(json.contains("\"bench\": \"resolve_scaling\""));
@@ -428,11 +378,9 @@ mod tests {
 
     #[test]
     fn tier_ceilings_cover_the_default_sweep() {
-        // The two largest default sizes must exercise the ceilings: one
-        // size runs hierarchical + farfield only, the top size runs
-        // hierarchical alone.
-        assert!(DEFAULT_SIZES.contains(&FARFIELD_TIER_CEILING));
-        assert!(DEFAULT_SIZES.iter().any(|&n| n > FARFIELD_TIER_CEILING));
-        const { assert!(EXACT_TIER_CEILING < FARFIELD_TIER_CEILING) };
+        // The exact scan cross-checks the tree at its ceiling, and the
+        // larger default sizes run the tree alone.
+        assert!(DEFAULT_SIZES.contains(&EXACT_TIER_CEILING));
+        assert!(DEFAULT_SIZES.iter().any(|&n| n > EXACT_TIER_CEILING));
     }
 }

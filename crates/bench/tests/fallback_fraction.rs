@@ -13,7 +13,10 @@
 //! * **Protocol rounds** (whole FKN runs, whose early rounds hold many
 //!   more listeners per transmitter than the probe). The bound (9%) sits
 //!   above the 5–6% the tile-tree engine measures with its ring-2 near
-//!   field, and below the 17–19% it measured with a ring-1 near field.
+//!   field, and below the 17–19% it measured with a ring-1 near field
+//!   (and the removed flat far-field engine measured at fkn-alpha's
+//!   shape). It is checked on a forced tree at n = 2¹⁴ and on the *auto*
+//!   tier at the benchmark's fkn-alpha shape (n = 2¹⁵, α = 2.5).
 
 use fading_bench::probe::run_probe;
 use fading_cr::channel::{EngineTier, SinrParams};
@@ -34,15 +37,6 @@ fn hierarchical_fallback_fraction_stays_low() {
             s.hierarchical_fallback_fraction <= MAX_FALLBACK_FRACTION,
             "hierarchical fallback fraction {:.4} at n={} exceeds {MAX_FALLBACK_FRACTION}",
             s.hierarchical_fallback_fraction,
-            s.n
-        );
-        // The flat engine is probed at these sizes too and shares the
-        // decision ladder; hold it to the same bar so a shared-ladder
-        // regression cannot hide in either engine.
-        assert!(
-            s.farfield_fallback_fraction <= MAX_FALLBACK_FRACTION,
-            "flat farfield fallback fraction {:.4} at n={} exceeds {MAX_FALLBACK_FRACTION}",
-            s.farfield_fallback_fraction,
             s.n
         );
     }
@@ -88,4 +82,39 @@ fn hierarchical_fallback_fraction_stays_low_on_protocol_rounds() {
             );
         }
     }
+}
+
+/// fkn-alpha's shape: FKN on a uniform deployment of this many nodes at
+/// α = 2.5 (density 0.25, single-hop power).
+const AUTO_TIER_N: usize = 1 << 15;
+
+#[test]
+fn auto_tier_fallback_fraction_stays_low_at_the_fkn_alpha_shape() {
+    let deployment = Deployment::uniform_density(AUTO_TIER_N, 0.25, 2016);
+    let params = SinrParams::builder()
+        .alpha(2.5)
+        .build()
+        .expect("valid path-loss exponent");
+    let scenario = Scenario::builder()
+        .deployment(deployment.clone())
+        .channel(ChannelKind::Sinr(params.with_power_for(&deployment)))
+        .protocol(ProtocolKind::fkn_default())
+        .build()
+        .expect("uniform deployments with scaled power are single-hop");
+    let mut sim = scenario.simulation_with_seed(1);
+    assert_eq!(
+        sim.tier(),
+        EngineTier::Hierarchical,
+        "auto must route n = 2^15 SINR to the tile tree"
+    );
+    let result = sim.run_until_resolved(100_000);
+    assert!(result.resolved());
+    let stats = sim.engine().stats();
+    assert!(stats.listeners_resolved() > 0);
+    let fraction = stats.fallback_fraction();
+    assert!(
+        fraction <= MAX_PROTOCOL_FALLBACK_FRACTION,
+        "auto-tier protocol-round fallback fraction {fraction:.4} exceeds \
+         {MAX_PROTOCOL_FALLBACK_FRACTION}: {stats:?}"
+    );
 }

@@ -11,21 +11,11 @@
 use fading_geom::Point;
 
 use crate::{
-    Channel, FarFieldEngine, FarFieldStats, GainCache, HierarchicalFarFieldEngine, NodeId,
+    Channel, FarFieldStats, GainCache, HierarchicalFarFieldEngine, NodeId,
     DEFAULT_MAX_CACHED_NODES, RAYLEIGH_CACHE_PROFITABLE_NODES,
 };
 
-/// Deployment size above which [`EngineTier::auto`] picks the
-/// hierarchical (tile-tree) tier for the SINR family.
-///
-/// Below this the flat [`FarFieldEngine`] is already fast — its tile-pair
-/// tables are capped at `MAX_TILES_PER_SIDE²` entries — and the tree
-/// traversal's extra bookkeeping buys nothing. Above it the flat engine's
-/// per-listener far-field refresh starts scanning tens of thousands of
-/// tiles and the `O(log)`-depth tree takes over.
-pub const HIERARCHICAL_AUTO_THRESHOLD: usize = 65_536;
-
-/// The four resolve tiers, lowest first. Each tier a channel supports
+/// The three resolve tiers, lowest first. Each tier a channel supports
 /// resolves bit-identically to every other; they differ only in speed
 /// and memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -34,18 +24,15 @@ pub enum EngineTier {
     Exact,
     /// The precomputed `n × n` [`GainCache`].
     GainCache,
-    /// The flat tile-pair [`FarFieldEngine`].
-    FarField,
     /// The tile-tree [`HierarchicalFarFieldEngine`].
     Hierarchical,
 }
 
 impl EngineTier {
     /// Every tier, lowest first.
-    pub const ALL: [EngineTier; 4] = [
+    pub const ALL: [EngineTier; 3] = [
         EngineTier::Exact,
         EngineTier::GainCache,
-        EngineTier::FarField,
         EngineTier::Hierarchical,
     ];
 
@@ -55,7 +42,6 @@ impl EngineTier {
         match self {
             EngineTier::Exact => "exact",
             EngineTier::GainCache => "gain_cache",
-            EngineTier::FarField => "farfield",
             EngineTier::Hierarchical => "hierarchical",
         }
     }
@@ -66,16 +52,14 @@ impl EngineTier {
         match self {
             EngineTier::Exact => None,
             EngineTier::GainCache => Some(EngineTier::Exact),
-            EngineTier::FarField => Some(EngineTier::GainCache),
-            EngineTier::Hierarchical => Some(EngineTier::FarField),
+            EngineTier::Hierarchical => Some(EngineTier::GainCache),
         }
     }
 
     /// The default tier for `channel` over a deployment of `n` nodes:
     ///
     /// * the SINR family (channels served up to the tile tree): the gain
-    ///   cache up to [`DEFAULT_MAX_CACHED_NODES`], the flat far-field
-    ///   engine up to [`HIERARCHICAL_AUTO_THRESHOLD`], the tile tree above;
+    ///   cache up to [`DEFAULT_MAX_CACHED_NODES`], the tile tree above;
     /// * channels served at most by the gain cache (Rayleigh, whose
     ///   per-pair fades rule out pruning): the cache up to
     ///   [`RAYLEIGH_CACHE_PROFITABLE_NODES`], the exact scan above — past
@@ -85,15 +69,8 @@ impl EngineTier {
     #[must_use]
     pub fn auto(channel: &dyn Channel, n: usize) -> EngineTier {
         match channel.max_tier() {
-            EngineTier::Hierarchical | EngineTier::FarField => {
-                if n <= DEFAULT_MAX_CACHED_NODES {
-                    EngineTier::GainCache
-                } else if n <= HIERARCHICAL_AUTO_THRESHOLD {
-                    EngineTier::FarField
-                } else {
-                    EngineTier::Hierarchical
-                }
-            }
+            EngineTier::Hierarchical if n > DEFAULT_MAX_CACHED_NODES => EngineTier::Hierarchical,
+            EngineTier::Hierarchical => EngineTier::GainCache,
             EngineTier::GainCache if n <= RAYLEIGH_CACHE_PROFITABLE_NODES => EngineTier::GainCache,
             _ => EngineTier::Exact,
         }
@@ -113,10 +90,9 @@ pub enum ResolveEngine {
     Exact,
     /// Precomputed pairwise gains.
     GainCache(GainCache),
-    /// Flat tile-pair far-field bounds.
-    FarField(FarFieldEngine),
-    /// Tile-tree far-field bounds.
-    Hierarchical(HierarchicalFarFieldEngine),
+    /// Tile-tree far-field bounds (boxed: the engine's round state is
+    /// far larger than the other variants).
+    Hierarchical(Box<HierarchicalFarFieldEngine>),
 }
 
 impl ResolveEngine {
@@ -124,7 +100,7 @@ impl ResolveEngine {
     /// for `positions`: a tier above [`Channel::max_tier`] is skipped, as
     /// is one whose own guard refuses the deployment (the gain cache past
     /// [`DEFAULT_MAX_CACHED_NODES`], an empty or non-finite deployment for
-    /// the tiled engines). Falls back to [`ResolveEngine::Exact`].
+    /// the tile tree). Falls back to [`ResolveEngine::Exact`].
     #[must_use]
     pub fn build(channel: &dyn Channel, tier: EngineTier, positions: &[Point]) -> ResolveEngine {
         let params = channel.sinr_params();
@@ -136,11 +112,9 @@ impl ResolveEngine {
                 (EngineTier::GainCache, Some(p)) => {
                     GainCache::build(positions, p).map(ResolveEngine::GainCache)
                 }
-                (EngineTier::FarField, Some(p)) => {
-                    FarFieldEngine::build(positions, p).map(ResolveEngine::FarField)
-                }
                 (EngineTier::Hierarchical, Some(p)) => {
-                    HierarchicalFarFieldEngine::build(positions, p).map(ResolveEngine::Hierarchical)
+                    HierarchicalFarFieldEngine::build(positions, p)
+                        .map(|e| ResolveEngine::Hierarchical(Box::new(e)))
                 }
             };
             if let Some(engine) = engine {
@@ -157,16 +131,14 @@ impl ResolveEngine {
         match self {
             ResolveEngine::Exact => EngineTier::Exact,
             ResolveEngine::GainCache(_) => EngineTier::GainCache,
-            ResolveEngine::FarField(_) => EngineTier::FarField,
             ResolveEngine::Hierarchical(_) => EngineTier::Hierarchical,
         }
     }
 
-    /// Marks node `w` inactive in the tiled engines' occupancy counts
+    /// Marks node `w` inactive in the tile tree's occupancy counts
     /// (a no-op for the untiled tiers). Idempotent.
     pub fn deactivate(&mut self, w: NodeId) {
         match self {
-            ResolveEngine::FarField(e) => e.deactivate(w),
             ResolveEngine::Hierarchical(e) => e.deactivate(w),
             ResolveEngine::Exact | ResolveEngine::GainCache(_) => {}
         }
@@ -176,18 +148,16 @@ impl ResolveEngine {
     /// [`ResolveEngine::deactivate`], for revived nodes. Idempotent.
     pub fn activate(&mut self, w: NodeId) {
         match self {
-            ResolveEngine::FarField(e) => e.activate(w),
             ResolveEngine::Hierarchical(e) => e.activate(w),
             ResolveEngine::Exact | ResolveEngine::GainCache(_) => {}
         }
     }
 
-    /// The tiled engines' decision-ladder counters (all zero for the
-    /// untiled tiers).
+    /// The tile tree's decision-ladder counters (all zero for the untiled
+    /// tiers).
     #[must_use]
     pub fn stats(&self) -> FarFieldStats {
         match self {
-            ResolveEngine::FarField(e) => e.stats(),
             ResolveEngine::Hierarchical(e) => e.stats(),
             ResolveEngine::Exact | ResolveEngine::GainCache(_) => FarFieldStats::default(),
         }
@@ -197,7 +167,6 @@ impl ResolveEngine {
     /// no-op for the untiled tiers).
     pub fn set_stats(&mut self, stats: FarFieldStats) {
         match self {
-            ResolveEngine::FarField(e) => e.set_stats(stats),
             ResolveEngine::Hierarchical(e) => e.set_stats(stats),
             ResolveEngine::Exact | ResolveEngine::GainCache(_) => {}
         }
@@ -250,9 +219,11 @@ mod tests {
             let auto = |n| EngineTier::auto(ch, n);
             assert_eq!(auto(1), EngineTier::GainCache);
             assert_eq!(auto(4096), EngineTier::GainCache);
-            assert_eq!(auto(4097), EngineTier::FarField);
-            assert_eq!(auto(65_536), EngineTier::FarField);
-            assert_eq!(auto(65_537), EngineTier::Hierarchical);
+            // Every SINR-family deployment past the cache guard runs on
+            // the tile tree.
+            for n in [4097, 1 << 15, 65_536, 65_537, 1 << 18] {
+                assert_eq!(auto(n), EngineTier::Hierarchical, "n = {n}");
+            }
         }
         let rayleigh = RayleighSinrChannel::new(params);
         assert_eq!(EngineTier::auto(&rayleigh, 1024), EngineTier::GainCache);

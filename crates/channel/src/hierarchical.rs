@@ -1,16 +1,19 @@
-//! The hierarchical far-field engine: Barnes–Hut-style tile-tree resolve
-//! with the same **decision-exactness** contract as [`FarFieldEngine`].
+//! The tile-tree far-field engine: a Barnes–Hut-style resolve with a
+//! **decision-exactness** contract — its receptions are bit-identical to
+//! the exact scan's on every input.
 //!
-//! # Why a hierarchy
+//! # The idea
 //!
-//! The flat engine precomputes gain bounds for every tile *pair*, which is
-//! quadratic in tile count: capping the tables ([`MAX_TILES_PER_SIDE`])
-//! keeps memory bounded but forces tile occupancy — and with it the exact
-//! near-scan cost per listener — to grow linearly with `n`. The
-//! [`TileTree`] removes the quadratic table: fine tiles stay small (near
-//! scans stay O(occupancy)), and the far field is aggregated against
-//! tree nodes chosen per listener tile by an opening criterion, touching
-//! O(log n) nodes per traversal with **no** pairwise precompute.
+//! The paper's Lemmas 3–4 bound a listener's far interference annulus by
+//! annulus, each annulus by its population times the extremal gain over
+//! it. The engine turns that argument into a certificate. A [`TileTree`]
+//! partitions the deployment into small fine tiles and aggregates them
+//! into a pyramid of content bboxes; per round, every listener scans its
+//! **near field** (the fine tiles within [`HIER_NEAR_RING`] of its own)
+//! exactly and brackets the rest, `I_lo ≤ I_far ≤ I_hi`, from tree nodes
+//! chosen by an opening criterion. The decision ladder (`farfield.rs`)
+//! then settles the reception from the near scan and the bracket, or
+//! sends the listener to the exact scan when the bracket cannot.
 //!
 //! # The traversal
 //!
@@ -19,10 +22,9 @@
 //! each distinct listener tile the engine walks the tree from the root:
 //!
 //! * nodes with no transmitters beneath them are skipped;
-//! * nodes whose fine-tile span intersects the listener's near ring
-//!   ([`HIER_NEAR_RING`] tiles, wider than the flat engine's
-//!   [`NEAR_RING`](crate::NEAR_RING)) are descended (their mass may include
-//!   near transmitters, which the exact near scan owns);
+//! * nodes whose fine-tile span intersects the listener's near ring are
+//!   descended (their mass may include near transmitters, which the exact
+//!   near scan owns);
 //! * far nodes are **accepted** when their certified distance bracket is
 //!   tight — `d_max² ≤ [`HIER_ACCEPT_RATIO_SQ`] · d_min²` — contributing
 //!   `mass × [P/d_max^α, P/d_min^α]` to the interference bracket (and the
@@ -37,94 +39,92 @@
 //!
 //! Every transmitter therefore lands in exactly one accepted node or in
 //! the near scan, and every accepted bracket is certified by the tree's
-//! content bboxes — so the 5-rung decision ladder ([`decide_ladder`]) and
-//! its exactness argument carry over verbatim from the flat engine. The
-//! receptions are **bit-identical** to the exact scan on
-//! all inputs; `tests/farfield_equivalence.rs` and
+//! content bboxes, so the 5-rung decision ladder's exactness argument
+//! holds. `tests/hierarchical_equivalence.rs` and
 //! `tests/hierarchical_bounds.rs` enforce it end to end.
 //!
-//! # In-round parallelism
+//! # Generic α
 //!
-//! Both halves of a round run on a [`ChunkExecutor`] through
-//! [`map_ordered`], in fixed-size chunks that never depend on the thread
-//! count, so any executor scheduling produces byte-identical results:
+//! For α ∈ {2, 3, 4, 6} every gain the engine computes is the canonical
+//! expression. For any other α (up to the bounded kernel's range) the
+//! traversal's node gains, the near scans and the first pass of every
+//! exact fallback run through the crate's bounded generic-α kernel, whose
+//! gains lie within `2δ` (δ = 2⁻⁴⁰) of the canonical ones: node gains are
+//! widened by that error, the ladder widens the near best signal by it,
+//! and a fallback whose bounded bracket cannot settle the listener is
+//! rescanned canonically. DESIGN.md §10.2 has the argument.
 //!
-//! * **Traversals.** The round's distinct listener tiles are collected
-//!   serially in first-seen order and traversed in [`HIER_TILE_CHUNK`]-tile
-//!   chunks. Each tile's aggregate comes from the same sequential walk
-//!   whichever thread runs it, and the aggregates are written back in
-//!   order.
-//! * **Decisions.** Listeners are split into [`HIER_CHUNK`]-sized chunks.
-//!   Each chunk runs the ladder per listener and collects the listeners
-//!   the ladder leaves undecided; those exact fallbacks are then resolved
-//!   [`LISTENER_BLOCK`] at a time through the fused [`scan_block`] kernel
-//!   (each lane bit-identical to the scalar fold), the tail one by one.
-//!   The per-chunk ladder counters are summed (u64 addition —
-//!   commutative).
+//! # The tile-major round
+//!
+//! A round is one parallel pass over the round's listener tiles, run on a
+//! [`ChunkExecutor`] through [`map_ordered`] in fixed [`HIER_TILE_CHUNK`]
+//! tile chunks that never depend on the thread count:
+//!
+//! 1. **Serial prepare.** Bucket the transmitters and build the mass
+//!    pyramid; bucket the listeners by fine tile (tiles in first-seen
+//!    order, slice order within a tile).
+//! 2. **Per tile.** Traverse the tree for the tile's far bracket, gather
+//!    the tile's near transmitters once into chunk-local SoA scratch in
+//!    slice order, and scan the tile's listeners against it
+//!    [`LISTENER_BLOCK`] at a time through the fused block scan (the tail
+//!    through a gain batch and [`fold_scan`]). A slice-order fold's first
+//!    strict maximum is the lowest slice index among the maxima — the
+//!    canonical winner rule — so each fold feeds the ladder directly.
+//! 3. **Per chunk.** The listeners the ladder left to the exact scan are
+//!    resolved [`LISTENER_BLOCK`] at a time over all transmitters, the
+//!    tail one by one, and the chunk's receptions are written into their
+//!    listener slots.
+//!
+//! Each chunk computes the same bits on whichever thread runs it, every
+//! listener slot is written by exactly one chunk, and the per-chunk
+//! ladder counters are u64 sums, so scheduling cannot reach the results.
 
-use fading_geom::{Point, PointsSoA, TileTree};
+use std::sync::{Mutex, PoisonError};
+
+use fading_geom::{Point, PointsSoA, TileIndex, TileTree};
 
 use crate::exec::{map_ordered, ChunkExecutor};
-use crate::farfield::{decide_ladder, finish_exact, Decision, DecisionInputs};
-use crate::kernels::{gain_batch, scan_block, LISTENER_BLOCK};
-use crate::sinr::{scan_transmitters_soa, ScanOutcome};
+use crate::farfield::{decide_ladder, finish_fallback, Decision, DecisionInputs};
+use crate::kernels::{
+    fold_scan, gain_batch_with, pow_alpha_batch_with, scan_block_with, with_bounded_kernel,
+    AlphaKernel, ScanFold, LISTENER_BLOCK,
+};
+use crate::sinr::{scan_soa_with, scan_transmitters_soa, ScanOutcome};
 use crate::{
-    pow_alpha, ChannelPerturbation, FarFieldStats, NodeId, Reception, SinrParams,
-    FARFIELD_REL_SLACK,
+    ChannelPerturbation, FarFieldStats, NodeId, Reception, SinrParams, FARFIELD_REL_SLACK,
 };
 
-/// Average number of nodes per *fine* tile the hierarchical engine aims
-/// for. Matches the flat engine's occupancy target, but without the flat
-/// engine's tile-count cap the occupancy actually stays at this value as
-/// `n` grows.
+/// Average number of nodes per *fine* tile the engine aims for: small
+/// enough that a listener tile's ring-2 near field (25 fine tiles) stays
+/// cheap to scan exactly, large enough that the tree stays shallow.
 pub const HIER_TARGET_TILE_OCCUPANCY: usize = 64;
 
 /// Upper bound on fine tiles per side (memory is linear in tile count —
-/// `512² = 262144` fine tiles ≈ a few MB of aggregates — so the cap is
-/// far above [`MAX_TILES_PER_SIDE`](crate::MAX_TILES_PER_SIDE)).
+/// `512² = 262144` fine tiles ≈ a few MB of per-tile state).
 pub const HIER_MAX_TILES_PER_SIDE: usize = 512;
 
 /// Opening criterion: a far tree node is accepted as one aggregate when
 /// `d_max² ≤ ratio · d_min²` between the listener tile's and the node's
 /// content bboxes (i.e. `d_max ≤ 1.5·d_min`), otherwise its children are
 /// visited. Smaller = tighter brackets but deeper traversals; 2.25 keeps
-/// the worst accepted gain ratio `(d_max/d_min)^α` comparable to the flat
-/// engine's near-far tile pairs while still aggregating geometrically.
+/// the worst accepted gain ratio `(d_max/d_min)^α` small while still
+/// aggregating geometrically.
 pub const HIER_ACCEPT_RATIO_SQ: f64 = 2.25;
 
-/// Chebyshev fine-tile radius of the tree engine's near field: tiles
-/// within this ring of the listener's tile are scanned exactly. Wider than
-/// the flat engine's [`NEAR_RING`](crate::NEAR_RING); see the
-/// [module docs](self) for why.
+/// Chebyshev fine-tile radius of the near field: tiles within this ring
+/// of the listener's tile are scanned exactly. The module docs say why it
+/// is 2 rather than 1.
 pub const HIER_NEAR_RING: usize = 2;
 
-/// Listeners per parallel chunk. Fixed (never derived from thread count)
-/// so chunk boundaries — and thus all floating-point accumulation orders —
-/// are identical under any executor.
-pub const HIER_CHUNK: usize = 1024;
-
-/// Distinct listener tiles per parallel traversal task. Fixed for the same
-/// reason as [`HIER_CHUNK`]; each tile's walk is sequential either way.
+/// Listener tiles per parallel task. Fixed (never derived from thread
+/// count) so chunk boundaries — and with them which listeners share a
+/// block scan — are identical under any executor.
 pub const HIER_TILE_CHUNK: usize = 64;
-
-/// Chunk-local buffers for [`HierarchicalFarFieldEngine`]'s parallel
-/// listener phase: one per chunk closure, so concurrent
-/// `decide_listener` calls never share mutable state.
-#[derive(Debug, Default)]
-struct NearScratch {
-    /// Per-near-tile batched gains (bucket order).
-    near_gains: Vec<f64>,
-    /// Exact-fallback gains over all transmitters (slice order), for the
-    /// tail that does not fill a [`LISTENER_BLOCK`].
-    fallback_gains: Vec<f64>,
-    /// Chunk offsets of the listeners the ladder left to the exact scan.
-    pending: Vec<usize>,
-}
 
 /// Multi-resolution far-field engine over a [`TileTree`]. Built once per
 /// deployment by
-/// [`ResolveEngine::build`](crate::ResolveEngine::build);
-/// see the [module docs](self) for the traversal and its exactness
+/// [`ResolveEngine::build`](crate::ResolveEngine::build); the
+/// `hierarchical` module docs describe the traversal and its exactness
 /// argument.
 #[derive(Debug)]
 pub struct HierarchicalFarFieldEngine {
@@ -142,17 +142,11 @@ pub struct HierarchicalFarFieldEngine {
     /// SoA mirror of the build positions, feeding the batched kernels
     /// (coherent with `positions` whenever `matches` holds).
     soa: PointsSoA,
-    /// Per-round transmitter buckets per fine tile: `(node, slice index)`.
-    tx_in_tile: Vec<Vec<(u32, u32)>>,
-    /// Per-tile contiguous transmitter coordinates, parallel to
-    /// `tx_in_tile` (bucket order), so near-ring scans run as one fused
-    /// gain batch per tile.
-    tx_x_in_tile: Vec<Vec<f64>>,
-    tx_y_in_tile: Vec<Vec<f64>>,
-    /// Round-level gathered transmitter coordinates (slice order) for the
-    /// batched exact fallback. Written during the serial prepare phase,
-    /// read-only during the parallel phases (gain buffers are chunk-local
-    /// — see [`NearScratch`]).
+    /// Per-round transmitter slice indices per fine tile, ascending.
+    tx_in_tile: Vec<Vec<u32>>,
+    /// Round-level gathered transmitter coordinates (slice order): the
+    /// source of every near gather and exact fallback. Written during the
+    /// serial prepare, read-only during the parallel pass.
     tx_xs: Vec<f64>,
     tx_ys: Vec<f64>,
     /// Per-round transmitter count under each tree node, per level.
@@ -160,14 +154,151 @@ pub struct HierarchicalFarFieldEngine {
     /// Nodes touched this round, per level (level 0 doubles as the list of
     /// fine tiles whose `tx_in_tile` bucket needs clearing).
     touched: Vec<Vec<u32>>,
-    /// Per-listener-tile far aggregates `(lo, hi, cap)`, valid for the
-    /// tiles whose `far_stamp` equals the current round's `stamp`.
-    far: Vec<(f64, f64, f64)>,
-    far_stamp: Vec<u64>,
-    stamp: u64,
-    /// This round's distinct listener tiles, in first-seen order.
-    listener_tiles: Vec<u32>,
     stats: FarFieldStats,
+}
+
+/// A round's listeners bucketed by fine tile: `tiles` in first-seen
+/// order, and `order[starts[i]..starts[i + 1]]` the slots (indices into
+/// the listener slice) of tile `tiles[i]`'s listeners, ascending.
+struct ListenerBuckets {
+    tiles: Vec<u32>,
+    starts: Vec<u32>,
+    order: Vec<u32>,
+}
+
+impl ListenerBuckets {
+    /// A counting sort of `listeners` by fine tile.
+    fn new(fine: &TileIndex, listeners: &[NodeId]) -> Self {
+        // Per-tile listener counts, then reused as each tile's write
+        // cursor.
+        let mut cursor = vec![0u32; fine.num_tiles()];
+        let mut tiles = Vec::new();
+        for &v in listeners {
+            let t = fine.tile_of(v);
+            if cursor[t] == 0 {
+                tiles.push(t as u32);
+            }
+            cursor[t] += 1;
+        }
+        let mut starts = Vec::with_capacity(tiles.len() + 1);
+        let mut next = 0u32;
+        for &t in &tiles {
+            starts.push(next);
+            next += std::mem::replace(&mut cursor[t as usize], next);
+        }
+        starts.push(next);
+        let mut order = vec![0u32; listeners.len()];
+        for (slot, &v) in listeners.iter().enumerate() {
+            let c = &mut cursor[fine.tile_of(v)];
+            order[*c as usize] = slot as u32;
+            *c += 1;
+        }
+        ListenerBuckets {
+            tiles,
+            starts,
+            order,
+        }
+    }
+
+    /// The bucket positions `[start, end)` of tiles `first..last`.
+    fn span(&self, first: usize, last: usize) -> std::ops::Range<usize> {
+        self.starts[first] as usize..self.starts[last] as usize
+    }
+}
+
+/// The far nodes one traversal accepted, in acceptance order, for kernel
+/// classes whose `pow` is worth a vectorized batch (the bounded generic-α
+/// kernel: a long polynomial the traversal's own latency cannot hide).
+#[derive(Debug, Default)]
+struct FarNodes {
+    mass: Vec<f64>,
+    d_min_sq: Vec<f64>,
+    d_max_sq: Vec<f64>,
+    /// `pow_alpha` of the two distance columns, filled by the batch.
+    pow_min: Vec<f64>,
+    pow_max: Vec<f64>,
+}
+
+impl FarNodes {
+    fn clear(&mut self) {
+        self.mass.clear();
+        self.d_min_sq.clear();
+        self.d_max_sq.clear();
+    }
+
+    /// Folds the accepted nodes into `(lo, hi, cap)` in acceptance order,
+    /// with each node's gains exactly as the traversal would compute them
+    /// one at a time: one vectorized `pow` batch per distance column,
+    /// then the same per-node expressions and accumulation order.
+    fn fold<K: AlphaKernel>(&mut self, k: K, p: f64, bounds: &mut (f64, f64, f64)) {
+        let (widen_lo, widen_hi) = (1.0 - K::GAIN_REL_ERR, 1.0 + K::GAIN_REL_ERR);
+        let n = self.mass.len();
+        self.pow_min.resize(n, 0.0);
+        self.pow_max.resize(n, 0.0);
+        pow_alpha_batch_with(k, &self.d_min_sq, &mut self.pow_min);
+        pow_alpha_batch_with(k, &self.d_max_sq, &mut self.pow_max);
+        let (lo, hi, cap) = bounds;
+        for ((&m, &pw_min), &pw_max) in self.mass.iter().zip(&self.pow_min).zip(&self.pow_max) {
+            *lo += m * ((p / pw_max) * widen_lo);
+            let g_hi = (p / pw_min) * widen_hi;
+            *hi += m * g_hi;
+            *cap = cap.max(g_hi);
+        }
+    }
+}
+
+/// Chunk-local scratch of the parallel pass: one per task, so concurrent
+/// tasks never share mutable state.
+#[derive(Debug, Default)]
+struct ChunkScratch {
+    /// Traversal stack of `(level, col, row)` node addresses.
+    stack: Vec<(usize, usize, usize)>,
+    /// The current traversal's accepted far nodes (bounded kernel only).
+    far: FarNodes,
+    /// The current tile's near transmitters: slice indices (ascending)
+    /// and their coordinates, parallel.
+    near_idx: Vec<u32>,
+    near_x: Vec<f64>,
+    near_y: Vec<f64>,
+    /// Gain buffer for single-listener scans.
+    gains: Vec<f64>,
+    /// Positions (into the chunk's slots) of the listeners the ladder
+    /// left to the exact scan.
+    pending: Vec<usize>,
+}
+
+/// What every listener of a round shares: the inputs of its decision.
+struct RoundInputs<'a> {
+    positions: &'a [Point],
+    transmitters: &'a [NodeId],
+    listeners: &'a [NodeId],
+    perturbation: Option<&'a ChannelPerturbation<'a>>,
+    noise: f64,
+    beta: f64,
+}
+
+impl RoundInputs<'_> {
+    /// Listener `v`'s jammer term, when the round is perturbed.
+    fn extra(&self, v: NodeId) -> Option<f64> {
+        self.perturbation.map(|pt| pt.extra_at(v))
+    }
+}
+
+/// The coordinates of the (at most [`LISTENER_BLOCK`]) listeners at
+/// positions `block` of `order`.
+fn block_coords(
+    round: &RoundInputs<'_>,
+    order: &[u32],
+    block: impl IntoIterator<Item = usize>,
+) -> ([f64; LISTENER_BLOCK], [f64; LISTENER_BLOCK]) {
+    let mut vx = [0.0; LISTENER_BLOCK];
+    let mut vy = [0.0; LISTENER_BLOCK];
+    for (j, pos) in block.into_iter().enumerate() {
+        let vp = round.positions[round.listeners[order[pos] as usize]];
+        vx[j] = vp.x;
+        vy[j] = vp.y;
+    }
+    (vx, vy)
 }
 
 impl HierarchicalFarFieldEngine {
@@ -218,16 +349,12 @@ impl HierarchicalFarFieldEngine {
             num_alive: positions.len(),
             soa: PointsSoA::from_points(positions),
             tx_in_tile: vec![Vec::new(); num_fine],
-            tx_x_in_tile: vec![Vec::new(); num_fine],
-            tx_y_in_tile: vec![Vec::new(); num_fine],
             tx_xs: Vec::new(),
             tx_ys: Vec::new(),
-            tx_count: (0..num_levels).map(|l| vec![0u32; tree.num_nodes(l)]).collect(),
+            tx_count: (0..num_levels)
+                .map(|l| vec![0u32; tree.num_nodes(l)])
+                .collect(),
             touched: vec![Vec::new(); num_levels],
-            far: vec![(0.0, 0.0, 0.0); num_fine],
-            far_stamp: vec![0; num_fine],
-            stamp: 0,
-            listener_tiles: Vec::new(),
             stats: FarFieldStats::default(),
             tree,
         })
@@ -236,7 +363,7 @@ impl HierarchicalFarFieldEngine {
     /// Whether this engine was built over exactly these `positions` and
     /// SINR parameters (size, power, α, and a first/last position
     /// fingerprint — the same discipline as
-    /// [`FarFieldEngine::matches`](crate::FarFieldEngine::matches)).
+    /// [`GainCache::matches`](crate::GainCache::matches)).
     #[must_use]
     pub fn matches(&self, positions: &[Point], params: &SinrParams) -> bool {
         self.n == positions.len()
@@ -305,17 +432,21 @@ impl HierarchicalFarFieldEngine {
         &self.tree
     }
 
-    /// The far-field aggregate `(lo, hi, cap)` the last round with
-    /// transmitters computed for listener fine tile `t`, or `None` when no
-    /// listener of that round sat in `t`. Exposed so tests can pin the
-    /// aggregates' bits across thread counts.
+    /// The far-field aggregate `(lo, hi, cap)` a listener in fine tile `t`
+    /// gets over the last round's transmitters (the same traversal the
+    /// round ran), or `None` when `t` holds no node. Exposed so tests can
+    /// pin a traversal's bracket.
     ///
     /// # Panics
     ///
     /// Panics if `t` is out of range.
     #[must_use]
     pub fn far_aggregate(&self, t: usize) -> Option<(f64, f64, f64)> {
-        (self.stamp > 0 && self.far_stamp[t] == self.stamp).then(|| self.far[t])
+        self.tree.fine().content_bbox(t)?;
+        let (mut stack, mut far) = (Vec::new(), FarNodes::default());
+        Some(with_bounded_kernel!(self.alpha, |k| self.traverse(
+            k, t, &mut stack, &mut far
+        )))
     }
 
     /// Decision counters accumulated so far.
@@ -336,12 +467,24 @@ impl HierarchicalFarFieldEngine {
         self.stats = stats;
     }
 
-    /// One Barnes–Hut traversal: the far-field aggregate `(lo, hi, cap)`
-    /// for listeners in fine tile `lt`, over this round's transmitter
-    /// masses. `stack` is caller-provided scratch of `(level, col, row)`
-    /// node addresses; children are pushed in row-major order, so the
-    /// accumulation order is a function of the tree and the masses alone.
-    fn traverse(&self, lt: usize, stack: &mut Vec<(usize, usize, usize)>) -> (f64, f64, f64) {
+    /// One Barnes–Hut traversal through kernel `k`: the far-field
+    /// aggregate `(lo, hi, cap)` for listeners in fine tile `lt`, over
+    /// this round's transmitter masses, each node gain widened by `k`'s
+    /// [`GAIN_REL_ERR`](AlphaKernel::GAIN_REL_ERR) so the aggregate
+    /// brackets the canonical gains (a multiplication by 1.0 for the
+    /// canonical classes). `stack` and `far` are caller-provided scratch;
+    /// children are pushed in row-major order, so the accumulation order
+    /// is a function of the tree and the masses alone. A canonical class
+    /// folds each accepted node as it goes (its few flops hide behind the
+    /// walk); the bounded class collects them and folds them after one
+    /// vectorized `pow` batch, with the same bits and order.
+    fn traverse<K: AlphaKernel>(
+        &self,
+        k: K,
+        lt: usize,
+        stack: &mut Vec<(usize, usize, usize)>,
+        far: &mut FarNodes,
+    ) -> (f64, f64, f64) {
         let fine = self.tree.fine();
         let (fine_cols, fine_rows) = (fine.cols(), fine.rows());
         let (ltc, ltr) = (lt % fine_cols, lt / fine_cols);
@@ -356,8 +499,10 @@ impl HierarchicalFarFieldEngine {
         };
 
         let p = self.power;
-        let alpha = self.alpha;
+        let (widen_lo, widen_hi) = (1.0 - K::GAIN_REL_ERR, 1.0 + K::GAIN_REL_ERR);
         let (mut lo, mut hi, mut cap) = (0.0f64, 0.0f64, 0.0f64);
+        let batched = K::REL_ERR > 0.0;
+        far.clear();
         stack.clear();
         stack.push((self.tree.num_levels() - 1, 0, 0));
         while let Some((l, c, r)) = stack.pop() {
@@ -403,178 +548,171 @@ impl HierarchicalFarFieldEngine {
             // upper gain infinite — rung 1 then falls back, which is
             // conservative, never wrong.
             let m = f64::from(mass);
-            lo += m * (p / pow_alpha(d_max_sq, alpha));
-            let g_hi = p / pow_alpha(d_min_sq, alpha);
+            if batched {
+                far.mass.push(m);
+                far.d_min_sq.push(d_min_sq);
+                far.d_max_sq.push(d_max_sq);
+                continue;
+            }
+            lo += m * ((p / k.pow_alpha(d_max_sq)) * widen_lo);
+            let g_hi = (p / k.pow_alpha(d_min_sq)) * widen_hi;
             hi += m * g_hi;
             cap = cap.max(g_hi);
         }
-        (lo, hi, cap)
+        let mut bounds = (lo, hi, cap);
+        if batched {
+            far.fold(k, p, &mut bounds);
+        }
+        bounds
     }
 
-    /// One listener's decision: exact near scan + cached far bracket
-    /// through the shared ladder. Read-only over the engine (runs
-    /// concurrently across chunks); `stats` and `near_gains` are the
-    /// caller's chunk-local accumulator and gain buffer. A
-    /// [`Decision::Exact`] is left to the caller's batched fallback.
-    #[allow(clippy::too_many_arguments)] // the round's scalars, spelled out
-    fn decide_listener(
+    /// Gathers fine tile `lt`'s near transmitters — every transmitter in
+    /// its [`HIER_NEAR_RING`] neighborhood — into `sc` in slice order.
+    fn gather_near(&self, lt: usize, sc: &mut ChunkScratch) {
+        sc.near_idx.clear();
+        for t in self.tree.fine().neighborhood(lt, HIER_NEAR_RING) {
+            sc.near_idx.extend_from_slice(&self.tx_in_tile[t]);
+        }
+        sc.near_idx.sort_unstable();
+        sc.near_x.clear();
+        sc.near_y.clear();
+        for &i in &sc.near_idx {
+            sc.near_x.push(self.tx_xs[i as usize]);
+            sc.near_y.push(self.tx_ys[i as usize]);
+        }
+    }
+
+    /// Resolves the listeners of listener tiles `first..last` through
+    /// kernel `k`, writing each reception into its slot of `out`, and
+    /// returns the chunk's ladder counters. Read-only over the engine, so
+    /// chunks run concurrently.
+    fn resolve_chunk<K: AlphaKernel>(
         &self,
-        v: NodeId,
-        positions: &[Point],
-        perturbation: Option<&ChannelPerturbation<'_>>,
-        noise: f64,
-        beta: f64,
-        stats: &mut FarFieldStats,
-        near_gains: &mut Vec<f64>,
-    ) -> Decision {
+        k: K,
+        round: &RoundInputs<'_>,
+        buckets: &ListenerBuckets,
+        (first, last): (usize, usize),
+        out: &Mutex<Vec<Reception>>,
+    ) -> FarFieldStats {
         let p = self.power;
-        let alpha = self.alpha;
-        let vp = positions[v];
-        let fine = self.tree.fine();
-        let lt = fine.tile_of(v);
-        debug_assert_eq!(self.far_stamp[lt], self.stamp, "prepare pass missed tile {lt}");
-        let (far_lo, far_hi, far_cap) = self.far[lt];
-        // Widened cap on any single far signal (covers bound rounding and
-        // powf non-monotonicity; see FARFIELD_REL_SLACK).
-        let far_cap = far_cap * (1.0 + FARFIELD_REL_SLACK);
+        // The chunk's listener slots; positions below index into `order`.
+        let span = buckets.span(first, last);
+        let order = &buckets.order[span.clone()];
+        let mut rx = vec![Reception::Silence; order.len()];
+        let mut sc = ChunkScratch::default();
+        let mut stats = FarFieldStats::default();
 
-        // Exact near-field scan: one fused gain batch per near tile
-        // (canonical per-pair expression, bucket order), folded in bucket
-        // order with winner = minimal slice index among the strict maxima
-        // — exactly the canonical fold's first-strict-max.
-        let mut near_sum = 0.0f64;
-        let mut best_sig = 0.0f64;
-        let mut best_tx: Option<NodeId> = None;
-        let mut best_idx = u32::MAX;
-        for near_t in fine.neighborhood(lt, HIER_NEAR_RING) {
-            let bucket = &self.tx_in_tile[near_t];
-            if bucket.is_empty() {
-                continue;
-            }
-            near_gains.resize(bucket.len(), 0.0);
-            gain_batch(
-                p,
-                alpha,
-                &self.tx_x_in_tile[near_t],
-                &self.tx_y_in_tile[near_t],
-                vp.x,
-                vp.y,
-                near_gains,
-            );
-            for (&sig, &(u, idx)) in near_gains.iter().zip(bucket) {
-                let u = u as usize;
-                debug_assert_ne!(u, v, "a node cannot transmit and listen simultaneously");
-                near_sum += sig;
-                if sig > best_sig {
-                    best_sig = sig;
-                    best_tx = Some(u);
-                    best_idx = idx;
-                } else if sig == best_sig && sig > 0.0 && idx < best_idx {
-                    best_tx = Some(u);
-                    best_idx = idx;
+        for ti in first..last {
+            let lt = buckets.tiles[ti] as usize;
+            let (far_lo, far_hi, far_cap) = self.traverse(k, lt, &mut sc.stack, &mut sc.far);
+            // Widened cap on any single far signal (covers bound rounding
+            // and powf non-monotonicity; see FARFIELD_REL_SLACK).
+            let far_cap = far_cap * (1.0 + FARFIELD_REL_SLACK);
+            self.gather_near(lt, &mut sc);
+
+            // The ladder on one listener's near fold. A slice-order fold's
+            // first strict maximum is the canonical winner among the near
+            // transmitters.
+            let near_idx = &sc.near_idx;
+            let mut decide = |pos: usize, fold: ScanFold, pending: &mut Vec<usize>| {
+                let v = round.listeners[order[pos] as usize];
+                let decision = decide_ladder(
+                    &mut stats,
+                    DecisionInputs {
+                        near_sum: fold.total,
+                        best_sig: fold.best_sig,
+                        best_tx: fold
+                            .best_idx
+                            .map(|i| round.transmitters[near_idx[i] as usize]),
+                        far_lo,
+                        far_hi,
+                        far_cap,
+                        noise: round.noise,
+                        extra: round.extra(v),
+                        beta: round.beta,
+                        gain_rel_err: K::GAIN_REL_ERR,
+                    },
+                );
+                match decision {
+                    Decision::Decided(reception) => rx[pos] = reception,
+                    Decision::Exact => pending.push(pos),
+                }
+            };
+
+            let tile = buckets.span(ti, ti + 1);
+            let (start, end) = (tile.start - span.start, tile.end - span.start);
+            let tail = end - (end - start) % LISTENER_BLOCK;
+            for block_start in (start..tail).step_by(LISTENER_BLOCK) {
+                let block = block_start..block_start + LISTENER_BLOCK;
+                let (vx, vy) = block_coords(round, order, block.clone());
+                let folds = scan_block_with(k, p, &sc.near_x, &sc.near_y, &vx, &vy);
+                for (pos, fold) in block.zip(folds) {
+                    decide(pos, fold, &mut sc.pending);
                 }
             }
+            for (pos, &slot) in order.iter().enumerate().take(end).skip(tail) {
+                let vp = round.positions[round.listeners[slot as usize]];
+                sc.gains.resize(sc.near_idx.len(), 0.0);
+                gain_batch_with(k, p, &sc.near_x, &sc.near_y, vp.x, vp.y, &mut sc.gains);
+                decide(pos, fold_scan(&sc.gains), &mut sc.pending);
+            }
         }
+        self.resolve_fallbacks(k, round, order, &mut sc, &mut rx, &mut stats);
 
-        decide_ladder(
-            stats,
-            DecisionInputs {
-                near_sum,
-                best_sig,
-                best_tx,
-                far_lo,
-                far_hi,
-                far_cap,
-                noise,
-                extra: perturbation.map(|pt| pt.extra_at(v)),
-                beta,
-                // The tree scans its near tiles canonically at every α.
-                gain_rel_err: 0.0,
-            },
-        )
+        let mut out = out.lock().unwrap_or_else(PoisonError::into_inner);
+        for (&slot, reception) in order.iter().zip(rx) {
+            out[slot as usize] = reception;
+        }
+        stats
     }
 
-    /// Resolves one listener chunk: the ladder per listener, then the
-    /// chunk's exact fallbacks in [`LISTENER_BLOCK`]-wide fused scans over
-    /// the round's gathered transmitters (`tx_xs`/`tx_ys`, read-only here),
-    /// the tail that does not fill a block one listener at a time. Every
-    /// fallback is the canonical fold, so the receptions are
-    /// bit-identical to [`SinrChannel`](crate::SinrChannel) whichever way
-    /// it was scanned.
-    #[allow(clippy::too_many_arguments)] // the round's scalars, spelled out
-    fn resolve_chunk(
+    /// The exact fallbacks of one chunk (`sc.pending`, positions into
+    /// `order` and `rx`), over every transmitter: [`LISTENER_BLOCK`]
+    /// listeners at a time through the fused block scan, the tail one by
+    /// one, each a slice-order first pass through `k` settled by
+    /// [`finish_fallback`] — which runs the canonical scan only when that
+    /// pass cannot certify the listener (never for a canonical `k`).
+    fn resolve_fallbacks<K: AlphaKernel>(
         &self,
-        chunk: &[NodeId],
-        positions: &[Point],
-        transmitters: &[NodeId],
-        perturbation: Option<&ChannelPerturbation<'_>>,
-        noise: f64,
-        beta: f64,
+        k: K,
+        round: &RoundInputs<'_>,
+        order: &[u32],
+        sc: &mut ChunkScratch,
+        rx: &mut [Reception],
         stats: &mut FarFieldStats,
-    ) -> Vec<Reception> {
-        let mut scratch = NearScratch::default();
-        let mut rx = Vec::with_capacity(chunk.len());
-        for &v in chunk {
-            let decision = self.decide_listener(
-                v,
-                positions,
-                perturbation,
-                noise,
-                beta,
-                stats,
-                &mut scratch.near_gains,
-            );
-            rx.push(match decision {
-                Decision::Decided(reception) => reception,
-                Decision::Exact => {
-                    scratch.pending.push(rx.len());
-                    Reception::Silence
-                }
-            });
-        }
-
+    ) {
         let (p, alpha) = (self.power, self.alpha);
-        let finish = |i: usize, outcome: ScanOutcome| {
-            let extra = perturbation.map(|pt| pt.extra_at(chunk[i]));
-            finish_exact(outcome, noise, extra, beta)
+        let (xs, ys) = (&self.tx_xs[..], &self.tx_ys[..]);
+        let tx = round.transmitters;
+        let ChunkScratch { pending, gains, .. } = sc;
+        let mut settle = |pos: usize, first: ScanOutcome, gains: &mut Vec<f64>| {
+            let v = round.listeners[order[pos] as usize];
+            let vp = round.positions[v];
+            let rescan = || scan_transmitters_soa(p, alpha, v, vp, tx, xs, ys, gains);
+            let (noise, beta) = (round.noise, round.beta);
+            rx[pos] = finish_fallback::<K>(first, noise, round.extra(v), beta, stats, rescan);
         };
-        let mut blocks = scratch.pending.chunks_exact(LISTENER_BLOCK);
+        let mut blocks = pending.chunks_exact(LISTENER_BLOCK);
         for block in &mut blocks {
-            let mut vx = [0.0; LISTENER_BLOCK];
-            let mut vy = [0.0; LISTENER_BLOCK];
-            for (j, &i) in block.iter().enumerate() {
-                let vp = positions[chunk[i]];
-                vx[j] = vp.x;
-                vy[j] = vp.y;
-            }
-            let folds = scan_block(p, alpha, &self.tx_xs, &self.tx_ys, &vx, &vy);
-            for (&i, fold) in block.iter().zip(folds) {
-                rx[i] = finish(i, ScanOutcome::from_fold(fold, transmitters));
+            let (vx, vy) = block_coords(round, order, block.iter().copied());
+            let folds = scan_block_with(k, p, xs, ys, &vx, &vy);
+            for (&pos, fold) in block.iter().zip(folds) {
+                settle(pos, ScanOutcome::from_fold(fold, tx), gains);
             }
         }
-        for &i in blocks.remainder() {
-            let v = chunk[i];
-            let outcome = scan_transmitters_soa(
-                p,
-                alpha,
-                v,
-                positions[v],
-                transmitters,
-                &self.tx_xs,
-                &self.tx_ys,
-                &mut scratch.fallback_gains,
-            );
-            rx[i] = finish(i, outcome);
+        for &pos in blocks.remainder() {
+            let v = round.listeners[order[pos] as usize];
+            let first = scan_soa_with(k, p, v, round.positions[v], tx, xs, ys, gains);
+            settle(pos, first, gains);
         }
-        rx
     }
 
     /// Resolves one round with the tree-aggregated fast path; reception
     /// semantics (and bits) are exactly those of
     /// [`SinrChannel::resolve`](crate::SinrChannel). `perturbation` must be
     /// `None` for a neutral perturbation, mirroring the dispatch in
-    /// `SinrChannel::resolve_core`. Listener chunks run on `executor`; see
-    /// the [module docs](self) for why scheduling cannot affect results.
+    /// `SinrChannel::resolve_core`. Tile chunks run on `executor`; the
+    /// module docs say why scheduling cannot affect results.
     pub(crate) fn resolve_sinr(
         &mut self,
         params: &SinrParams,
@@ -585,13 +723,13 @@ impl HierarchicalFarFieldEngine {
         executor: &dyn ChunkExecutor,
     ) -> Vec<Reception> {
         debug_assert!(self.matches(positions, params));
-        let beta = params.beta();
-        let noise = match perturbation {
-            Some(pt) => params.noise() * pt.noise_scale(),
-            None => params.noise(),
-        };
+        debug_assert!(
+            crate::farfield::slack_certifies(transmitters.len()),
+            "a round of {} transmitters exceeds the slack budget",
+            transmitters.len()
+        );
         self.stats.rounds += 1;
-
+        self.prepare(transmitters);
         if transmitters.is_empty() {
             // The canonical loop yields Silence for every listener when
             // nobody transmits (best_tx stays None).
@@ -599,16 +737,48 @@ impl HierarchicalFarFieldEngine {
             return vec![Reception::Silence; listeners.len()];
         }
 
-        // Clear last round's masses (touched nodes only), then bucket this
-        // round's transmitters by fine tile — remembering slice indices for
-        // the canonical tie-break — and propagate counts up the tree.
+        let round = RoundInputs {
+            positions,
+            transmitters,
+            listeners,
+            perturbation,
+            noise: match perturbation {
+                Some(pt) => params.noise() * pt.noise_scale(),
+                None => params.noise(),
+            },
+            beta: params.beta(),
+        };
+        let buckets = ListenerBuckets::new(self.tree.fine(), listeners);
+        let num_tiles = buckets.tiles.len();
+        let out = Mutex::new(vec![Reception::Silence; listeners.len()]);
+        let this = &*self;
+        let chunks = with_bounded_kernel!(this.alpha, |k| map_ordered(
+            executor,
+            num_tiles.div_ceil(HIER_TILE_CHUNK),
+            |chunk| {
+                let first = chunk * HIER_TILE_CHUNK;
+                let last = (first + HIER_TILE_CHUNK).min(num_tiles);
+                this.resolve_chunk(k, &round, &buckets, (first, last), &out)
+            }
+        ));
+        // Per-rung counters are u64 sums, so any chunking yields the same
+        // totals.
+        for local in &chunks {
+            self.stats.add(local);
+        }
+        out.into_inner().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The round's serial prepare: clears last round's masses (touched
+    /// nodes only), buckets this round's transmitters by fine tile (slice
+    /// indices, ascending), propagates their counts up the tree, and
+    /// gathers their coordinates in slice order.
+    fn prepare(&mut self, transmitters: &[NodeId]) {
         for l in 0..self.touched.len() {
             for &t in &self.touched[l] {
                 self.tx_count[l][t as usize] = 0;
                 if l == 0 {
                     self.tx_in_tile[t as usize].clear();
-                    self.tx_x_in_tile[t as usize].clear();
-                    self.tx_y_in_tile[t as usize].clear();
                 }
             }
             self.touched[l].clear();
@@ -618,13 +788,9 @@ impl HierarchicalFarFieldEngine {
             if self.tx_in_tile[t].is_empty() {
                 self.touched[0].push(t as u32);
             }
-            self.tx_in_tile[t].push((u as u32, idx as u32));
-            self.tx_x_in_tile[t].push(self.soa.xs()[u]);
-            self.tx_y_in_tile[t].push(self.soa.ys()[u]);
+            self.tx_in_tile[t].push(idx as u32);
             self.tx_count[0][t] += 1;
         }
-        // Round-level SoA gather for the exact fallback scan: written here
-        // in the serial prepare, read-only during the parallel phases.
         self.soa.gather(transmitters, &mut self.tx_xs, &mut self.tx_ys);
         for l in 1..self.tree.num_levels() {
             let cols = self.tree.level_cols(l);
@@ -646,64 +812,6 @@ impl HierarchicalFarFieldEngine {
                 parent_counts[parent] += child_counts[c];
             }
         }
-        self.stamp += 1;
-
-        // The round's distinct listener tiles, in first-seen order (all
-        // listeners of a tile share its aggregate).
-        let mut tiles = std::mem::take(&mut self.listener_tiles);
-        tiles.clear();
-        for &v in listeners {
-            let lt = self.tree.fine().tile_of(v);
-            if self.far_stamp[lt] != self.stamp {
-                self.far_stamp[lt] = self.stamp;
-                tiles.push(lt as u32);
-            }
-        }
-
-        // Parallel traversals in fixed-size tile chunks, returned in chunk
-        // order and written back in tile order.
-        let this = &*self;
-        let aggregates = map_ordered(executor, tiles.len().div_ceil(HIER_TILE_CHUNK), |chunk| {
-            let start = chunk * HIER_TILE_CHUNK;
-            let end = (start + HIER_TILE_CHUNK).min(tiles.len());
-            let mut stack = Vec::new();
-            tiles[start..end]
-                .iter()
-                .map(|&lt| this.traverse(lt as usize, &mut stack))
-                .collect::<Vec<_>>()
-        });
-        for (&lt, aggregate) in tiles.iter().zip(aggregates.into_iter().flatten()) {
-            self.far[lt as usize] = aggregate;
-        }
-        self.listener_tiles = tiles;
-
-        // Parallel decisions: fixed-size listener chunks, returned in chunk
-        // order, so executor scheduling cannot reach the results.
-        let this = &*self;
-        let chunks = map_ordered(executor, listeners.len().div_ceil(HIER_CHUNK), |chunk| {
-            let start = chunk * HIER_CHUNK;
-            let end = (start + HIER_CHUNK).min(listeners.len());
-            let mut local = FarFieldStats::default();
-            let rx = this.resolve_chunk(
-                &listeners[start..end],
-                positions,
-                transmitters,
-                perturbation,
-                noise,
-                beta,
-                &mut local,
-            );
-            (rx, local)
-        });
-
-        let mut out = Vec::with_capacity(listeners.len());
-        for (rx, local) in chunks {
-            out.extend(rx);
-            // Per-rung counters are u64 sums, so any chunking yields the
-            // same totals.
-            self.stats.add(&local);
-        }
-        out
     }
 }
 
@@ -842,5 +950,16 @@ mod tests {
         assert!(rx.iter().all(|r| *r == Reception::Silence));
         assert_eq!(engine.stats().empty_round_silences, pos.len() as u64);
         assert_eq!(engine.stats().fast_decisions(), pos.len() as u64);
+        engine.reset_stats();
+        assert_eq!(engine.stats(), FarFieldStats::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn deactivate_out_of_range_panics() {
+        let p = params();
+        let pos = lattice(2, 1.0);
+        let mut engine = HierarchicalFarFieldEngine::build(&pos, &p).unwrap();
+        engine.deactivate(4);
     }
 }

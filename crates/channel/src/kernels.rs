@@ -27,9 +27,8 @@
 //! The one class outside this contract is the crate-private bounded
 //! generic-α kernel (`AlphaBounded`): a vectorizable `exp2(h·log₂ x)`
 //! within δ = 2⁻⁴⁰ of `powf`, declared through [`AlphaKernel::REL_ERR`].
-//! It serves only the flat far-field engine's certified paths, which
-//! widen by that error (DESIGN.md §10.2); no path that defines semantics
-//! uses it.
+//! It serves only the tile-tree engine's certified paths, which widen by
+//! that error (DESIGN.md §10.2); no path that defines semantics uses it.
 //!
 //! No SIMD reassociation of the *fold* is attempted — a single listener's
 //! `total += sig` chain is folded strictly in slice order. What *is*
@@ -211,9 +210,9 @@ const ROUND_MAGIC: f64 = 6_755_399_441_055_744.0;
 
 /// The bounded generic-α class: `x^(α/2)` as `exp2(h·log₂ x)` with
 /// `h = α/2`, branch-free so the AVX2 instantiations vectorize it.
-/// Crate-private: it serves only the flat far-field engine's certified
-/// paths (far-bound tables, near-ring scans, first-pass fallback scans),
-/// which widen every bracket by
+/// Crate-private: it serves only the tile-tree engine's certified paths
+/// (far-node gains, near-ring scans, first-pass fallback scans), which
+/// widen every bracket by
 /// [`REL_ERR`](AlphaKernel::REL_ERR) `=` [`BOUNDED_POW_REL_ERR`]. The
 /// canonical semantics stay with [`AlphaGeneric`] (`powf`).
 ///
@@ -314,7 +313,7 @@ impl AlphaKernel for AlphaBounded {
     }
 }
 
-/// Runs `$body` with `$k` bound to the kernel the flat far-field engine's
+/// Runs `$body` with `$k` bound to the kernel the tile-tree engine's
 /// certified paths use for exponent `$alpha`: the canonical class for
 /// α ∈ {2, 3, 4, 6} (and beyond [`BOUNDED_MAX_ALPHA`]), whose
 /// [`REL_ERR`](AlphaKernel::REL_ERR) is 0, and [`AlphaBounded`]
@@ -657,7 +656,7 @@ unsafe fn scan_block_avx2<K: AlphaKernel>(
 /// arms are bit-identical).
 #[inline]
 #[allow(unsafe_code)] // detection-guarded call; see the crate-root lint note
-fn scan_block_with<K: AlphaKernel>(
+pub(crate) fn scan_block_with<K: AlphaKernel>(
     k: K,
     power: f64,
     xs: &[f64],
@@ -676,8 +675,9 @@ fn scan_block_with<K: AlphaKernel>(
 /// Fused multi-listener scan: folds [`LISTENER_BLOCK`] listeners against
 /// the SoA transmitter slices in a single pass, returning each listener's
 /// [`ScanFold`]. Bit-identical per listener to
-/// `fold_scan(gain_batch(..))` — see [`scan_block_with`] — while hiding
-/// the fold's FP-add latency behind the other lanes' work.
+/// `fold_scan(gain_batch(..))` — each lane runs the canonical scalar
+/// sequence — while hiding the fold's FP-add latency behind the other
+/// lanes' work.
 ///
 /// # Panics
 ///

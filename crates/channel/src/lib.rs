@@ -39,10 +39,10 @@
 //! [`Channel::resolve`] on every tier ([`EngineTier`]): the exact scan;
 //! [`GainCache`], the `n × n` pairwise gain matrix precomputed once (see
 //! its module docs for the exactness contract and the size guard); and
-//! two far-field engines that prune the per-round work,
-//! [`FarFieldEngine`] (flat tile-pair tables) and
+//! the far-field engine that prunes the per-round work,
 //! [`HierarchicalFarFieldEngine`] (a [`fading_geom::TileTree`] traversal
-//! with no quadratic precompute, parallelizable via [`ChunkExecutor`]).
+//! certified by the decision ladder, parallelizable via
+//! [`ChunkExecutor`]).
 //! [`EngineTier::auto`] picks the tier from the channel and the
 //! deployment size.
 //!
@@ -100,16 +100,13 @@ mod sinr;
 
 pub use breakdown::SinrBreakdown;
 pub use channel::Channel;
-pub use engine::{EngineTier, ResolveEngine, HIERARCHICAL_AUTO_THRESHOLD};
+pub use engine::{EngineTier, ResolveEngine};
 pub use error::ChannelError;
 pub use exec::{ChunkExecutor, SerialExecutor};
-pub use farfield::{
-    FarFieldEngine, FarFieldStats, DEFAULT_TARGET_TILE_OCCUPANCY, FARFIELD_REL_SLACK,
-    MAX_TILES_PER_SIDE, NEAR_RING,
-};
+pub use farfield::{FarFieldStats, FARFIELD_REL_SLACK};
 pub use hierarchical::{
-    HierarchicalFarFieldEngine, HIER_ACCEPT_RATIO_SQ, HIER_CHUNK, HIER_MAX_TILES_PER_SIDE,
-    HIER_NEAR_RING, HIER_TARGET_TILE_OCCUPANCY, HIER_TILE_CHUNK,
+    HierarchicalFarFieldEngine, HIER_ACCEPT_RATIO_SQ, HIER_MAX_TILES_PER_SIDE, HIER_NEAR_RING,
+    HIER_TARGET_TILE_OCCUPANCY, HIER_TILE_CHUNK,
 };
 pub use gain_cache::{GainCache, DEFAULT_MAX_CACHED_NODES};
 pub use lossy::LossySinrChannel;

@@ -5,6 +5,7 @@ use rand::rngs::SmallRng;
 use fading_geom::Point;
 
 use crate::channel::{sealed, Channel};
+use crate::farfield::slack_certifies;
 use crate::kernels::{
     fold_scan, gain_batch, gain_batch_with, scan_block, AlphaKernel, ScanFold, ScanScratch,
     LISTENER_BLOCK,
@@ -158,8 +159,8 @@ pub(crate) fn scan_transmitters_soa(
 
 /// [`scan_transmitters_soa`] through an explicit kernel class: the same
 /// gain batch and slice-order fold, with `k` in place of the class
-/// `alpha` selects. The flat far-field engine's first-pass fallback
-/// scans use it with the bounded generic kernel.
+/// `alpha` selects. The tile tree's first-pass fallback scans use it
+/// with the bounded generic kernel.
 #[inline]
 #[allow(clippy::too_many_arguments)] // the scan inputs plus the split scratch
 pub(crate) fn scan_soa_with<K: AlphaKernel>(
@@ -420,13 +421,11 @@ impl Channel for SinrChannel {
         // A neutral perturbation routes to the clean denominator grouping,
         // which reproduces `resolve`'s expression bit for bit.
         let perturbation = Some(perturbation).filter(|pt| !pt.is_neutral());
-        // The tiled tiers skip exactly the per-pair terms a breakdown
-        // reports, so instrumented rounds take the full scan.
-        let tiled = breakdown.is_none();
+        // The tile tree skips exactly the per-pair terms a breakdown
+        // reports, so instrumented rounds take the full scan; so does a
+        // round too large for the ladder's slack budget to certify.
+        let tiled = breakdown.is_none() && slack_certifies(transmitters.len());
         let cache = match engine {
-            ResolveEngine::FarField(e) if tiled && e.matches(positions, params) => {
-                return e.resolve_sinr(params, positions, transmitters, listeners, perturbation);
-            }
             ResolveEngine::Hierarchical(e) if tiled && e.matches(positions, params) => {
                 return e.resolve_sinr(
                     params,

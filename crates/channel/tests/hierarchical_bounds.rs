@@ -23,7 +23,9 @@ use rand::{Rng, SeedableRng};
 /// A tile-tree engine over an explicit fine tiling, as a resolve engine.
 fn tiled(positions: &[Point], params: &SinrParams, tiles_per_side: usize) -> ResolveEngine {
     HierarchicalFarFieldEngine::build_with_tiling(positions, params, tiles_per_side)
-        .map_or(ResolveEngine::Exact, ResolveEngine::Hierarchical)
+        .map_or(ResolveEngine::Exact, |e| {
+            ResolveEngine::Hierarchical(Box::new(e))
+        })
 }
 
 fn hier(engine: &ResolveEngine) -> &HierarchicalFarFieldEngine {

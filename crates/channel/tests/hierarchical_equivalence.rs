@@ -2,9 +2,9 @@
 //! engine.
 //!
 //! The contract under test ([`Channel::resolve_with`] handed a
-//! [`ResolveEngine::Hierarchical`]) is the same *bit-exact* equivalence
-//! the flat engine guarantees: resolving a round through a
-//! [`HierarchicalFarFieldEngine`] must yield a `Reception` vector
+//! [`ResolveEngine::Hierarchical`]) is *bit-exact* equivalence: resolving
+//! a round through a [`HierarchicalFarFieldEngine`] must yield a
+//! `Reception` vector
 //! **identical** (`==`, not approximately equal) to the exact tier —
 //! `resolve` for neutral perturbations, the exact engine for faulted
 //! rounds — while consuming the channel rng identically. The
@@ -13,10 +13,15 @@
 //! per-node jammer interference) through both paths for each path-loss
 //! exponent class — the integer fast paths `α ∈ {3, 4, 6}` and the
 //! generic `powf` class at `α ∈ {2.05, 2.5, 3.7}` — 256 cases per
-//! exponent. A knife-edge case pins decisions within 1e-12 of `β`: they
+//! exponent. Knife-edge cases pin decisions within 1e-12 of `β`: they
 //! must reach the exact fallback, through both the block and the tail
-//! fallback scans, and the tree — canonical at every α — never needs a
-//! canonical rescan. Two generator families deliberately stress the tree:
+//! fallback scans, and at generic α the bounded first pass must refuse
+//! them, so every one is rescanned canonically. Special bounded gains
+//! (coincident and subnormal distances) and negative noise floors must
+//! never certify a decision. Rounds with many listeners per tile, in
+//! shuffled slice order, pin the tile-major pass: the same receptions and
+//! counters at 1, 2 and 8 threads. Two generator families deliberately
+//! stress the tree:
 //! **clustered** fields (tight blobs separated by hundreds of units, so
 //! coarse aggregates are accepted levels above the fine tiles) and
 //! **corridor** fields (long thin strips, so the ceil-halving pyramid
@@ -28,7 +33,7 @@ use fading_channel::kernels::LISTENER_BLOCK;
 use fading_channel::{
     Channel, ChannelPerturbation, ChunkExecutor, EngineTier, FarFieldStats,
     HierarchicalFarFieldEngine, LossySinrChannel, RadioChannel, RayleighSinrChannel, Reception,
-    ResolveEngine, SerialExecutor, SinrChannel, SinrParams, HIER_CHUNK, HIER_TILE_CHUNK,
+    ResolveEngine, SerialExecutor, SinrChannel, SinrParams, HIER_TILE_CHUNK,
 };
 use fading_geom::Point;
 use proptest::prelude::*;
@@ -112,7 +117,9 @@ fn params_with(alpha: f64, beta: f64, noise: f64, power: f64) -> SinrParams {
 /// (the exact tier when the tiling cannot be built).
 fn tiled(positions: &[Point], params: &SinrParams, tiles_per_side: usize) -> ResolveEngine {
     HierarchicalFarFieldEngine::build_with_tiling(positions, params, tiles_per_side)
-        .map_or(ResolveEngine::Exact, ResolveEngine::Hierarchical)
+        .map_or(ResolveEngine::Exact, |e| {
+            ResolveEngine::Hierarchical(Box::new(e))
+        })
 }
 
 /// Number of levels of a hierarchical engine's tree (0 for other tiers).
@@ -428,13 +435,17 @@ proptest! {
         // Wrong node count: engine over a prefix of the deployment.
         let mut stale =
             HierarchicalFarFieldEngine::build(&positions[..positions.len() - 1], &params)
-                .map_or(ResolveEngine::Exact, ResolveEngine::Hierarchical);
+                .map_or(ResolveEngine::Exact, |e| {
+            ResolveEngine::Hierarchical(Box::new(e))
+        });
         assert_hierarchical_equiv(&ch, &positions, &tx, &ls, &mut stale, &neutral, seed);
 
         // Wrong parameters: engine built under a different power.
         let other = params_with(3.0, 2.0, 1.0, 2e4);
         let mut wrong = HierarchicalFarFieldEngine::build(&positions, &other)
-            .map_or(ResolveEngine::Exact, ResolveEngine::Hierarchical);
+            .map_or(ResolveEngine::Exact, |e| {
+            ResolveEngine::Hierarchical(Box::new(e))
+        });
         assert_hierarchical_equiv(&ch, &positions, &tx, &ls, &mut wrong, &neutral, seed);
 
         // No engine at all.
@@ -479,7 +490,7 @@ fn radio_channels_take_the_default_fallback() {
 }
 
 /// On a large spread deployment the tree traversal must both *accept
-/// coarse aggregates* (otherwise it degenerates to the flat engine) and
+/// coarse aggregates* (otherwise it degenerates to a per-tile far scan) and
 /// *settle decisions without the exact scan* (otherwise the perf claims
 /// are vacuous). Exactness is separately guaranteed by the oracles above;
 /// this pins the pruning plus the counter reconciliation invariant.
@@ -552,9 +563,8 @@ impl ChunkExecutor for Threads {
     }
 }
 
-/// One tile-tree round through `engine` on `executor`: the receptions,
-/// the round's decision counters, and every fine tile's far aggregate as
-/// raw bits.
+/// One tile-tree round through `engine` on `executor`: the receptions
+/// and the round's decision counters.
 fn threaded_round(
     engine: &mut ResolveEngine,
     ch: &SinrChannel,
@@ -562,7 +572,7 @@ fn threaded_round(
     (tx, ls): (&[usize], &[usize]),
     perturbation: &ChannelPerturbation<'_>,
     executor: &dyn ChunkExecutor,
-) -> (Vec<Reception>, FarFieldStats, Vec<Option<[u64; 3]>>) {
+) -> (Vec<Reception>, FarFieldStats) {
     engine.set_stats(FarFieldStats::default());
     let rx = ch.resolve_with(
         positions,
@@ -574,21 +584,13 @@ fn threaded_round(
         &mut SmallRng::seed_from_u64(5),
         None,
     );
-    let ResolveEngine::Hierarchical(e) = engine else {
-        panic!("expected the hierarchical engine, got {:?}", engine.tier());
-    };
-    let aggregates = (0..e.tree().fine().num_tiles())
-        .map(|t| {
-            e.far_aggregate(t)
-                .map(|(lo, hi, cap)| [lo.to_bits(), hi.to_bits(), cap.to_bits()])
-        })
-        .collect();
-    (rx, e.stats(), aggregates)
+    assert_eq!(engine.tier(), EngineTier::Hierarchical);
+    (rx, engine.stats())
 }
 
 /// Resolves the round at 1, 2 and 8 threads, asserts the receptions
-/// equal `want` and that receptions, counters and far-aggregate bits do
-/// not depend on the thread count; returns the counters.
+/// equal `want` and that neither receptions nor counters depend on the
+/// thread count; returns the counters.
 fn assert_thread_invariant(
     engine: &mut ResolveEngine,
     ch: &SinrChannel,
@@ -616,15 +618,11 @@ fn assert_thread_invariant(
             many.1, one.1,
             "counters depend on the thread count ({threads})"
         );
-        assert_eq!(
-            many.2, one.2,
-            "far aggregates depend on the thread count ({threads})"
-        );
     }
     one.1
 }
 
-/// The batched exact fallback: 45 listeners in one chunk fall back (one
+/// The batched exact fallback: 45 listeners in one tile chunk fall back (one
 /// full `LISTENER_BLOCK` through the fused block scan plus a 13-listener
 /// tail through the single-listener scan), interleaved with listeners the
 /// bracket settles, so the pending offsets are scattered through the
@@ -674,7 +672,8 @@ fn batched_fallbacks_match_exact_with_and_without_extra() {
             ls.push(d);
         }
     }
-    assert!(ls.len() <= HIER_CHUNK, "the fallbacks must share one chunk");
+    // An 8×8 tiling fits one tile chunk, so the fallbacks share it.
+    const { assert!(8 * 8 <= HIER_TILE_CHUNK) };
     let mut extra = vec![0.0; positions.len()];
     for &v in far.iter().step_by(3) {
         extra[v] = 0.06;
@@ -715,11 +714,10 @@ fn batched_fallbacks_match_exact_with_and_without_extra() {
     );
 }
 
-/// Thread-count invariance on a round with several traversal chunks
-/// (`HIER_TILE_CHUNK` tiles each) and several listener chunks: the
-/// receptions equal the exact scan, and the counters and every tile's
-/// far-aggregate bits are the same at 1, 2 and 8 threads, with and
-/// without a perturbation.
+/// Thread-count invariance on a round with several tile chunks
+/// (`HIER_TILE_CHUNK` tiles each): the receptions equal the exact scan,
+/// and the counters are the same at 1, 2 and 8 threads, with and without
+/// a perturbation.
 #[test]
 fn parallel_traversal_is_thread_count_invariant() {
     let params = params_with(3.0, 2.0, 1.0, 16.0);
@@ -735,7 +733,6 @@ fn parallel_traversal_is_thread_count_invariant() {
         .collect();
     let tx: Vec<usize> = (0..positions.len()).step_by(7).collect();
     let ls: Vec<usize> = (0..positions.len()).filter(|i| i % 7 != 0).collect();
-    assert!(ls.len() > HIER_CHUNK, "need several listener chunks");
     let mut engine = tiled(&positions, &params, 24);
     assert!(
         levels(&engine) >= 5 && 24 * 24 > 4 * HIER_TILE_CHUNK,
@@ -763,14 +760,15 @@ fn parallel_traversal_is_thread_count_invariant() {
 }
 
 /// Knife-edge decisions at the generic exponent α = 2.5, 40 of them in one
-/// listener chunk — one full `LISTENER_BLOCK` through the block scan and
-/// an 8-listener tail. Each listener has its own sender 0.58 units away
+/// tile chunk — one full `LISTENER_BLOCK` through the block scan and an
+/// 8-listener tail. Each listener has its own sender 0.58 units away
 /// and hears the other 39 as interference; its jammer term `extra` is
 /// tuned to the last ulp at which the canonical test still decodes (even
 /// listeners) or to the first at which it does not (odd ones). Every SINR
 /// lies within 1e-12 of β, so no bracket may settle it: all 40 must reach
-/// the exact fallback, at any thread count. The tree's fallback scans are
-/// canonical, so none of them is rescanned.
+/// the exact fallback, at any thread count, and the bounded first pass of
+/// each fallback must refuse it too, so every one is rescanned
+/// canonically.
 #[test]
 fn generic_alpha_knife_edge_reaches_the_exact_fallback() {
     let (alpha, beta, noise, power) = (2.5, 1.5, 1e-3, 1.0);
@@ -827,7 +825,307 @@ fn generic_alpha_knife_edge_reaches_the_exact_fallback() {
     assert_eq!(stats.listeners_resolved(), 40, "{stats:?}");
     assert_eq!(stats.exact_fallbacks(), 40, "{stats:?}");
     assert_eq!(
-        stats.canonical_rescans, 0,
-        "the tree's fallbacks are canonical: {stats:?}"
+        stats.canonical_rescans, 40,
+        "certification must refuse a knife edge: {stats:?}"
     );
+}
+
+/// A deterministic Fisher–Yates shuffle (LCG-driven), so slice order and
+/// node order disagree.
+fn shuffled(mut items: Vec<usize>, seed: u64) -> Vec<usize> {
+    let mut state = seed;
+    for i in (1..items.len()).rev() {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        items.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    items
+}
+
+/// The tile-major pass on tiles that hold more than `LISTENER_BLOCK`
+/// listeners, so every tile's near scan runs full blocks *and* a tail,
+/// over several tile chunks, with listeners and transmitters passed in
+/// shuffled slice order (so the near gather's slice-order sort and the
+/// lowest-slice-index winner rule both matter). Receptions equal the
+/// exact tier and the counters are the same at 1, 2 and 8 threads, at
+/// α = 3 and at the bounded generic α = 2.5, neutral and perturbed.
+#[test]
+fn tile_major_pass_is_exact_and_thread_invariant_on_crowded_tiles() {
+    let side = 96;
+    let positions: Vec<Point> = (0..side * side)
+        .map(|i| {
+            let jitter = ((i * 7919) % 17) as f64 * 0.03;
+            Point::new(
+                (i % side) as f64 * 1.5 + jitter,
+                (i / side) as f64 * 1.5 + jitter,
+            )
+        })
+        .collect();
+    let tx = shuffled((0..positions.len()).step_by(9).collect(), 7);
+    let ls = shuffled((0..positions.len()).filter(|i| i % 9 != 0).collect(), 11);
+    let extra: Vec<f64> = (0..positions.len())
+        .map(|i| (i % 7) as f64 * 0.002)
+        .collect();
+    for alpha in [3.0, 2.5] {
+        let params = params_with(alpha, 1.5, 0.01, 4.0);
+        let ch = SinrChannel::new(params);
+        let mut engine = tiled(&positions, &params, 12);
+        let ResolveEngine::Hierarchical(e) = &engine else {
+            panic!("the tree must build");
+        };
+        let fine = e.tree().fine();
+        let mut per_tile = vec![0usize; fine.num_tiles()];
+        for &v in &ls {
+            per_tile[fine.tile_of(v)] += 1;
+        }
+        assert!(
+            per_tile
+                .iter()
+                .all(|&c| c > LISTENER_BLOCK && c % LISTENER_BLOCK != 0),
+            "every tile needs a full block and a tail: {per_tile:?}"
+        );
+        assert!(
+            fine.num_tiles() > 2 * HIER_TILE_CHUNK,
+            "need several tile chunks"
+        );
+
+        let exact = ch.resolve(&positions, &tx, &ls, &mut SmallRng::seed_from_u64(5));
+        let neutral = ChannelPerturbation::neutral();
+        let stats =
+            assert_thread_invariant(&mut engine, &ch, &positions, (&tx, &ls), &neutral, &exact);
+        assert_eq!(stats.listeners_resolved(), ls.len() as u64, "{stats:?}");
+        assert!(
+            stats.fast_decisions() + stats.noise_floor_silences > stats.exact_fallbacks(),
+            "alpha={alpha}: the ladder should settle most listeners: {stats:?}"
+        );
+        assert!(exact.iter().any(Reception::is_message), "alpha={alpha}");
+
+        let jammed = ChannelPerturbation::new(1.25, &extra);
+        let exact = round(
+            &ch,
+            &positions,
+            (&tx, &ls),
+            &mut ResolveEngine::Exact,
+            &jammed,
+            &mut SmallRng::seed_from_u64(5),
+        );
+        let stats =
+            assert_thread_invariant(&mut engine, &ch, &positions, (&tx, &ls), &jammed, &exact);
+        assert_eq!(stats.listeners_resolved(), ls.len() as u64, "{stats:?}");
+    }
+}
+
+/// Gains the bounded kernel cannot certify — a listener on top of its
+/// sender (d² = 0, an infinite gain) and one a subnormal d² away (a NaN
+/// bounded gain) — never decide a reception at generic α: they trip
+/// rung 1, their bounded first pass is refused, and the canonical rescan
+/// decides, matching the exact tier. At α = 3 the same round needs no
+/// rescan at all.
+#[test]
+fn special_bounded_gains_never_decide() {
+    let mut positions = vec![
+        Point::new(0.0, 0.0),    // 0: listener, a subnormal d² from 1
+        Point::new(1e-158, 0.0), // 1: sender
+        Point::new(5.0, 5.0),    // 2: listener on top of 3
+        Point::new(5.0, 5.0),    // 3: sender
+    ];
+    // A lattice of ordinary listeners and one more sender around them.
+    for i in 0..36 {
+        positions.push(Point::new(
+            1.0 + (i % 6) as f64 * 1.3,
+            1.0 + (i / 6) as f64 * 1.3,
+        ));
+    }
+    positions.push(Point::new(8.0, 8.0));
+    let tx = vec![1, 3, positions.len() - 1];
+    let ls: Vec<usize> = (0..positions.len() - 1)
+        .filter(|v| !tx.contains(v))
+        .collect();
+    assert!(positions[1].distance_sq(positions[0]) < f64::MIN_POSITIVE);
+    for (alpha, rescans) in [(2.5, true), (3.0, false)] {
+        let params = params_with(alpha, 1.5, 0.01, 1.0);
+        let ch = SinrChannel::new(params);
+        let mut engine = tiled(&positions, &params, 8);
+        let exact = ch.resolve(&positions, &tx, &ls, &mut SmallRng::seed_from_u64(3));
+        let neutral = ChannelPerturbation::neutral();
+        let stats =
+            assert_thread_invariant(&mut engine, &ch, &positions, (&tx, &ls), &neutral, &exact);
+        assert!(stats.nonfinite_fallbacks >= 2, "alpha={alpha}: {stats:?}");
+        if rescans {
+            assert!(stats.canonical_rescans >= 2, "alpha={alpha}: {stats:?}");
+        } else {
+            assert_eq!(stats.canonical_rescans, 0, "alpha={alpha}: {stats:?}");
+        }
+    }
+}
+
+/// A negative (or NaN) noise floor — a caller's perturbation with a
+/// negative jammer term — voids the winner lemma that lets a bounded near
+/// scan name its sender, so at generic α such a listener certifies no
+/// `Message`: it falls back and is rescanned canonically, matching the
+/// exact tier. A floor ≥ 0 certifies as usual, with no rescan.
+#[test]
+fn negative_floor_certifies_no_bounded_message() {
+    let mut positions = Vec::new();
+    let (mut tx, mut ls) = (Vec::new(), Vec::new());
+    for i in 0..6 {
+        ls.push(positions.len());
+        positions.push(Point::new(f64::from(i) * 10.0, 0.0));
+        tx.push(positions.len());
+        positions.push(Point::new(f64::from(i) * 10.0 + 0.5, 0.0));
+    }
+    positions.push(Point::new(50.5, 50.0));
+    let params = params_with(2.5, 2.0, 1.0, 1.0);
+    let ch = SinrChannel::new(params);
+    let mut engine = tiled(&positions, &params, 8);
+    for (floor_extra, negative) in [(-1.5, true), (-3.0, true), (f64::NAN, true), (0.5, false)] {
+        let mut extra = vec![0.0; positions.len()];
+        for &v in &ls {
+            extra[v] = floor_extra;
+        }
+        let perturbation = ChannelPerturbation::new(1.0, &extra);
+        let exact = round(
+            &ch,
+            &positions,
+            (&tx, &ls),
+            &mut ResolveEngine::Exact,
+            &perturbation,
+            &mut SmallRng::seed_from_u64(9),
+        );
+        let stats = assert_thread_invariant(
+            &mut engine,
+            &ch,
+            &positions,
+            (&tx, &ls),
+            &perturbation,
+            &exact,
+        );
+        if negative {
+            assert_eq!(stats.bracket_decisions, 0, "extra={floor_extra}: {stats:?}");
+            assert_eq!(
+                stats.canonical_rescans,
+                ls.len() as u64,
+                "extra={floor_extra}: {stats:?}"
+            );
+        } else {
+            assert_eq!(stats.bracket_decisions, ls.len() as u64, "{stats:?}");
+            assert_eq!(stats.canonical_rescans, 0, "{stats:?}");
+            assert!(exact.iter().all(Reception::is_message));
+        }
+    }
+}
+
+/// The largest noise floor at which `best` still decodes against
+/// `interference` under the canonical test `best ≥ β·(noise + I)`; one
+/// ulp more and it is silent.
+fn knife_edge_noise(best: f64, interference: f64, beta: f64) -> f64 {
+    let decodes = |n: f64| best >= beta * (n + interference);
+    let up = |n: f64| f64::from_bits(n.to_bits() + 1);
+    let mut n = best / beta - interference;
+    while !decodes(n) {
+        n = f64::from_bits(n.to_bits() - 1);
+    }
+    while decodes(up(n)) {
+        n = up(n);
+    }
+    n
+}
+
+/// Knife-edge decisions at the generic exponent α = 2.5: one listener, a
+/// near sender and five far interferers (aggregated by the tree), with
+/// the noise floor tuned to the last ulp at which the canonical test
+/// still decodes (and to the first at which it does not). Each SINR lies
+/// within 1e-12 of β, far inside the engine's 1e-9 slack, so neither the
+/// ladder nor the bounded first pass of the fallback may certify it:
+/// every case must reach the canonical rescan, and only that rescan can
+/// match the exact tier.
+#[test]
+fn generic_alpha_knife_edge_reaches_the_canonical_rescan() {
+    let (alpha, beta, power) = (2.5, 1.5, 1.0);
+    let far = [(5.3, 6.1), (7.2, 1.7), (2.2, 7.4), (6.6, 6.9), (7.9, 4.4)];
+    let mut cases = 0u64;
+    for case in 0..16 {
+        let j = f64::from(case) / 16.0;
+        let mut positions = vec![
+            Point::new(0.05, 0.1),
+            Point::new(0.9 + 0.3 * j, 0.4 - 0.2 * j),
+        ];
+        positions.extend(
+            far.iter()
+                .map(|&(x, y)| Point::new(x + 0.1 * j, y - 0.05 * j)),
+        );
+        // Pad the bounding box to [0, 8]² for unit tiles under an 8×8 grid.
+        positions.push(Point::new(8.0, 8.0));
+        let tx: Vec<usize> = (1..7).collect();
+        let ls = [0usize];
+
+        let probe = SinrChannel::new(params_with(alpha, beta, 1.0, power));
+        let total = probe.interference_at(&positions, positions[0], &tx);
+        let best = power / fading_channel::pow_alpha(positions[1].distance_sq(positions[0]), alpha);
+        let edge = knife_edge_noise(best, total - best, beta);
+        for noise in [edge, f64::from_bits(edge.to_bits() + 1)] {
+            let params = params_with(alpha, beta, noise, power);
+            let ch = SinrChannel::new(params);
+            let sinr = ch.sinr(&positions, 1, 0, &tx);
+            assert!(
+                (sinr / beta - 1.0).abs() <= 1e-12,
+                "case {case}: SINR {sinr} is not a knife edge of beta {beta}"
+            );
+            let mut engine = tiled(&positions, &params, 8);
+            let exact = ch.resolve(&positions, &tx, &ls, &mut SmallRng::seed_from_u64(1));
+            let fast = round(
+                &ch,
+                &positions,
+                (&tx, &ls),
+                &mut engine,
+                &ChannelPerturbation::neutral(),
+                &mut SmallRng::seed_from_u64(1),
+            );
+            assert_eq!(exact, fast, "case {case}, noise {noise:e}");
+            let stats = engine.stats();
+            assert_eq!(stats.exact_fallbacks(), 1, "case {case}: {stats:?}");
+            assert_eq!(
+                stats.canonical_rescans, 1,
+                "case {case}: certification must refuse a knife edge: {stats:?}"
+            );
+            cases += 1;
+        }
+    }
+    assert_eq!(cases, 32);
+}
+
+/// The near fold's winner rule on an exact tie: two near transmitters at
+/// the same distance from a listener, the one with the lower slice index
+/// in the *later* near tile. At α = 3 (canonical near scan) a negative
+/// noise floor lets the ladder certify a `Message` even though the two
+/// gains tie, so it must name the canonical winner — the lowest slice
+/// index — which only a slice-order near gather guarantees.
+#[test]
+fn tied_near_gains_name_the_lowest_slice_index() {
+    let params = params_with(3.0, 2.0, 1.0, 16.0);
+    let ch = SinrChannel::new(params);
+    let positions = vec![
+        Point::new(4.5, 4.5), // 0: listener
+        Point::new(6.5, 4.5), // 1: slice index 0, right of the listener
+        Point::new(2.5, 4.5), // 2: slice index 1, left of the listener
+        Point::new(0.0, 0.0), // pads: the bbox is [0, 8]², unit tiles
+        Point::new(8.0, 8.0),
+    ];
+    let (tx, ls) = (vec![1, 2], vec![0]);
+    let mut extra = vec![0.0; positions.len()];
+    extra[0] = -10.0;
+    let jammed = ChannelPerturbation::new(1.0, &extra);
+    let exact = round(
+        &ch,
+        &positions,
+        (&tx, &ls),
+        &mut ResolveEngine::Exact,
+        &jammed,
+        &mut SmallRng::seed_from_u64(1),
+    );
+    assert_eq!(exact, vec![Reception::Message { from: 1 }]);
+    let mut engine = tiled(&positions, &params, 8);
+    let stats = assert_thread_invariant(&mut engine, &ch, &positions, (&tx, &ls), &jammed, &exact);
+    assert_eq!(stats.bracket_decisions, 1, "{stats:?}");
 }

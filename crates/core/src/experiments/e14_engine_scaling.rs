@@ -1,4 +1,4 @@
-//! E14 — engine-tier scaling: the far-field tier versus the n² wall.
+//! E14 — engine-tier scaling: the tile-tree tier versus the n² wall.
 
 use std::time::Instant;
 
@@ -16,8 +16,8 @@ enum Tier {
     Exact,
     /// Gain-cache engine (precomputed pairwise gains).
     GainCache,
-    /// Far-field engine (tile-aggregated interference bounds).
-    FarField,
+    /// Tile-tree engine (tree-aggregated interference bounds).
+    Tree,
 }
 
 impl Tier {
@@ -25,7 +25,7 @@ impl Tier {
         match self {
             Tier::Exact => "exact",
             Tier::GainCache => "gain-cache",
-            Tier::FarField => "farfield",
+            Tier::Tree => "hierarchical",
         }
     }
 
@@ -33,7 +33,7 @@ impl Tier {
         sim.set_tier(match self {
             Tier::Exact => EngineTier::Exact,
             Tier::GainCache => EngineTier::GainCache,
-            Tier::FarField => EngineTier::FarField,
+            Tier::Tree => EngineTier::Hierarchical,
         });
     }
 }
@@ -45,9 +45,9 @@ const QUADRATIC_TIER_CEILING: usize = 4096;
 
 fn tiers_for(n: usize) -> Vec<Tier> {
     if n <= QUADRATIC_TIER_CEILING {
-        vec![Tier::Exact, Tier::GainCache, Tier::FarField]
+        vec![Tier::Exact, Tier::GainCache, Tier::Tree]
     } else {
-        vec![Tier::FarField]
+        vec![Tier::Tree]
     }
 }
 
@@ -83,16 +83,16 @@ fn run_tier(
 
 /// E14: wall-clock cost per round of the three resolve tiers as `n` grows.
 ///
-/// **Claim:** the far-field tier breaks the quadratic per-round wall — its
+/// **Claim:** the tile-tree tier breaks the quadratic per-round wall — its
 /// per-round cost grows sub-quadratically, letting full FKN runs complete
 /// at `n = 65536` where neither the exact scan nor the gain cache (which
 /// refuses to build above `n = 4096`) is usable. Exactness is not traded
 /// away: the table re-verifies, at the largest quadratic-tier size, that a
-/// far-field run is byte-identical to an exact run.
+/// tile-tree run is byte-identical to an exact run.
 ///
 /// The sweep is `n ∈ {2¹⁰, 2¹², 2¹⁴, 2¹⁶}` clipped to `max_n_pow2 + 4`:
 /// this experiment exists to measure *past* the standard experiment sizes
-/// (the far-field tier's whole point), so its ceiling sits four powers of
+/// (the tile-tree tier's whole point), so its ceiling sits four powers of
 /// two above the config's — `2¹⁶` under the full preset, `2¹⁰` under
 /// smoke. When even that admits no sweep point, it falls back to the
 /// single size `2^max_n_pow2` so every tier still runs.
@@ -112,7 +112,7 @@ pub fn e14_engine_scaling(cfg: &ExperimentConfig) -> Table {
     }
 
     let mut exact_ms_per_round = None;
-    let mut farfield_ms_per_round = None;
+    let mut tree_ms_per_round = None;
     for (block, &n) in sweep.iter().enumerate() {
         // Large deployments get fewer (but never zero) trials: the tail
         // sizes exist to demonstrate feasibility and per-round cost, not
@@ -133,7 +133,7 @@ pub fn e14_engine_scaling(cfg: &ExperimentConfig) -> Table {
             if n == *sweep.last().expect("nonempty sweep") {
                 match tier {
                     Tier::Exact => exact_ms_per_round = Some(ms_per_round),
-                    Tier::FarField => farfield_ms_per_round = Some(ms_per_round),
+                    Tier::Tree => tree_ms_per_round = Some(ms_per_round),
                     Tier::GainCache => {}
                 }
             }
@@ -148,18 +148,18 @@ pub fn e14_engine_scaling(cfg: &ExperimentConfig) -> Table {
         }
     }
 
-    if let (Some(exact), Some(far)) = (exact_ms_per_round, farfield_ms_per_round) {
-        if far > 0.0 {
+    if let (Some(exact), Some(tree)) = (exact_ms_per_round, tree_ms_per_round) {
+        if tree > 0.0 {
             table.note(format!(
-                "farfield vs exact at n={}: {}x faster per round",
+                "hierarchical vs exact at n={}: {}x faster per round",
                 sweep.last().expect("nonempty sweep"),
-                fmt_f64(exact / far)
+                fmt_f64(exact / tree)
             ));
         }
     }
 
     // Decision-exactness cross-check at the largest quadratic-tier size in
-    // the sweep: a far-field run must be byte-identical to an exact run.
+    // the sweep: a tile-tree run must be byte-identical to an exact run.
     if let Some(&n) = sweep.iter().filter(|&&n| n <= QUADRATIC_TIER_CEILING).max() {
         let seed = cfg.seed_block(99);
         let run = |tier: Tier| {
@@ -171,13 +171,13 @@ pub fn e14_engine_scaling(cfg: &ExperimentConfig) -> Table {
             sim.run_until_resolved(cfg.max_rounds)
         };
         let exact = run(Tier::Exact);
-        let farfield = run(Tier::FarField);
+        let tree = run(Tier::Tree);
         assert_eq!(
-            exact, farfield,
-            "decision-exactness violated at n={n}: farfield RunResult diverged"
+            exact, tree,
+            "decision-exactness violated at n={n}: hierarchical RunResult diverged"
         );
         table.note(format!(
-            "cross-check at n={n}: farfield and exact runs byte-identical (seed {seed})"
+            "cross-check at n={n}: hierarchical and exact runs byte-identical (seed {seed})"
         ));
     }
     table.note(format!(
@@ -207,7 +207,7 @@ mod tests {
             );
         }
         let tiers: Vec<&str> = t.rows().iter().map(|r| r[1].as_str()).collect();
-        assert_eq!(tiers, ["exact", "gain-cache", "farfield"]);
+        assert_eq!(tiers, ["exact", "gain-cache", "hierarchical"]);
         assert!(
             t.notes().iter().any(|n| n.contains("byte-identical")),
             "cross-check note missing: {:?}",

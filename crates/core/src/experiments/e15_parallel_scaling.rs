@@ -1,4 +1,4 @@
-//! E15 — hierarchical tier + parallel resolve: past the far-field ceiling.
+//! E15 — hierarchical tier + parallel resolve, up to n = 2²⁰.
 
 use std::time::Instant;
 
@@ -14,8 +14,6 @@ use crate::Table;
 enum Tier {
     /// The O(n²)-per-round exact scan — the ground-truth reference.
     Exact,
-    /// Flat far-field engine (single-level tile aggregation).
-    FarField,
     /// Hierarchical (tile-tree) engine, resolved on `threads` workers of
     /// the work-stealing pool.
     Hier { threads: usize },
@@ -25,7 +23,6 @@ impl Tier {
     fn label(self) -> &'static str {
         match self {
             Tier::Exact => "exact",
-            Tier::FarField => "farfield",
             Tier::Hier { threads: 1 } => "hier-1t",
             Tier::Hier { .. } => "hier-8t",
         }
@@ -34,7 +31,6 @@ impl Tier {
     fn pin(self, sim: &mut Simulation) {
         match self {
             Tier::Exact => sim.set_tier(EngineTier::Exact),
-            Tier::FarField => sim.set_tier(EngineTier::FarField),
             Tier::Hier { threads } => {
                 sim.set_tier(EngineTier::Hierarchical);
                 sim.set_resolve_threads(threads);
@@ -43,25 +39,12 @@ impl Tier {
     }
 }
 
-/// Largest `n` at which the *flat* far-field tier is still probed: its
-/// tile grid is capped at 512×512, so past this size the near scan
-/// degrades toward linear-per-listener and the tier stops being the
-/// interesting comparison (the hierarchical tier exists precisely to
-/// take over here).
-const FLAT_TIER_CEILING: usize = 1 << 18;
-
 /// Largest `n` at which the exact cross-check runs (quadratic cost).
 const CROSS_CHECK_CEILING: usize = 1 << 12;
 
-fn tiers_for(n: usize) -> Vec<Tier> {
-    let mut tiers = Vec::new();
-    if n <= FLAT_TIER_CEILING {
-        tiers.push(Tier::FarField);
-    }
-    tiers.push(Tier::Hier { threads: 1 });
-    tiers.push(Tier::Hier { threads: 8 });
-    tiers
-}
+/// The tiers timed at every size: the tile tree on one and on eight
+/// resolve workers.
+const TIERS: [Tier; 2] = [Tier::Hier { threads: 1 }, Tier::Hier { threads: 8 }];
 
 /// One timed batch: `trials` sequential FKN runs on fresh deployments,
 /// pinned to `tier`. Returns `(resolved, total_rounds, wall_millis)`.
@@ -93,13 +76,11 @@ fn run_tier(
     (resolved, total_rounds, wall)
 }
 
-/// E15: wall-clock cost per round of the hierarchical tier (serial and on
-/// the 8-worker stealing pool) against the flat far-field tier, up to
-/// `n = 2²⁰`.
+/// E15: wall-clock cost per round of the hierarchical tier, serial and on
+/// the 8-worker stealing pool, up to `n = 2²⁰`.
 ///
-/// **Claim:** the hierarchical engine extends the fast-tier range past
-/// the flat engine's 512×512 tile-grid ceiling — full FKN runs complete
-/// at `n = 1,048,576` — and neither the tree traversal nor the
+/// **Claim:** full FKN runs complete on the hierarchical engine at
+/// `n = 1,048,576`, and neither the tree traversal nor the
 /// work-stealing pool trades exactness away: at the cross-check size a
 /// `hier-8t` run is byte-identical to an exact run.
 ///
@@ -125,7 +106,6 @@ pub fn e15_parallel_scaling(cfg: &ExperimentConfig) -> Table {
     }
     let top = *sweep.last().expect("nonempty sweep");
 
-    let mut flat_ms = None;
     let mut hier1_ms = None;
     let mut hier8_ms = None;
     for (block, &n) in sweep.iter().enumerate() {
@@ -136,7 +116,7 @@ pub fn e15_parallel_scaling(cfg: &ExperimentConfig) -> Table {
         } else {
             cfg.trials.clamp(1, 2)
         };
-        for tier in tiers_for(n) {
+        for tier in TIERS {
             let (resolved, rounds, wall) =
                 run_tier(cfg, cfg.seed_block(block as u64), n, tier, trials);
             let ms_per_round = if rounds > 0 {
@@ -146,7 +126,6 @@ pub fn e15_parallel_scaling(cfg: &ExperimentConfig) -> Table {
             };
             if n == top {
                 match tier {
-                    Tier::FarField => flat_ms = Some(ms_per_round),
                     Tier::Hier { threads: 1 } => hier1_ms = Some(ms_per_round),
                     Tier::Hier { .. } => hier8_ms = Some(ms_per_round),
                     Tier::Exact => {}
@@ -163,14 +142,6 @@ pub fn e15_parallel_scaling(cfg: &ExperimentConfig) -> Table {
         }
     }
 
-    if let (Some(flat), Some(hier)) = (flat_ms, hier8_ms) {
-        if hier > 0.0 {
-            table.note(format!(
-                "hier-8t vs flat farfield at n={top}: {}x per round",
-                fmt_f64(flat / hier)
-            ));
-        }
-    }
     if let (Some(h1), Some(h8)) = (hier1_ms, hier8_ms) {
         if h8 > 0.0 {
             table.note(format!(
@@ -204,10 +175,7 @@ pub fn e15_parallel_scaling(cfg: &ExperimentConfig) -> Table {
             "cross-check at n={n}: hier-8t and exact runs byte-identical (seed {seed})"
         ));
     }
-    table.note(format!(
-        "flat farfield runs only for n <= {FLAT_TIER_CEILING} (512x512 tile-grid ceiling); \
-         hierarchical trials run sequentially — only the in-round resolve parallelizes"
-    ));
+    table.note("hierarchical trials run sequentially — only the in-round resolve parallelizes");
     table
 }
 
@@ -222,15 +190,15 @@ mod tests {
         cfg.max_n_pow2 = 3;
         // Even the smallest sweep point (2^12 = 4096) is too slow for a
         // unit test; with max_n_pow2 = 3 the clip (p <= 11) empties the
-        // sweep and the fallback single size 8 runs all three tiers.
+        // sweep and the fallback single size 8 runs both tiers.
         let t = e15_parallel_scaling(&cfg);
-        assert_eq!(t.num_rows(), 3);
+        assert_eq!(t.num_rows(), 2);
         for row in t.rows() {
             assert_eq!(row[0], "8");
             assert_eq!(row[3], format!("{}/{}", row[2], row[2]), "all trials resolve");
         }
         let tiers: Vec<&str> = t.rows().iter().map(|r| r[1].as_str()).collect();
-        assert_eq!(tiers, ["farfield", "hier-1t", "hier-8t"]);
+        assert_eq!(tiers, ["hier-1t", "hier-8t"]);
         assert!(
             t.notes().iter().any(|n| n.contains("byte-identical")),
             "cross-check note missing: {:?}",

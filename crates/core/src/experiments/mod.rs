@@ -20,7 +20,7 @@
 //! | E11 | The "with high probability" guarantee, quantified |
 //! | E12 | Ablations: knockout rule, stochastic fading, deployment shape |
 //! | E13 | Robustness degradation under fault injection (jamming, churn, noise, burst loss) |
-//! | E14 | Engine-tier scaling: the far-field resolve tier vs the n² wall |
+//! | E14 | Engine-tier scaling: the tile-tree resolve tier vs the n² wall |
 //! | E15 | Hierarchical tier + parallel resolve: full runs at `n = 2²⁰` |
 //! | E16 | Fault-tolerant execution: supervision, manifest resume, self-check demotion |
 //!

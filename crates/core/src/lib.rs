@@ -86,9 +86,9 @@ pub mod prelude {
     pub use crate::table::Table;
     pub use fading_analysis::{ClassBoundSchedule, GoodNodes, LinkClasses, ScheduleParams};
     pub use fading_channel::{
-        Channel, ChunkExecutor, EngineTier, FarFieldEngine, FarFieldStats, GainCache,
-        HierarchicalFarFieldEngine, RadioCdChannel, RadioChannel, RayleighSinrChannel, Reception,
-        ResolveEngine, SerialExecutor, SinrChannel, SinrParams,
+        Channel, ChunkExecutor, EngineTier, FarFieldStats, GainCache, HierarchicalFarFieldEngine,
+        RadioCdChannel, RadioChannel, RayleighSinrChannel, Reception, ResolveEngine,
+        SerialExecutor, SinrChannel, SinrParams,
     };
     pub use fading_geom::{generators, Deployment, Point};
     pub use fading_hitting::{
@@ -101,7 +101,7 @@ pub mod prelude {
     };
     pub use fading_sim::{
         faults, montecarlo, Action, FaultPlan, Protocol, RunOutcome, RunResult, SimError,
-        Simulation, StealPool, TraceLevel, HIERARCHICAL_AUTO_THRESHOLD,
+        Simulation, StealPool, TraceLevel,
     };
 }
 

@@ -21,8 +21,8 @@
 //! The tree is the spatial substrate of that engine: near a listener it
 //! descends to fine tiles (scanned exactly), far away it stops at the
 //! coarsest node whose content bbox is small relative to its distance, so
-//! one traversal touches O(log n) nodes instead of O(T) tile pairs — and,
-//! unlike the flat engine's T×T pair tables, needs no quadratic precompute.
+//! one traversal touches O(log n) nodes instead of O(T) tile pairs, with no
+//! quadratic pair-table precompute.
 //!
 //! Like [`TileIndex`], the tree is static: it describes where points *are*.
 //! Dynamic per-node masses (this round's transmitters) live with the

@@ -229,8 +229,7 @@ impl Dashboard {
 
         // Tier mix from the newest frame's engine-round deltas.
         if let Some(f) = latest {
-            let tiers: [(&str, u64); 5] = [
-                ("far", f.d_farfield_rounds),
+            let tiers: [(&str, u64); 4] = [
                 ("hier", f.d_hierarchical_rounds),
                 ("cache", f.d_gain_cache_rounds),
                 ("exact", f.d_exact_rounds),
@@ -371,7 +370,7 @@ mod tests {
         d.apply_line(
             "{\"event\":\"frame\",\"t_ms\":1000,\"dt_ms\":500,\"d_trials\":3,\"d_trial_rounds\":40,\
              \"d_retried\":0,\"d_timed_out\":0,\"d_jobs_completed\":0,\"d_jobs_failed\":0,\
-             \"d_engine_rounds\":40,\"d_farfield_rounds\":30,\"d_hierarchical_rounds\":0,\
+             \"d_engine_rounds\":40,\"d_farfield_rounds\":0,\"d_hierarchical_rounds\":30,\
              \"d_gain_cache_rounds\":0,\"d_exact_rounds\":10,\"d_instrumented_rounds\":0,\
              \"d_jammed_rounds\":0,\"d_fallback_listeners\":2,\"d_resolved_listeners\":90,\
              \"queue_depth\":7,\"jobs_in_flight\":1}",
@@ -390,6 +389,7 @@ mod tests {
         assert!(screen.contains("ALERT"), "{screen}");
         assert!(screen.contains("queue_depth"), "{screen}");
         assert!(screen.contains("11 lines dropped"), "{screen}");
+        assert!(screen.contains("hier:75% exact:25%"), "{screen}");
         // Plain render carries no escape codes; ANSI render does.
         assert!(!screen.contains('\x1b'));
         assert!(d.render(60, true).starts_with("\x1b[H\x1b[2J"));

@@ -111,6 +111,4 @@ pub use telemetry::{
 };
 
 // Re-export the vocabulary types callers always need alongside the simulator.
-pub use fading_channel::{
-    Channel, EngineTier, GainCache, NodeId, Reception, ResolveEngine, HIERARCHICAL_AUTO_THRESHOLD,
-};
+pub use fading_channel::{Channel, EngineTier, GainCache, NodeId, Reception, ResolveEngine};

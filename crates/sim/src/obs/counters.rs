@@ -18,7 +18,9 @@ pub enum ResolvePath {
     Exact,
     /// Gain-cache tier (precomputed pairwise gains).
     Cached,
-    /// Tile-aggregated far-field engine.
+    /// The flat tile-pair far-field engine, since removed: no round takes
+    /// this path any more. Kept so encoded events and counters keep their
+    /// shape.
     FarField,
     /// Multi-resolution tile-tree far-field engine (parallelizable).
     Hierarchical,
@@ -73,7 +75,9 @@ impl ResolvePath {
 pub struct EngineCounters {
     /// Rounds stepped.
     pub rounds: u64,
-    /// Rounds resolved by the far-field engine.
+    /// Rounds resolved by the flat far-field engine. Always 0: that engine
+    /// was folded into the tile tree. Kept so encoded counters keep their
+    /// shape.
     pub farfield_rounds: u64,
     /// Rounds resolved by the hierarchical (tile-tree) far-field engine.
     pub hierarchical_rounds: u64,
@@ -111,12 +115,11 @@ pub struct EngineCounters {
     /// SINR intermediate), total.
     pub self_check_violations: u64,
     /// Engine-tier demotions triggered by self-check violations
-    /// (hierarchical → farfield → gain-cache → exact), total.
+    /// (hierarchical → gain-cache → exact), total.
     pub tier_demotions: u64,
-    /// The per-rung decision-ladder counters, aggregated over **both**
-    /// far-field engines (flat and hierarchical — they share the same
-    /// 5-rung ladder; all zero when neither engine served a round), plus
-    /// the `canonical_rescans` sub-count of their exact fallbacks.
+    /// The per-rung counters of the tile-tree engine's 5-rung decision
+    /// ladder (all zero when it served no round), plus the
+    /// `canonical_rescans` sub-count of its exact fallbacks.
     pub farfield: FarFieldStats,
 }
 

@@ -61,7 +61,8 @@ pub struct TsSample {
     pub jobs_failed: u64,
     /// [`EngineCounters::rounds`] total (advances at job completion).
     pub engine_rounds: u64,
-    /// Rounds served by the flat far-field engine.
+    /// [`EngineCounters::farfield_rounds`] total (always 0: the flat
+    /// far-field engine it counted is gone).
     pub farfield_rounds: u64,
     /// Rounds served by the hierarchical far-field engine.
     pub hierarchical_rounds: u64,
@@ -132,7 +133,7 @@ pub struct TsFrame {
     pub d_jobs_failed: u64,
     /// Engine rounds merged in this frame.
     pub d_engine_rounds: u64,
-    /// Flat far-field rounds merged in this frame.
+    /// Flat far-field rounds merged in this frame (always 0).
     pub d_farfield_rounds: u64,
     /// Hierarchical far-field rounds merged in this frame.
     pub d_hierarchical_rounds: u64,

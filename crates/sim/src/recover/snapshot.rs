@@ -26,7 +26,9 @@ const MAGIC: [u8; 4] = *b"FSNP";
 
 /// Current snapshot format version. Bumped on any layout change; older
 /// readers reject newer snapshots with [`SnapshotError::VersionMismatch`].
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// Version 4: the engine tier byte indexes the three-tier
+/// [`EngineTier::ALL`] (the flat far-field tier is gone).
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Why a snapshot could not be encoded, decoded, or restored.
 #[derive(Debug)]
@@ -654,7 +656,7 @@ mod tests {
                 knocked_out: 1,
                 transmitter_ids: Some(vec![0, 2]),
             }],
-            tier: EngineTier::FarField,
+            tier: EngineTier::Hierarchical,
             resolve_threads: 4,
             counters: EngineCounters {
                 rounds: 17,
@@ -719,6 +721,12 @@ mod tests {
         assert!(matches!(
             SimSnapshot::from_bytes(&bytes),
             Err(SnapshotError::VersionMismatch { .. })
+        ));
+        // A version-3 file indexes the old four-tier enum: refused too.
+        bytes[4] = 3;
+        assert!(matches!(
+            SimSnapshot::from_bytes(&bytes),
+            Err(SnapshotError::VersionMismatch { found: 3, .. })
         ));
     }
 

@@ -535,13 +535,13 @@ impl Simulation {
     /// instrumented path and compared against the fast tier's receptions.
     /// `samples == 0` disables the check. Call before stepping.
     ///
-    /// A round is eligible when it was served by a fast tier (gain cache,
-    /// far-field, or hierarchical) on a channel whose resolve draws no
+    /// A round is eligible when it was served by a fast tier (gain cache
+    /// or tile tree) on a channel whose resolve draws no
     /// randomness — a partial re-resolve on an RNG-drawing channel would
     /// desynchronize the stream. On any mismatch, or a non-finite signal /
     /// interference / noise intermediate, the serving tier is **demoted**:
     /// the next lower tier the channel can serve is built on the spot
-    /// (hierarchical → far-field → gain-cache → exact, skipping a tier
+    /// (hierarchical → gain-cache → exact, skipping a tier
     /// whose guard refuses the deployment), recorded in
     /// [`EngineCounters::tier_demotions`] and the span stream. The check
     /// never panics, and because the tiers are bit-identical, demotion
@@ -901,7 +901,6 @@ impl Simulation {
             match self.engine.tier() {
                 EngineTier::Exact => ResolvePath::Exact,
                 EngineTier::GainCache => ResolvePath::Cached,
-                EngineTier::FarField => ResolvePath::FarField,
                 EngineTier::Hierarchical => ResolvePath::Hierarchical,
             }
         };
@@ -989,7 +988,7 @@ impl Simulation {
         if self.self_check.is_some()
             && matches!(
                 resolve_path,
-                ResolvePath::Cached | ResolvePath::FarField | ResolvePath::Hierarchical
+                ResolvePath::Cached | ResolvePath::Hierarchical
             )
             && !self.listeners.is_empty()
             && !self.channel.resolve_draws_rng()
@@ -1035,8 +1034,7 @@ impl Simulation {
                 if violated {
                     // Graceful degradation: replace the tier that served
                     // this round with the next lower one the channel can
-                    // serve (hierarchical → far-field → gain-cache →
-                    // exact). Only fast tiers are audited, so a lower tier
+                    // serve (hierarchical → gain-cache → exact). Only fast tiers are audited, so a lower tier
                     // always exists.
                     let _span_demote = self.span("self_check.demote");
                     if let Some(lower) = self.engine.tier().lower() {
@@ -1788,8 +1786,7 @@ mod tests {
         // One case per rung of the ladder: the serving tier, and the tier
         // the demotion must build on demand.
         for (from, to) in [
-            (EngineTier::Hierarchical, EngineTier::FarField),
-            (EngineTier::FarField, EngineTier::GainCache),
+            (EngineTier::Hierarchical, EngineTier::GainCache),
             (EngineTier::GainCache, EngineTier::Exact),
         ] {
             let clean = {

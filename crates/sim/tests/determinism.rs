@@ -289,12 +289,12 @@ fn rayleigh_bypasses_gain_cache_above_profitability_threshold() {
     );
 }
 
-/// Like [`run_batch`]/[`run_faulted_batch`], but exercising the far-field
-/// engine: gain cache disabled so the farfield/exact comparison is pure,
+/// Like [`run_batch`]/[`run_faulted_batch`], but exercising the tile-tree
+/// engine: gain cache disabled so the tree/exact comparison is pure,
 /// fault plan optional.
-fn run_farfield_batch<F>(
+fn run_tile_tree_batch<F>(
     make_channel: &F,
-    farfield: bool,
+    tree: bool,
     threads: usize,
     trials: usize,
     faulted: bool,
@@ -313,8 +313,8 @@ where
         if faulted {
             sim.set_fault_plan(stress_plan()).expect("plan fits deployment");
         }
-        sim.set_tier(if farfield {
-            EngineTier::FarField
+        sim.set_tier(if tree {
+            EngineTier::Hierarchical
         } else {
             EngineTier::Exact
         });
@@ -323,27 +323,27 @@ where
     })
 }
 
-/// The engine-tier cross-product: farfield {on, off} × threads {1, 8} ×
+/// The engine-tier cross-product: tile tree {on, off} × threads {1, 8} ×
 /// fault plan {none, stress} must all produce byte-identical results —
 /// the end-to-end restatement of the decision-exactness contract, with
 /// knockout churn keeping the tile occupancy maintenance honest.
-fn assert_farfield_and_threads_invariant<F>(make_channel: F)
+fn assert_tile_tree_and_threads_invariant<F>(make_channel: F)
 where
     F: Fn() -> Box<dyn Channel> + Sync,
 {
     let trials = 12;
     for &faulted in &[false, true] {
-        let reference = run_farfield_batch(&make_channel, false, 1, trials, faulted);
+        let reference = run_tile_tree_batch(&make_channel, false, 1, trials, faulted);
         assert!(
             reference.iter().any(|r| r.resolved()),
             "batch (faulted={faulted}) never resolved; too hard to be a useful oracle"
         );
-        for &farfield in &[true, false] {
+        for &tree in &[true, false] {
             for &threads in &[1usize, 8] {
-                let got = run_farfield_batch(&make_channel, farfield, threads, trials, faulted);
+                let got = run_tile_tree_batch(&make_channel, tree, threads, trials, faulted);
                 assert_eq!(
                     got, reference,
-                    "results diverged at farfield={farfield}, threads={threads}, faulted={faulted}"
+                    "results diverged at tree={tree}, threads={threads}, faulted={faulted}"
                 );
             }
         }
@@ -351,34 +351,34 @@ where
 }
 
 #[test]
-fn sinr_results_invariant_under_farfield_and_thread_count() {
-    assert_farfield_and_threads_invariant(|| Box::new(SinrChannel::new(params())));
+fn sinr_results_invariant_under_tile_tree_and_thread_count() {
+    assert_tile_tree_and_threads_invariant(|| Box::new(SinrChannel::new(params())));
 }
 
 #[test]
-fn rayleigh_results_invariant_under_farfield_and_thread_count() {
-    // Rayleigh cannot be served by the far-field tier (per-pair fading
+fn rayleigh_results_invariant_under_tile_tree_and_thread_count() {
+    // Rayleigh cannot be served by the tile tree (per-pair fading
     // draws pin the rng schedule); asking for it builds the highest tier
     // Rayleigh supports, which must be just as invisible.
-    assert_farfield_and_threads_invariant(|| Box::new(RayleighSinrChannel::new(params())));
+    assert_tile_tree_and_threads_invariant(|| Box::new(RayleighSinrChannel::new(params())));
 }
 
 #[test]
-fn lossy_results_invariant_under_farfield_and_thread_count() {
-    assert_farfield_and_threads_invariant(|| {
+fn lossy_results_invariant_under_tile_tree_and_thread_count() {
+    assert_tile_tree_and_threads_invariant(|| {
         Box::new(LossySinrChannel::new(params(), 0.2).expect("valid drop_prob"))
     });
 }
 
-fn farfield(sim: &Simulation) -> &fading_channel::FarFieldEngine {
+fn tree(sim: &Simulation) -> &fading_channel::HierarchicalFarFieldEngine {
     match sim.engine() {
-        ResolveEngine::FarField(e) => e,
-        other => panic!("expected the far-field engine, got {:?}", other.tier()),
+        ResolveEngine::Hierarchical(e) => e,
+        other => panic!("expected the tile-tree engine, got {:?}", other.tier()),
     }
 }
 
 #[test]
-fn simulation_exposes_farfield_state() {
+fn simulation_exposes_tile_tree_state() {
     let deployment = Deployment::uniform_square(16, 10.0, 7);
     let channel = SinrChannel::new(params());
     let mut sim = Simulation::new(deployment, Box::new(channel), 7, |_| {
@@ -387,11 +387,11 @@ fn simulation_exposes_farfield_state() {
             active: true,
         })
     });
-    // The gain cache is the default at this size; the far-field engine is
+    // The gain cache is the default at this size; the tile tree is
     // built only when the tier is set.
     assert_eq!(sim.tier(), EngineTier::GainCache, "cache tier should win at n=16");
-    sim.set_tier(EngineTier::FarField);
-    assert_eq!(farfield(&sim).num_active(), 16);
+    sim.set_tier(EngineTier::Hierarchical);
+    assert_eq!(tree(&sim).num_active(), 16);
     assert_eq!(sim.engine().stats().rounds, 0, "no rounds resolved yet");
     sim.set_tier(EngineTier::Exact);
     assert!(
@@ -401,7 +401,7 @@ fn simulation_exposes_farfield_state() {
 }
 
 #[test]
-fn farfield_occupancy_shrinks_as_nodes_knock_out() {
+fn tile_tree_occupancy_shrinks_as_nodes_knock_out() {
     let deployment = Deployment::uniform_square(24, 15.0, 3);
     let channel = SinrChannel::new(params());
     let mut sim = Simulation::new(deployment, Box::new(channel), 17, |_| {
@@ -410,21 +410,21 @@ fn farfield_occupancy_shrinks_as_nodes_knock_out() {
             active: true,
         })
     });
-    sim.set_tier(EngineTier::FarField);
+    sim.set_tier(EngineTier::Hierarchical);
     sim.set_trace_level(TraceLevel::Counts);
-    assert_eq!(farfield(&sim).num_active(), 24);
+    assert_eq!(tree(&sim).num_active(), 24);
 
     let result = sim.run_until_resolved(20_000);
     assert!(result.resolved());
     assert!(sim.num_active() < sim.len(), "someone must knock out");
 
-    let engine = farfield(&sim);
+    let engine = tree(&sim);
     assert_eq!(
         engine.num_active(),
         sim.num_active(),
         "tile occupancy must track the simulation's live-node count"
     );
-    let per_tile_sum: usize = (0..engine.tiles().num_tiles())
+    let per_tile_sum: usize = (0..engine.tree().fine().num_tiles())
         .map(|t| engine.active_in_tile(t))
         .sum();
     assert_eq!(per_tile_sum, engine.num_active());

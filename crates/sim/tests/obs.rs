@@ -207,7 +207,7 @@ fn real_run_spans_round_trip_through_collapsed_flamegraph() {
 #[test]
 fn real_run_counters_round_trip_through_prometheus_and_jsonl() {
     let mut sim = knockout_sim(24, 7, sinr_channel());
-    sim.set_tier(EngineTier::FarField);
+    sim.set_tier(EngineTier::Hierarchical);
     let result = sim.run_until_resolved(5_000);
     assert!(result.resolved());
     let counters = sim.engine_counters();
@@ -267,15 +267,15 @@ fn real_run_metrics_registry_round_trips_through_prometheus() {
 /// engine configuration.
 #[test]
 fn counters_route_every_round_exactly_once_across_configurations() {
-    for (cache_on, farfield_on, want_sinr) in [
+    for (cache_on, tree_on, want_sinr) in [
         (true, false, false),
         (false, false, false),
         (false, true, false),
         (true, false, true),
     ] {
         let mut sim = knockout_sim(20, 13, sinr_channel());
-        sim.set_tier(if farfield_on {
-            EngineTier::FarField
+        sim.set_tier(if tree_on {
+            EngineTier::Hierarchical
         } else if cache_on {
             EngineTier::GainCache
         } else {
@@ -290,12 +290,12 @@ fn counters_route_every_round_exactly_once_across_configurations() {
         assert_eq!(
             c.routed_rounds(),
             c.rounds,
-            "cache={cache_on} farfield={farfield_on} sinr={want_sinr}: \
+            "cache={cache_on} tree={tree_on} sinr={want_sinr}: \
              route counters must partition the rounds"
         );
         assert_eq!(c.rounds, sim.round());
-        let expected_path = if farfield_on {
-            ResolvePath::FarField
+        let expected_path = if tree_on {
+            ResolvePath::Hierarchical
         } else if want_sinr {
             ResolvePath::Instrumented
         } else if cache_on {
@@ -313,13 +313,14 @@ fn counters_route_every_round_exactly_once_across_configurations() {
             c.gain_cache_bypassed_rounds, 0,
             "one engine serves every round, so nothing is bypassed"
         );
-        if farfield_on {
+        assert_eq!(c.farfield_rounds, 0, "the flat far-field route is gone");
+        if tree_on {
             assert_eq!(
                 c.farfield.fast_decisions()
                     + c.farfield.noise_floor_silences
                     + c.farfield.exact_fallbacks(),
                 c.farfield.listeners_resolved(),
-                "far-field rung counters must reconcile"
+                "tile-tree rung counters must reconcile"
             );
         } else {
             assert_eq!(c.farfield.rounds, 0);
@@ -341,7 +342,7 @@ fn radio_channel_runs_report_exact_route_and_no_cache() {
 #[test]
 fn telemetry_events_carry_resolve_path_and_farfield_fallback_deltas() {
     let mut sim = knockout_sim(24, 9, sinr_channel());
-    sim.set_tier(EngineTier::FarField);
+    sim.set_tier(EngineTier::Hierarchical);
     sim.set_telemetry_sink(Box::new(MemorySink::new(TelemetryDetail::counts())));
     let result = sim.run_until_resolved(5_000);
     assert!(result.resolved());
@@ -353,7 +354,7 @@ fn telemetry_events_carry_resolve_path_and_farfield_fallback_deltas() {
     assert!(!events.is_empty());
     assert!(events
         .iter()
-        .all(|e| e.resolve_path == ResolvePath::FarField));
+        .all(|e| e.resolve_path == ResolvePath::Hierarchical));
     let event_fallbacks: u64 = events.iter().map(|e| e.ff_fallbacks as u64).sum();
     assert_eq!(
         event_fallbacks,

@@ -13,6 +13,7 @@
 use fading_channel::{
     Channel, ChannelPerturbation, EngineTier, HierarchicalFarFieldEngine, LossySinrChannel,
     RayleighSinrChannel, Reception, ResolveEngine, SerialExecutor, SinrChannel, SinrParams,
+    HIER_TILE_CHUNK,
 };
 use fading_geom::Deployment;
 use fading_sim::faults::{ChurnEvent, FaultPlan, GilbertElliott, Jammer, NoiseBurst};
@@ -151,31 +152,29 @@ fn rayleigh_results_invariant_under_hierarchical_and_resolve_threads() {
 }
 
 /// Channel-level multi-chunk check: a deployment large enough to split
-/// into several `HIER_CHUNK`-sized listener chunks must produce the same
+/// into several `HIER_TILE_CHUNK`-tile chunks must produce the same
 /// receptions *and* the same rng cursor under the serial executor and
 /// under pools of 2 and 8 workers — the deterministic-merge contract at
 /// the layer where the parallelism actually lives.
 #[test]
 fn multi_chunk_resolve_is_executor_invariant() {
-    let n = 4096;
-    let deployment = Deployment::uniform_square(n, 130.0, 11);
+    let n = 8192;
+    let deployment = Deployment::uniform_square(n, 184.0, 11);
     let positions = deployment.points().to_vec();
     let p = params();
     let ch = SinrChannel::new(p);
     let mut rng_seed = SmallRng::seed_from_u64(99);
     let transmitters: Vec<usize> = (0..n).filter(|_| rng_seed.gen_bool(0.25)).collect();
     let listeners: Vec<usize> = (0..n).filter(|i| !transmitters.contains(i)).collect();
-    assert!(
-        listeners.len() > 2048,
-        "need multiple HIER_CHUNK-sized chunks for this test to bite"
-    );
 
     let run = |executor: &dyn fading_channel::ChunkExecutor| {
         let mut engine = ResolveEngine::build(&ch, EngineTier::Hierarchical, &positions);
-        assert_eq!(
-            engine.tier(),
-            EngineTier::Hierarchical,
-            "SINR must build a hierarchical engine"
+        let ResolveEngine::Hierarchical(e) = &engine else {
+            panic!("SINR must build a hierarchical engine");
+        };
+        assert!(
+            e.tree().fine().num_tiles() > HIER_TILE_CHUNK,
+            "need multiple HIER_TILE_CHUNK-tile chunks for this test to bite"
         );
         let mut rng = SmallRng::seed_from_u64(7);
         let rx = ch.resolve_with(
@@ -260,7 +259,7 @@ fn simulation_exposes_hierarchical_state() {
     assert_ne!(
         sim.tier(),
         EngineTier::Hierarchical,
-        "24 nodes sit far below HIERARCHICAL_AUTO_THRESHOLD"
+        "24 nodes sit below the gain-cache guard, where auto keeps the cache"
     );
     assert_eq!(sim.resolve_threads(), 1, "serial resolve by default");
 

@@ -1,6 +1,6 @@
 //! Checkpoint/resume end-to-end: a snapshot taken mid-run under an active
 //! kitchen-sink fault plan must resume **byte-identically** on every
-//! engine tier — exact scan, gain cache, flat far-field, hierarchical —
+//! engine tier — exact scan, gain cache, tile tree —
 //! and a corrupted snapshot must fail loudly with a typed error, never
 //! restore garbage.
 
@@ -72,11 +72,10 @@ fn stress_plan() -> FaultPlan {
         .with_loss(GilbertElliott::new(0.15, 0.3, 0.02, 0.7).expect("valid"))
 }
 
-/// The four engine tiers, with their labels.
-const TIERS: [(&str, EngineTier); 4] = [
+/// The three engine tiers, with their labels.
+const TIERS: [(&str, EngineTier); 3] = [
     ("exact", EngineTier::Exact),
     ("gain-cache", EngineTier::GainCache),
-    ("farfield", EngineTier::FarField),
     ("hierarchical", EngineTier::Hierarchical),
 ];
 
@@ -138,7 +137,7 @@ fn resume_is_byte_identical_on_every_tier_under_faults() {
 fn resume_with_self_check_enabled_is_byte_identical() {
     let seed = 23;
     let build = || {
-        let mut sim = build_sim(seed, EngineTier::FarField);
+        let mut sim = build_sim(seed, EngineTier::Hierarchical);
         sim.set_self_check(2);
         sim
     };
