@@ -86,8 +86,8 @@ use fading_geom::{Point, PointsSoA, TileIndex, TileTree};
 use crate::exec::{map_ordered, ChunkExecutor};
 use crate::farfield::{decide_ladder, finish_fallback, Decision, DecisionInputs};
 use crate::kernels::{
-    fold_scan, gain_batch_with, pow_alpha_batch_with, scan_block_with, with_bounded_kernel,
-    AlphaKernel, ScanFold, LISTENER_BLOCK,
+    fold_scan, gain_batch_with, scan_block_with, with_bounded_kernel, AlphaKernel, ScanFold,
+    LISTENER_BLOCK,
 };
 use crate::sinr::{scan_soa_with, scan_transmitters_soa, ScanOutcome};
 use crate::{
@@ -206,55 +206,12 @@ impl ListenerBuckets {
     }
 }
 
-/// The far nodes one traversal accepted, in acceptance order, for kernel
-/// classes whose `pow` is worth a vectorized batch (the bounded generic-α
-/// kernel: a long polynomial the traversal's own latency cannot hide).
-#[derive(Debug, Default)]
-struct FarNodes {
-    mass: Vec<f64>,
-    d_min_sq: Vec<f64>,
-    d_max_sq: Vec<f64>,
-    /// `pow_alpha` of the two distance columns, filled by the batch.
-    pow_min: Vec<f64>,
-    pow_max: Vec<f64>,
-}
-
-impl FarNodes {
-    fn clear(&mut self) {
-        self.mass.clear();
-        self.d_min_sq.clear();
-        self.d_max_sq.clear();
-    }
-
-    /// Folds the accepted nodes into `(lo, hi, cap)` in acceptance order,
-    /// with each node's gains exactly as the traversal would compute them
-    /// one at a time: one vectorized `pow` batch per distance column,
-    /// then the same per-node expressions and accumulation order.
-    fn fold<K: AlphaKernel>(&mut self, k: K, p: f64, bounds: &mut (f64, f64, f64)) {
-        let (widen_lo, widen_hi) = (1.0 - K::GAIN_REL_ERR, 1.0 + K::GAIN_REL_ERR);
-        let n = self.mass.len();
-        self.pow_min.resize(n, 0.0);
-        self.pow_max.resize(n, 0.0);
-        pow_alpha_batch_with(k, &self.d_min_sq, &mut self.pow_min);
-        pow_alpha_batch_with(k, &self.d_max_sq, &mut self.pow_max);
-        let (lo, hi, cap) = bounds;
-        for ((&m, &pw_min), &pw_max) in self.mass.iter().zip(&self.pow_min).zip(&self.pow_max) {
-            *lo += m * ((p / pw_max) * widen_lo);
-            let g_hi = (p / pw_min) * widen_hi;
-            *hi += m * g_hi;
-            *cap = cap.max(g_hi);
-        }
-    }
-}
-
 /// Chunk-local scratch of the parallel pass: one per task, so concurrent
 /// tasks never share mutable state.
 #[derive(Debug, Default)]
 struct ChunkScratch {
     /// Traversal stack of `(level, col, row)` node addresses.
     stack: Vec<(usize, usize, usize)>,
-    /// The current traversal's accepted far nodes (bounded kernel only).
-    far: FarNodes,
     /// The current tile's near transmitters: slice indices (ascending)
     /// and their coordinates, parallel.
     near_idx: Vec<u32>,
@@ -443,10 +400,8 @@ impl HierarchicalFarFieldEngine {
     #[must_use]
     pub fn far_aggregate(&self, t: usize) -> Option<(f64, f64, f64)> {
         self.tree.fine().content_bbox(t)?;
-        let (mut stack, mut far) = (Vec::new(), FarNodes::default());
-        Some(with_bounded_kernel!(self.alpha, |k| self.traverse(
-            k, t, &mut stack, &mut far
-        )))
+        let mut stack = Vec::new();
+        Some(with_bounded_kernel!(self.alpha, |k| self.traverse(k, t, &mut stack)))
     }
 
     /// Decision counters accumulated so far.
@@ -472,18 +427,14 @@ impl HierarchicalFarFieldEngine {
     /// this round's transmitter masses, each node gain widened by `k`'s
     /// [`GAIN_REL_ERR`](AlphaKernel::GAIN_REL_ERR) so the aggregate
     /// brackets the canonical gains (a multiplication by 1.0 for the
-    /// canonical classes). `stack` and `far` are caller-provided scratch;
-    /// children are pushed in row-major order, so the accumulation order
-    /// is a function of the tree and the masses alone. A canonical class
-    /// folds each accepted node as it goes (its few flops hide behind the
-    /// walk); the bounded class collects them and folds them after one
-    /// vectorized `pow` batch, with the same bits and order.
+    /// canonical classes). `stack` is caller-provided scratch; children
+    /// are pushed in row-major order, so the accumulation order is a
+    /// function of the tree and the masses alone.
     fn traverse<K: AlphaKernel>(
         &self,
         k: K,
         lt: usize,
         stack: &mut Vec<(usize, usize, usize)>,
-        far: &mut FarNodes,
     ) -> (f64, f64, f64) {
         let fine = self.tree.fine();
         let (fine_cols, fine_rows) = (fine.cols(), fine.rows());
@@ -501,8 +452,6 @@ impl HierarchicalFarFieldEngine {
         let p = self.power;
         let (widen_lo, widen_hi) = (1.0 - K::GAIN_REL_ERR, 1.0 + K::GAIN_REL_ERR);
         let (mut lo, mut hi, mut cap) = (0.0f64, 0.0f64, 0.0f64);
-        let batched = K::REL_ERR > 0.0;
-        far.clear();
         stack.clear();
         stack.push((self.tree.num_levels() - 1, 0, 0));
         while let Some((l, c, r)) = stack.pop() {
@@ -548,22 +497,12 @@ impl HierarchicalFarFieldEngine {
             // upper gain infinite — rung 1 then falls back, which is
             // conservative, never wrong.
             let m = f64::from(mass);
-            if batched {
-                far.mass.push(m);
-                far.d_min_sq.push(d_min_sq);
-                far.d_max_sq.push(d_max_sq);
-                continue;
-            }
             lo += m * ((p / k.pow_alpha(d_max_sq)) * widen_lo);
             let g_hi = (p / k.pow_alpha(d_min_sq)) * widen_hi;
             hi += m * g_hi;
             cap = cap.max(g_hi);
         }
-        let mut bounds = (lo, hi, cap);
-        if batched {
-            far.fold(k, p, &mut bounds);
-        }
-        bounds
+        (lo, hi, cap)
     }
 
     /// Gathers fine tile `lt`'s near transmitters — every transmitter in
@@ -604,7 +543,7 @@ impl HierarchicalFarFieldEngine {
 
         for ti in first..last {
             let lt = buckets.tiles[ti] as usize;
-            let (far_lo, far_hi, far_cap) = self.traverse(k, lt, &mut sc.stack, &mut sc.far);
+            let (far_lo, far_hi, far_cap) = self.traverse(k, lt, &mut sc.stack);
             // Widened cap on any single far signal (covers bound rounding
             // and powf non-monotonicity; see FARFIELD_REL_SLACK).
             let far_cap = far_cap * (1.0 + FARFIELD_REL_SLACK);
