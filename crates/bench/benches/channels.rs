@@ -212,13 +212,14 @@ fn bench_faulted_vs_unfaulted(c: &mut Criterion) {
     let make_sim = |plan: Option<FaultPlan>| {
         let d = Deployment::uniform_density(n, 0.25, 7);
         let params = SinrParams::default_single_hop().with_power_for(&d);
-        let mut sim = Simulation::new(d, Box::new(SinrChannel::new(params)), 1, |id| {
+        let config = SimConfig {
+            fault_plan: plan,
+            ..SimConfig::default()
+        };
+        Simulation::try_new(d, Box::new(SinrChannel::new(params)), 1, config, |id| {
             fading_cr::protocols::ProtocolKind::FixedProbability { p: 0.25 }.build(id)
-        });
-        if let Some(p) = plan {
-            sim.set_fault_plan(p).expect("plan fits");
-        }
-        sim
+        })
+        .expect("plan fits")
     };
     group.bench_function("sim-step-no-plan", |b| {
         let mut sim = make_sim(None);

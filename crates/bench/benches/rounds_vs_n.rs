@@ -32,12 +32,15 @@ fn bench_e1(c: &mut Criterion) {
                 seed += 1;
                 let d = Deployment::uniform_density(n, 0.25, seed);
                 let params = SinrParams::default_single_hop().with_power_for(&d);
-                let mut sim =
-                    Simulation::new(d, Box::new(SinrChannel::new(params)), seed, |_| {
-                        Box::new(Fkn::new())
-                    });
-                sim.set_tier(EngineTier::Exact);
-                sim.run_until_resolved(1_000_000)
+                let config = SimConfig {
+                    tier: Some(EngineTier::Exact),
+                    ..SimConfig::default()
+                };
+                Simulation::try_new(d, Box::new(SinrChannel::new(params)), seed, config, |_| {
+                    Box::new(Fkn::new())
+                })
+                .expect("valid configuration")
+                .run_until_resolved(1_000_000)
             });
         });
     }

@@ -40,9 +40,6 @@ fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> 
 fn build_sim(n: usize, seed: u64) -> Simulation {
     let d = Deployment::uniform_density(n, 0.25, seed);
     let params = SinrParams::default_single_hop().with_power_for(&d);
-    let mut sim = Simulation::new(d, Box::new(SinrChannel::new(params)), seed, |_| {
-        Box::new(Fkn::new())
-    });
     let plan = FaultPlan::new()
         .with_jammer(
             Jammer::new(Point::new(1.0, 1.0), params.power() * 8.0, 3, 6, 2, Some(40))
@@ -53,8 +50,14 @@ fn build_sim(n: usize, seed: u64) -> Simulation {
         .with_churn(ChurnEvent::revive(11, 0).expect("valid revive"))
         .with_churn(ChurnEvent::late_wake(3, 1).expect("valid late wake"))
         .with_loss(GilbertElliott::new(0.15, 0.4, 0.02, 0.6).expect("valid loss chain"));
-    sim.set_fault_plan(plan).expect("valid fault plan");
-    sim
+    let config = SimConfig {
+        fault_plan: Some(plan),
+        ..SimConfig::default()
+    };
+    Simulation::try_new(d, Box::new(SinrChannel::new(params)), seed, config, |_| {
+        Box::new(Fkn::new())
+    })
+    .expect("valid fault plan")
 }
 
 fn main() {

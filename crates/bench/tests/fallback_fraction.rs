@@ -20,7 +20,7 @@
 
 use fading_bench::probe::run_probe;
 use fading_cr::channel::{EngineTier, SinrParams};
-use fading_cr::{ChannelKind, Deployment, ProtocolKind, Scenario};
+use fading_cr::{ChannelKind, Deployment, ProtocolKind, Scenario, SimConfig, Simulation};
 
 /// The quick-mode sizes (`bench-gate --quick` probes ≤ 4096) plus one
 /// mid-size point; kept small enough for a test-suite run.
@@ -64,8 +64,19 @@ fn hierarchical_fallback_fraction_stays_low_on_protocol_rounds() {
             .build()
             .expect("uniform deployments with scaled power are single-hop");
         for seed in [1, 2] {
-            let mut sim = scenario.simulation_with_seed(seed);
-            sim.set_tier(EngineTier::Hierarchical);
+            let config = SimConfig {
+                tier: Some(EngineTier::Hierarchical),
+                ..SimConfig::default()
+            };
+            let protocol = scenario.protocol();
+            let mut sim = Simulation::try_new(
+                deployment.clone(),
+                scenario.channel().build(),
+                seed,
+                config,
+                |id| protocol.build(id),
+            )
+            .expect("a validated scenario constructs");
             assert_eq!(sim.tier(), EngineTier::Hierarchical);
             let result = sim.run_until_resolved(100_000);
             assert!(

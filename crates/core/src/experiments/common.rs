@@ -7,7 +7,7 @@ use fading_geom::Deployment;
 use fading_protocols::ProtocolKind;
 use fading_sim::faults::FaultPlan;
 use fading_sim::montecarlo::{self, Summary};
-use fading_sim::Simulation;
+use fading_sim::{SimConfig, Simulation};
 
 use crate::ChannelKind;
 
@@ -164,9 +164,11 @@ where
         let d = deploy(seed);
         let ch = channel(&d).build();
         let pk = protocol(&d);
-        let fp = plan(&d);
-        let mut sim = Simulation::new(d, ch, seed, |id| pk.build(id));
-        sim.set_fault_plan(fp)
+        let config = SimConfig {
+            fault_plan: Some(plan(&d)),
+            ..SimConfig::default()
+        };
+        let mut sim = Simulation::try_new(d, ch, seed, config, |id| pk.build(id))
             .expect("fault plan must fit the trial deployment");
         sim.run_until_resolved(cfg.max_rounds)
     });

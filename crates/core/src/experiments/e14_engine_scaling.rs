@@ -3,7 +3,7 @@
 use std::time::Instant;
 
 use fading_protocols::ProtocolKind;
-use fading_sim::{EngineTier, Simulation};
+use fading_sim::{EngineTier, SimConfig, Simulation};
 
 use super::common::{sinr_for, standard_deployment, ExperimentConfig};
 use crate::table::fmt_f64;
@@ -29,12 +29,22 @@ impl Tier {
         }
     }
 
-    fn pin(self, sim: &mut Simulation) {
-        sim.set_tier(match self {
-            Tier::Exact => EngineTier::Exact,
-            Tier::GainCache => EngineTier::GainCache,
-            Tier::Tree => EngineTier::Hierarchical,
-        });
+    /// A fresh FKN run on the standard deployment, its engine built for
+    /// this tier only.
+    fn simulation(self, n: usize, seed: u64) -> Simulation {
+        let deployment = standard_deployment(n, seed);
+        let channel = sinr_for(&deployment).build();
+        let pk = ProtocolKind::fkn_default();
+        let config = SimConfig {
+            tier: Some(match self {
+                Tier::Exact => EngineTier::Exact,
+                Tier::GainCache => EngineTier::GainCache,
+                Tier::Tree => EngineTier::Hierarchical,
+            }),
+            ..SimConfig::default()
+        };
+        Simulation::try_new(deployment, channel, seed, config, |id| pk.build(id))
+            .expect("FKN on a standard deployment constructs")
     }
 }
 
@@ -67,11 +77,7 @@ fn run_tier(
     let mut wall = 0.0f64;
     for t in 0..trials {
         let seed = seed_base + t as u64;
-        let deployment = standard_deployment(n, seed);
-        let channel = sinr_for(&deployment).build();
-        let pk = ProtocolKind::fkn_default();
-        let mut sim = Simulation::new(deployment, channel, seed, |id| pk.build(id));
-        tier.pin(&mut sim);
+        let mut sim = tier.simulation(n, seed);
         let start = Instant::now();
         let result = sim.run_until_resolved(cfg.max_rounds);
         wall += start.elapsed().as_secs_f64() * 1e3;
@@ -162,14 +168,7 @@ pub fn e14_engine_scaling(cfg: &ExperimentConfig) -> Table {
     // the sweep: a tile-tree run must be byte-identical to an exact run.
     if let Some(&n) = sweep.iter().filter(|&&n| n <= QUADRATIC_TIER_CEILING).max() {
         let seed = cfg.seed_block(99);
-        let run = |tier: Tier| {
-            let deployment = standard_deployment(n, seed);
-            let channel = sinr_for(&deployment).build();
-            let pk = ProtocolKind::fkn_default();
-            let mut sim = Simulation::new(deployment, channel, seed, |id| pk.build(id));
-            tier.pin(&mut sim);
-            sim.run_until_resolved(cfg.max_rounds)
-        };
+        let run = |tier: Tier| tier.simulation(n, seed).run_until_resolved(cfg.max_rounds);
         let exact = run(Tier::Exact);
         let tree = run(Tier::Tree);
         assert_eq!(

@@ -3,7 +3,7 @@
 use std::time::Instant;
 
 use fading_protocols::ProtocolKind;
-use fading_sim::{EngineTier, Simulation};
+use fading_sim::{EngineTier, SimConfig, Simulation};
 
 use super::common::{sinr_for, standard_deployment, ExperimentConfig};
 use crate::table::fmt_f64;
@@ -28,14 +28,24 @@ impl Tier {
         }
     }
 
-    fn pin(self, sim: &mut Simulation) {
-        match self {
-            Tier::Exact => sim.set_tier(EngineTier::Exact),
-            Tier::Hier { threads } => {
-                sim.set_tier(EngineTier::Hierarchical);
-                sim.set_resolve_threads(threads);
-            }
-        }
+    /// A fresh FKN run on the standard deployment, its engine built for
+    /// this tier only and its resolve pool sized to the tier's threads.
+    fn simulation(self, n: usize, seed: u64) -> Simulation {
+        let deployment = standard_deployment(n, seed);
+        let channel = sinr_for(&deployment).build();
+        let pk = ProtocolKind::fkn_default();
+        let (tier, threads) = match self {
+            Tier::Exact => (EngineTier::Exact, 1),
+            Tier::Hier { threads } => (EngineTier::Hierarchical, threads),
+        };
+        let config = SimConfig {
+            tier: Some(tier),
+            ..SimConfig::default()
+        };
+        let mut sim = Simulation::try_new(deployment, channel, seed, config, |id| pk.build(id))
+            .expect("FKN on a standard deployment constructs");
+        sim.set_resolve_threads(threads);
+        sim
     }
 }
 
@@ -62,11 +72,7 @@ fn run_tier(
     let mut wall = 0.0f64;
     for t in 0..trials {
         let seed = seed_base + t as u64;
-        let deployment = standard_deployment(n, seed);
-        let channel = sinr_for(&deployment).build();
-        let pk = ProtocolKind::fkn_default();
-        let mut sim = Simulation::new(deployment, channel, seed, |id| pk.build(id));
-        tier.pin(&mut sim);
+        let mut sim = tier.simulation(n, seed);
         let start = Instant::now();
         let result = sim.run_until_resolved(cfg.max_rounds);
         wall += start.elapsed().as_secs_f64() * 1e3;
@@ -157,14 +163,7 @@ pub fn e15_parallel_scaling(cfg: &ExperimentConfig) -> Table {
     // exact serial run — the tree and the pool are both invisible.
     if let Some(&n) = sweep.iter().filter(|&&n| n <= CROSS_CHECK_CEILING).max() {
         let seed = cfg.seed_block(99);
-        let run = |tier: Tier| {
-            let deployment = standard_deployment(n, seed);
-            let channel = sinr_for(&deployment).build();
-            let pk = ProtocolKind::fkn_default();
-            let mut sim = Simulation::new(deployment, channel, seed, |id| pk.build(id));
-            tier.pin(&mut sim);
-            sim.run_until_resolved(cfg.max_rounds)
-        };
+        let run = |tier: Tier| tier.simulation(n, seed).run_until_resolved(cfg.max_rounds);
         let exact = run(Tier::Exact);
         let hier = run(Tier::Hier { threads: 8 });
         assert_eq!(

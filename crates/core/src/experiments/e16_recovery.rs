@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use fading_sim::montecarlo::{run_trials, TrialRunner};
 use fading_sim::recover::TrialManifest;
-use fading_sim::Simulation;
+use fading_sim::{SimConfig, Simulation};
 
 use super::common::{sinr_for, standard_deployment, ExperimentConfig};
 use crate::table::fmt_f64;
@@ -123,8 +123,12 @@ pub fn e16_recovery(cfg: &ExperimentConfig) -> Table {
     let pk = ProtocolKind::fkn_default();
     let mut clean_sim = Simulation::new(d.clone(), sinr_for(&d).build(), seed, |id| pk.build(id));
     let clean = clean_sim.run_until_resolved(cfg.max_rounds);
-    let mut sim = Simulation::new(d, ch, seed, |id| pk.build(id));
-    sim.set_self_check(2);
+    let config = SimConfig {
+        self_check: 2,
+        ..SimConfig::default()
+    };
+    let mut sim = Simulation::try_new(d, ch, seed, config, |id| pk.build(id))
+        .expect("FKN on a standard deployment constructs");
     sim.inject_self_check_violation();
     let checked = sim.run_until_resolved(cfg.max_rounds);
     let counters = sim.engine_counters();

@@ -7,7 +7,7 @@ use fading_channel::ChannelError;
 use fading_geom::Deployment;
 use fading_protocols::ProtocolKind;
 use fading_sim::faults::{FaultError, FaultPlan};
-use fading_sim::{montecarlo, RunResult, Simulation, TraceLevel};
+use fading_sim::{montecarlo, RunResult, SimConfig, Simulation, TraceLevel};
 
 use crate::ChannelKind;
 
@@ -120,19 +120,23 @@ impl Scenario {
     #[must_use]
     pub fn simulation_with_seed(&self, seed: u64) -> Simulation {
         let protocol = self.protocol;
-        let mut sim = Simulation::new(
+        let config = SimConfig {
+            trace_level: self.trace_level,
+            fault_plan: self.fault_plan.clone(),
+            ..SimConfig::default()
+        };
+        match Simulation::try_new(
             self.deployment.clone(),
             self.channel.build(),
             seed,
+            config,
             move |id| protocol.build(id),
-        );
-        if let Some(plan) = &self.fault_plan {
-            if sim.set_fault_plan(plan.clone()).is_err() {
-                unreachable!("plan validated at scenario build time")
-            }
+        ) {
+            Ok(sim) => sim,
+            // The builder validated the plan against the deployment, which
+            // is never empty, and every protocol starts active.
+            Err(e) => unreachable!("scenario validated at build time: {e}"),
         }
-        sim.set_trace_level(self.trace_level);
-        sim
     }
 
     /// Runs to resolution (or the round budget) and returns the result.

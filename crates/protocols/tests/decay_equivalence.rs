@@ -8,19 +8,29 @@
 use fading_channel::RadioChannel;
 use fading_geom::Deployment;
 use fading_protocols::Decay;
-use fading_sim::{Protocol, RunResult, Simulation, TraceLevel};
+use fading_sim::{Protocol, RunResult, SimConfig, Simulation, TraceLevel};
 
 fn run(seed: u64, n: usize, knockout: bool) -> RunResult {
     let deployment = Deployment::uniform_square(n, 20.0, seed);
-    let mut sim = Simulation::new(deployment, Box::new(RadioChannel::new()), seed, |_| {
-        let p: Box<dyn Protocol> = if knockout {
-            Box::new(Decay::new())
-        } else {
-            Box::new(Decay::without_knockout())
-        };
-        p
-    });
-    sim.set_trace_level(TraceLevel::Full);
+    let config = SimConfig {
+        trace_level: TraceLevel::Full,
+        ..SimConfig::default()
+    };
+    let mut sim = Simulation::try_new(
+        deployment,
+        Box::new(RadioChannel::new()),
+        seed,
+        config,
+        |_| {
+            let p: Box<dyn Protocol> = if knockout {
+                Box::new(Decay::new())
+            } else {
+                Box::new(Decay::without_knockout())
+            };
+            p
+        },
+    )
+    .expect("valid configuration");
     sim.run_until_resolved(200_000)
 }
 

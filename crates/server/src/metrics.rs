@@ -3,7 +3,8 @@
 //!
 //! The scrape body is composed from the existing `obs::export` writers —
 //! [`counters_to_prometheus`] for the merged engine counters,
-//! [`registry_to_prometheus`] for the merged span histograms — plus
+//! [`registry_to_prometheus`] for the metrics folded from traced trials'
+//! events and spans (when `collect_spans` is on) — plus
 //! service-level series rendered here in the same format: job/trial
 //! tallies, the [`FleetSummary`] supervision counters, queue-depth and
 //! in-flight gauges, and a job-latency [`Histogram`]. Everything round-

@@ -23,7 +23,7 @@
 //!
 //! Live observability rides on top (DESIGN.md §16): an [`EventHub`]
 //! fans trial progress, periodic [`TsFrame`]s from the monitor thread,
-//! and SLO [`Alert`](crate::stream::Alert)s out to `watch`/`subscribe`
+//! and SLO [`Alert`]s out to `watch`/`subscribe`
 //! connections. Publishing is strictly fire-and-forget — a slow or
 //! stalled subscriber loses lines (counted), never slows a worker — so
 //! job artifacts stay byte-identical with or without watchers attached.
@@ -42,13 +42,13 @@ use fading_cr::sim::obs::{EngineCounters, NoopProgress, ProgressEvent, ProgressS
 use fading_cr::sim::recover::{trial_line, SupervisorConfig, TrialManifest};
 use fading_cr::sim::telemetry::jsonl::{json_escape, write_events_to_path};
 use fading_cr::sim::telemetry::{MemorySink, MetricsRegistry, TelemetryDetail};
-use fading_cr::sim::RunResult;
+use fading_cr::sim::{RunResult, Tracer};
 
 use crate::interrupt;
 use crate::metrics::ServerMetrics;
 use crate::protocol::{error_response, ok_response, parse_request, JobState, Request};
 use crate::queue::JobQueue;
-use crate::stream::{with_job_fields, EventHub, SloRules, SloWatch, Subscription};
+use crate::stream::{with_job_fields, Alert, EventHub, SloRules, SloWatch, Subscription};
 
 /// Server tunables.
 #[derive(Debug, Clone)]
@@ -61,9 +61,10 @@ pub struct ServerConfig {
     pub supervisor: SupervisorConfig,
     /// Queue poll interval when idle.
     pub poll_interval: Duration,
-    /// Collect per-round span histograms (`MetricsRegistry`) from every
-    /// trial and merge them into the scrape. Costs a few percent per
-    /// round; off by default.
+    /// Trace every trial with a span tracer and a counts-level event sink,
+    /// fold both into a `MetricsRegistry` (round latency and phase times
+    /// from the spans, run counters from the events) and merge it into the
+    /// scrape. Costs a few percent per round; off by default.
     pub collect_spans: bool,
 }
 
@@ -145,6 +146,9 @@ struct Inner {
     hub: EventHub,
     started: Instant,
     timeseries: Mutex<TimeSeries>,
+    // The SLO rules' edge latches, shared by the monitor's ticks and the
+    // enqueue-time queue-depth check.
+    slo: Mutex<SloWatch>,
     monitor_stop: AtomicBool,
     monitor_running: AtomicBool,
 }
@@ -183,6 +187,7 @@ impl Server {
                 timeseries: Mutex::new(TimeSeries::new(
                     MonitorConfig::default().ring_capacity,
                 )),
+                slo: Mutex::new(SloWatch::default()),
                 monitor_stop: AtomicBool::new(false),
                 monitor_running: AtomicBool::new(false),
             }),
@@ -219,9 +224,11 @@ impl Server {
     /// into the time-series ring, publishes a `frame` event, refreshes the
     /// queue-depth gauge, evaluates the SLO rules (publishing `alert`
     /// events and bumping the alert counters), and mirrors the hub's
-    /// dropped-line total into the scrape. Idempotent: a second call while
-    /// the monitor runs is a no-op. Runs detached until
-    /// [`stop_monitor`](Self::stop_monitor) or process exit.
+    /// dropped-line total into the scrape. The rules are armed before this
+    /// returns, and the queue-depth rule is also evaluated at every
+    /// enqueue. Idempotent: a second call while the monitor runs is a
+    /// no-op. Runs detached until [`stop_monitor`](Self::stop_monitor) or
+    /// process exit.
     pub fn start_monitor(&self, cfg: MonitorConfig) {
         if self.inner.monitor_running.swap(true, Ordering::SeqCst) {
             return;
@@ -235,6 +242,13 @@ impl Server {
                 .unwrap_or_else(PoisonError::into_inner);
             *ts = TimeSeries::new(cfg.ring_capacity);
         }
+        let mut slo = self
+            .inner
+            .slo
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        *slo = SloWatch::new(cfg.rules);
+        drop(slo);
         let server = self.clone();
         std::thread::spawn(move || server.monitor_loop(cfg));
     }
@@ -246,17 +260,16 @@ impl Server {
 
     fn monitor_loop(&self, cfg: MonitorConfig) {
         let inner = &*self.inner;
-        let mut watch = SloWatch::new(cfg.rules);
         // Baseline sample so the first sleep's frame has a predecessor.
-        self.monitor_tick(&mut watch, cfg.rate_window);
+        self.monitor_tick(cfg.rate_window);
         while !inner.monitor_stop.load(Ordering::SeqCst) && !inner.stop.load(Ordering::SeqCst) {
             std::thread::sleep(cfg.interval);
-            self.monitor_tick(&mut watch, cfg.rate_window);
+            self.monitor_tick(cfg.rate_window);
         }
         inner.monitor_running.store(false, Ordering::SeqCst);
     }
 
-    fn monitor_tick(&self, watch: &mut SloWatch, rate_window: usize) {
+    fn monitor_tick(&self, rate_window: usize) {
         let inner = &*self.inner;
         if let Ok(depth) = inner.queue.depth() {
             inner.metrics.set_queue_depth(depth as u64);
@@ -270,7 +283,11 @@ impl Server {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
             let frame = ts.record(sample);
-            let alerts = watch.check(&ts, rate_window, t_ms);
+            let alerts = inner
+                .slo
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .check(&ts, rate_window, t_ms);
             (frame, alerts)
         };
         if let Some(frame) = frame {
@@ -282,10 +299,27 @@ impl Server {
                 inner.hub.publish_frame(&line);
             }
         }
+        self.publish_alerts(alerts);
+    }
+
+    fn publish_alerts(&self, alerts: impl IntoIterator<Item = Alert>) {
         for alert in alerts {
-            inner.metrics.record_alert(&alert.rule);
-            inner.hub.publish_alert(&alert.to_json());
+            self.inner.metrics.record_alert(&alert.rule);
+            self.inner.hub.publish_alert(&alert.to_json());
         }
+    }
+
+    /// Evaluates the queue-depth rule at enqueue, against the jobs that
+    /// were waiting plus the one just queued: a burst of submissions
+    /// alerts even when the workers drain it between two monitor ticks.
+    fn check_queue_depth_at_enqueue(&self, waiting_before: u64) {
+        let alert = self
+            .inner
+            .slo
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .check_queue_depth(waiting_before + 1, self.t_ms());
+        self.publish_alerts(alert);
     }
 
     /// The underlying queue.
@@ -573,16 +607,20 @@ impl Server {
                 error_response(&msg)
             }
             Ok(Request::Ping) => ok_response(&[("pong", "true".to_string())]),
-            Ok(Request::Submit(spec)) => match inner.queue.submit(&spec) {
-                Ok(_) => {
-                    inner.metrics.record_submitted();
-                    ok_response(&[("id", format!("\"{}\"", spec.id))])
+            Ok(Request::Submit(spec)) => {
+                let waiting = inner.queue.depth().unwrap_or(0) as u64;
+                match inner.queue.submit(&spec) {
+                    Ok(_) => {
+                        inner.metrics.record_submitted();
+                        self.check_queue_depth_at_enqueue(waiting);
+                        ok_response(&[("id", format!("\"{}\"", spec.id))])
+                    }
+                    Err(e) => {
+                        inner.metrics.record_rejected();
+                        error_response(&format!("submit failed: {e}"))
+                    }
                 }
-                Err(e) => {
-                    inner.metrics.record_rejected();
-                    error_response(&format!("submit failed: {e}"))
-                }
-            },
+            }
             Ok(Request::Status { id }) => {
                 let state = self.job_state(&id);
                 ok_response(&[
@@ -686,7 +724,8 @@ pub struct JobReport {
     pub run: TrialRun,
     /// Engine counters merged over every trial run here.
     pub counters: EngineCounters,
-    /// Span histograms, when [`ServerConfig::collect_spans`] is on.
+    /// Metrics folded from every trial's events and spans, when
+    /// [`ServerConfig::collect_spans`] is on.
     pub registry: Option<MetricsRegistry>,
 }
 
@@ -737,10 +776,11 @@ pub fn run_job_observed(
         let max_rounds = spec.max_rounds;
         move |seed: u64| -> RunResult {
             let mut sim = scenario.simulation_with_seed(seed);
-            if collect_spans {
-                sim.set_metrics_enabled(true);
+            let tracer = collect_spans.then(Tracer::new);
+            if let Some(t) = &tracer {
+                sim.set_tracer(Arc::clone(t));
             }
-            if telemetry {
+            if telemetry || collect_spans {
                 sim.set_telemetry_sink(Box::new(MemorySink::new(TelemetryDetail::counts())));
             }
             let result = sim.run_until_resolved(max_rounds);
@@ -748,18 +788,20 @@ pub fn run_job_observed(
                 let mut c = counters_acc.lock().unwrap_or_else(PoisonError::into_inner);
                 c.merge(&sim.engine_counters());
             }
-            if collect_spans {
-                if let Some(m) = sim.metrics() {
-                    let mut r = registry_acc.lock().unwrap_or_else(PoisonError::into_inner);
-                    r.merge(m);
-                }
+            let events = sim
+                .take_telemetry_sink()
+                .and_then(MemorySink::recover)
+                .map(MemorySink::into_events)
+                .unwrap_or_default();
+            if let Some(t) = &tracer {
+                let trial = MetricsRegistry::fold(&events, &t.finished_spans());
+                let mut r = registry_acc.lock().unwrap_or_else(PoisonError::into_inner);
+                r.merge(&trial);
             }
             if telemetry {
-                if let Some(mem) = sim.take_telemetry_sink().and_then(MemorySink::recover) {
-                    let path = events_dir.join(format!("{seed}.jsonl"));
-                    if let Err(e) = write_events_to_path(&path, mem.events()) {
-                        eprintln!("warning: telemetry stream for seed {seed} not written: {e}");
-                    }
+                let path = events_dir.join(format!("{seed}.jsonl"));
+                if let Err(e) = write_events_to_path(&path, &events) {
+                    eprintln!("warning: telemetry stream for seed {seed} not written: {e}");
                 }
             }
             result

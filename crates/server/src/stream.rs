@@ -299,8 +299,9 @@ pub struct SloRules {
     /// Alert when watchdog timeouts exceed this many per minute over the
     /// window (a timeout *spike*).
     pub timed_out_per_min_max: Option<f64>,
-    /// Alert when the queue-depth gauge exceeds this (sustained queue
-    /// growth — submissions outpacing workers).
+    /// Alert when the queue depth exceeds this (submissions outpacing
+    /// workers): checked every monitor tick and at every enqueue, where
+    /// the depth counts the job just queued.
     pub queue_depth_max: Option<u64>,
 }
 
@@ -456,17 +457,25 @@ impl SloWatch {
                 max,
             );
         }
-        if let Some(max) = self.rules.queue_depth_max {
-            let depth = ts.latest().map_or(0, |f| f.queue_depth);
-            edge(
-                &mut self.queue_violated,
-                depth > max,
-                "queue_depth",
-                depth as f64,
-                max as f64,
-            );
-        }
+        let depth = ts.latest().map_or(0, |f| f.queue_depth);
+        alerts.extend(self.check_queue_depth(depth, t_ms));
         alerts
+    }
+
+    /// Evaluates the queue-depth rule alone against `depth`, sharing the
+    /// rule's latch with [`SloWatch::check`]; the server also calls it at
+    /// every enqueue.
+    pub(crate) fn check_queue_depth(&mut self, depth: u64, t_ms: u64) -> Option<Alert> {
+        let max = self.rules.queue_depth_max?;
+        let violated = depth > max;
+        let fired = violated && !self.queue_violated;
+        self.queue_violated = violated;
+        fired.then(|| Alert {
+            rule: "queue_depth".to_string(),
+            value: depth as f64,
+            threshold: max as f64,
+            t_ms,
+        })
     }
 }
 
@@ -602,5 +611,25 @@ mod tests {
         let healthy = series_with(1, 100, 0, 0);
         assert!(watch.check(&healthy, 8, 3000).is_empty());
         assert_eq!(watch.check(&ts, 8, 4000).len(), 3);
+    }
+
+    #[test]
+    fn enqueue_check_shares_the_queue_depth_latch() {
+        let mut watch = SloWatch::new(SloRules {
+            queue_depth_max: Some(0),
+            ..SloRules::default()
+        });
+        let alert = watch.check_queue_depth(1, 7).expect("depth 1 > 0 fires");
+        assert_eq!(
+            (alert.rule.as_str(), alert.value, alert.t_ms),
+            ("queue_depth", 1.0, 7)
+        );
+        // The next tick still sees a queued job: latched, no re-alert.
+        assert!(watch.check(&series_with(0, 0, 0, 2), 8, 50).is_empty());
+        // Drained, then a new enqueue alerts again.
+        assert!(watch.check(&series_with(0, 0, 0, 0), 8, 100).is_empty());
+        assert!(watch.check_queue_depth(1, 120).is_some());
+        // A disabled rule never fires.
+        assert!(SloWatch::default().check_queue_depth(99, 0).is_none());
     }
 }

@@ -89,11 +89,6 @@ pub enum FaultError {
         /// The deployment size.
         len: usize,
     },
-    /// A fault plan was attached after the simulation had already stepped.
-    PlanAttachedMidRun {
-        /// The round count at the attempted attachment.
-        round: u64,
-    },
 }
 
 impl std::fmt::Display for FaultError {
@@ -119,9 +114,6 @@ impl std::fmt::Display for FaultError {
             }
             FaultError::NodeOutOfRange { node, len } => {
                 write!(f, "churn names node {node} but the deployment has {len} nodes")
-            }
-            FaultError::PlanAttachedMidRun { round } => {
-                write!(f, "fault plan attached after {round} rounds; attach before stepping")
             }
         }
     }
@@ -418,9 +410,8 @@ impl ChurnEvent {
 /// A complete, composable fault schedule for one run.
 ///
 /// Build with the `with_*` methods (components validate at construction),
-/// then attach to a simulation with
-/// [`Simulation::set_fault_plan`](crate::Simulation::set_fault_plan) before
-/// the first step. An empty (default) plan perturbs nothing and leaves the
+/// then hand to a simulation at construction through
+/// [`SimConfig::fault_plan`](crate::SimConfig::fault_plan). An empty (default) plan perturbs nothing and leaves the
 /// run byte-identical to an unfaulted one.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
@@ -748,7 +739,6 @@ mod tests {
             FaultError::InvalidDutyCycle { period: 2, burst_len: 3 }.to_string(),
             FaultError::RoundZero.to_string(),
             FaultError::NodeOutOfRange { node: 9, len: 4 }.to_string(),
-            FaultError::PlanAttachedMidRun { round: 3 }.to_string(),
         ];
         for m in &msgs {
             assert!(!m.is_empty());

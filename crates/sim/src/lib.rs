@@ -13,16 +13,18 @@
 //!
 //! * [`Protocol`] — the node-local state machine interface.
 //! * [`Simulation`] — owns a deployment, a channel, and one protocol
-//!   instance per node; steps rounds until resolution.
+//!   instance per node; steps rounds until resolution. Settings fixed
+//!   before round 1 (engine tier, trace, self-check, fault plan) go in at
+//!   construction as a [`SimConfig`].
 //! * [`RunResult`] / [`Trace`] — what happened, at selectable detail.
 //! * [`montecarlo`] — seeded parallel trial running and summaries.
 //! * [`faults`] — deterministic adversarial fault injection (jammers,
-//!   noise bursts, churn, Gilbert–Elliott burst loss), attached to a run
-//!   via [`Simulation::set_fault_plan`].
+//!   noise bursts, churn, Gilbert–Elliott burst loss), handed to a run at
+//!   construction via [`SimConfig::fault_plan`].
 //! * [`telemetry`] — structured per-round observability: [`RoundEvent`]
-//!   streams to pluggable [`TelemetrySink`]s, JSONL export, and a
-//!   [`MetricsRegistry`] of latency/interference/knockout statistics,
-//!   attached via [`Simulation::set_telemetry_sink`]. Attaching a sink
+//!   streams to pluggable [`TelemetrySink`]s (attached via
+//!   [`Simulation::set_telemetry_sink`]), JSONL export, and a
+//!   [`MetricsRegistry`] folded from events and spans. Attaching a sink
 //!   never changes a run's outcome.
 //! * [`obs`] — profiling-grade observability: a hand-rolled span
 //!   [`Tracer`] over the step loop (attach via
@@ -35,7 +37,7 @@
 //!   supervised trials with panic isolation, a watchdog and resume
 //!   manifests (all through [`montecarlo::TrialRunner`]), and opt-in
 //!   self-checking engines with graceful tier degradation
-//!   ([`Simulation::set_self_check`]).
+//!   ([`SimConfig::self_check`]).
 //!
 //! Everything is deterministic given the master seed: node RNGs are derived
 //! by SplitMix64 from `(seed, node id)`, the channel RNG from `seed`, and
@@ -105,7 +107,7 @@ pub use recover::{
 };
 pub use result::{RoundRecord, RunOutcome, RunResult, Trace, TraceLevel};
 pub use rng::{channel_rng, fault_rng, node_rng, self_check_rng, split_mix64};
-pub use simulation::{SimError, Simulation, StepOutcome};
+pub use simulation::{SimConfig, SimError, Simulation, StepOutcome};
 pub use telemetry::{
     MemorySink, MetricsRegistry, NoopSink, RoundEvent, TelemetryDetail, TelemetrySink,
 };

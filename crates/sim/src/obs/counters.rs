@@ -2,6 +2,8 @@
 
 use fading_channel::FarFieldStats;
 
+use crate::telemetry::RoundEvent;
+
 /// Which resolve tier served one round's channel resolution.
 ///
 /// The step loop reads the path off the simulation's one engine (see
@@ -9,8 +11,6 @@ use fading_channel::FarFieldStats;
 /// SINR breakdowns is the instrumented scan. The choice never changes
 /// receptions — all five paths are bit-identical by contract — so
 /// recording it in [`RoundEvent`] is observability, not behavior.
-///
-/// [`RoundEvent`]: crate::telemetry::RoundEvent
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ResolvePath {
     /// Canonical O(listeners × transmitters) scan.
@@ -107,7 +107,7 @@ pub struct EngineCounters {
     pub churn_applied: u64,
     /// Rounds in which the opt-in self-check audited sampled listeners
     /// against the exact resolve path (see
-    /// [`Simulation::set_self_check`](crate::Simulation::set_self_check)).
+    /// [`SimConfig::self_check`](crate::SimConfig::self_check)).
     pub self_check_rounds: u64,
     /// Listener decisions re-resolved by the self-check, total.
     pub self_check_samples: u64,
@@ -144,6 +144,21 @@ impl EngineCounters {
             ResolvePath::Hierarchical => self.hierarchical_rounds,
             ResolvePath::Instrumented => self.instrumented_rounds,
         }
+    }
+
+    /// Folds one stepped round's event: the round, its route, and its
+    /// churn and loss counts.
+    pub(crate) fn record_round(&mut self, event: &RoundEvent) {
+        self.rounds += 1;
+        *match event.resolve_path {
+            ResolvePath::Exact => &mut self.exact_rounds,
+            ResolvePath::Cached => &mut self.gain_cache_rounds,
+            ResolvePath::FarField => &mut self.farfield_rounds,
+            ResolvePath::Hierarchical => &mut self.hierarchical_rounds,
+            ResolvePath::Instrumented => &mut self.instrumented_rounds,
+        } += 1;
+        self.churn_applied += event.churn_applied as u64;
+        self.ge_dropped += event.ge_dropped as u64;
     }
 
     /// Merges another simulation's counters into this one (montecarlo

@@ -11,7 +11,7 @@
 use std::fmt::Write as _;
 
 use crate::obs::{EngineCounters, ResolvePath};
-use crate::telemetry::{Histogram, MetricsRegistry, Phase};
+use crate::telemetry::{Histogram, MetricsRegistry, PHASE_SPANS};
 use fading_channel::FarFieldStats;
 
 use super::ExportError;
@@ -273,11 +273,11 @@ pub fn registry_to_prometheus(m: &MetricsRegistry) -> String {
         "counter",
         "Wall-clock nanoseconds per step phase",
     );
-    for p in Phase::ALL {
+    for p in PHASE_SPANS {
         sample_line(
             &mut out,
             "fading_phase_nanos_total",
-            &[("phase", p.name())],
+            &[("phase", p)],
             m.phase_nanos(p) as f64,
         );
     }

@@ -21,7 +21,7 @@
 //!
 //! The third robustness pillar — opt-in self-checking engines with
 //! graceful tier degradation — lives on [`Simulation`](crate::Simulation)
-//! itself (see [`Simulation::set_self_check`](crate::Simulation::set_self_check)).
+//! itself (see [`SimConfig::self_check`](crate::SimConfig::self_check)).
 
 pub mod manifest;
 pub mod snapshot;

@@ -41,11 +41,11 @@ pub struct RoundRecord {
 /// cap) would otherwise grow one record per round without limit at
 /// [`TraceLevel::Full`]. The simulation stops recording after
 /// [`Trace::DEFAULT_RECORD_CAP`] records (configurable via
-/// [`Simulation::set_trace_capacity`]) with **keep-first** semantics — the
+/// [`SimConfig::trace_cap`]) with **keep-first** semantics — the
 /// earliest rounds are the ones retained, since they carry the active-set
 /// decay the analyses consume — and sets [`Trace::truncated`].
 ///
-/// [`Simulation::set_trace_capacity`]: crate::Simulation::set_trace_capacity
+/// [`SimConfig::trace_cap`]: crate::SimConfig::trace_cap
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Trace {
     rounds: Vec<RoundRecord>,

@@ -54,7 +54,7 @@ pub fn fault_rng(seed: u64) -> SmallRng {
 }
 
 /// The engine self-check RNG lane (listener sampling for the opt-in
-/// [`SelfCheck`](crate::Simulation::set_self_check) re-resolution audit)
+/// [self-check](crate::SimConfig::self_check) re-resolution audit)
 /// for master seed `seed`.
 ///
 /// Kept separate from every other lane so that enabling self-checks never

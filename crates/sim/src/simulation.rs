@@ -1,7 +1,6 @@
 //! The round-based simulation engine.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -17,17 +16,19 @@ use crate::pool::StealPool;
 use crate::recover::snapshot::{fnv1a64, SimSnapshot, SnapshotError};
 use crate::result::{RoundRecord, RunResult, Trace, TraceLevel};
 use crate::rng::{channel_rng, fault_rng, node_rng, self_check_rng};
-use crate::telemetry::{MetricsRegistry, Phase, RoundEvent, TelemetryDetail, TelemetrySink};
+use crate::telemetry::{RoundEvent, TelemetryDetail, TelemetrySink};
 use crate::{Action, Protocol};
 
 /// Why a simulation could not be constructed.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
     /// The deployment had no nodes.
     EmptyDeployment,
     /// Every protocol instance reported inactive at construction, so no
     /// round could ever have a transmitter and the run could never resolve.
     NoActiveNodes,
+    /// The configured fault plan does not fit the deployment.
+    Fault(FaultError),
 }
 
 impl std::fmt::Display for SimError {
@@ -37,11 +38,63 @@ impl std::fmt::Display for SimError {
             SimError::NoActiveNodes => {
                 write!(f, "no protocol instance is active; the run can never resolve")
             }
+            SimError::Fault(e) => write!(f, "fault plan rejected: {e}"),
         }
     }
 }
 
 impl std::error::Error for SimError {}
+
+/// The settings fixed before round 1, passed to [`Simulation::try_new`].
+/// Each one shapes the engine or the run's recorded bytes, so none can
+/// change once the simulation exists; the engine is built once, for the
+/// configured tier.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SimConfig {
+    /// Forces the engine tier: the highest tier at or below it that the
+    /// channel can serve for this deployment is built (see
+    /// [`ResolveEngine::build`]). `None` takes [`EngineTier::auto`]'s
+    /// choice. Every tier is decision-exact (bit-identical receptions;
+    /// see [`Channel::resolve_with`]), so the tier changes a run's speed,
+    /// never its outcome.
+    pub tier: Option<EngineTier>,
+    /// How much per-round detail the trace records.
+    pub trace_level: TraceLevel,
+    /// Most [`RoundRecord`]s the trace keeps (keep-first; see
+    /// [`Trace::truncated`]).
+    pub trace_cap: usize,
+    /// Self-checking engines: on every eligible round this many randomly
+    /// chosen listeners are re-resolved through the **exact** instrumented
+    /// path and compared with the fast tier's receptions (0 = off).
+    ///
+    /// A round is eligible when a fast tier (gain cache or tile tree)
+    /// served it on a channel whose resolve draws no randomness — a
+    /// partial re-resolve on an RNG-drawing channel would desynchronize
+    /// the stream. On any mismatch, or a non-finite signal / interference
+    /// / noise intermediate, the serving tier is **demoted**: the next
+    /// lower tier the channel can serve is built on the spot
+    /// (hierarchical → gain-cache → exact), recorded in
+    /// [`EngineCounters::tier_demotions`] and the span stream. The check
+    /// never panics, and because the tiers are bit-identical, demotion
+    /// never changes a healthy run's outcome. Sample selection draws from
+    /// a dedicated RNG lane, so auditing does not perturb the run.
+    pub self_check: usize,
+    /// Faults injected into the run (see [`crate::faults`]). An *empty*
+    /// plan is byte-identical to no plan at all.
+    pub fault_plan: Option<FaultPlan>,
+}
+
+impl Default for SimConfig {
+    fn default() -> Self {
+        SimConfig {
+            tier: None,
+            trace_level: TraceLevel::None,
+            trace_cap: Trace::DEFAULT_RECORD_CAP,
+            self_check: 0,
+            fault_plan: None,
+        }
+    }
+}
 
 /// What happened in one call to [`Simulation::step`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,11 +113,11 @@ pub enum StepOutcome {
     },
 }
 
-/// Opt-in self-checking state: per-round sampled re-resolution of
-/// listeners through the exact path (see [`Simulation::set_self_check`]).
+/// Self-checking state: per-round sampled re-resolution of listeners
+/// through the exact path (see [`SimConfig::self_check`]).
 #[derive(Debug)]
 struct SelfCheck {
-    /// Listeners audited per eligible round (0 never constructed).
+    /// Listeners audited per eligible round (never 0).
     samples: usize,
     /// Dedicated RNG lane for sample selection — drawing from the node or
     /// channel lanes would perturb the run under audit.
@@ -80,7 +133,9 @@ struct SelfCheck {
 /// (2) resolves receptions for the active listeners through the channel,
 /// (3) delivers feedback to the listeners, and (4) deactivates nodes whose
 /// protocol reports inactive. The run is **resolved** in the first round in
-/// which exactly one active node transmits.
+/// which exactly one active node transmits. Each round is reported once, as
+/// one [`RoundEvent`] that the trace, the engine counters and the telemetry
+/// sink all read.
 ///
 /// See the [crate-level example](crate) for a complete usage sketch.
 #[derive(Debug)]
@@ -101,9 +156,10 @@ pub struct Simulation {
     winner: Option<NodeId>,
     trace_level: TraceLevel,
     trace: Trace,
-    // The one engine serving every round. `EngineTier::auto` picks its
-    // tier at construction; `set_tier` overrides it, and a failed
-    // self-check demotes it one tier at a time.
+    // Maximum RoundRecords retained in the trace (keep-first).
+    trace_cap: usize,
+    // The one engine serving every round, built once for the configured
+    // (or auto) tier; a failed self-check demotes it one tier at a time.
     engine: ResolveEngine,
     // Executor for the hierarchical engine's per-listener-chunk resolve.
     // Thread count never changes results (the ChunkExecutor contract);
@@ -112,8 +168,8 @@ pub struct Simulation {
     // Scratch buffers reused across rounds.
     transmitters: Vec<NodeId>,
     listeners: Vec<NodeId>,
-    // Fault injection (see crate::faults). `fault_plan` is None until a
-    // plan is attached; all other fields are cheap placeholders until then.
+    // Fault injection (see crate::faults). Without a plan every other
+    // field here is an empty placeholder.
     fault_plan: Option<FaultPlan>,
     fault_rng: SmallRng,
     // First round in which node i participates (0 = from the start).
@@ -126,42 +182,90 @@ pub struct Simulation {
     jam_scratch: Vec<f64>,
     // Gilbert–Elliott state: currently in the bad (burst) state?
     loss_in_burst: bool,
-    // Telemetry (see crate::telemetry). `telemetry` is None until a sink
-    // is attached; the detail level is cached at attach time. With no sink
-    // the step loop pays only `Option::is_some` checks (guarded by the
-    // `telemetry_overhead_n2048` bench).
+    // Telemetry (see crate::telemetry). The detail level is cached at
+    // attach time; with no sink the round's event goes to the trace and
+    // the counters only (guarded by the `telemetry_overhead_n2048` bench).
     telemetry: Option<Box<dyn TelemetrySink>>,
     telemetry_detail: TelemetryDetail,
-    metrics: Option<Box<MetricsRegistry>>,
-    // Span tracer (see crate::obs). None until attached; with no tracer
-    // every span site is one `Option` check returning an inert guard
-    // (guarded by the `tracer_overhead_n2048` bench).
+    // Span tracer (see crate::obs), the simulation's only clock. None
+    // until attached; with no tracer every span site is one `Option`
+    // check returning an inert guard (guarded by the
+    // `tracer_overhead_n2048` bench).
     tracer: Option<Arc<Tracer>>,
     // Engine-decision counters (see crate::obs::EngineCounters). The live
     // engine's ladder counters are merged in by `engine_counters()`;
     // `counters.farfield` holds those of engines it replaced.
     counters: EngineCounters,
-    // Scratch buffers for event assembly, reused across rounds.
-    sinr_scratch: Vec<SinrBreakdown>,
-    knocked_scratch: Vec<NodeId>,
-    crashed_scratch: Vec<NodeId>,
-    revived_scratch: Vec<NodeId>,
-    // Maximum RoundRecords retained in the trace (keep-first).
-    trace_cap: usize,
-    // Opt-in self-checking engines (None = disabled, the default); the
-    // scratch holds the audit resolve's SINR breakdowns.
+    // None = self-checking off (the default); the scratch holds the audit
+    // resolve's SINR breakdowns.
     self_check: Option<SelfCheck>,
     self_check_scratch: Vec<SinrBreakdown>,
 }
 
 impl Simulation {
     /// Creates a simulation over `deployment` with the given channel and
-    /// master `seed`. `make_protocol` is called once per node id to build
-    /// that node's protocol instance.
+    /// master `seed`, with the default [`SimConfig`]. `make_protocol` is
+    /// called once per node id to build that node's protocol instance.
     pub fn new<F>(
         deployment: Deployment,
         channel: Box<dyn Channel>,
         seed: u64,
+        make_protocol: F,
+    ) -> Self
+    where
+        F: FnMut(NodeId) -> Box<dyn Protocol>,
+    {
+        Simulation::build(
+            deployment,
+            channel,
+            seed,
+            SimConfig::default(),
+            make_protocol,
+        )
+    }
+
+    /// Like [`Simulation::new`] with an explicit [`SimConfig`], rejecting
+    /// degenerate setups instead of constructing a simulation that can
+    /// never make progress.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::EmptyDeployment`] if `deployment` has no nodes;
+    /// [`SimError::Fault`] if the fault plan does not fit the deployment
+    /// (a churn event names a node outside it);
+    /// [`SimError::NoActiveNodes`] if every protocol instance reports
+    /// inactive at construction (such a run has no possible transmitter and
+    /// would only ever burn its round budget).
+    pub fn try_new<F>(
+        deployment: Deployment,
+        channel: Box<dyn Channel>,
+        seed: u64,
+        config: SimConfig,
+        make_protocol: F,
+    ) -> Result<Self, SimError>
+    where
+        F: FnMut(NodeId) -> Box<dyn Protocol>,
+    {
+        if deployment.is_empty() {
+            return Err(SimError::EmptyDeployment);
+        }
+        if let Some(plan) = &config.fault_plan {
+            plan.validate_for(deployment.len())
+                .map_err(SimError::Fault)?;
+        }
+        let sim = Simulation::build(deployment, channel, seed, config, make_protocol);
+        if sim.num_active == 0 {
+            return Err(SimError::NoActiveNodes);
+        }
+        Ok(sim)
+    }
+
+    /// Construction proper; `config`'s fault plan is already validated.
+    fn build<F>(
+        deployment: Deployment,
+        channel: Box<dyn Channel>,
+        seed: u64,
+        config: SimConfig,
         mut make_protocol: F,
     ) -> Self
     where
@@ -172,10 +276,11 @@ impl Simulation {
         let node_rngs: Vec<SmallRng> = (0..n).map(|i| node_rng(seed, i)).collect();
         let active: Vec<bool> = protocols.iter().map(|p| p.is_active()).collect();
         let num_active = active.iter().filter(|&&a| a).count();
-        let positions = deployment.points().to_vec();
-        let tier = EngineTier::auto(channel.as_ref(), n);
+        let tier = config
+            .tier
+            .unwrap_or_else(|| EngineTier::auto(channel.as_ref(), n));
         let mut sim = Simulation {
-            positions,
+            positions: deployment.points().to_vec(),
             channel,
             seed,
             protocols,
@@ -187,8 +292,9 @@ impl Simulation {
             total_transmissions: 0,
             resolved_at: None,
             winner: None,
-            trace_level: TraceLevel::None,
+            trace_level: config.trace_level,
             trace: Trace::default(),
+            trace_cap: config.trace_cap,
             engine: ResolveEngine::Exact,
             resolve_pool: StealPool::new(1),
             transmitters: Vec::new(),
@@ -203,74 +309,29 @@ impl Simulation {
             loss_in_burst: false,
             telemetry: None,
             telemetry_detail: TelemetryDetail::counts(),
-            metrics: None,
             tracer: None,
             counters: EngineCounters::default(),
-            sinr_scratch: Vec::new(),
-            knocked_scratch: Vec::new(),
-            crashed_scratch: Vec::new(),
-            revived_scratch: Vec::new(),
-            trace_cap: Trace::DEFAULT_RECORD_CAP,
-            self_check: None,
+            self_check: (config.self_check > 0).then(|| SelfCheck {
+                samples: config.self_check,
+                rng: self_check_rng(seed),
+                inject_violation: false,
+            }),
             self_check_scratch: Vec::new(),
         };
-        sim.set_tier(tier);
+        sim.rebuild_engine(tier);
+        if let Some(plan) = config.fault_plan {
+            sim.attach_fault_plan(plan);
+        }
         sim
     }
 
-    /// Like [`Simulation::new`], but rejects degenerate setups instead of
-    /// constructing a simulation that can never make progress.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::EmptyDeployment`] if `deployment` has no nodes;
-    /// [`SimError::NoActiveNodes`] if every protocol instance reports
-    /// inactive at construction (such a run has no possible transmitter and
-    /// would only ever burn its round budget).
-    pub fn try_new<F>(
-        deployment: Deployment,
-        channel: Box<dyn Channel>,
-        seed: u64,
-        make_protocol: F,
-    ) -> Result<Self, SimError>
-    where
-        F: FnMut(NodeId) -> Box<dyn Protocol>,
-    {
-        if deployment.is_empty() {
-            return Err(SimError::EmptyDeployment);
-        }
-        let sim = Simulation::new(deployment, channel, seed, make_protocol);
-        if sim.num_active == 0 {
-            return Err(SimError::NoActiveNodes);
-        }
-        Ok(sim)
-    }
-
-    /// Attaches a fault plan. Must be called **before the first step**, so
-    /// that jammer schedules and churn events line up with round numbers
-    /// and the run stays reproducible from its seed alone.
-    ///
-    /// Attaching an *empty* plan leaves the run byte-identical to one with
-    /// no plan at all.
-    ///
-    /// # Errors
-    ///
-    /// [`FaultError::PlanAttachedMidRun`] if any round has already
-    /// executed; [`FaultError::NodeOutOfRange`] if a churn event names a
-    /// node outside the deployment.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) -> Result<(), FaultError> {
-        if self.round > 0 {
-            return Err(FaultError::PlanAttachedMidRun { round: self.round });
-        }
+    /// Precomputes what the step loop needs from a validated `plan`.
+    fn attach_fault_plan(&mut self, plan: FaultPlan) {
         let n = self.positions.len();
-        plan.validate_for(n)?;
-
         // Late wake-ups become a per-node first-participation round (the
         // latest wins if several target the same node); crashes and
         // revivals become a round-sorted event queue.
         self.wake_round = vec![0; n];
-        self.churn_events.clear();
-        self.churn_cursor = 0;
         for ev in plan.churn() {
             match ev.kind {
                 ChurnKind::LateWake => {
@@ -283,7 +344,6 @@ impl Simulation {
 
         // Precompute each jammer's interference power at every node; the
         // per-round perturbation is then a sum over active jammers.
-        self.jam_gains.clear();
         for jammer in plan.jammers() {
             for &pos in &self.positions {
                 self.jam_gains
@@ -291,9 +351,7 @@ impl Simulation {
             }
         }
         self.jam_scratch = vec![0.0; n];
-        self.loss_in_burst = false;
         self.fault_plan = Some(plan);
-        Ok(())
     }
 
     /// The attached fault plan, if any.
@@ -347,53 +405,36 @@ impl Simulation {
     }
 
     /// Applies the churn events scheduled for the current round (called at
-    /// the start of [`Simulation::step`], before actions are collected).
-    /// Returns the number of events that actually took effect; when
-    /// `record_ids` is set, effective crashes/revivals are also appended to
-    /// the telemetry scratch vectors.
-    fn apply_churn(&mut self, record_ids: bool) -> usize {
-        let mut applied = 0;
+    /// the start of [`Simulation::step`], before actions are collected),
+    /// counting the ones that took effect in `event.churn_applied`; when
+    /// `record_ids` is set, effective crashes/revivals are also listed in
+    /// the event.
+    fn apply_churn(&mut self, event: &mut RoundEvent, record_ids: bool) {
         while self.churn_cursor < self.churn_events.len()
             && self.churn_events[self.churn_cursor].round <= self.round
         {
             let ev = self.churn_events[self.churn_cursor];
             self.churn_cursor += 1;
-            match ev.kind {
-                ChurnKind::Crash => {
-                    if self.force_deactivate(ev.node) {
-                        applied += 1;
-                        if record_ids {
-                            self.crashed_scratch.push(ev.node);
-                        }
-                    }
-                }
-                ChurnKind::Revive => {
-                    if self.force_activate(ev.node) {
-                        applied += 1;
-                        if record_ids {
-                            self.revived_scratch.push(ev.node);
-                        }
-                    }
-                }
+            let (changed, ids) = match ev.kind {
+                ChurnKind::Crash => (self.force_deactivate(ev.node), &mut event.crashed_ids),
+                ChurnKind::Revive => (self.force_activate(ev.node), &mut event.revived_ids),
                 ChurnKind::LateWake => unreachable!("late wakes are precomputed"),
+            };
+            if changed {
+                event.churn_applied += 1;
+                if record_ids {
+                    ids.push(ev.node);
+                }
             }
         }
-        applied
     }
 
-    /// Overrides the engine tier for subsequent rounds: builds the highest
-    /// tier at or below `tier` that the channel can serve for this
-    /// deployment (see [`ResolveEngine::build`]), with its occupancy
-    /// synced to the current active set, and drops the previous engine.
-    ///
-    /// A freshly built simulation runs on [`EngineTier::auto`]'s tier.
-    /// Every tier is decision-exact (bit-identical receptions; see
-    /// [`Channel::resolve_with`]), so overriding it never changes a run's
-    /// outcome — only its speed. Exposed so equivalence and determinism
-    /// tests can cross every tier at any size.
-    ///
-    /// [`Channel::resolve_with`]: fading_channel::Channel::resolve_with
-    pub fn set_tier(&mut self, tier: EngineTier) {
+    /// Replaces the engine with one built for the highest tier at or below
+    /// `tier` that the channel can serve for this deployment (see
+    /// [`ResolveEngine::build`]), its occupancy synced to the current
+    /// active set. Construction, snapshot restore and self-check demotion
+    /// build through here.
+    fn rebuild_engine(&mut self, tier: EngineTier) {
         if tier == self.engine.tier() {
             return;
         }
@@ -438,23 +479,6 @@ impl Simulation {
         self.resolve_pool.threads()
     }
 
-    /// Selects how much per-round detail to record. Call before stepping.
-    pub fn set_trace_level(&mut self, level: TraceLevel) {
-        self.trace_level = level;
-    }
-
-    /// Caps how many [`RoundRecord`]s the trace retains (keep-first; see
-    /// [`Trace::truncated`]). Defaults to [`Trace::DEFAULT_RECORD_CAP`].
-    pub fn set_trace_capacity(&mut self, cap: usize) {
-        self.trace_cap = cap;
-    }
-
-    /// The current trace record cap.
-    #[must_use]
-    pub fn trace_capacity(&self) -> usize {
-        self.trace_cap
-    }
-
     /// Attaches a telemetry sink; each subsequent round delivers one
     /// [`RoundEvent`] to it. The sink's [`TelemetrySink::detail`] level is
     /// read **once, here**. Replaces any previously attached sink.
@@ -477,34 +501,12 @@ impl Simulation {
         self.telemetry.take()
     }
 
-    /// Enables (or disables) the [`MetricsRegistry`] collecting round
-    /// latency, phase timers, and per-round distributions. Enabling when
-    /// already enabled keeps the existing registry. Metrics include
-    /// wall-clock times and are excluded from the determinism contract.
-    pub fn set_metrics_enabled(&mut self, enabled: bool) {
-        if enabled {
-            if self.metrics.is_none() {
-                self.metrics = Some(Box::new(MetricsRegistry::new()));
-            }
-        } else {
-            self.metrics = None;
-        }
-    }
-
-    /// The metrics collected so far, when enabled.
-    #[must_use]
-    pub fn metrics(&self) -> Option<&MetricsRegistry> {
-        self.metrics.as_deref()
-    }
-
-    /// Detaches and returns the metrics registry, if metrics were enabled.
-    pub fn take_metrics(&mut self) -> Option<MetricsRegistry> {
-        self.metrics.take().map(|b| *b)
-    }
-
     /// Attaches a span tracer: every subsequent [`Simulation::step`]
     /// records a `step` span with one child per phase (`churn`, `act`,
-    /// `resolve` + its tier, `ge_drop`, `feedback`, `telemetry`).
+    /// `resolve` + its tier, `ge_drop`, `feedback`, `telemetry`). The
+    /// tracer is the simulation's only clock: round latency and phase
+    /// totals are folds of these spans (see
+    /// [`MetricsRegistry::fold`](crate::telemetry::MetricsRegistry::fold)).
     ///
     /// Tracing never changes a run's outcome — spans only observe. A
     /// *disabled* tracer ([`Tracer::set_enabled`]) costs one branch per
@@ -530,38 +532,7 @@ impl Simulation {
         c
     }
 
-    /// Enables self-checking engines: on every eligible round, `samples`
-    /// randomly chosen listeners are re-resolved through the **exact**
-    /// instrumented path and compared against the fast tier's receptions.
-    /// `samples == 0` disables the check. Call before stepping.
-    ///
-    /// A round is eligible when it was served by a fast tier (gain cache
-    /// or tile tree) on a channel whose resolve draws no
-    /// randomness — a partial re-resolve on an RNG-drawing channel would
-    /// desynchronize the stream. On any mismatch, or a non-finite signal /
-    /// interference / noise intermediate, the serving tier is **demoted**:
-    /// the next lower tier the channel can serve is built on the spot
-    /// (hierarchical → gain-cache → exact, skipping a tier
-    /// whose guard refuses the deployment), recorded in
-    /// [`EngineCounters::tier_demotions`] and the span stream. The check
-    /// never panics, and because the tiers are bit-identical, demotion
-    /// never changes a healthy run's outcome.
-    ///
-    /// Sample selection draws from a dedicated RNG lane derived from the
-    /// master seed, so enabling the check does not perturb the run.
-    pub fn set_self_check(&mut self, samples: usize) {
-        self.self_check = if samples == 0 {
-            None
-        } else {
-            Some(SelfCheck {
-                samples,
-                rng: self_check_rng(self.seed),
-                inject_violation: false,
-            })
-        };
-    }
-
-    /// Whether self-checking is currently enabled.
+    /// Whether self-checking is enabled (see [`SimConfig::self_check`]).
     #[must_use]
     pub fn self_check_enabled(&self) -> bool {
         self.self_check.is_some()
@@ -654,9 +625,9 @@ impl Simulation {
 
     /// Restores a [`SimSnapshot`] into this simulation, which must be
     /// **freshly constructed** with the same inputs as the snapshot's
-    /// source (deployment, channel, seed, protocol factory) and have the
-    /// same fault plan already attached. After a successful restore the
-    /// simulation continues exactly where the snapshot was taken.
+    /// source (deployment, channel, seed, protocol factory, and fault
+    /// plan). After a successful restore the simulation continues exactly
+    /// where the snapshot was taken.
     ///
     /// # Errors
     ///
@@ -724,7 +695,7 @@ impl Simulation {
         // 4. The engine: rebuilt at the snapshot's tier (its occupancy
         // syncs to the active mask reconciled above); a channel that
         // cannot serve that tier is incompatible with the snapshot.
-        self.set_tier(snap.tier);
+        self.rebuild_engine(snap.tier);
         if self.engine.tier() != snap.tier {
             return Err(SnapshotError::Incompatible {
                 detail: format!(
@@ -820,16 +791,6 @@ impl Simulation {
         self.total_transmissions
     }
 
-    /// Advances the phase timer: charges the time since `mark` to `phase`
-    /// and resets the mark. No-op when metrics are disabled.
-    fn mark_phase(&mut self, phase: Phase, mark: &mut Option<Instant>) {
-        if let (Some(metrics), Some(m)) = (self.metrics.as_deref_mut(), mark.as_mut()) {
-            let now = Instant::now();
-            metrics.add_phase(phase, now.duration_since(*m));
-            *m = now;
-        }
-    }
-
     /// Executes one synchronous round and reports the outcome.
     ///
     /// Stepping past resolution is allowed (the remaining active nodes keep
@@ -837,24 +798,23 @@ impl Simulation {
     /// round.
     pub fn step(&mut self) -> StepOutcome {
         let _step_span = self.span("step");
-        let round_start = self.metrics.as_ref().map(|_| Instant::now());
-        let mut phase_mark = round_start;
         self.round += 1;
 
-        let telemetry_on = self.telemetry.is_some();
-        let want_ids = telemetry_on && self.telemetry_detail.ids;
-        let want_sinr = telemetry_on && self.telemetry_detail.sinr;
+        // The round's one report. Counts are always filled; transmitter ids
+        // when the trace or the sink wants them, the other ids and SINR
+        // breakdowns only when the sink does.
+        let sink_ids = self.telemetry.is_some() && self.telemetry_detail.ids;
+        let want_sinr = self.telemetry.is_some() && self.telemetry_detail.sinr;
+        let mut event = RoundEvent {
+            round: self.round,
+            active_pre_churn: self.num_active,
+            noise_scale: 1.0,
+            ..RoundEvent::default()
+        };
 
-        let active_pre_churn = self.num_active;
-        if want_ids {
-            self.crashed_scratch.clear();
-            self.revived_scratch.clear();
-            self.knocked_scratch.clear();
-        }
         let span_churn = self.span("churn");
-        let churn_applied = self.apply_churn(want_ids);
+        self.apply_churn(&mut event, sink_ids);
         drop(span_churn);
-        self.mark_phase(Phase::Churn, &mut phase_mark);
 
         // Phase 1: collect actions from active, awake nodes. (A node
         // scheduled for a late wake-up sleeps — neither transmits nor
@@ -879,12 +839,13 @@ impl Simulation {
         drop(span_act);
 
         self.total_transmissions += self.transmitters.len() as u64;
+        event.transmitters = self.transmitters.len();
+        event.listeners = self.listeners.len();
         // The nodes that actually took part this round: active ∧ awake,
         // post-churn. This — not `num_active`, which at this point still
         // counts sleeping late-wakers — is what `RoundRecord::active_before`
         // and `RoundEvent::participants` report.
-        let participants = self.transmitters.len() + self.listeners.len();
-        self.mark_phase(Phase::Act, &mut phase_mark);
+        event.participants = event.transmitters + event.listeners;
 
         // Phase 2: the channel decides what listeners observe, through the
         // one engine. Every tier is bit-identical, so which one serves
@@ -895,7 +856,7 @@ impl Simulation {
         // classification is the same for perturbed and unperturbed
         // rounds: the fault plan changes what is resolved, not which
         // engine resolves it.
-        let resolve_path = if want_sinr {
+        event.resolve_path = if want_sinr {
             ResolvePath::Instrumented
         } else {
             match self.engine.tier() {
@@ -904,19 +865,17 @@ impl Simulation {
                 EngineTier::Hierarchical => ResolvePath::Hierarchical,
             }
         };
-        // Snapshot the far-field fallback tally so telemetry can report the
+        // Snapshot the far-field fallback tally so the event can report the
         // per-round delta (plain field reads; negligible next to resolve).
         let ff_fallbacks_before = self.engine.stats().exact_fallbacks();
         let span_resolve = self.span("resolve");
-        let span_tier = self.span(match resolve_path {
+        let span_tier = self.span(match event.resolve_path {
             ResolvePath::Exact => "resolve.exact",
             ResolvePath::Cached => "resolve.gain_cache",
             ResolvePath::FarField => "resolve.farfield",
             ResolvePath::Hierarchical => "resolve.hierarchical",
             ResolvePath::Instrumented => "resolve.instrumented",
         });
-        let mut event_noise_scale = 1.0;
-        let mut event_jam_power = 0.0;
         let perturbation = match &self.fault_plan {
             None => ChannelPerturbation::neutral(),
             Some(plan) => {
@@ -946,10 +905,8 @@ impl Simulation {
                 } else {
                     &[]
                 };
-                if telemetry_on {
-                    event_noise_scale = noise_scale;
-                    event_jam_power = extra.iter().sum();
-                }
+                event.noise_scale = noise_scale;
+                event.jam_power = extra.iter().sum();
                 ChannelPerturbation::new(noise_scale, extra)
             }
         };
@@ -961,22 +918,12 @@ impl Simulation {
             &perturbation,
             &self.resolve_pool,
             &mut self.chan_rng,
-            want_sinr.then_some(&mut self.sinr_scratch),
+            want_sinr.then_some(&mut event.sinr),
         );
-        let ff_fallbacks = (self.engine.stats().exact_fallbacks() - ff_fallbacks_before) as usize;
+        event.ff_fallbacks = (self.engine.stats().exact_fallbacks() - ff_fallbacks_before) as usize;
         drop(span_tier);
         drop(span_resolve);
         debug_assert_eq!(receptions.len(), self.listeners.len());
-
-        self.counters.rounds += 1;
-        match resolve_path {
-            ResolvePath::Exact => self.counters.exact_rounds += 1,
-            ResolvePath::Cached => self.counters.gain_cache_rounds += 1,
-            ResolvePath::FarField => self.counters.farfield_rounds += 1,
-            ResolvePath::Hierarchical => self.counters.hierarchical_rounds += 1,
-            ResolvePath::Instrumented => self.counters.instrumented_rounds += 1,
-        }
-        self.counters.churn_applied += churn_applied as u64;
 
         // Self-checking engines (opt-in): re-resolve a few sampled
         // listeners through the exact instrumented path and compare with
@@ -987,7 +934,7 @@ impl Simulation {
         // for the rest of the run; the check itself never panics.
         if self.self_check.is_some()
             && matches!(
-                resolve_path,
+                event.resolve_path,
                 ResolvePath::Cached | ResolvePath::Hierarchical
             )
             && !self.listeners.is_empty()
@@ -1034,11 +981,11 @@ impl Simulation {
                 if violated {
                     // Graceful degradation: replace the tier that served
                     // this round with the next lower one the channel can
-                    // serve (hierarchical → gain-cache → exact). Only fast tiers are audited, so a lower tier
-                    // always exists.
+                    // serve (hierarchical → gain-cache → exact). Only fast
+                    // tiers are audited, so a lower tier always exists.
                     let _span_demote = self.span("self_check.demote");
                     if let Some(lower) = self.engine.tier().lower() {
-                        self.set_tier(lower);
+                        self.rebuild_engine(lower);
                     }
                     self.counters.tier_demotions += 1;
                 }
@@ -1051,151 +998,85 @@ impl Simulation {
         // probability. Draws come from the dedicated fault RNG lane, and
         // the reception set is cache-invariant, so this pass preserves
         // byte-determinism across cache and thread settings.
-        let mut ge_dropped = 0;
         if let Some(ge) = self.fault_plan.as_ref().and_then(FaultPlan::loss) {
-            let span_ge = self.span("ge_drop");
+            let _span_ge = self.span("ge_drop");
             self.loss_in_burst = ge.advance(self.loss_in_burst, &mut self.fault_rng);
             let drop_prob = ge.drop_prob(self.loss_in_burst);
             if drop_prob > 0.0 {
                 for r in &mut receptions {
                     if r.is_message() && self.fault_rng.gen_bool(drop_prob) {
                         *r = fading_channel::Reception::Silence;
-                        ge_dropped += 1;
+                        event.ge_dropped += 1;
                     }
                 }
             }
-            drop(span_ge);
         }
-        self.counters.ge_dropped += ge_dropped as u64;
-        self.mark_phase(Phase::Resolve, &mut phase_mark);
+        event.ge_in_burst = self.loss_in_burst;
 
         // Phase 3: feedback and deactivation.
         let span_feedback = self.span("feedback");
-        let mut knocked_out = 0;
         for (k, &v) in self.listeners.iter().enumerate() {
             self.protocols[v].feedback(self.round, &receptions[k]);
             if !self.protocols[v].is_active() {
                 self.active[v] = false;
                 self.num_active -= 1;
-                knocked_out += 1;
-                if want_ids {
-                    self.knocked_scratch.push(v);
+                event.knocked_out += 1;
+                if sink_ids {
+                    event.knocked_out_ids.push(v);
                 }
                 self.engine.deactivate(v);
             }
         }
         drop(span_feedback);
-        self.mark_phase(Phase::Feedback, &mut phase_mark);
 
         // Resolution check: exactly one *active* node transmitted.
-        let outcome = if self.transmitters.len() == 1 {
-            let winner = self.transmitters[0];
-            if self.resolved_at.is_none() {
-                self.resolved_at = Some(self.round);
-                self.winner = Some(winner);
-            }
-            StepOutcome::Resolved { winner }
-        } else {
-            StepOutcome::Unresolved {
-                transmitters: self.transmitters.len(),
-                knocked_out,
-            }
-        };
-
-        match self.trace_level {
-            TraceLevel::None => {}
-            TraceLevel::Counts => self.trace.push_capped(
-                self.trace_cap,
-                RoundRecord {
-                    round: self.round,
-                    active_before: participants,
-                    transmitters: self.transmitters.len(),
-                    knocked_out,
-                    transmitter_ids: None,
-                },
-            ),
-            TraceLevel::Full => self.trace.push_capped(
-                self.trace_cap,
-                RoundRecord {
-                    round: self.round,
-                    active_before: participants,
-                    transmitters: self.transmitters.len(),
-                    knocked_out,
-                    transmitter_ids: Some(self.transmitters.clone()),
-                },
-            ),
+        event.resolved = self.transmitters.len() == 1;
+        event.winner = event.resolved.then(|| self.transmitters[0]);
+        if self.resolved_at.is_none() && event.resolved {
+            self.resolved_at = Some(self.round);
+            self.winner = event.winner;
         }
-
-        // Metrics read the SINR scratch *before* the event takes it.
-        if let Some(metrics) = self.metrics.as_deref_mut() {
-            for b in &self.sinr_scratch {
-                metrics.record_interference(b.interference);
-            }
-            if let Some(start) = round_start {
-                metrics.record_round(
-                    start.elapsed(),
-                    self.transmitters.len(),
-                    knocked_out,
-                    churn_applied,
-                    ge_dropped,
-                );
-            }
+        if sink_ids || self.trace_level == TraceLevel::Full {
+            event.transmitter_ids = self.transmitters.clone();
         }
+        self.report(event, sink_ids)
+    }
 
-        if telemetry_on {
-            let _span_telemetry = self.span("telemetry");
-            let event = RoundEvent {
-                round: self.round,
-                active_pre_churn,
-                participants,
-                transmitters: self.transmitters.len(),
-                listeners: self.listeners.len(),
-                knocked_out,
-                churn_applied,
-                noise_scale: event_noise_scale,
-                jam_power: event_jam_power,
-                ge_in_burst: self.loss_in_burst,
-                ge_dropped,
-                resolve_path,
-                ff_fallbacks,
-                resolved: self.transmitters.len() == 1,
-                winner: if self.transmitters.len() == 1 {
-                    Some(self.transmitters[0])
+    /// Hands the round's event to the counters, the trace and the sink,
+    /// and derives the step's outcome from it. The trace takes the
+    /// transmitter ids it needs, so the sink sees exactly its own detail.
+    fn report(&mut self, mut event: RoundEvent, sink_ids: bool) -> StepOutcome {
+        self.counters.record_round(&event);
+        if self.trace_level != TraceLevel::None {
+            let transmitter_ids = (self.trace_level == TraceLevel::Full).then(|| {
+                if sink_ids {
+                    event.transmitter_ids.clone()
                 } else {
-                    None
-                },
-                transmitter_ids: if want_ids {
-                    self.transmitters.clone()
-                } else {
-                    Vec::new()
-                },
-                knocked_out_ids: if want_ids {
-                    std::mem::take(&mut self.knocked_scratch)
-                } else {
-                    Vec::new()
-                },
-                crashed_ids: if want_ids {
-                    std::mem::take(&mut self.crashed_scratch)
-                } else {
-                    Vec::new()
-                },
-                revived_ids: if want_ids {
-                    std::mem::take(&mut self.revived_scratch)
-                } else {
-                    Vec::new()
-                },
-                sinr: if want_sinr {
-                    std::mem::take(&mut self.sinr_scratch)
-                } else {
-                    Vec::new()
-                },
+                    std::mem::take(&mut event.transmitter_ids)
+                }
+            });
+            let record = RoundRecord {
+                round: event.round,
+                active_before: event.participants,
+                transmitters: event.transmitters,
+                knocked_out: event.knocked_out,
+                transmitter_ids,
             };
+            self.trace.push_capped(self.trace_cap, record);
+        }
+        if self.telemetry.is_some() {
+            let _span_telemetry = self.span("telemetry");
             if let Some(sink) = self.telemetry.as_deref_mut() {
                 sink.on_round(&event);
             }
         }
-
-        outcome
+        match event.winner {
+            Some(winner) => StepOutcome::Resolved { winner },
+            None => StepOutcome::Unresolved {
+                transmitters: event.transmitters,
+                knocked_out: event.knocked_out,
+            },
+        }
     }
 
     /// Runs rounds until contention resolves or `max_rounds` is exhausted,
@@ -1326,6 +1207,13 @@ mod tests {
         }
     }
 
+    fn config(trace_level: TraceLevel) -> SimConfig {
+        SimConfig {
+            trace_level,
+            ..SimConfig::default()
+        }
+    }
+
     fn line_deployment(n: usize) -> Deployment {
         Deployment::from_points(
             (0..n)
@@ -1379,13 +1267,19 @@ mod tests {
         let run = |seed: u64| {
             let deployment = Deployment::uniform_square(20, 12.0, 5);
             let channel = SinrChannel::new(SinrParams::default_single_hop());
-            let mut sim = Simulation::new(deployment, Box::new(channel), seed, |_| {
-                Box::new(Knockout {
-                    p: 0.25,
-                    active: true,
-                })
-            });
-            sim.set_trace_level(TraceLevel::Full);
+            let mut sim = Simulation::try_new(
+                deployment,
+                Box::new(channel),
+                seed,
+                config(TraceLevel::Full),
+                |_| {
+                    Box::new(Knockout {
+                        p: 0.25,
+                        active: true,
+                    })
+                },
+            )
+            .unwrap();
             sim.run_until_resolved(5_000)
         };
         let a = run(123);
@@ -1401,12 +1295,18 @@ mod tests {
     fn trace_levels_record_expected_detail() {
         let deployment = line_deployment(6);
         let channel = RadioChannel::new();
-        let mut sim = Simulation::new(deployment, Box::new(channel), 1, |_| Box::new(AlwaysTx));
-        sim.set_trace_level(TraceLevel::Counts);
+        let counts = config(TraceLevel::Counts);
+        let mut sim = Simulation::try_new(deployment, Box::new(channel), 1, counts, |_| {
+            Box::new(AlwaysTx)
+        })
+        .unwrap();
         sim.step();
         let deployment2 = line_deployment(6);
-        let mut sim2 = Simulation::new(deployment2, Box::new(channel), 1, |_| Box::new(AlwaysTx));
-        sim2.set_trace_level(TraceLevel::Full);
+        let full = config(TraceLevel::Full);
+        let mut sim2 = Simulation::try_new(deployment2, Box::new(channel), 1, full, |_| {
+            Box::new(AlwaysTx)
+        })
+        .unwrap();
         sim2.step();
 
         let r1 = sim.run_until_resolved(1);
@@ -1441,13 +1341,19 @@ mod tests {
     fn transmission_count_matches_trace() {
         let deployment = Deployment::uniform_square(24, 15.0, 3);
         let channel = SinrChannel::new(SinrParams::default_single_hop());
-        let mut sim = Simulation::new(deployment, Box::new(channel), 17, |_| {
-            Box::new(Knockout {
-                p: 0.25,
-                active: true,
-            })
-        });
-        sim.set_trace_level(TraceLevel::Counts);
+        let mut sim = Simulation::try_new(
+            deployment,
+            Box::new(channel),
+            17,
+            config(TraceLevel::Counts),
+            |_| {
+                Box::new(Knockout {
+                    p: 0.25,
+                    active: true,
+                })
+            },
+        )
+        .unwrap();
         let result = sim.run_until_resolved(5_000);
         let from_trace: u64 = result
             .trace()
@@ -1461,14 +1367,35 @@ mod tests {
     }
 
     fn knockout_sim(seed: u64) -> Simulation {
+        knockout_sim_with(seed, SimConfig::default()).unwrap()
+    }
+
+    fn knockout_sim_with(seed: u64, config: SimConfig) -> Result<Simulation, SimError> {
         let deployment = Deployment::uniform_square(20, 12.0, 5);
         let channel = SinrChannel::new(SinrParams::default_single_hop());
-        Simulation::new(deployment, Box::new(channel), seed, |_| {
+        Simulation::try_new(deployment, Box::new(channel), seed, config, |_| {
             Box::new(Knockout {
                 p: 0.25,
                 active: true,
             })
         })
+    }
+
+    fn with_plan(plan: FaultPlan, trace_level: TraceLevel) -> SimConfig {
+        SimConfig {
+            fault_plan: Some(plan),
+            ..config(trace_level)
+        }
+    }
+
+    /// `make_protocol` over an `n`-node radio line with `plan` attached.
+    fn radio_line_with_plan<F>(n: usize, plan: FaultPlan, make_protocol: F) -> Simulation
+    where
+        F: FnMut(NodeId) -> Box<dyn Protocol>,
+    {
+        let config = with_plan(plan, TraceLevel::None);
+        let radio = Box::new(RadioChannel::new());
+        Simulation::try_new(line_deployment(n), radio, 0, config, make_protocol).unwrap()
     }
 
     #[test]
@@ -1480,9 +1407,13 @@ mod tests {
             Deployment::uniform_square(2, 5.0, 0)
         });
         if deployment.is_empty() {
-            let err = Simulation::try_new(deployment, Box::new(RadioChannel::new()), 0, |_| {
-                Box::new(AlwaysTx)
-            })
+            let err = Simulation::try_new(
+                deployment,
+                Box::new(RadioChannel::new()),
+                0,
+                SimConfig::default(),
+                |_| Box::new(AlwaysTx),
+            )
             .unwrap_err();
             assert_eq!(err, SimError::EmptyDeployment);
             assert!(err.to_string().contains("no nodes"));
@@ -1491,12 +1422,18 @@ mod tests {
 
     #[test]
     fn try_new_rejects_all_inactive_protocols() {
-        let err = Simulation::try_new(line_deployment(4), Box::new(RadioChannel::new()), 0, |_| {
-            Box::new(Knockout {
-                p: 0.5,
-                active: false,
-            })
-        })
+        let err = Simulation::try_new(
+            line_deployment(4),
+            Box::new(RadioChannel::new()),
+            0,
+            SimConfig::default(),
+            |_| {
+                Box::new(Knockout {
+                    p: 0.5,
+                    active: false,
+                })
+            },
+        )
         .unwrap_err();
         assert_eq!(err, SimError::NoActiveNodes);
         assert!(err.to_string().contains("never resolve"));
@@ -1504,39 +1441,38 @@ mod tests {
 
     #[test]
     fn try_new_accepts_normal_setup() {
-        let sim = Simulation::try_new(line_deployment(4), Box::new(RadioChannel::new()), 0, |_| {
-            Box::new(AlwaysTx)
-        })
+        let sim = Simulation::try_new(
+            line_deployment(4),
+            Box::new(RadioChannel::new()),
+            0,
+            SimConfig::default(),
+            |_| Box::new(AlwaysTx),
+        )
         .unwrap();
         assert_eq!(sim.num_active(), 4);
     }
 
     #[test]
-    fn fault_plan_rejected_mid_run() {
-        let mut sim = knockout_sim(1);
-        sim.step();
-        let err = sim.set_fault_plan(FaultPlan::new()).unwrap_err();
-        assert_eq!(err, FaultError::PlanAttachedMidRun { round: 1 });
-    }
-
-    #[test]
     fn fault_plan_rejects_out_of_range_churn() {
-        let mut sim = knockout_sim(1);
         let plan =
             FaultPlan::new().with_churn(crate::faults::ChurnEvent::crash(3, 999).unwrap());
-        let err = sim.set_fault_plan(plan).unwrap_err();
-        assert!(matches!(err, FaultError::NodeOutOfRange { node: 999, .. }));
+        let err = knockout_sim_with(1, with_plan(plan, TraceLevel::None)).unwrap_err();
+        assert!(matches!(
+            err,
+            SimError::Fault(FaultError::NodeOutOfRange { node: 999, .. })
+        ));
     }
 
     #[test]
     fn empty_fault_plan_is_byte_identical_to_none() {
         let run = |with_plan: bool| {
-            let mut sim = knockout_sim(77);
-            if with_plan {
-                sim.set_fault_plan(FaultPlan::new()).unwrap();
-            }
-            sim.set_trace_level(TraceLevel::Full);
-            sim.run_until_resolved(5_000)
+            let config = SimConfig {
+                fault_plan: with_plan.then(FaultPlan::new),
+                ..config(TraceLevel::Full)
+            };
+            knockout_sim_with(77, config)
+                .unwrap()
+                .run_until_resolved(5_000)
         };
         assert_eq!(run(false), run(true));
     }
@@ -1547,12 +1483,10 @@ mod tests {
         // transmission from resolving contention — but it must prevent
         // every knockout (no listener ever decodes a message).
         use crate::faults::Jammer;
-        let mut sim = knockout_sim(42);
         let power = SinrParams::default_single_hop().power() * 1e6;
         let plan = FaultPlan::new()
             .with_jammer(Jammer::continuous(Point::new(6.0, 6.0), power, 1).unwrap());
-        sim.set_fault_plan(plan).unwrap();
-        sim.set_trace_level(TraceLevel::Counts);
+        let mut sim = knockout_sim_with(42, with_plan(plan, TraceLevel::Counts)).unwrap();
         let result = sim.run_until_resolved(200);
         assert!(
             result.trace().rounds().iter().all(|r| r.knocked_out == 0),
@@ -1569,11 +1503,10 @@ mod tests {
             sim.run_until_resolved(5_000)
         };
         let jammed = {
-            let mut sim = knockout_sim(42);
             let power = SinrParams::default_single_hop().power() * 1e6;
             let plan = FaultPlan::new()
                 .with_jammer(Jammer::new(Point::new(6.0, 6.0), power, 1, 1, 1, Some(30)).unwrap());
-            sim.set_fault_plan(plan).unwrap();
+            let mut sim = knockout_sim_with(42, with_plan(plan, TraceLevel::None)).unwrap();
             sim.run_until_resolved(5_000)
         };
         assert!(jammed.resolved(), "a budget-bounded jammer cannot block forever");
@@ -1586,14 +1519,11 @@ mod tests {
     #[test]
     fn crash_events_force_nodes_out() {
         use crate::faults::ChurnEvent;
-        let mut sim = Simulation::new(line_deployment(4), Box::new(RadioChannel::new()), 0, |_| {
-            Box::new(AlwaysTx)
-        });
         let plan = FaultPlan::new()
             .with_churn(ChurnEvent::crash(2, 1).unwrap())
             .with_churn(ChurnEvent::crash(2, 2).unwrap())
             .with_churn(ChurnEvent::crash(2, 3).unwrap());
-        sim.set_fault_plan(plan).unwrap();
+        let mut sim = radio_line_with_plan(4, plan, |_| Box::new(AlwaysTx));
         sim.step();
         assert_eq!(sim.num_active(), 4);
         // Round 2: nodes 1–3 crash at the start, node 0 transmits alone.
@@ -1608,13 +1538,10 @@ mod tests {
     #[test]
     fn revive_undoes_crash_but_not_knockout() {
         use crate::faults::ChurnEvent;
-        let mut sim = Simulation::new(line_deployment(4), Box::new(RadioChannel::new()), 0, |_| {
-            Box::new(AlwaysTx)
-        });
         let plan = FaultPlan::new()
             .with_churn(ChurnEvent::crash(1, 2).unwrap())
             .with_churn(ChurnEvent::revive(3, 2).unwrap());
-        sim.set_fault_plan(plan).unwrap();
+        let mut sim = radio_line_with_plan(4, plan, |_| Box::new(AlwaysTx));
         sim.step();
         assert!(!sim.is_active(2), "crash must deactivate");
         sim.step();
@@ -1630,7 +1557,8 @@ mod tests {
         // Two-node radio network: node 0 transmits alone in round 1, so
         // node 1 receives and knocks itself out. A revival scheduled later
         // must NOT bring it back: its own protocol is inactive.
-        let mut sim = Simulation::new(line_deployment(2), Box::new(RadioChannel::new()), 0, |id| {
+        let plan = FaultPlan::new().with_churn(ChurnEvent::revive(3, 1).unwrap());
+        let mut sim = radio_line_with_plan(2, plan, |id| {
             if id == 0 {
                 Box::new(AlwaysTx) as Box<dyn Protocol>
             } else {
@@ -1640,8 +1568,6 @@ mod tests {
                 })
             }
         });
-        let plan = FaultPlan::new().with_churn(ChurnEvent::revive(3, 1).unwrap());
-        sim.set_fault_plan(plan).unwrap();
         sim.step();
         assert!(!sim.is_active(1), "reception must knock node 1 out");
         sim.step();
@@ -1657,14 +1583,11 @@ mod tests {
         use crate::faults::ChurnEvent;
         // All nodes always transmit; nodes 1–3 wake only at round 4. With
         // only node 0 awake, round 1 resolves immediately.
-        let mut sim = Simulation::new(line_deployment(4), Box::new(RadioChannel::new()), 0, |_| {
-            Box::new(AlwaysTx)
-        });
         let plan = FaultPlan::new()
             .with_churn(ChurnEvent::late_wake(4, 1).unwrap())
             .with_churn(ChurnEvent::late_wake(4, 2).unwrap())
             .with_churn(ChurnEvent::late_wake(4, 3).unwrap());
-        sim.set_fault_plan(plan).unwrap();
+        let mut sim = radio_line_with_plan(4, plan, |_| Box::new(AlwaysTx));
         assert!(sim.is_awake(0));
         assert!(!sim.is_awake(1));
         match sim.step() {
@@ -1687,18 +1610,14 @@ mod tests {
         // Solo transmitter on SINR: listener decodes every round — unless a
         // massive noise burst covers the round.
         let channel = SinrChannel::new(SinrParams::default_single_hop());
-        let deployment = Deployment::from_points(vec![
-            Point::new(0.0, 0.0),
-            Point::new(1.0, 0.0),
-        ])
-        .unwrap();
-        let mut sim = Simulation::new(deployment, Box::new(channel), 0, |id| {
+        let deployment =
+            Deployment::from_points(vec![Point::new(0.0, 0.0), Point::new(1.0, 0.0)]).unwrap();
+        let plan = FaultPlan::new().with_noise_burst(NoiseBurst::new(2, 2, 1e12).unwrap());
+        let config = with_plan(plan, TraceLevel::Counts);
+        let mut sim = Simulation::try_new(deployment, Box::new(channel), 0, config, |id| {
             Box::new(OnlyNodeZero { id })
-        });
-        let plan = FaultPlan::new()
-            .with_noise_burst(NoiseBurst::new(2, 2, 1e12).unwrap());
-        sim.set_fault_plan(plan).unwrap();
-        sim.set_trace_level(TraceLevel::Counts);
+        })
+        .unwrap();
         // Rounds 1–4: the trace can't see receptions directly, but the
         // Knockout-free protocol keeps state; instead verify via
         // total_transmissions and explicit stepping that no panic occurs
@@ -1713,14 +1632,15 @@ mod tests {
     fn gilbert_elliott_loss_changes_trajectory_deterministically() {
         use crate::faults::GilbertElliott;
         let run = |with_loss: bool| {
-            let mut sim = knockout_sim(123);
-            if with_loss {
-                let plan = FaultPlan::new()
-                    .with_loss(GilbertElliott::new(0.3, 0.2, 0.1, 0.95).unwrap());
-                sim.set_fault_plan(plan).unwrap();
-            }
-            sim.set_trace_level(TraceLevel::Full);
-            sim.run_until_resolved(5_000)
+            let config = SimConfig {
+                fault_plan: with_loss.then(|| {
+                    FaultPlan::new().with_loss(GilbertElliott::new(0.3, 0.2, 0.1, 0.95).unwrap())
+                }),
+                ..config(TraceLevel::Full)
+            };
+            knockout_sim_with(123, config)
+                .unwrap()
+                .run_until_resolved(5_000)
         };
         let a = run(true);
         let b = run(true);
@@ -1739,7 +1659,6 @@ mod tests {
     fn faulted_run_is_cache_invariant() {
         use crate::faults::{ChurnEvent, GilbertElliott, Jammer, NoiseBurst};
         let run = |cache_on: bool| {
-            let mut sim = knockout_sim(9);
             let power = SinrParams::default_single_hop().power() * 10.0;
             let plan = FaultPlan::new()
                 .with_jammer(Jammer::new(Point::new(6.0, 6.0), power, 3, 5, 2, Some(20)).unwrap())
@@ -1748,28 +1667,32 @@ mod tests {
                 .with_churn(ChurnEvent::revive(9, 0).unwrap())
                 .with_churn(ChurnEvent::late_wake(3, 1).unwrap())
                 .with_loss(GilbertElliott::new(0.2, 0.3, 0.05, 0.8).unwrap());
-            sim.set_fault_plan(plan).unwrap();
-            sim.set_tier(if cache_on {
+            let tier = if cache_on {
                 EngineTier::GainCache
             } else {
                 EngineTier::Exact
-            });
-            sim.set_trace_level(TraceLevel::Full);
-            sim.run_until_resolved(5_000)
+            };
+            let config = SimConfig {
+                tier: Some(tier),
+                ..with_plan(plan, TraceLevel::Full)
+            };
+            knockout_sim_with(9, config)
+                .unwrap()
+                .run_until_resolved(5_000)
         };
         assert_eq!(run(true), run(false), "fault path must be cache-invariant");
     }
 
     #[test]
     fn self_check_on_a_healthy_run_never_demotes() {
-        let clean = {
-            let mut sim = knockout_sim(31);
-            sim.set_trace_level(TraceLevel::Full);
-            sim.run_until_resolved(5_000)
+        let clean = knockout_sim_with(31, config(TraceLevel::Full))
+            .unwrap()
+            .run_until_resolved(5_000);
+        let checked_config = SimConfig {
+            self_check: 4,
+            ..config(TraceLevel::Full)
         };
-        let mut sim = knockout_sim(31);
-        sim.set_trace_level(TraceLevel::Full);
-        sim.set_self_check(4);
+        let mut sim = knockout_sim_with(31, checked_config).unwrap();
         assert!(sim.self_check_enabled());
         let checked = sim.run_until_resolved(5_000);
         let counters = sim.engine_counters();
@@ -1789,17 +1712,22 @@ mod tests {
             (EngineTier::Hierarchical, EngineTier::GainCache),
             (EngineTier::GainCache, EngineTier::Exact),
         ] {
-            let clean = {
-                let mut sim = knockout_sim(31);
-                sim.set_tier(from);
-                sim.set_trace_level(TraceLevel::Full);
-                sim.run_until_resolved(5_000)
+            let pinned = SimConfig {
+                tier: Some(from),
+                ..config(TraceLevel::Full)
             };
-            let mut sim = knockout_sim(31);
-            sim.set_tier(from);
+            let clean = knockout_sim_with(31, pinned.clone())
+                .unwrap()
+                .run_until_resolved(5_000);
+            let mut sim = knockout_sim_with(
+                31,
+                SimConfig {
+                    self_check: 2,
+                    ..pinned
+                },
+            )
+            .unwrap();
             assert_eq!(sim.tier(), from);
-            sim.set_trace_level(TraceLevel::Full);
-            sim.set_self_check(2);
             sim.inject_self_check_violation();
             let result = sim.run_until_resolved(5_000);
             let counters = sim.engine_counters();
@@ -1814,11 +1742,7 @@ mod tests {
 
     #[test]
     fn snapshot_restore_resumes_byte_identically() {
-        let make = || {
-            let mut sim = knockout_sim(55);
-            sim.set_trace_level(TraceLevel::Full);
-            sim
-        };
+        let make = || knockout_sim_with(55, config(TraceLevel::Full)).unwrap();
         let uninterrupted = make().run_until_resolved(5_000);
 
         let mut interrupted = make();
@@ -1873,12 +1797,7 @@ mod tests {
                 .with_churn(ChurnEvent::late_wake(3, 1).unwrap())
                 .with_loss(GilbertElliott::new(0.2, 0.3, 0.05, 0.8).unwrap())
         };
-        let make = || {
-            let mut sim = knockout_sim(9);
-            sim.set_fault_plan(plan()).unwrap();
-            sim.set_trace_level(TraceLevel::Full);
-            sim
-        };
+        let make = || knockout_sim_with(9, with_plan(plan(), TraceLevel::Full)).unwrap();
         let uninterrupted = make().run_until_resolved(5_000);
 
         // Interrupt mid-churn: after round 6 the crash fired (round 5) but

@@ -1,58 +1,30 @@
-//! Lightweight counters, histograms, and phase timers for the step loop.
+//! Counters, value histograms and span-timed totals folded from a run.
 //!
-//! A [`MetricsRegistry`] is attached to a simulation with
-//! [`Simulation::set_metrics_enabled`](crate::Simulation::set_metrics_enabled)
-//! and aggregates *profiling* data: how long rounds take, where the time
-//! goes (churn/act/resolve/feedback), and how the per-round interference
-//! and knockout counts distribute. Unlike the [`RoundEvent`] stream,
-//! metrics include wall-clock measurements and are **not** part of the
-//! determinism contract — two byte-identical runs will report different
-//! nanosecond totals. Everything else (counters, value histograms) is
-//! deterministic.
+//! A [`MetricsRegistry`] is a fold ([`MetricsRegistry::fold`]) of two
+//! streams a simulation already produces, so the step loop itself reads
+//! no clock:
 //!
-//! [`RoundEvent`]: crate::telemetry::RoundEvent
+//! * its [`RoundEvent`]s give the run counters and the value histograms
+//!   (knockouts per round, and the per-listener interference sums of
+//!   rounds recorded at SINR detail);
+//! * the finished spans of an attached [`Tracer`] give time: each `step`
+//!   span is one round's latency, and the [`PHASE_SPANS`] add up to
+//!   per-phase totals.
+//!
+//! [`MetricsRegistry::merge`] aggregates runs into a fleet view.
+//!
+//! The counters and value histograms are deterministic. The times are
+//! wall-clock measurements and are **not** part of the determinism
+//! contract — two byte-identical runs report different nanosecond totals.
+//!
+//! [`Tracer`]: crate::obs::Tracer
 
-use std::time::Duration;
+use crate::obs::SpanRecord;
+use crate::telemetry::RoundEvent;
 
-/// The four instrumented phases of [`Simulation::step`].
-///
-/// [`Simulation::step`]: crate::Simulation::step
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// Applying scheduled churn events at the start of the round.
-    Churn,
-    /// Collecting actions from active, awake nodes.
-    Act,
-    /// Channel resolution (including perturbation assembly and loss).
-    Resolve,
-    /// Delivering feedback and deactivating knocked-out nodes.
-    Feedback,
-}
-
-impl Phase {
-    /// All phases, in step order.
-    pub const ALL: [Phase; 4] = [Phase::Churn, Phase::Act, Phase::Resolve, Phase::Feedback];
-
-    fn index(self) -> usize {
-        match self {
-            Phase::Churn => 0,
-            Phase::Act => 1,
-            Phase::Resolve => 2,
-            Phase::Feedback => 3,
-        }
-    }
-
-    /// A short stable label (for reports).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::Churn => "churn",
-            Phase::Act => "act",
-            Phase::Resolve => "resolve",
-            Phase::Feedback => "feedback",
-        }
-    }
-}
+/// The step loop's phase spans whose durations [`MetricsRegistry::fold`]
+/// totals, in step order.
+pub const PHASE_SPANS: [&str; 4] = ["churn", "act", "resolve", "feedback"];
 
 /// A base-2 geometric histogram over non-negative `f64` values.
 ///
@@ -236,7 +208,7 @@ impl Default for Histogram {
     }
 }
 
-/// Aggregated step-loop metrics for one simulation.
+/// Aggregated metrics for one simulation, or a fleet of them merged.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     rounds: u64,
@@ -247,7 +219,7 @@ pub struct MetricsRegistry {
     round_nanos: Histogram,
     knockouts_per_round: Histogram,
     interference: Histogram,
-    phase_nanos: [u64; 4],
+    phase_nanos: [u64; PHASE_SPANS.len()],
 }
 
 impl MetricsRegistry {
@@ -257,33 +229,35 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Records one completed round's aggregates (called by the step loop).
-    pub(crate) fn record_round(
-        &mut self,
-        latency: Duration,
-        transmitters: usize,
-        knocked_out: usize,
-        churn_applied: usize,
-        ge_dropped: usize,
-    ) {
-        self.rounds += 1;
-        self.transmissions += transmitters as u64;
-        self.knockouts += knocked_out as u64;
-        self.churn_applied += churn_applied as u64;
-        self.ge_dropped += ge_dropped as u64;
-        self.round_nanos.record(latency.as_nanos() as f64);
-        self.knockouts_per_round.record(knocked_out as f64);
-    }
-
-    /// Records one listener's SINR denominator-side interference (only
-    /// available in rounds resolved through the instrumented channel path).
-    pub(crate) fn record_interference(&mut self, interference: f64) {
-        self.interference.record(interference);
-    }
-
-    /// Adds wall-clock time to one phase's total.
-    pub(crate) fn add_phase(&mut self, phase: Phase, elapsed: Duration) {
-        self.phase_nanos[phase.index()] += elapsed.as_nanos() as u64;
+    /// The registry of one run, folded from its round `events` and its
+    /// tracer's finished `spans`. Each event adds to the run counters, to
+    /// the knockouts-per-round histogram, and one interference
+    /// observation per SINR breakdown it carries. Each `step` span is one
+    /// round's latency, each [`PHASE_SPANS`] span adds to its phase's
+    /// total, and other spans are ignored.
+    #[must_use]
+    pub fn fold(events: &[RoundEvent], spans: &[SpanRecord]) -> Self {
+        let mut m = MetricsRegistry::new();
+        for event in events {
+            m.rounds += 1;
+            m.transmissions += event.transmitters as u64;
+            m.knockouts += event.knocked_out as u64;
+            m.churn_applied += event.churn_applied as u64;
+            m.ge_dropped += event.ge_dropped as u64;
+            m.knockouts_per_round.record(event.knocked_out as f64);
+            for b in &event.sinr {
+                m.interference.record(b.interference);
+            }
+        }
+        for span in spans {
+            let nanos = span.duration_ns();
+            if span.name == "step" {
+                m.round_nanos.record(nanos as f64);
+            } else if let Some(i) = PHASE_SPANS.iter().position(|&p| p == span.name) {
+                m.phase_nanos[i] += nanos;
+            }
+        }
+        m
     }
 
     /// Rounds recorded.
@@ -316,7 +290,8 @@ impl MetricsRegistry {
         self.ge_dropped
     }
 
-    /// Distribution of per-round wall-clock latency, in nanoseconds.
+    /// Distribution of per-round wall-clock latency (`step` spans), in
+    /// nanoseconds.
     #[must_use]
     pub fn round_latency_nanos(&self) -> &Histogram {
         &self.round_nanos
@@ -328,22 +303,26 @@ impl MetricsRegistry {
         &self.knockouts_per_round
     }
 
-    /// Distribution of per-listener interference sums (populated only when
-    /// a sink requested SINR detail, routing rounds through the
-    /// instrumented resolve path).
+    /// Distribution of per-listener interference sums (populated only by
+    /// events recorded at SINR detail, whose rounds resolved through the
+    /// instrumented path).
     #[must_use]
     pub fn interference(&self) -> &Histogram {
         &self.interference
     }
 
-    /// Accumulated wall-clock nanoseconds spent in `phase`.
+    /// Accumulated wall-clock nanoseconds spent in the phase span named
+    /// `phase` (0 for a name outside [`PHASE_SPANS`]).
     #[must_use]
-    pub fn phase_nanos(&self, phase: Phase) -> u64 {
-        self.phase_nanos[phase.index()]
+    pub fn phase_nanos(&self, phase: &str) -> u64 {
+        PHASE_SPANS
+            .iter()
+            .position(|&p| p == phase)
+            .map_or(0, |i| self.phase_nanos[i])
     }
 
     /// Merges another registry into this one (counters add, histograms
-    /// merge bucket-wise, phase timers add), so montecarlo drivers can
+    /// merge bucket-wise, phase totals add), so montecarlo drivers can
     /// aggregate per-trial registries into one fleet-wide view.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         self.rounds += other.rounds;
@@ -362,9 +341,9 @@ impl MetricsRegistry {
     /// One-line human-readable summary (for logs and reports).
     #[must_use]
     pub fn summary(&self) -> String {
-        let phases: Vec<String> = Phase::ALL
+        let phases: Vec<String> = PHASE_SPANS
             .iter()
-            .map(|&p| format!("{}={}µs", p.name(), self.phase_nanos(p) / 1_000))
+            .map(|&p| format!("{p}={}µs", self.phase_nanos(p) / 1_000))
             .collect();
         format!(
             "rounds={} tx={} knockouts={} churn={} ge_drops={} mean_round={:.1}µs [{}]",
@@ -504,40 +483,82 @@ mod tests {
         assert_eq!(empty, snapshot);
     }
 
+    /// A counts-level event with `tx` transmitters, `ko` knockouts,
+    /// `churn` churn events and `ge` loss drops.
+    fn event(tx: usize, ko: usize, churn: usize, ge: usize) -> RoundEvent {
+        RoundEvent {
+            transmitters: tx,
+            knocked_out: ko,
+            churn_applied: churn,
+            ge_dropped: ge,
+            ..RoundEvent::default()
+        }
+    }
+
+    /// One listener's SINR breakdown with the given interference sum.
+    fn breakdown(interference: f64) -> fading_channel::SinrBreakdown {
+        fading_channel::SinrBreakdown {
+            listener: 0,
+            best_tx: None,
+            signal: 0.0,
+            interference,
+            noise: 1.0,
+            extra: 0.0,
+            margin: -1.0,
+            decoded: false,
+        }
+    }
+
+    /// A finished root span `name` lasting `micros` µs.
+    fn span(name: &'static str, micros: u64) -> SpanRecord {
+        SpanRecord {
+            id: 0,
+            parent: None,
+            name: name.into(),
+            thread: 0,
+            depth: 0,
+            start_ns: 1_000,
+            end_ns: 1_000 + micros * 1_000,
+        }
+    }
+
     #[test]
     fn registry_merge_aggregates_everything() {
-        let mut a = MetricsRegistry::new();
-        a.record_round(Duration::from_micros(5), 3, 2, 1, 4);
-        a.add_phase(Phase::Resolve, Duration::from_micros(9));
-        a.record_interference(42.0);
-        let mut b = MetricsRegistry::new();
-        b.record_round(Duration::from_micros(7), 1, 0, 0, 0);
-        b.add_phase(Phase::Act, Duration::from_micros(2));
+        let mut first = event(3, 2, 1, 4);
+        first.sinr.push(breakdown(42.0));
+        let mut a = MetricsRegistry::fold(&[first], &[span("step", 5), span("resolve", 9)]);
+        let b = MetricsRegistry::fold(&[event(1, 0, 0, 0)], &[span("step", 7), span("act", 2)]);
         a.merge(&b);
         assert_eq!(a.rounds(), 2);
         assert_eq!(a.transmissions(), 4);
         assert_eq!(a.knockouts(), 2);
-        assert_eq!(a.phase_nanos(Phase::Resolve), 9_000);
-        assert_eq!(a.phase_nanos(Phase::Act), 2_000);
+        assert_eq!(a.phase_nanos("resolve"), 9_000);
+        assert_eq!(a.phase_nanos("act"), 2_000);
         assert_eq!(a.round_latency_nanos().count(), 2);
         assert_eq!(a.interference().count(), 1);
     }
 
     #[test]
     fn registry_accumulates_rounds_and_phases() {
-        let mut m = MetricsRegistry::new();
-        m.record_round(Duration::from_micros(5), 3, 2, 1, 4);
-        m.record_round(Duration::from_micros(7), 1, 0, 0, 0);
-        m.add_phase(Phase::Resolve, Duration::from_micros(9));
-        m.add_phase(Phase::Resolve, Duration::from_micros(1));
-        m.record_interference(42.0);
+        let mut first = event(3, 2, 1, 4);
+        first.sinr.push(breakdown(42.0));
+        let m = MetricsRegistry::fold(
+            &[first, event(1, 0, 0, 0)],
+            &[
+                span("step", 5),
+                span("step", 7),
+                span("resolve", 9),
+                span("resolve", 1),
+                span("resolve.gain_cache", 3),
+            ],
+        );
         assert_eq!(m.rounds(), 2);
         assert_eq!(m.transmissions(), 4);
         assert_eq!(m.knockouts(), 2);
         assert_eq!(m.churn_applied(), 1);
         assert_eq!(m.ge_dropped(), 4);
-        assert_eq!(m.phase_nanos(Phase::Resolve), 10_000);
-        assert_eq!(m.phase_nanos(Phase::Act), 0);
+        assert_eq!(m.phase_nanos("resolve"), 10_000);
+        assert_eq!(m.phase_nanos("act"), 0);
         assert_eq!(m.knockouts_per_round().count(), 2);
         assert_eq!(m.interference().count(), 1);
         assert!((m.round_latency_nanos().mean() - 6_000.0).abs() < 1e-9);

@@ -13,18 +13,23 @@
 //!   paths; when it requests SINR detail the round asks
 //!   [`resolve_with`](fading_channel::Channel::resolve_with) for
 //!   breakdowns, which is contractually bit-identical).
-//! * **Zero cost when disabled**: with no sink attached, the step loop
-//!   pays only a handful of `Option::is_some` checks (guarded by the
-//!   `telemetry_overhead_n2048` bench, ≤ 5 % of baseline step time).
+//! * **One report per round**: the step loop builds one counts-level
+//!   [`RoundEvent`] every round whether or not a sink is attached — the
+//!   trace and the engine counters read it too — so a sink adds only the
+//!   delivery and whatever ids or SINR breakdowns its detail level asks
+//!   for (guarded by the `telemetry_overhead_n2048` bench, ≤ 5 % of
+//!   baseline step time).
 //! * **JSONL export**: [`jsonl`] serializes event streams one JSON object
 //!   per line and parses them back losslessly (f64s round-trip via
 //!   shortest-representation formatting). The writer is hand-rolled —
 //!   the workspace's vendored `serde` is an offline stub (see
 //!   `vendor/serde`), so derive-based serialization is unavailable.
-//! * **Metrics**: [`MetricsRegistry`] aggregates counters, log-bucketed
-//!   histograms (round latency, interference, knockouts per round) and
-//!   wall-clock phase timers around the step loop's churn/act/resolve/
-//!   feedback phases. Metrics contain wall-clock durations and are
+//! * **Metrics**: [`MetricsRegistry`] is a fold of an event stream
+//!   (counters; knockout and interference histograms) and of a
+//!   [`Tracer`](crate::obs::Tracer)'s finished spans (the round-latency
+//!   histogram from `step` spans, per-phase totals from the
+//!   [`PHASE_SPANS`]). The simulation reads no clock itself; the tracer
+//!   is its only one. Span times are wall-clock durations and are
 //!   therefore *excluded* from the determinism contract — the event
 //!   stream is the reproducible artifact, the registry is for profiling.
 //!
@@ -63,7 +68,7 @@
 pub mod jsonl;
 mod metrics;
 
-pub use metrics::{Histogram, MetricsRegistry, Phase};
+pub use metrics::{Histogram, MetricsRegistry, PHASE_SPANS};
 
 use fading_channel::{NodeId, SinrBreakdown};
 

@@ -19,7 +19,8 @@ use fading_channel::{
 use fading_geom::{Deployment, Point};
 use fading_sim::faults::{ChurnEvent, FaultPlan, GilbertElliott, Jammer, NoiseBurst};
 use fading_sim::{
-    montecarlo, Action, EngineTier, Protocol, RunOutcome, RunResult, Simulation, TraceLevel,
+    montecarlo, Action, EngineTier, Protocol, RunOutcome, RunResult, SimConfig, Simulation,
+    TraceLevel,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -120,20 +121,23 @@ fn run_batch(
 ) -> Vec<RunResult> {
     montecarlo::run_trials(TRIALS, threads, 7_000, |seed| {
         let deployment = Deployment::uniform_square(N_NODES, SIDE, seed);
-        let mut sim = Simulation::new(deployment, make_channel(), seed, |_| {
+        let config = SimConfig {
+            tier: Some(if cached {
+                EngineTier::GainCache
+            } else {
+                EngineTier::Exact
+            }),
+            trace_level: TraceLevel::Full,
+            fault_plan: Some(plan.clone()),
+            ..SimConfig::default()
+        };
+        let mut sim = Simulation::try_new(deployment, make_channel(), seed, config, |_| {
             Box::new(Knockout {
                 p: 0.25,
                 active: true,
             })
-        });
-        sim.set_fault_plan(plan.clone())
-            .expect("plan validated against this deployment size");
-        sim.set_tier(if cached {
-            EngineTier::GainCache
-        } else {
-            EngineTier::Exact
-        });
-        sim.set_trace_level(TraceLevel::Full);
+        })
+        .expect("plan validated against this deployment size");
         sim.run_until_resolved(ROUND_CAP)
     })
 }

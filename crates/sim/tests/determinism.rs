@@ -13,7 +13,8 @@ use fading_channel::{
 use fading_geom::{Deployment, Point};
 use fading_sim::faults::{ChurnEvent, FaultPlan, GilbertElliott, Jammer, NoiseBurst};
 use fading_sim::{
-    montecarlo, Action, EngineTier, Protocol, ResolveEngine, RunResult, Simulation, TraceLevel,
+    montecarlo, Action, EngineTier, Protocol, ResolveEngine, RunResult, SimConfig, Simulation,
+    TraceLevel,
 };
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -46,6 +47,33 @@ impl Protocol for Knockout {
     }
 }
 
+/// A 0.25-knockout simulation over `deployment` under `config`.
+fn knockout_sim(
+    deployment: Deployment,
+    channel: Box<dyn Channel>,
+    seed: u64,
+    config: SimConfig,
+) -> Simulation {
+    Simulation::try_new(deployment, channel, seed, config, |_| {
+        Box::new(Knockout {
+            p: 0.25,
+            active: true,
+        })
+    })
+    .expect("valid configuration")
+}
+
+/// A full-trace configuration pinned to `tier`, with an optional fault
+/// plan.
+fn pinned(tier: EngineTier, fault_plan: Option<FaultPlan>) -> SimConfig {
+    SimConfig {
+        tier: Some(tier),
+        trace_level: TraceLevel::Full,
+        fault_plan,
+        ..SimConfig::default()
+    }
+}
+
 /// Runs one full trial batch: `trials` seeded runs of a 24-node knockout
 /// protocol on the channel built by `make_channel`, with the gain cache
 /// forced on or off.
@@ -55,18 +83,12 @@ where
 {
     montecarlo::run_trials(trials, threads, 1000, |seed| {
         let deployment = Deployment::uniform_square(24, 15.0, seed);
-        let mut sim = Simulation::new(deployment, make_channel(), seed, |_| {
-            Box::new(Knockout {
-                p: 0.25,
-                active: true,
-            })
-        });
-        sim.set_tier(if cached {
+        let tier = if cached {
             EngineTier::GainCache
         } else {
             EngineTier::Exact
-        });
-        sim.set_trace_level(TraceLevel::Full);
+        };
+        let mut sim = knockout_sim(deployment, make_channel(), seed, pinned(tier, None));
         sim.run_until_resolved(20_000)
     })
 }
@@ -136,19 +158,13 @@ where
 {
     montecarlo::run_trials(trials, threads, 1000, |seed| {
         let deployment = Deployment::uniform_square(24, 15.0, seed);
-        let mut sim = Simulation::new(deployment, make_channel(), seed, |_| {
-            Box::new(Knockout {
-                p: 0.25,
-                active: true,
-            })
-        });
-        sim.set_fault_plan(stress_plan()).expect("plan fits deployment");
-        sim.set_tier(if cached {
+        let tier = if cached {
             EngineTier::GainCache
         } else {
             EngineTier::Exact
-        });
-        sim.set_trace_level(TraceLevel::Full);
+        };
+        let config = pinned(tier, Some(stress_plan()));
+        let mut sim = knockout_sim(deployment, make_channel(), seed, config);
         sim.run_until_resolved(20_000)
     })
 }
@@ -201,21 +217,13 @@ fn attaching_a_fault_plan_does_not_disturb_unfaulted_streams() {
     // byte-identical (the dedicated fault RNG lane is never drawn from).
     let run = |attach_empty: bool| {
         let deployment = Deployment::uniform_square(24, 15.0, 3);
-        let mut sim = Simulation::new(
-            deployment,
-            Box::new(RayleighSinrChannel::new(params())),
-            3,
-            |_| {
-                Box::new(Knockout {
-                    p: 0.25,
-                    active: true,
-                })
-            },
-        );
-        if attach_empty {
-            sim.set_fault_plan(FaultPlan::new()).expect("empty plan");
-        }
-        sim.set_trace_level(TraceLevel::Full);
+        let config = SimConfig {
+            trace_level: TraceLevel::Full,
+            fault_plan: attach_empty.then(FaultPlan::new),
+            ..SimConfig::default()
+        };
+        let channel = Box::new(RayleighSinrChannel::new(params()));
+        let mut sim = knockout_sim(deployment, channel, 3, config);
         sim.run_until_resolved(20_000)
     };
     assert_eq!(run(false), run(true));
@@ -223,25 +231,49 @@ fn attaching_a_fault_plan_does_not_disturb_unfaulted_streams() {
 
 #[test]
 fn simulation_exposes_cache_state() {
-    let deployment = Deployment::uniform_square(16, 10.0, 7);
-    let channel = SinrChannel::new(params());
-    let mut sim = Simulation::new(deployment, Box::new(channel), 7, |_| {
-        Box::new(Knockout {
-            p: 0.25,
-            active: true,
-        })
-    });
+    let make = |config: SimConfig| {
+        let deployment = Deployment::uniform_square(16, 10.0, 7);
+        knockout_sim(deployment, Box::new(SinrChannel::new(params())), 7, config)
+    };
+    let sim = make(SimConfig::default());
     assert_eq!(sim.tier(), EngineTier::GainCache, "SINR channel should build a cache");
     match sim.engine() {
         ResolveEngine::GainCache(c) => assert_eq!(c.len(), 16),
         other => panic!("expected the gain cache, got {:?}", other.tier()),
     }
-    sim.set_tier(EngineTier::Exact);
+    let sim = make(pinned(EngineTier::Exact, None));
     assert_eq!(sim.tier(), EngineTier::Exact);
     assert!(
         matches!(sim.engine(), ResolveEngine::Exact),
         "the override replaces the cache"
     );
+}
+
+/// A forced tier is the only engine a simulation builds. At n = 4096 the
+/// auto tier is the n×n gain cache (128 MiB); a simulation pinned to the
+/// exact scan must not build it first and then throw it away, and neither
+/// may one pinned to the tile tree at n = 1024.
+#[test]
+fn forced_tier_is_built_once() {
+    for (n, tier) in [(4096, EngineTier::Exact), (1024, EngineTier::Hierarchical)] {
+        let channel = SinrChannel::new(params());
+        assert_eq!(
+            EngineTier::auto(&channel, n),
+            EngineTier::GainCache,
+            "n = {n}"
+        );
+        let deployment = Deployment::uniform_square(n, 2.0 * (n as f64).sqrt(), 5);
+        let config = SimConfig {
+            tier: Some(tier),
+            ..SimConfig::default()
+        };
+        let sim = knockout_sim(deployment, Box::new(channel), 5, config);
+        assert_eq!(sim.tier(), tier, "n = {n}");
+        assert!(
+            !sim.engine_counters().gain_cache_built,
+            "n = {n}: pinning {tier:?} must not build the gain cache"
+        );
+    }
 }
 
 /// Regression: the Rayleigh channel's n×n gain cache is memory-bound past
@@ -259,12 +291,7 @@ fn rayleigh_bypasses_gain_cache_above_profitability_threshold() {
 
     let make_sim = |channel: Box<dyn Channel>, n: usize| {
         let deployment = Deployment::uniform_square(n, 40.0, 11);
-        Simulation::new(deployment, channel, 11, |_| {
-            Box::new(Knockout {
-                p: 0.25,
-                active: true,
-            })
-        })
+        knockout_sim(deployment, channel, 11, SimConfig::default())
     };
 
     // At and below the threshold the cache still wins and is kept.
@@ -304,21 +331,13 @@ where
 {
     montecarlo::run_trials(trials, threads, 1000, move |seed| {
         let deployment = Deployment::uniform_square(24, 15.0, seed);
-        let mut sim = Simulation::new(deployment, make_channel(), seed, |_| {
-            Box::new(Knockout {
-                p: 0.25,
-                active: true,
-            })
-        });
-        if faulted {
-            sim.set_fault_plan(stress_plan()).expect("plan fits deployment");
-        }
-        sim.set_tier(if tree {
+        let tier = if tree {
             EngineTier::Hierarchical
         } else {
             EngineTier::Exact
-        });
-        sim.set_trace_level(TraceLevel::Full);
+        };
+        let config = pinned(tier, faulted.then(stress_plan));
+        let mut sim = knockout_sim(deployment, make_channel(), seed, config);
         sim.run_until_resolved(20_000)
     })
 }
@@ -379,21 +398,18 @@ fn tree(sim: &Simulation) -> &fading_channel::HierarchicalFarFieldEngine {
 
 #[test]
 fn simulation_exposes_tile_tree_state() {
-    let deployment = Deployment::uniform_square(16, 10.0, 7);
-    let channel = SinrChannel::new(params());
-    let mut sim = Simulation::new(deployment, Box::new(channel), 7, |_| {
-        Box::new(Knockout {
-            p: 0.25,
-            active: true,
-        })
-    });
+    let make = |config: SimConfig| {
+        let deployment = Deployment::uniform_square(16, 10.0, 7);
+        knockout_sim(deployment, Box::new(SinrChannel::new(params())), 7, config)
+    };
     // The gain cache is the default at this size; the tile tree is
     // built only when the tier is set.
+    let sim = make(SimConfig::default());
     assert_eq!(sim.tier(), EngineTier::GainCache, "cache tier should win at n=16");
-    sim.set_tier(EngineTier::Hierarchical);
+    let sim = make(pinned(EngineTier::Hierarchical, None));
     assert_eq!(tree(&sim).num_active(), 16);
     assert_eq!(sim.engine().stats().rounds, 0, "no rounds resolved yet");
-    sim.set_tier(EngineTier::Exact);
+    let sim = make(pinned(EngineTier::Exact, None));
     assert!(
         matches!(sim.engine(), ResolveEngine::Exact),
         "the override replaces the engine"
@@ -404,14 +420,12 @@ fn simulation_exposes_tile_tree_state() {
 fn tile_tree_occupancy_shrinks_as_nodes_knock_out() {
     let deployment = Deployment::uniform_square(24, 15.0, 3);
     let channel = SinrChannel::new(params());
-    let mut sim = Simulation::new(deployment, Box::new(channel), 17, |_| {
-        Box::new(Knockout {
-            p: 0.25,
-            active: true,
-        })
-    });
-    sim.set_tier(EngineTier::Hierarchical);
-    sim.set_trace_level(TraceLevel::Counts);
+    let config = SimConfig {
+        tier: Some(EngineTier::Hierarchical),
+        trace_level: TraceLevel::Counts,
+        ..SimConfig::default()
+    };
+    let mut sim = knockout_sim(deployment, Box::new(channel), 17, config);
     assert_eq!(tree(&sim).num_active(), 24);
 
     let result = sim.run_until_resolved(20_000);
@@ -453,18 +467,17 @@ fn radio_channel_has_no_cache_but_runs_identically() {
     use fading_channel::RadioChannel;
     let run = |cached: bool| {
         let deployment = Deployment::uniform_square(12, 10.0, 5);
-        let mut sim = Simulation::new(deployment, Box::new(RadioChannel::new()), 5, |_| {
-            Box::new(Knockout {
-                p: 0.25,
-                active: true,
-            })
-        });
-        sim.set_tier(if cached {
+        let tier = if cached {
             EngineTier::GainCache
         } else {
             EngineTier::Exact
-        });
-        sim.set_trace_level(TraceLevel::Full);
+        };
+        let mut sim = knockout_sim(
+            deployment,
+            Box::new(RadioChannel::new()),
+            5,
+            pinned(tier, None),
+        );
         sim.run_until_resolved(20_000)
     };
     let a = run(true);
@@ -472,11 +485,11 @@ fn radio_channel_has_no_cache_but_runs_identically() {
     assert_eq!(a, b);
 
     let deployment = Deployment::uniform_square(12, 10.0, 5);
-    let sim = Simulation::new(deployment, Box::new(RadioChannel::new()), 5, |_| {
-        Box::new(Knockout {
-            p: 0.25,
-            active: true,
-        })
-    });
+    let sim = knockout_sim(
+        deployment,
+        Box::new(RadioChannel::new()),
+        5,
+        SimConfig::default(),
+    );
     assert!(matches!(sim.engine(), ResolveEngine::Exact));
 }

@@ -14,8 +14,8 @@ use fading_sim::obs::export::{chrome, flamegraph, prometheus};
 use fading_sim::telemetry::jsonl;
 use fading_sim::telemetry::{Histogram, MetricsRegistry};
 use fading_sim::{
-    montecarlo, Action, MemorySink, Protocol, Reception, ResolvePath, Simulation, TelemetryDetail,
-    TraceLevel, Tracer,
+    montecarlo, Action, MemorySink, Protocol, Reception, ResolvePath, RunResult, SimConfig,
+    Simulation, TelemetryDetail, TraceLevel, Tracer,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -54,13 +54,45 @@ fn sinr_channel() -> Box<dyn Channel> {
 }
 
 fn knockout_sim(n: usize, seed: u64, channel: Box<dyn Channel>) -> Simulation {
+    knockout_sim_with(n, seed, channel, SimConfig::default())
+}
+
+fn knockout_sim_with(
+    n: usize,
+    seed: u64,
+    channel: Box<dyn Channel>,
+    config: SimConfig,
+) -> Simulation {
     let deployment = Deployment::uniform_square(n, 12.0, seed);
-    Simulation::new(deployment, channel, seed, |_| {
+    Simulation::try_new(deployment, channel, seed, config, |_| {
         Box::new(Knockout {
             p: 0.25,
             active: true,
         })
     })
+    .expect("valid configuration")
+}
+
+fn pinned(tier: EngineTier) -> SimConfig {
+    SimConfig {
+        tier: Some(tier),
+        ..SimConfig::default()
+    }
+}
+
+/// Runs `sim` with a fresh tracer and a memory sink at `detail`, and folds
+/// the run's events and spans into a [`MetricsRegistry`].
+fn metered_run(sim: &mut Simulation, detail: TelemetryDetail) -> (RunResult, MetricsRegistry) {
+    let tracer = Tracer::new();
+    sim.set_tracer(Arc::clone(&tracer));
+    sim.set_telemetry_sink(Box::new(MemorySink::new(detail)));
+    let result = sim.run_until_resolved(5_000);
+    let sink = sim
+        .take_telemetry_sink()
+        .and_then(MemorySink::recover)
+        .expect("memory sink recovers");
+    let metrics = MetricsRegistry::fold(sink.events(), &tracer.finished_spans());
+    (result, metrics)
 }
 
 // ---------------------------------------------------------------------------
@@ -206,8 +238,7 @@ fn real_run_spans_round_trip_through_collapsed_flamegraph() {
 
 #[test]
 fn real_run_counters_round_trip_through_prometheus_and_jsonl() {
-    let mut sim = knockout_sim(24, 7, sinr_channel());
-    sim.set_tier(EngineTier::Hierarchical);
+    let mut sim = knockout_sim_with(24, 7, sinr_channel(), pinned(EngineTier::Hierarchical));
     let result = sim.run_until_resolved(5_000);
     assert!(result.resolved());
     let counters = sim.engine_counters();
@@ -242,11 +273,8 @@ fn real_run_counters_round_trip_through_prometheus_and_jsonl() {
 #[test]
 fn real_run_metrics_registry_round_trips_through_prometheus() {
     let mut sim = knockout_sim(20, 11, sinr_channel());
-    sim.set_metrics_enabled(true);
-    sim.set_telemetry_sink(Box::new(MemorySink::new(TelemetryDetail::full())));
-    let result = sim.run_until_resolved(5_000);
+    let (result, metrics) = metered_run(&mut sim, TelemetryDetail::full());
     assert!(result.resolved());
-    let metrics = sim.take_metrics().expect("metrics were enabled");
     assert!(metrics.rounds() > 0);
     let text = prometheus::registry_to_prometheus(&metrics);
     let latency = prometheus::histogram_from_prometheus(&text, "fading_round_latency_nanos")
@@ -273,14 +301,14 @@ fn counters_route_every_round_exactly_once_across_configurations() {
         (false, true, false),
         (true, false, true),
     ] {
-        let mut sim = knockout_sim(20, 13, sinr_channel());
-        sim.set_tier(if tree_on {
+        let tier = if tree_on {
             EngineTier::Hierarchical
         } else if cache_on {
             EngineTier::GainCache
         } else {
             EngineTier::Exact
-        });
+        };
+        let mut sim = knockout_sim_with(20, 13, sinr_channel(), pinned(tier));
         if want_sinr {
             sim.set_telemetry_sink(Box::new(MemorySink::new(TelemetryDetail::full())));
         }
@@ -308,7 +336,11 @@ fn counters_route_every_round_exactly_once_across_configurations() {
             c.rounds,
             "every round should take the configured path"
         );
-        assert!(c.gain_cache_built, "n=20 SINR builds a cache");
+        assert_eq!(
+            c.gain_cache_built,
+            cache_on && !tree_on,
+            "the engine is built once: the cache exists only when its tier serves"
+        );
         assert_eq!(
             c.gain_cache_bypassed_rounds, 0,
             "one engine serves every round, so nothing is bypassed"
@@ -341,8 +373,7 @@ fn radio_channel_runs_report_exact_route_and_no_cache() {
 
 #[test]
 fn telemetry_events_carry_resolve_path_and_farfield_fallback_deltas() {
-    let mut sim = knockout_sim(24, 9, sinr_channel());
-    sim.set_tier(EngineTier::Hierarchical);
+    let mut sim = knockout_sim_with(24, 9, sinr_channel(), pinned(EngineTier::Hierarchical));
     sim.set_telemetry_sink(Box::new(MemorySink::new(TelemetryDetail::counts())));
     let result = sim.run_until_resolved(5_000);
     assert!(result.resolved());
@@ -370,8 +401,11 @@ fn telemetry_events_carry_resolve_path_and_farfield_fallback_deltas() {
 #[test]
 fn attaching_a_tracer_never_perturbs_the_run() {
     let run = |tracer: Option<Arc<Tracer>>| {
-        let mut sim = knockout_sim(20, 42, sinr_channel());
-        sim.set_trace_level(TraceLevel::Full);
+        let config = SimConfig {
+            trace_level: TraceLevel::Full,
+            ..SimConfig::default()
+        };
+        let mut sim = knockout_sim_with(20, 42, sinr_channel(), config);
         if let Some(t) = tracer {
             sim.set_tracer(t);
         }
@@ -394,10 +428,7 @@ fn attaching_a_tracer_never_perturbs_the_run() {
 fn montecarlo_trial_registries_merge_into_a_fleet_view() {
     let trial = |seed: u64| {
         let mut sim = knockout_sim(16, seed, sinr_channel());
-        sim.set_metrics_enabled(true);
-        let result = sim.run_until_resolved(5_000);
-        let metrics = sim.take_metrics().expect("metrics were enabled");
-        (result, metrics)
+        metered_run(&mut sim, TelemetryDetail::counts())
     };
     let per_trial = montecarlo::run_trials_with(8, 4, 100, trial);
     let mut fleet = MetricsRegistry::new();

@@ -17,7 +17,9 @@ use fading_channel::{
 };
 use fading_geom::Deployment;
 use fading_sim::faults::{ChurnEvent, FaultPlan, GilbertElliott, Jammer, NoiseBurst};
-use fading_sim::{montecarlo, Action, Protocol, RunResult, Simulation, StealPool, TraceLevel};
+use fading_sim::{
+    montecarlo, Action, Protocol, RunResult, SimConfig, Simulation, StealPool, TraceLevel,
+};
 use fading_geom::Point;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -54,6 +56,22 @@ fn params() -> SinrParams {
     SinrParams::default_single_hop()
 }
 
+/// A 0.25-knockout simulation over `deployment` under `config`.
+fn knockout_sim(
+    deployment: Deployment,
+    channel: Box<dyn Channel>,
+    seed: u64,
+    config: SimConfig,
+) -> Simulation {
+    Simulation::try_new(deployment, channel, seed, config, |_| {
+        Box::new(Knockout {
+            p: 0.25,
+            active: true,
+        })
+    })
+    .expect("valid configuration")
+}
+
 /// The same kitchen-sink fault plan as `determinism.rs`: duty-cycled
 /// budgeted jamming, a noise burst, all three churn kinds, and
 /// Gilbert–Elliott burst loss.
@@ -84,22 +102,18 @@ where
 {
     montecarlo::run_trials(trials, 1, 1000, move |seed| {
         let deployment = Deployment::uniform_square(24, 15.0, seed);
-        let mut sim = Simulation::new(deployment, make_channel(), seed, |_| {
-            Box::new(Knockout {
-                p: 0.25,
-                active: true,
-            })
-        });
-        if faulted {
-            sim.set_fault_plan(stress_plan()).expect("plan fits deployment");
-        }
-        sim.set_tier(if hierarchical {
-            EngineTier::Hierarchical
-        } else {
-            EngineTier::Exact
-        });
+        let config = SimConfig {
+            tier: Some(if hierarchical {
+                EngineTier::Hierarchical
+            } else {
+                EngineTier::Exact
+            }),
+            trace_level: TraceLevel::Full,
+            fault_plan: faulted.then(stress_plan),
+            ..SimConfig::default()
+        };
+        let mut sim = knockout_sim(deployment, make_channel(), seed, config);
         sim.set_resolve_threads(resolve_threads);
-        sim.set_trace_level(TraceLevel::Full);
         sim.run_until_resolved(20_000)
     })
 }
@@ -248,14 +262,15 @@ fn adversarial_sleeps_cannot_leak_completion_order_into_results() {
 /// resolve-pool width is a visible, settable knob.
 #[test]
 fn simulation_exposes_hierarchical_state() {
-    let deployment = Deployment::uniform_square(24, 15.0, 7);
-    let channel = SinrChannel::new(params());
-    let mut sim = Simulation::new(deployment, Box::new(channel), 7, |_| {
-        Box::new(Knockout {
-            p: 0.25,
-            active: true,
-        })
-    });
+    let make = |tier: Option<EngineTier>| {
+        let deployment = Deployment::uniform_square(24, 15.0, 7);
+        let config = SimConfig {
+            tier,
+            ..SimConfig::default()
+        };
+        knockout_sim(deployment, Box::new(SinrChannel::new(params())), 7, config)
+    };
+    let sim = make(None);
     assert_ne!(
         sim.tier(),
         EngineTier::Hierarchical,
@@ -263,7 +278,7 @@ fn simulation_exposes_hierarchical_state() {
     );
     assert_eq!(sim.resolve_threads(), 1, "serial resolve by default");
 
-    sim.set_tier(EngineTier::Hierarchical);
+    let mut sim = make(Some(EngineTier::Hierarchical));
     sim.set_resolve_threads(8);
     assert_eq!(sim.resolve_threads(), 8);
     assert_eq!(
@@ -290,7 +305,7 @@ fn simulation_exposes_hierarchical_state() {
         "rung counters must reconcile with listeners resolved"
     );
 
-    sim.set_tier(EngineTier::Exact);
+    let sim = make(Some(EngineTier::Exact));
     assert!(
         matches!(sim.engine(), ResolveEngine::Exact),
         "the override replaces the engine"

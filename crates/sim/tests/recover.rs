@@ -8,7 +8,9 @@ use fading_channel::{Reception, SinrChannel, SinrParams};
 use fading_geom::{Deployment, Point};
 use fading_sim::faults::{ChurnEvent, FaultPlan, GilbertElliott, Jammer, NoiseBurst};
 use fading_sim::recover::{SimSnapshot, SnapshotError};
-use fading_sim::{Action, EngineTier, Protocol, ProtocolStateError, Simulation, TraceLevel};
+use fading_sim::{
+    Action, EngineTier, Protocol, ProtocolStateError, SimConfig, Simulation, TraceLevel,
+};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -80,22 +82,32 @@ const TIERS: [(&str, EngineTier); 3] = [
 ];
 
 fn build_sim(seed: u64, tier: EngineTier) -> Simulation {
+    build_sim_checked(seed, tier, 0)
+}
+
+/// [`build_sim`] with `self_check` listeners audited per eligible round.
+fn build_sim_checked(seed: u64, tier: EngineTier, self_check: usize) -> Simulation {
     let deployment = Deployment::uniform_square(24, 15.0, seed);
-    let mut sim = Simulation::new(
+    let config = SimConfig {
+        tier: Some(tier),
+        trace_level: TraceLevel::Full,
+        self_check,
+        fault_plan: Some(stress_plan()),
+        ..SimConfig::default()
+    };
+    Simulation::try_new(
         deployment,
         Box::new(SinrChannel::new(SinrParams::default_single_hop())),
         seed,
+        config,
         |_| {
             Box::new(Knockout {
                 p: 0.25,
                 active: true,
             })
         },
-    );
-    sim.set_fault_plan(stress_plan()).expect("plan fits deployment");
-    sim.set_tier(tier);
-    sim.set_trace_level(TraceLevel::Full);
-    sim
+    )
+    .expect("plan fits deployment")
 }
 
 /// Interrupt after `cut` rounds, serialize the snapshot through its byte
@@ -136,11 +148,7 @@ fn resume_is_byte_identical_on_every_tier_under_faults() {
 #[test]
 fn resume_with_self_check_enabled_is_byte_identical() {
     let seed = 23;
-    let build = || {
-        let mut sim = build_sim(seed, EngineTier::Hierarchical);
-        sim.set_self_check(2);
-        sim
-    };
+    let build = || build_sim_checked(seed, EngineTier::Hierarchical, 2);
     let uninterrupted = build().run_until_resolved(20_000);
     let mut victim = build();
     for _ in 0..7 {

@@ -3,15 +3,17 @@
 //! JSONL round-trips, the `active_before` late-wake regression, the trace
 //! record cap, and active-set replay.
 
+use std::sync::Arc;
+
 use fading_channel::{
     Channel, LossySinrChannel, RadioChannel, RayleighSinrChannel, SinrChannel, SinrParams,
 };
 use fading_geom::{Deployment, Point};
 use fading_sim::faults::{ChurnEvent, FaultPlan, GilbertElliott, Jammer, NoiseBurst};
-use fading_sim::telemetry::{jsonl, replay_active_sets};
+use fading_sim::telemetry::{jsonl, replay_active_sets, MetricsRegistry};
 use fading_sim::{
     montecarlo, Action, EngineTier, MemorySink, NoopSink, NodeId, Protocol, Reception, RunResult,
-    Simulation, TelemetryDetail, Trace, TraceLevel,
+    SimConfig, Simulation, TelemetryDetail, Trace, TraceLevel, Tracer,
 };
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -74,6 +76,30 @@ fn make_channel(name: &str) -> Box<dyn Channel> {
 
 /// A plan exercising every fault type at once (jamming, noise burst,
 /// crash + revive, late wake, Gilbert–Elliott loss).
+/// A 0.25-knockout simulation over `deployment` under `config`.
+fn knockout_sim(
+    deployment: Deployment,
+    channel: Box<dyn Channel>,
+    seed: u64,
+    config: SimConfig,
+) -> Simulation {
+    Simulation::try_new(deployment, channel, seed, config, |_| {
+        Box::new(Knockout {
+            p: 0.25,
+            active: true,
+        })
+    })
+    .expect("valid configuration")
+}
+
+/// An always-transmitting 4-node radio line under `config`.
+fn always_tx_line(config: SimConfig) -> Simulation {
+    Simulation::try_new(line_deployment(4), make_channel("radio"), 0, config, |_| {
+        Box::new(AlwaysTx)
+    })
+    .expect("valid configuration")
+}
+
 fn everything_plan() -> FaultPlan {
     let power = SinrParams::default_single_hop().power() * 10.0;
     FaultPlan::new()
@@ -83,6 +109,14 @@ fn everything_plan() -> FaultPlan {
         .with_churn(ChurnEvent::revive(9, 0).unwrap())
         .with_churn(ChurnEvent::late_wake(3, 1).unwrap())
         .with_loss(GilbertElliott::new(0.2, 0.3, 0.05, 0.8).unwrap())
+}
+
+/// The default configuration with [`everything_plan`] attached.
+fn faulted() -> SimConfig {
+    SimConfig {
+        fault_plan: Some(everything_plan()),
+        ..SimConfig::default()
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -100,21 +134,17 @@ fn run_matrix_cell(
     faulted: bool,
 ) -> (RunResult, Option<MemorySink>) {
     let deployment = Deployment::uniform_square(20, 12.0, seed);
-    let mut sim = Simulation::new(deployment, make_channel(channel), seed, |_| {
-        Box::new(Knockout {
-            p: 0.25,
-            active: true,
-        })
-    });
-    if faulted {
-        sim.set_fault_plan(everything_plan()).unwrap();
-    }
-    sim.set_tier(if cache_on {
-        EngineTier::GainCache
-    } else {
-        EngineTier::Exact
-    });
-    sim.set_trace_level(TraceLevel::Full);
+    let config = SimConfig {
+        tier: Some(if cache_on {
+            EngineTier::GainCache
+        } else {
+            EngineTier::Exact
+        }),
+        trace_level: TraceLevel::Full,
+        fault_plan: faulted.then(everything_plan),
+        ..SimConfig::default()
+    };
+    let mut sim = knockout_sim(deployment, make_channel(channel), seed, config);
     match sink {
         Sink::None => {}
         Sink::Noop => sim.set_telemetry_sink(Box::new(NoopSink)),
@@ -159,13 +189,7 @@ fn telemetry_never_perturbs_any_channel_or_fault_setting() {
 fn montecarlo_telemetry_is_thread_invariant() {
     let trial = |seed: u64| {
         let deployment = Deployment::uniform_square(16, 10.0, seed);
-        let mut sim = Simulation::new(deployment, make_channel("sinr"), seed, |_| {
-            Box::new(Knockout {
-                p: 0.25,
-                active: true,
-            })
-        });
-        sim.set_fault_plan(everything_plan()).unwrap();
+        let mut sim = knockout_sim(deployment, make_channel("sinr"), seed, faulted());
         sim.set_telemetry_sink(Box::new(MemorySink::new(TelemetryDetail::full())));
         let result = sim.run_until_resolved(5_000);
         let events = MemorySink::recover(sim.take_telemetry_sink().unwrap())
@@ -179,13 +203,7 @@ fn montecarlo_telemetry_is_thread_invariant() {
 
     let plain = montecarlo::run_trials(8, 4, 300, |seed| {
         let deployment = Deployment::uniform_square(16, 10.0, seed);
-        let mut sim = Simulation::new(deployment, make_channel("sinr"), seed, |_| {
-            Box::new(Knockout {
-                p: 0.25,
-                active: true,
-            })
-        });
-        sim.set_fault_plan(everything_plan()).unwrap();
+        let mut sim = knockout_sim(deployment, make_channel("sinr"), seed, faulted());
         sim.run_until_resolved(5_000)
     });
     for ((with_sink, events), without_sink) in one.iter().zip(&plain) {
@@ -249,20 +267,20 @@ fn line_deployment(n: usize) -> Deployment {
 #[test]
 fn late_wake_active_before_counts_participants_only() {
     let build = |cache_on: bool| {
-        let mut sim = Simulation::new(line_deployment(4), make_channel("radio"), 0, |_| {
-            Box::new(AlwaysTx)
-        });
         let plan = FaultPlan::new()
             .with_churn(ChurnEvent::late_wake(4, 1).unwrap())
             .with_churn(ChurnEvent::late_wake(4, 2).unwrap())
             .with_churn(ChurnEvent::late_wake(4, 3).unwrap());
-        sim.set_fault_plan(plan).unwrap();
-        sim.set_tier(if cache_on {
-            EngineTier::GainCache
-        } else {
-            EngineTier::Exact
+        let mut sim = always_tx_line(SimConfig {
+            tier: Some(if cache_on {
+                EngineTier::GainCache
+            } else {
+                EngineTier::Exact
+            }),
+            trace_level: TraceLevel::Counts,
+            fault_plan: Some(plan),
+            ..SimConfig::default()
         });
-        sim.set_trace_level(TraceLevel::Counts);
         sim.set_telemetry_sink(Box::new(MemorySink::new(TelemetryDetail::counts())));
         sim
     };
@@ -298,21 +316,19 @@ fn late_wake_active_before_counts_participants_only() {
 fn active_before_unchanged_without_late_wake() {
     let run = |faulted: bool| {
         let deployment = Deployment::uniform_square(20, 12.0, 5);
-        let mut sim = Simulation::new(deployment, make_channel("sinr"), 5, |_| {
-            Box::new(Knockout {
-                p: 0.25,
-                active: true,
-            })
-        });
-        if faulted {
-            // Crash/revive churn but NO late wakes: every active node is
-            // awake, so participants == post-churn active count.
-            let plan = FaultPlan::new()
+        // Crash/revive churn but NO late wakes: every active node is
+        // awake, so participants == post-churn active count.
+        let plan = faulted.then(|| {
+            FaultPlan::new()
                 .with_churn(ChurnEvent::crash(3, 0).unwrap())
-                .with_churn(ChurnEvent::revive(6, 0).unwrap());
-            sim.set_fault_plan(plan).unwrap();
-        }
-        sim.set_trace_level(TraceLevel::Counts);
+                .with_churn(ChurnEvent::revive(6, 0).unwrap())
+        });
+        let config = SimConfig {
+            trace_level: TraceLevel::Counts,
+            fault_plan: plan,
+            ..SimConfig::default()
+        };
+        let mut sim = knockout_sim(deployment, make_channel("sinr"), 5, config);
         sim.set_telemetry_sink(Box::new(MemorySink::new(TelemetryDetail::counts())));
         let result = sim.run_until_resolved(5_000);
         let events = MemorySink::recover(sim.take_telemetry_sink().unwrap())
@@ -351,12 +367,11 @@ fn active_before_unchanged_without_late_wake() {
 /// keeps the *first* records, and reports `truncated`.
 #[test]
 fn trace_cap_bounds_round_cap_exhausted_runs() {
-    let mut sim = Simulation::new(line_deployment(4), make_channel("radio"), 0, |_| {
-        Box::new(AlwaysTx)
+    let mut sim = always_tx_line(SimConfig {
+        trace_level: TraceLevel::Full,
+        trace_cap: 10,
+        ..SimConfig::default()
     });
-    sim.set_trace_level(TraceLevel::Full);
-    sim.set_trace_capacity(10);
-    assert_eq!(sim.trace_capacity(), 10);
     let result = sim.run_until_resolved(100);
     assert!(!result.resolved(), "AlwaysTx on radio must exhaust the cap");
     assert_eq!(result.rounds_executed(), 100);
@@ -367,10 +382,10 @@ fn trace_cap_bounds_round_cap_exhausted_runs() {
 
     // Under the (documented) default cap nothing is truncated.
     assert_eq!(Trace::DEFAULT_RECORD_CAP, 65_536);
-    let mut sim = Simulation::new(line_deployment(4), make_channel("radio"), 0, |_| {
-        Box::new(AlwaysTx)
+    let mut sim = always_tx_line(SimConfig {
+        trace_level: TraceLevel::Full,
+        ..SimConfig::default()
     });
-    sim.set_trace_level(TraceLevel::Full);
     let result = sim.run_until_resolved(100);
     assert_eq!(result.trace().len(), 100);
     assert!(!result.trace().truncated());
@@ -381,13 +396,7 @@ fn trace_cap_bounds_round_cap_exhausted_runs() {
 #[test]
 fn replay_matches_observed_active_sets() {
     let deployment = Deployment::uniform_square(20, 12.0, 11);
-    let mut sim = Simulation::new(deployment, make_channel("sinr"), 11, |_| {
-        Box::new(Knockout {
-            p: 0.25,
-            active: true,
-        })
-    });
-    sim.set_fault_plan(everything_plan()).unwrap();
+    let mut sim = knockout_sim(deployment, make_channel("sinr"), 11, faulted());
     sim.set_telemetry_sink(Box::new(MemorySink::new(TelemetryDetail::ids())));
     let mut observed: Vec<Vec<NodeId>> = Vec::new();
     let result = sim.run_until_resolved_with(5_000, |s| observed.push(s.active_ids()));
@@ -454,16 +463,17 @@ fn event_stream_is_internally_consistent() {
 fn metrics_registry_agrees_with_run_result() {
     let run = |with_metrics: bool| {
         let deployment = Deployment::uniform_square(20, 12.0, 21);
-        let mut sim = Simulation::new(deployment, make_channel("sinr"), 21, |_| {
-            Box::new(Knockout {
-                p: 0.25,
-                active: true,
-            })
-        });
-        sim.set_metrics_enabled(with_metrics);
+        let mut sim = knockout_sim(deployment, make_channel("sinr"), 21, SimConfig::default());
+        let tracer = with_metrics.then(Tracer::new);
+        if let Some(t) = &tracer {
+            sim.set_tracer(Arc::clone(t));
+        }
         sim.set_telemetry_sink(Box::new(MemorySink::new(TelemetryDetail::full())));
         let result = sim.run_until_resolved(5_000);
-        let metrics = sim.take_metrics();
+        let metrics = tracer.map(|t| {
+            let sink = MemorySink::recover(sim.take_telemetry_sink().unwrap()).unwrap();
+            MetricsRegistry::fold(sink.events(), &t.finished_spans())
+        });
         (result, metrics)
     };
     let (plain, none) = run(false);
