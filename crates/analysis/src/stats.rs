@@ -347,7 +347,11 @@ mod tests {
             for q in [0.0, 10.0, 25.0, 50.0, 75.0, 95.0, 100.0] {
                 let canonical = fading_sim::montecarlo::percentile(sorted, q);
                 assert_eq!(percentile(sorted, q), canonical, "{sorted:?} q={q}");
-                assert_eq!(percentile_f64(&as_f64, q), canonical, "{sorted:?} q={q} (f64)");
+                assert_eq!(
+                    percentile_f64(&as_f64, q),
+                    canonical,
+                    "{sorted:?} q={q} (f64)"
+                );
             }
         }
         // The median of [10, 20] interpolates — the property the canonical

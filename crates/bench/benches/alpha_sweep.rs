@@ -53,28 +53,20 @@ fn bench_kernels(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(500));
     group.measurement_time(Duration::from_secs(2));
     for &alpha in &[2.0f64, 2.5, 3.0, 4.0, 6.0] {
-        group.bench_with_input(
-            BenchmarkId::new("batched", alpha),
-            &alpha,
-            |b, &alpha| {
-                b.iter(|| {
-                    gain_batch(1e9, alpha, soa.xs(), soa.ys(), v.x, v.y, &mut gains);
-                    std::hint::black_box(gains.last().copied())
-                });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("scalar", alpha),
-            &alpha,
-            |b, &alpha| {
-                b.iter(|| {
-                    for (g, p) in gains.iter_mut().zip(&positions) {
-                        *g = 1e9 / pow_alpha(p.distance_sq(v), alpha);
-                    }
-                    std::hint::black_box(gains.last().copied())
-                });
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("batched", alpha), &alpha, |b, &alpha| {
+            b.iter(|| {
+                gain_batch(1e9, alpha, soa.xs(), soa.ys(), v.x, v.y, &mut gains);
+                std::hint::black_box(gains.last().copied())
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("scalar", alpha), &alpha, |b, &alpha| {
+            b.iter(|| {
+                for (g, p) in gains.iter_mut().zip(&positions) {
+                    *g = 1e9 / pow_alpha(p.distance_sq(v), alpha);
+                }
+                std::hint::black_box(gains.last().copied())
+            });
+        });
     }
     group.finish();
 }

@@ -55,7 +55,10 @@ fn median(mut samples: Vec<Duration>) -> Duration {
 
 fn measure() -> (Duration, Duration) {
     let cfg = SupervisorConfig::default();
-    assert!(cfg.timeout.is_none(), "default config must be the inline path");
+    assert!(
+        cfg.timeout.is_none(),
+        "default config must be the inline path"
+    );
     let trial: Arc<TrialFn> = Arc::new(run_trial);
     let mut direct = Vec::with_capacity(REPS);
     let mut supervised = Vec::with_capacity(REPS);

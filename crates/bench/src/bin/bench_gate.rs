@@ -96,13 +96,20 @@ fn service_gate(baseline_path: &str, threshold: f64, check_only: bool, inject: f
         render_service_verdict(&baseline, &measured, &verdict, threshold)
     );
     if measured.failed > 0 {
-        println!("bench-gate: {} jobs failed during the replay", measured.failed);
+        println!(
+            "bench-gate: {} jobs failed during the replay",
+            measured.failed
+        );
         return ExitCode::FAILURE;
     }
     if verdict.regressed {
         println!(
             "bench-gate: service regressed beyond {threshold:.2}x{}",
-            if check_only { " (check mode: not failing)" } else { "" }
+            if check_only {
+                " (check mode: not failing)"
+            } else {
+                ""
+            }
         );
         if !check_only {
             return ExitCode::FAILURE;
@@ -182,7 +189,11 @@ fn stream_overhead_gate(
     if verdict.regressed {
         println!(
             "bench-gate: streaming overhead beyond {threshold:.2}x{}",
-            if check_only { " (check mode: not failing)" } else { "" }
+            if check_only {
+                " (check mode: not failing)"
+            } else {
+                ""
+            }
         );
         if !check_only {
             return ExitCode::FAILURE;
@@ -228,7 +239,11 @@ fn main() -> ExitCode {
             .split(',')
             .map(|s| s.trim().parse().expect("--sizes wants integers"))
             .collect(),
-        None if quick => DEFAULT_SIZES.iter().copied().filter(|&n| n <= 4096).collect(),
+        None if quick => DEFAULT_SIZES
+            .iter()
+            .copied()
+            .filter(|&n| n <= 4096)
+            .collect(),
         None => DEFAULT_SIZES.to_vec(),
     };
     let budget_ms = flag_value(&args, "--budget-ms")
@@ -278,7 +293,11 @@ fn main() -> ExitCode {
         println!(
             "bench-gate: {regressed}/{} cells regressed beyond {threshold:.2}x{}",
             verdicts.len(),
-            if check_only { " (check mode: not failing)" } else { "" }
+            if check_only {
+                " (check mode: not failing)"
+            } else {
+                ""
+            }
         );
         if !check_only {
             return ExitCode::FAILURE;

@@ -42,8 +42,15 @@ fn build_sim(n: usize, seed: u64) -> Simulation {
     let params = SinrParams::default_single_hop().with_power_for(&d);
     let plan = FaultPlan::new()
         .with_jammer(
-            Jammer::new(Point::new(1.0, 1.0), params.power() * 8.0, 3, 6, 2, Some(40))
-                .expect("valid jammer"),
+            Jammer::new(
+                Point::new(1.0, 1.0),
+                params.power() * 8.0,
+                3,
+                6,
+                2,
+                Some(40),
+            )
+            .expect("valid jammer"),
         )
         .with_noise_burst(NoiseBurst::new(4, 7, 2.5).expect("valid burst"))
         .with_churn(ChurnEvent::crash(5, 0).expect("valid crash"))
@@ -81,7 +88,10 @@ fn main() {
             Some(path) if path.exists() => match SimSnapshot::read_from_path(path) {
                 Ok(snap) => {
                     if let Err(e) = sim.restore(&snap) {
-                        eprintln!("checkpoint at {} does not fit this run: {e}", path.display());
+                        eprintln!(
+                            "checkpoint at {} does not fit this run: {e}",
+                            path.display()
+                        );
                         std::process::exit(3);
                     }
                     eprintln!("resumed at round {}", sim.round());

@@ -78,9 +78,8 @@ fn main() {
         }
     }
     if stopped_early {
-        report = report.preamble(
-            "NOTE: interrupted by SIGINT/SIGTERM; this report is partial.".to_string(),
-        );
+        report = report
+            .preamble("NOTE: interrupted by SIGINT/SIGTERM; this report is partial.".to_string());
     }
     if let Some(dir) = &out_dir {
         let path = format!("{dir}/report.md");

@@ -102,7 +102,10 @@ fn main() -> ExitCode {
         );
     }
     if result.failed > 0 {
-        eprintln!("loadgen: {} jobs failed — not writing a baseline", result.failed);
+        eprintln!(
+            "loadgen: {} jobs failed — not writing a baseline",
+            result.failed
+        );
         return ExitCode::FAILURE;
     }
     if let Some(path) = flag_value(&args, "--dump-frames") {

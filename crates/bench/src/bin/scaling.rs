@@ -34,7 +34,10 @@ fn main() {
     println!("# per-α kernel micro-probe (fused gain_batch + fold, ms per million points)");
     let kernels = run_kernel_probe(200.0);
     for k in &kernels {
-        println!("{:>9} (α = {:<4}) {:>10.4} ms/Mpoint", k.class, k.alpha, k.ms_per_mpoint);
+        println!(
+            "{:>9} (α = {:<4}) {:>10.4} ms/Mpoint",
+            k.class, k.alpha, k.ms_per_mpoint
+        );
     }
     println!(
         "{:>7} {:>11} {:>6} {:>14}",

@@ -130,9 +130,7 @@ pub fn parse_baseline(text: &str) -> Result<Vec<BaselineEntry>, String> {
                 .get("ms_per_round")
                 .and_then(JsonValue::as_f64)
                 .filter(|v| v.is_finite() && *v > 0.0)
-                .ok_or_else(|| {
-                    format!("sizes[{i}].tiers[{j}] has no positive \"ms_per_round\"")
-                })?;
+                .ok_or_else(|| format!("sizes[{i}].tiers[{j}] has no positive \"ms_per_round\""))?;
             out.push(BaselineEntry {
                 n,
                 tier: name.to_string(),

@@ -268,7 +268,9 @@ pub fn run_loadgen_observed(
         }
     }
     let elapsed_secs = started.elapsed().as_secs_f64();
-    worker.join().map_err(|_| "server worker panicked".to_string())?;
+    worker
+        .join()
+        .map_err(|_| "server worker panicked".to_string())?;
 
     let watch_lines = drainer.map_or(0, |(stop, handle)| {
         stop.store(true, Ordering::Relaxed);
@@ -491,7 +493,11 @@ pub fn render_service_verdict(
         baseline.jobs_per_sec,
         measured.jobs_per_sec,
         verdict.throughput_ratio,
-        if verdict.throughput_ratio > threshold { "REGRESSED" } else { "ok" }
+        if verdict.throughput_ratio > threshold {
+            "REGRESSED"
+        } else {
+            "ok"
+        }
     );
     let _ = writeln!(
         out,
@@ -500,7 +506,11 @@ pub fn render_service_verdict(
         baseline.p95_ms,
         measured.p95_ms,
         verdict.p95_ratio,
-        if verdict.p95_ratio > threshold { "REGRESSED" } else { "ok" }
+        if verdict.p95_ratio > threshold {
+            "REGRESSED"
+        } else {
+            "ok"
+        }
     );
     let _ = writeln!(
         out,
@@ -570,7 +580,10 @@ pub fn render_stream_overhead(
         "{:>14} {:>12.3} {:>12.3} {:>7.2}x  (informational)",
         "p95 ms", plain.p95_ms, watched.p95_ms, verdict.p95_ratio
     );
-    let stream = format!("{} lines, {} frames", watched.watch_lines, watched.ts_frames);
+    let stream = format!(
+        "{} lines, {} frames",
+        watched.watch_lines, watched.ts_frames
+    );
     let _ = writeln!(out, "{:>14} {:>12} {stream:>12}", "stream", "-");
     out
 }
@@ -673,9 +686,18 @@ mod tests {
     fn committed_repo_baseline_parses() {
         let text = include_str!("../../../BENCH_service.json");
         let baseline = parse_service_baseline(text).unwrap();
-        assert!(baseline.mix.small_jobs >= 100, "baseline must be the full mix");
-        assert!(baseline.mix.huge_jobs >= 1, "baseline must include huge jobs");
-        assert!(baseline.mix.huge_n > 4096, "huge jobs must be far-field tier");
+        assert!(
+            baseline.mix.small_jobs >= 100,
+            "baseline must be the full mix"
+        );
+        assert!(
+            baseline.mix.huge_jobs >= 1,
+            "baseline must include huge jobs"
+        );
+        assert!(
+            baseline.mix.huge_n > 4096,
+            "huge jobs must be far-field tier"
+        );
         assert!(baseline.jobs_per_sec > 0.0 && baseline.p95_ms > 0.0);
     }
 
@@ -720,8 +742,12 @@ mod tests {
         // Speedups never gate.
         let v = judge_service(&baseline, &fake_result(40.0, 100.0), 1.5);
         assert!(!v.regressed, "{v:?}");
-        let table = render_service_verdict(&baseline, &fake_result(4.0, 500.0),
-            &judge_service(&baseline, &fake_result(4.0, 500.0), 1.5), 1.5);
+        let table = render_service_verdict(
+            &baseline,
+            &fake_result(4.0, 500.0),
+            &judge_service(&baseline, &fake_result(4.0, 500.0), 1.5),
+            1.5,
+        );
         assert!(table.contains("REGRESSED") && table.contains("jobs/sec"));
     }
 

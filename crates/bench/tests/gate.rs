@@ -13,7 +13,14 @@ use std::process::Command;
 fn bench_gate(extra: &[&str]) -> std::process::Output {
     let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scaling.json");
     Command::new(env!("CARGO_BIN_EXE_bench-gate"))
-        .args(["--baseline", baseline, "--sizes", "1024", "--budget-ms", "40"])
+        .args([
+            "--baseline",
+            baseline,
+            "--sizes",
+            "1024",
+            "--budget-ms",
+            "40",
+        ])
         .args(extra)
         .output()
         .expect("bench-gate binary runs")
@@ -29,7 +36,10 @@ fn synthetic_slowdown_trips_the_gate() {
         String::from_utf8_lossy(&out.stdout)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("REGRESSED"), "verdict table says so:\n{stdout}");
+    assert!(
+        stdout.contains("REGRESSED"),
+        "verdict table says so:\n{stdout}"
+    );
     assert!(stdout.contains("cells regressed"));
 }
 
@@ -71,7 +81,14 @@ fn unmatched_sizes_fail_loudly() {
     // not a silent pass.
     let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scaling.json");
     let out = Command::new(env!("CARGO_BIN_EXE_bench-gate"))
-        .args(["--baseline", baseline, "--sizes", "512", "--budget-ms", "20"])
+        .args([
+            "--baseline",
+            baseline,
+            "--sizes",
+            "512",
+            "--budget-ms",
+            "20",
+        ])
         .output()
         .expect("bench-gate binary runs");
     assert!(!out.status.success());

@@ -53,7 +53,10 @@ fn service_gate_passes_fresh_baseline_and_fails_injected_regression() {
         String::from_utf8_lossy(&ok.stderr)
     );
     let stdout = String::from_utf8_lossy(&ok.stdout);
-    assert!(stdout.contains("jobs/sec"), "verdict table missing: {stdout}");
+    assert!(
+        stdout.contains("jobs/sec"),
+        "verdict table missing: {stdout}"
+    );
 
     // A synthetic 10x slowdown beyond the 4x threshold must exit nonzero.
     let bad = gate(baseline, &["--inject-slowdown", "10.0"]);

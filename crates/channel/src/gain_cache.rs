@@ -259,7 +259,11 @@ mod tests {
         let cache = GainCache::build(&pos, &params()).unwrap();
         assert!(cache.matches(&pos, &params()));
         assert!(!cache.matches(&pos[..3], &params()));
-        let other = SinrParams::builder().power(32.0).alpha(3.0).build().unwrap();
+        let other = SinrParams::builder()
+            .power(32.0)
+            .alpha(3.0)
+            .build()
+            .unwrap();
         assert!(!cache.matches(&pos, &other));
     }
 

@@ -730,7 +730,8 @@ impl HierarchicalFarFieldEngine {
             self.tx_in_tile[t].push(idx as u32);
             self.tx_count[0][t] += 1;
         }
-        self.soa.gather(transmitters, &mut self.tx_xs, &mut self.tx_ys);
+        self.soa
+            .gather(transmitters, &mut self.tx_xs, &mut self.tx_ys);
         for l in 1..self.tree.num_levels() {
             let cols = self.tree.level_cols(l);
             let child_cols = self.tree.level_cols(l - 1);
@@ -833,14 +834,7 @@ mod tests {
             .collect();
         let mut rng = SmallRng::seed_from_u64(3);
         let exact = ch.resolve(&pos, &transmitters, &listeners, &mut rng);
-        let fast = engine.resolve_sinr(
-            &p,
-            &pos,
-            &transmitters,
-            &listeners,
-            None,
-            &SerialExecutor,
-        );
+        let fast = engine.resolve_sinr(&p, &pos, &transmitters, &listeners, None, &SerialExecutor);
         assert_eq!(exact, fast);
         let s = engine.stats();
         assert_eq!(s.rounds, 1);
@@ -866,14 +860,8 @@ mod tests {
                 .collect();
             let mut rng = SmallRng::seed_from_u64(seed);
             let exact = ch.resolve(&pos, &transmitters, &listeners, &mut rng);
-            let fast = engine.resolve_sinr(
-                &p,
-                &pos,
-                &transmitters,
-                &listeners,
-                None,
-                &SerialExecutor,
-            );
+            let fast =
+                engine.resolve_sinr(&p, &pos, &transmitters, &listeners, None, &SerialExecutor);
             assert_eq!(exact, fast, "round with step {step}");
         }
         assert_eq!(engine.stats().rounds, 2);

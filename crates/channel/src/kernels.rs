@@ -971,7 +971,11 @@ mod tests {
     #[test]
     fn scan_scratch_gathers_in_slice_order() {
         use fading_geom::Point;
-        let pts = [Point::new(0.0, 5.0), Point::new(1.0, 6.0), Point::new(2.0, 7.0)];
+        let pts = [
+            Point::new(0.0, 5.0),
+            Point::new(1.0, 6.0),
+            Point::new(2.0, 7.0),
+        ];
         let mut s = ScanScratch::new();
         s.gather(&pts, &[2, 0, 1]);
         assert_eq!(s.xs, vec![2.0, 0.0, 1.0]);
@@ -1029,7 +1033,10 @@ mod tests {
                         want.best_sig.to_bits(),
                         "alpha={alpha} lane={j} best_sig"
                     );
-                    assert_eq!(folds[j].best_idx, want.best_idx, "alpha={alpha} lane={j} idx");
+                    assert_eq!(
+                        folds[j].best_idx, want.best_idx,
+                        "alpha={alpha} lane={j} idx"
+                    );
                 }
             }
         }
@@ -1037,7 +1044,14 @@ mod tests {
 
     #[test]
     fn scan_block_empty_slices_yield_empty_folds() {
-        let folds = scan_block(1.0, 3.0, &[], &[], &[0.0; LISTENER_BLOCK], &[0.0; LISTENER_BLOCK]);
+        let folds = scan_block(
+            1.0,
+            3.0,
+            &[],
+            &[],
+            &[0.0; LISTENER_BLOCK],
+            &[0.0; LISTENER_BLOCK],
+        );
         for f in folds {
             assert_eq!(f.total, 0.0);
             assert_eq!(f.best_idx, None);

@@ -71,7 +71,8 @@
 //! # Ok::<(), fading_channel::ChannelError>(())
 //! ```
 
-#![deny(unsafe_code)] // narrowly allowed inside `kernels` only: the
+#![deny(unsafe_code)]
+// narrowly allowed inside `kernels` only: the
 // `#[target_feature(enable = "avx2")]` instantiations of the batch
 // kernels need `unsafe` at their runtime-dispatched call sites (the
 // detection guard is the safety argument; the wide path computes
@@ -87,8 +88,8 @@ mod engine;
 mod error;
 pub mod exec;
 mod farfield;
-mod hierarchical;
 mod gain_cache;
+mod hierarchical;
 pub mod kernels;
 mod lossy;
 mod params;
@@ -104,11 +105,11 @@ pub use engine::{EngineTier, ResolveEngine};
 pub use error::ChannelError;
 pub use exec::{ChunkExecutor, SerialExecutor};
 pub use farfield::{FarFieldStats, FARFIELD_REL_SLACK};
+pub use gain_cache::{GainCache, DEFAULT_MAX_CACHED_NODES};
 pub use hierarchical::{
     HierarchicalFarFieldEngine, HIER_ACCEPT_RATIO_SQ, HIER_MAX_TILES_PER_SIDE, HIER_NEAR_RING,
     HIER_TARGET_TILE_OCCUPANCY, HIER_TILE_CHUNK,
 };
-pub use gain_cache::{GainCache, DEFAULT_MAX_CACHED_NODES};
 pub use lossy::LossySinrChannel;
 pub use params::{SinrParams, SinrParamsBuilder, DEFAULT_SINGLE_HOP_MARGIN};
 pub use perturbation::ChannelPerturbation;

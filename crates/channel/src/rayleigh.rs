@@ -115,7 +115,15 @@ impl RayleighSinrChannel {
             let vp = positions[v];
             if row.is_none() {
                 scratch.gains.resize(transmitters.len(), 0.0);
-                gain_batch(p, alpha, &scratch.xs, &scratch.ys, vp.x, vp.y, &mut scratch.gains);
+                gain_batch(
+                    p,
+                    alpha,
+                    &scratch.xs,
+                    &scratch.ys,
+                    vp.x,
+                    vp.y,
+                    &mut scratch.gains,
+                );
             }
             let mut total = 0.0;
             let mut best_sig = 0.0;

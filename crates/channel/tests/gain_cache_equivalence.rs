@@ -259,7 +259,11 @@ fn size_guard_bypasses_cache_but_resolve_with_still_works() {
 
 #[test]
 fn radio_channels_have_no_cache_and_ignore_one() {
-    let positions = [Point::new(0.0, 0.0), Point::new(1.0, 0.0), Point::new(2.0, 0.0)];
+    let positions = [
+        Point::new(0.0, 0.0),
+        Point::new(1.0, 0.0),
+        Point::new(2.0, 0.0),
+    ];
     let radio = RadioChannel::new();
     assert_eq!(
         ResolveEngine::build(&radio, EngineTier::GainCache, &positions).tier(),
@@ -282,6 +286,9 @@ fn radio_channels_have_no_cache_and_ignore_one() {
     );
     assert_eq!(
         rx,
-        vec![Reception::Message { from: 0 }, Reception::Message { from: 0 }]
+        vec![
+            Reception::Message { from: 0 },
+            Reception::Message { from: 0 }
+        ]
     );
 }

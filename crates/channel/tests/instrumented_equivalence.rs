@@ -136,7 +136,12 @@ fn assert_instrumented_equiv<C: Channel>(
                 // best transmitter — except on the lossy channel, whose
                 // post-SINR drop pass may erase it.
                 if b.decoded && ch.name() != "lossy-sinr" {
-                    assert_eq!(inst[k], Reception::Message { from: b.best_tx.unwrap() });
+                    assert_eq!(
+                        inst[k],
+                        Reception::Message {
+                            from: b.best_tx.unwrap()
+                        }
+                    );
                 }
                 if !b.decoded {
                     assert_eq!(inst[k], Reception::Silence);

@@ -48,7 +48,12 @@ fn lemma6_deployment(dom_pairs: usize, loaded: usize) -> Deployment {
 /// Equation 1 test passed.
 ///
 /// [`Channel::resolve_with`]: fading_channel::Channel::resolve_with
-fn dominant_pair_decode_fraction(d: &Deployment, dom_pairs: usize, loaded: usize, seed: u64) -> f64 {
+fn dominant_pair_decode_fraction(
+    d: &Deployment,
+    dom_pairs: usize,
+    loaded: usize,
+    seed: u64,
+) -> f64 {
     let channel = sinr_for(d).build();
     // Mirror the construction order of `lemma6_deployment`: anchor, partner,
     // then (for the first `loaded` anchors) 121 cluster points.

@@ -157,7 +157,8 @@ mod tests {
         for b in &blocks {
             assert_eq!(b.events.len(), 1, "one step per trial");
         }
-        let counters = jsonl::read_counters_from_path(dir.join("e8.engine_counters.jsonl")).unwrap();
+        let counters =
+            jsonl::read_counters_from_path(dir.join("e8.engine_counters.jsonl")).unwrap();
         assert_eq!(counters.len(), blocks.len(), "one counter line per trial");
         for c in &counters {
             assert_eq!(c.rounds, 1, "each trial stepped exactly one round");

@@ -179,10 +179,15 @@ mod tests {
         for b in &blocks {
             assert!(!b.events.is_empty());
         }
-        let counters = jsonl::read_counters_from_path(dir.join("e9.engine_counters.jsonl")).unwrap();
+        let counters =
+            jsonl::read_counters_from_path(dir.join("e9.engine_counters.jsonl")).unwrap();
         assert_eq!(counters.len(), blocks.len(), "one counter line per trial");
         for (c, b) in counters.iter().zip(&blocks) {
-            assert_eq!(c.rounds, b.events.len() as u64, "counters cover every round");
+            assert_eq!(
+                c.rounds,
+                b.events.len() as u64,
+                "counters cover every round"
+            );
             assert_eq!(c.routed_rounds(), c.rounds);
         }
         std::fs::remove_dir_all(&dir).ok();

@@ -134,8 +134,12 @@ pub fn e13_robustness(cfg: &ExperimentConfig) -> Table {
         }
         table.row(cells);
     }
-    table.note(format!("n = {n}; cells: mean rounds (success % appended when < 100)"));
-    table.note("intensity scales jammer power/duty/budget, noise bursts, churn fraction, burst loss");
+    table.note(format!(
+        "n = {n}; cells: mean rounds (success % appended when < 100)"
+    ));
+    table.note(
+        "intensity scales jammer power/duty/budget, noise bursts, churn fraction, burst loss",
+    );
     table.note("row `none` attaches an empty fault plan: byte-identical to the unfaulted baseline");
     table
 }

@@ -194,7 +194,11 @@ mod tests {
         assert_eq!(t.num_rows(), 2);
         for row in t.rows() {
             assert_eq!(row[0], "8");
-            assert_eq!(row[3], format!("{}/{}", row[2], row[2]), "all trials resolve");
+            assert_eq!(
+                row[3],
+                format!("{}/{}", row[2], row[2]),
+                "all trials resolve"
+            );
         }
         let tiers: Vec<&str> = t.rows().iter().map(|r| r[1].as_str()).collect();
         assert_eq!(tiers, ["hier-1t", "hier-8t"]);

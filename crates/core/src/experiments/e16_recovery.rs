@@ -76,8 +76,7 @@ pub fn e16_recovery(cfg: &ExperimentConfig) -> Table {
         trials.to_string(),
         format!(
             "ok={} retried={} timed_out={} poisoned={}",
-            sup.summary.succeeded, sup.summary.retried, sup.summary.timed_out,
-            sup.summary.poisoned
+            sup.summary.succeeded, sup.summary.retried, sup.summary.timed_out, sup.summary.poisoned
         ),
         yes_no(supervised_exact && sup.summary.poisoned == 0),
     ]);

@@ -99,7 +99,11 @@ pub fn run_by_id(id: &str, cfg: &ExperimentConfig) -> Option<Table> {
 /// the other experiments ignore the directory). The produced tables are
 /// identical with and without a directory — export is a side channel.
 #[must_use]
-pub fn run_by_id_with(id: &str, cfg: &ExperimentConfig, telemetry_dir: Option<&str>) -> Option<Table> {
+pub fn run_by_id_with(
+    id: &str,
+    cfg: &ExperimentConfig,
+    telemetry_dir: Option<&str>,
+) -> Option<Table> {
     match id.to_ascii_lowercase().as_str() {
         "e1" => Some(e01_rounds_vs_n(cfg)),
         "e2" => Some(e02_rounds_vs_r(cfg)),

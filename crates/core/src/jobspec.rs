@@ -243,7 +243,9 @@ impl JobSpec {
         let u64_of = |obj: &JsonValue, key: &str| -> Result<u64, JobSpecError> {
             let x = f64_of(obj, key)?;
             if x < 0.0 || x.fract() != 0.0 || x > 2f64.powi(53) {
-                return Err(invalid(format!("field \"{key}\" must be a non-negative integer")));
+                return Err(invalid(format!(
+                    "field \"{key}\" must be a non-negative integer"
+                )));
             }
             Ok(x as u64)
         };
@@ -332,9 +334,7 @@ impl JobSpec {
     /// [`JobSpecError::Invalid`] naming the offending field.
     pub fn validate(&self) -> Result<(), JobSpecError> {
         if self.id.is_empty() || self.id.len() > MAX_ID_LEN {
-            return Err(invalid(format!(
-                "id must be 1..={MAX_ID_LEN} characters"
-            )));
+            return Err(invalid(format!("id must be 1..={MAX_ID_LEN} characters")));
         }
         if !self
             .id
@@ -504,7 +504,9 @@ mod tests {
         let mut spec = JobSpec::example("run");
         spec.trials = 2;
         let scenario = spec.build_scenario().unwrap();
-        let a = scenario.simulation_with_seed(spec.seed_base).run_until_resolved(spec.max_rounds);
+        let a = scenario
+            .simulation_with_seed(spec.seed_base)
+            .run_until_resolved(spec.max_rounds);
         let b = spec
             .build_scenario()
             .unwrap()

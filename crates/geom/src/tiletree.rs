@@ -82,9 +82,14 @@ impl TileTree {
         let base = TreeLevel {
             cols: fine.cols(),
             rows: fine.rows(),
-            counts: (0..fine.num_tiles()).map(|t| fine.count(t) as u32).collect(),
+            counts: (0..fine.num_tiles())
+                .map(|t| fine.count(t) as u32)
+                .collect(),
             content: (0..fine.num_tiles())
-                .map(|t| fine.content_bbox(t).unwrap_or(Bbox::new(crate::Point::ORIGIN, crate::Point::ORIGIN)))
+                .map(|t| {
+                    fine.content_bbox(t)
+                        .unwrap_or(Bbox::new(crate::Point::ORIGIN, crate::Point::ORIGIN))
+                })
                 .collect(),
         };
         let mut levels = vec![base];
@@ -256,12 +261,7 @@ impl TileTree {
     ///
     /// Panics if `t`, `level`, or `idx` is out of range.
     #[must_use]
-    pub fn distance_sq_bounds_to(
-        &self,
-        t: usize,
-        level: usize,
-        idx: usize,
-    ) -> Option<(f64, f64)> {
+    pub fn distance_sq_bounds_to(&self, t: usize, level: usize, idx: usize) -> Option<(f64, f64)> {
         let a = self.fine.content_bbox(t)?;
         let b = self.node_bbox(level, idx)?;
         Some(a.distance_sq_bounds(&b))
@@ -333,7 +333,10 @@ mod tests {
         let tree = TileTree::build(&clustered_points(), 8).unwrap();
         for l in 1..tree.num_levels() {
             for idx in 0..tree.num_nodes(l) {
-                let sum: usize = tree.children(l, idx).map(|c| tree.node_count(l - 1, c)).sum();
+                let sum: usize = tree
+                    .children(l, idx)
+                    .map(|c| tree.node_count(l - 1, c))
+                    .sum();
                 assert_eq!(sum, tree.node_count(l, idx), "node ({l}, {idx})");
             }
         }

@@ -131,7 +131,11 @@ impl Protocol for JurdzinskiStachowiak {
     }
 
     fn save_state(&self) -> Vec<u64> {
-        vec![u64::from(self.rung), u64::from(self.tick), u64::from(self.active)]
+        vec![
+            u64::from(self.rung),
+            u64::from(self.tick),
+            u64::from(self.active),
+        ]
     }
 
     fn load_state(&mut self, state: &[u64]) -> Result<(), ProtocolStateError> {

@@ -41,7 +41,10 @@ fn decay_variants_match_until_resolution_on_radio() {
             let with = run(seed, n, true);
             let without = run(seed, n, false);
 
-            assert!(with.resolved(), "seed {seed} n {n}: knockout run must resolve");
+            assert!(
+                with.resolved(),
+                "seed {seed} n {n}: knockout run must resolve"
+            );
             assert_eq!(
                 with.resolved_at(),
                 without.resolved_at(),

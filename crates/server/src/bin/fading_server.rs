@@ -99,12 +99,16 @@ fn parse_args() -> Args {
                 args.monitor_ms = Some(parse_num(&value("--monitor-ms"), "--monitor-ms"));
             }
             "--slo-fallback-max" => {
-                args.slo.fallback_fraction_max =
-                    Some(parse_num(&value("--slo-fallback-max"), "--slo-fallback-max"));
+                args.slo.fallback_fraction_max = Some(parse_num(
+                    &value("--slo-fallback-max"),
+                    "--slo-fallback-max",
+                ));
             }
             "--slo-timeout-spike" => {
-                args.slo.timed_out_per_min_max =
-                    Some(parse_num(&value("--slo-timeout-spike"), "--slo-timeout-spike"));
+                args.slo.timed_out_per_min_max = Some(parse_num(
+                    &value("--slo-timeout-spike"),
+                    "--slo-timeout-spike",
+                ));
             }
             "--slo-queue-max" => {
                 args.slo.queue_depth_max =

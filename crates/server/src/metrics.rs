@@ -18,7 +18,9 @@ use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use fading_cr::sim::obs::export::prometheus::{counters_to_prometheus, registry_to_prometheus};
+use fading_cr::sim::obs::export::prometheus::{
+    counters_to_prometheus, histogram_to_prometheus, registry_to_prometheus,
+};
 use fading_cr::sim::obs::timeseries::TsSample;
 use fading_cr::sim::obs::{EngineCounters, ProgressEvent};
 use fading_cr::sim::recover::FleetSummary;
@@ -302,7 +304,7 @@ impl ServerMetrics {
             );
         }
 
-        out.push_str(&fading_cr::sim::obs::export::prometheus::histogram_to_prometheus(
+        out.push_str(&histogram_to_prometheus(
             "fading_job_latency_ms",
             "Submit-to-complete latency per job, milliseconds.",
             &m.job_latency_ms,
@@ -386,7 +388,10 @@ mod tests {
             resolved: true,
             retries: 0,
         });
-        metrics.record_progress(&ProgressEvent::TrialRetried { seed: 2, retries: 1 });
+        metrics.record_progress(&ProgressEvent::TrialRetried {
+            seed: 2,
+            retries: 1,
+        });
         metrics.record_progress(&ProgressEvent::TrialTimedOut {
             seed: 2,
             timeout_ms: 50,

@@ -157,8 +157,14 @@ mod tests {
 
     #[test]
     fn parses_every_command() {
-        assert!(matches!(parse_request("{\"cmd\":\"ping\"}"), Ok(Request::Ping)));
-        assert!(matches!(parse_request("{\"cmd\":\"stats\"}"), Ok(Request::Stats)));
+        assert!(matches!(
+            parse_request("{\"cmd\":\"ping\"}"),
+            Ok(Request::Ping)
+        ));
+        assert!(matches!(
+            parse_request("{\"cmd\":\"stats\"}"),
+            Ok(Request::Stats)
+        ));
         assert!(matches!(
             parse_request("{\"cmd\":\"shutdown\"}"),
             Ok(Request::Shutdown)

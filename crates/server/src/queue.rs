@@ -298,10 +298,7 @@ mod tests {
         let claimed = q.claim_next().unwrap().unwrap();
         assert!(claimed.ends_with("running/a-first.json"), "{claimed:?}");
         assert_eq!(q.depth().unwrap(), 1);
-        let spec = JobSpec::from_json(
-            std::fs::read_to_string(&claimed).unwrap().trim(),
-        )
-        .unwrap();
+        let spec = JobSpec::from_json(std::fs::read_to_string(&claimed).unwrap().trim()).unwrap();
         assert_eq!(spec.id, "a-first");
 
         q.finish(&claimed, None).unwrap();
@@ -309,13 +306,23 @@ mod tests {
         let second = q.claim_next().unwrap().unwrap();
         assert_eq!(
             q.state_depths().unwrap(),
-            StateDepths { incoming: 0, running: 1, done: 1, failed: 0 }
+            StateDepths {
+                incoming: 0,
+                running: 1,
+                done: 1,
+                failed: 0
+            }
         );
         q.finish(&second, Some("boom")).unwrap();
         assert!(q.is_failed("b-second"));
         assert_eq!(
             q.state_depths().unwrap(),
-            StateDepths { incoming: 0, running: 0, done: 1, failed: 1 }
+            StateDepths {
+                incoming: 0,
+                running: 0,
+                done: 1,
+                failed: 1
+            }
         );
         let err = std::fs::read_to_string(q.failed_dir().join("b-second.error")).unwrap();
         assert_eq!(err, "boom\n");
@@ -331,11 +338,17 @@ mod tests {
         let again = q.submit(&JobSpec::example("dup"));
         assert_eq!(again.unwrap_err().kind(), io::ErrorKind::AlreadyExists);
         let claimed = q.claim_next().unwrap().unwrap();
-        assert_eq!(q.submit(&JobSpec::example("dup")).unwrap_err().kind(),
-            io::ErrorKind::AlreadyExists, "running ids still reserved");
+        assert_eq!(
+            q.submit(&JobSpec::example("dup")).unwrap_err().kind(),
+            io::ErrorKind::AlreadyExists,
+            "running ids still reserved"
+        );
         q.finish(&claimed, None).unwrap();
-        assert_eq!(q.submit(&JobSpec::example("dup")).unwrap_err().kind(),
-            io::ErrorKind::AlreadyExists, "done ids still reserved");
+        assert_eq!(
+            q.submit(&JobSpec::example("dup")).unwrap_err().kind(),
+            io::ErrorKind::AlreadyExists,
+            "done ids still reserved"
+        );
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -184,9 +184,7 @@ impl Server {
                 drain: AtomicBool::new(false),
                 hub: EventHub::new(),
                 started: Instant::now(),
-                timeseries: Mutex::new(TimeSeries::new(
-                    MonitorConfig::default().ring_capacity,
-                )),
+                timeseries: Mutex::new(TimeSeries::new(MonitorConfig::default().ring_capacity)),
                 slo: Mutex::new(SloWatch::default()),
                 monitor_stop: AtomicBool::new(false),
                 monitor_running: AtomicBool::new(false),
@@ -435,7 +433,9 @@ impl Server {
             Ok(t) => t,
             Err(e) => {
                 inner.metrics.record_rejected();
-                let _ = inner.queue.finish(running, Some(&format!("unreadable spec: {e}")));
+                let _ = inner
+                    .queue
+                    .finish(running, Some(&format!("unreadable spec: {e}")));
                 return;
             }
         };
@@ -909,7 +909,10 @@ mod tests {
         // Telemetry streamed one event file per trial seed.
         for i in 0..3 {
             let seed = spec.seed_base + i;
-            assert!(job_dir.join("events").join(format!("{seed}.jsonl")).exists());
+            assert!(job_dir
+                .join("events")
+                .join(format!("{seed}.jsonl"))
+                .exists());
         }
         std::fs::remove_dir_all(&root).ok();
     }
@@ -926,7 +929,8 @@ mod tests {
         server.run(ExitPolicy::drain());
         assert!(server.queue().is_failed("broken"));
         assert_eq!(server.job_state("broken"), JobState::Failed);
-        let err = std::fs::read_to_string(server.queue().failed_dir().join("broken.error")).unwrap();
+        let err =
+            std::fs::read_to_string(server.queue().failed_dir().join("broken.error")).unwrap();
         assert!(!err.trim().is_empty());
         std::fs::remove_dir_all(&root).ok();
     }
@@ -981,10 +985,20 @@ mod tests {
             server.queue().submit(&spec).unwrap();
             server.run(ExitPolicy::drain());
         }
-        let a = std::fs::read(JobQueue::open(&root_a).unwrap().job_dir("det").join("trials.jsonl"))
-            .unwrap();
-        let b = std::fs::read(JobQueue::open(&root_b).unwrap().job_dir("det").join("trials.jsonl"))
-            .unwrap();
+        let a = std::fs::read(
+            JobQueue::open(&root_a)
+                .unwrap()
+                .job_dir("det")
+                .join("trials.jsonl"),
+        )
+        .unwrap();
+        let b = std::fs::read(
+            JobQueue::open(&root_b)
+                .unwrap()
+                .job_dir("det")
+                .join("trials.jsonl"),
+        )
+        .unwrap();
         assert!(!a.is_empty());
         assert_eq!(a, b, "same spec, byte-identical trials.jsonl");
         std::fs::remove_dir_all(&root_a).ok();

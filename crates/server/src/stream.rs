@@ -254,7 +254,8 @@ impl EventHub {
         self.active.store(subs.len(), Ordering::Relaxed);
         drop(subs);
         if dropped_delta > 0 {
-            self.dropped_total.fetch_add(dropped_delta, Ordering::Relaxed);
+            self.dropped_total
+                .fetch_add(dropped_delta, Ordering::Relaxed);
         }
     }
 
@@ -417,17 +418,18 @@ impl SloWatch {
     pub fn check(&mut self, ts: &TimeSeries, window: usize, t_ms: u64) -> Vec<Alert> {
         let mut alerts = Vec::new();
         let rates = ts.rates(window);
-        let mut edge = |violated: &mut bool, is_violation: bool, rule: &str, value: f64, threshold: f64| {
-            if is_violation && !*violated {
-                alerts.push(Alert {
-                    rule: rule.to_string(),
-                    value,
-                    threshold,
-                    t_ms,
-                });
-            }
-            *violated = is_violation;
-        };
+        let mut edge =
+            |violated: &mut bool, is_violation: bool, rule: &str, value: f64, threshold: f64| {
+                if is_violation && !*violated {
+                    alerts.push(Alert {
+                        rule: rule.to_string(),
+                        value,
+                        threshold,
+                        t_ms,
+                    });
+                }
+                *violated = is_violation;
+            };
         if let Some(max) = self.rules.fallback_fraction_max {
             edge(
                 &mut self.fallback_violated,
@@ -548,7 +550,10 @@ mod tests {
         let hub = EventHub::new();
         let sub = hub.subscribe(Subscription::watch_all());
         hub.publish_alert("{\"a\":1}");
-        assert_eq!(sub.recv_timeout(Duration::from_millis(10)).unwrap(), "{\"a\":1}");
+        assert_eq!(
+            sub.recv_timeout(Duration::from_millis(10)).unwrap(),
+            "{\"a\":1}"
+        );
         assert!(sub.recv_timeout(Duration::from_millis(10)).is_none());
     }
 

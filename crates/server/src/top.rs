@@ -135,13 +135,18 @@ impl Dashboard {
             }
             "alert" => {
                 let rule = v.get("rule").and_then(JsonValue::as_str).unwrap_or("?");
-                let value = v.get("value").and_then(JsonValue::as_f64).unwrap_or(f64::NAN);
+                let value = v
+                    .get("value")
+                    .and_then(JsonValue::as_f64)
+                    .unwrap_or(f64::NAN);
                 let threshold = v
                     .get("threshold")
                     .and_then(JsonValue::as_f64)
                     .unwrap_or(f64::NAN);
-                self.alerts
-                    .push_back(format!("[{:>6}ms] {rule} {value:.3} > {threshold:.3}", num("t_ms")));
+                self.alerts.push_back(format!(
+                    "[{:>6}ms] {rule} {value:.3} > {threshold:.3}",
+                    num("t_ms")
+                ));
                 while self.alerts.len() > ALERT_HISTORY {
                     self.alerts.pop_front();
                 }
@@ -347,7 +352,9 @@ mod tests {
         d.apply_line(
             "{\"job\":\"j1\",\"t_ms\":9,\"event\":\"trial_finished\",\"seed\":0,\"rounds\":12,\"resolved\":true,\"retries\":0}",
         );
-        d.apply_line("{\"job\":\"j1\",\"t_ms\":10,\"event\":\"trial_retried\",\"seed\":1,\"retries\":1}");
+        d.apply_line(
+            "{\"job\":\"j1\",\"t_ms\":10,\"event\":\"trial_retried\",\"seed\":1,\"retries\":1}",
+        );
         d.apply_line(
             "{\"job\":\"j1\",\"t_ms\":11,\"event\":\"trial_timed_out\",\"seed\":1,\"timeout_ms\":50,\"retries\":1}",
         );

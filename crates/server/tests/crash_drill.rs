@@ -81,14 +81,22 @@ fn sigkill_mid_fleet_then_restart_completes_every_job_byte_identically() {
     let ref_queue = submit_all(&ref_root, &specs);
     run_drain(&ref_root);
     for spec in &specs {
-        assert!(ref_queue.is_done(&spec.id), "reference {} must finish", spec.id);
+        assert!(
+            ref_queue.is_done(&spec.id),
+            "reference {} must finish",
+            spec.id
+        );
     }
 
     // Victim: same submissions; SIGKILL the server mid-fleet.
     let victim_root = scratch("victim");
     let victim_queue = submit_all(&victim_root, &specs);
     let mut child = Command::new(BIN)
-        .args(["--queue", victim_root.to_str().expect("utf-8 path"), "--drain"])
+        .args([
+            "--queue",
+            victim_root.to_str().expect("utf-8 path"),
+            "--drain",
+        ])
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
@@ -107,7 +115,10 @@ fn sigkill_mid_fleet_then_restart_completes_every_job_byte_identically() {
             child.try_wait().expect("poll victim").is_none(),
             "victim drained before the kill — lengthen the long job"
         );
-        assert!(Instant::now() < deadline, "victim never started the long job");
+        assert!(
+            Instant::now() < deadline,
+            "victim never started the long job"
+        );
         std::thread::sleep(Duration::from_millis(20));
     }
     child.kill().expect("SIGKILL the victim");
@@ -121,10 +132,7 @@ fn sigkill_mid_fleet_then_restart_completes_every_job_byte_identically() {
         !stranded.is_empty(),
         "the killed server must leave its claimed spec in running/"
     );
-    let done_before = specs
-        .iter()
-        .filter(|s| victim_queue.is_done(&s.id))
-        .count();
+    let done_before = specs.iter().filter(|s| victim_queue.is_done(&s.id)).count();
 
     // Restart over the same queue; stranded specs re-enqueue and resume.
     run_drain(&victim_root);
@@ -164,12 +172,12 @@ fn sigkill_mid_fleet_then_restart_completes_every_job_byte_identically() {
         "the long job must report resumed trials, got: {result}"
     );
     // And nothing ran twice at the job level either.
-    let done_after = specs
-        .iter()
-        .filter(|s| victim_queue.is_done(&s.id))
-        .count();
+    let done_after = specs.iter().filter(|s| victim_queue.is_done(&s.id)).count();
     assert_eq!(done_after, specs.len());
-    assert!(done_before < done_after, "restart must finish the remainder");
+    assert!(
+        done_before < done_after,
+        "restart must finish the remainder"
+    );
 
     std::fs::remove_dir_all(scratch("reference").parent().expect("parent")).ok();
 }

@@ -34,7 +34,12 @@ fn second_sigint_during_flush_forces_immediate_exit_130() {
         .spawn()
         .expect("spawn selftest harness");
     let mut lines = BufReader::new(child.stdout.take().expect("piped stdout")).lines();
-    let mut next_line = || lines.next().expect("stdout closed early").expect("read stdout");
+    let mut next_line = || {
+        lines
+            .next()
+            .expect("stdout closed early")
+            .expect("read stdout")
+    };
 
     assert_eq!(next_line(), "READY");
     send_sigint(&child);
@@ -71,12 +76,21 @@ fn single_sigint_finishes_the_flush_and_exits_130() {
         .spawn()
         .expect("spawn selftest harness");
     let mut lines = BufReader::new(child.stdout.take().expect("piped stdout")).lines();
-    let mut next_line = || lines.next().expect("stdout closed early").expect("read stdout");
+    let mut next_line = || {
+        lines
+            .next()
+            .expect("stdout closed early")
+            .expect("read stdout")
+    };
 
     assert_eq!(next_line(), "READY");
     send_sigint(&child);
     assert_eq!(next_line(), "FLUSH-BEGIN");
-    assert_eq!(next_line(), "FLUSH-END", "an uncontested flush must complete");
+    assert_eq!(
+        next_line(),
+        "FLUSH-END",
+        "an uncontested flush must complete"
+    );
     let status = child.wait().expect("reap harness");
     assert_eq!(status.code(), Some(130));
 }

@@ -122,7 +122,10 @@ fn watch_streams_progress_frames_and_alerts_end_to_end() {
     quick2.seed_base = 800;
     let specs = [long, quick1, quick2];
     for spec in &specs {
-        let reply = request(&addr, &format!("{{\"cmd\":\"submit\",\"job\":{}}}", spec.to_json()));
+        let reply = request(
+            &addr,
+            &format!("{{\"cmd\":\"submit\",\"job\":{}}}", spec.to_json()),
+        );
         assert_eq!(reply.get("ok").and_then(JsonValue::as_bool), Some(true));
     }
 
@@ -150,8 +153,7 @@ fn watch_streams_progress_frames_and_alerts_end_to_end() {
                     done_jobs += 1;
                 }
                 saw_frame |= line.contains("\"event\":\"frame\"");
-                saw_alert |=
-                    line.contains("\"event\":\"alert\"") && line.contains("queue_depth");
+                saw_alert |= line.contains("\"event\":\"alert\"") && line.contains("queue_depth");
                 lines.push(line);
             }
             Err(e) => panic!("watch stream read failed: {e}"),
@@ -235,7 +237,9 @@ fn watch_streams_progress_frames_and_alerts_end_to_end() {
     };
     let states = stats.get("states").expect("stats must carry states");
     assert_eq!(states.get("queued").and_then(JsonValue::as_f64), Some(0.0));
-    let latency = stats.get("latency_ms").expect("stats must carry latency_ms");
+    let latency = stats
+        .get("latency_ms")
+        .expect("stats must carry latency_ms");
     let p50 = latency.get("p50").and_then(JsonValue::as_f64).expect("p50");
     let p99 = latency.get("p99").and_then(JsonValue::as_f64).expect("p99");
     assert!(p50 > 0.0 && p99 >= p50, "p50={p50} p99={p99}");

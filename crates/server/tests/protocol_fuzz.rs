@@ -19,7 +19,10 @@ fn assert_parse_is_total(line: &str) {
         let v = parse_json(&rendered)
             .unwrap_or_else(|e| panic!("error_response must be JSON ({e}): {rendered}"));
         assert_eq!(v.get("ok").and_then(JsonValue::as_bool), Some(false));
-        assert_eq!(v.get("error").and_then(JsonValue::as_str), Some(msg.as_str()));
+        assert_eq!(
+            v.get("error").and_then(JsonValue::as_str),
+            Some(msg.as_str())
+        );
     }
 }
 
@@ -75,9 +78,8 @@ fn escape_heavy_strategy() -> impl Strategy<Value = String> {
         Just("{".to_string()),
         Just("a".to_string()),
     ];
-    prop::collection::vec(fragment, 0..24).prop_map(|frags| {
-        format!("{{\"cmd\":\"status\",\"id\":\"{}\"}}", frags.concat())
-    })
+    prop::collection::vec(fragment, 0..24)
+        .prop_map(|frags| format!("{{\"cmd\":\"status\",\"id\":\"{}\"}}", frags.concat()))
 }
 
 /// Deep nesting in arbitrary positions: the depth guard must reject
@@ -141,7 +143,11 @@ fn pathological_nesting_errors_cleanly_at_scale() {
     for line in [
         "[".repeat(200_000),
         "{\"a\":".repeat(100_000),
-        format!("{{\"cmd\":{}\"ping\"{}}}", "[".repeat(50_000), "]".repeat(50_000)),
+        format!(
+            "{{\"cmd\":{}\"ping\"{}}}",
+            "[".repeat(50_000),
+            "]".repeat(50_000)
+        ),
     ] {
         assert!(parse_request(&line).is_err());
         assert_parse_is_total(&line);

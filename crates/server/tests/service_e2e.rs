@@ -157,11 +157,17 @@ fn socket_submissions_complete_and_scrape_parses() {
         }
     }
     let stats = request(&harness.socket_addr, "{\"cmd\":\"stats\"}");
-    assert_eq!(stats.get("completed").and_then(JsonValue::as_f64), Some(3.0));
+    assert_eq!(
+        stats.get("completed").and_then(JsonValue::as_f64),
+        Some(3.0)
+    );
 
     // The telemetry job streamed per-trial event files.
     let events_dir = root.join("jobs").join("e2e-0").join("events");
-    assert!(events_dir.join("1.jsonl").exists(), "telemetry stream missing");
+    assert!(
+        events_dir.join("1.jsonl").exists(),
+        "telemetry stream missing"
+    );
 
     // Scrape over real HTTP; the body must parse with the paired parser.
     let body = http_get(&harness.metrics_addr);

@@ -35,8 +35,7 @@ fn artifacts(root: &Path) -> Vec<(String, Vec<u8>)> {
     for spec in specs() {
         for file in ["trials.jsonl", "result.json", "manifest.jsonl"] {
             let path = queue.job_dir(&spec.id).join(file);
-            let bytes = std::fs::read(&path)
-                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
             out.push((format!("{}/{file}", spec.id), bytes));
         }
     }

@@ -113,7 +113,10 @@ impl std::fmt::Display for FaultError {
                 write!(f, "fault schedules are 1-based: round/length must be ≥ 1")
             }
             FaultError::NodeOutOfRange { node, len } => {
-                write!(f, "churn names node {node} but the deployment has {len} nodes")
+                write!(
+                    f,
+                    "churn names node {node} but the deployment has {len} nodes"
+                )
             }
         }
     }
@@ -514,7 +517,10 @@ impl FaultPlan {
     pub fn validate_for(&self, n: usize) -> Result<(), FaultError> {
         for ev in &self.churn {
             if ev.node >= n {
-                return Err(FaultError::NodeOutOfRange { node: ev.node, len: n });
+                return Err(FaultError::NodeOutOfRange {
+                    node: ev.node,
+                    len: n,
+                });
             }
         }
         Ok(())
@@ -530,7 +536,10 @@ mod tests {
     fn jammer_rejects_bad_power() {
         for power in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             let err = Jammer::new(Point::ORIGIN, power, 1, 1, 1, None).unwrap_err();
-            assert!(matches!(err, FaultError::InvalidPower { .. }), "{power}: {err}");
+            assert!(
+                matches!(err, FaultError::InvalidPower { .. }),
+                "{power}: {err}"
+            );
         }
     }
 
@@ -599,8 +608,14 @@ mod tests {
 
     #[test]
     fn noise_burst_rejects_bad_parameters() {
-        assert_eq!(NoiseBurst::new(0, 5, 2.0).unwrap_err(), FaultError::RoundZero);
-        assert_eq!(NoiseBurst::new(5, 0, 2.0).unwrap_err(), FaultError::RoundZero);
+        assert_eq!(
+            NoiseBurst::new(0, 5, 2.0).unwrap_err(),
+            FaultError::RoundZero
+        );
+        assert_eq!(
+            NoiseBurst::new(5, 0, 2.0).unwrap_err(),
+            FaultError::RoundZero
+        );
         for factor in [0.0, -2.0, f64::NAN, f64::INFINITY] {
             assert!(matches!(
                 NoiseBurst::new(1, 1, factor).unwrap_err(),
@@ -635,7 +650,10 @@ mod tests {
         for bad in [-0.1, 1.1, f64::NAN] {
             assert!(matches!(
                 GilbertElliott::new(bad, 0.5, 0.0, 1.0).unwrap_err(),
-                FaultError::InvalidProbability { name: "p_enter", .. }
+                FaultError::InvalidProbability {
+                    name: "p_enter",
+                    ..
+                }
             ));
             assert!(matches!(
                 GilbertElliott::new(0.5, bad, 0.0, 1.0).unwrap_err(),
@@ -643,11 +661,17 @@ mod tests {
             ));
             assert!(matches!(
                 GilbertElliott::new(0.5, 0.5, bad, 1.0).unwrap_err(),
-                FaultError::InvalidProbability { name: "drop_good", .. }
+                FaultError::InvalidProbability {
+                    name: "drop_good",
+                    ..
+                }
             ));
             assert!(matches!(
                 GilbertElliott::new(0.5, 0.5, 0.0, bad).unwrap_err(),
-                FaultError::InvalidProbability { name: "drop_bad", .. }
+                FaultError::InvalidProbability {
+                    name: "drop_bad",
+                    ..
+                }
             ));
         }
     }
@@ -688,7 +712,10 @@ mod tests {
 
     #[test]
     fn churn_events_reject_round_zero() {
-        assert_eq!(ChurnEvent::late_wake(0, 1).unwrap_err(), FaultError::RoundZero);
+        assert_eq!(
+            ChurnEvent::late_wake(0, 1).unwrap_err(),
+            FaultError::RoundZero
+        );
         assert_eq!(ChurnEvent::crash(0, 1).unwrap_err(), FaultError::RoundZero);
         assert_eq!(ChurnEvent::revive(0, 1).unwrap_err(), FaultError::RoundZero);
     }
@@ -733,10 +760,18 @@ mod tests {
     #[test]
     fn error_messages_name_the_problem() {
         let msgs = [
-            FaultError::InvalidProbability { name: "p_enter", value: 2.0 }.to_string(),
+            FaultError::InvalidProbability {
+                name: "p_enter",
+                value: 2.0,
+            }
+            .to_string(),
             FaultError::InvalidScale { value: -1.0 }.to_string(),
             FaultError::InvalidPower { value: 0.0 }.to_string(),
-            FaultError::InvalidDutyCycle { period: 2, burst_len: 3 }.to_string(),
+            FaultError::InvalidDutyCycle {
+                period: 2,
+                burst_len: 3,
+            }
+            .to_string(),
             FaultError::RoundZero.to_string(),
             FaultError::NodeOutOfRange { node: 9, len: 4 }.to_string(),
         ];

@@ -96,8 +96,8 @@ pub mod telemetry;
 pub use action::Action;
 pub use faults::{FaultError, FaultPlan};
 pub use obs::{
-    EngineCounters, MemoryProgress, NoopProgress, ProgressEvent, ProgressSink, Rates,
-    ResolvePath, SpanGuard, SpanRecord, TimeSeries, Tracer, TsFrame, TsSample,
+    EngineCounters, MemoryProgress, NoopProgress, ProgressEvent, ProgressSink, Rates, ResolvePath,
+    SpanGuard, SpanRecord, TimeSeries, Tracer, TsFrame, TsSample,
 };
 pub use pool::StealPool;
 pub use protocol::{Protocol, ProtocolStateError};

@@ -87,12 +87,21 @@ where
 /// each worker recovers its own trial's sink inside `f` and hands the
 /// events back as the payload, and the seed-ordered merge makes the
 /// combined stream independent of scheduling.
-pub fn run_trials_with<F, T>(trials: usize, threads: usize, seed_base: u64, f: F) -> Vec<(RunResult, T)>
+pub fn run_trials_with<F, T>(
+    trials: usize,
+    threads: usize,
+    seed_base: u64,
+    f: F,
+) -> Vec<(RunResult, T)>
 where
     F: Fn(u64) -> (RunResult, T) + Sync,
     T: Send,
 {
-    map_ordered(&StealPool::new(threads), trials, |i| f(seed_base + i as u64))
+    map_ordered(
+        &StealPool::new(threads),
+        trials,
+        |i| f(seed_base + i as u64),
+    )
 }
 
 /// The fault-tolerant trial runner: seeds `seed_base..seed_base+trials` on
@@ -336,7 +345,10 @@ impl TrialRun {
     /// are skipped).
     #[must_use]
     pub fn results(&self) -> Vec<&RunResult> {
-        self.outcomes.iter().filter_map(TrialOutcome::result).collect()
+        self.outcomes
+            .iter()
+            .filter_map(TrialOutcome::result)
+            .collect()
     }
 
     /// `true` when every trial succeeded.
@@ -639,7 +651,11 @@ mod tests {
         for sorted in [vec![7u64], vec![1, 2], vec![3, 3, 9], vec![1, 2, 2, 2, 10]] {
             let as_f64: Vec<f64> = sorted.iter().map(|&v| v as f64).collect();
             for q in [0.0, 25.0, 50.0, 90.0, 95.0, 100.0] {
-                assert_eq!(percentile(&sorted, q), percentile_f64(&as_f64, q), "{sorted:?} q={q}");
+                assert_eq!(
+                    percentile(&sorted, q),
+                    percentile_f64(&as_f64, q),
+                    "{sorted:?} q={q}"
+                );
             }
         }
     }
@@ -729,11 +745,19 @@ mod tests {
             .manifest(&mut resumed)
             .run(counted(&calls))
             .unwrap();
-        assert_eq!(calls.load(Ordering::SeqCst), 6, "completed seeds are not re-run");
+        assert_eq!(
+            calls.load(Ordering::SeqCst),
+            6,
+            "completed seeds are not re-run"
+        );
         let full = full.results();
         assert_eq!(full.len(), 6);
         for (i, r) in full.iter().enumerate() {
-            assert_eq!(r.resolved_at(), Some(50 + i as u64 + 1), "seed order preserved");
+            assert_eq!(
+                r.resolved_at(),
+                Some(50 + i as u64 + 1),
+                "seed order preserved"
+            );
         }
 
         // A fresh uninterrupted run over a clean manifest produces the
@@ -773,7 +797,10 @@ mod tests {
         assert_eq!(run.summary.poisoned, 1);
         assert_eq!(run.resumed, 0);
         assert!(!run.complete());
-        assert!(run.outcomes[2].result().is_none(), "poisoned seed has no result");
+        assert!(
+            run.outcomes[2].result().is_none(),
+            "poisoned seed has no result"
+        );
         drop(first);
 
         // Resume with a healthy trial fn: only the poisoned seed re-runs
@@ -865,14 +892,23 @@ mod tests {
 
     #[test]
     fn run_trials_with_carries_payloads_in_seed_order() {
-        let f = |seed: u64| (result_with_rounds(Some(seed + 1)), format!("payload-{seed}"));
+        let f = |seed: u64| {
+            (
+                result_with_rounds(Some(seed + 1)),
+                format!("payload-{seed}"),
+            )
+        };
         let serial = run_trials_with(12, 1, 5, f);
         let parallel = run_trials_with(12, 8, 5, f);
         assert_eq!(serial.len(), 12);
         for (i, ((ra, pa), (rb, pb))) in serial.iter().zip(&parallel).enumerate() {
             assert_eq!(ra.resolved_at(), Some(5 + i as u64 + 1));
             assert_eq!(pa, &format!("payload-{}", 5 + i as u64));
-            assert_eq!((ra, pa), (rb, pb), "thread count must not affect payload order");
+            assert_eq!(
+                (ra, pa),
+                (rb, pb),
+                "thread count must not affect payload order"
+            );
         }
     }
 }

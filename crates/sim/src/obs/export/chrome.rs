@@ -40,7 +40,11 @@ pub fn spans_to_chrome_trace(spans: &[SpanRecord]) -> String {
         }
         out.push_str("{\"name\":\"");
         out.push_str(&json_escape(&s.name));
-        let _ = write!(out, "\",\"cat\":\"sim\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":", s.thread);
+        let _ = write!(
+            out,
+            "\",\"cat\":\"sim\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":",
+            s.thread
+        );
         fmt_us(&mut out, s.start_ns);
         out.push_str(",\"dur\":");
         fmt_us(&mut out, s.duration_ns());
@@ -48,7 +52,8 @@ pub fn spans_to_chrome_trace(spans: &[SpanRecord]) -> String {
             out,
             ",\"args\":{{\"id\":{},\"parent\":{},\"depth\":{},\"start_ns\":{},\"end_ns\":{}}}}}",
             s.id,
-            s.parent.map_or_else(|| "null".to_string(), |p| p.to_string()),
+            s.parent
+                .map_or_else(|| "null".to_string(), |p| p.to_string()),
             s.depth,
             s.start_ns,
             s.end_ns,
@@ -123,7 +128,15 @@ pub fn spans_from_chrome_trace(text: &str) -> Result<Vec<SpanRecord>, ExportErro
 mod tests {
     use super::*;
 
-    fn span(id: u64, parent: Option<u64>, name: &'static str, t: u64, d: u32, s: u64, e: u64) -> SpanRecord {
+    fn span(
+        id: u64,
+        parent: Option<u64>,
+        name: &'static str,
+        t: u64,
+        d: u32,
+        s: u64,
+        e: u64,
+    ) -> SpanRecord {
         SpanRecord {
             id,
             parent,

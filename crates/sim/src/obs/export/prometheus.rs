@@ -380,15 +380,14 @@ fn parse_labels(body: &str) -> Result<Vec<(String, String)>, String> {
     Ok(labels)
 }
 
-fn find_value(samples: &[PromSample], name: &str, labels: &[(&str, &str)]) -> Result<f64, ExportError> {
+fn find_value(
+    samples: &[PromSample],
+    name: &str,
+    labels: &[(&str, &str)],
+) -> Result<f64, ExportError> {
     samples
         .iter()
-        .find(|s| {
-            s.name == name
-                && labels
-                    .iter()
-                    .all(|(k, v)| s.label(k) == Some(*v))
-        })
+        .find(|s| s.name == name && labels.iter().all(|(k, v)| s.label(k) == Some(*v)))
         .map(|s| s.value)
         .ok_or_else(|| ExportError::at(0, format!("missing sample {name} {labels:?}")))
 }
@@ -397,7 +396,10 @@ fn as_u64(v: f64, what: &str) -> Result<u64, ExportError> {
     if v.fract() == 0.0 && (0.0..9.007_199_254_740_992e15).contains(&v) {
         Ok(v as u64)
     } else {
-        Err(ExportError::at(0, format!("{what} is not a counter value: {v}")))
+        Err(ExportError::at(
+            0,
+            format!("{what} is not a counter value: {v}"),
+        ))
     }
 }
 
@@ -413,11 +415,9 @@ pub fn counters_from_prometheus(text: &str) -> Result<EngineCounters, ExportErro
         find_value(&s, "fading_resolve_rounds_total", &[("engine", p.name())])
             .and_then(|v| as_u64(v, p.name()))
     };
-    let plain =
-        |name: &str| find_value(&s, name, &[]).and_then(|v| as_u64(v, name));
+    let plain = |name: &str| find_value(&s, name, &[]).and_then(|v| as_u64(v, name));
     let rung = |r: &str| {
-        find_value(&s, "fading_farfield_decisions_total", &[("rung", r)])
-            .and_then(|v| as_u64(v, r))
+        find_value(&s, "fading_farfield_decisions_total", &[("rung", r)]).and_then(|v| as_u64(v, r))
     };
     Ok(EngineCounters {
         rounds: plain("fading_rounds_total")?,
@@ -480,10 +480,16 @@ pub fn histogram_from_prometheus(text: &str, name: &str) -> Result<Histogram, Ex
     if seen != Histogram::NUM_BUCKETS {
         return Err(ExportError::at(
             0,
-            format!("expected {} buckets for {name}, found {seen}", Histogram::NUM_BUCKETS),
+            format!(
+                "expected {} buckets for {name}, found {seen}",
+                Histogram::NUM_BUCKETS
+            ),
         ));
     }
-    let count = as_u64(find_value(&samples, &format!("{name}_count"), &[])?, "count")?;
+    let count = as_u64(
+        find_value(&samples, &format!("{name}_count"), &[])?,
+        "count",
+    )?;
     let sum = find_value(&samples, &format!("{name}_sum"), &[])?;
     let min = find_value(&samples, &format!("{name}_min"), &[])?;
     let max = find_value(&samples, &format!("{name}_max"), &[])?;

@@ -123,9 +123,9 @@ impl ProgressEvent {
             ProgressEvent::TrialStarted { seed } => {
                 format!("{{\"event\":\"trial_started\",\"seed\":{seed}}}")
             }
-            ProgressEvent::TrialRetried { seed, retries } => format!(
-                "{{\"event\":\"trial_retried\",\"seed\":{seed},\"retries\":{retries}}}"
-            ),
+            ProgressEvent::TrialRetried { seed, retries } => {
+                format!("{{\"event\":\"trial_retried\",\"seed\":{seed},\"retries\":{retries}}}")
+            }
             ProgressEvent::TrialFinished {
                 seed,
                 rounds,
@@ -258,7 +258,12 @@ impl MemoryProgress {
     /// Removes and returns everything buffered so far (arrival order).
     #[must_use]
     pub fn take(&self) -> Vec<ProgressEvent> {
-        std::mem::take(&mut *self.events.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
+        std::mem::take(
+            &mut *self
+                .events
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner),
+        )
     }
 
     /// How many events are buffered.
@@ -293,7 +298,10 @@ mod tests {
     fn all_variants() -> Vec<ProgressEvent> {
         vec![
             ProgressEvent::TrialStarted { seed: 7 },
-            ProgressEvent::TrialRetried { seed: 7, retries: 2 },
+            ProgressEvent::TrialRetried {
+                seed: 7,
+                retries: 2,
+            },
             ProgressEvent::TrialFinished {
                 seed: 9,
                 rounds: 31,
@@ -329,8 +337,7 @@ mod tests {
 
     #[test]
     fn parser_ignores_unknown_keys_like_the_server_splices() {
-        let spliced =
-            "{\"event\":\"trial_finished\",\"job\":\"j-1\",\"t_ms\":123,\"seed\":9,\
+        let spliced = "{\"event\":\"trial_finished\",\"job\":\"j-1\",\"t_ms\":123,\"seed\":9,\
              \"rounds\":31,\"resolved\":true,\"retries\":0}";
         assert_eq!(
             ProgressEvent::from_json(spliced).unwrap(),
@@ -349,10 +356,10 @@ mod tests {
         assert!(ProgressEvent::from_json("{\"event\":\"trial_started\"}").is_err());
         assert!(ProgressEvent::from_json("{\"seed\":1}").is_err());
         assert!(ProgressEvent::from_json("not json").is_err());
-        assert!(
-            ProgressEvent::from_json("{\"event\":\"trial_poisoned\",\"seed\":1,\"kind\":\"??\",\"retries\":0}")
-                .is_err()
-        );
+        assert!(ProgressEvent::from_json(
+            "{\"event\":\"trial_poisoned\",\"seed\":1,\"kind\":\"??\",\"retries\":0}"
+        )
+        .is_err());
     }
 
     #[test]

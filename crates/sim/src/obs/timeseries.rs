@@ -171,7 +171,9 @@ impl TsFrame {
             d_hierarchical_rounds: next
                 .hierarchical_rounds
                 .saturating_sub(prev.hierarchical_rounds),
-            d_gain_cache_rounds: next.gain_cache_rounds.saturating_sub(prev.gain_cache_rounds),
+            d_gain_cache_rounds: next
+                .gain_cache_rounds
+                .saturating_sub(prev.gain_cache_rounds),
             d_exact_rounds: next.exact_rounds.saturating_sub(prev.exact_rounds),
             d_instrumented_rounds: next
                 .instrumented_rounds
@@ -305,7 +307,13 @@ impl TimeSeries {
                 count as f64 * 1000.0 / dt_ms as f64
             }
         };
-        let fraction = |num: u64, den: u64| if den == 0 { 0.0 } else { num as f64 / den as f64 };
+        let fraction = |num: u64, den: u64| {
+            if den == 0 {
+                0.0
+            } else {
+                num as f64 / den as f64
+            }
+        };
         Rates {
             window_ms: dt_ms,
             trials_per_sec: per_sec(trials),
@@ -396,12 +404,13 @@ pub fn frame_from_json(line: &str) -> Result<TsFrame, JsonlError> {
     let v = parse_json(line)?;
     let mut frame = TsFrame::default();
     for (key, _) in &FRAME_FIELDS {
-        let value = v.get(key).and_then(JsonValue::as_f64).ok_or_else(|| {
-            JsonlError::Parse {
+        let value = v
+            .get(key)
+            .and_then(JsonValue::as_f64)
+            .ok_or_else(|| JsonlError::Parse {
                 line: 0,
                 msg: format!("missing or non-numeric {key:?}"),
-            }
-        })?;
+            })?;
         set_frame_field(&mut frame, key, value as u64);
     }
     Ok(frame)

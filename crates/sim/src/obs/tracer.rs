@@ -199,7 +199,9 @@ impl Tracer {
     /// an instrumented region poisoned the lock (observability code must
     /// never turn one failure into two).
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Closes span `id` at the current time, repairing the stack if guards

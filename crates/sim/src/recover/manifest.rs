@@ -77,9 +77,7 @@ impl TrialManifest {
                                 // Complete record that lost only its newline:
                                 // keep it, but restore the separator so the
                                 // next append starts on a fresh line.
-                                let mut f = std::fs::OpenOptions::new()
-                                    .append(true)
-                                    .open(path)?;
+                                let mut f = std::fs::OpenOptions::new().append(true).open(path)?;
                                 f.write_all(b"\n")?;
                                 f.sync_all()?;
                             }

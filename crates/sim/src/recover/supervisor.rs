@@ -269,10 +269,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// deadline fires, one final non-blocking poll runs first, so a result
 /// that completed *at* the deadline — including a `RoundCapExhausted`
 /// run — wins over the timeout. Exactly one terminal outcome, always.
-fn await_completion(
-    rx: &mpsc::Receiver<thread::Result<RunResult>>,
-    timeout: Duration,
-) -> Attempt {
+fn await_completion(rx: &mpsc::Receiver<thread::Result<RunResult>>, timeout: Duration) -> Attempt {
     let completed = |done: thread::Result<RunResult>| match done {
         Ok(result) => Attempt::Completed(result),
         Err(payload) => Attempt::Panicked(panic_message(payload.as_ref())),
@@ -543,7 +540,9 @@ mod tests {
             Attempt::Completed(result) => {
                 assert!(matches!(
                     result.outcome(),
-                    crate::RunOutcome::RoundCapExhausted { rounds_executed: 500 }
+                    crate::RunOutcome::RoundCapExhausted {
+                        rounds_executed: 500
+                    }
                 ));
             }
             Attempt::Panicked(_) | Attempt::TimedOut => {

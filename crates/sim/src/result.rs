@@ -302,14 +302,19 @@ mod tests {
         let resolved = RunResult::new(Some(5), 5, 4, 2, Some(3), 9, Trace::default());
         assert_eq!(
             resolved.outcome(),
-            RunOutcome::Resolved { round: 5, winner: Some(3) }
+            RunOutcome::Resolved {
+                round: 5,
+                winner: Some(3)
+            }
         );
         assert!(resolved.outcome().is_resolved());
 
         let capped = RunResult::new(None, 100, 10, 7, None, 0, Trace::default());
         assert_eq!(
             capped.outcome(),
-            RunOutcome::RoundCapExhausted { rounds_executed: 100 }
+            RunOutcome::RoundCapExhausted {
+                rounds_executed: 100
+            }
         );
         assert!(!capped.outcome().is_resolved());
     }

@@ -36,7 +36,10 @@ impl std::fmt::Display for SimError {
         match self {
             SimError::EmptyDeployment => write!(f, "deployment has no nodes"),
             SimError::NoActiveNodes => {
-                write!(f, "no protocol instance is active; the run can never resolve")
+                write!(
+                    f,
+                    "no protocol instance is active; the run can never resolve"
+                )
             }
             SimError::Fault(e) => write!(f, "fault plan rejected: {e}"),
         }
@@ -346,8 +349,11 @@ impl Simulation {
         // per-round perturbation is then a sum over active jammers.
         for jammer in plan.jammers() {
             for &pos in &self.positions {
-                self.jam_gains
-                    .push(self.channel.interferer_gain(jammer.position(), pos, jammer.power()));
+                self.jam_gains.push(self.channel.interferer_gain(
+                    jammer.position(),
+                    pos,
+                    jammer.power(),
+                ));
             }
         }
         self.jam_scratch = vec![0.0; n];
@@ -597,14 +603,8 @@ impl Simulation {
             node_rngs: self.node_rngs.iter().map(SmallRng::state).collect(),
             chan_rng: self.chan_rng.state(),
             fault_rng: self.fault_rng.state(),
-            self_check_samples: self
-                .self_check
-                .as_ref()
-                .map_or(0, |sc| sc.samples as u64),
-            self_check_rng: self
-                .self_check
-                .as_ref()
-                .map_or([0; 4], |sc| sc.rng.state()),
+            self_check_samples: self.self_check.as_ref().map_or(0, |sc| sc.samples as u64),
+            self_check_rng: self.self_check.as_ref().map_or([0; 4], |sc| sc.rng.state()),
             protocol_states: self.protocols.iter().map(|p| p.save_state()).collect(),
             churn_cursor: self.churn_cursor as u64,
             loss_in_burst: self.loss_in_burst,
@@ -966,13 +966,9 @@ impl Simulation {
                     );
                     self.counters.self_check_samples += 1;
                     let nonfinite = self.self_check_scratch.first().is_some_and(|b| {
-                        !b.signal.is_finite()
-                            || !b.interference.is_finite()
-                            || !b.noise.is_finite()
+                        !b.signal.is_finite() || !b.interference.is_finite() || !b.noise.is_finite()
                     });
-                    if expected.first() != Some(&receptions[idx])
-                        || nonfinite
-                        || (inject && s == 0)
+                    if expected.first() != Some(&receptions[idx]) || nonfinite || (inject && s == 0)
                     {
                         self.counters.self_check_violations += 1;
                         violated = true;
@@ -1454,8 +1450,7 @@ mod tests {
 
     #[test]
     fn fault_plan_rejects_out_of_range_churn() {
-        let plan =
-            FaultPlan::new().with_churn(crate::faults::ChurnEvent::crash(3, 999).unwrap());
+        let plan = FaultPlan::new().with_churn(crate::faults::ChurnEvent::crash(3, 999).unwrap());
         let err = knockout_sim_with(1, with_plan(plan, TraceLevel::None)).unwrap_err();
         assert!(matches!(
             err,
@@ -1509,7 +1504,10 @@ mod tests {
             let mut sim = knockout_sim_with(42, with_plan(plan, TraceLevel::None)).unwrap();
             sim.run_until_resolved(5_000)
         };
-        assert!(jammed.resolved(), "a budget-bounded jammer cannot block forever");
+        assert!(
+            jammed.resolved(),
+            "a budget-bounded jammer cannot block forever"
+        );
         assert!(
             jammed.resolved_at().unwrap() >= clean.resolved_at().unwrap(),
             "jamming should never speed up resolution on the same seed"
@@ -1696,11 +1694,18 @@ mod tests {
         assert!(sim.self_check_enabled());
         let checked = sim.run_until_resolved(5_000);
         let counters = sim.engine_counters();
-        assert!(counters.self_check_rounds > 0, "cached rounds must be audited");
+        assert!(
+            counters.self_check_rounds > 0,
+            "cached rounds must be audited"
+        );
         assert!(counters.self_check_samples >= counters.self_check_rounds);
         assert_eq!(counters.self_check_violations, 0);
         assert_eq!(counters.tier_demotions, 0);
-        assert_eq!(sim.tier(), EngineTier::GainCache, "no demotion on a healthy run");
+        assert_eq!(
+            sim.tier(),
+            EngineTier::GainCache,
+            "no demotion on a healthy run"
+        );
         assert_eq!(checked, clean, "auditing must not perturb the run");
     }
 
@@ -1811,7 +1816,10 @@ mod tests {
         let mut resumed = make();
         resumed.restore(&snap).unwrap();
         let result = resumed.run_until_resolved(5_000);
-        assert_eq!(result, uninterrupted, "mid-churn resume must be byte-identical");
+        assert_eq!(
+            result, uninterrupted,
+            "mid-churn resume must be byte-identical"
+        );
     }
 
     #[test]

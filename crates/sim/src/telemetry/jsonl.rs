@@ -465,7 +465,12 @@ impl<'a> Parser<'a> {
                     self.depth -= 1;
                     return Ok(JsonValue::Arr(items));
                 }
-                _ => return Err(parse_err(format!("expected ',' or ']' at byte {}", self.pos))),
+                _ => {
+                    return Err(parse_err(format!(
+                        "expected ',' or ']' at byte {}",
+                        self.pos
+                    )))
+                }
             }
         }
     }
@@ -497,7 +502,12 @@ impl<'a> Parser<'a> {
                     self.depth -= 1;
                     return Ok(JsonValue::Obj(fields));
                 }
-                _ => return Err(parse_err(format!("expected ',' or '}}' at byte {}", self.pos))),
+                _ => {
+                    return Err(parse_err(format!(
+                        "expected ',' or '}}' at byte {}",
+                        self.pos
+                    )))
+                }
             }
         }
     }
@@ -550,7 +560,9 @@ fn num_to_usize(n: f64, key: &str) -> Result<usize, JsonlError> {
     if n.fract() == 0.0 && (0.0..9.007_199_254_740_992e15).contains(&n) {
         Ok(n as usize)
     } else {
-        Err(parse_err(format!("key {key:?} is not a valid integer: {n}")))
+        Err(parse_err(format!(
+            "key {key:?} is not a valid integer: {n}"
+        )))
     }
 }
 
@@ -914,7 +926,9 @@ pub fn read_trial_blocks<R: BufRead>(r: R) -> Result<Vec<TrialBlock>, JsonlError
         let f = obj_fields(&v).map_err(|_| at("expected an object".into()))?;
         if f.iter().any(|(k, _)| k == "trial") {
             if expected > 0 {
-                return Err(at(format!("previous block short by {expected} event lines")));
+                return Err(at(format!(
+                    "previous block short by {expected} event lines"
+                )));
             }
             blocks.push(TrialBlock {
                 trial: get_u64(f, "trial").map_err(|e| remap(e, i + 1))?,
@@ -1229,7 +1243,11 @@ mod tests {
             "\"\\\u{1}\u{1f}\u{7f}é\n".to_string(),
         ] {
             let literal = format!("\"{}\"", json_escape(&s));
-            assert_eq!(parse_json(&literal).unwrap(), JsonValue::Str(s.clone()), "{literal}");
+            assert_eq!(
+                parse_json(&literal).unwrap(),
+                JsonValue::Str(s.clone()),
+                "{literal}"
+            );
         }
     }
 }

@@ -154,19 +154,28 @@ impl TelemetryDetail {
     /// Counts only — the cheapest level.
     #[must_use]
     pub fn counts() -> Self {
-        TelemetryDetail { ids: false, sinr: false }
+        TelemetryDetail {
+            ids: false,
+            sinr: false,
+        }
     }
 
     /// Counts plus id vectors.
     #[must_use]
     pub fn ids() -> Self {
-        TelemetryDetail { ids: true, sinr: false }
+        TelemetryDetail {
+            ids: true,
+            sinr: false,
+        }
     }
 
     /// Everything: counts, ids, and per-listener SINR breakdowns.
     #[must_use]
     pub fn full() -> Self {
-        TelemetryDetail { ids: true, sinr: true }
+        TelemetryDetail {
+            ids: true,
+            sinr: true,
+        }
     }
 }
 

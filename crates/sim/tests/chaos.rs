@@ -82,7 +82,11 @@ fn build_plan(
     for &((x, y), power_exp, start, period, burst_raw, budget_raw) in jammers {
         let power = 10f64.powf(power_exp);
         let burst_len = 1 + burst_raw % period;
-        let budget = if budget_raw == 0 { None } else { Some(budget_raw) };
+        let budget = if budget_raw == 0 {
+            None
+        } else {
+            Some(budget_raw)
+        };
         plan = plan.with_jammer(
             Jammer::new(Point::new(x, y), power, start, period, burst_len, budget)
                 .expect("mapped jammer parameters are valid"),
@@ -157,11 +161,17 @@ fn check_chaos_properties(make_channel: &(dyn Fn() -> Box<dyn Channel> + Sync), 
     for result in &reference {
         match result.outcome() {
             RunOutcome::Resolved { round, winner } => {
-                assert!((1..=ROUND_CAP).contains(&round), "round {round} out of range");
+                assert!(
+                    (1..=ROUND_CAP).contains(&round),
+                    "round {round} out of range"
+                );
                 assert!(winner.is_some(), "resolved runs must name a winner");
             }
             RunOutcome::RoundCapExhausted { rounds_executed } => {
-                assert_eq!(rounds_executed, ROUND_CAP, "cap exhaustion must run the full cap");
+                assert_eq!(
+                    rounds_executed, ROUND_CAP,
+                    "cap exhaustion must run the full cap"
+                );
             }
         }
     }
@@ -171,14 +181,8 @@ fn params() -> SinrParams {
     SinrParams::default_single_hop()
 }
 
-fn plan_strategy() -> impl Strategy<
-    Value = (
-        Vec<JammerSpec>,
-        Vec<BurstSpec>,
-        Vec<ChurnSpec>,
-        LossSpec,
-    ),
-> {
+fn plan_strategy(
+) -> impl Strategy<Value = (Vec<JammerSpec>, Vec<BurstSpec>, Vec<ChurnSpec>, LossSpec)> {
     (
         prop::collection::vec(
             (

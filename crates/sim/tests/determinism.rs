@@ -152,7 +152,12 @@ fn stress_plan() -> FaultPlan {
 }
 
 /// Like [`run_batch`], with the stress fault plan attached to every trial.
-fn run_faulted_batch<F>(make_channel: &F, cached: bool, threads: usize, trials: usize) -> Vec<RunResult>
+fn run_faulted_batch<F>(
+    make_channel: &F,
+    cached: bool,
+    threads: usize,
+    trials: usize,
+) -> Vec<RunResult>
 where
     F: Fn() -> Box<dyn Channel> + Sync,
 {
@@ -236,7 +241,11 @@ fn simulation_exposes_cache_state() {
         knockout_sim(deployment, Box::new(SinrChannel::new(params())), 7, config)
     };
     let sim = make(SimConfig::default());
-    assert_eq!(sim.tier(), EngineTier::GainCache, "SINR channel should build a cache");
+    assert_eq!(
+        sim.tier(),
+        EngineTier::GainCache,
+        "SINR channel should build a cache"
+    );
     match sim.engine() {
         ResolveEngine::GainCache(c) => assert_eq!(c.len(), 16),
         other => panic!("expected the gain cache, got {:?}", other.tier()),
@@ -296,7 +305,11 @@ fn rayleigh_bypasses_gain_cache_above_profitability_threshold() {
 
     // At and below the threshold the cache still wins and is kept.
     let small = make_sim(Box::new(RayleighSinrChannel::new(params())), 16);
-    assert_eq!(small.tier(), EngineTier::GainCache, "small Rayleigh should cache");
+    assert_eq!(
+        small.tier(),
+        EngineTier::GainCache,
+        "small Rayleigh should cache"
+    );
 
     // Above it the simulator must not even build the cache...
     let n = RAYLEIGH_CACHE_PROFITABLE_NODES + 1;
@@ -405,7 +418,11 @@ fn simulation_exposes_tile_tree_state() {
     // The gain cache is the default at this size; the tile tree is
     // built only when the tier is set.
     let sim = make(SimConfig::default());
-    assert_eq!(sim.tier(), EngineTier::GainCache, "cache tier should win at n=16");
+    assert_eq!(
+        sim.tier(),
+        EngineTier::GainCache,
+        "cache tier should win at n=16"
+    );
     let sim = make(pinned(EngineTier::Hierarchical, None));
     assert_eq!(tree(&sim).num_active(), 16);
     assert_eq!(sim.engine().stats().rounds, 0, "no rounds resolved yet");

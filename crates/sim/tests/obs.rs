@@ -496,11 +496,7 @@ proptest! {
 /// Values spanning the normal buckets, the overflow bucket (≥ 2^62), and
 /// the +∞ clamp path.
 fn overflow_heavy_value() -> impl Strategy<Value = f64> {
-    prop_oneof![
-        0.0_f64..1.0e12,
-        4.7e18_f64..8.0e21,
-        Just(f64::INFINITY),
-    ]
+    prop_oneof![0.0_f64..1.0e12, 4.7e18_f64..8.0e21, Just(f64::INFINITY),]
 }
 
 proptest! {

@@ -16,11 +16,11 @@ use fading_channel::{
     HIER_TILE_CHUNK,
 };
 use fading_geom::Deployment;
+use fading_geom::Point;
 use fading_sim::faults::{ChurnEvent, FaultPlan, GilbertElliott, Jammer, NoiseBurst};
 use fading_sim::{
     montecarlo, Action, Protocol, RunResult, SimConfig, Simulation, StealPool, TraceLevel,
 };
-use fading_geom::Point;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -238,7 +238,10 @@ fn adversarial_sleeps_cannot_leak_completion_order_into_results() {
             // range so the owner's queue drains slowly and thieves win.
             let jitter_ms = 3u64.saturating_sub((i as u64) % 4);
             std::thread::sleep(std::time::Duration::from_millis(jitter_ms));
-            slots[i].store((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15), Ordering::SeqCst);
+            slots[i].store(
+                (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                Ordering::SeqCst,
+            );
             order.lock().expect("no panics hold the lock").push(i);
         });
         let got: Vec<u64> = slots.iter().map(|s| s.load(Ordering::SeqCst)).collect();

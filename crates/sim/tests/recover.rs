@@ -115,8 +115,7 @@ fn build_sim_checked(seed: u64, tier: EngineTier, self_check: usize) -> Simulati
 /// result to equal the uninterrupted one — traces included.
 fn assert_resume_identical(label: &str, tier: EngineTier) {
     for seed in [3u64, 19, 71] {
-        let uninterrupted = build_sim(seed, tier)
-            .run_until_resolved(20_000);
+        let uninterrupted = build_sim(seed, tier).run_until_resolved(20_000);
 
         // Cut mid-churn: after round 7 the crash (round 6) has fired but
         // the revive (round 12) is pending, the jammer budget and the
@@ -129,7 +128,9 @@ fn assert_resume_identical(label: &str, tier: EngineTier) {
         let snap = SimSnapshot::from_bytes(&bytes).expect("snapshot codec round-trips");
 
         let mut resumed = build_sim(seed, tier);
-        resumed.restore(&snap).expect("snapshot fits the fresh twin");
+        resumed
+            .restore(&snap)
+            .expect("snapshot fits the fresh twin");
         let result = resumed.run_until_resolved(20_000);
         assert_eq!(
             result, uninterrupted,

@@ -12,7 +12,7 @@ use fading_geom::{Deployment, Point};
 use fading_sim::faults::{ChurnEvent, FaultPlan, GilbertElliott, Jammer, NoiseBurst};
 use fading_sim::telemetry::{jsonl, replay_active_sets, MetricsRegistry};
 use fading_sim::{
-    montecarlo, Action, EngineTier, MemorySink, NoopSink, NodeId, Protocol, Reception, RunResult,
+    montecarlo, Action, EngineTier, MemorySink, NodeId, NoopSink, Protocol, Reception, RunResult,
     SimConfig, Simulation, TelemetryDetail, Trace, TraceLevel, Tracer,
 };
 use rand::rngs::SmallRng;
@@ -199,7 +199,10 @@ fn montecarlo_telemetry_is_thread_invariant() {
     };
     let one = montecarlo::run_trials_with(8, 1, 300, trial);
     let eight = montecarlo::run_trials_with(8, 8, 300, trial);
-    assert_eq!(one, eight, "thread count must not affect results or event streams");
+    assert_eq!(
+        one, eight,
+        "thread count must not affect results or event streams"
+    );
 
     let plain = montecarlo::run_trials(8, 4, 300, |seed| {
         let deployment = Deployment::uniform_square(16, 10.0, seed);
@@ -207,7 +210,10 @@ fn montecarlo_telemetry_is_thread_invariant() {
         sim.run_until_resolved(5_000)
     });
     for ((with_sink, events), without_sink) in one.iter().zip(&plain) {
-        assert_eq!(with_sink, without_sink, "sink must not perturb Monte-Carlo trials");
+        assert_eq!(
+            with_sink, without_sink,
+            "sink must not perturb Monte-Carlo trials"
+        );
         assert_eq!(events.len() as u64, with_sink.rounds_executed());
     }
 }
@@ -216,7 +222,8 @@ fn montecarlo_telemetry_is_thread_invariant() {
 /// both as a flat stream and as tagged trial blocks.
 #[test]
 fn jsonl_files_round_trip_bit_exactly() {
-    let (result, sink) = run_matrix_cell("sinr", 7, true, Sink::Memory(TelemetryDetail::full()), true);
+    let (result, sink) =
+        run_matrix_cell("sinr", 7, true, Sink::Memory(TelemetryDetail::full()), true);
     let events = sink.unwrap().into_events();
     assert_eq!(events.len() as u64, result.rounds_executed());
     assert!(
@@ -225,7 +232,10 @@ fn jsonl_files_round_trip_bit_exactly() {
     );
 
     let dir = std::env::temp_dir();
-    let flat = dir.join(format!("fading-telemetry-{}-flat.jsonl", std::process::id()));
+    let flat = dir.join(format!(
+        "fading-telemetry-{}-flat.jsonl",
+        std::process::id()
+    ));
     jsonl::write_events_to_path(&flat, &events).unwrap();
     let back = jsonl::read_events_from_path(&flat).unwrap();
     assert_eq!(back, events, "flat stream must round-trip");
@@ -243,7 +253,10 @@ fn jsonl_files_round_trip_bit_exactly() {
             events: Vec::new(),
         },
     ];
-    let tagged = dir.join(format!("fading-telemetry-{}-blocks.jsonl", std::process::id()));
+    let tagged = dir.join(format!(
+        "fading-telemetry-{}-blocks.jsonl",
+        std::process::id()
+    ));
     jsonl::write_trial_blocks_to_path(&tagged, &blocks).unwrap();
     let back = jsonl::read_trial_blocks_from_path(&tagged).unwrap();
     assert_eq!(back, blocks, "trial blocks must round-trip");
@@ -340,7 +353,10 @@ fn active_before_unchanged_without_late_wake() {
         let (result, events) = run(faulted);
         assert_eq!(events.len(), result.trace().len());
         for (record, event) in result.trace().rounds().iter().zip(&events) {
-            assert_eq!(record.active_before, event.participants, "faulted={faulted}");
+            assert_eq!(
+                record.active_before, event.participants,
+                "faulted={faulted}"
+            );
             assert_eq!(
                 event.participants,
                 event.transmitters + event.listeners,
@@ -378,7 +394,11 @@ fn trace_cap_bounds_round_cap_exhausted_runs() {
     assert_eq!(result.trace().len(), 10, "recording must stop at the cap");
     assert!(result.trace().truncated());
     let rounds: Vec<u64> = result.trace().rounds().iter().map(|r| r.round).collect();
-    assert_eq!(rounds, (1..=10).collect::<Vec<u64>>(), "keep-first semantics");
+    assert_eq!(
+        rounds,
+        (1..=10).collect::<Vec<u64>>(),
+        "keep-first semantics"
+    );
 
     // Under the (documented) default cap nothing is truncated.
     assert_eq!(Trace::DEFAULT_RECORD_CAP, 65_536);
@@ -416,8 +436,13 @@ fn replay_matches_observed_active_sets() {
 fn event_stream_is_internally_consistent() {
     let (mut saw_noise, mut saw_jam, mut saw_churn) = (false, false, false);
     for seed in [13u64, 17, 23, 29, 31] {
-        let (result, sink) =
-            run_matrix_cell("sinr", seed, true, Sink::Memory(TelemetryDetail::full()), true);
+        let (result, sink) = run_matrix_cell(
+            "sinr",
+            seed,
+            true,
+            Sink::Memory(TelemetryDetail::full()),
+            true,
+        );
         let events = sink.unwrap().into_events();
         assert_eq!(events.len() as u64, result.rounds_executed());
         for (k, ev) in events.iter().enumerate() {
@@ -483,7 +508,10 @@ fn metrics_registry_agrees_with_run_result() {
     let metrics = metrics.unwrap();
     assert_eq!(metrics.rounds(), timed.rounds_executed());
     assert_eq!(metrics.transmissions(), timed.total_transmissions());
-    assert_eq!(metrics.knockouts_per_round().count(), timed.rounds_executed());
+    assert_eq!(
+        metrics.knockouts_per_round().count(),
+        timed.rounds_executed()
+    );
     assert!(
         metrics.interference().count() > 0,
         "full-detail sink routes SINR breakdowns into the interference histogram"
