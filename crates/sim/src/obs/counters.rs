@@ -90,10 +90,6 @@ pub struct EngineCounters {
     /// Whether a gain-cache engine was built for this simulation (its
     /// tier was chosen or set, and the size guard admitted it).
     pub gain_cache_built: bool,
-    /// Rounds in which a built cache was bypassed. Always 0: a
-    /// simulation holds one engine, so a built cache serves every round.
-    /// Kept so encoded counters keep their shape.
-    pub gain_cache_bypassed_rounds: u64,
     /// Rounds resolved under a non-neutral perturbation (jamming and/or
     /// noise scaling active).
     pub perturbed_rounds: u64,
@@ -171,7 +167,6 @@ impl EngineCounters {
         self.exact_rounds += other.exact_rounds;
         self.instrumented_rounds += other.instrumented_rounds;
         self.gain_cache_built |= other.gain_cache_built;
-        self.gain_cache_bypassed_rounds += other.gain_cache_bypassed_rounds;
         self.perturbed_rounds += other.perturbed_rounds;
         self.jammed_rounds += other.jammed_rounds;
         self.noise_scaled_rounds += other.noise_scaled_rounds;

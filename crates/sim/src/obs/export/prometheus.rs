@@ -111,11 +111,6 @@ pub fn counters_to_prometheus(c: &EngineCounters) -> String {
     );
     for (name, help, v) in [
         (
-            "fading_gain_cache_bypassed_rounds_total",
-            "Rounds that bypassed a built gain cache",
-            c.gain_cache_bypassed_rounds,
-        ),
-        (
             "fading_perturbed_rounds_total",
             "Rounds under a non-neutral perturbation",
             c.perturbed_rounds,
@@ -427,7 +422,6 @@ pub fn counters_from_prometheus(text: &str) -> Result<EngineCounters, ExportErro
         exact_rounds: route(ResolvePath::Exact)?,
         instrumented_rounds: route(ResolvePath::Instrumented)?,
         gain_cache_built: find_value(&s, "fading_gain_cache_built", &[])? != 0.0,
-        gain_cache_bypassed_rounds: plain("fading_gain_cache_bypassed_rounds_total")?,
         perturbed_rounds: plain("fading_perturbed_rounds_total")?,
         jammed_rounds: plain("fading_jammed_rounds_total")?,
         noise_scaled_rounds: plain("fading_noise_scaled_rounds_total")?,

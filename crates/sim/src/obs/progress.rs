@@ -13,7 +13,7 @@
 //! supervisor — it can never change a trial's outcome, and an observed
 //! run produces byte-identical [`RunResult`](crate::RunResult)s to an
 //! unobserved one (pinned by the `montecarlo` unit tests, the root
-//! package's `tests/trial_runner.rs` and the server's
+//! package's `tests/differential.rs` and the server's
 //! `tests/watch_determinism.rs`). Events are
 //! emitted from whichever worker thread supervises the trial, so a sink
 //! must be internally synchronized (`Send + Sync`); *ordering across

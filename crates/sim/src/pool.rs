@@ -21,9 +21,10 @@
 //!
 //! Scheduling decides only *which thread* runs a task, never what the task
 //! computes or where its output lands — the [`ChunkExecutor`] contract.
-//! The dedicated suite (`tests/parallel_determinism.rs`) drives this pool
-//! with adversarial per-task sleeps to prove completion order cannot leak
-//! into results.
+//! A unit test below drives this pool with adversarial per-task sleeps to
+//! show completion order cannot leak into results; the differential
+//! oracle (`tests/differential.rs`) runs whole simulations at 1, 2 and 8
+//! resolve threads against the serial exact scan.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -147,5 +148,31 @@ mod tests {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    }
+
+    /// Per-task sleeps derived from the task id scramble completion order
+    /// (early tasks sleep longest, so later ones finish first and get
+    /// claimed by other workers), yet each output lands in its own slot
+    /// and the gathered results are identical across pool widths:
+    /// completion order has no channel into results.
+    #[test]
+    fn adversarial_sleeps_cannot_leak_completion_order_into_results() {
+        const TASKS: usize = 64;
+        let value = |i: usize| (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        for threads in [1, 2, 8] {
+            let slots: Vec<std::sync::atomic::AtomicU64> =
+                (0..TASKS).map(|_| Default::default()).collect();
+            StealPool::new(threads).run(TASKS, &|i| {
+                let jitter_ms = 3u64.saturating_sub((i as u64) % 4);
+                std::thread::sleep(std::time::Duration::from_millis(jitter_ms));
+                slots[i].store(value(i), Ordering::SeqCst);
+            });
+            let got: Vec<u64> = slots.iter().map(|s| s.load(Ordering::SeqCst)).collect();
+            assert_eq!(
+                got,
+                (0..TASKS).map(value).collect::<Vec<_>>(),
+                "{threads} threads"
+            );
+        }
     }
 }

@@ -27,8 +27,9 @@ const MAGIC: [u8; 4] = *b"FSNP";
 /// Current snapshot format version. Bumped on any layout change; older
 /// readers reject newer snapshots with [`SnapshotError::VersionMismatch`].
 /// Version 4: the engine tier byte indexes the three-tier
-/// [`EngineTier::ALL`] (the flat far-field tier is gone).
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// [`EngineTier::ALL`] (the flat far-field tier is gone). Version 5: the
+/// counters drop `gain_cache_bypassed_rounds`, which nothing incremented.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Why a snapshot could not be encoded, decoded, or restored.
 #[derive(Debug)]
@@ -481,7 +482,6 @@ impl Writer {
         self.u64(c.exact_rounds);
         self.u64(c.instrumented_rounds);
         self.bool(c.gain_cache_built);
-        self.u64(c.gain_cache_bypassed_rounds);
         self.u64(c.perturbed_rounds);
         self.u64(c.jammed_rounds);
         self.u64(c.noise_scaled_rounds);
@@ -601,7 +601,6 @@ impl<'a> Reader<'a> {
             exact_rounds: self.u64()?,
             instrumented_rounds: self.u64()?,
             gain_cache_built: self.bool()?,
-            gain_cache_bypassed_rounds: self.u64()?,
             perturbed_rounds: self.u64()?,
             jammed_rounds: self.u64()?,
             noise_scaled_rounds: self.u64()?,

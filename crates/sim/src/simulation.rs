@@ -473,8 +473,10 @@ impl Simulation {
     /// The thread count never changes results: listener chunking is fixed
     /// (independent of `threads`), chunk outputs are merged in chunk
     /// order, and the per-chunk ladder counters are commutative sums — so
-    /// `threads ∈ {1, 8}` produce byte-identical [`RunResult`]s (proven
-    /// by `tests/parallel_determinism.rs`).
+    /// `threads ∈ {1, 2, 8}` produce byte-identical [`RunResult`]s and
+    /// snapshots (checked by the differential oracle,
+    /// `tests/differential.rs` at the repository root, on rounds split
+    /// across two chunks).
     pub fn set_resolve_threads(&mut self, threads: usize) {
         self.resolve_pool = StealPool::new(threads);
     }

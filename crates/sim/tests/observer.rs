@@ -66,15 +66,6 @@ fn observer_sees_every_round_plus_final_state() {
     }
 }
 
-#[test]
-fn observer_variant_matches_plain_run() {
-    let plain = sim(9).run_until_resolved(100_000);
-    let observed = sim(9).run_until_resolved_with(100_000, |_| {});
-    assert_eq!(plain.resolved_at(), observed.resolved_at());
-    assert_eq!(plain.winner(), observed.winner());
-    assert_eq!(plain.total_transmissions(), observed.total_transmissions());
-}
-
 /// A protocol that claims inactive from the start: the simulator must never
 /// schedule it, and a network of them simply never resolves.
 #[derive(Debug)]

@@ -1,19 +1,18 @@
-//! Telemetry integration suite: the determinism matrix (sink on/off ×
-//! cache on/off × threads 1/8, clean and faulted, across channel models),
-//! JSONL round-trips, the `active_before` late-wake regression, the trace
-//! record cap, and active-set replay.
+//! Telemetry integration suite: JSONL round-trips, the `active_before`
+//! late-wake regression, the trace record cap, active-set replay, event
+//! stream consistency and the metrics fold. That a sink never perturbs a
+//! run, at any thread count, is the differential oracle's
+//! (`tests/differential.rs`).
 
 use std::sync::Arc;
 
-use fading_channel::{
-    Channel, LossySinrChannel, RadioChannel, RayleighSinrChannel, SinrChannel, SinrParams,
-};
+use fading_channel::{Channel, RadioChannel, SinrChannel, SinrParams};
 use fading_geom::{Deployment, Point};
 use fading_sim::faults::{ChurnEvent, FaultPlan, GilbertElliott, Jammer, NoiseBurst};
 use fading_sim::telemetry::{jsonl, replay_active_sets, MetricsRegistry};
 use fading_sim::{
-    montecarlo, Action, EngineTier, MemorySink, NodeId, NoopSink, Protocol, Reception, RunResult,
-    SimConfig, Simulation, TelemetryDetail, Trace, TraceLevel, Tracer,
+    Action, EngineTier, MemorySink, NodeId, Protocol, Reception, RoundEvent, RunResult, SimConfig,
+    Simulation, TelemetryDetail, Trace, TraceLevel, Tracer,
 };
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -67,8 +66,6 @@ fn make_channel(name: &str) -> Box<dyn Channel> {
     let params = SinrParams::default_single_hop();
     match name {
         "sinr" => Box::new(SinrChannel::new(params)),
-        "rayleigh" => Box::new(RayleighSinrChannel::new(params)),
-        "lossy" => Box::new(LossySinrChannel::new(params, 0.3).unwrap()),
         "radio" => Box::new(RadioChannel::new()),
         other => panic!("unknown channel {other}"),
     }
@@ -119,112 +116,26 @@ fn faulted() -> SimConfig {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Sink {
-    None,
-    Noop,
-    Memory(TelemetryDetail),
-}
-
-fn run_matrix_cell(
-    channel: &str,
-    seed: u64,
-    cache_on: bool,
-    sink: Sink,
-    faulted: bool,
-) -> (RunResult, Option<MemorySink>) {
+/// A faulted full-trace SINR run with a full-detail sink: the result and
+/// its event stream.
+fn full_detail_run(seed: u64) -> (RunResult, Vec<RoundEvent>) {
     let deployment = Deployment::uniform_square(20, 12.0, seed);
     let config = SimConfig {
-        tier: Some(if cache_on {
-            EngineTier::GainCache
-        } else {
-            EngineTier::Exact
-        }),
         trace_level: TraceLevel::Full,
-        fault_plan: faulted.then(everything_plan),
-        ..SimConfig::default()
+        ..faulted()
     };
-    let mut sim = knockout_sim(deployment, make_channel(channel), seed, config);
-    match sink {
-        Sink::None => {}
-        Sink::Noop => sim.set_telemetry_sink(Box::new(NoopSink)),
-        Sink::Memory(detail) => sim.set_telemetry_sink(Box::new(MemorySink::new(detail))),
-    }
+    let mut sim = knockout_sim(deployment, make_channel("sinr"), seed, config);
+    sim.set_telemetry_sink(Box::new(MemorySink::new(TelemetryDetail::full())));
     let result = sim.run_until_resolved(5_000);
-    let recovered = sim.take_telemetry_sink().and_then(MemorySink::recover);
-    (result, recovered)
-}
-
-/// The core non-perturbation contract: for every channel model, fault
-/// setting, cache setting, and sink detail level, the `RunResult` is
-/// byte-identical to the sink-free cached baseline.
-#[test]
-fn telemetry_never_perturbs_any_channel_or_fault_setting() {
-    for channel in ["sinr", "rayleigh", "lossy", "radio"] {
-        for faulted in [false, true] {
-            let (baseline, _) = run_matrix_cell(channel, 42, true, Sink::None, faulted);
-            for cache_on in [true, false] {
-                for sink in [
-                    Sink::None,
-                    Sink::Noop,
-                    Sink::Memory(TelemetryDetail::counts()),
-                    Sink::Memory(TelemetryDetail::ids()),
-                    Sink::Memory(TelemetryDetail::full()),
-                ] {
-                    let (result, _) = run_matrix_cell(channel, 42, cache_on, sink, faulted);
-                    assert_eq!(
-                        result, baseline,
-                        "{channel} faulted={faulted} cache={cache_on} sink={sink:?}: \
-                         telemetry or cache setting perturbed the run"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Monte-Carlo with per-trial sinks: the merged (result, events) stream is
-/// identical across thread counts, and results match sink-free trials.
-#[test]
-fn montecarlo_telemetry_is_thread_invariant() {
-    let trial = |seed: u64| {
-        let deployment = Deployment::uniform_square(16, 10.0, seed);
-        let mut sim = knockout_sim(deployment, make_channel("sinr"), seed, faulted());
-        sim.set_telemetry_sink(Box::new(MemorySink::new(TelemetryDetail::full())));
-        let result = sim.run_until_resolved(5_000);
-        let events = MemorySink::recover(sim.take_telemetry_sink().unwrap())
-            .unwrap()
-            .into_events();
-        (result, events)
-    };
-    let one = montecarlo::run_trials_with(8, 1, 300, trial);
-    let eight = montecarlo::run_trials_with(8, 8, 300, trial);
-    assert_eq!(
-        one, eight,
-        "thread count must not affect results or event streams"
-    );
-
-    let plain = montecarlo::run_trials(8, 4, 300, |seed| {
-        let deployment = Deployment::uniform_square(16, 10.0, seed);
-        let mut sim = knockout_sim(deployment, make_channel("sinr"), seed, faulted());
-        sim.run_until_resolved(5_000)
-    });
-    for ((with_sink, events), without_sink) in one.iter().zip(&plain) {
-        assert_eq!(
-            with_sink, without_sink,
-            "sink must not perturb Monte-Carlo trials"
-        );
-        assert_eq!(events.len() as u64, with_sink.rounds_executed());
-    }
+    let sink = sim.take_telemetry_sink().and_then(MemorySink::recover);
+    (result, sink.expect("memory sink recovers").into_events())
 }
 
 /// Full-detail event streams survive a JSONL file round-trip bit-exactly,
 /// both as a flat stream and as tagged trial blocks.
 #[test]
 fn jsonl_files_round_trip_bit_exactly() {
-    let (result, sink) =
-        run_matrix_cell("sinr", 7, true, Sink::Memory(TelemetryDetail::full()), true);
-    let events = sink.unwrap().into_events();
+    let (result, events) = full_detail_run(7);
     assert_eq!(events.len() as u64, result.rounds_executed());
     assert!(
         events.iter().any(|e| !e.sinr.is_empty()),
@@ -436,14 +347,7 @@ fn replay_matches_observed_active_sets() {
 fn event_stream_is_internally_consistent() {
     let (mut saw_noise, mut saw_jam, mut saw_churn) = (false, false, false);
     for seed in [13u64, 17, 23, 29, 31] {
-        let (result, sink) = run_matrix_cell(
-            "sinr",
-            seed,
-            true,
-            Sink::Memory(TelemetryDetail::full()),
-            true,
-        );
-        let events = sink.unwrap().into_events();
+        let (result, events) = full_detail_run(seed);
         assert_eq!(events.len() as u64, result.rounds_executed());
         for (k, ev) in events.iter().enumerate() {
             assert_eq!(ev.round, k as u64 + 1, "rounds must be contiguous from 1");
