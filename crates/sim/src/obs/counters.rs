@@ -181,6 +181,43 @@ impl EngineCounters {
 }
 
 #[cfg(test)]
+impl EngineCounters {
+    /// A value with every field distinct and nonzero (the flag set), so a
+    /// codec that swaps, drops or duplicates a field changes its output.
+    pub(crate) fn distinct() -> Self {
+        EngineCounters {
+            rounds: 101,
+            farfield_rounds: 102,
+            hierarchical_rounds: 103,
+            gain_cache_rounds: 104,
+            exact_rounds: 105,
+            instrumented_rounds: 106,
+            gain_cache_built: true,
+            perturbed_rounds: 107,
+            jammed_rounds: 108,
+            noise_scaled_rounds: 109,
+            ge_dropped: 110,
+            churn_applied: 111,
+            self_check_rounds: 112,
+            self_check_samples: 113,
+            self_check_violations: 114,
+            tier_demotions: 115,
+            farfield: FarFieldStats {
+                rounds: 201,
+                empty_round_silences: 202,
+                nonfinite_fallbacks: 203,
+                noise_floor_silences: 204,
+                no_near_winner_fallbacks: 205,
+                far_rival_fallbacks: 206,
+                bracket_decisions: 207,
+                bracket_straddle_fallbacks: 208,
+                canonical_rescans: 209,
+            },
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

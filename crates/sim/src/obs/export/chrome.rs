@@ -160,6 +160,23 @@ mod tests {
     }
 
     #[test]
+    fn chrome_trace_golden_bytes() {
+        let spans = vec![
+            span(0, None, "step", 0, 0, 1500, 1_000_000_007),
+            span(1, Some(0), "resolve \"fast\"\n", 0, 1, 3, 999),
+            span(2, None, "worker", 5, 0, (1 << 53) - 2, (1 << 53) - 1),
+        ];
+        let golden = "[
+{\"name\":\"step\",\"cat\":\"sim\",\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":1.500,\"dur\":999998.507,\"args\":{\"id\":0,\"parent\":null,\"depth\":0,\"start_ns\":1500,\"end_ns\":1000000007}},
+{\"name\":\"resolve \\\"fast\\\"\\n\",\"cat\":\"sim\",\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":0.003,\"dur\":0.996,\"args\":{\"id\":1,\"parent\":0,\"depth\":1,\"start_ns\":3,\"end_ns\":999}},
+{\"name\":\"worker\",\"cat\":\"sim\",\"ph\":\"X\",\"pid\":1,\"tid\":5,\"ts\":9007199254740.990,\"dur\":0.001,\"args\":{\"id\":2,\"parent\":null,\"depth\":0,\"start_ns\":9007199254740990,\"end_ns\":9007199254740991}}
+]
+";
+        assert_eq!(spans_to_chrome_trace(&spans), golden);
+        assert_eq!(spans_to_chrome_trace(&[]), "[\n\n]\n");
+    }
+
+    #[test]
     fn round_trip_is_exact_including_odd_names() {
         let spans = vec![
             span(0, None, "step", 0, 0, 0, 1_000_000_007),

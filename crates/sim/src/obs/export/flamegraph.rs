@@ -124,6 +124,23 @@ mod tests {
     }
 
     #[test]
+    fn collapsed_golden_bytes() {
+        // Two `step` roots aggregate into one line; a name with a space
+        // stays whole and a `;` in a name becomes `:`.
+        let spans = vec![
+            span(0, None, "step", 0, 10),
+            span(1, None, "step", 20, 35),
+            span(2, Some(1), "act", 21, 25),
+            span(3, Some(1), "a b;c", 25, 32),
+        ];
+        assert_eq!(
+            spans_to_collapsed(&spans),
+            "step 14\nstep;a b:c 7\nstep;act 4\n"
+        );
+        assert_eq!(spans_to_collapsed(&[]), "");
+    }
+
+    #[test]
     fn repeated_stacks_aggregate_and_round_trip() {
         let spans = vec![
             span(0, None, "step", 0, 10),

@@ -512,6 +512,71 @@ mod tests {
         assert_eq!(line, 2);
     }
 
+    /// `counters_to_prometheus(&EngineCounters::distinct())`, byte for byte.
+    const GOLDEN_COUNTERS_SCRAPE: &str = "\
+# HELP fading_rounds_total Rounds stepped
+# TYPE fading_rounds_total counter
+fading_rounds_total 101.0
+# HELP fading_resolve_rounds_total Rounds served, by resolve tier
+# TYPE fading_resolve_rounds_total counter
+fading_resolve_rounds_total{engine=\"exact\"} 105.0
+fading_resolve_rounds_total{engine=\"gain_cache\"} 104.0
+fading_resolve_rounds_total{engine=\"farfield\"} 102.0
+fading_resolve_rounds_total{engine=\"hierarchical\"} 103.0
+fading_resolve_rounds_total{engine=\"instrumented\"} 106.0
+# HELP fading_gain_cache_built 1 when a gain cache was built for this deployment
+# TYPE fading_gain_cache_built gauge
+fading_gain_cache_built 1.0
+# HELP fading_perturbed_rounds_total Rounds under a non-neutral perturbation
+# TYPE fading_perturbed_rounds_total counter
+fading_perturbed_rounds_total 107.0
+# HELP fading_jammed_rounds_total Rounds with an active jammer
+# TYPE fading_jammed_rounds_total counter
+fading_jammed_rounds_total 108.0
+# HELP fading_noise_scaled_rounds_total Rounds with a noise-burst scale != 1
+# TYPE fading_noise_scaled_rounds_total counter
+fading_noise_scaled_rounds_total 109.0
+# HELP fading_ge_dropped_total Messages dropped by Gilbert-Elliott loss
+# TYPE fading_ge_dropped_total counter
+fading_ge_dropped_total 110.0
+# HELP fading_churn_applied_total Churn events applied
+# TYPE fading_churn_applied_total counter
+fading_churn_applied_total 111.0
+# HELP fading_self_check_rounds_total Rounds audited by the self-checking engines
+# TYPE fading_self_check_rounds_total counter
+fading_self_check_rounds_total 112.0
+# HELP fading_self_check_samples_total Listener samples re-resolved by the self-check
+# TYPE fading_self_check_samples_total counter
+fading_self_check_samples_total 113.0
+# HELP fading_self_check_violations_total Self-check samples that disagreed with the serving tier
+# TYPE fading_self_check_violations_total counter
+fading_self_check_violations_total 114.0
+# HELP fading_tier_demotions_total Engine tiers demoted after a self-check violation
+# TYPE fading_tier_demotions_total counter
+fading_tier_demotions_total 115.0
+# HELP fading_farfield_engine_rounds_total Rounds the far-field engine resolved
+# TYPE fading_farfield_engine_rounds_total counter
+fading_farfield_engine_rounds_total 201.0
+# HELP fading_farfield_canonical_rescans_total Exact fallbacks the bounded-kernel first pass could not settle
+# TYPE fading_farfield_canonical_rescans_total counter
+fading_farfield_canonical_rescans_total 209.0
+# HELP fading_farfield_decisions_total Far-field listener decisions, by ladder rung
+# TYPE fading_farfield_decisions_total counter
+fading_farfield_decisions_total{rung=\"empty_round_silence\"} 202.0
+fading_farfield_decisions_total{rung=\"nonfinite_fallback\"} 203.0
+fading_farfield_decisions_total{rung=\"noise_floor_silence\"} 204.0
+fading_farfield_decisions_total{rung=\"no_near_winner_fallback\"} 205.0
+fading_farfield_decisions_total{rung=\"far_rival_fallback\"} 206.0
+fading_farfield_decisions_total{rung=\"bracket_decision\"} 207.0
+fading_farfield_decisions_total{rung=\"bracket_straddle_fallback\"} 208.0
+";
+
+    #[test]
+    fn counters_scrape_golden_bytes() {
+        let text = counters_to_prometheus(&EngineCounters::distinct());
+        assert_eq!(text, GOLDEN_COUNTERS_SCRAPE);
+    }
+
     #[test]
     fn empty_histogram_round_trips() {
         let h = Histogram::new();

@@ -681,6 +681,33 @@ mod tests {
         assert_eq!(back, snap);
     }
 
+    /// The counters section — the run's counters, then the engine's ladder
+    /// stats — closes the payload, just before the 8-byte checksum.
+    #[test]
+    fn counters_section_golden_bytes() {
+        let mut snap = sample();
+        snap.counters = EngineCounters::distinct();
+        snap.engine_stats = FarFieldStats {
+            rounds: 301,
+            empty_round_silences: 302,
+            nonfinite_fallbacks: 303,
+            noise_floor_silences: 304,
+            no_near_winner_fallbacks: 305,
+            far_rival_fallbacks: 306,
+            bracket_decisions: 307,
+            bracket_straddle_fallbacks: 308,
+            canonical_rescans: 309,
+        };
+        let mut golden: Vec<u8> = (101u64..=106).flat_map(u64::to_le_bytes).collect();
+        golden.push(1);
+        golden.extend((107u64..=115).flat_map(u64::to_le_bytes));
+        golden.extend((201u64..=209).flat_map(u64::to_le_bytes));
+        golden.extend((301u64..=309).flat_map(u64::to_le_bytes));
+        let bytes = snap.to_bytes();
+        let end = bytes.len() - 8;
+        assert_eq!(&bytes[end - golden.len()..end], &golden[..]);
+    }
+
     #[test]
     fn corrupted_payload_fails_checksum() {
         let snap = sample();

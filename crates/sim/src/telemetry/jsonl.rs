@@ -1180,6 +1180,24 @@ mod tests {
     }
 
     #[test]
+    fn counters_line_golden_bytes() {
+        let line = counters_to_json(&EngineCounters::distinct());
+        let golden = "{\"rounds\":101,\"farfield_rounds\":102,\"hierarchical_rounds\":103,\
+             \"gain_cache_rounds\":104,\"exact_rounds\":105,\
+             \"instrumented_rounds\":106,\"gain_cache_built\":true,\
+             \"perturbed_rounds\":107,\"jammed_rounds\":108,\
+             \"noise_scaled_rounds\":109,\"ge_dropped\":110,\"churn_applied\":111,\
+             \"self_check_rounds\":112,\"self_check_samples\":113,\
+             \"self_check_violations\":114,\"tier_demotions\":115,\
+             \"ff_rounds\":201,\"ff_empty_round_silences\":202,\
+             \"ff_nonfinite_fallbacks\":203,\"ff_noise_floor_silences\":204,\
+             \"ff_no_near_winner_fallbacks\":205,\"ff_far_rival_fallbacks\":206,\
+             \"ff_bracket_decisions\":207,\"ff_bracket_straddle_fallbacks\":208,\
+             \"ff_canonical_rescans\":209}";
+        assert_eq!(line, golden);
+    }
+
+    #[test]
     fn counters_round_trip_exactly() {
         let c = sample_counters();
         let line = counters_to_json(&c);
