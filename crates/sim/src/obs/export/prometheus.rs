@@ -88,7 +88,13 @@ pub fn counters_to_prometheus(c: &EngineCounters) -> String {
         "counter",
         "Rounds served, by resolve tier",
     );
-    for p in ResolvePath::ALL {
+    for p in [
+        ResolvePath::FarField,
+        ResolvePath::Hierarchical,
+        ResolvePath::Cached,
+        ResolvePath::Exact,
+        ResolvePath::Instrumented,
+    ] {
         sample_line(
             &mut out,
             "fading_resolve_rounds_total",
@@ -160,11 +166,6 @@ pub fn counters_to_prometheus(c: &EngineCounters) -> String {
             "Rounds the far-field engine resolved",
             c.farfield.rounds,
         ),
-        (
-            "fading_farfield_canonical_rescans_total",
-            "Exact fallbacks the bounded-kernel first pass could not settle",
-            c.farfield.canonical_rescans,
-        ),
     ] {
         header(&mut out, name, "counter", help);
         sample_line(&mut out, name, &[], v as f64);
@@ -193,6 +194,18 @@ pub fn counters_to_prometheus(c: &EngineCounters) -> String {
             v as f64,
         );
     }
+    header(
+        &mut out,
+        "fading_farfield_canonical_rescans_total",
+        "counter",
+        "Exact fallbacks the bounded-kernel first pass could not settle",
+    );
+    sample_line(
+        &mut out,
+        "fading_farfield_canonical_rescans_total",
+        &[],
+        c.farfield.canonical_rescans as f64,
+    );
     out
 }
 
@@ -519,10 +532,10 @@ mod tests {
 fading_rounds_total 101.0
 # HELP fading_resolve_rounds_total Rounds served, by resolve tier
 # TYPE fading_resolve_rounds_total counter
-fading_resolve_rounds_total{engine=\"exact\"} 105.0
-fading_resolve_rounds_total{engine=\"gain_cache\"} 104.0
 fading_resolve_rounds_total{engine=\"farfield\"} 102.0
 fading_resolve_rounds_total{engine=\"hierarchical\"} 103.0
+fading_resolve_rounds_total{engine=\"gain_cache\"} 104.0
+fading_resolve_rounds_total{engine=\"exact\"} 105.0
 fading_resolve_rounds_total{engine=\"instrumented\"} 106.0
 # HELP fading_gain_cache_built 1 when a gain cache was built for this deployment
 # TYPE fading_gain_cache_built gauge
@@ -557,9 +570,6 @@ fading_tier_demotions_total 115.0
 # HELP fading_farfield_engine_rounds_total Rounds the far-field engine resolved
 # TYPE fading_farfield_engine_rounds_total counter
 fading_farfield_engine_rounds_total 201.0
-# HELP fading_farfield_canonical_rescans_total Exact fallbacks the bounded-kernel first pass could not settle
-# TYPE fading_farfield_canonical_rescans_total counter
-fading_farfield_canonical_rescans_total 209.0
 # HELP fading_farfield_decisions_total Far-field listener decisions, by ladder rung
 # TYPE fading_farfield_decisions_total counter
 fading_farfield_decisions_total{rung=\"empty_round_silence\"} 202.0
@@ -569,6 +579,9 @@ fading_farfield_decisions_total{rung=\"no_near_winner_fallback\"} 205.0
 fading_farfield_decisions_total{rung=\"far_rival_fallback\"} 206.0
 fading_farfield_decisions_total{rung=\"bracket_decision\"} 207.0
 fading_farfield_decisions_total{rung=\"bracket_straddle_fallback\"} 208.0
+# HELP fading_farfield_canonical_rescans_total Exact fallbacks the bounded-kernel first pass could not settle
+# TYPE fading_farfield_canonical_rescans_total counter
+fading_farfield_canonical_rescans_total 209.0
 ";
 
     #[test]
