@@ -11,8 +11,6 @@ use std::collections::HashMap;
 
 use crate::obs::SpanRecord;
 
-use super::ExportError;
-
 /// Aggregates spans into collapsed `(stack, self_ns)` pairs, sorted by
 /// stack for deterministic output. Frame separators inside span names are
 /// sanitized (`;` → `:`), since the format reserves them.
@@ -64,31 +62,6 @@ pub fn spans_to_collapsed(spans: &[SpanRecord]) -> String {
     out
 }
 
-/// Parses collapsed-stack text back into `(stack, value)` pairs (blank
-/// lines skipped, order preserved).
-///
-/// # Errors
-///
-/// Returns [`ExportError::Parse`] with a 1-based line number when a line
-/// has no value or a non-integer value.
-pub fn collapsed_from_text(text: &str) -> Result<Vec<(String, u64)>, ExportError> {
-    let mut out = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.trim_end();
-        if line.is_empty() {
-            continue;
-        }
-        let (stack, value) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| ExportError::at(i + 1, "line has no value field"))?;
-        let value = value
-            .parse::<u64>()
-            .map_err(|_| ExportError::at(i + 1, format!("bad value {value:?}")))?;
-        out.push((stack.to_string(), value));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,41 +111,5 @@ mod tests {
             "step 14\nstep;a b:c 7\nstep;act 4\n"
         );
         assert_eq!(spans_to_collapsed(&[]), "");
-    }
-
-    #[test]
-    fn repeated_stacks_aggregate_and_round_trip() {
-        let spans = vec![
-            span(0, None, "step", 0, 10),
-            span(1, None, "step", 20, 35),
-            span(2, Some(1), "act", 21, 25),
-        ];
-        let collapsed = collapse_spans(&spans);
-        assert_eq!(
-            collapsed,
-            vec![("step".to_string(), 21), ("step;act".to_string(), 4)]
-        );
-        let back = collapsed_from_text(&spans_to_collapsed(&spans)).unwrap();
-        assert_eq!(back, collapsed);
-    }
-
-    #[test]
-    fn semicolons_in_names_are_sanitized() {
-        let spans = vec![span(0, None, "a;b", 0, 5)];
-        assert_eq!(spans_to_collapsed(&spans), "a:b 5\n");
-    }
-
-    #[test]
-    fn parse_errors_carry_line_numbers() {
-        let err = collapsed_from_text("ok 5\nbroken\n").unwrap_err();
-        let ExportError::Parse { line, .. } = err;
-        assert_eq!(line, 2);
-        assert!(collapsed_from_text("bad notanumber\n").is_err());
-    }
-
-    #[test]
-    fn stack_names_with_spaces_parse_from_the_right() {
-        let pairs = collapsed_from_text("a b;c 7\n").unwrap();
-        assert_eq!(pairs, vec![("a b;c".to_string(), 7)]);
     }
 }

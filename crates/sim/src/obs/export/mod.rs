@@ -1,6 +1,5 @@
 //! Exporters for spans, counters, and histograms — three standard text
-//! formats, each paired with a parser so round-trips are tested, not
-//! assumed:
+//! formats, each pinned by golden-bytes tests of its exact output:
 //!
 //! * [`prometheus`] — Prometheus text exposition (counters as
 //!   `_total`-style samples, histograms with cumulative `le` buckets).
@@ -15,7 +14,8 @@ pub mod prometheus;
 
 use std::fmt;
 
-/// Errors from parsing an exported document back.
+/// Errors from parsing a Prometheus scrape
+/// ([`prometheus::parse_prometheus`]).
 #[derive(Debug)]
 pub enum ExportError {
     /// Malformed input; `line` is 1-based (0 = not tied to a line).

@@ -2,17 +2,15 @@
 //! comments, `name{label="value"} number` samples, histograms as
 //! cumulative `_bucket{le="…"}` series plus `_sum` / `_count`.
 //!
-//! The writer emits the subset Prometheus scrapes; the parser reads that
-//! subset back into [`PromSample`]s, and the typed reconstructors
-//! ([`counters_from_prometheus`], [`histogram_from_prometheus`]) invert
-//! the corresponding writers exactly — covered by round-trip tests in
-//! `crates/sim/tests/obs.rs`.
+//! The writer emits the subset Prometheus scrapes, and its output is
+//! pinned by golden-bytes tests. The parser reads that subset back into
+//! [`PromSample`]s, so a test (or a client) can look samples up by name
+//! and label.
 
 use std::fmt::Write as _;
 
-use crate::obs::{EngineCounters, ResolvePath};
+use crate::obs::{EngineCounters, COUNTERS};
 use crate::telemetry::{Histogram, MetricsRegistry, PHASE_SPANS};
-use fading_channel::FarFieldStats;
 
 use super::ExportError;
 
@@ -72,148 +70,31 @@ fn header(out: &mut String, name: &str, kind: &str, help: &str) {
     let _ = writeln!(out, "# TYPE {name} {kind}");
 }
 
-/// Renders one [`EngineCounters`] snapshot as a Prometheus scrape body.
-/// Route counters become one `fading_resolve_rounds_total` series labeled
-/// by `engine`; ladder counters one `fading_farfield_decisions_total`
-/// series labeled by `rung`.
+/// Renders one [`EngineCounters`] snapshot as a Prometheus scrape body,
+/// one sample per counter-table row. Route counters become one
+/// `fading_resolve_rounds_total` series labeled by `engine`; ladder
+/// counters one `fading_farfield_decisions_total` series labeled by
+/// `rung`; the `gain_cache_built` flag is a 0/1 gauge.
 #[must_use]
 pub fn counters_to_prometheus(c: &EngineCounters) -> String {
-    let mut out = String::with_capacity(2048);
-    header(&mut out, "fading_rounds_total", "counter", "Rounds stepped");
-    sample_line(&mut out, "fading_rounds_total", &[], c.rounds as f64);
-
-    header(
-        &mut out,
-        "fading_resolve_rounds_total",
-        "counter",
-        "Rounds served, by resolve tier",
-    );
-    for p in [
-        ResolvePath::FarField,
-        ResolvePath::Hierarchical,
-        ResolvePath::Cached,
-        ResolvePath::Exact,
-        ResolvePath::Instrumented,
-    ] {
-        sample_line(
-            &mut out,
-            "fading_resolve_rounds_total",
-            &[("engine", p.name())],
-            c.rounds_for(p) as f64,
-        );
+    let mut out = String::with_capacity(4096);
+    let mut family = "";
+    for row in &COUNTERS {
+        if row.family != family {
+            family = row.family;
+            let kind = if row.is_flag() { "gauge" } else { "counter" };
+            header(&mut out, family, kind, row.help);
+        }
+        sample_line(&mut out, family, row.label.as_slice(), row.get(c) as f64);
     }
-
-    header(
-        &mut out,
-        "fading_gain_cache_built",
-        "gauge",
-        "1 when a gain cache was built for this deployment",
-    );
-    sample_line(
-        &mut out,
-        "fading_gain_cache_built",
-        &[],
-        f64::from(u8::from(c.gain_cache_built)),
-    );
-    for (name, help, v) in [
-        (
-            "fading_perturbed_rounds_total",
-            "Rounds under a non-neutral perturbation",
-            c.perturbed_rounds,
-        ),
-        (
-            "fading_jammed_rounds_total",
-            "Rounds with an active jammer",
-            c.jammed_rounds,
-        ),
-        (
-            "fading_noise_scaled_rounds_total",
-            "Rounds with a noise-burst scale != 1",
-            c.noise_scaled_rounds,
-        ),
-        (
-            "fading_ge_dropped_total",
-            "Messages dropped by Gilbert-Elliott loss",
-            c.ge_dropped,
-        ),
-        (
-            "fading_churn_applied_total",
-            "Churn events applied",
-            c.churn_applied,
-        ),
-        (
-            "fading_self_check_rounds_total",
-            "Rounds audited by the self-checking engines",
-            c.self_check_rounds,
-        ),
-        (
-            "fading_self_check_samples_total",
-            "Listener samples re-resolved by the self-check",
-            c.self_check_samples,
-        ),
-        (
-            "fading_self_check_violations_total",
-            "Self-check samples that disagreed with the serving tier",
-            c.self_check_violations,
-        ),
-        (
-            "fading_tier_demotions_total",
-            "Engine tiers demoted after a self-check violation",
-            c.tier_demotions,
-        ),
-        (
-            "fading_farfield_engine_rounds_total",
-            "Rounds the far-field engine resolved",
-            c.farfield.rounds,
-        ),
-    ] {
-        header(&mut out, name, "counter", help);
-        sample_line(&mut out, name, &[], v as f64);
-    }
-
-    header(
-        &mut out,
-        "fading_farfield_decisions_total",
-        "counter",
-        "Far-field listener decisions, by ladder rung",
-    );
-    let f = &c.farfield;
-    for (rung, v) in [
-        ("empty_round_silence", f.empty_round_silences),
-        ("nonfinite_fallback", f.nonfinite_fallbacks),
-        ("noise_floor_silence", f.noise_floor_silences),
-        ("no_near_winner_fallback", f.no_near_winner_fallbacks),
-        ("far_rival_fallback", f.far_rival_fallbacks),
-        ("bracket_decision", f.bracket_decisions),
-        ("bracket_straddle_fallback", f.bracket_straddle_fallbacks),
-    ] {
-        sample_line(
-            &mut out,
-            "fading_farfield_decisions_total",
-            &[("rung", rung)],
-            v as f64,
-        );
-    }
-    header(
-        &mut out,
-        "fading_farfield_canonical_rescans_total",
-        "counter",
-        "Exact fallbacks the bounded-kernel first pass could not settle",
-    );
-    sample_line(
-        &mut out,
-        "fading_farfield_canonical_rescans_total",
-        &[],
-        c.farfield.canonical_rescans as f64,
-    );
     out
 }
 
 /// Renders one [`Histogram`] in Prometheus histogram convention:
 /// cumulative `_bucket{le="…"}` lines (bucket `k`'s upper edge is `2^k`;
 /// the overflow bucket is `+Inf`), then `_sum` and `_count`, plus
-/// non-standard `_min` / `_max` gauges so the exact extrema survive the
-/// round trip.
+/// non-standard `_min` / `_max` gauges so the scrape carries the exact
+/// extrema.
 #[must_use]
 pub fn histogram_to_prometheus(name: &str, help: &str, h: &Histogram) -> String {
     let mut out = String::with_capacity(4096);
@@ -388,121 +269,6 @@ fn parse_labels(body: &str) -> Result<Vec<(String, String)>, String> {
     Ok(labels)
 }
 
-fn find_value(
-    samples: &[PromSample],
-    name: &str,
-    labels: &[(&str, &str)],
-) -> Result<f64, ExportError> {
-    samples
-        .iter()
-        .find(|s| s.name == name && labels.iter().all(|(k, v)| s.label(k) == Some(*v)))
-        .map(|s| s.value)
-        .ok_or_else(|| ExportError::at(0, format!("missing sample {name} {labels:?}")))
-}
-
-fn as_u64(v: f64, what: &str) -> Result<u64, ExportError> {
-    if v.fract() == 0.0 && (0.0..9.007_199_254_740_992e15).contains(&v) {
-        Ok(v as u64)
-    } else {
-        Err(ExportError::at(
-            0,
-            format!("{what} is not a counter value: {v}"),
-        ))
-    }
-}
-
-/// Reconstructs an [`EngineCounters`] from a scrape written by
-/// [`counters_to_prometheus`] — the exact inverse.
-///
-/// # Errors
-///
-/// Returns [`ExportError::Parse`] on malformed text or missing samples.
-pub fn counters_from_prometheus(text: &str) -> Result<EngineCounters, ExportError> {
-    let s = parse_prometheus(text)?;
-    let route = |p: ResolvePath| {
-        find_value(&s, "fading_resolve_rounds_total", &[("engine", p.name())])
-            .and_then(|v| as_u64(v, p.name()))
-    };
-    let plain = |name: &str| find_value(&s, name, &[]).and_then(|v| as_u64(v, name));
-    let rung = |r: &str| {
-        find_value(&s, "fading_farfield_decisions_total", &[("rung", r)]).and_then(|v| as_u64(v, r))
-    };
-    Ok(EngineCounters {
-        rounds: plain("fading_rounds_total")?,
-        farfield_rounds: route(ResolvePath::FarField)?,
-        hierarchical_rounds: route(ResolvePath::Hierarchical)?,
-        gain_cache_rounds: route(ResolvePath::Cached)?,
-        exact_rounds: route(ResolvePath::Exact)?,
-        instrumented_rounds: route(ResolvePath::Instrumented)?,
-        gain_cache_built: find_value(&s, "fading_gain_cache_built", &[])? != 0.0,
-        perturbed_rounds: plain("fading_perturbed_rounds_total")?,
-        jammed_rounds: plain("fading_jammed_rounds_total")?,
-        noise_scaled_rounds: plain("fading_noise_scaled_rounds_total")?,
-        ge_dropped: plain("fading_ge_dropped_total")?,
-        churn_applied: plain("fading_churn_applied_total")?,
-        self_check_rounds: plain("fading_self_check_rounds_total")?,
-        self_check_samples: plain("fading_self_check_samples_total")?,
-        self_check_violations: plain("fading_self_check_violations_total")?,
-        tier_demotions: plain("fading_tier_demotions_total")?,
-        farfield: FarFieldStats {
-            rounds: plain("fading_farfield_engine_rounds_total")?,
-            empty_round_silences: rung("empty_round_silence")?,
-            nonfinite_fallbacks: rung("nonfinite_fallback")?,
-            noise_floor_silences: rung("noise_floor_silence")?,
-            no_near_winner_fallbacks: rung("no_near_winner_fallback")?,
-            far_rival_fallbacks: rung("far_rival_fallback")?,
-            bracket_decisions: rung("bracket_decision")?,
-            bracket_straddle_fallbacks: rung("bracket_straddle_fallback")?,
-            canonical_rescans: plain("fading_farfield_canonical_rescans_total")?,
-        },
-    })
-}
-
-/// Reconstructs a [`Histogram`] from a scrape written by
-/// [`histogram_to_prometheus`] under the same `name` — the exact inverse
-/// (cumulative buckets differenced back, extrema from `_min`/`_max`).
-///
-/// # Errors
-///
-/// Returns [`ExportError::Parse`] on malformed text, missing series, or
-/// bucket counts that are not cumulative.
-pub fn histogram_from_prometheus(text: &str, name: &str) -> Result<Histogram, ExportError> {
-    let samples = parse_prometheus(text)?;
-    let bucket_name = format!("{name}_bucket");
-    let mut buckets = [0u64; Histogram::NUM_BUCKETS];
-    let mut prev = 0u64;
-    let mut seen = 0usize;
-    for s in samples.iter().filter(|s| s.name == bucket_name) {
-        if seen >= Histogram::NUM_BUCKETS {
-            return Err(ExportError::at(0, format!("too many buckets for {name}")));
-        }
-        let cumulative = as_u64(s.value, &bucket_name)?;
-        let count = cumulative.checked_sub(prev).ok_or_else(|| {
-            ExportError::at(0, format!("non-cumulative bucket counts for {name}"))
-        })?;
-        buckets[seen] = count;
-        prev = cumulative;
-        seen += 1;
-    }
-    if seen != Histogram::NUM_BUCKETS {
-        return Err(ExportError::at(
-            0,
-            format!(
-                "expected {} buckets for {name}, found {seen}",
-                Histogram::NUM_BUCKETS
-            ),
-        ));
-    }
-    let count = as_u64(
-        find_value(&samples, &format!("{name}_count"), &[])?,
-        "count",
-    )?;
-    let sum = find_value(&samples, &format!("{name}_sum"), &[])?;
-    let min = find_value(&samples, &format!("{name}_min"), &[])?;
-    let max = find_value(&samples, &format!("{name}_max"), &[])?;
-    Ok(Histogram::from_parts(buckets, count, sum, min, max))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -588,12 +354,5 @@ fading_farfield_canonical_rescans_total 209.0
     fn counters_scrape_golden_bytes() {
         let text = counters_to_prometheus(&EngineCounters::distinct());
         assert_eq!(text, GOLDEN_COUNTERS_SCRAPE);
-    }
-
-    #[test]
-    fn empty_histogram_round_trips() {
-        let h = Histogram::new();
-        let text = histogram_to_prometheus("t", "help", &h);
-        assert_eq!(histogram_from_prometheus(&text, "t").unwrap(), h);
     }
 }

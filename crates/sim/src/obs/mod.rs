@@ -18,8 +18,8 @@
 //!   [`telemetry::jsonl`](crate::telemetry::jsonl).
 //! * [`export`] — Prometheus text exposition, Chrome trace-event JSON
 //!   (loadable in `chrome://tracing` / [Perfetto](https://ui.perfetto.dev)),
-//!   and collapsed-stack flamegraph text. Every format has a parser, so
-//!   round-trips are tested rather than assumed.
+//!   and collapsed-stack flamegraph text, each pinned by golden-bytes
+//!   tests.
 //!
 //! * [`progress`] — typed supervised-trial progress events
 //!   ([`ProgressEvent`]) delivered to a [`ProgressSink`] by the observed
@@ -42,6 +42,7 @@ pub mod progress;
 pub mod timeseries;
 mod tracer;
 
+pub(crate) use counters::COUNTERS;
 pub use counters::{EngineCounters, ResolvePath};
 pub use progress::{MemoryProgress, NoopProgress, ProgressEvent, ProgressSink};
 pub use timeseries::{Rates, TimeSeries, TsFrame, TsSample};

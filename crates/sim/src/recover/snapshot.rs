@@ -16,6 +16,7 @@
 use std::io::Write as _;
 use std::path::Path;
 
+use crate::obs::COUNTERS;
 use crate::protocol::ProtocolStateError;
 use crate::result::RoundRecord;
 use crate::EngineCounters;
@@ -463,36 +464,39 @@ impl Writer {
             self.u64(w);
         }
     }
+    /// The ladder rows of the counter table, in table order.
     fn stats(&mut self, s: &FarFieldStats) {
-        self.u64(s.rounds);
-        self.u64(s.empty_round_silences);
-        self.u64(s.nonfinite_fallbacks);
-        self.u64(s.noise_floor_silences);
-        self.u64(s.no_near_winner_fallbacks);
-        self.u64(s.far_rival_fallbacks);
-        self.u64(s.bracket_decisions);
-        self.u64(s.bracket_straddle_fallbacks);
-        self.u64(s.canonical_rescans);
+        let c = EngineCounters {
+            farfield: *s,
+            ..EngineCounters::default()
+        };
+        for row in COUNTERS.iter().filter(|row| row.is_ladder()) {
+            self.u64(row.get(&c));
+        }
     }
+    /// Every counter-table row, in table order.
     fn counters(&mut self, c: &EngineCounters) {
-        self.u64(c.rounds);
-        self.u64(c.farfield_rounds);
-        self.u64(c.hierarchical_rounds);
-        self.u64(c.gain_cache_rounds);
-        self.u64(c.exact_rounds);
-        self.u64(c.instrumented_rounds);
-        self.bool(c.gain_cache_built);
-        self.u64(c.perturbed_rounds);
-        self.u64(c.jammed_rounds);
-        self.u64(c.noise_scaled_rounds);
-        self.u64(c.ge_dropped);
-        self.u64(c.churn_applied);
-        self.u64(c.self_check_rounds);
-        self.u64(c.self_check_samples);
-        self.u64(c.self_check_violations);
-        self.u64(c.tier_demotions);
-        self.stats(&c.farfield);
+        for row in &COUNTERS {
+            if row.is_flag() {
+                self.bool(row.get(c) != 0);
+            } else {
+                self.u64(row.get(c));
+            }
+        }
     }
+}
+
+/// `c` through the snapshot's counters codec and, for its ladder stats,
+/// the engine-stats codec: written, then read back.
+#[cfg(test)]
+pub(crate) fn counters_round_trip(c: &EngineCounters) -> (EngineCounters, FarFieldStats) {
+    let mut w = Writer::default();
+    w.counters(c);
+    w.stats(&c.farfield);
+    let mut r = Reader::new(&w.buf);
+    let back = (r.counters().unwrap(), r.stats().unwrap());
+    r.finish().unwrap();
+    back
 }
 
 /// Checked little-endian reader over the payload.
@@ -579,39 +583,24 @@ impl<'a> Reader<'a> {
     }
 
     fn stats(&mut self) -> Result<FarFieldStats, SnapshotError> {
-        Ok(FarFieldStats {
-            rounds: self.u64()?,
-            empty_round_silences: self.u64()?,
-            nonfinite_fallbacks: self.u64()?,
-            noise_floor_silences: self.u64()?,
-            no_near_winner_fallbacks: self.u64()?,
-            far_rival_fallbacks: self.u64()?,
-            bracket_decisions: self.u64()?,
-            bracket_straddle_fallbacks: self.u64()?,
-            canonical_rescans: self.u64()?,
-        })
+        let mut c = EngineCounters::default();
+        for row in COUNTERS.iter().filter(|row| row.is_ladder()) {
+            row.set(&mut c, self.u64()?);
+        }
+        Ok(c.farfield)
     }
 
     fn counters(&mut self) -> Result<EngineCounters, SnapshotError> {
-        Ok(EngineCounters {
-            rounds: self.u64()?,
-            farfield_rounds: self.u64()?,
-            hierarchical_rounds: self.u64()?,
-            gain_cache_rounds: self.u64()?,
-            exact_rounds: self.u64()?,
-            instrumented_rounds: self.u64()?,
-            gain_cache_built: self.bool()?,
-            perturbed_rounds: self.u64()?,
-            jammed_rounds: self.u64()?,
-            noise_scaled_rounds: self.u64()?,
-            ge_dropped: self.u64()?,
-            churn_applied: self.u64()?,
-            self_check_rounds: self.u64()?,
-            self_check_samples: self.u64()?,
-            self_check_violations: self.u64()?,
-            tier_demotions: self.u64()?,
-            farfield: self.stats()?,
-        })
+        let mut c = EngineCounters::default();
+        for row in &COUNTERS {
+            let v = if row.is_flag() {
+                u64::from(self.bool()?)
+            } else {
+                self.u64()?
+            };
+            row.set(&mut c, v);
+        }
+        Ok(c)
     }
 
     fn finish(&self) -> Result<(), SnapshotError> {

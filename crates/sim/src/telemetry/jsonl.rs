@@ -29,9 +29,9 @@ use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
-use fading_channel::{FarFieldStats, NodeId, SinrBreakdown};
+use fading_channel::{NodeId, SinrBreakdown};
 
-use crate::obs::{EngineCounters, ResolvePath};
+use crate::obs::{EngineCounters, ResolvePath, COUNTERS};
 
 use super::RoundEvent;
 
@@ -682,52 +682,22 @@ pub fn event_from_json(line: &str) -> Result<RoundEvent, JsonlError> {
 // ---------------------------------------------------------------------------
 
 /// Serializes one [`EngineCounters`] snapshot as a single JSON line (no
-/// trailing newline). Far-field ladder counters are flattened under `ff_*`
-/// keys so the line stays greppable.
+/// trailing newline), one key per counter-table row. Far-field ladder
+/// counters are flattened under `ff_*` keys so the line stays greppable.
 #[must_use]
 pub fn counters_to_json(c: &EngineCounters) -> String {
     use fmt::Write as _;
-    let f = &c.farfield;
-    let mut s = String::with_capacity(512);
-    let _ = write!(
-        s,
-        "{{\"rounds\":{},\"farfield_rounds\":{},\"hierarchical_rounds\":{},\
-         \"gain_cache_rounds\":{},\"exact_rounds\":{},\
-         \"instrumented_rounds\":{},\"gain_cache_built\":{},\
-         \"perturbed_rounds\":{},\"jammed_rounds\":{},\"noise_scaled_rounds\":{},\
-         \"ge_dropped\":{},\"churn_applied\":{},\"self_check_rounds\":{},\
-         \"self_check_samples\":{},\"self_check_violations\":{},\"tier_demotions\":{},\
-         \"ff_rounds\":{},\"ff_empty_round_silences\":{},\
-         \"ff_nonfinite_fallbacks\":{},\"ff_noise_floor_silences\":{},\
-         \"ff_no_near_winner_fallbacks\":{},\"ff_far_rival_fallbacks\":{},\
-         \"ff_bracket_decisions\":{},\"ff_bracket_straddle_fallbacks\":{},\
-         \"ff_canonical_rescans\":{}}}",
-        c.rounds,
-        c.farfield_rounds,
-        c.hierarchical_rounds,
-        c.gain_cache_rounds,
-        c.exact_rounds,
-        c.instrumented_rounds,
-        c.gain_cache_built,
-        c.perturbed_rounds,
-        c.jammed_rounds,
-        c.noise_scaled_rounds,
-        c.ge_dropped,
-        c.churn_applied,
-        c.self_check_rounds,
-        c.self_check_samples,
-        c.self_check_violations,
-        c.tier_demotions,
-        f.rounds,
-        f.empty_round_silences,
-        f.nonfinite_fallbacks,
-        f.noise_floor_silences,
-        f.no_near_winner_fallbacks,
-        f.far_rival_fallbacks,
-        f.bracket_decisions,
-        f.bracket_straddle_fallbacks,
-        f.canonical_rescans,
-    );
+    let mut s = String::with_capacity(COUNTERS.len() * 32);
+    for (i, row) in COUNTERS.iter().enumerate() {
+        s.push(if i == 0 { '{' } else { ',' });
+        let v = row.get(c);
+        if row.is_flag() {
+            let _ = write!(s, "\"{}\":{}", row.key, v != 0);
+        } else {
+            let _ = write!(s, "\"{}\":{v}", row.key);
+        }
+    }
+    s.push('}');
     s
 }
 
@@ -741,35 +711,16 @@ pub fn counters_to_json(c: &EngineCounters) -> String {
 pub fn counters_from_json(line: &str) -> Result<EngineCounters, JsonlError> {
     let v = parse_json(line)?;
     let f = obj_fields(&v)?;
-    Ok(EngineCounters {
-        rounds: get_u64(f, "rounds")?,
-        farfield_rounds: get_u64(f, "farfield_rounds")?,
-        hierarchical_rounds: get_u64(f, "hierarchical_rounds")?,
-        gain_cache_rounds: get_u64(f, "gain_cache_rounds")?,
-        exact_rounds: get_u64(f, "exact_rounds")?,
-        instrumented_rounds: get_u64(f, "instrumented_rounds")?,
-        gain_cache_built: get_bool(f, "gain_cache_built")?,
-        perturbed_rounds: get_u64(f, "perturbed_rounds")?,
-        jammed_rounds: get_u64(f, "jammed_rounds")?,
-        noise_scaled_rounds: get_u64(f, "noise_scaled_rounds")?,
-        ge_dropped: get_u64(f, "ge_dropped")?,
-        churn_applied: get_u64(f, "churn_applied")?,
-        self_check_rounds: get_u64(f, "self_check_rounds")?,
-        self_check_samples: get_u64(f, "self_check_samples")?,
-        self_check_violations: get_u64(f, "self_check_violations")?,
-        tier_demotions: get_u64(f, "tier_demotions")?,
-        farfield: FarFieldStats {
-            rounds: get_u64(f, "ff_rounds")?,
-            empty_round_silences: get_u64(f, "ff_empty_round_silences")?,
-            nonfinite_fallbacks: get_u64(f, "ff_nonfinite_fallbacks")?,
-            noise_floor_silences: get_u64(f, "ff_noise_floor_silences")?,
-            no_near_winner_fallbacks: get_u64(f, "ff_no_near_winner_fallbacks")?,
-            far_rival_fallbacks: get_u64(f, "ff_far_rival_fallbacks")?,
-            bracket_decisions: get_u64(f, "ff_bracket_decisions")?,
-            bracket_straddle_fallbacks: get_u64(f, "ff_bracket_straddle_fallbacks")?,
-            canonical_rescans: get_u64(f, "ff_canonical_rescans")?,
-        },
-    })
+    let mut c = EngineCounters::default();
+    for row in &COUNTERS {
+        let v = if row.is_flag() {
+            u64::from(get_bool(f, row.key)?)
+        } else {
+            get_u64(f, row.key)?
+        };
+        row.set(&mut c, v);
+    }
+    Ok(c)
 }
 
 /// Writes counters snapshots (one per line, e.g. one per trial) to a file
@@ -1147,38 +1098,6 @@ mod tests {
         assert_eq!(breakdown_from_json(&breakdown_to_json(&b)).unwrap(), b);
     }
 
-    fn sample_counters() -> EngineCounters {
-        EngineCounters {
-            rounds: 100,
-            farfield_rounds: 45,
-            hierarchical_rounds: 15,
-            gain_cache_rounds: 30,
-            exact_rounds: 8,
-            instrumented_rounds: 2,
-            gain_cache_built: true,
-            perturbed_rounds: 12,
-            jammed_rounds: 9,
-            noise_scaled_rounds: 7,
-            ge_dropped: 3,
-            churn_applied: 2,
-            self_check_rounds: 25,
-            self_check_samples: 50,
-            self_check_violations: 1,
-            tier_demotions: 1,
-            farfield: FarFieldStats {
-                rounds: 60,
-                empty_round_silences: 11,
-                nonfinite_fallbacks: 1,
-                noise_floor_silences: 200,
-                no_near_winner_fallbacks: 13,
-                far_rival_fallbacks: 17,
-                bracket_decisions: 4000,
-                bracket_straddle_fallbacks: 19,
-                canonical_rescans: 7,
-            },
-        }
-    }
-
     #[test]
     fn counters_line_golden_bytes() {
         let line = counters_to_json(&EngineCounters::distinct());
@@ -1198,22 +1117,14 @@ mod tests {
     }
 
     #[test]
-    fn counters_round_trip_exactly() {
-        let c = sample_counters();
-        let line = counters_to_json(&c);
-        assert!(!line.contains('\n'));
-        assert_eq!(counters_from_json(&line).unwrap(), c);
-        // Default (all-zero) counters round-trip too.
-        let zero = EngineCounters::default();
-        assert_eq!(counters_from_json(&counters_to_json(&zero)).unwrap(), zero);
-    }
-
-    #[test]
     fn counters_unknown_keys_ignored_missing_keys_error() {
-        let line = counters_to_json(&sample_counters());
+        let line = counters_to_json(&EngineCounters::distinct());
         let extended = format!("{}{}", &line[..line.len() - 1], ",\"future\":1}");
-        assert_eq!(counters_from_json(&extended).unwrap(), sample_counters());
-        let truncated = line.replace("\"ff_bracket_decisions\":4000,", "");
+        assert_eq!(
+            counters_from_json(&extended).unwrap(),
+            EngineCounters::distinct()
+        );
+        let truncated = line.replace("\"ff_bracket_decisions\":207,", "");
         let err = counters_from_json(&truncated).unwrap_err();
         assert!(err.to_string().contains("ff_bracket_decisions"), "{err}");
     }
@@ -1223,7 +1134,7 @@ mod tests {
         let dir = std::env::temp_dir().join("fading-jsonl-counters-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("engine_counters.jsonl");
-        let all = vec![sample_counters(), EngineCounters::default()];
+        let all = vec![EngineCounters::distinct(), EngineCounters::default()];
         write_counters_to_path(&path, &all).unwrap();
         assert_eq!(read_counters_from_path(&path).unwrap(), all);
         std::fs::write(&path, "{}\n").unwrap();

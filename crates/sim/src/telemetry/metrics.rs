@@ -180,26 +180,6 @@ impl Histogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// Reassembles a histogram from its serialized parts (the inverse of
-    /// reading `bucket_counts`/`count`/`sum`/`min`/`max`). Used by the
-    /// exporter parse-back paths; the parts are trusted to be mutually
-    /// consistent.
-    pub(crate) fn from_parts(
-        buckets: [u64; Histogram::NUM_BUCKETS],
-        count: u64,
-        sum: f64,
-        min: f64,
-        max: f64,
-    ) -> Self {
-        Histogram {
-            buckets,
-            count,
-            sum,
-            min,
-            max,
-        }
-    }
 }
 
 impl Default for Histogram {

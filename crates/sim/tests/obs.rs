@@ -1,6 +1,6 @@
 //! Observability integration suite: span nesting under panics and
-//! out-of-order guard drops, exporter round-trips fed by a *real* traced
-//! simulation run, engine counters on live runs, Monte-Carlo metrics
+//! out-of-order guard drops, exporters fed by a *real* traced simulation
+//! run, engine counters on live runs, Monte-Carlo metrics
 //! merging, and a property test pinning `Histogram::merge` to
 //! concatenated recording. Route-counter reconciliation and the
 //! tracer-attachment non-perturbation contract run in every cell of the
@@ -191,7 +191,7 @@ fn traced_run() -> Arc<Tracer> {
 }
 
 #[test]
-fn real_run_spans_nest_step_phases_and_round_trip_through_chrome_trace() {
+fn real_run_spans_nest_step_phases_into_one_chrome_event_each() {
     let tracer = traced_run();
     let spans = tracer.finished_spans();
     assert_eq!(tracer.open_spans(), 0, "run left spans open");
@@ -211,13 +211,12 @@ fn real_run_spans_nest_step_phases_and_round_trip_through_chrome_trace() {
     // The n=20 SINR sim serves rounds through the gain cache, and the tier
     // span says so.
     assert!(spans.iter().any(|s| s.name == "resolve.gain_cache"));
-    // Chrome trace round trip is bit-exact on the real spans.
-    let back = chrome::spans_from_chrome_trace(&chrome::spans_to_chrome_trace(&spans)).unwrap();
-    assert_eq!(back, spans);
+    let trace = chrome::spans_to_chrome_trace(&spans);
+    assert_eq!(trace.matches("\"ph\":\"X\"").count(), spans.len());
 }
 
 #[test]
-fn real_run_spans_round_trip_through_collapsed_flamegraph() {
+fn real_run_spans_collapse_into_self_times() {
     let tracer = traced_run();
     let spans = tracer.finished_spans();
     let collapsed = flamegraph::collapse_spans(&spans);
@@ -233,12 +232,10 @@ fn real_run_spans_round_trip_through_collapsed_flamegraph() {
         .map(|s| s.duration_ns())
         .sum();
     assert_eq!(total, roots, "self-times must partition root wall time");
-    let back = flamegraph::collapsed_from_text(&flamegraph::spans_to_collapsed(&spans)).unwrap();
-    assert_eq!(back, collapsed);
 }
 
 #[test]
-fn real_run_counters_round_trip_through_prometheus_and_jsonl() {
+fn real_run_counters_round_trip_through_jsonl_and_reach_the_scrape() {
     let mut sim = knockout_sim_with(24, 7, sinr_channel(), pinned(EngineTier::Hierarchical));
     let result = sim.run_until_resolved(5_000);
     assert!(result.resolved());
@@ -246,46 +243,35 @@ fn real_run_counters_round_trip_through_prometheus_and_jsonl() {
     assert!(counters.rounds > 0);
     assert!(counters.farfield.listeners_resolved() > 0);
 
-    let prom = prometheus::counters_to_prometheus(&counters);
-    let from_prom = prometheus::counters_from_prometheus(&prom).unwrap();
-    assert_eq!(from_prom, counters, "Prometheus round trip must be exact");
-
     let line = jsonl::counters_to_json(&counters);
     let from_json = jsonl::counters_from_json(&line).unwrap();
     assert_eq!(from_json, counters, "JSONL round trip must be exact");
 
-    // The canonical-rescan sub-counter rides along too (an integer-α run
-    // never sets it, so set it by hand).
-    let mut rescanned = counters;
-    rescanned.farfield.canonical_rescans = 3;
-    let prom = prometheus::counters_to_prometheus(&rescanned);
-    assert!(
-        prom.contains("fading_farfield_canonical_rescans_total 3"),
-        "{prom}"
-    );
-    assert_eq!(
-        prometheus::counters_from_prometheus(&prom).unwrap(),
-        rescanned
-    );
-    let line = jsonl::counters_to_json(&rescanned);
-    assert_eq!(jsonl::counters_from_json(&line).unwrap(), rescanned);
+    // One sample per counter; the exporter's bytes are pinned by its
+    // golden test.
+    let scrape = prometheus::counters_to_prometheus(&counters);
+    let samples = prometheus::parse_prometheus(&scrape).unwrap();
+    assert_eq!(samples.len(), 25);
+    assert_eq!(samples[0].name, "fading_rounds_total");
+    assert_eq!(samples[0].value, counters.rounds as f64);
 }
 
 #[test]
-fn real_run_metrics_registry_round_trips_through_prometheus() {
+fn real_run_metrics_registry_scrape_carries_the_latency_histogram() {
     let mut sim = knockout_sim(20, 11, sinr_channel());
     let (result, metrics) = metered_run(&mut sim, TelemetryDetail::full());
     assert!(result.resolved());
     assert!(metrics.rounds() > 0);
     let text = prometheus::registry_to_prometheus(&metrics);
-    let latency = prometheus::histogram_from_prometheus(&text, "fading_round_latency_nanos")
-        .expect("latency histogram parses back");
-    assert_eq!(latency.count(), metrics.round_latency_nanos().count());
-    assert_eq!(
-        latency.bucket_counts(),
-        metrics.round_latency_nanos().bucket_counts()
-    );
-    assert_eq!(latency.max(), metrics.round_latency_nanos().max());
+    let samples = prometheus::parse_prometheus(&text).expect("the scrape parses");
+    let buckets: Vec<f64> = samples
+        .iter()
+        .filter(|s| s.name == "fading_round_latency_nanos_bucket")
+        .map(|s| s.value)
+        .collect();
+    let latency = metrics.round_latency_nanos();
+    assert_eq!(buckets.len(), latency.bucket_counts().len());
+    assert_eq!(buckets.last(), Some(&(latency.count() as f64)));
 }
 
 // ---------------------------------------------------------------------------
