@@ -30,7 +30,9 @@ const MAGIC: [u8; 4] = *b"FSNP";
 /// Version 4: the engine tier byte indexes the three-tier
 /// [`EngineTier::ALL`] (the flat far-field tier is gone). Version 5: the
 /// counters drop `gain_cache_bypassed_rounds`, which nothing incremented.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// Version 6: the resolve thread count is no longer recorded (it never
+/// changes a run, so a restore keeps the caller's).
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Why a snapshot could not be encoded, decoded, or restored.
 #[derive(Debug)]
@@ -141,7 +143,6 @@ pub struct SimSnapshot {
     pub(crate) trace_truncated: bool,
     pub(crate) trace_rounds: Vec<RoundRecord>,
     pub(crate) tier: EngineTier,
-    pub(crate) resolve_threads: u64,
     pub(crate) counters: EngineCounters,
     pub(crate) engine_stats: FarFieldStats,
 }
@@ -233,7 +234,6 @@ impl SimSnapshot {
             }
         }
         w.u8(self.tier as u8);
-        w.u64(self.resolve_threads);
         w.counters(&self.counters);
         w.stats(&self.engine_stats);
 
@@ -370,7 +370,6 @@ impl SimSnapshot {
         let tier = *EngineTier::ALL
             .get(usize::from(r.u8()?))
             .ok_or_else(|| corrupt("bad engine tier"))?;
-        let resolve_threads = r.u64()?;
         let counters = r.counters()?;
         let engine_stats = r.stats()?;
         r.finish()?;
@@ -397,7 +396,6 @@ impl SimSnapshot {
             trace_truncated,
             trace_rounds,
             tier,
-            resolve_threads,
             counters,
             engine_stats,
         })
@@ -645,7 +643,6 @@ mod tests {
                 transmitter_ids: Some(vec![0, 2]),
             }],
             tier: EngineTier::Hierarchical,
-            resolve_threads: 4,
             counters: EngineCounters {
                 rounds: 17,
                 gain_cache_rounds: 17,

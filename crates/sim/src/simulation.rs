@@ -619,7 +619,6 @@ impl Simulation {
             trace_truncated: self.trace.truncated(),
             trace_rounds: self.trace.rounds().to_vec(),
             tier: self.engine.tier(),
-            resolve_threads: self.resolve_pool.threads() as u64,
             counters: self.counters,
             engine_stats: self.engine.stats(),
         }
@@ -723,7 +722,6 @@ impl Simulation {
         };
         self.trace_cap = snap.trace_cap as usize;
         self.trace = Trace::from_parts(snap.trace_rounds.clone(), snap.trace_truncated);
-        self.set_resolve_threads(snap.resolve_threads as usize);
         // 6. Self-check lane.
         self.self_check = if snap.self_check_samples == 0 {
             None
@@ -1764,6 +1762,29 @@ mod tests {
         resumed.restore(&decoded).unwrap();
         let result = resumed.run_until_resolved(5_000);
         assert_eq!(result, uninterrupted, "resume must be byte-identical");
+    }
+
+    #[test]
+    fn snapshots_ignore_the_resolve_thread_count() {
+        let tree = SimConfig {
+            tier: Some(EngineTier::Hierarchical),
+            ..config(TraceLevel::Full)
+        };
+        let snapshot_at = |threads: usize| {
+            let mut sim = knockout_sim_with(55, tree.clone()).unwrap();
+            sim.set_resolve_threads(threads);
+            for _ in 0..3 {
+                sim.step();
+            }
+            sim.snapshot()
+        };
+        let serial = snapshot_at(1);
+        assert_eq!(serial.to_bytes(), snapshot_at(4).to_bytes());
+        let mut resumed = knockout_sim_with(55, tree).unwrap();
+        resumed.set_resolve_threads(2);
+        resumed.restore(&serial).unwrap();
+        assert_eq!(resumed.tier(), EngineTier::Hierarchical);
+        assert_eq!(resumed.resolve_threads(), 2, "restore keeps the caller's");
     }
 
     #[test]

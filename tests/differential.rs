@@ -443,8 +443,7 @@ fn cells(case: &Case, coverage: Coverage) -> Vec<Cell> {
 /// One trial of one cell, and what the comparison needs from it.
 struct Trial {
     result: RunResult,
-    /// The final snapshot's bytes, taken at resolve threads 1 (which the
-    /// snapshot records but which never changes a run).
+    /// The final snapshot's bytes, taken at the cell's own resolve threads.
     state: Vec<u8>,
     /// The sink's events, for sink cells.
     events: Option<Vec<RoundEvent>>,
@@ -552,7 +551,6 @@ fn run_trial(case: &Case, cell: &Cell, seed: u64, cut: u64) -> Trial {
         }
         _ => None,
     };
-    sim.set_resolve_threads(1);
     Trial {
         result,
         state: sim.snapshot().to_bytes(),
