@@ -26,14 +26,10 @@
 //! trials/rounds advance per trial.
 //!
 //! Frames have a one-line JSON form with the workspace's usual bit-exact
-//! round-trip guarantee ([`frame_to_json`] / [`frame_from_json`], file
-//! helpers [`write_frames`] / [`read_frames`]) — trivially exact here
-//! since every field is an integer.
+//! round-trip guarantee ([`frame_to_json`] / [`frame_from_json`]) —
+//! trivially exact here since every field is an integer.
 
 use std::collections::VecDeque;
-use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::path::Path;
 
 use crate::obs::EngineCounters;
 use crate::telemetry::jsonl::{parse_json, JsonValue, JsonlError};
@@ -157,37 +153,14 @@ pub struct TsFrame {
 
 impl TsFrame {
     fn delta(prev: &TsSample, next: &TsSample) -> TsFrame {
-        TsFrame {
-            t_ms: next.t_ms,
-            dt_ms: next.t_ms.saturating_sub(prev.t_ms),
-            d_trials: next.trials.saturating_sub(prev.trials),
-            d_trial_rounds: next.trial_rounds.saturating_sub(prev.trial_rounds),
-            d_retried: next.retried.saturating_sub(prev.retried),
-            d_timed_out: next.timed_out.saturating_sub(prev.timed_out),
-            d_jobs_completed: next.jobs_completed.saturating_sub(prev.jobs_completed),
-            d_jobs_failed: next.jobs_failed.saturating_sub(prev.jobs_failed),
-            d_engine_rounds: next.engine_rounds.saturating_sub(prev.engine_rounds),
-            d_farfield_rounds: next.farfield_rounds.saturating_sub(prev.farfield_rounds),
-            d_hierarchical_rounds: next
-                .hierarchical_rounds
-                .saturating_sub(prev.hierarchical_rounds),
-            d_gain_cache_rounds: next
-                .gain_cache_rounds
-                .saturating_sub(prev.gain_cache_rounds),
-            d_exact_rounds: next.exact_rounds.saturating_sub(prev.exact_rounds),
-            d_instrumented_rounds: next
-                .instrumented_rounds
-                .saturating_sub(prev.instrumented_rounds),
-            d_jammed_rounds: next.jammed_rounds.saturating_sub(prev.jammed_rounds),
-            d_fallback_listeners: next
-                .fallback_listeners
-                .saturating_sub(prev.fallback_listeners),
-            d_resolved_listeners: next
-                .resolved_listeners
-                .saturating_sub(prev.resolved_listeners),
-            queue_depth: next.queue_depth,
-            jobs_in_flight: next.jobs_in_flight,
+        let mut frame = TsFrame::default();
+        for (_, field, source) in &FRAME_FIELDS {
+            *field(&mut frame) = match source {
+                Source::Level(get) => get(next),
+                Source::Delta(get) => get(next).saturating_sub(get(prev)),
+            };
         }
+        frame
     }
 }
 
@@ -324,70 +297,57 @@ impl TimeSeries {
     }
 }
 
-/// One wire field of a frame: its JSON key and the accessor reading it.
-type FrameField = (&'static str, fn(&TsFrame) -> u64);
-
-/// All (key, value-accessor) pairs of a frame, in wire order. One table
-/// drives the writer, the parser, and keeps the round-trip test honest.
-const FRAME_FIELDS: [FrameField; 19] = [
-    ("t_ms", |f| f.t_ms),
-    ("dt_ms", |f| f.dt_ms),
-    ("d_trials", |f| f.d_trials),
-    ("d_trial_rounds", |f| f.d_trial_rounds),
-    ("d_retried", |f| f.d_retried),
-    ("d_timed_out", |f| f.d_timed_out),
-    ("d_jobs_completed", |f| f.d_jobs_completed),
-    ("d_jobs_failed", |f| f.d_jobs_failed),
-    ("d_engine_rounds", |f| f.d_engine_rounds),
-    ("d_farfield_rounds", |f| f.d_farfield_rounds),
-    ("d_hierarchical_rounds", |f| f.d_hierarchical_rounds),
-    ("d_gain_cache_rounds", |f| f.d_gain_cache_rounds),
-    ("d_exact_rounds", |f| f.d_exact_rounds),
-    ("d_instrumented_rounds", |f| f.d_instrumented_rounds),
-    ("d_jammed_rounds", |f| f.d_jammed_rounds),
-    ("d_fallback_listeners", |f| f.d_fallback_listeners),
-    ("d_resolved_listeners", |f| f.d_resolved_listeners),
-    ("queue_depth", |f| f.queue_depth),
-    ("jobs_in_flight", |f| f.jobs_in_flight),
-];
-
-fn set_frame_field(frame: &mut TsFrame, key: &str, value: u64) {
-    match key {
-        "t_ms" => frame.t_ms = value,
-        "dt_ms" => frame.dt_ms = value,
-        "d_trials" => frame.d_trials = value,
-        "d_trial_rounds" => frame.d_trial_rounds = value,
-        "d_retried" => frame.d_retried = value,
-        "d_timed_out" => frame.d_timed_out = value,
-        "d_jobs_completed" => frame.d_jobs_completed = value,
-        "d_jobs_failed" => frame.d_jobs_failed = value,
-        "d_engine_rounds" => frame.d_engine_rounds = value,
-        "d_farfield_rounds" => frame.d_farfield_rounds = value,
-        "d_hierarchical_rounds" => frame.d_hierarchical_rounds = value,
-        "d_gain_cache_rounds" => frame.d_gain_cache_rounds = value,
-        "d_exact_rounds" => frame.d_exact_rounds = value,
-        "d_instrumented_rounds" => frame.d_instrumented_rounds = value,
-        "d_jammed_rounds" => frame.d_jammed_rounds = value,
-        "d_fallback_listeners" => frame.d_fallback_listeners = value,
-        "d_resolved_listeners" => frame.d_resolved_listeners = value,
-        "queue_depth" => frame.queue_depth = value,
-        "jobs_in_flight" => frame.jobs_in_flight = value,
-        _ => unreachable!("set_frame_field called with a key not in FRAME_FIELDS"),
-    }
+/// How a frame field derives from the samples it spans.
+enum Source {
+    /// The newer sample's value.
+    Level(fn(&TsSample) -> u64),
+    /// The saturating increase from the older sample to the newer one.
+    Delta(fn(&TsSample) -> u64),
 }
+use Source::{Delta, Level};
+
+/// One wire field of a frame: its JSON key, the field it names, and the
+/// sample field it is computed from.
+type FrameField = (&'static str, fn(&mut TsFrame) -> &mut u64, Source);
+
+/// Every field of a frame, in wire order. One table drives the delta, the
+/// writer and the parser.
+#[rustfmt::skip]
+const FRAME_FIELDS: [FrameField; 19] = [
+    ("t_ms", |f| &mut f.t_ms, Level(|s| s.t_ms)),
+    ("dt_ms", |f| &mut f.dt_ms, Delta(|s| s.t_ms)),
+    ("d_trials", |f| &mut f.d_trials, Delta(|s| s.trials)),
+    ("d_trial_rounds", |f| &mut f.d_trial_rounds, Delta(|s| s.trial_rounds)),
+    ("d_retried", |f| &mut f.d_retried, Delta(|s| s.retried)),
+    ("d_timed_out", |f| &mut f.d_timed_out, Delta(|s| s.timed_out)),
+    ("d_jobs_completed", |f| &mut f.d_jobs_completed, Delta(|s| s.jobs_completed)),
+    ("d_jobs_failed", |f| &mut f.d_jobs_failed, Delta(|s| s.jobs_failed)),
+    ("d_engine_rounds", |f| &mut f.d_engine_rounds, Delta(|s| s.engine_rounds)),
+    ("d_farfield_rounds", |f| &mut f.d_farfield_rounds, Delta(|s| s.farfield_rounds)),
+    ("d_hierarchical_rounds", |f| &mut f.d_hierarchical_rounds, Delta(|s| s.hierarchical_rounds)),
+    ("d_gain_cache_rounds", |f| &mut f.d_gain_cache_rounds, Delta(|s| s.gain_cache_rounds)),
+    ("d_exact_rounds", |f| &mut f.d_exact_rounds, Delta(|s| s.exact_rounds)),
+    ("d_instrumented_rounds", |f| &mut f.d_instrumented_rounds, Delta(|s| s.instrumented_rounds)),
+    ("d_jammed_rounds", |f| &mut f.d_jammed_rounds, Delta(|s| s.jammed_rounds)),
+    ("d_fallback_listeners", |f| &mut f.d_fallback_listeners, Delta(|s| s.fallback_listeners)),
+    ("d_resolved_listeners", |f| &mut f.d_resolved_listeners, Delta(|s| s.resolved_listeners)),
+    ("queue_depth", |f| &mut f.queue_depth, Level(|s| s.queue_depth)),
+    ("jobs_in_flight", |f| &mut f.jobs_in_flight, Level(|s| s.jobs_in_flight)),
+];
 
 /// Serializes one frame as a single JSON line (no trailing newline),
 /// stable key order.
 #[must_use]
 pub fn frame_to_json(frame: &TsFrame) -> String {
     use std::fmt::Write as _;
+    let mut frame = *frame;
     let mut s = String::with_capacity(FRAME_FIELDS.len() * 24);
     s.push('{');
-    for (i, (key, get)) in FRAME_FIELDS.iter().enumerate() {
+    for (i, (key, field, _)) in FRAME_FIELDS.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
-        let _ = write!(s, "\"{key}\":{}", get(frame));
+        let _ = write!(s, "\"{key}\":{}", field(&mut frame));
     }
     s.push('}');
     s
@@ -403,7 +363,7 @@ pub fn frame_to_json(frame: &TsFrame) -> String {
 pub fn frame_from_json(line: &str) -> Result<TsFrame, JsonlError> {
     let v = parse_json(line)?;
     let mut frame = TsFrame::default();
-    for (key, _) in &FRAME_FIELDS {
+    for (key, field, _) in &FRAME_FIELDS {
         let value = v
             .get(key)
             .and_then(JsonValue::as_f64)
@@ -411,48 +371,9 @@ pub fn frame_from_json(line: &str) -> Result<TsFrame, JsonlError> {
                 line: 0,
                 msg: format!("missing or non-numeric {key:?}"),
             })?;
-        set_frame_field(&mut frame, key, value as u64);
+        *field(&mut frame) = value as u64;
     }
     Ok(frame)
-}
-
-/// Writes frames to `path` as JSONL, one frame per line.
-///
-/// # Errors
-///
-/// Propagates any underlying I/O failure.
-pub fn write_frames<'a>(
-    path: &Path,
-    frames: impl IntoIterator<Item = &'a TsFrame>,
-) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    for frame in frames {
-        w.write_all(frame_to_json(frame).as_bytes())?;
-        w.write_all(b"\n")?;
-    }
-    w.flush()
-}
-
-/// Reads a frame stream written by [`write_frames`], skipping blank lines.
-///
-/// # Errors
-///
-/// [`JsonlError::Io`] on I/O failure, [`JsonlError::Parse`] (with the
-/// 1-based line number) on a malformed line.
-pub fn read_frames(path: &Path) -> Result<Vec<TsFrame>, JsonlError> {
-    let reader = BufReader::new(File::open(path)?);
-    let mut frames = Vec::new();
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        frames.push(frame_from_json(&line).map_err(|e| match e {
-            JsonlError::Parse { msg, .. } => JsonlError::Parse { line: idx + 1, msg },
-            io => io,
-        })?);
-    }
-    Ok(frames)
 }
 
 #[cfg(test)]
@@ -561,11 +482,47 @@ mod tests {
     }
 
     #[test]
+    fn each_frame_field_derives_from_its_own_sample_field() {
+        let next = TsSample {
+            t_ms: 1000,
+            trials: 2,
+            trial_rounds: 3,
+            retried: 4,
+            timed_out: 5,
+            jobs_completed: 6,
+            jobs_failed: 7,
+            engine_rounds: 8,
+            farfield_rounds: 9,
+            hierarchical_rounds: 10,
+            gain_cache_rounds: 11,
+            exact_rounds: 12,
+            instrumented_rounds: 13,
+            jammed_rounds: 14,
+            fallback_listeners: 15,
+            resolved_listeners: 16,
+            queue_depth: 17,
+            jobs_in_flight: 18,
+        };
+        let frame = TsFrame::delta(&TsSample::at(1), &next);
+        let golden = "{\"t_ms\":1000,\"dt_ms\":999,\"d_trials\":2,\"d_trial_rounds\":3,\
+            \"d_retried\":4,\"d_timed_out\":5,\"d_jobs_completed\":6,\"d_jobs_failed\":7,\
+            \"d_engine_rounds\":8,\"d_farfield_rounds\":9,\"d_hierarchical_rounds\":10,\
+            \"d_gain_cache_rounds\":11,\"d_exact_rounds\":12,\"d_instrumented_rounds\":13,\
+            \"d_jammed_rounds\":14,\"d_fallback_listeners\":15,\"d_resolved_listeners\":16,\
+            \"queue_depth\":17,\"jobs_in_flight\":18}";
+        assert_eq!(frame_to_json(&frame), golden);
+    }
+
+    #[test]
     fn frame_json_round_trips_bit_exact() {
         // A frame with every field distinct, so a swapped key would show.
         let mut frame = TsFrame::default();
-        for (i, (key, _)) in FRAME_FIELDS.iter().enumerate() {
-            set_frame_field(&mut frame, key, (i as u64 + 1) * 1001);
+        let value = |i: usize| (i as u64 + 1) * 1001;
+        for (i, (_, field, _)) in FRAME_FIELDS.iter().enumerate() {
+            *field(&mut frame) = value(i);
+        }
+        for (i, (key, field, _)) in FRAME_FIELDS.iter().enumerate() {
+            assert_eq!(*field(&mut frame), value(i), "{key} shares a field");
         }
         let line = frame_to_json(&frame);
         assert_eq!(frame_from_json(&line).unwrap(), frame);
@@ -574,20 +531,5 @@ mod tests {
         assert_eq!(frame_from_json(&with_extra).unwrap(), frame);
         assert!(frame_from_json("{\"t_ms\":1}").is_err());
         assert!(frame_from_json("nope").is_err());
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let dir = std::env::temp_dir().join("fading-sim-timeseries-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("frames.jsonl");
-        let mut ts = TimeSeries::new(8);
-        for i in 0..5u64 {
-            ts.record(sample(i * 250, i * 3, i * 40));
-        }
-        let frames: Vec<TsFrame> = ts.frames().copied().collect();
-        write_frames(&path, &frames).unwrap();
-        assert_eq!(read_frames(&path).unwrap(), frames);
-        std::fs::remove_file(&path).ok();
     }
 }
