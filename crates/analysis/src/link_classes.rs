@@ -52,20 +52,15 @@ impl LinkClasses {
         let mut members: Vec<Vec<NodeId>> = Vec::new();
         if active.len() >= 2 {
             let active_points: Vec<Point> = active.iter().map(|&id| positions[id]).collect();
-            let index = GridIndex::build(&active_points);
-            for (k, &id) in active.iter().enumerate() {
-                assert!(id < n, "active id {id} out of bounds");
-                let Some(j) = index.nearest(active_points[k], Some(k)) else {
-                    unreachable!("at least two active nodes")
-                };
-                let d = active_points[k].distance(active_points[j]);
+            let (nn, nn_distance) = GridIndex::build(&active_points).all_nearest();
+            for ((&id, &j), &d) in active.iter().zip(&nn).zip(&nn_distance) {
                 let ratio = d / unit;
                 assert!(
                     ratio >= 1.0 - 1e-9,
                     "active pair closer ({d}) than the unit ({unit})"
                 );
                 let class = ratio.max(1.0).log2().floor() as u32;
-                nearest[id] = Some((active[j], d));
+                nearest[id] = Some((active[j as usize], d));
                 class_of[id] = Some(class);
                 let ci = class as usize;
                 if members.len() <= ci {

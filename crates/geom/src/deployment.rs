@@ -50,7 +50,8 @@ impl Deployment {
     /// * [`GeomError::TooFewNodes`] if fewer than two points are given.
     /// * [`GeomError::NonFinitePoint`] if any coordinate is NaN or infinite.
     /// * [`GeomError::CoincidentNodes`] if two points coincide (the shortest
-    ///   link would be zero and `R` undefined).
+    ///   link would be zero and `R` undefined). It names the first node in
+    ///   index order that has a coincident twin, and its smallest-index twin.
     pub fn from_points(points: Vec<Point>) -> Result<Self, GeomError> {
         if points.len() < 2 {
             return Err(GeomError::TooFewNodes { got: points.len() });
@@ -60,25 +61,15 @@ impl Deployment {
                 return Err(GeomError::NonFinitePoint { index: i });
             }
         }
-        let index = GridIndex::build(&points);
-        let mut nn_index = Vec::with_capacity(points.len());
-        let mut nn_distance = Vec::with_capacity(points.len());
-        let mut min_link = f64::INFINITY;
-        for (i, &p) in points.iter().enumerate() {
-            let Some(j) = index.nearest(p, Some(i)) else {
-                unreachable!("n >= 2 guarantees a neighbor")
-            };
-            let d = p.distance(points[j]);
-            if d == 0.0 {
-                return Err(GeomError::CoincidentNodes {
-                    first: i.min(j),
-                    second: i.max(j),
-                });
-            }
-            nn_index.push(j as u32);
-            nn_distance.push(d);
-            min_link = min_link.min(d);
+        let (nn_index, nn_distance) = GridIndex::build(&points).all_nearest();
+        if let Some(i) = nn_distance.iter().position(|&d| d == 0.0) {
+            let j = nn_index[i] as usize;
+            return Err(GeomError::CoincidentNodes {
+                first: i.min(j),
+                second: i.max(j),
+            });
         }
+        let min_link = nn_distance.iter().copied().fold(f64::INFINITY, f64::min);
         let max_link = diameter(&points);
         Ok(Deployment {
             points,
@@ -192,10 +183,11 @@ impl Deployment {
         }
     }
 
-    /// Builds a fresh spatial index over the node positions.
+    /// Consumes the deployment, returning the node positions indexed by node
+    /// id without copying them.
     #[must_use]
-    pub fn grid_index(&self) -> GridIndex {
-        GridIndex::build(&self.points)
+    pub fn into_points(self) -> Vec<Point> {
+        self.points
     }
 }
 

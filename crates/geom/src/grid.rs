@@ -4,14 +4,15 @@ use crate::{Bbox, Point};
 
 /// A uniform-grid spatial index over a fixed set of points.
 ///
-/// The index buckets points into square cells of a fixed size and answers
-/// range, annulus, and nearest-neighbor queries by scanning only nearby
-/// cells. For the deployments used in SINR simulation (up to tens of
-/// thousands of points, reasonably spread) queries are close to `O(1)`
-/// amortized; the worst case degenerates gracefully to a full scan.
+/// The index counting-sorts points into square cells of a fixed size and
+/// answers range, annulus, and nearest-neighbor queries by scanning only
+/// nearby cells. For reasonably spread deployments queries are close to
+/// `O(1)` amortized; the worst case degenerates gracefully to a full scan.
+/// [`GridIndex::all_nearest`] answers every point's nearest-neighbour query
+/// in one pass.
 ///
-/// The index stores point *indices* into the slice it was built from, so the
-/// caller keeps ownership of the coordinates.
+/// The index keeps its own copy of the coordinates in cell order, and its
+/// queries report point *indices* into the slice it was built from.
 ///
 /// # Example
 ///
@@ -30,6 +31,10 @@ use crate::{Bbox, Point};
 /// let mut close = index.within(Point::new(0.0, 0.0), 2.0);
 /// close.sort_unstable();
 /// assert_eq!(close, vec![0, 1]);
+///
+/// let (ids, distances) = index.all_nearest();
+/// assert_eq!(ids, vec![1, 0, 1]);
+/// assert_eq!(distances[0], 1.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct GridIndex {
@@ -37,10 +42,18 @@ pub struct GridIndex {
     cell: f64,
     cols: usize,
     rows: usize,
-    /// `buckets[row * cols + col]` lists indices of points in that cell.
-    buckets: Vec<Vec<u32>>,
-    points: Vec<Point>,
+    /// Cell `c = row * cols + col` holds positions `starts[c]..starts[c + 1]`
+    /// of `ids` and `xy`.
+    starts: Vec<u32>,
+    /// Point ids in cell order: cells row-major, ids ascending within a cell.
+    ids: Vec<u32>,
+    /// Coordinates in cell order: `xy[k]` is the position of point `ids[k]`.
+    xy: Vec<Point>,
 }
+
+/// No point has this id (ids are below `u32::MAX`), so excluding it
+/// excludes nothing.
+const NO_POINT: u32 = u32::MAX;
 
 impl GridIndex {
     /// Builds an index over `points` with an automatically chosen cell size
@@ -67,13 +80,17 @@ impl GridIndex {
     ///
     /// # Panics
     ///
-    /// Panics if `cell` is not strictly positive and finite, or if any
-    /// coordinate is non-finite.
+    /// Panics if `cell` is not strictly positive and finite, if any
+    /// coordinate is non-finite, or if there are `u32::MAX` points or more.
     #[must_use]
     pub fn build_with_cell(points: &[Point], cell: f64) -> Self {
         assert!(
             cell.is_finite() && cell > 0.0,
             "cell size must be positive and finite"
+        );
+        assert!(
+            points.len() < NO_POINT as usize,
+            "too many points for u32 ids"
         );
         for (i, p) in points.iter().enumerate() {
             assert!(p.is_finite(), "point {i} has a non-finite coordinate");
@@ -82,33 +99,50 @@ impl GridIndex {
             .unwrap_or_else(|| Bbox::new(Point::ORIGIN, Point::ORIGIN));
         let cols = ((bbox.width() / cell).floor() as usize + 1).max(1);
         let rows = ((bbox.height() / cell).floor() as usize + 1).max(1);
-        let mut buckets = vec![Vec::new(); cols * rows];
         let mut index = GridIndex {
             bbox,
             cell,
             cols,
             rows,
-            buckets: Vec::new(),
-            points: points.to_vec(),
+            starts: vec![0; cols * rows + 1],
+            ids: vec![0; points.len()],
+            xy: vec![Point::ORIGIN; points.len()],
         };
-        for (i, p) in points.iter().enumerate() {
-            let (c, r) = index.cell_of(*p);
-            buckets[r * cols + c].push(i as u32);
+        // Counting sort by cell; visiting points in id order keeps each
+        // cell's ids ascending.
+        let cells: Vec<usize> = points
+            .iter()
+            .map(|&p| {
+                let (c, r) = index.cell_of(p);
+                r * cols + c
+            })
+            .collect();
+        for &c in &cells {
+            index.starts[c + 1] += 1;
         }
-        index.buckets = buckets;
+        for c in 0..cols * rows {
+            index.starts[c + 1] += index.starts[c];
+        }
+        let mut next = index.starts[..cols * rows].to_vec();
+        for (i, (&c, &p)) in cells.iter().zip(points).enumerate() {
+            let k = next[c] as usize;
+            next[c] += 1;
+            index.ids[k] = i as u32;
+            index.xy[k] = p;
+        }
         index
     }
 
     /// Number of indexed points.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.xy.len()
     }
 
     /// Returns `true` if the index contains no points.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.xy.is_empty()
     }
 
     /// The bounding box of the indexed points.
@@ -126,6 +160,13 @@ impl GridIndex {
         )
     }
 
+    /// Cell-order positions of the cells `c0..=c1` of `row`, which are
+    /// contiguous because cells are stored row-major.
+    fn span(&self, row: usize, c0: usize, c1: usize) -> std::ops::Range<usize> {
+        let base = row * self.cols;
+        self.starts[base + c0] as usize..self.starts[base + c1 + 1] as usize
+    }
+
     /// Indices of all points within Euclidean distance `radius` of `center`
     /// (boundary inclusive). The query point itself is *not* excluded: if an
     /// indexed point coincides with `center` it is reported.
@@ -136,26 +177,12 @@ impl GridIndex {
         out
     }
 
-    /// Calls `f(i)` for every indexed point `i` within `radius` of `center`.
+    /// Calls `f(i)` for every indexed point `i` within `radius` of `center`,
+    /// in cell order (cells row-major, ids ascending within a cell).
     ///
     /// This is the allocation-free workhorse behind [`GridIndex::within`].
     pub fn for_each_within<F: FnMut(usize)>(&self, center: Point, radius: f64, mut f: F) {
-        if self.points.is_empty() || radius < 0.0 {
-            return;
-        }
-        let r_sq = radius * radius;
-        let (c0, r0) = self.cell_of(Point::new(center.x - radius, center.y - radius));
-        let (c1, r1) = self.cell_of(Point::new(center.x + radius, center.y + radius));
-        for row in r0..=r1 {
-            for col in c0..=c1 {
-                for &i in &self.buckets[row * self.cols + col] {
-                    let i = i as usize;
-                    if self.points[i].distance_sq(center) <= r_sq {
-                        f(i);
-                    }
-                }
-            }
-        }
+        self.scan_disk(center, radius, |k, _| f(self.ids[k] as usize));
     }
 
     /// Number of indexed points `q` with `r_in < distance(center, q) <= r_out`.
@@ -166,12 +193,32 @@ impl GridIndex {
     pub fn count_in_annulus(&self, center: Point, r_in: f64, r_out: f64) -> usize {
         let mut count = 0;
         let r_in_sq = r_in * r_in;
-        self.for_each_within(center, r_out, |i| {
-            if self.points[i].distance_sq(center) > r_in_sq {
+        self.scan_disk(center, r_out, |_, d_sq| {
+            if d_sq > r_in_sq {
                 count += 1;
             }
         });
         count
+    }
+
+    /// Calls `f(k, squared distance)` for every cell-order position `k`
+    /// within `radius` of `center`, scanning the cells of the disk's
+    /// bounding box one row span at a time.
+    fn scan_disk<F: FnMut(usize, f64)>(&self, center: Point, radius: f64, mut f: F) {
+        if self.is_empty() || radius < 0.0 {
+            return;
+        }
+        let r_sq = radius * radius;
+        let (c0, r0) = self.cell_of(Point::new(center.x - radius, center.y - radius));
+        let (c1, r1) = self.cell_of(Point::new(center.x + radius, center.y + radius));
+        for row in r0..=r1 {
+            for k in self.span(row, c0, c1) {
+                let d_sq = self.xy[k].distance_sq(center);
+                if d_sq <= r_sq {
+                    f(k, d_sq);
+                }
+            }
+        }
     }
 
     /// Index of the point nearest to `query`, optionally excluding one index
@@ -181,75 +228,105 @@ impl GridIndex {
     /// point. Ties are broken towards the smaller index.
     #[must_use]
     pub fn nearest(&self, query: Point, exclude: Option<usize>) -> Option<usize> {
-        if self.points.is_empty() {
+        if self.is_empty() {
             return None;
         }
+        let exclude = exclude.map_or(NO_POINT, |e| u32::try_from(e).unwrap_or(NO_POINT));
         let (qc, qr) = self.cell_of(query);
-        let mut best: Option<(f64, usize)> = None;
-        // Expanding ring search over cells.
-        let max_ring = self.cols.max(self.rows);
-        for ring in 0..=max_ring {
-            // Once we have a candidate, we can stop after scanning every cell
-            // that could contain something closer: cells at Chebyshev ring
-            // distance `ring` are at least `(ring - 1) * cell` away.
-            if let Some((best_d_sq, _)) = best {
-                let ring_min_dist = (ring as f64 - 1.0).max(0.0) * self.cell;
-                if ring_min_dist * ring_min_dist > best_d_sq {
-                    break;
+        let (_, j) = self.ring_search(query, qc, qr, exclude);
+        (j != NO_POINT).then_some(j as usize)
+    }
+
+    /// Every point's nearest neighbour among the other indexed points, as
+    /// `(ids, distances)` indexed by point id: `ids[i]` is
+    /// `nearest(point i, Some(i))` and `distances[i]` its distance.
+    ///
+    /// One pass over the cells in row-major order answers the queries of a
+    /// cell back to back, so the cells their searches share stay in cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than two points are indexed.
+    #[must_use]
+    pub fn all_nearest(&self) -> (Vec<u32>, Vec<f64>) {
+        assert!(self.len() >= 2, "all_nearest needs at least two points");
+        let mut ids = vec![0; self.len()];
+        let mut distances = vec![0.0; self.len()];
+        for qr in 0..self.rows {
+            for qc in 0..self.cols {
+                for k in self.span(qr, qc, qc) {
+                    let i = self.ids[k];
+                    let (d_sq, j) = self.ring_search(self.xy[k], qc, qr, i);
+                    ids[i as usize] = j;
+                    distances[i as usize] = d_sq.sqrt();
                 }
             }
-            let mut scanned_any = false;
-            self.for_each_cell_on_ring(qc, qr, ring, |bucket| {
-                scanned_any = true;
-                for &i in bucket {
-                    let i = i as usize;
-                    if Some(i) == exclude {
-                        continue;
-                    }
-                    let d_sq = self.points[i].distance_sq(query);
-                    let better = match best {
-                        None => true,
-                        Some((bd, bi)) => d_sq < bd || (d_sq == bd && i < bi),
-                    };
-                    if better {
-                        best = Some((d_sq, i));
+        }
+        (ids, distances)
+    }
+
+    /// The nearest point to `query` (in cell `(qc, qr)`) other than
+    /// `exclude`, as `(squared distance, id)`, ties towards the smaller id;
+    /// `(∞, NO_POINT)` if there is none.
+    ///
+    /// Scans Chebyshev rings of cells outward from the query's cell. Cells on
+    /// ring `r` are at least `(r - 1) * cell` away, so the search stops at
+    /// the first ring where that exceeds the best distance so far; rings 0
+    /// and 1 (the 3×3 block) are therefore always scanned.
+    fn ring_search(&self, query: Point, qc: usize, qr: usize, exclude: u32) -> (f64, u32) {
+        let mut best = (f64::INFINITY, NO_POINT);
+        let scan = |range: std::ops::Range<usize>, best: &mut (f64, u32)| {
+            for k in range {
+                let d_sq = self.xy[k].distance_sq(query);
+                if d_sq <= best.0 {
+                    let id = self.ids[k];
+                    if id != exclude && (d_sq < best.0 || id < best.1) {
+                        *best = (d_sq, id);
                     }
                 }
-            });
-            if !scanned_any && ring > 0 && best.is_some() {
+            }
+        };
+        let (cols, rows) = (self.cols as isize, self.rows as isize);
+        let (qc, qr) = (qc as isize, qr as isize);
+        let cols_near = |ring: isize| {
+            (
+                (qc - ring).max(0) as usize,
+                (qc + ring).min(cols - 1) as usize,
+            )
+        };
+        let (c0, c1) = cols_near(1);
+        for row in (qr - 1).max(0)..=(qr + 1).min(rows - 1) {
+            scan(self.span(row as usize, c0, c1), &mut best);
+        }
+        for ring in 2..=cols.max(rows) {
+            let reach = (ring as f64 - 1.0) * self.cell;
+            if reach * reach > best.0 {
+                break;
+            }
+            let mut any = false;
+            let (c0, c1) = cols_near(ring);
+            for row in [qr - ring, qr + ring] {
+                if (0..rows).contains(&row) {
+                    scan(self.span(row as usize, c0, c1), &mut best);
+                    any = true;
+                }
+            }
+            for col in [qc - ring, qc + ring] {
+                if (0..cols).contains(&col) {
+                    for row in (qr - ring + 1).max(0)..=(qr + ring - 1).min(rows - 1) {
+                        scan(
+                            self.span(row as usize, col as usize, col as usize),
+                            &mut best,
+                        );
+                    }
+                    any = true;
+                }
+            }
+            if !any {
                 break;
             }
         }
-        best.map(|(_, i)| i)
-    }
-
-    fn for_each_cell_on_ring<'a, F: FnMut(&'a [u32])>(
-        &'a self,
-        qc: usize,
-        qr: usize,
-        ring: usize,
-        mut f: F,
-    ) {
-        let qc = qc as isize;
-        let qr = qr as isize;
-        let ring = ring as isize;
-        let visit = |c: isize, r: isize, f: &mut F| {
-            if c >= 0 && r >= 0 && (c as usize) < self.cols && (r as usize) < self.rows {
-                f(&self.buckets[r as usize * self.cols + c as usize]);
-            }
-        };
-        if ring == 0 {
-            visit(qc, qr, &mut f);
-            return;
-        }
-        for c in (qc - ring)..=(qc + ring) {
-            visit(c, qr - ring, &mut f);
-            visit(c, qr + ring, &mut f);
-        }
-        for r in (qr - ring + 1)..=(qr + ring - 1) {
-            visit(qc - ring, r, &mut f);
-            visit(qc + ring, r, &mut f);
-        }
+        best
     }
 }
 
@@ -335,6 +412,28 @@ mod tests {
                 "node {i}"
             );
         }
+    }
+
+    #[test]
+    fn all_nearest_breaks_ties_towards_smaller_index() {
+        // A unit lattice: interior nodes have four neighbours at distance 1.
+        let pts: Vec<Point> = (0..5)
+            .flat_map(|r| (0..5).map(move |c| Point::new(f64::from(c), f64::from(r))))
+            .collect();
+        let (ids, distances) = GridIndex::build(&pts).all_nearest();
+        for i in 0..pts.len() {
+            assert_eq!(Some(ids[i] as usize), brute_nearest(&pts, pts[i], Some(i)));
+            assert_eq!(distances[i], 1.0);
+        }
+        // Node 12 sits at (2, 2); of its neighbours 7, 11, 13 and 17 the
+        // smallest index wins.
+        assert_eq!(ids[12], 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least two points")]
+    fn all_nearest_needs_two_points() {
+        let _ = GridIndex::build(&[Point::ORIGIN]).all_nearest();
     }
 
     #[test]

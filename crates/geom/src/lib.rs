@@ -11,9 +11,10 @@
 //!   contiguous `x[]`/`y[]` slices) feeding the channel layer's batched
 //!   distance/gain kernels.
 //! * [`Bbox`] — axis-aligned bounding boxes.
-//! * [`GridIndex`] — a uniform-grid spatial index supporting nearest-neighbor
-//!   and range queries over thousands of points in (amortized) constant time
-//!   per query for well-distributed inputs.
+//! * [`GridIndex`] — a counting-sorted uniform-grid spatial index supporting
+//!   nearest-neighbor, range and annulus queries in (amortized) constant
+//!   time per query for well-distributed inputs, plus one cell-order pass
+//!   for every point's nearest neighbour.
 //! * [`TileIndex`] / [`TileTree`] — fixed tilings (flat, and multi-resolution
 //!   with 2×2-merged aggregate levels) with certified tile-pair distance
 //!   brackets, the substrate of the far-field interference engines.

@@ -2,7 +2,8 @@
 //! brute force on arbitrary inputs, and deployments must maintain their
 //! cached invariants.
 
-use fading_geom::{convex_hull, diameter, Deployment, GridIndex, Point};
+use fading_geom::generators::{clustered, grid_lattice};
+use fading_geom::{convex_hull, diameter, Deployment, GeomError, GridIndex, Point};
 use proptest::prelude::*;
 
 fn arb_point() -> impl Strategy<Value = Point> {
@@ -22,7 +23,169 @@ fn brute_nearest(points: &[Point], q: Point, exclude: usize) -> Option<f64> {
         .min_by(|a, b| a.partial_cmp(b).unwrap())
 }
 
+/// Brute-force nearest neighbour of `q` other than `exclude`, ties towards
+/// the smaller index.
+fn brute_nearest_id(points: &[Point], q: Point, exclude: Option<usize>) -> Option<usize> {
+    (0..points.len())
+        .filter(|&j| Some(j) != exclude)
+        .min_by(|&a, &b| {
+            points[a]
+                .distance_sq(q)
+                .total_cmp(&points[b].distance_sq(q))
+                .then(a.cmp(&b))
+        })
+}
+
+/// Point sets for the nearest-neighbour oracles: uniform clouds, exact
+/// lattices (every interior node has four tied neighbours), Gaussian
+/// clusters, and clouds with coincident copies.
+fn nn_point_sets() -> impl Strategy<Value = Vec<Point>> {
+    prop_oneof![
+        arb_points(2, 150),
+        (2usize..14, 1usize..14, 0.25..4.0f64).prop_map(|(cols, rows, spacing)| {
+            grid_lattice(cols, rows, spacing, 0.0, 1)
+                .expect("at least two lattice points")
+                .points()
+                .to_vec()
+        }),
+        (1usize..6, 2usize..30, 0.01..5.0f64, 0u64..1_000).prop_map(
+            |(clusters, per_cluster, sigma, seed)| {
+                clustered(clusters, per_cluster, sigma, 100.0, seed)
+                    .expect("Gaussian members do not coincide")
+                    .points()
+                    .to_vec()
+            }
+        ),
+        (arb_points(2, 60), prop::collection::vec(0usize..60, 1..10)).prop_map(
+            |(mut points, copies)| {
+                for c in copies {
+                    points.push(points[c % points.len()]);
+                }
+                points
+            }
+        ),
+    ]
+}
+
+/// The pair `Deployment::from_points` reports: the first node in index
+/// order with a coincident twin, and its smallest-index twin.
+fn first_coincident(points: &[Point]) -> Option<(usize, usize)> {
+    (0..points.len()).find_map(|i| {
+        (0..points.len())
+            .find(|&j| j != i && points[i].distance_sq(points[j]) == 0.0)
+            .map(|j| (i.min(j), i.max(j)))
+    })
+}
+
+fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// The nearest-neighbour ids and distances and the link extremes of the
+/// 2^15-node deployment perfbench's fkn-alpha builds, bit for bit, pinned
+/// to the values of the per-point ring search the batch pass replaced.
+#[test]
+fn grid_golden_nn_of_uniform_2_15() {
+    let d = Deployment::uniform_density(1 << 15, 0.25, 2016);
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for i in 0..d.len() {
+        let j = d.nearest_neighbor(i).expect("in range") as u32;
+        fnv1a(&mut hash, &j.to_le_bytes());
+        fnv1a(
+            &mut hash,
+            &d.nn_distance(i).expect("in range").to_bits().to_le_bytes(),
+        );
+    }
+    fnv1a(&mut hash, &d.min_link().to_bits().to_le_bytes());
+    fnv1a(&mut hash, &d.max_link().to_bits().to_le_bytes());
+    assert_eq!(hash, 0x2dec_d833_3a2d_aedf, "got {hash:#018x}");
+}
+
+#[test]
+fn from_points_reports_first_of_several_coincident_pairs() {
+    let (a, b, c) = (
+        Point::new(1.0, 1.0),
+        Point::new(2.0, 5.0),
+        Point::new(-3.0, 0.5),
+    );
+    for (points, want) in [
+        (vec![c, b, a, b, a, a], (1, 3)),
+        (vec![a, b, c, c, b, a], (0, 5)),
+        (vec![c, a, b, a, b, c, Point::ORIGIN], (0, 5)),
+        (vec![Point::ORIGIN, b, a, a, b], (1, 4)),
+    ] {
+        assert_eq!(first_coincident(&points), Some(want));
+        match Deployment::from_points(points) {
+            Err(GeomError::CoincidentNodes { first, second }) => {
+                assert_eq!((first, second), want);
+            }
+            other => panic!("expected CoincidentNodes {want:?}, got {other:?}"),
+        }
+    }
+}
+
 proptest! {
+    #[test]
+    fn grid_all_nearest_matches_brute_force(
+        points in nn_point_sets(),
+        query in arb_point(),
+        exclude in 0usize..200,
+    ) {
+        let idx = GridIndex::build(&points);
+        let (ids, distances) = idx.all_nearest();
+        for i in 0..points.len() {
+            let want = brute_nearest_id(&points, points[i], Some(i)).expect("n >= 2");
+            prop_assert_eq!(ids[i] as usize, want, "node {} of {:?}", i, points);
+            prop_assert_eq!(distances[i].to_bits(), points[i].distance(points[want]).to_bits());
+        }
+        // Single queries: an arbitrary point, and a node excluding another
+        // (or, out of range, excluding nothing).
+        let node = points[exclude % points.len()];
+        for (q, e) in [(query, None), (query, Some(exclude)), (node, Some(exclude))] {
+            prop_assert_eq!(idx.nearest(q, e), brute_nearest_id(&points, q, e), "query {} exclude {:?}", q, e);
+        }
+    }
+
+    #[test]
+    fn grid_all_nearest_on_cell_edges(
+        coords in prop::collection::vec((0u32..24, 0u32..24), 2..120),
+        cell in prop_oneof![Just(0.5), Just(1.0), Just(2.0), Just(3.0)],
+    ) {
+        // Integer coordinates and cells of a half-integer size put most
+        // points exactly on cell edges, and ties abound.
+        let points: Vec<Point> = coords
+            .iter()
+            .map(|&(x, y)| Point::new(f64::from(x), f64::from(y)))
+            .collect();
+        let idx = GridIndex::build_with_cell(&points, cell);
+        let (ids, _) = idx.all_nearest();
+        for i in 0..points.len() {
+            prop_assert_eq!(Some(ids[i] as usize), brute_nearest_id(&points, points[i], Some(i)));
+        }
+    }
+
+    #[test]
+    fn from_points_reports_first_coincident_pair(
+        (points, copies) in (arb_points(2, 60), prop::collection::vec((0usize..60, 0usize..70), 1..6)),
+    ) {
+        let mut points = points;
+        for (from, to) in copies {
+            let p = points[from % points.len()];
+            let at = to % (points.len() + 1);
+            points.insert(at, p);
+        }
+        let want = first_coincident(&points).expect("a copy was inserted");
+        match Deployment::from_points(points) {
+            Err(GeomError::CoincidentNodes { first, second }) => {
+                prop_assert_eq!((first, second), want);
+            }
+            other => panic!("expected CoincidentNodes {want:?}, got {other:?}"),
+        }
+    }
+
     #[test]
     fn grid_nearest_matches_brute_force(points in arb_points(2, 120)) {
         let idx = GridIndex::build(&points);

@@ -283,7 +283,7 @@ impl Simulation {
             .tier
             .unwrap_or_else(|| EngineTier::auto(channel.as_ref(), n));
         let mut sim = Simulation {
-            positions: deployment.points().to_vec(),
+            positions: deployment.into_points(),
             channel,
             seed,
             protocols,
