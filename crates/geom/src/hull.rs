@@ -70,6 +70,10 @@ pub fn convex_hull(points: &[Point]) -> Vec<Point> {
 /// Computes the exact diameter (longest pairwise distance) of `points` in
 /// `O(n log n)` via convex hull + rotating calipers.
 ///
+/// Points strictly inside the octagon of the eight extreme points are
+/// dropped first (they cannot be hull vertices), so on spread-out sets the
+/// monotone chain sorts hundreds of points rather than all of them.
+///
 /// Returns `0.0` for zero or one point.
 ///
 /// # Example
@@ -86,13 +90,63 @@ pub fn convex_hull(points: &[Point]) -> Vec<Point> {
 /// ```
 #[must_use]
 pub fn diameter(points: &[Point]) -> f64 {
-    let hull = convex_hull(points);
+    hull_diameter(&convex_hull(&hull_candidates(points)))
+}
+
+/// The points that may be vertices of the convex hull of `points`.
+///
+/// The extreme points in the eight directions `k·45°` (the minima and
+/// maxima of `x`, `y`, `x + y` and `x − y`), taken counter-clockwise, span a
+/// convex octagon inside the hull. A point strictly inside every octagon
+/// edge is strictly inside the hull and cannot be a vertex. The test is
+/// conservative: it drops a point only when its orientation against every
+/// edge clears `1e-9·(w + h)²` (`w × h` the bounding box), about 10⁶ times
+/// the rounding error of [`cross`], so the points kept yield the same hull
+/// as all of them.
+fn hull_candidates(points: &[Point]) -> Vec<Point> {
+    let Some(&first) = points.first() else {
+        return Vec::new();
+    };
+    let keys = |p: Point| [p.x, p.x + p.y, p.y, p.y - p.x];
+    // max[k] and min[k] are the extremes of keys(p)[k]; max of the four
+    // keys gives directions 0°, 45°, 90°, 135°, min gives 180° … 315°.
+    let mut max = keys(first).map(|v| (v, first));
+    let mut min = max;
+    for &p in points {
+        for (k, v) in keys(p).into_iter().enumerate() {
+            if v > max[k].0 {
+                max[k] = (v, p);
+            }
+            if v < min[k].0 {
+                min[k] = (v, p);
+            }
+        }
+    }
+    let mut octagon: Vec<Point> = max.iter().chain(&min).map(|&(_, p)| p).collect();
+    octagon.dedup();
+    if octagon.len() > 1 && octagon.first() == octagon.last() {
+        octagon.pop();
+    }
+    let extent = (max[0].0 - min[0].0) + (max[2].0 - min[2].0);
+    let margin = 1e-9 * extent * extent;
+    let edges: Vec<(Point, Point)> = (0..octagon.len())
+        .map(|k| (octagon[k], octagon[(k + 1) % octagon.len()]))
+        .collect();
+    points
+        .iter()
+        .copied()
+        .filter(|&p| !edges.iter().all(|&(a, b)| cross(a, b, p) > margin))
+        .collect()
+}
+
+/// The diameter of a convex polygon given counter-clockwise, by rotating
+/// calipers over its antipodal pairs.
+fn hull_diameter(hull: &[Point]) -> f64 {
     let m = hull.len();
     match m {
         0 | 1 => 0.0,
         2 => hull[0].distance(hull[1]),
         _ => {
-            // Rotating calipers over antipodal pairs.
             let mut best_sq: f64 = 0.0;
             let mut j = 1;
             for i in 0..m {
@@ -194,6 +248,73 @@ mod tests {
     #[test]
     fn diameter_of_two_points() {
         assert_eq!(diameter(&[Point::ORIGIN, Point::new(0.0, 9.0)]), 9.0);
+    }
+
+    /// A deterministic cloud of `n` points in `[0, side)²`.
+    fn cloud(n: usize, side: f64, mut state: u64) -> Vec<Point> {
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 11) as f64 / (1u64 << 53) as f64 * side
+        };
+        (0..n).map(|_| Point::new(next(), next())).collect()
+    }
+
+    /// `diameter` must return, bit for bit, what the monotone chain and
+    /// calipers give on the unfiltered set.
+    fn assert_filter_is_exact(points: &[Point]) {
+        let unfiltered = hull_diameter(&convex_hull(points));
+        assert_eq!(
+            diameter(points).to_bits(),
+            unfiltered.to_bits(),
+            "{points:?}"
+        );
+        assert_eq!(convex_hull(&hull_candidates(points)), convex_hull(points));
+    }
+
+    #[test]
+    fn octagon_filter_bit_equals_unfiltered_chain() {
+        let line = |n: i32, dx: f64, dy: f64| -> Vec<Point> {
+            (0..n)
+                .map(|i| Point::new(0.5 + f64::from(i) * dx, -2.0 + f64::from(i) * dy))
+                .collect()
+        };
+        let mut sets = vec![
+            vec![],
+            vec![Point::new(1.0, 2.0)],
+            vec![Point::ORIGIN, Point::new(3.0, 4.0)],
+            vec![Point::ORIGIN, Point::new(3.0, 4.0), Point::new(1.0, 1.0)],
+            vec![Point::ORIGIN, Point::new(2.0, 2.0), Point::new(1.0, 1.0)],
+            line(40, 1.0, 0.0),
+            line(40, 0.0, 0.3),
+            line(40, 0.7, 0.7),
+            line(40, 0.1, 0.3),
+            vec![Point::new(3.0, 3.0); 7],
+        ];
+        for seed in 0..20 {
+            let mut dup = cloud(200, 50.0, seed);
+            dup.extend_from_within(..100);
+            sets.push(dup);
+            sets.push(cloud(3, 10.0, seed));
+            sets.push(cloud(2_000, 1e3, seed));
+            sets.push(cloud(2_000, 1e-3, seed));
+            // A translated cloud: coordinates large against its extent.
+            sets.push(
+                cloud(500, 1.0, seed)
+                    .into_iter()
+                    .map(|p| Point::new(p.x + 1e6, p.y - 1e6))
+                    .collect(),
+            );
+        }
+        for points in &sets {
+            assert_filter_is_exact(points);
+        }
+    }
+
+    #[test]
+    fn octagon_filter_drops_the_interior_of_uniform_sets() {
+        let points = cloud(20_000, 100.0, 7);
+        let kept = hull_candidates(&points).len();
+        assert!(kept < 1_000, "kept {kept} of {}", points.len());
     }
 
     #[test]
