@@ -513,6 +513,40 @@ mod tests {
         assert_eq!(frame_to_json(&frame), golden);
     }
 
+    /// The wire bytes of a frame whose 19 fields are all distinct and
+    /// nonzero: pins the key names, their order and their values.
+    #[test]
+    fn frame_json_golden_bytes() {
+        let frame = TsFrame {
+            t_ms: 101,
+            dt_ms: 102,
+            d_trials: 103,
+            d_trial_rounds: 104,
+            d_retried: 105,
+            d_timed_out: 106,
+            d_jobs_completed: 107,
+            d_jobs_failed: 108,
+            d_engine_rounds: 109,
+            d_farfield_rounds: 110,
+            d_hierarchical_rounds: 111,
+            d_gain_cache_rounds: 112,
+            d_exact_rounds: 113,
+            d_instrumented_rounds: 114,
+            d_jammed_rounds: 115,
+            d_fallback_listeners: 116,
+            d_resolved_listeners: 117,
+            queue_depth: 118,
+            jobs_in_flight: 119,
+        };
+        let golden = "{\"t_ms\":101,\"dt_ms\":102,\"d_trials\":103,\"d_trial_rounds\":104,\
+            \"d_retried\":105,\"d_timed_out\":106,\"d_jobs_completed\":107,\"d_jobs_failed\":108,\
+            \"d_engine_rounds\":109,\"d_farfield_rounds\":110,\"d_hierarchical_rounds\":111,\
+            \"d_gain_cache_rounds\":112,\"d_exact_rounds\":113,\"d_instrumented_rounds\":114,\
+            \"d_jammed_rounds\":115,\"d_fallback_listeners\":116,\"d_resolved_listeners\":117,\
+            \"queue_depth\":118,\"jobs_in_flight\":119}";
+        assert_eq!(frame_to_json(&frame), golden);
+    }
+
     #[test]
     fn frame_json_round_trips_bit_exact() {
         // A frame with every field distinct, so a swapped key would show.
