@@ -28,6 +28,15 @@ use crate::scenario::{Scenario, ScenarioError};
 /// Longest accepted job id (ids become directory names).
 pub const MAX_ID_LEN: usize = 64;
 
+/// Largest accepted deployment size. A job's deployment and its engine
+/// are allocated in proportion to `n`, so an unbounded `n` lets one submit
+/// exhaust the server's memory.
+pub const MAX_JOB_NODES: usize = 1 << 20;
+
+/// Largest accepted trial count. The trial runner reserves one result slot
+/// per trial up front.
+pub const MAX_JOB_TRIALS: usize = 1 << 20;
+
 /// A serializable channel family choice. SINR parameters are derived from
 /// the deployment at build time (see the module docs), so only the family
 /// — plus the lossy drop probability — is persisted.
@@ -346,11 +355,17 @@ impl JobSpec {
         if self.n < 2 {
             return Err(invalid("n must be at least 2"));
         }
+        if self.n > MAX_JOB_NODES {
+            return Err(invalid(format!("n must be at most {MAX_JOB_NODES}")));
+        }
         if self.density <= 0.0 || !self.density.is_finite() {
             return Err(invalid("density must be finite and positive"));
         }
         if self.trials == 0 {
             return Err(invalid("trials must be at least 1"));
+        }
+        if self.trials > MAX_JOB_TRIALS {
+            return Err(invalid(format!("trials must be at most {MAX_JOB_TRIALS}")));
         }
         if self.max_rounds == 0 {
             return Err(invalid("max_rounds must be at least 1"));
@@ -486,6 +501,31 @@ mod tests {
             let mut spec = JobSpec::example("bad");
             tweak(&mut spec);
             assert!(spec.validate().is_err(), "{name} should be rejected");
+        }
+    }
+
+    #[test]
+    fn job_size_is_bounded_at_submit() {
+        let mut spec = JobSpec::example("size");
+        spec.n = MAX_JOB_NODES;
+        spec.trials = MAX_JOB_TRIALS;
+        let at_bound = spec.validate();
+        assert!(
+            at_bound.is_ok(),
+            "the bounds themselves are valid: {at_bound:?}"
+        );
+        type Tweak = fn(&mut JobSpec);
+        let over: [(&str, Tweak); 2] = [
+            ("n", |s| s.n = MAX_JOB_NODES + 1),
+            ("trials", |s| s.trials = MAX_JOB_TRIALS + 1),
+        ];
+        for (field, tweak) in over {
+            let mut spec = JobSpec::example("size");
+            tweak(&mut spec);
+            match spec.validate() {
+                Err(JobSpecError::Invalid(msg)) => assert!(msg.starts_with(field), "{msg}"),
+                other => panic!("{field} one past its bound: {other:?}"),
+            }
         }
     }
 

@@ -168,7 +168,7 @@ impl ServerMetrics {
         s.timed_out = m.live_timed_out;
         s.jobs_completed = m.jobs_completed;
         s.jobs_failed = m.jobs_failed;
-        s.observe_counters(&m.counters);
+        s.engine = m.counters;
         s.queue_depth = m.queue_depth;
         s.jobs_in_flight = m.jobs_in_flight;
         s

@@ -582,8 +582,10 @@ mod tests {
         let mut ts = TimeSeries::new(8);
         ts.record(TsSample::at(0));
         let mut s = TsSample::at(1000);
-        s.fallback_listeners = fallback;
-        s.resolved_listeners = resolved;
+        // `fallback` exact fallbacks among `resolved` ladder-resolved
+        // listeners.
+        s.engine.farfield.far_rival_fallbacks = fallback;
+        s.engine.farfield.bracket_decisions = resolved - fallback;
         s.timed_out = timed_out;
         s.queue_depth = depth;
         ts.record(s);

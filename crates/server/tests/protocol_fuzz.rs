@@ -154,6 +154,25 @@ fn pathological_nesting_errors_cleanly_at_scale() {
     }
 }
 
+/// A submit asking for more nodes or trials than a job may hold is refused
+/// with an error that names the field, before anything is allocated.
+#[test]
+fn oversized_jobs_are_refused_at_submit() {
+    for (field, value) in [("n", "1e15"), ("trials", "1e15"), ("n", "1048577")] {
+        let job = JobSpec::example("huge").to_json();
+        let key = format!("\"{field}\":");
+        let start = job.find(&key).expect("the example has the field") + key.len();
+        let end = start + job[start..].find([',', '}']).expect("a value");
+        let job = format!("{}{value}{}", &job[..start], &job[end..]);
+        let line = format!("{{\"cmd\":\"submit\",\"job\":{job}}}");
+        match parse_request(&line) {
+            Err(msg) => assert!(msg.contains(&format!("{field} must be at most")), "{msg}"),
+            Ok(_) => panic!("{field} = {value} must be refused"),
+        }
+        assert_parse_is_total(&line);
+    }
+}
+
 #[test]
 fn valid_lines_still_parse() {
     // The fuzz harness's seed corpus must itself be accepted — guards

@@ -73,7 +73,7 @@ impl ResolvePath {
 /// `farfield.listeners_resolved()` equals the listeners the trace saw.
 ///
 /// [`telemetry::jsonl::counters_to_json`]: crate::telemetry::jsonl::counters_to_json
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineCounters {
     /// Rounds stepped.
     pub rounds: u64,

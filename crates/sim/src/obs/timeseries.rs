@@ -55,25 +55,8 @@ pub struct TsSample {
     pub jobs_completed: u64,
     /// Jobs failed.
     pub jobs_failed: u64,
-    /// [`EngineCounters::rounds`] total (advances at job completion).
-    pub engine_rounds: u64,
-    /// [`EngineCounters::farfield_rounds`] total (always 0: the flat
-    /// far-field engine it counted is gone).
-    pub farfield_rounds: u64,
-    /// Rounds served by the hierarchical far-field engine.
-    pub hierarchical_rounds: u64,
-    /// Rounds served through the gain cache.
-    pub gain_cache_rounds: u64,
-    /// Rounds served by the exact scan.
-    pub exact_rounds: u64,
-    /// Rounds served by the instrumented scan.
-    pub instrumented_rounds: u64,
-    /// Rounds with at least one active jammer.
-    pub jammed_rounds: u64,
-    /// Far-field listeners that fell back to the exact path.
-    pub fallback_listeners: u64,
-    /// Far-field listeners the decision ladder resolved.
-    pub resolved_listeners: u64,
+    /// The merged [`EngineCounters`] total (advances at job completion).
+    pub engine: EngineCounters,
     /// Queue depth **gauge** (not cumulative).
     pub queue_depth: u64,
     /// Jobs in flight **gauge** (not cumulative).
@@ -88,20 +71,6 @@ impl TsSample {
             t_ms,
             ..TsSample::default()
         }
-    }
-
-    /// Copies the engine-derived cumulative fields out of a merged
-    /// [`EngineCounters`] total.
-    pub fn observe_counters(&mut self, c: &EngineCounters) {
-        self.engine_rounds = c.rounds;
-        self.farfield_rounds = c.farfield_rounds;
-        self.hierarchical_rounds = c.hierarchical_rounds;
-        self.gain_cache_rounds = c.gain_cache_rounds;
-        self.exact_rounds = c.exact_rounds;
-        self.instrumented_rounds = c.instrumented_rounds;
-        self.jammed_rounds = c.jammed_rounds;
-        self.fallback_listeners = c.farfield.exact_fallbacks();
-        self.resolved_listeners = c.farfield.listeners_resolved();
     }
 }
 
@@ -322,15 +291,15 @@ const FRAME_FIELDS: [FrameField; 19] = [
     ("d_timed_out", |f| &mut f.d_timed_out, Delta(|s| s.timed_out)),
     ("d_jobs_completed", |f| &mut f.d_jobs_completed, Delta(|s| s.jobs_completed)),
     ("d_jobs_failed", |f| &mut f.d_jobs_failed, Delta(|s| s.jobs_failed)),
-    ("d_engine_rounds", |f| &mut f.d_engine_rounds, Delta(|s| s.engine_rounds)),
-    ("d_farfield_rounds", |f| &mut f.d_farfield_rounds, Delta(|s| s.farfield_rounds)),
-    ("d_hierarchical_rounds", |f| &mut f.d_hierarchical_rounds, Delta(|s| s.hierarchical_rounds)),
-    ("d_gain_cache_rounds", |f| &mut f.d_gain_cache_rounds, Delta(|s| s.gain_cache_rounds)),
-    ("d_exact_rounds", |f| &mut f.d_exact_rounds, Delta(|s| s.exact_rounds)),
-    ("d_instrumented_rounds", |f| &mut f.d_instrumented_rounds, Delta(|s| s.instrumented_rounds)),
-    ("d_jammed_rounds", |f| &mut f.d_jammed_rounds, Delta(|s| s.jammed_rounds)),
-    ("d_fallback_listeners", |f| &mut f.d_fallback_listeners, Delta(|s| s.fallback_listeners)),
-    ("d_resolved_listeners", |f| &mut f.d_resolved_listeners, Delta(|s| s.resolved_listeners)),
+    ("d_engine_rounds", |f| &mut f.d_engine_rounds, Delta(|s| s.engine.rounds)),
+    ("d_farfield_rounds", |f| &mut f.d_farfield_rounds, Delta(|s| s.engine.farfield_rounds)),
+    ("d_hierarchical_rounds", |f| &mut f.d_hierarchical_rounds, Delta(|s| s.engine.hierarchical_rounds)),
+    ("d_gain_cache_rounds", |f| &mut f.d_gain_cache_rounds, Delta(|s| s.engine.gain_cache_rounds)),
+    ("d_exact_rounds", |f| &mut f.d_exact_rounds, Delta(|s| s.engine.exact_rounds)),
+    ("d_instrumented_rounds", |f| &mut f.d_instrumented_rounds, Delta(|s| s.engine.instrumented_rounds)),
+    ("d_jammed_rounds", |f| &mut f.d_jammed_rounds, Delta(|s| s.engine.jammed_rounds)),
+    ("d_fallback_listeners", |f| &mut f.d_fallback_listeners, Delta(|s| s.engine.farfield.exact_fallbacks())),
+    ("d_resolved_listeners", |f| &mut f.d_resolved_listeners, Delta(|s| s.engine.farfield.listeners_resolved())),
     ("queue_depth", |f| &mut f.queue_depth, Level(|s| s.queue_depth)),
     ("jobs_in_flight", |f| &mut f.jobs_in_flight, Level(|s| s.jobs_in_flight)),
 ];
@@ -379,6 +348,7 @@ pub fn frame_from_json(line: &str) -> Result<TsFrame, JsonlError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fading_channel::FarFieldStats;
 
     fn sample(t_ms: u64, trials: u64, rounds: u64) -> TsSample {
         TsSample {
@@ -440,10 +410,10 @@ mod tests {
             s.t_ms = i * 500;
             s.trials += 2;
             s.trial_rounds += 100;
-            s.fallback_listeners += 3;
-            s.resolved_listeners += 60;
-            s.jammed_rounds += 10;
-            s.engine_rounds += 50;
+            s.engine.farfield.far_rival_fallbacks += 3;
+            s.engine.farfield.bracket_decisions += 57;
+            s.engine.jammed_rounds += 10;
+            s.engine.rounds += 50;
             ts.record(s);
         }
         let r = ts.rates(4);
@@ -459,29 +429,6 @@ mod tests {
     }
 
     #[test]
-    fn observe_counters_copies_engine_fields() {
-        let mut c = EngineCounters {
-            rounds: 40,
-            farfield_rounds: 10,
-            hierarchical_rounds: 20,
-            gain_cache_rounds: 4,
-            exact_rounds: 5,
-            instrumented_rounds: 1,
-            jammed_rounds: 7,
-            ..EngineCounters::default()
-        };
-        c.farfield.bracket_decisions = 90;
-        c.farfield.far_rival_fallbacks = 9;
-        let mut s = TsSample::at(5);
-        s.observe_counters(&c);
-        assert_eq!(s.engine_rounds, 40);
-        assert_eq!(s.hierarchical_rounds, 20);
-        assert_eq!(s.jammed_rounds, 7);
-        assert_eq!(s.fallback_listeners, c.farfield.exact_fallbacks());
-        assert_eq!(s.resolved_listeners, c.farfield.listeners_resolved());
-    }
-
-    #[test]
     fn each_frame_field_derives_from_its_own_sample_field() {
         let next = TsSample {
             t_ms: 1000,
@@ -491,15 +438,22 @@ mod tests {
             timed_out: 5,
             jobs_completed: 6,
             jobs_failed: 7,
-            engine_rounds: 8,
-            farfield_rounds: 9,
-            hierarchical_rounds: 10,
-            gain_cache_rounds: 11,
-            exact_rounds: 12,
-            instrumented_rounds: 13,
-            jammed_rounds: 14,
-            fallback_listeners: 15,
-            resolved_listeners: 16,
+            engine: EngineCounters {
+                rounds: 8,
+                farfield_rounds: 9,
+                hierarchical_rounds: 10,
+                gain_cache_rounds: 11,
+                exact_rounds: 12,
+                instrumented_rounds: 13,
+                jammed_rounds: 14,
+                // 15 exact fallbacks among 16 ladder-resolved listeners.
+                farfield: FarFieldStats {
+                    far_rival_fallbacks: 15,
+                    bracket_decisions: 1,
+                    ..FarFieldStats::default()
+                },
+                ..EngineCounters::default()
+            },
             queue_depth: 17,
             jobs_in_flight: 18,
         };
