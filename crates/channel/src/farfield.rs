@@ -60,10 +60,11 @@
 //! Every uncertain case — non-finite intermediate (including a NaN from
 //! the bounded kernel), no near winner, a far node that could rival the
 //! near best, a bracket that straddles the threshold — takes the exact
-//! fallback. The equivalence proptests in
-//! `tests/hierarchical_equivalence.rs` enforce the contract end to end,
-//! and `tests/hierarchical_bounds.rs` checks the bounds bracket real sums
-//! and that adversarial clustered deployments do trigger the fallback.
+//! fallback. The round-level table of the workspace's differential
+//! oracle (`tests/differential.rs`) enforces the contract on every round
+//! it draws, checks that every tree bracket and the ladder's far
+//! aggregate contain the exact interference, and holds each knife-edge
+//! case to the fallback rung it must reach.
 //!
 //! Stochastic channels are excluded by design: Rayleigh fading draws one
 //! rng variate per (listener, transmitter) pair in canonical order, so any

@@ -16,8 +16,8 @@
 //! cached resolve paths accumulate those values in the same order with the
 //! same expression grouping. Cached and uncached resolution therefore
 //! produce **identical** `Reception` vectors, not merely close ones — the
-//! equivalence test suite in `tests/gain_cache_equivalence.rs` enforces
-//! this bit-for-bit.
+//! round-level table of the workspace's differential oracle
+//! (`tests/differential.rs`) enforces this bit for bit.
 //!
 //! The cache is `O(n²)` memory, so construction is guarded by a node-count
 //! limit ([`DEFAULT_MAX_CACHED_NODES`]); past it, [`GainCache::build`]

@@ -40,8 +40,9 @@
 //! Every transmitter therefore lands in exactly one accepted node or in
 //! the near scan, and every accepted bracket is certified by the tree's
 //! content bboxes, so the 5-rung decision ladder's exactness argument
-//! holds. `tests/hierarchical_equivalence.rs` and
-//! `tests/hierarchical_bounds.rs` enforce it end to end.
+//! holds. The round-level table of the workspace's differential oracle
+//! (`tests/differential.rs`) enforces it at forced tilings, 1, 2 and 8
+//! threads, and checks every bracket against the exact sums.
 //!
 //! # Generic α
 //!

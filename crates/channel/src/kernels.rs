@@ -37,9 +37,11 @@
 //! SIMD lanes map to listeners, never to positions within one listener's
 //! sum, so each lane reproduces the canonical scalar accumulation add for
 //! add while the interleaving hides the FP-add latency that makes a lone
-//! fold chain serial. The `pow_alpha_batch` proptest oracle and the
-//! batched-vs-scalar scan equivalence proptest in `tests/kernels.rs` pin
-//! the contract across the full dynamic range.
+//! fold chain serial. The `pow_alpha_batch` proptest oracle in
+//! `tests/kernels.rs` pins the contract across the full dynamic range, and
+//! the round-level table of the workspace's differential oracle
+//! (`tests/differential.rs`) holds the batched scan to a longhand scalar
+//! fold.
 //!
 //! # Runtime AVX2 dispatch
 //!

@@ -117,7 +117,8 @@ pub(crate) fn scan_transmitters(
 /// Bit-identical to the scalar scan: each gain is the same expression
 /// ([`gain_batch`]), and [`fold_scan`] reproduces the canonical
 /// accumulation order and first-strict-max winner rule
-/// (`tests/kernels.rs` pins the equivalence, tie-breaks included).
+/// (the round-level table of `tests/differential.rs` pins the equivalence,
+/// exact ties included).
 #[inline]
 pub(crate) fn scan_transmitters_batched(
     p: f64,
