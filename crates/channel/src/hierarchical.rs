@@ -1,4 +1,4 @@
-//! The tile-tree far-field engine: a Barnes–Hut-style resolve with a
+//! The tile-tree far-field engine: a dual-tree resolve with a
 //! **decision-exactness** contract — its receptions are bit-identical to
 //! the exact scan's on every input.
 //!
@@ -10,26 +10,34 @@
 //! partitions the deployment into small fine tiles and aggregates them
 //! into a pyramid of content bboxes; per round, every listener scans its
 //! **near field** (the fine tiles within [`HIER_NEAR_RING`] of its own)
-//! exactly and brackets the rest, `I_lo ≤ I_far ≤ I_hi`, from tree nodes
-//! chosen by an opening criterion. The decision ladder (`farfield.rs`)
+//! exactly and brackets the rest, `I_lo ≤ I_far ≤ I_hi`, from pairs of
+//! tree nodes chosen by an opening criterion. The decision ladder (`farfield.rs`)
 //! then settles the reception from the near scan and the bracket, or
 //! sends the listener to the exact scan when the bracket cannot.
 //!
-//! # The traversal
+//! # The interaction lists and the two-stage sum
+//!
+//! The far bracket's cut depends on geometry alone, so the engine settles
+//! it once, at build: the `interaction` module's dual-tree walk gives
+//! every tree node a list of *source* nodes it brackets as one aggregate.
+//! A pair `(T, S)` is accepted when `S`'s fine span misses the near rings
+//! of every fine tile under `T` and the two content boxes are tight —
+//! `d_max² ≤ [`HIER_ACCEPT_RATIO_SQ`] · d_min²` — and a pair of fine tiles
+//! beyond [`HIER_NEAR_RING`] is always accepted. For every fine tile `t`
+//! the lists of `t` and its ancestors cover each non-empty fine tile
+//! outside `t`'s near ring exactly once, and none inside it (the near
+//! scan owns those). The lists are `u32` source ids in CSR form, O(nodes)
+//! memory rather than one cut per tile.
 //!
 //! Per round, transmitters are bucketed into fine tiles and their counts
-//! propagated up the tree (only nodes actually touched are visited). For
-//! each distinct listener tile the engine walks the tree from the root:
+//! propagated up the tree (only nodes actually touched are visited). The
+//! bracket is then summed in two stages:
 //!
-//! * nodes with no transmitters beneath them are skipped;
-//! * nodes whose fine-tile span intersects the listener's near ring are
-//!   descended (their mass may include near transmitters, which the exact
-//!   near scan owns);
-//! * far nodes are **accepted** when their certified distance bracket is
-//!   tight — `d_max² ≤ [`HIER_ACCEPT_RATIO_SQ`] · d_min²` — contributing
-//!   `mass × [P/d_max^α, P/d_min^α]` to the interference bracket (and the
-//!   upper gain to the far cap); loose nodes are descended, bottoming out
-//!   at fine tiles which are always accepted.
+//! 1. every coarse node with listeners beneath it sums its own list,
+//!    `mass × [P/d_max^α, P/d_min^α]` per source with transmitters (the
+//!    upper gain also raising the far cap), in one parallel pass;
+//! 2. every listener tile sums its own list the same way and adds its
+//!    ancestors' partial sums, fine to root.
 //!
 //! The ring is 2 rather than 1 because fine tiles at Chebyshev distance 2
 //! are accepted with a `d_max/d_min` ratio of ~3–4, which loosens the
@@ -37,41 +45,46 @@
 //! fallbacks; scanning them exactly costs less than the fallbacks it
 //! saves.
 //!
-//! Every transmitter therefore lands in exactly one accepted node or in
-//! the near scan, and every accepted bracket is certified by the tree's
-//! content bboxes, so the 5-rung decision ladder's exactness argument
-//! holds. The round-level table of the workspace's differential oracle
-//! (`tests/differential.rs`) enforces it at forced tilings, 1, 2 and 8
-//! threads, and checks every bracket against the exact sums.
+//! Every transmitter therefore lands in exactly one accepted pair or in
+//! the near scan, and every pair's bracket is certified by the tree's
+//! content bboxes for every listener under its target, so the 5-rung
+//! decision ladder's exactness argument holds. The round-level table of
+//! the workspace's differential oracle (`tests/differential.rs`) enforces
+//! it at forced tilings, 1, 2 and 8 threads, and checks every bracket
+//! against the exact sums.
 //!
 //! # Generic α
 //!
 //! For α ∈ {2, 3, 4, 6} every gain the engine computes is the canonical
 //! expression. For any other α (up to the bounded kernel's range) the
-//! traversal's node gains, the near scans and the first pass of every
-//! exact fallback run through the crate's bounded generic-α kernel, whose
-//! gains lie within `2δ` (δ = 2⁻⁴⁰) of the canonical ones: node gains are
+//! pair gains, the near scans and the first pass of every exact fallback
+//! run through the crate's bounded generic-α kernel, whose gains lie
+//! within `2δ` (δ = 2⁻⁴⁰) of the canonical ones: pair gains are
 //! widened by that error, the ladder widens the near best signal by it,
 //! and a fallback whose bounded bracket cannot settle the listener is
 //! rescanned canonically. DESIGN.md §10.2 has the argument.
 //!
 //! # The tile-major round
 //!
-//! A round is one parallel pass over the round's listener tiles, run on a
-//! [`ChunkExecutor`] through [`map_ordered`] in fixed [`HIER_TILE_CHUNK`]
-//! tile chunks that never depend on the thread count:
+//! A round is two parallel passes, run on a [`ChunkExecutor`] through
+//! [`map_ordered`] in fixed [`HIER_TILE_CHUNK`] chunks that never depend on
+//! the thread count:
 //!
 //! 1. **Serial prepare.** Bucket the transmitters and build the mass
 //!    pyramid; bucket the listeners by fine tile (tiles in first-seen
-//!    order, slice order within a tile).
-//! 2. **Per tile.** Traverse the tree for the tile's far bracket, gather
-//!    the tile's near transmitters once into chunk-local SoA scratch in
-//!    slice order, and scan the tile's listeners against it
-//!    [`LISTENER_BLOCK`] at a time through the fused block scan (the tail
-//!    through a gain batch and [`fold_scan`]). A slice-order fold's first
-//!    strict maximum is the lowest slice index among the maxima — the
-//!    canonical winner rule — so each fold feeds the ladder directly.
-//! 3. **Per chunk.** The listeners the ladder left to the exact scan are
+//!    order, slice order within a tile); list the coarse nodes above the
+//!    listener tiles (first-seen order, fine to root).
+//! 2. **Per coarse node.** Sum the node's interaction list over this
+//!    round's masses.
+//! 3. **Per tile.** Add the tile's own list sum to its ancestors' sums for
+//!    the far bracket, gather the tile's near transmitters once into
+//!    chunk-local SoA scratch in slice order, and scan the tile's
+//!    listeners against it [`LISTENER_BLOCK`] at a time through the fused
+//!    block scan (the tail through a gain batch and [`fold_scan`]). A
+//!    slice-order fold's first strict maximum is the lowest slice index
+//!    among the maxima — the canonical winner rule — so each fold feeds
+//!    the ladder directly.
+//! 4. **Per chunk.** The listeners the ladder left to the exact scan are
 //!    resolved [`LISTENER_BLOCK`] at a time over all transmitters, the
 //!    tail one by one, and the chunk's receptions are written into their
 //!    listener slots.
@@ -82,10 +95,11 @@
 
 use std::sync::{Mutex, PoisonError};
 
-use fading_geom::{Point, PointsSoA, TileIndex, TileTree};
+use fading_geom::{gather_points, Point, TileIndex, TileTree};
 
 use crate::exec::{map_ordered, ChunkExecutor};
 use crate::farfield::{decide_ladder, finish_fallback, Decision, DecisionInputs};
+use crate::interaction::{fold_up, Bracket, InteractionLists};
 use crate::kernels::{
     fold_scan, gain_batch_with, scan_block_with, with_bounded_kernel, AlphaKernel, ScanFold,
     LISTENER_BLOCK,
@@ -104,12 +118,12 @@ pub const HIER_TARGET_TILE_OCCUPANCY: usize = 64;
 /// `512² = 262144` fine tiles ≈ a few MB of per-tile state).
 pub const HIER_MAX_TILES_PER_SIDE: usize = 512;
 
-/// Opening criterion: a far tree node is accepted as one aggregate when
-/// `d_max² ≤ ratio · d_min²` between the listener tile's and the node's
-/// content bboxes (i.e. `d_max ≤ 1.5·d_min`), otherwise its children are
-/// visited. Smaller = tighter brackets but deeper traversals; 2.25 keeps
-/// the worst accepted gain ratio `(d_max/d_min)^α` small while still
-/// aggregating geometrically.
+/// Opening criterion: a far (target, source) node pair is accepted as one
+/// aggregate when `d_max² ≤ ratio · d_min²` between the two nodes' content
+/// bboxes (i.e. `d_max ≤ 1.5·d_min`), otherwise one side is split. Smaller
+/// = tighter brackets but longer interaction lists; 2.25 keeps the worst
+/// accepted gain ratio `(d_max/d_min)^α` small while still aggregating
+/// geometrically.
 pub const HIER_ACCEPT_RATIO_SQ: f64 = 2.25;
 
 /// Chebyshev fine-tile radius of the near field: tiles within this ring
@@ -117,16 +131,17 @@ pub const HIER_ACCEPT_RATIO_SQ: f64 = 2.25;
 /// is 2 rather than 1.
 pub const HIER_NEAR_RING: usize = 2;
 
-/// Listener tiles per parallel task. Fixed (never derived from thread
-/// count) so chunk boundaries — and with them which listeners share a
-/// block scan — are identical under any executor.
+/// Listener tiles (and coarse nodes, in a round's first pass) per parallel
+/// task. Fixed (never derived from thread count) so chunk boundaries — and
+/// with them which listeners share a block scan — are identical under any
+/// executor.
 pub const HIER_TILE_CHUNK: usize = 64;
 
 /// Multi-resolution far-field engine over a [`TileTree`]. Built once per
 /// deployment by
 /// [`ResolveEngine::build`](crate::ResolveEngine::build); the
-/// `hierarchical` module docs describe the traversal and its exactness
-/// argument.
+/// `hierarchical` module docs describe the interaction lists and their
+/// exactness argument.
 #[derive(Debug)]
 pub struct HierarchicalFarFieldEngine {
     tree: TileTree,
@@ -140,9 +155,8 @@ pub struct HierarchicalFarFieldEngine {
     /// Live members per fine tile.
     alive_per_tile: Vec<u32>,
     num_alive: usize,
-    /// SoA mirror of the build positions, feeding the batched kernels
-    /// (coherent with `positions` whenever `matches` holds).
-    soa: PointsSoA,
+    /// The geometry-only far-field pairs and the flat node layout.
+    lists: InteractionLists,
     /// Per-round transmitter slice indices per fine tile, ascending.
     tx_in_tile: Vec<Vec<u32>>,
     /// Round-level gathered transmitter coordinates (slice order): the
@@ -150,11 +164,17 @@ pub struct HierarchicalFarFieldEngine {
     /// serial prepare, read-only during the parallel pass.
     tx_xs: Vec<f64>,
     tx_ys: Vec<f64>,
-    /// Per-round transmitter count under each tree node, per level.
-    tx_count: Vec<Vec<u32>>,
-    /// Nodes touched this round, per level (level 0 doubles as the list of
-    /// fine tiles whose `tx_in_tile` bucket needs clearing).
+    /// Per-round transmitter count under each tree node, by flat id.
+    tx_count: Vec<u32>,
+    /// Nodes touched this round (flat ids), per level (level 0 doubles as
+    /// the list of fine tiles whose `tx_in_tile` bucket needs clearing).
     touched: Vec<Vec<u32>>,
+    /// This round's list sums of the coarse nodes above its listener
+    /// tiles, by flat id (stale elsewhere).
+    node_sums: Vec<Bracket>,
+    /// Marks the coarse nodes collected into a round's targets; all clear
+    /// between rounds.
+    is_target: Vec<bool>,
     stats: FarFieldStats,
 }
 
@@ -211,8 +231,6 @@ impl ListenerBuckets {
 /// tasks never share mutable state.
 #[derive(Debug, Default)]
 struct ChunkScratch {
-    /// Traversal stack of `(level, col, row)` node addresses.
-    stack: Vec<(usize, usize, usize)>,
     /// The current tile's near transmitters: slice indices (ascending)
     /// and their coordinates, parallel.
     near_idx: Vec<u32>,
@@ -294,8 +312,9 @@ impl HierarchicalFarFieldEngine {
             return None;
         }
         let num_fine = tree.fine().num_tiles();
-        let num_levels = tree.num_levels();
         let alive_per_tile = (0..num_fine).map(|t| tree.fine().count(t) as u32).collect();
+        let lists = InteractionLists::build(&tree);
+        let num_nodes = lists.num_nodes();
         Some(HierarchicalFarFieldEngine {
             n: positions.len(),
             power: params.power(),
@@ -305,14 +324,14 @@ impl HierarchicalFarFieldEngine {
             alive: vec![true; positions.len()],
             alive_per_tile,
             num_alive: positions.len(),
-            soa: PointsSoA::from_points(positions),
             tx_in_tile: vec![Vec::new(); num_fine],
             tx_xs: Vec::new(),
             tx_ys: Vec::new(),
-            tx_count: (0..num_levels)
-                .map(|l| vec![0u32; tree.num_nodes(l)])
-                .collect(),
-            touched: vec![Vec::new(); num_levels],
+            tx_count: vec![0; num_nodes],
+            touched: vec![Vec::new(); tree.num_levels()],
+            node_sums: vec![(0.0, 0.0, 0.0); num_nodes],
+            is_target: vec![false; num_nodes],
+            lists,
             stats: FarFieldStats::default(),
             tree,
         })
@@ -391,9 +410,10 @@ impl HierarchicalFarFieldEngine {
     }
 
     /// The far-field aggregate `(lo, hi, cap)` a listener in fine tile `t`
-    /// gets over the last round's transmitters (the same traversal the
-    /// round ran), or `None` when `t` holds no node. Exposed so tests can
-    /// pin a traversal's bracket.
+    /// gets over the last round's transmitters, or `None` when `t` holds no
+    /// node. It sums the interaction lists of `t` and its ancestors in the
+    /// round's own order, so it is the bracket the round used. Exposed so
+    /// tests can pin that bracket.
     ///
     /// # Panics
     ///
@@ -401,8 +421,10 @@ impl HierarchicalFarFieldEngine {
     #[must_use]
     pub fn far_aggregate(&self, t: usize) -> Option<(f64, f64, f64)> {
         self.tree.fine().content_bbox(t)?;
-        let mut stack = Vec::new();
-        Some(with_bounded_kernel!(self.alpha, |k| self.traverse(k, t, &mut stack)))
+        Some(with_bounded_kernel!(self.alpha, |k| {
+            let sum = |node| self.lists.sum(k, node, &self.tx_count, self.power);
+            fold_up(sum(t), self.lists.ancestors(t).map(sum))
+        }))
     }
 
     /// Decision counters accumulated so far.
@@ -421,89 +443,6 @@ impl HierarchicalFarFieldEngine {
     /// accumulated, so `EngineCounters` reconciliation survives a resume).
     pub fn set_stats(&mut self, stats: FarFieldStats) {
         self.stats = stats;
-    }
-
-    /// One Barnes–Hut traversal through kernel `k`: the far-field
-    /// aggregate `(lo, hi, cap)` for listeners in fine tile `lt`, over
-    /// this round's transmitter masses, each node gain widened by `k`'s
-    /// [`GAIN_REL_ERR`](AlphaKernel::GAIN_REL_ERR) so the aggregate
-    /// brackets the canonical gains (a multiplication by 1.0 for the
-    /// canonical classes). `stack` is caller-provided scratch; children
-    /// are pushed in row-major order, so the accumulation order is a
-    /// function of the tree and the masses alone.
-    fn traverse<K: AlphaKernel>(
-        &self,
-        k: K,
-        lt: usize,
-        stack: &mut Vec<(usize, usize, usize)>,
-    ) -> (f64, f64, f64) {
-        let fine = self.tree.fine();
-        let (fine_cols, fine_rows) = (fine.cols(), fine.rows());
-        let (ltc, ltr) = (lt % fine_cols, lt / fine_cols);
-        // The near ring in fine-tile coordinates (clipped at the grid edge,
-        // exactly like `TileIndex::neighborhood`).
-        let near_c0 = ltc.saturating_sub(HIER_NEAR_RING);
-        let near_c1 = (ltc + HIER_NEAR_RING).min(fine_cols - 1);
-        let near_r0 = ltr.saturating_sub(HIER_NEAR_RING);
-        let near_r1 = (ltr + HIER_NEAR_RING).min(fine_rows - 1);
-        let Some(lt_box) = fine.content_bbox(lt) else {
-            unreachable!("a listener's tile holds the listener")
-        };
-
-        let p = self.power;
-        let (widen_lo, widen_hi) = (1.0 - K::GAIN_REL_ERR, 1.0 + K::GAIN_REL_ERR);
-        let (mut lo, mut hi, mut cap) = (0.0f64, 0.0f64, 0.0f64);
-        stack.clear();
-        stack.push((self.tree.num_levels() - 1, 0, 0));
-        while let Some((l, c, r)) = stack.pop() {
-            let idx = r * self.tree.level_cols(l) + c;
-            let mass = self.tx_count[l][idx];
-            if mass == 0 {
-                continue;
-            }
-            let (d_min_sq, d_max_sq) = if l > 0 {
-                // Descend nodes whose fine-tile span overlaps the near
-                // ring: their mass may include near transmitters, which
-                // the exact scan owns. Node (c, r) at level l spans fine
-                // columns [c·2^l, min((c+1)·2^l, cols)), rows likewise.
-                let overlaps_near = c << l <= near_c1
-                    && near_c0 < ((c + 1) << l).min(fine_cols)
-                    && r << l <= near_r1
-                    && near_r0 < ((r + 1) << l).min(fine_rows);
-                // A node with mass holds points, so its bbox is real; a
-                // far node whose opening angle is too wide is refined.
-                let accepted = (!overlaps_near)
-                    .then(|| lt_box.distance_sq_bounds(&self.tree.level_content(l)[idx]))
-                    .filter(|&(d_min_sq, d_max_sq)| d_max_sq <= HIER_ACCEPT_RATIO_SQ * d_min_sq);
-                let Some(bounds) = accepted else {
-                    let c1 = (2 * c + 2).min(self.tree.level_cols(l - 1));
-                    let r1 = (2 * r + 2).min(self.tree.level_rows(l - 1));
-                    for rr in 2 * r..r1 {
-                        for cc in 2 * c..c1 {
-                            stack.push((l - 1, cc, rr));
-                        }
-                    }
-                    continue;
-                };
-                bounds
-            } else {
-                // Fine tile: near ones belong to the exact scan; far ones
-                // are always accepted (the recursion's base case).
-                if c.abs_diff(ltc).max(r.abs_diff(ltr)) <= HIER_NEAR_RING {
-                    continue;
-                }
-                lt_box.distance_sq_bounds(&self.tree.level_content(0)[idx])
-            };
-            // Accept the aggregate. d_min² = 0 (touching boxes) makes the
-            // upper gain infinite — rung 1 then falls back, which is
-            // conservative, never wrong.
-            let m = f64::from(mass);
-            lo += m * ((p / k.pow_alpha(d_max_sq)) * widen_lo);
-            let g_hi = (p / k.pow_alpha(d_min_sq)) * widen_hi;
-            hi += m * g_hi;
-            cap = cap.max(g_hi);
-        }
-        (lo, hi, cap)
     }
 
     /// Gathers fine tile `lt`'s near transmitters — every transmitter in
@@ -544,7 +483,9 @@ impl HierarchicalFarFieldEngine {
 
         for ti in first..last {
             let lt = buckets.tiles[ti] as usize;
-            let (far_lo, far_hi, far_cap) = self.traverse(k, lt, &mut sc.stack);
+            let own = self.lists.sum(k, lt, &self.tx_count, p);
+            let partials = self.lists.ancestors(lt).map(|a| self.node_sums[a]);
+            let (far_lo, far_hi, far_cap) = fold_up(own, partials);
             // Widened cap on any single far signal (covers bound rounding
             // and powf non-monotonicity; see FARFIELD_REL_SLACK).
             let far_cap = far_cap * (1.0 + FARFIELD_REL_SLACK);
@@ -669,7 +610,7 @@ impl HierarchicalFarFieldEngine {
             transmitters.len()
         );
         self.stats.rounds += 1;
-        self.prepare(transmitters);
+        self.prepare(positions, transmitters);
         if transmitters.is_empty() {
             // The canonical loop yields Silence for every listener when
             // nobody transmits (best_tx stays None).
@@ -689,6 +630,7 @@ impl HierarchicalFarFieldEngine {
             beta: params.beta(),
         };
         let buckets = ListenerBuckets::new(self.tree.fine(), listeners);
+        self.sum_coarse_targets(&buckets.tiles, executor);
         let num_tiles = buckets.tiles.len();
         let out = Mutex::new(vec![Reception::Silence; listeners.len()]);
         let this = &*self;
@@ -709,14 +651,48 @@ impl HierarchicalFarFieldEngine {
         out.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// The round's first pass: sums the interaction list of every coarse
+    /// node above the listener tiles `tiles` into `node_sums`, in
+    /// [`HIER_TILE_CHUNK`]-node chunks on `executor`. Each sum depends on
+    /// its node alone, so scheduling cannot reach it.
+    fn sum_coarse_targets(&mut self, tiles: &[u32], executor: &dyn ChunkExecutor) {
+        let mut targets = Vec::new();
+        for &t in tiles {
+            for a in self.lists.ancestors(t as usize) {
+                // An ancestor already listed has its own ancestors listed.
+                if std::mem::replace(&mut self.is_target[a], true) {
+                    break;
+                }
+                targets.push(a);
+            }
+        }
+        let this = &*self;
+        let sums = with_bounded_kernel!(this.alpha, |k| map_ordered(
+            executor,
+            targets.len().div_ceil(HIER_TILE_CHUNK),
+            |chunk| {
+                let first = chunk * HIER_TILE_CHUNK;
+                let last = (first + HIER_TILE_CHUNK).min(targets.len());
+                targets[first..last]
+                    .iter()
+                    .map(|&a| this.lists.sum(k, a, &this.tx_count, this.power))
+                    .collect::<Vec<_>>()
+            }
+        ));
+        for (&a, sum) in targets.iter().zip(sums.into_iter().flatten()) {
+            self.node_sums[a] = sum;
+            self.is_target[a] = false;
+        }
+    }
+
     /// The round's serial prepare: clears last round's masses (touched
     /// nodes only), buckets this round's transmitters by fine tile (slice
     /// indices, ascending), propagates their counts up the tree, and
-    /// gathers their coordinates in slice order.
-    fn prepare(&mut self, transmitters: &[NodeId]) {
+    /// gathers their coordinates from `positions` in slice order.
+    fn prepare(&mut self, positions: &[Point], transmitters: &[NodeId]) {
         for l in 0..self.touched.len() {
             for &t in &self.touched[l] {
-                self.tx_count[l][t as usize] = 0;
+                self.tx_count[t as usize] = 0;
                 if l == 0 {
                     self.tx_in_tile[t as usize].clear();
                 }
@@ -729,28 +705,20 @@ impl HierarchicalFarFieldEngine {
                 self.touched[0].push(t as u32);
             }
             self.tx_in_tile[t].push(idx as u32);
-            self.tx_count[0][t] += 1;
+            self.tx_count[t] += 1;
         }
-        self.soa
-            .gather(transmitters, &mut self.tx_xs, &mut self.tx_ys);
-        for l in 1..self.tree.num_levels() {
-            let cols = self.tree.level_cols(l);
-            let child_cols = self.tree.level_cols(l - 1);
-            // Split the borrows: children (level l-1) feed parents
-            // (level l) in both the count and touched arrays.
-            let (lower_counts, upper_counts) = self.tx_count.split_at_mut(l);
-            let child_counts = &lower_counts[l - 1];
-            let parent_counts = &mut upper_counts[0];
-            let (lower_touched, upper_touched) = self.touched.split_at_mut(l);
-            let child_touched = &lower_touched[l - 1];
-            let parent_touched = &mut upper_touched[0];
-            for &c in child_touched {
-                let c = c as usize;
-                let parent = (c / child_cols / 2) * cols + (c % child_cols) / 2;
-                if parent_counts[parent] == 0 {
-                    parent_touched.push(parent as u32);
+        gather_points(positions, transmitters, &mut self.tx_xs, &mut self.tx_ys);
+        for l in 1..self.touched.len() {
+            // Split the borrows: children (level l-1) feed parents (level l).
+            let (lower, upper) = self.touched.split_at_mut(l);
+            for &c in &lower[l - 1] {
+                let Some(parent) = self.lists.parent(c as usize) else {
+                    unreachable!("a node below the root has a parent")
+                };
+                if self.tx_count[parent] == 0 {
+                    upper[0].push(parent as u32);
                 }
-                parent_counts[parent] += child_counts[c];
+                self.tx_count[parent] += self.tx_count[c as usize];
             }
         }
     }

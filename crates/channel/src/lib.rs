@@ -40,9 +40,9 @@
 //! [`GainCache`], the `n × n` pairwise gain matrix precomputed once (see
 //! its module docs for the exactness contract and the size guard); and
 //! the far-field engine that prunes the per-round work,
-//! [`HierarchicalFarFieldEngine`] (a [`fading_geom::TileTree`] traversal
-//! certified by the decision ladder, parallelizable via
-//! [`ChunkExecutor`]).
+//! [`HierarchicalFarFieldEngine`] (dual-tree interaction lists over a
+//! [`fading_geom::TileTree`], certified by the decision ladder,
+//! parallelizable via [`ChunkExecutor`]).
 //! [`EngineTier::auto`] picks the tier from the channel and the
 //! deployment size.
 //!
@@ -90,6 +90,7 @@ pub mod exec;
 mod farfield;
 mod gain_cache;
 mod hierarchical;
+mod interaction;
 pub mod kernels;
 mod lossy;
 mod params;

@@ -86,7 +86,7 @@ fn run_tier(
 /// the 8-worker stealing pool, up to `n = 2²⁰`.
 ///
 /// **Claim:** full FKN runs complete on the hierarchical engine at
-/// `n = 1,048,576`, and neither the tree traversal nor the
+/// `n = 1,048,576`, and neither the tree's interaction lists nor the
 /// work-stealing pool trades exactness away: at the cross-check size a
 /// `hier-8t` run is byte-identical to an exact run.
 ///

@@ -19,10 +19,10 @@
 //! see the hierarchical far-field engine in `fading-channel`).
 //!
 //! The tree is the spatial substrate of that engine: near a listener it
-//! descends to fine tiles (scanned exactly), far away it stops at the
-//! coarsest node whose content bbox is small relative to its distance, so
-//! one traversal touches O(log n) nodes instead of O(T) tile pairs, with no
-//! quadratic pair-table precompute.
+//! descends to fine tiles (scanned exactly), far away it pairs the
+//! coarsest nodes whose content bboxes are small relative to their
+//! distance, so the engine's interaction lists hold O(nodes) pairs instead
+//! of a quadratic tile-pair table.
 //!
 //! Like [`TileIndex`], the tree is static: it describes where points *are*.
 //! Dynamic per-node masses (this round's transmitters) live with the

@@ -2069,10 +2069,11 @@ fn far_only_sender(_: u32, alpha: f64) -> Scene {
 /// (0.5, 0.5) hears a near sender at (4.5, 4.5) at 2⁻⁶ and 64 coincident
 /// far senders at (16.5, 16.5) at 2⁻¹⁴ each, all powers of two, so
 /// `β·(N + I) = 2⁻⁶` equals the signal exactly. The cluster's level-1 node
-/// holds all 64 with a point bbox, so its certificate is tight and the
-/// traversal aggregates the whole far field there: no slack can separate
-/// the outcomes and the bracket must straddle. At generic α the same tight
-/// certificate pins the bounded kernel's widening.
+/// holds all 64 with a point bbox, so its certificate against the
+/// listener's tile is tight, and the interaction lists bracket the whole
+/// far field in one pair of level-1 nodes: no slack can separate the
+/// outcomes and the bracket must straddle. At generic α the same
+/// aggregate pins the bounded kernel's widening.
 fn coarse_knife_edge(_: u32, alpha: f64) -> Scene {
     let mut positions = vec![Point::new(0.5, 0.5), Point::new(4.5, 4.5)];
     positions.extend([Point::new(16.5, 16.5); 64]);
