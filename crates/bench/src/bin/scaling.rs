@@ -11,9 +11,7 @@
 //!
 //! This is the snapshot producer behind the repo's scaling claims; the
 //! `bench-gate` binary re-runs the same probe (shared via
-//! `fading_bench::probe`) and diffs against the committed snapshot, and
-//! the Criterion bench `resolve_scaling` tracks the workload with proper
-//! sampling.
+//! `fading_bench::probe`) and diffs against the committed snapshot.
 
 use fading_bench::interrupt;
 use fading_bench::probe::{

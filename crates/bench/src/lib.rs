@@ -2,15 +2,20 @@
 //!
 //! Benchmark harness for the `fading-cr` workspace:
 //!
-//! * the `experiments` binary regenerates every experiment table (E1–E12)
+//! * the `experiments` binary regenerates every experiment table (E1–E16)
 //!   recorded in `EXPERIMENTS.md`;
 //! * the `sweep` binary runs one-off parameter sweeps;
-//! * the Criterion benches (`benches/`) time the substrate kernels (channel
-//!   resolution, simulator stepping, analysis machinery) and
-//!   run-to-resolution latencies per experiment family.
+//! * the `scaling` and `bench-gate` binaries time the per-round resolve
+//!   tiers ([`probe`]), and `loadgen` replays the job-service workload
+//!   ([`service`]);
+//! * the three `harness = false` benches (`benches/`) assert the
+//!   overhead budgets of telemetry, the tracer and trial supervision.
+//!
+//! End-to-end and per-layer timing of whole FKN trials and service jobs
+//! lives in `perfbench/`, a workspace of its own.
 //!
 //! This crate's library part holds the small helpers shared between the
-//! binaries and the benches.
+//! binaries.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

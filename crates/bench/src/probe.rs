@@ -7,9 +7,8 @@
 //! Timing is deliberately simple (adaptive iteration counts against a
 //! wall-clock budget) so the probe stays runnable at `n = 1048576`, where
 //! only the hierarchical tier is tractable — the quadratic tiers are
-//! capped ([`EXACT_TIER_CEILING`], [`FARFIELD_TIER_CEILING`]) and skipped
-//! above their ceilings; the Criterion bench `resolve_scaling` tracks the
-//! same workload with proper sampling.
+//! capped ([`EXACT_TIER_CEILING`] and the gain cache's own size guard) and
+//! skipped above their ceilings.
 
 use std::fmt::Write as _;
 use std::time::Instant;

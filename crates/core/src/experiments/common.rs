@@ -7,7 +7,8 @@ use fading_geom::Deployment;
 use fading_protocols::ProtocolKind;
 use fading_sim::faults::FaultPlan;
 use fading_sim::montecarlo::{self, Summary};
-use fading_sim::{SimConfig, Simulation};
+use fading_sim::telemetry::jsonl::{self, TrialBlock};
+use fading_sim::{EngineCounters, RoundEvent, SimConfig, Simulation};
 
 use crate::ChannelKind;
 
@@ -173,6 +174,72 @@ where
         sim.run_until_resolved(cfg.max_rounds)
     });
     Summary::from_results(&results)
+}
+
+/// An experiment's telemetry export: each kept trial's round events as a
+/// seed-tagged [`TrialBlock`] and its [`EngineCounters`], in trial order.
+#[derive(Debug, Default)]
+pub(crate) struct TelemetryExport {
+    pub(crate) blocks: Vec<TrialBlock>,
+    pub(crate) counters: Vec<EngineCounters>,
+}
+
+impl TelemetryExport {
+    /// Appends the next trial.
+    pub(crate) fn push(&mut self, seed: u64, events: Vec<RoundEvent>, counters: EngineCounters) {
+        self.blocks.push(TrialBlock {
+            trial: self.blocks.len() as u64,
+            seed,
+            events,
+        });
+        self.counters.push(counters);
+    }
+
+    /// Writes the blocks to `<dir>/<name>.jsonl` and the counters, one
+    /// line per trial, to `<dir>/<name>.engine_counters.jsonl`.
+    pub(crate) fn write(&self, dir: &str, name: &str) {
+        let path = format!("{dir}/{name}.jsonl");
+        jsonl::write_trial_blocks_to_path(&path, &self.blocks)
+            .unwrap_or_else(|e| panic!("write telemetry to {path}: {e}"));
+        let path = format!("{dir}/{name}.engine_counters.jsonl");
+        jsonl::write_counters_to_path(&path, &self.counters)
+            .unwrap_or_else(|e| panic!("write engine counters to {path}: {e}"));
+    }
+
+    /// Asserts that `dir` holds exactly the bytes [`TelemetryExport::write`]
+    /// gives for `self`, that the meta lines number the trials in order and
+    /// carry their seeds, and that every seed is one of `seeds`, in order.
+    #[cfg(test)]
+    pub(crate) fn assert_written(&self, dir: &std::path::Path, name: &str, seeds: &[u64]) {
+        let text = std::fs::read_to_string(dir.join(format!("{name}.jsonl"))).unwrap();
+        let mut expected = Vec::new();
+        jsonl::write_trial_blocks(&mut expected, &self.blocks).unwrap();
+        assert_eq!(text.as_bytes(), expected, "{name}.jsonl");
+
+        let counters = dir.join(format!("{name}.engine_counters.jsonl"));
+        let expected = dir.join(format!("{name}.expected_counters.jsonl"));
+        jsonl::write_counters_to_path(&expected, &self.counters).unwrap();
+        assert_eq!(
+            std::fs::read(&counters).unwrap(),
+            std::fs::read(&expected).unwrap(),
+            "{name}.engine_counters.jsonl"
+        );
+
+        let metas: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("{\"trial\":"))
+            .collect();
+        assert_eq!(metas.len(), self.blocks.len(), "one meta line per trial");
+        let mut rest = seeds.iter();
+        for (i, (meta, b)) in metas.iter().zip(&self.blocks).enumerate() {
+            let events = b.events.len();
+            assert_eq!(
+                *meta,
+                format!("{{\"trial\":{i},\"seed\":{},\"events\":{events}}}", b.seed)
+            );
+            assert!(rest.any(|&s| s == b.seed), "trial {i}: seed {}", b.seed);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -2,10 +2,9 @@
 
 use fading_analysis::{separated_subset, GoodNodes, LinkClasses};
 use fading_protocols::ProtocolKind;
-use fading_sim::telemetry::jsonl::{self, TrialBlock};
-use fading_sim::{EngineCounters, MemorySink, Simulation, TelemetryDetail};
+use fading_sim::{MemorySink, Simulation, TelemetryDetail};
 
-use super::common::{sinr_for, standard_deployment, ExperimentConfig};
+use super::common::{sinr_for, standard_deployment, ExperimentConfig, TelemetryExport};
 use crate::table::fmt_f64;
 use crate::Table;
 
@@ -30,12 +29,23 @@ pub fn e08_knockout_fraction(cfg: &ExperimentConfig) -> Table {
 
 /// [`e08_knockout_fraction`] with an optional telemetry export directory:
 /// when set, every trial's round-event stream is appended to
-/// `<dir>/e8.jsonl` as seed-tagged [`TrialBlock`]s, and each trial's
-/// engine-decision counters ([`EngineCounters`]: resolve-tier routing plus
-/// far-field rung tallies) go to `<dir>/e8.engine_counters.jsonl`, one
+/// `<dir>/e8.jsonl` as seed-tagged
+/// [`TrialBlock`](fading_sim::telemetry::jsonl::TrialBlock)s, and each
+/// trial's engine-decision counters
+/// ([`EngineCounters`](fading_sim::EngineCounters): resolve-tier routing
+/// plus far-field rung tallies) go to `<dir>/e8.engine_counters.jsonl`, one
 /// line per trial in trial order.
 #[must_use]
 pub fn e08_knockout_fraction_with(cfg: &ExperimentConfig, telemetry_dir: Option<&str>) -> Table {
+    let (table, export) = knockout_fraction(cfg, telemetry_dir.is_some());
+    if let Some(dir) = telemetry_dir {
+        export.write(dir, "e8");
+    }
+    table
+}
+
+/// The E8 table, plus every trial's telemetry when `export` is set.
+fn knockout_fraction(cfg: &ExperimentConfig, export: bool) -> (Table, TelemetryExport) {
     let mut table =
         Table::new("E8: one-round knockout fraction in S_i (smallest nonempty class, FKN on SINR)");
     table.headers([
@@ -46,8 +56,7 @@ pub fn e08_knockout_fraction_with(cfg: &ExperimentConfig, telemetry_dir: Option<
         "active knockout frac",
     ]);
 
-    let mut blocks: Vec<TrialBlock> = Vec::new();
-    let mut counters: Vec<EngineCounters> = Vec::new();
+    let mut telemetry = TelemetryExport::default();
     for (block, &n) in cfg.n_sweep().iter().enumerate() {
         let mut s_sizes = Vec::new();
         let mut fractions = Vec::new();
@@ -84,13 +93,8 @@ pub fn e08_knockout_fraction_with(cfg: &ExperimentConfig, telemetry_dir: Option<
             s_sizes.push(s_i.len() as f64);
             fractions.push(knocked as f64 / s_i.len() as f64);
             overall.push(event.knocked_out as f64 / before.len() as f64);
-            if telemetry_dir.is_some() {
-                blocks.push(TrialBlock {
-                    trial: blocks.len() as u64,
-                    seed,
-                    events,
-                });
-                counters.push(sim.engine_counters());
+            if export {
+                telemetry.push(seed, events, sim.engine_counters());
             }
         }
         if fractions.is_empty() {
@@ -106,18 +110,10 @@ pub fn e08_knockout_fraction_with(cfg: &ExperimentConfig, telemetry_dir: Option<
             fmt_f64(mean(&overall)),
         ]);
     }
-    if let Some(dir) = telemetry_dir {
-        let path = format!("{dir}/e8.jsonl");
-        jsonl::write_trial_blocks_to_path(&path, &blocks)
-            .unwrap_or_else(|e| panic!("write telemetry to {path}: {e}"));
-        let path = format!("{dir}/e8.engine_counters.jsonl");
-        jsonl::write_counters_to_path(&path, &counters)
-            .unwrap_or_else(|e| panic!("write engine counters to {path}: {e}"));
-    }
     table.note("separation parameter s = 2; one simulated round per trial");
     table.note("flat columns across n confirm the per-round constant-fraction guarantee");
     table.note("knockout sets read from telemetry round events (MemorySink at id detail)");
-    table
+    (table, telemetry)
 }
 
 #[cfg(test)]
@@ -152,18 +148,20 @@ mod tests {
         let with = e08_knockout_fraction_with(&cfg, Some(&dir_str));
         let without = e08_knockout_fraction(&cfg);
         assert_eq!(with, without, "export must not change the table");
-        let blocks = jsonl::read_trial_blocks_from_path(dir.join("e8.jsonl")).unwrap();
-        assert!(!blocks.is_empty());
-        for b in &blocks {
+        let (table, export) = knockout_fraction(&cfg, true);
+        assert_eq!(table, without);
+        assert!(!export.blocks.is_empty());
+        for b in &export.blocks {
             assert_eq!(b.events.len(), 1, "one step per trial");
         }
-        let counters =
-            jsonl::read_counters_from_path(dir.join("e8.engine_counters.jsonl")).unwrap();
-        assert_eq!(counters.len(), blocks.len(), "one counter line per trial");
-        for c in &counters {
+        for c in &export.counters {
             assert_eq!(c.rounds, 1, "each trial stepped exactly one round");
             assert_eq!(c.routed_rounds(), c.rounds);
         }
+        let seeds: Vec<u64> = (0..cfg.n_sweep().len() as u64)
+            .flat_map(|k| (0..cfg.trials as u64).map(move |t| cfg.seed_block(k) + t))
+            .collect();
+        export.assert_written(&dir, "e8", &seeds);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

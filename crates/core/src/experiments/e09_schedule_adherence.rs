@@ -2,11 +2,10 @@
 
 use fading_analysis::{ClassBoundSchedule, LinkClasses, ScheduleParams};
 use fading_protocols::ProtocolKind;
-use fading_sim::telemetry::jsonl::{self, TrialBlock};
 use fading_sim::telemetry::replay_active_sets;
-use fading_sim::{EngineCounters, MemorySink, Simulation, TelemetryDetail};
+use fading_sim::{MemorySink, Simulation, TelemetryDetail};
 
-use super::common::{sinr_for, standard_deployment, ExperimentConfig};
+use super::common::{sinr_for, standard_deployment, ExperimentConfig, TelemetryExport};
 use crate::table::fmt_f64;
 use crate::Table;
 
@@ -30,11 +29,23 @@ pub fn e09_schedule_adherence(cfg: &ExperimentConfig) -> Table {
 
 /// [`e09_schedule_adherence`] with an optional telemetry export directory:
 /// when set, every resolved trial's event stream is appended to
-/// `<dir>/e9.jsonl` as seed-tagged [`TrialBlock`]s, and each such trial's
-/// engine-decision counters ([`EngineCounters`]) go to
+/// `<dir>/e9.jsonl` as seed-tagged
+/// [`TrialBlock`](fading_sim::telemetry::jsonl::TrialBlock)s, and each
+/// such trial's engine-decision counters
+/// ([`EngineCounters`](fading_sim::EngineCounters)) go to
 /// `<dir>/e9.engine_counters.jsonl`, one line per trial in trial order.
 #[must_use]
 pub fn e09_schedule_adherence_with(cfg: &ExperimentConfig, telemetry_dir: Option<&str>) -> Table {
+    let (table, export) = schedule_adherence(cfg, telemetry_dir.is_some());
+    if let Some(dir) = telemetry_dir {
+        export.write(dir, "e9");
+    }
+    table
+}
+
+/// The E9 table, plus every resolved trial's telemetry when `export` is
+/// set.
+fn schedule_adherence(cfg: &ExperimentConfig, export: bool) -> (Table, TelemetryExport) {
     let mut table = Table::new("E9: class-bound schedule adherence (FKN on SINR)");
     table.headers([
         "n",
@@ -46,8 +57,7 @@ pub fn e09_schedule_adherence_with(cfg: &ExperimentConfig, telemetry_dir: Option
         "rounds/step",
     ]);
 
-    let mut blocks: Vec<TrialBlock> = Vec::new();
-    let mut counters: Vec<EngineCounters> = Vec::new();
+    let mut telemetry = TelemetryExport::default();
     let trials = cfg.trials.clamp(2, 20);
     for (block, &n) in cfg.n_sweep().iter().enumerate() {
         let mut coverages = Vec::new();
@@ -79,13 +89,8 @@ pub fn e09_schedule_adherence_with(cfg: &ExperimentConfig, telemetry_dir: Option
             // Budget parity with the observer formulation: at most one
             // snapshot per budgeted round.
             series.truncate(cfg.max_rounds as usize);
-            if telemetry_dir.is_some() {
-                blocks.push(TrialBlock {
-                    trial: blocks.len() as u64,
-                    seed,
-                    events,
-                });
-                counters.push(sim.engine_counters());
+            if export {
+                telemetry.push(seed, events, sim.engine_counters());
             }
             let sched = ClassBoundSchedule::new(n, d.num_link_classes(), ScheduleParams::default());
             horizon = sched.horizon();
@@ -116,18 +121,10 @@ pub fn e09_schedule_adherence_with(cfg: &ExperimentConfig, telemetry_dir: Option
             fmt_f64(mean_completion / horizon as f64),
         ]);
     }
-    if let Some(dir) = telemetry_dir {
-        let path = format!("{dir}/e9.jsonl");
-        jsonl::write_trial_blocks_to_path(&path, &blocks)
-            .unwrap_or_else(|e| panic!("write telemetry to {path}: {e}"));
-        let path = format!("{dir}/e9.engine_counters.jsonl");
-        jsonl::write_counters_to_path(&path, &counters)
-            .unwrap_or_else(|e| panic!("write engine counters to {path}: {e}"));
-    }
     table.note("schedule params: gamma = 1/2, rho = 1/4 (gamma_slow = 5/6, stagger l = 8)");
     table.note("coverage = fraction of steps t whose event r(t) occurred; rounds/step = r(T)/T");
     table.note("active-set series replayed from telemetry round events (id detail)");
-    table
+    (table, telemetry)
 }
 
 #[cfg(test)]
@@ -174,15 +171,13 @@ mod tests {
         let with = e09_schedule_adherence_with(&cfg, Some(&dir_str));
         let without = e09_schedule_adherence(&cfg);
         assert_eq!(with, without, "export must not change the table");
-        let blocks = jsonl::read_trial_blocks_from_path(dir.join("e9.jsonl")).unwrap();
-        assert!(!blocks.is_empty());
-        for b in &blocks {
+        let (table, export) = schedule_adherence(&cfg, true);
+        assert_eq!(table, without);
+        assert!(!export.blocks.is_empty());
+        for b in &export.blocks {
             assert!(!b.events.is_empty());
         }
-        let counters =
-            jsonl::read_counters_from_path(dir.join("e9.engine_counters.jsonl")).unwrap();
-        assert_eq!(counters.len(), blocks.len(), "one counter line per trial");
-        for (c, b) in counters.iter().zip(&blocks) {
+        for (c, b) in export.counters.iter().zip(&export.blocks) {
             assert_eq!(
                 c.rounds,
                 b.events.len() as u64,
@@ -190,6 +185,11 @@ mod tests {
             );
             assert_eq!(c.routed_rounds(), c.rounds);
         }
+        let trials = cfg.trials.clamp(2, 20) as u64;
+        let seeds: Vec<u64> = (0..cfg.n_sweep().len() as u64)
+            .flat_map(|k| (0..trials).map(move |t| cfg.seed_block(k) + t))
+            .collect();
+        export.assert_written(&dir, "e9", &seeds);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

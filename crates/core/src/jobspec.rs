@@ -20,7 +20,7 @@ use std::fmt;
 use fading_channel::SinrParams;
 use fading_geom::Deployment;
 use fading_protocols::ProtocolKind;
-use fading_sim::telemetry::jsonl::{parse_json, JsonValue};
+use fading_sim::telemetry::jsonl::{fmt_f64, parse_json, JsonValue};
 
 use crate::channel_kind::ChannelKind;
 use crate::scenario::{Scenario, ScenarioError};
@@ -148,15 +148,6 @@ fn invalid(msg: impl Into<String>) -> JobSpecError {
     JobSpecError::Invalid(msg.into())
 }
 
-/// Formats an `f64` so it round-trips through [`parse_json`].
-fn fmt_f64(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{v:.1}")
-    } else {
-        format!("{v:?}")
-    }
-}
-
 impl JobSpec {
     /// A small, always-valid spec — the starting point tests and load
     /// generators tweak.
@@ -181,21 +172,20 @@ impl JobSpec {
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(256);
         s.push_str(&format!(
-            "{{\"id\":\"{}\",\"n\":{},\"density\":{},\"deploy_seed\":{},\"trials\":{},\"seed_base\":{},\"max_rounds\":{},\"telemetry\":{}",
-            self.id,
-            self.n,
-            fmt_f64(self.density),
-            self.deploy_seed,
-            self.trials,
-            self.seed_base,
-            self.max_rounds,
-            self.telemetry,
+            "{{\"id\":\"{}\",\"n\":{},\"density\":",
+            self.id, self.n
+        ));
+        fmt_f64(&mut s, self.density);
+        s.push_str(&format!(
+            ",\"deploy_seed\":{},\"trials\":{},\"seed_base\":{},\"max_rounds\":{},\"telemetry\":{}",
+            self.deploy_seed, self.trials, self.seed_base, self.max_rounds, self.telemetry,
         ));
         s.push_str(",\"protocol\":{");
         s.push_str(&format!("\"kind\":\"{}\"", self.protocol.label()));
         match self.protocol {
             ProtocolKind::Fkn { p } | ProtocolKind::FixedProbability { p } => {
-                s.push_str(&format!(",\"p\":{}", fmt_f64(p)));
+                s.push_str(",\"p\":");
+                fmt_f64(&mut s, p);
             }
             ProtocolKind::Aloha { n } => s.push_str(&format!(",\"n\":{n}")),
             ProtocolKind::CyclicSweep { n_bound }
@@ -203,7 +193,9 @@ impl JobSpec {
                 s.push_str(&format!(",\"n_bound\":{n_bound}"));
             }
             ProtocolKind::FknInterleavedJs { p, n_bound } => {
-                s.push_str(&format!(",\"p\":{},\"n_bound\":{n_bound}", fmt_f64(p)));
+                s.push_str(",\"p\":");
+                fmt_f64(&mut s, p);
+                s.push_str(&format!(",\"n_bound\":{n_bound}"));
             }
             ProtocolKind::Decay | ProtocolKind::DecayClassic | ProtocolKind::CdElection => {}
             // `ProtocolKind` is non_exhaustive; new variants must extend
@@ -214,7 +206,8 @@ impl JobSpec {
         s.push_str("},\"channel\":{");
         s.push_str(&format!("\"kind\":\"{}\"", self.channel.label()));
         if let ChannelSpec::Lossy { drop_prob } = self.channel {
-            s.push_str(&format!(",\"drop_prob\":{}", fmt_f64(drop_prob)));
+            s.push_str(",\"drop_prob\":");
+            fmt_f64(&mut s, drop_prob);
         }
         s.push_str("}}");
         s

@@ -40,7 +40,7 @@ use fading_cr::sim::montecarlo::{Summary, TrialRun, TrialRunner};
 use fading_cr::sim::obs::timeseries::{frame_to_json, TimeSeries, TsFrame};
 use fading_cr::sim::obs::{EngineCounters, NoopProgress, ProgressEvent, ProgressSink};
 use fading_cr::sim::recover::{trial_line, SupervisorConfig, TrialManifest};
-use fading_cr::sim::telemetry::jsonl::{json_escape, write_events_to_path};
+use fading_cr::sim::telemetry::jsonl::{fmt_f64, json_escape, write_events_to_path};
 use fading_cr::sim::telemetry::{MemorySink, MetricsRegistry, TelemetryDetail};
 use fading_cr::sim::{RunResult, Tracer};
 
@@ -830,15 +830,6 @@ pub fn run_job_observed(
     })
 }
 
-/// Formats an `f64` for the result JSON (always finite here).
-fn fmt_f64(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{v:.1}")
-    } else {
-        format!("{v:?}")
-    }
-}
-
 /// Writes `trials.jsonl` (seed-ordered, byte-stable across resumes) and
 /// `result.json`.
 fn write_artifacts(job_dir: &Path, spec: &JobSpec, run: &TrialRun) -> io::Result<()> {
@@ -854,6 +845,11 @@ fn write_artifacts(job_dir: &Path, spec: &JobSpec, run: &TrialRun) -> io::Result
     std::fs::write(job_dir.join("trials.jsonl"), trials)?;
 
     let summary = Summary::from_results(&completed);
+    let f = |v: f64| {
+        let mut s = String::new();
+        fmt_f64(&mut s, v);
+        s
+    };
     let result_json = format!(
         "{{\"id\":\"{}\",\"trials\":{},\"resumed\":{},\"complete\":{},\"fleet\":{},\"summary\":{{\"trials\":{},\"success_rate\":{},\"mean_rounds\":{},\"std_rounds\":{},\"min_rounds\":{},\"median_rounds\":{},\"p95_rounds\":{},\"max_rounds\":{},\"mean_transmissions\":{}}}}}\n",
         spec.id,
@@ -862,14 +858,14 @@ fn write_artifacts(job_dir: &Path, spec: &JobSpec, run: &TrialRun) -> io::Result
         run.complete(),
         run.summary.to_json(),
         summary.trials,
-        fmt_f64(summary.success_rate),
-        fmt_f64(summary.mean_rounds),
-        fmt_f64(summary.std_rounds),
+        f(summary.success_rate),
+        f(summary.mean_rounds),
+        f(summary.std_rounds),
         summary.min_rounds,
-        fmt_f64(summary.median_rounds),
-        fmt_f64(summary.p95_rounds),
+        f(summary.median_rounds),
+        f(summary.p95_rounds),
         summary.max_rounds,
-        fmt_f64(summary.mean_transmissions),
+        f(summary.mean_transmissions),
     );
     std::fs::write(job_dir.join("result.json"), result_json)?;
     Ok(())

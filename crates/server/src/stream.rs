@@ -27,7 +27,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use fading_cr::sim::obs::timeseries::TimeSeries;
-use fading_cr::sim::telemetry::jsonl::{json_escape, parse_json, JsonValue};
+use fading_cr::sim::telemetry::jsonl::{fmt_f64, json_escape};
 
 /// Default bound on one subscriber's pending-line queue. At ~100 bytes a
 /// line this caps a stalled subscriber at ~100 KiB of retained lines.
@@ -330,59 +330,22 @@ pub struct Alert {
     pub t_ms: u64,
 }
 
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else if v.is_nan() {
-        "NaN".to_string()
-    } else if v > 0.0 {
-        "inf".to_string()
-    } else {
-        "-inf".to_string()
-    }
-}
-
 impl Alert {
     /// One-line JSON form: `{"event":"alert","rule":…,"value":…,
-    /// "threshold":…,"t_ms":…}`. `f64`s use the workspace's `{:?}`
-    /// round-trip formatting.
+    /// "threshold":…,"t_ms":…}`. `f64`s use the workspace's wire form
+    /// ([`fmt_f64`]).
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"event\":\"alert\",\"rule\":\"{}\",\"value\":{},\"threshold\":{},\"t_ms\":{}}}",
-            json_escape(&self.rule),
-            fmt_f64(self.value),
-            fmt_f64(self.threshold),
-            self.t_ms
-        )
-    }
-
-    /// Parses the output of [`Alert::to_json`] (unknown keys ignored).
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message on malformed input.
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    pub fn from_json(line: &str) -> Result<Alert, String> {
-        let v = parse_json(line).map_err(|e| e.to_string())?;
-        if v.get("event").and_then(JsonValue::as_str) != Some("alert") {
-            return Err("not an alert event".to_string());
-        }
-        let num = |key: &str| {
-            v.get(key)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("missing or non-numeric {key:?}"))
-        };
-        Ok(Alert {
-            rule: v
-                .get("rule")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| "missing \"rule\"".to_string())?
-                .to_string(),
-            value: num("value")?,
-            threshold: num("threshold")?,
-            t_ms: num("t_ms")? as u64,
-        })
+        use std::fmt::Write as _;
+        let mut s = format!(
+            "{{\"event\":\"alert\",\"rule\":\"{}\",\"value\":",
+            json_escape(&self.rule)
+        );
+        fmt_f64(&mut s, self.value);
+        s.push_str(",\"threshold\":");
+        fmt_f64(&mut s, self.threshold);
+        let _ = write!(s, ",\"t_ms\":{}}}", self.t_ms);
+        s
     }
 }
 
@@ -485,6 +448,7 @@ impl SloWatch {
 mod tests {
     use super::*;
     use fading_cr::sim::obs::timeseries::TsSample;
+    use fading_cr::sim::telemetry::jsonl::{parse_json, JsonValue};
 
     #[test]
     fn hub_fans_out_with_job_filtering() {
@@ -567,15 +531,18 @@ mod tests {
     }
 
     #[test]
-    fn alert_json_round_trips() {
+    fn alert_json_golden_bytes() {
         let a = Alert {
             rule: "queue_depth".to_string(),
             value: 17.0,
             threshold: 10.5,
             t_ms: 1234,
         };
-        assert_eq!(Alert::from_json(&a.to_json()).unwrap(), a);
-        assert!(Alert::from_json("{\"event\":\"frame\"}").is_err());
+        assert_eq!(
+            a.to_json(),
+            "{\"event\":\"alert\",\"rule\":\"queue_depth\",\"value\":17.0,\
+             \"threshold\":10.5,\"t_ms\":1234}"
+        );
     }
 
     fn series_with(fallback: u64, resolved: u64, timed_out: u64, depth: u64) -> TimeSeries {

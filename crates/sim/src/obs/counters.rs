@@ -49,12 +49,6 @@ impl ResolvePath {
             ResolvePath::Instrumented => "instrumented",
         }
     }
-
-    /// Inverse of [`ResolvePath::name`] (used by the JSONL parser).
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<ResolvePath> {
-        ResolvePath::ALL.into_iter().find(|p| p.name() == name)
-    }
 }
 
 /// One unified view of every engine-level decision counter a simulation
@@ -351,16 +345,7 @@ impl EngineCounters {
 mod tests {
     use super::*;
     use crate::recover::snapshot::counters_round_trip;
-    use crate::telemetry::jsonl::{counters_from_json, counters_to_json};
     use std::collections::HashSet;
-
-    #[test]
-    fn resolve_path_names_round_trip() {
-        for p in ResolvePath::ALL {
-            assert_eq!(ResolvePath::from_name(p.name()), Some(p));
-        }
-        assert_eq!(ResolvePath::from_name("warp-drive"), None);
-    }
 
     #[test]
     fn routed_rounds_sums_paths() {
@@ -405,17 +390,18 @@ mod tests {
     }
 
     #[test]
-    fn counter_table_rows_round_trip_through_jsonl_and_snapshot() {
+    fn counter_table_rows_round_trip_through_the_snapshot() {
         let whole = EngineCounters::distinct();
-        let jsonl = |c: &EngineCounters| counters_from_json(&counters_to_json(c)).unwrap();
-        assert_eq!(jsonl(&whole), whole, "a field without its own row");
-        assert_eq!(counters_round_trip(&whole), (whole, whole.farfield));
+        assert_eq!(
+            counters_round_trip(&whole),
+            (whole, whole.farfield),
+            "a field without its own row"
+        );
         for row in &COUNTERS {
             let v = if row.is_flag() { 1 } else { 7 };
             let c = only(row, v);
             assert_ne!(c, EngineCounters::default(), "{}: no field", row.key);
             assert_eq!(row.get(&c), v, "{}", row.key);
-            assert_eq!(jsonl(&c), c, "{}: JSONL", row.key);
             assert_eq!(counters_round_trip(&c), (c, c.farfield), "{}", row.key);
         }
     }

@@ -21,10 +21,9 @@
 //! (started → retried\* → terminal) is always in order.
 //!
 //! Every event has a one-line JSON form ([`ProgressEvent::to_json`] /
-//! [`ProgressEvent::from_json`]) with the same bit-exact round-trip
-//! guarantee as the other exporters; the job server forwards these lines
-//! to `watch` subscribers verbatim (plus job/timestamp fields, which the
-//! parser here ignores as unknown keys).
+//! [`ProgressEvent::from_json`], which round-trip exactly); the job server
+//! forwards these lines to `watch` subscribers verbatim (plus job/timestamp
+//! fields, which the parser here ignores as unknown keys).
 
 use std::sync::Mutex;
 

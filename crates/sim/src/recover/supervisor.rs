@@ -11,8 +11,8 @@
 //! wedging the pool.
 //!
 //! Everything rolls up into a [`FleetSummary`]
-//! (`succeeded`/`retried`/`timed_out`/`poisoned`) with a JSON round-trip
-//! for the telemetry sidecar files.
+//! (`succeeded`/`retried`/`timed_out`/`poisoned`) with a one-line JSON
+//! form for the job server's result file.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
@@ -223,28 +223,6 @@ impl FleetSummary {
             "{{\"trials\":{},\"succeeded\":{},\"retried\":{},\"timed_out\":{},\"poisoned\":{}}}",
             self.trials, self.succeeded, self.retried, self.timed_out, self.poisoned
         )
-    }
-
-    /// Parses the output of [`FleetSummary::to_json`]. Returns `None` on
-    /// any missing key or malformed number (unknown keys are ignored).
-    #[must_use]
-    pub fn from_json(json: &str) -> Option<Self> {
-        let field = |key: &str| -> Option<u64> {
-            let pat = format!("\"{key}\":");
-            let start = json.find(&pat)? + pat.len();
-            let rest = &json[start..];
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..end].parse().ok()
-        };
-        Some(FleetSummary {
-            trials: field("trials")?,
-            succeeded: field("succeeded")?,
-            retried: field("retried")?,
-            timed_out: field("timed_out")?,
-            poisoned: field("poisoned")?,
-        })
     }
 }
 
@@ -618,9 +596,10 @@ mod tests {
         assert_eq!(summary.timed_out, 1);
         assert_eq!(summary.retried, 3);
 
-        let json = summary.to_json();
-        assert_eq!(FleetSummary::from_json(&json), Some(summary));
-        assert_eq!(FleetSummary::from_json("{}"), None);
+        assert_eq!(
+            summary.to_json(),
+            "{\"trials\":3,\"succeeded\":1,\"retried\":3,\"timed_out\":1,\"poisoned\":1}"
+        );
 
         let mut merged = summary;
         merged.merge(&summary);

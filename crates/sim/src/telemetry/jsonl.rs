@@ -1,37 +1,36 @@
-//! Lossless JSONL (one JSON object per line) export of [`RoundEvent`]s.
+//! JSONL (one JSON object per line) export of [`RoundEvent`]s and
+//! [`EngineCounters`], and the workspace's one JSON parser.
 //!
 //! The workspace's vendored `serde`/`serde_json` are offline no-op stubs,
-//! so this module hand-rolls both directions:
+//! so this module hand-rolls both:
 //!
-//! * The **writer** emits one flat JSON object per event. `f64`s are
-//!   formatted with Rust's `{:?}` (shortest representation that
-//!   round-trips), so `parse(write(x)) == x` bit-for-bit for finite
-//!   values. Non-finite values use the bare tokens `inf`, `-inf`, `NaN`
-//!   (not valid JSON, but unambiguous and round-trippable — the paper's
-//!   SINR can legitimately be `inf` when the denominator is zero).
-//! * The **reader** is a small recursive-descent parser covering the
-//!   subset the writer produces (objects, arrays, numbers, strings,
-//!   booleans, `null`, and the three non-finite tokens). Unknown object
-//!   keys are ignored, so streams stay readable across schema additions;
-//!   missing keys are an error.
+//! * The **writers** emit one flat JSON object per event, trial meta line
+//!   or counters snapshot. `f64`s go through [`fmt_f64`]: the shortest
+//!   form that parses back to the same bits, and the bare tokens `inf`,
+//!   `-inf`, `NaN` for non-finite values (not valid JSON, but unambiguous
+//!   — the paper's SINR can legitimately be `inf` when the denominator is
+//!   zero).
+//! * [`parse_json`] is a small recursive-descent parser covering that
+//!   dialect (objects, arrays, numbers, strings, booleans, `null`, and the
+//!   three non-finite tokens). The job server's socket requests, job
+//!   specs, progress events, time-series frames and the bench baselines
+//!   are read through it.
 //!
-//! # Round-trip guarantee
+//! # Golden bytes
 //!
-//! For every event `e`: `event_from_json(&event_to_json(&e)) == Ok(e)`,
-//! covered by this module's unit tests and, on real faulted full-detail
-//! streams, by `jsonl_files_round_trip_bit_exactly` in
-//! `crates/sim/tests/telemetry.rs`. That the streams themselves do not
-//! depend on engine tier or thread count is the differential oracle's
-//! (`tests/differential.rs` at the repository root).
+//! This module's unit tests pin the writers' exact bytes: one full-detail
+//! event line, one two-block trial stream and one counters line. That the
+//! streams themselves do not depend on engine tier or thread count is the
+//! differential oracle's (`tests/differential.rs` at the repository root).
 
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 use fading_channel::{NodeId, SinrBreakdown};
 
-use crate::obs::{EngineCounters, ResolvePath, COUNTERS};
+use crate::obs::{EngineCounters, COUNTERS};
 
 use super::RoundEvent;
 
@@ -97,19 +96,15 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Formats an `f64` so it round-trips exactly: shortest `{:?}` form for
-/// finite values, bare `inf` / `-inf` / `NaN` tokens otherwise.
-fn fmt_f64(out: &mut String, v: f64) {
+/// Appends the workspace's wire form of an `f64`: Rust's `{:?}`, the
+/// shortest decimal that [`parse_json`] reads back to the same bits. It
+/// keeps a `.0` on integral values below 1e16 (`3.0`, not `3`), switches
+/// to exponent form from there (`1e16`, `5e-324`), and spells non-finite
+/// values as the bare tokens `inf`, `-inf` and `NaN`. Every writer in the
+/// workspace that emits a float into JSON goes through here.
+pub fn fmt_f64(out: &mut String, v: f64) {
     use fmt::Write as _;
-    if v.is_finite() {
-        let _ = write!(out, "{v:?}");
-    } else if v.is_nan() {
-        out.push_str("NaN");
-    } else if v > 0.0 {
-        out.push_str("inf");
-    } else {
-        out.push_str("-inf");
-    }
+    let _ = write!(out, "{v:?}");
 }
 
 fn fmt_ids(out: &mut String, ids: &[NodeId]) {
@@ -214,12 +209,11 @@ pub fn event_to_json(ev: &RoundEvent) -> String {
 // Parser
 // ---------------------------------------------------------------------------
 
-/// A parsed JSON value — the subset this module writes, plus everything
-/// the `obs::export` parsers need (strings, nested arrays/objects).
+/// A parsed JSON value: standard JSON plus the non-finite number tokens.
 ///
-/// Public so other hand-rolled formats in the workspace (Chrome trace
-/// parse-back, the bench-gate baseline reader) can reuse one parser
-/// instead of growing their own; see [`parse_json`].
+/// Public so every reader in the workspace (socket requests, job specs,
+/// progress events, time-series frames, the bench baselines) shares one
+/// parser instead of growing its own; see [`parse_json`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// JSON `null`.
@@ -536,147 +530,6 @@ pub fn parse_json(input: &str) -> Result<JsonValue, JsonlError> {
     Ok(v)
 }
 
-// --- typed field extraction ------------------------------------------------
-
-fn obj_fields(v: &JsonValue) -> Result<&[(String, JsonValue)], JsonlError> {
-    match v {
-        JsonValue::Obj(fields) => Ok(fields),
-        _ => Err(parse_err("expected a JSON object")),
-    }
-}
-
-fn get<'v>(fields: &'v [(String, JsonValue)], key: &str) -> Result<&'v JsonValue, JsonlError> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| parse_err(format!("missing key {key:?}")))
-}
-
-fn get_f64(fields: &[(String, JsonValue)], key: &str) -> Result<f64, JsonlError> {
-    match get(fields, key)? {
-        JsonValue::Num(n) => Ok(*n),
-        _ => Err(parse_err(format!("key {key:?} is not a number"))),
-    }
-}
-
-fn num_to_usize(n: f64, key: &str) -> Result<usize, JsonlError> {
-    if n.fract() == 0.0 && (0.0..9.007_199_254_740_992e15).contains(&n) {
-        Ok(n as usize)
-    } else {
-        Err(parse_err(format!(
-            "key {key:?} is not a valid integer: {n}"
-        )))
-    }
-}
-
-fn get_usize(fields: &[(String, JsonValue)], key: &str) -> Result<usize, JsonlError> {
-    num_to_usize(get_f64(fields, key)?, key)
-}
-
-fn get_u64(fields: &[(String, JsonValue)], key: &str) -> Result<u64, JsonlError> {
-    Ok(get_usize(fields, key)? as u64)
-}
-
-fn get_bool(fields: &[(String, JsonValue)], key: &str) -> Result<bool, JsonlError> {
-    match get(fields, key)? {
-        JsonValue::Bool(b) => Ok(*b),
-        _ => Err(parse_err(format!("key {key:?} is not a boolean"))),
-    }
-}
-
-fn get_opt_id(fields: &[(String, JsonValue)], key: &str) -> Result<Option<NodeId>, JsonlError> {
-    match get(fields, key)? {
-        JsonValue::Null => Ok(None),
-        JsonValue::Num(n) => num_to_usize(*n, key).map(Some),
-        _ => Err(parse_err(format!("key {key:?} is not null or a number"))),
-    }
-}
-
-fn get_ids(fields: &[(String, JsonValue)], key: &str) -> Result<Vec<NodeId>, JsonlError> {
-    match get(fields, key)? {
-        JsonValue::Arr(items) => items
-            .iter()
-            .map(|v| match v {
-                JsonValue::Num(n) => num_to_usize(*n, key),
-                _ => Err(parse_err(format!("key {key:?} holds a non-numeric id"))),
-            })
-            .collect(),
-        _ => Err(parse_err(format!("key {key:?} is not an array"))),
-    }
-}
-
-fn get_resolve_path(fields: &[(String, JsonValue)]) -> Result<ResolvePath, JsonlError> {
-    match get(fields, "resolve_path")? {
-        JsonValue::Str(s) => ResolvePath::from_name(s)
-            .ok_or_else(|| parse_err(format!("unknown resolve_path {s:?}"))),
-        _ => Err(parse_err("key \"resolve_path\" is not a string")),
-    }
-}
-
-fn breakdown_from_value(v: &JsonValue) -> Result<SinrBreakdown, JsonlError> {
-    let f = obj_fields(v)?;
-    Ok(SinrBreakdown {
-        listener: get_usize(f, "listener")?,
-        best_tx: get_opt_id(f, "best_tx")?,
-        signal: get_f64(f, "signal")?,
-        interference: get_f64(f, "interference")?,
-        noise: get_f64(f, "noise")?,
-        extra: get_f64(f, "extra")?,
-        margin: get_f64(f, "margin")?,
-        decoded: get_bool(f, "decoded")?,
-    })
-}
-
-/// Parses one [`SinrBreakdown`] from its JSON object form.
-///
-/// # Errors
-///
-/// Returns [`JsonlError::Parse`] on malformed JSON or missing keys.
-pub fn breakdown_from_json(line: &str) -> Result<SinrBreakdown, JsonlError> {
-    breakdown_from_value(&parse_json(line)?)
-}
-
-/// Parses one [`RoundEvent`] from a JSON line produced by
-/// [`event_to_json`]. Unknown keys are ignored; missing keys are errors.
-///
-/// # Errors
-///
-/// Returns [`JsonlError::Parse`] on malformed JSON or schema mismatch.
-pub fn event_from_json(line: &str) -> Result<RoundEvent, JsonlError> {
-    let v = parse_json(line)?;
-    let f = obj_fields(&v)?;
-    let sinr = match get(f, "sinr")? {
-        JsonValue::Arr(items) => items
-            .iter()
-            .map(breakdown_from_value)
-            .collect::<Result<Vec<_>, _>>()?,
-        _ => return Err(parse_err("key \"sinr\" is not an array")),
-    };
-    Ok(RoundEvent {
-        round: get_u64(f, "round")?,
-        active_pre_churn: get_usize(f, "active_pre_churn")?,
-        participants: get_usize(f, "participants")?,
-        transmitters: get_usize(f, "transmitters")?,
-        listeners: get_usize(f, "listeners")?,
-        knocked_out: get_usize(f, "knocked_out")?,
-        churn_applied: get_usize(f, "churn_applied")?,
-        noise_scale: get_f64(f, "noise_scale")?,
-        jam_power: get_f64(f, "jam_power")?,
-        ge_in_burst: get_bool(f, "ge_in_burst")?,
-        ge_dropped: get_usize(f, "ge_dropped")?,
-        resolve_path: get_resolve_path(f)?,
-        ff_fallbacks: get_usize(f, "ff_fallbacks")?,
-        resolved: get_bool(f, "resolved")?,
-        winner: get_opt_id(f, "winner")?,
-        transmitter_ids: get_ids(f, "transmitter_ids")?,
-        knocked_out_ids: get_ids(f, "knocked_out_ids")?,
-        crashed_ids: get_ids(f, "crashed_ids")?,
-        revived_ids: get_ids(f, "revived_ids")?,
-        sinr,
-    })
-}
-
 // ---------------------------------------------------------------------------
 // EngineCounters
 // ---------------------------------------------------------------------------
@@ -701,28 +554,6 @@ pub fn counters_to_json(c: &EngineCounters) -> String {
     s
 }
 
-/// Parses one [`EngineCounters`] snapshot from a line produced by
-/// [`counters_to_json`]. Unknown keys are ignored; missing keys are
-/// errors.
-///
-/// # Errors
-///
-/// Returns [`JsonlError::Parse`] on malformed JSON or schema mismatch.
-pub fn counters_from_json(line: &str) -> Result<EngineCounters, JsonlError> {
-    let v = parse_json(line)?;
-    let f = obj_fields(&v)?;
-    let mut c = EngineCounters::default();
-    for row in &COUNTERS {
-        let v = if row.is_flag() {
-            u64::from(get_bool(f, row.key)?)
-        } else {
-            get_u64(f, row.key)?
-        };
-        row.set(&mut c, v);
-    }
-    Ok(c)
-}
-
 /// Writes counters snapshots (one per line, e.g. one per trial) to a file
 /// at `path` (created/truncated).
 ///
@@ -742,25 +573,6 @@ pub fn write_counters_to_path<P: AsRef<Path>>(
     Ok(())
 }
 
-/// Reads a counters stream written by [`write_counters_to_path`]; blank
-/// lines are skipped.
-///
-/// # Errors
-///
-/// Propagates open/read failures; parse errors carry 1-based line numbers.
-pub fn read_counters_from_path<P: AsRef<Path>>(path: P) -> Result<Vec<EngineCounters>, JsonlError> {
-    let r = BufReader::new(File::open(path)?);
-    let mut out = Vec::new();
-    for (i, line) in r.lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        out.push(counters_from_json(&line).map_err(|e| remap(e, i + 1))?);
-    }
-    Ok(out)
-}
-
 // ---------------------------------------------------------------------------
 // Stream I/O
 // ---------------------------------------------------------------------------
@@ -778,28 +590,6 @@ pub fn write_events<W: Write>(w: &mut W, events: &[RoundEvent]) -> Result<(), Js
     Ok(())
 }
 
-/// Reads an event stream written by [`write_events`]; blank lines are
-/// skipped.
-///
-/// # Errors
-///
-/// Returns [`JsonlError::Io`] on read failures and [`JsonlError::Parse`]
-/// (with a 1-based line number) on malformed lines.
-pub fn read_events<R: BufRead>(r: R) -> Result<Vec<RoundEvent>, JsonlError> {
-    let mut events = Vec::new();
-    for (i, line) in r.lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        events.push(event_from_json(&line).map_err(|e| match e {
-            JsonlError::Parse { msg, .. } => JsonlError::Parse { line: i + 1, msg },
-            other => other,
-        })?);
-    }
-    Ok(events)
-}
-
 /// Writes events to a file at `path` (created/truncated).
 ///
 /// # Errors
@@ -815,15 +605,6 @@ pub fn write_events_to_path<P: AsRef<Path>>(
     Ok(())
 }
 
-/// Reads an event stream from the file at `path`.
-///
-/// # Errors
-///
-/// Propagates open/read failures and per-line parse errors.
-pub fn read_events_from_path<P: AsRef<Path>>(path: P) -> Result<Vec<RoundEvent>, JsonlError> {
-    read_events(BufReader::new(File::open(path)?))
-}
-
 /// One Monte-Carlo trial's event stream, tagged with its trial index and
 /// seed so multi-trial exports stay self-describing.
 #[derive(Debug, Clone, PartialEq)]
@@ -837,8 +618,8 @@ pub struct TrialBlock {
 }
 
 /// Writes trial blocks as a meta line (`{"trial":…,"seed":…,"events":…}`)
-/// followed by that trial's event lines. Meta lines are distinguished on
-/// read by their `"trial"` key, which event lines never carry.
+/// followed by that trial's event lines. Meta lines are told apart from
+/// event lines by their `"trial"` key, which event lines never carry.
 ///
 /// # Errors
 ///
@@ -857,66 +638,6 @@ pub fn write_trial_blocks<W: Write>(w: &mut W, blocks: &[TrialBlock]) -> Result<
     Ok(())
 }
 
-/// Reads a stream written by [`write_trial_blocks`].
-///
-/// # Errors
-///
-/// Returns [`JsonlError::Parse`] if the stream does not start with a meta
-/// line, a block is truncated, or any line is malformed.
-pub fn read_trial_blocks<R: BufRead>(r: R) -> Result<Vec<TrialBlock>, JsonlError> {
-    let mut blocks: Vec<TrialBlock> = Vec::new();
-    let mut expected: usize = 0;
-    for (i, line) in r.lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let at = |msg: String| JsonlError::Parse { line: i + 1, msg };
-        let v = parse_json(&line).map_err(|e| match e {
-            JsonlError::Parse { msg, .. } => at(msg),
-            other => other,
-        })?;
-        let f = obj_fields(&v).map_err(|_| at("expected an object".into()))?;
-        if f.iter().any(|(k, _)| k == "trial") {
-            if expected > 0 {
-                return Err(at(format!(
-                    "previous block short by {expected} event lines"
-                )));
-            }
-            blocks.push(TrialBlock {
-                trial: get_u64(f, "trial").map_err(|e| remap(e, i + 1))?,
-                seed: get_u64(f, "seed").map_err(|e| remap(e, i + 1))?,
-                events: Vec::new(),
-            });
-            expected = get_usize(f, "events").map_err(|e| remap(e, i + 1))?;
-        } else {
-            let block = blocks
-                .last_mut()
-                .ok_or_else(|| at("event line before any trial meta line".into()))?;
-            if expected == 0 {
-                return Err(at("more event lines than the meta line declared".into()));
-            }
-            block
-                .events
-                .push(event_from_json(&line).map_err(|e| remap(e, i + 1))?);
-            expected -= 1;
-        }
-    }
-    if expected > 0 {
-        return Err(parse_err(format!(
-            "final block short by {expected} event lines"
-        )));
-    }
-    Ok(blocks)
-}
-
-fn remap(e: JsonlError, line: usize) -> JsonlError {
-    match e {
-        JsonlError::Parse { msg, .. } => JsonlError::Parse { line, msg },
-        other => other,
-    }
-}
-
 /// Writes trial blocks to a file at `path` (created/truncated).
 ///
 /// # Errors
@@ -932,19 +653,34 @@ pub fn write_trial_blocks_to_path<P: AsRef<Path>>(
     Ok(())
 }
 
-/// Reads trial blocks from the file at `path`.
-///
-/// # Errors
-///
-/// Propagates open/read failures and per-line parse errors.
-pub fn read_trial_blocks_from_path<P: AsRef<Path>>(path: P) -> Result<Vec<TrialBlock>, JsonlError> {
-    read_trial_blocks(BufReader::new(File::open(path)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::ResolvePath;
 
+    #[test]
+    fn fmt_f64_golden_bytes() {
+        let cases: [(f64, &str); 10] = [
+            (0.0, "0.0"),
+            (-0.0, "-0.0"),
+            (3.0, "3.0"),
+            (1e15, "1000000000000000.0"),
+            (1e16, "1e16"),
+            (0.1, "0.1"),
+            (5e-324, "5e-324"),
+            (f64::INFINITY, "inf"),
+            (f64::NEG_INFINITY, "-inf"),
+            (f64::NAN, "NaN"),
+        ];
+        for (v, golden) in cases {
+            let mut s = String::new();
+            fmt_f64(&mut s, v);
+            assert_eq!(s, golden, "{v:e}");
+        }
+    }
+
+    /// A full-detail event: non-round and non-finite floats, null
+    /// `winner` and `best_tx`, empty and non-empty id lists.
     fn sample_event() -> RoundEvent {
         RoundEvent {
             round: 42,
@@ -958,7 +694,7 @@ mod tests {
             jam_power: 0.1 + 0.2, // deliberately non-round: 0.30000000000000004
             ge_in_burst: true,
             ge_dropped: 1,
-            resolve_path: ResolvePath::FarField,
+            resolve_path: ResolvePath::Hierarchical,
             ff_fallbacks: 4,
             resolved: false,
             winner: None,
@@ -966,136 +702,106 @@ mod tests {
             knocked_out_ids: vec![5, 9],
             crashed_ids: vec![11],
             revived_ids: vec![],
-            sinr: vec![SinrBreakdown {
-                listener: 1,
-                best_tx: Some(0),
-                signal: 16.0,
-                interference: 2.0,
-                noise: 1.0,
-                extra: 0.0,
-                margin: 10.0,
-                decoded: true,
-            }],
+            sinr: vec![
+                SinrBreakdown {
+                    listener: 1,
+                    best_tx: Some(0),
+                    signal: 16.0,
+                    interference: 2.0,
+                    noise: 1.0,
+                    extra: 0.0,
+                    margin: 10.0,
+                    decoded: true,
+                },
+                SinrBreakdown {
+                    listener: 3,
+                    best_tx: None,
+                    signal: 0.0,
+                    interference: f64::INFINITY,
+                    noise: 1.0,
+                    extra: 2.5,
+                    margin: f64::NEG_INFINITY,
+                    decoded: false,
+                },
+            ],
         }
     }
 
+    const SAMPLE_EVENT_LINE: &str = "{\"round\":42,\"active_pre_churn\":17,\"participants\":16,\
+         \"transmitters\":3,\"listeners\":13,\"knocked_out\":2,\"churn_applied\":1,\
+         \"noise_scale\":1.5,\"jam_power\":0.30000000000000004,\"ge_in_burst\":true,\
+         \"ge_dropped\":1,\"resolve_path\":\"hierarchical\",\"ff_fallbacks\":4,\
+         \"resolved\":false,\"winner\":null,\"transmitter_ids\":[0,5,9],\
+         \"knocked_out_ids\":[5,9],\"crashed_ids\":[11],\"revived_ids\":[],\"sinr\":[\
+         {\"listener\":1,\"best_tx\":0,\"signal\":16.0,\"interference\":2.0,\"noise\":1.0,\
+         \"extra\":0.0,\"margin\":10.0,\"decoded\":true},\
+         {\"listener\":3,\"best_tx\":null,\"signal\":0.0,\"interference\":inf,\"noise\":1.0,\
+         \"extra\":2.5,\"margin\":-inf,\"decoded\":false}]}";
+
     #[test]
-    fn event_round_trips_bit_exactly() {
+    fn event_line_golden_bytes() {
         let ev = sample_event();
-        let line = event_to_json(&ev);
-        assert!(!line.contains('\n'));
-        let back = event_from_json(&line).unwrap();
-        assert_eq!(back, ev);
-        assert_eq!(back.jam_power.to_bits(), ev.jam_power.to_bits());
+        assert_eq!(event_to_json(&ev), SAMPLE_EVENT_LINE);
+        // A breakdown alone is the same object the event line embeds.
+        assert_eq!(
+            breakdown_to_json(&ev.sinr[1]),
+            "{\"listener\":3,\"best_tx\":null,\"signal\":0.0,\"interference\":inf,\
+             \"noise\":1.0,\"extra\":2.5,\"margin\":-inf,\"decoded\":false}"
+        );
     }
 
     #[test]
-    fn non_finite_floats_round_trip() {
-        let mut ev = sample_event();
-        ev.noise_scale = f64::INFINITY;
-        ev.jam_power = f64::NEG_INFINITY;
-        let back = event_from_json(&event_to_json(&ev)).unwrap();
-        assert_eq!(back.noise_scale, f64::INFINITY);
-        assert_eq!(back.jam_power, f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn winner_and_best_tx_null_round_trip() {
-        let mut ev = sample_event();
-        ev.winner = Some(7);
-        ev.sinr[0].best_tx = None;
-        let back = event_from_json(&event_to_json(&ev)).unwrap();
-        assert_eq!(back.winner, Some(7));
-        assert_eq!(back.sinr[0].best_tx, None);
-    }
-
-    #[test]
-    fn unknown_keys_are_ignored_missing_keys_are_errors() {
-        let ev = RoundEvent {
+    fn trial_blocks_golden_bytes() {
+        let resolved = RoundEvent {
+            round: 43,
             noise_scale: 1.0,
+            resolved: true,
+            winner: Some(7),
             ..RoundEvent::default()
         };
-        let line = event_to_json(&ev);
-        let extended = format!("{}{}", &line[..line.len() - 1], ",\"future_field\":3}");
-        assert_eq!(event_from_json(&extended).unwrap(), ev);
-        let truncated = line.replace("\"resolved\":false,", "");
-        let err = event_from_json(&truncated).unwrap_err();
-        assert!(err.to_string().contains("resolved"), "{err}");
-    }
-
-    #[test]
-    fn stream_round_trips_and_skips_blank_lines() {
-        let events = vec![sample_event(), RoundEvent::default()];
-        let mut buf = Vec::new();
-        write_events(&mut buf, &events).unwrap();
-        let mut text = String::from_utf8(buf).unwrap();
-        text.push('\n'); // trailing blank line
-        let back = read_events(text.as_bytes()).unwrap();
-        assert_eq!(back, events);
-    }
-
-    #[test]
-    fn parse_errors_carry_line_numbers() {
-        let good = event_to_json(&RoundEvent::default());
-        let text = format!("{good}\nnot json\n");
-        match read_events(text.as_bytes()) {
-            Err(JsonlError::Parse { line, .. }) => assert_eq!(line, 2),
-            other => panic!("expected a line-2 parse error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn trial_blocks_round_trip() {
-        let blocks = vec![
+        let blocks = [
             TrialBlock {
                 trial: 0,
                 seed: 100,
-                events: vec![sample_event()],
+                events: vec![sample_event(), resolved],
             },
             TrialBlock {
                 trial: 1,
                 seed: 101,
                 events: vec![],
             },
-            TrialBlock {
-                trial: 2,
-                seed: 102,
-                events: vec![RoundEvent::default(), sample_event()],
-            },
         ];
         let mut buf = Vec::new();
         write_trial_blocks(&mut buf, &blocks).unwrap();
-        let back = read_trial_blocks(buf.as_slice()).unwrap();
-        assert_eq!(back, blocks);
+        let golden = format!(
+            "{{\"trial\":0,\"seed\":100,\"events\":2}}\n{SAMPLE_EVENT_LINE}\n\
+             {{\"round\":43,\"active_pre_churn\":0,\"participants\":0,\"transmitters\":0,\
+             \"listeners\":0,\"knocked_out\":0,\"churn_applied\":0,\"noise_scale\":1.0,\
+             \"jam_power\":0.0,\"ge_in_burst\":false,\"ge_dropped\":0,\
+             \"resolve_path\":\"exact\",\"ff_fallbacks\":0,\"resolved\":true,\"winner\":7,\
+             \"transmitter_ids\":[],\"knocked_out_ids\":[],\"crashed_ids\":[],\
+             \"revived_ids\":[],\"sinr\":[]}}\n\
+             {{\"trial\":1,\"seed\":101,\"events\":0}}\n"
+        );
+        assert_eq!(String::from_utf8(buf).unwrap(), golden);
     }
 
     #[test]
-    fn truncated_trial_block_is_an_error() {
-        let blocks = vec![TrialBlock {
-            trial: 0,
-            seed: 1,
-            events: vec![sample_event(), sample_event()],
-        }];
-        let mut buf = Vec::new();
-        write_trial_blocks(&mut buf, &blocks).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let cut = text.lines().take(2).collect::<Vec<_>>().join("\n");
-        assert!(read_trial_blocks(cut.as_bytes()).is_err());
-    }
-
-    #[test]
-    fn breakdown_json_is_standalone() {
-        let b = SinrBreakdown {
-            listener: 3,
-            best_tx: None,
-            signal: 0.0,
-            interference: f64::INFINITY,
-            noise: 1.0,
-            extra: 2.5,
-            margin: f64::NEG_INFINITY,
-            decoded: false,
-        };
-        assert_eq!(breakdown_from_json(&breakdown_to_json(&b)).unwrap(), b);
+    fn counters_file_is_one_line_per_snapshot() {
+        let path = std::env::temp_dir().join(format!(
+            "fading-jsonl-counters-{}.jsonl",
+            std::process::id()
+        ));
+        let all = [EngineCounters::distinct(), EngineCounters::default()];
+        write_counters_to_path(&path, &all).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let golden = format!(
+            "{}\n{}\n",
+            counters_to_json(&all[0]),
+            counters_to_json(&all[1])
+        );
+        assert_eq!(text, golden);
     }
 
     #[test]
@@ -1114,42 +820,6 @@ mod tests {
              \"ff_bracket_decisions\":207,\"ff_bracket_straddle_fallbacks\":208,\
              \"ff_canonical_rescans\":209}";
         assert_eq!(line, golden);
-    }
-
-    #[test]
-    fn counters_unknown_keys_ignored_missing_keys_error() {
-        let line = counters_to_json(&EngineCounters::distinct());
-        let extended = format!("{}{}", &line[..line.len() - 1], ",\"future\":1}");
-        assert_eq!(
-            counters_from_json(&extended).unwrap(),
-            EngineCounters::distinct()
-        );
-        let truncated = line.replace("\"ff_bracket_decisions\":207,", "");
-        let err = counters_from_json(&truncated).unwrap_err();
-        assert!(err.to_string().contains("ff_bracket_decisions"), "{err}");
-    }
-
-    #[test]
-    fn counters_file_round_trip_with_line_numbers() {
-        let dir = std::env::temp_dir().join("fading-jsonl-counters-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("engine_counters.jsonl");
-        let all = vec![EngineCounters::distinct(), EngineCounters::default()];
-        write_counters_to_path(&path, &all).unwrap();
-        assert_eq!(read_counters_from_path(&path).unwrap(), all);
-        std::fs::write(&path, "{}\n").unwrap();
-        match read_counters_from_path(&path) {
-            Err(JsonlError::Parse { line, .. }) => assert_eq!(line, 1),
-            other => panic!("expected a line-1 parse error, got {other:?}"),
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bad_resolve_path_is_an_error() {
-        let line = event_to_json(&sample_event()).replace("\"farfield\"", "\"warp\"");
-        let err = event_from_json(&line).unwrap_err();
-        assert!(err.to_string().contains("resolve_path"), "{err}");
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!   for (guarded by the `telemetry_overhead_n2048` bench, ≤ 5 % of
 //!   baseline step time).
 //! * **JSONL export**: [`jsonl`] serializes event streams one JSON object
-//!   per line and parses them back losslessly (f64s round-trip via
-//!   shortest-representation formatting). The writer is hand-rolled —
+//!   per line, f64s in their shortest exact form, with golden bytes pinned
+//!   by its tests. The writer is hand-rolled —
 //!   the workspace's vendored `serde` is an offline stub (see
 //!   `vendor/serde`), so derive-based serialization is unavailable.
 //! * **Metrics**: [`MetricsRegistry`] is a fold of an event stream

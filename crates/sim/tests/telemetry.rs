@@ -1,5 +1,4 @@
-//! Telemetry integration suite: JSONL round-trips, the `active_before`
-//! late-wake regression, the trace record cap, active-set replay, event
+//! Telemetry integration suite: the `active_before` late-wake regression, the trace record cap, active-set replay, event
 //! stream consistency and the metrics fold. That a sink never perturbs a
 //! run, at any thread count, is the differential oracle's
 //! (`tests/differential.rs`).
@@ -9,7 +8,7 @@ use std::sync::Arc;
 use fading_channel::{Channel, RadioChannel, SinrChannel, SinrParams};
 use fading_geom::{Deployment, Point};
 use fading_sim::faults::{ChurnEvent, FaultPlan, GilbertElliott, Jammer, NoiseBurst};
-use fading_sim::telemetry::{jsonl, replay_active_sets, MetricsRegistry};
+use fading_sim::telemetry::{replay_active_sets, MetricsRegistry};
 use fading_sim::{
     Action, EngineTier, MemorySink, NodeId, Protocol, Reception, RoundEvent, RunResult, SimConfig,
     Simulation, TelemetryDetail, Trace, TraceLevel, Tracer,
@@ -129,49 +128,6 @@ fn full_detail_run(seed: u64) -> (RunResult, Vec<RoundEvent>) {
     let result = sim.run_until_resolved(5_000);
     let sink = sim.take_telemetry_sink().and_then(MemorySink::recover);
     (result, sink.expect("memory sink recovers").into_events())
-}
-
-/// Full-detail event streams survive a JSONL file round-trip bit-exactly,
-/// both as a flat stream and as tagged trial blocks.
-#[test]
-fn jsonl_files_round_trip_bit_exactly() {
-    let (result, events) = full_detail_run(7);
-    assert_eq!(events.len() as u64, result.rounds_executed());
-    assert!(
-        events.iter().any(|e| !e.sinr.is_empty()),
-        "faulted SINR run must produce breakdowns to make the round-trip meaningful"
-    );
-
-    let dir = std::env::temp_dir();
-    let flat = dir.join(format!(
-        "fading-telemetry-{}-flat.jsonl",
-        std::process::id()
-    ));
-    jsonl::write_events_to_path(&flat, &events).unwrap();
-    let back = jsonl::read_events_from_path(&flat).unwrap();
-    assert_eq!(back, events, "flat stream must round-trip");
-    std::fs::remove_file(&flat).ok();
-
-    let blocks = vec![
-        jsonl::TrialBlock {
-            trial: 0,
-            seed: 7,
-            events: events.clone(),
-        },
-        jsonl::TrialBlock {
-            trial: 1,
-            seed: 8,
-            events: Vec::new(),
-        },
-    ];
-    let tagged = dir.join(format!(
-        "fading-telemetry-{}-blocks.jsonl",
-        std::process::id()
-    ));
-    jsonl::write_trial_blocks_to_path(&tagged, &blocks).unwrap();
-    let back = jsonl::read_trial_blocks_from_path(&tagged).unwrap();
-    assert_eq!(back, blocks, "trial blocks must round-trip");
-    std::fs::remove_file(&tagged).ok();
 }
 
 fn line_deployment(n: usize) -> Deployment {
