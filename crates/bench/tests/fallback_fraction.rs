@@ -11,12 +11,15 @@
 //!   across the sweep) with headroom for geometry jitter, and far below
 //!   the ~100% a broken bracket would produce.
 //! * **Protocol rounds** (whole FKN runs, whose early rounds hold many
-//!   more listeners per transmitter than the probe). The bound (9%) sits
-//!   above the 5–6% the tile-tree engine measures with its ring-2 near
-//!   field, and below the 17–19% it measured with a ring-1 near field
-//!   (and the removed flat far-field engine measured at fkn-alpha's
-//!   shape). It is checked on a forced tree at n = 2¹⁴ and on the *auto*
-//!   tier at the benchmark's fkn-alpha shape (n = 2¹⁵, α = 2.5).
+//!   more listeners per transmitter than the probe). The bound (8.9%)
+//!   keeps the headroom the 9% bound had over the ring-2 tree's measured
+//!   5.3–6.0%: with the refined stage the engine measures 5.2–5.9% on a
+//!   forced tree at n = 2¹⁴ (the stage settles few listeners at that
+//!   size) and 4.4% on
+//!   the *auto* tier at the benchmark's fkn-alpha shape (n = 2¹⁵,
+//!   α = 2.5; 5.9% without the stage). Both are checked. The bound stays
+//!   well below the 17–19% the tree measured with a ring-1 near field (and
+//!   the removed flat far-field engine measured at fkn-alpha's shape).
 
 use fading_bench::probe::run_probe;
 use fading_cr::channel::{EngineTier, SinrParams};
@@ -47,7 +50,7 @@ fn hierarchical_fallback_fraction_stays_low() {
 /// for a test-suite run.
 const PROTOCOL_N: usize = 1 << 14;
 
-const MAX_PROTOCOL_FALLBACK_FRACTION: f64 = 0.09;
+const MAX_PROTOCOL_FALLBACK_FRACTION: f64 = 0.089;
 
 #[test]
 fn hierarchical_fallback_fraction_stays_low_on_protocol_rounds() {

@@ -20,7 +20,13 @@
 //!    after widening the bracket by [`FARFIELD_REL_SLACK`] to absorb
 //!    floating-point reordering — and otherwise asks for the **exact
 //!    fallback**, the canonical scan [`SinrChannel`](crate::SinrChannel)
-//!    itself runs.
+//!    itself runs;
+//! 4. before that fallback, on rungs 3–5, runs the **refined stage**: the
+//!    engine folds the exact gains of the listener tile's close
+//!    transmitters into the near scan, drops their bracket from the far
+//!    field, and hands the result to the ladder once more
+//!    ([`decide_refined`]). Only a listener that second ladder cannot
+//!    settle takes the exact fallback.
 //!
 //! For α ∈ {2, 3, 4, 6} every gain above is the canonical expression. For
 //! any other α the engine computes them with the crate's bounded
@@ -60,7 +66,13 @@
 //! Every uncertain case — non-finite intermediate (including a NaN from
 //! the bounded kernel), no near winner, a far node that could rival the
 //! near best, a bracket that straddles the threshold — takes the exact
-//! fallback. The round-level table of the workspace's differential
+//! fallback, the last three after the refined stage could not settle
+//! them either. The refined ladder keeps the contract because its inputs
+//! are the same certificate with exact gains in place of one bracket: the
+//! near, close and remaining far sources are disjoint, the close gains
+//! come from the near scan's kernel and expression, and the merged winner
+//! is the first strict maximum over near and close together (DESIGN.md
+//! §10.2). The round-level table of the workspace's differential
 //! oracle (`tests/differential.rs`) enforces the contract on every round
 //! it draws, checks that every tree bracket and the ladder's far
 //! aggregate contain the exact interference, and holds each knife-edge
@@ -136,12 +148,15 @@ pub(crate) fn slack_certifies(k: usize) -> bool {
 
 /// Decision counters accumulated by the tile-tree engine across rounds,
 /// one named counter per rung of the decision ladder (module docs,
-/// "decision-exactness contract") plus the trivial transmitter-free case.
+/// "decision-exactness contract"), the refined stage, and the trivial
+/// transmitter-free case.
 ///
 /// Every listener decision lands in **exactly one** bucket, so the sum of
-/// all seven counters ([`FarFieldStats::listeners_resolved`]) equals the
+/// all eight counters ([`FarFieldStats::listeners_resolved`]) equals the
 /// total number of listener resolutions performed — the reconciliation
-/// invariant the equivalence suite asserts.
+/// invariant the equivalence suite asserts. A listener the refined stage
+/// takes up is counted once, by its second ladder: as a refined decision,
+/// or at the fallback rung it stopped on there.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FarFieldStats {
     /// Rounds resolved through the engine.
@@ -157,6 +172,7 @@ pub struct FarFieldStats {
     pub noise_floor_silences: u64,
     /// Rung 3: no near candidate, yet rung 2 could not rule out a far
     /// decode → exact fallback (only the exact scan can name the winner).
+    /// Rungs 3–5 count only listeners that reach the exact scan.
     pub no_near_winner_fallbacks: u64,
     /// Rung 4: some far tile's gain cap rivals the near best, so the
     /// canonical winner might be a far transmitter → exact fallback.
@@ -166,6 +182,11 @@ pub struct FarFieldStats {
     pub bracket_decisions: u64,
     /// Rung 5: the bracket straddled the `β` threshold → exact fallback.
     pub bracket_straddle_fallbacks: u64,
+    /// Listeners whose first ladder stopped on rung 3, 4 or 5 and that the
+    /// refined stage settled: with the exact gains of their tile's close
+    /// transmitters folded into the near scan, the second ladder decided
+    /// them (a certain silence or a bracket decision).
+    pub refined_decisions: u64,
     /// Exact fallbacks (any rung) that the bounded-kernel first pass could
     /// not settle, so the canonical `powf` scan ran for them. A sub-count
     /// of [`exact_fallbacks`](FarFieldStats::exact_fallbacks), not a rung:
@@ -186,14 +207,16 @@ impl FarFieldStats {
         self.far_rival_fallbacks += other.far_rival_fallbacks;
         self.bracket_decisions += other.bracket_decisions;
         self.bracket_straddle_fallbacks += other.bracket_straddle_fallbacks;
+        self.refined_decisions += other.refined_decisions;
         self.canonical_rescans += other.canonical_rescans;
     }
 
-    /// Listener decisions settled by the near scan + far bracket alone
-    /// (including listeners of transmitter-free rounds).
+    /// Listener decisions settled without the exact scan by a bracket —
+    /// the first ladder's or the refined stage's — (including listeners of
+    /// transmitter-free rounds).
     #[must_use]
     pub fn fast_decisions(&self) -> u64 {
-        self.empty_round_silences + self.bracket_decisions
+        self.empty_round_silences + self.bracket_decisions + self.refined_decisions
     }
 
     /// Listener decisions that required the exact canonical scan — the sum
@@ -218,6 +241,7 @@ impl FarFieldStats {
             + self.far_rival_fallbacks
             + self.bracket_decisions
             + self.bracket_straddle_fallbacks
+            + self.refined_decisions
     }
 
     /// Fraction of listener decisions that fell back to the exact scan
@@ -233,7 +257,7 @@ impl FarFieldStats {
     }
 }
 
-/// Everything [`decide_ladder`] needs about one listener, bundled to keep
+/// Everything [`ladder`] needs about one listener, bundled to keep
 /// the ladder's signature readable.
 pub(crate) struct DecisionInputs {
     pub(crate) near_sum: f64,
@@ -263,7 +287,7 @@ pub(crate) enum Decision {
 
 /// The rung of the ladder a listener stopped on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Rung {
+pub(crate) enum Rung {
     NonFinite,
     NoiseFloor,
     NoNearWinner,
@@ -272,33 +296,66 @@ enum Rung {
     Straddle,
 }
 
-/// The decision ladder (module docs, "decision-exactness contract"). The
-/// correctness argument only depends on the *bracket* inputs, not on how
-/// they were aggregated. `stats` receives exactly one rung increment; a
-/// [`Decision::Exact`] leaves the fallback scan to the caller, so the
-/// engine may batch its fallbacks.
-pub(crate) fn decide_ladder(stats: &mut FarFieldStats, inp: DecisionInputs) -> Decision {
-    let (counter, decision) = match ladder(inp) {
-        Rung::NonFinite => (&mut stats.nonfinite_fallbacks, Decision::Exact),
-        Rung::NoiseFloor => (
-            &mut stats.noise_floor_silences,
-            Decision::Decided(Reception::Silence),
-        ),
-        Rung::NoNearWinner => (&mut stats.no_near_winner_fallbacks, Decision::Exact),
-        Rung::FarRival => (&mut stats.far_rival_fallbacks, Decision::Exact),
-        Rung::Bracket(reception) => (&mut stats.bracket_decisions, Decision::Decided(reception)),
-        Rung::Straddle => (&mut stats.bracket_straddle_fallbacks, Decision::Exact),
-    };
-    *counter += 1;
-    decision
+impl Rung {
+    /// Whether the refined stage may still settle a listener stopped here:
+    /// no near winner, a far rival, or a straddle. A non-finite input
+    /// (rung 1) goes straight to the exact scan.
+    pub(crate) fn refinable(self) -> bool {
+        matches!(self, Rung::NoNearWinner | Rung::FarRival | Rung::Straddle)
+    }
+
+    /// Counts a listener stopped here in `stats` — exactly one increment —
+    /// and returns what the caller does with it.
+    pub(crate) fn settle(self, stats: &mut FarFieldStats) -> Decision {
+        let (counter, decision) = match self {
+            Rung::NonFinite => (&mut stats.nonfinite_fallbacks, Decision::Exact),
+            Rung::NoiseFloor => (
+                &mut stats.noise_floor_silences,
+                Decision::Decided(Reception::Silence),
+            ),
+            Rung::NoNearWinner => (&mut stats.no_near_winner_fallbacks, Decision::Exact),
+            Rung::FarRival => (&mut stats.far_rival_fallbacks, Decision::Exact),
+            Rung::Bracket(reception) => {
+                (&mut stats.bracket_decisions, Decision::Decided(reception))
+            }
+            Rung::Straddle => (&mut stats.bracket_straddle_fallbacks, Decision::Exact),
+        };
+        *counter += 1;
+        decision
+    }
 }
 
-/// The ladder's rungs in order. `best_sig` is widened to
+/// The refined stage's second ladder: [`ladder`] on inputs whose
+/// near fold also holds the exact gains of the listener tile's close
+/// transmitters and whose far bracket holds the rest. A decision counts
+/// as a [`refined_decisions`](FarFieldStats::refined_decisions); a
+/// fallback counts at its rung.
+pub(crate) fn decide_refined(stats: &mut FarFieldStats, inp: DecisionInputs) -> Decision {
+    match ladder(inp) {
+        Rung::NoiseFloor => {
+            stats.refined_decisions += 1;
+            Decision::Decided(Reception::Silence)
+        }
+        Rung::Bracket(reception) => {
+            stats.refined_decisions += 1;
+            Decision::Decided(reception)
+        }
+        rung => rung.settle(stats),
+    }
+}
+
+/// The decision ladder (module docs, "decision-exactness contract"): the
+/// rung a listener stops on, which [`Rung::settle`] counts. The
+/// correctness argument only depends on the *bracket* inputs, not on how
+/// they were aggregated. A [`Decision::Exact`] leaves the fallback scan to
+/// the caller, so the engine may batch its fallbacks.
+///
+/// The rungs in order. `best_sig` is widened to
 /// `[b_lo, b_hi]` by `gain_rel_err`, so every rung that compares it
 /// holds for the canonical best signal too; with `gain_rel_err = 0` the
 /// widening is a multiplication by 1.0 and the rungs are the unwidened
 /// ones.
-fn ladder(inp: DecisionInputs) -> Rung {
+pub(crate) fn ladder(inp: DecisionInputs) -> Rung {
     let DecisionInputs {
         near_sum,
         best_sig,
@@ -464,21 +521,19 @@ mod tests {
             let fold = fold_scan(&[0.5, 16.0 / k.pow_alpha(d_sq)]);
             let first = ScanOutcome::from_fold(fold, &[7, 9]);
             let mut stats = FarFieldStats::default();
-            let decision = decide_ladder(
-                &mut stats,
-                DecisionInputs {
-                    near_sum: first.total,
-                    best_sig: first.best_sig,
-                    best_tx: first.best_tx,
-                    far_lo: 0.0,
-                    far_hi: 0.0,
-                    far_cap: 0.0,
-                    noise: 1.0,
-                    extra: None,
-                    beta: 2.0,
-                    gain_rel_err: AlphaBounded::GAIN_REL_ERR,
-                },
-            );
+            let decision = ladder(DecisionInputs {
+                near_sum: first.total,
+                best_sig: first.best_sig,
+                best_tx: first.best_tx,
+                far_lo: 0.0,
+                far_hi: 0.0,
+                far_cap: 0.0,
+                noise: 1.0,
+                extra: None,
+                beta: 2.0,
+                gain_rel_err: AlphaBounded::GAIN_REL_ERR,
+            })
+            .settle(&mut stats);
             assert_eq!(decision, Decision::Exact, "d_sq={d_sq:e}");
             assert_eq!(stats.nonfinite_fallbacks, 1, "d_sq={d_sq:e}");
             let canonical = ScanOutcome {
@@ -522,7 +577,7 @@ mod tests {
         let delta = AlphaBounded::GAIN_REL_ERR;
         for extra in [-1.5, -3.0, f64::NAN] {
             let mut stats = FarFieldStats::default();
-            let decision = decide_ladder(&mut stats, inputs(extra, delta));
+            let decision = ladder(inputs(extra, delta)).settle(&mut stats);
             assert_eq!(decision, Decision::Exact, "extra={extra}");
             assert_eq!(stats.bracket_straddle_fallbacks, 1, "extra={extra}");
             let first = ScanOutcome {
@@ -552,11 +607,48 @@ mod tests {
         for (extra, gain_rel_err) in [(0.5, delta), (-1.0, delta), (0.5, 0.0), (-3.0, 0.0)] {
             let mut stats = FarFieldStats::default();
             assert_eq!(
-                decide_ladder(&mut stats, inputs(extra, gain_rel_err)),
+                ladder(inputs(extra, gain_rel_err)).settle(&mut stats),
                 Decision::Decided(Reception::Message { from: 7 }),
                 "extra={extra} gain_rel_err={gain_rel_err:e}"
             );
         }
+    }
+
+    #[test]
+    fn each_listener_counts_once_at_its_last_ladder() {
+        let inputs = |far_hi: f64, far_cap: f64| DecisionInputs {
+            near_sum: 10.5,
+            best_sig: 10.0,
+            best_tx: Some(7),
+            far_lo: 0.0,
+            far_hi,
+            far_cap,
+            noise: 1.0,
+            extra: None,
+            beta: 2.0,
+            gain_rel_err: 0.0,
+        };
+        // A far cap rivalling the near best stops the first ladder on
+        // rung 4; the refined ladder's decision counts once, as refined.
+        let rung = ladder(inputs(0.5, 12.0));
+        assert_eq!(rung, Rung::FarRival);
+        assert!(rung.refinable());
+        let mut stats = FarFieldStats::default();
+        assert_eq!(
+            decide_refined(&mut stats, inputs(0.5, 1.0)),
+            Decision::Decided(Reception::Message { from: 7 })
+        );
+        assert_eq!(stats.refined_decisions, 1);
+        assert_eq!(stats.fast_decisions(), 1);
+        // A refined ladder that still straddles counts at its own rung.
+        assert_eq!(
+            decide_refined(&mut stats, inputs(4.0, 1.0)),
+            Decision::Exact
+        );
+        assert_eq!(stats.bracket_straddle_fallbacks, 1);
+        assert_eq!(stats.listeners_resolved(), 2);
+        assert_eq!(stats.exact_fallbacks(), 1);
+        assert!(!Rung::NonFinite.refinable() && !Rung::NoiseFloor.refinable());
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! **near field** (the fine tiles within [`HIER_NEAR_RING`] of its own)
 //! exactly and brackets the rest, `I_lo ≤ I_far ≤ I_hi`, from pairs of
 //! tree nodes chosen by an opening criterion. The decision ladder (`farfield.rs`)
-//! then settles the reception from the near scan and the bracket, or
-//! sends the listener to the exact scan when the bracket cannot.
+//! then settles the reception from the near scan and the bracket. A
+//! listener it cannot settle gets a second, *refined* ladder with the
+//! exact gains of its tile's close transmitters, and only a listener that
+//! one cannot settle either takes the exact scan.
 //!
 //! # The interaction lists and the two-stage sum
 //!
@@ -37,7 +39,8 @@
 //!    `mass × [P/d_max^α, P/d_min^α]` per source with transmitters (the
 //!    upper gain also raising the far cap), in one parallel pass;
 //! 2. every listener tile sums its own list the same way and adds its
-//!    ancestors' partial sums, fine to root.
+//!    ancestors' partial sums, fine to root; it also keeps the ancestors'
+//!    sums alone, the refined stage's far bracket.
 //!
 //! The ring is 2 rather than 1 because fine tiles at Chebyshev distance 2
 //! are accepted with a `d_max/d_min` ratio of ~3–4, which loosens the
@@ -52,6 +55,29 @@
 //! the workspace's differential oracle (`tests/differential.rs`) enforces
 //! it at forced tilings, 1, 2 and 8 threads, and checks every bracket
 //! against the exact sums.
+//!
+//! # The refined stage
+//!
+//! A fine tile's own list holds fine tiles only (the `interaction` module
+//! docs say why): its *close set*, the tiles just beyond the near ring,
+//! whose box brackets are the loosest a listener gets and cause most of
+//! the ladder's rung 3–5 fallbacks. They hold a small share of a large
+//! round's transmitters. So a listener whose first ladder stops on rung 3,
+//! 4 or 5 (not rung 1) is refined before it may fall back: the gain of
+//! every close transmitter, through the round's kernel and the near
+//! scan's expression, is merged into its near fold — totals add, the
+//! larger gain wins and a tie goes to the lower slice index, the
+//! canonical first strict maximum — and the ladder runs again on that fold
+//! with the ancestors' sums as the far bracket, cap widened as before.
+//! Near ring, close set and ancestors' lists cover disjoint source sets
+//! that together hold every transmitter, so the second ladder's
+//! certificate is the first one's with exact terms in place of a bracket
+//! (DESIGN.md §10.2). The stage runs per listener, over the close
+//! transmitters gathered once per tile, and only for a tile whose close
+//! transmitters number at least one and at most a quarter of the round's
+//! (counted at the tile's first refinable listener). Past a quarter, one
+//! listener's close gains cost a large share of the block-scanned exact
+//! scan they would spare (DESIGN.md §12.4 has the measurements).
 //!
 //! # Generic α
 //!
@@ -83,9 +109,11 @@
 //!    block scan (the tail through a gain batch and [`fold_scan`]). A
 //!    slice-order fold's first strict maximum is the lowest slice index
 //!    among the maxima — the canonical winner rule — so each fold feeds
-//!    the ladder directly.
-//! 4. **Per chunk.** The listeners the ladder left to the exact scan are
-//!    resolved [`LISTENER_BLOCK`] at a time over all transmitters, the
+//!    the ladder directly. A listener the ladder leaves on rung 3–5 goes
+//!    through the refined stage, which gathers the tile's close
+//!    transmitters at its first such listener.
+//! 4. **Per chunk.** The listeners both ladders left to the exact scan
+//!    are resolved [`LISTENER_BLOCK`] at a time over all transmitters, the
 //!    tail one by one, and the chunk's receptions are written into their
 //!    listener slots.
 //!
@@ -98,7 +126,7 @@ use std::sync::{Mutex, PoisonError};
 use fading_geom::{gather_points, Point, TileIndex, TileTree};
 
 use crate::exec::{map_ordered, ChunkExecutor};
-use crate::farfield::{decide_ladder, finish_fallback, Decision, DecisionInputs};
+use crate::farfield::{decide_refined, finish_fallback, ladder, Decision, DecisionInputs};
 use crate::interaction::{fold_up, Bracket, InteractionLists};
 use crate::kernels::{
     fold_scan, gain_batch_with, scan_block_with, with_bounded_kernel, AlphaKernel, ScanFold,
@@ -238,9 +266,22 @@ struct ChunkScratch {
     near_y: Vec<f64>,
     /// Gain buffer for single-listener scans.
     gains: Vec<f64>,
+    /// The current tile's close transmitters, once the refined stage runs.
+    close: CloseScratch,
     /// Positions (into the chunk's slots) of the listeners the ladder
     /// left to the exact scan.
     pending: Vec<usize>,
+}
+
+/// A listener tile's close transmitters — those in the fine tiles of its
+/// own interaction list — for the refined stage: slice indices in list
+/// order and their coordinates, parallel, plus a gain buffer.
+#[derive(Debug, Default)]
+struct CloseScratch {
+    idx: Vec<u32>,
+    x: Vec<f64>,
+    y: Vec<f64>,
+    gains: Vec<f64>,
 }
 
 /// What every listener of a round shares: the inputs of its decision.
@@ -421,10 +462,65 @@ impl HierarchicalFarFieldEngine {
     #[must_use]
     pub fn far_aggregate(&self, t: usize) -> Option<(f64, f64, f64)> {
         self.tree.fine().content_bbox(t)?;
-        Some(with_bounded_kernel!(self.alpha, |k| {
-            let sum = |node| self.lists.sum(k, node, &self.tx_count, self.power);
-            fold_up(sum(t), self.lists.ancestors(t).map(sum))
-        }))
+        Some(with_bounded_kernel!(self.alpha, |k| self
+            .recomputed_brackets(k, t)
+            .0))
+    }
+
+    /// The refined stage's far bracket `(lo, hi, cap)` for a listener in
+    /// fine tile `t` over the last round's transmitters, or `None` when `t`
+    /// holds no node: everything beyond the near ring except
+    /// [`close_tiles`](Self::close_tiles), i.e. the ancestors' interaction
+    /// lists, summed in the round's order. Exposed so tests can pin that
+    /// bracket.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is out of range.
+    #[must_use]
+    pub fn refined_aggregate(&self, t: usize) -> Option<(f64, f64, f64)> {
+        self.tree.fine().content_bbox(t)?;
+        Some(with_bounded_kernel!(self.alpha, |k| self
+            .recomputed_brackets(k, t)
+            .1))
+    }
+
+    /// The fine tiles of fine tile `t`'s own interaction list: its close
+    /// set, whose transmitters the refined stage evaluates exactly for a
+    /// listener in `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is out of range.
+    #[must_use]
+    pub fn close_tiles(&self, t: usize) -> &[u32] {
+        assert!(t < self.tree.fine().num_tiles(), "tile {t} out of range");
+        self.lists.sources(t)
+    }
+
+    /// [`tile_brackets`](Self::tile_brackets) of fine tile `t`, with its
+    /// ancestors' list sums recomputed rather than read from the round's
+    /// `node_sums`.
+    fn recomputed_brackets<K: AlphaKernel>(&self, k: K, t: usize) -> (Bracket, Bracket) {
+        let sum = |a| self.lists.sum(k, a, &self.tx_count, self.power);
+        self.tile_brackets(k, t, self.lists.ancestors(t).map(sum))
+    }
+
+    /// Fine tile `t`'s far brackets over this round's masses, given its
+    /// ancestors' list sums `partials` (fine to root): the first ladder's —
+    /// its own list, the close set, plus the ancestors' — and the refined
+    /// stage's, the ancestors' alone.
+    fn tile_brackets<K: AlphaKernel>(
+        &self,
+        k: K,
+        t: usize,
+        partials: impl Iterator<Item = Bracket> + Clone,
+    ) -> (Bracket, Bracket) {
+        let own = self.lists.sum(k, t, &self.tx_count, self.power);
+        (
+            fold_up(own, partials.clone()),
+            fold_up((0.0, 0.0, 0.0), partials),
+        )
     }
 
     /// Decision counters accumulated so far.
@@ -461,6 +557,66 @@ impl HierarchicalFarFieldEngine {
         }
     }
 
+    /// Gathers fine tile `lt`'s close transmitters into `close` when the
+    /// refined stage runs for the tile, and says whether it does: when
+    /// there is at least one, and at most a quarter of the round's `k`
+    /// transmitters. Past a quarter, evaluating the close set per listener
+    /// costs a large share of the exact scan it would spare (module docs).
+    fn gather_close(&self, lt: usize, k: usize, close: &mut CloseScratch) -> bool {
+        let sources = self.lists.sources(lt);
+        let count: usize = sources
+            .iter()
+            .map(|&s| self.tx_count[s as usize] as usize)
+            .sum();
+        if count == 0 || 4 * count > k {
+            return false;
+        }
+        close.idx.clear();
+        for &s in sources {
+            close.idx.extend_from_slice(&self.tx_in_tile[s as usize]);
+        }
+        close.x.clear();
+        close.y.clear();
+        for &i in &close.idx {
+            close.x.push(self.tx_xs[i as usize]);
+            close.y.push(self.tx_ys[i as usize]);
+        }
+        true
+    }
+
+    /// The refined stage's fold for a listener at `vp`: its near fold
+    /// `near` — total, best gain and the best's slice index — with the
+    /// gains of the `close` transmitters through `k` (the near scan's
+    /// expression) merged in. Totals add; the winner is the larger gain, a
+    /// tie going to the lower slice index — the canonical first strict
+    /// maximum over the near and close transmitters together.
+    fn refine<K: AlphaKernel>(
+        &self,
+        k: K,
+        close: &mut CloseScratch,
+        vp: Point,
+        (near_total, mut best_sig, mut best): (f64, f64, Option<u32>),
+    ) -> (f64, f64, Option<u32>) {
+        close.gains.resize(close.idx.len(), 0.0);
+        gain_batch_with(
+            k,
+            self.power,
+            &close.x,
+            &close.y,
+            vp.x,
+            vp.y,
+            &mut close.gains,
+        );
+        let mut total = 0.0;
+        for (&g, &i) in close.gains.iter().zip(&close.idx) {
+            total += g;
+            if g > best_sig || (g == best_sig && best.is_some_and(|b| i < b)) {
+                (best_sig, best) = (g, Some(i));
+            }
+        }
+        (near_total + total, best_sig, best)
+    }
+
     /// Resolves the listeners of listener tiles `first..last` through
     /// kernel `k`, writing each reception into its slot of `out`, and
     /// returns the chunk's ladder counters. Read-only over the engine, so
@@ -483,28 +639,30 @@ impl HierarchicalFarFieldEngine {
 
         for ti in first..last {
             let lt = buckets.tiles[ti] as usize;
-            let own = self.lists.sum(k, lt, &self.tx_count, p);
             let partials = self.lists.ancestors(lt).map(|a| self.node_sums[a]);
-            let (far_lo, far_hi, far_cap) = fold_up(own, partials);
-            // Widened cap on any single far signal (covers bound rounding
-            // and powf non-monotonicity; see FARFIELD_REL_SLACK).
-            let far_cap = far_cap * (1.0 + FARFIELD_REL_SLACK);
+            // Each cap on a single far signal is widened (covers bound
+            // rounding and powf non-monotonicity; see FARFIELD_REL_SLACK).
+            let widen = |(lo, hi, cap): Bracket| (lo, hi, cap * (1.0 + FARFIELD_REL_SLACK));
+            let (far, ancestors) = self.tile_brackets(k, lt, partials);
+            let (far, ancestors) = (widen(far), widen(ancestors));
             self.gather_near(lt, &mut sc);
+            // Whether the refined stage runs for this tile, settled at its
+            // first listener the ladder leaves undecided.
+            let mut refines = None;
 
-            // The ladder on one listener's near fold. A slice-order fold's
-            // first strict maximum is the canonical winner among the near
-            // transmitters.
+            // The ladder on one listener's near fold, and on a refinable
+            // rung the refined stage. A slice-order fold's first strict
+            // maximum is the canonical winner among the near transmitters.
             let near_idx = &sc.near_idx;
+            let close = &mut sc.close;
             let mut decide = |pos: usize, fold: ScanFold, pending: &mut Vec<usize>| {
                 let v = round.listeners[order[pos] as usize];
-                let decision = decide_ladder(
-                    &mut stats,
-                    DecisionInputs {
-                        near_sum: fold.total,
-                        best_sig: fold.best_sig,
-                        best_tx: fold
-                            .best_idx
-                            .map(|i| round.transmitters[near_idx[i] as usize]),
+                let inputs =
+                    |(near_sum, best_sig, best): (f64, f64, Option<u32>),
+                     (far_lo, far_hi, far_cap): Bracket| DecisionInputs {
+                        near_sum,
+                        best_sig,
+                        best_tx: best.map(|i| round.transmitters[i as usize]),
                         far_lo,
                         far_hi,
                         far_cap,
@@ -512,8 +670,23 @@ impl HierarchicalFarFieldEngine {
                         extra: round.extra(v),
                         beta: round.beta,
                         gain_rel_err: K::GAIN_REL_ERR,
-                    },
+                    };
+                let near = (
+                    fold.total,
+                    fold.best_sig,
+                    fold.best_idx.map(|i| near_idx[i]),
                 );
+                let rung = ladder(inputs(near, far));
+                let refine = rung.refinable()
+                    && *refines.get_or_insert_with(|| {
+                        self.gather_close(lt, round.transmitters.len(), close)
+                    });
+                let decision = if refine {
+                    let merged = self.refine(k, close, round.positions[v], near);
+                    decide_refined(&mut stats, inputs(merged, ancestors))
+                } else {
+                    rung.settle(&mut stats)
+                };
                 match decision {
                     Decision::Decided(reception) => rx[pos] = reception,
                     Decision::Exact => pending.push(pos),

@@ -34,6 +34,15 @@
 //! since each of their members lies in `T`'s content box. The unit tests
 //! below check both facts.
 //!
+//! A target hands its children only candidates below its own level, so a
+//! fine target sees only fine candidates, and a fine pair is accepted or
+//! dropped, never split: **a fine tile's list holds fine tiles only**.
+//! Those are its *close* set — the fine–fine pairs just beyond the near
+//! ring, the leaves of the walk and the loosest brackets a listener gets —
+//! while every coarse source lies in an ancestor's list. The engine's
+//! refined stage replaces the close set's bracket by the exact gains of its
+//! few transmitters (`hierarchical` module docs).
+//!
 //! The lists are stored in CSR form: `u32` flat source ids, one target's
 //! run after another, plus a `[start, end)` span per node. Flat ids number
 //! the nodes level by level from the fine tiles up, so a fine tile's flat
@@ -211,11 +220,12 @@ impl InteractionLists {
     }
 
     /// The strict ancestors of node `node`, fine to root.
-    pub(crate) fn ancestors(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn ancestors(&self, node: usize) -> impl Iterator<Item = usize> + Clone + '_ {
         std::iter::successors(self.parent(node), |&a| self.parent(a))
     }
 
-    /// The sources accepted against target `node`.
+    /// The sources accepted against target `node`; for a fine tile, its
+    /// close set of fine tiles (module docs).
     pub(crate) fn sources(&self, node: usize) -> &[u32] {
         let [start, end] = self.spans[node];
         &self.sources[start as usize..end as usize]
@@ -270,8 +280,9 @@ impl InteractionLists {
     }
 }
 
-/// Fine tile `own`'s bracket: its own list's sum plus its ancestors'
-/// `partials`, added fine to root — the one order both the round and
+/// A fine tile's bracket: `own`, its own list's sum (or, for the refined
+/// stage, nothing), plus its ancestors' `partials`, added fine to root —
+/// the one order both the round and
 /// [`far_aggregate`](crate::HierarchicalFarFieldEngine::far_aggregate)
 /// use.
 pub(crate) fn fold_up(own: Bracket, partials: impl Iterator<Item = Bracket>) -> Bracket {
@@ -349,6 +360,14 @@ mod tests {
         }
 
         for t in (0..num_fine).filter(|&t| fine.count(t) > 0) {
+            // A fine tile's list is its close set: fine tiles only.
+            let coarse: Vec<_> = (lists.sources(t).iter())
+                .filter(|&&s| s as usize >= num_fine)
+                .collect();
+            assert!(
+                coarse.is_empty(),
+                "tile {t} lists coarse sources {coarse:?}"
+            );
             let mut covered = vec![0u32; num_fine];
             for node in std::iter::once(t).chain(lists.ancestors(t)) {
                 for &s in lists.sources(node) {

@@ -46,8 +46,9 @@ use crate::{Bbox, Point};
 
 /// A fixed `cols × rows` square tiling of a point set's bounding box.
 ///
-/// Tiles are identified by `tile_id = row * cols + col`. See the
-/// [module docs](self) for the content-bbox distance-bound contract.
+/// Tiles are identified by `tile_id = row * cols + col`. Distance bounds
+/// between tiles come from the content bboxes of their members, so they
+/// hold for every member pair ([`TileIndex::distance_sq_bounds`]).
 #[derive(Debug, Clone)]
 pub struct TileIndex {
     cols: usize,

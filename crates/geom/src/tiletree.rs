@@ -47,8 +47,9 @@ struct TreeLevel {
 ///
 /// Nodes are addressed as `(level, index)` with `level ∈ 0..num_levels()`;
 /// level 0 is the fine grid (same indices as [`TileTree::fine`]), the last
-/// level is the 1×1 root. See the [module docs](self) for the distance
-/// bracket contract.
+/// level is the 1×1 root. Every node keeps the content bbox of the points
+/// beneath it, so its distance brackets hold for every member
+/// ([`TileTree::distance_sq_bounds_to`]).
 #[derive(Debug, Clone)]
 pub struct TileTree {
     fine: TileIndex,

@@ -111,8 +111,8 @@ pub struct EngineCounters {
     /// (hierarchical → gain-cache → exact), total.
     pub tier_demotions: u64,
     /// The per-rung counters of the tile-tree engine's 5-rung decision
-    /// ladder (all zero when it served no round), plus the
-    /// `canonical_rescans` sub-count of its exact fallbacks.
+    /// ladder and its refined stage (all zero when it served no round),
+    /// plus the `canonical_rescans` sub-count of its exact fallbacks.
     pub farfield: FarFieldStats,
 }
 
@@ -260,7 +260,7 @@ const fn rung(key: &'static str, rung: &'static str, f: LadderField) -> Counter 
 /// `merge`, the JSONL and snapshot codecs and the Prometheus encoder all
 /// walk this table; only the per-round increments name fields directly.
 #[rustfmt::skip]
-pub(crate) const COUNTERS: [Counter; 25] = [
+pub(crate) const COUNTERS: [Counter; 26] = [
     row("rounds", "fading_rounds_total", "Rounds stepped", Sum(|c| &mut c.rounds)),
     route("farfield_rounds", ResolvePath::FarField, |c| &mut c.farfield_rounds),
     route("hierarchical_rounds", ResolvePath::Hierarchical, |c| &mut c.hierarchical_rounds),
@@ -302,6 +302,9 @@ pub(crate) const COUNTERS: [Counter; 25] = [
     row("ff_canonical_rescans", "fading_farfield_canonical_rescans_total",
         "Exact fallbacks the bounded-kernel first pass could not settle",
         Ladder(|f| &mut f.canonical_rescans)),
+    row("ff_refined_decisions", "fading_farfield_refined_decisions_total",
+        "Far-field listeners the refined stage settled without the exact scan",
+        Ladder(|f| &mut f.refined_decisions)),
 ];
 
 #[cfg(test)]
@@ -336,6 +339,7 @@ impl EngineCounters {
                 bracket_decisions: 207,
                 bracket_straddle_fallbacks: 208,
                 canonical_rescans: 209,
+                refined_decisions: 210,
             },
         }
     }

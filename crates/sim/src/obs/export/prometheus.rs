@@ -348,6 +348,9 @@ fading_farfield_decisions_total{rung=\"bracket_straddle_fallback\"} 208.0
 # HELP fading_farfield_canonical_rescans_total Exact fallbacks the bounded-kernel first pass could not settle
 # TYPE fading_farfield_canonical_rescans_total counter
 fading_farfield_canonical_rescans_total 209.0
+# HELP fading_farfield_refined_decisions_total Far-field listeners the refined stage settled without the exact scan
+# TYPE fading_farfield_refined_decisions_total counter
+fading_farfield_refined_decisions_total 210.0
 ";
 
     #[test]

@@ -31,8 +31,10 @@ const MAGIC: [u8; 4] = *b"FSNP";
 /// [`EngineTier::ALL`] (the flat far-field tier is gone). Version 5: the
 /// counters drop `gain_cache_bypassed_rounds`, which nothing incremented.
 /// Version 6: the resolve thread count is no longer recorded (it never
-/// changes a run, so a restore keeps the caller's).
-pub const SNAPSHOT_VERSION: u32 = 6;
+/// changes a run, so a restore keeps the caller's). Version 7: the
+/// counters and the engine stats gain the refined stage's
+/// `refined_decisions`.
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Why a snapshot could not be encoded, decoded, or restored.
 #[derive(Debug)]
@@ -683,12 +685,13 @@ mod tests {
             bracket_decisions: 307,
             bracket_straddle_fallbacks: 308,
             canonical_rescans: 309,
+            refined_decisions: 310,
         };
         let mut golden: Vec<u8> = (101u64..=106).flat_map(u64::to_le_bytes).collect();
         golden.push(1);
         golden.extend((107u64..=115).flat_map(u64::to_le_bytes));
-        golden.extend((201u64..=209).flat_map(u64::to_le_bytes));
-        golden.extend((301u64..=309).flat_map(u64::to_le_bytes));
+        golden.extend((201u64..=210).flat_map(u64::to_le_bytes));
+        golden.extend((301u64..=310).flat_map(u64::to_le_bytes));
         let bytes = snap.to_bytes();
         let end = bytes.len() - 8;
         assert_eq!(&bytes[end - golden.len()..end], &golden[..]);

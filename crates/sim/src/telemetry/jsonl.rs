@@ -818,7 +818,7 @@ mod tests {
              \"ff_nonfinite_fallbacks\":203,\"ff_noise_floor_silences\":204,\
              \"ff_no_near_winner_fallbacks\":205,\"ff_far_rival_fallbacks\":206,\
              \"ff_bracket_decisions\":207,\"ff_bracket_straddle_fallbacks\":208,\
-             \"ff_canonical_rescans\":209}";
+             \"ff_canonical_rescans\":209,\"ff_refined_decisions\":210}";
         assert_eq!(line, golden);
     }
 

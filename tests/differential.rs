@@ -33,7 +33,8 @@
 //! * route counters partition the rounds, and the tile tree resolves each
 //!   listener of each round once and tracks knockouts;
 //! * the case is not vacuous: each family states what its tile-tree cells
-//!   must reach (parallel chunks, bracket decisions, fallbacks).
+//!   must reach (parallel chunks, bracket decisions, fallbacks, refined
+//!   decisions).
 //!
 //! # Round level
 //!
@@ -127,6 +128,7 @@ const SMALL: Family = Family {
     expect: Expect {
         split_rounds: false,
         brackets_and_fallbacks: false,
+        refined: false,
     },
 };
 
@@ -143,6 +145,7 @@ const CLUSTERED: Family = Family {
     expect: Expect {
         split_rounds: false,
         brackets_and_fallbacks: true,
+        refined: false,
     },
 };
 
@@ -159,6 +162,7 @@ const LARGE: Family = Family {
     expect: Expect {
         split_rounds: true,
         brackets_and_fallbacks: true,
+        refined: true,
     },
 };
 
@@ -668,6 +672,8 @@ struct Expect {
     split_rounds: bool,
     /// Both bracket decisions and exact fallbacks.
     brackets_and_fallbacks: bool,
+    /// Decisions of the refined stage.
+    refined: bool,
 }
 
 /// How many fine tiles and levels a tile tree has.
@@ -712,6 +718,11 @@ impl Reach {
 
     fn brackets_and_fallbacks(&self) -> bool {
         self.stats.bracket_decisions > 0 && self.stats.exact_fallbacks() > 0
+    }
+
+    /// The refined stage settled some listener.
+    fn refined(&self) -> bool {
+        self.stats.refined_decisions > 0
     }
 }
 
@@ -773,7 +784,8 @@ fn check_case(case: &Case, coverage: Coverage) -> (usize, Reach) {
     if !reach.resolve_threads.is_empty() {
         let expect = case.family.expect;
         let vacuous = (expect.split_rounds && !reach.split_rounds())
-            || (expect.brackets_and_fallbacks && !reach.brackets_and_fallbacks());
+            || (expect.brackets_and_fallbacks && !reach.brackets_and_fallbacks())
+            || (expect.refined && !reach.refined());
         assert!(
             !vacuous,
             "{case}: tree cells fall short of {expect:?}: {reach:?}"
@@ -786,7 +798,7 @@ fn check_case(case: &Case, coverage: Coverage) -> (usize, Reach) {
 /// what their tile-tree cells reached.
 fn check_cases(label: &str, cases: &[(Case, Coverage)]) {
     let (mut pairs, mut split, mut bracketed, mut tree_at_2_5) = (0, 0, 0, 0);
-    let (mut tiles, mut brackets, mut fallbacks) = (0, 0, 0);
+    let (mut tiles, mut brackets, mut refined, mut fallbacks) = (0, 0, 0, 0);
     for (case, coverage) in cases {
         let (n, reach) = check_case(case, *coverage);
         pairs += n;
@@ -795,12 +807,14 @@ fn check_cases(label: &str, cases: &[(Case, Coverage)]) {
         tree_at_2_5 += usize::from(!reach.resolve_threads.is_empty() && case.alpha == 2.5);
         tiles = tiles.max(reach.tiles);
         brackets += reach.stats.bracket_decisions;
+        refined += reach.stats.refined_decisions;
         fallbacks += reach.stats.exact_fallbacks();
     }
     println!(
         "differential {label}: {} cases, {pairs} (case, cell) pairs; tree cases that split \
          rounds: {split}, with brackets and fallbacks: {bracketed}, at α = 2.5: {tree_at_2_5} \
-         (≤ {tiles} fine tiles; {brackets} bracket decisions, {fallbacks} fallbacks)",
+         (≤ {tiles} fine tiles; {brackets} bracket decisions, {refined} refined decisions, \
+         {fallbacks} fallbacks)",
         cases.len()
     );
 }
@@ -1596,7 +1610,10 @@ fn sum_tolerance(terms: usize) -> f64 {
 
 /// The engine's far aggregate `(lo, hi, cap)` for each listener's tile
 /// brackets the exact interference the listener gets from transmitters
-/// outside its near ring, and caps each such gain.
+/// outside its near ring, and caps each such gain. So does the refined
+/// stage's view: its close tiles lie outside the ring, its rest bracket
+/// brackets and caps what they leave out, and the rest bracket plus the
+/// exact close sum brackets the whole far field.
 fn assert_far_field_bracketed(
     ctx: &str,
     engine: &HierarchicalFarFieldEngine,
@@ -1605,25 +1622,51 @@ fn assert_far_field_bracketed(
 ) {
     let fine = engine.tree().fine();
     let tol = sum_tolerance(tx.len());
+    let within = |sum: f64, lo: f64, hi: f64| lo <= sum * (1.0 + tol) && sum <= hi * (1.0 + tol);
     let mut aggregates = HashMap::new();
     for &v in ls {
         let t = fine.tile_of(v);
-        let (lo, hi, cap) = *aggregates
-            .entry(t)
-            .or_insert_with(|| engine.far_aggregate(t).expect("the tile holds v"));
+        let ((lo, hi, cap), (r_lo, r_hi, r_cap)) = *aggregates.entry(t).or_insert_with(|| {
+            let far = engine.far_aggregate(t).expect("the tile holds v");
+            (far, engine.refined_aggregate(t).expect("the tile holds v"))
+        });
+        let close = engine.close_tiles(t);
+        assert!(
+            close
+                .iter()
+                .all(|&c| fine.chebyshev(t, c as usize) > HIER_NEAR_RING),
+            "{ctx}: tile {t}'s close tiles {close:?} reach into its near ring"
+        );
         let (mut far, mut strongest) = (0.0, 0.0f64);
+        let (mut close_sum, mut rest, mut strongest_rest) = (0.0, 0.0, 0.0f64);
         for &u in tx {
-            if fine.chebyshev(t, fine.tile_of(u)) > HIER_NEAR_RING {
+            let tu = fine.tile_of(u);
+            if fine.chebyshev(t, tu) > HIER_NEAR_RING {
                 let g = gain(&scene.params, scene.positions[u], scene.positions[v]);
                 far += g;
                 strongest = strongest.max(g);
+                if close.contains(&(tu as u32)) {
+                    close_sum += g;
+                } else {
+                    rest += g;
+                    strongest_rest = strongest_rest.max(g);
+                }
             }
         }
-        let sound = lo <= far * (1.0 + tol) && far <= hi * (1.0 + tol) && strongest <= cap;
+        let sound = within(far, lo, hi) && strongest <= cap;
         assert!(
             sound,
             "{ctx}: listener {v}'s far field {far} (max gain {strongest}) escapes the \
              aggregate [{lo}, {hi}] (cap {cap})"
+        );
+        let refined = within(rest, r_lo, r_hi)
+            && strongest_rest <= r_cap
+            && within(far, r_lo + close_sum, r_hi + close_sum);
+        assert!(
+            refined,
+            "{ctx}: listener {v}'s far field {far} (close {close_sum}; rest {rest}, max gain \
+             {strongest_rest}) escapes the refined aggregate [{r_lo}, {r_hi}] (cap {r_cap}) \
+             plus the exact close sum"
         );
     }
 }
@@ -1739,13 +1782,14 @@ fn check_round_level(generators: &[Generator], alpha: Option<f64>) {
     let at = alpha.map_or("its own α".to_string(), |a| format!("α = {a}"));
     println!(
         "differential round_level {} at {at}: {cases} cases, {pairs} (case, cell) pairs; \
-         {} tree rounds (≤ {} fine tiles, ≤ {} levels; {} bracket decisions, {} fallbacks, {} \
-         canonical rescans)",
+         {} tree rounds (≤ {} fine tiles, ≤ {} levels; {} bracket decisions, {} refined \
+         decisions, {} fallbacks, {} canonical rescans)",
         names.join("+"),
         s.rounds,
         all.tiles,
         all.levels,
         s.bracket_decisions,
+        s.refined_decisions,
         s.exact_fallbacks(),
         s.canonical_rescans
     );
@@ -2144,6 +2188,123 @@ fn negative_floor_pairs(_: u32, alpha: f64) -> Scene {
     Scene::pinned(positions, params(alpha, 2.0, 1.0, 1.0), (tx, ls), jam)
 }
 
+/// The transmitters of `tx` the refined stage evaluates exactly for
+/// listener `v` under an 8 × 8 tiling: those in the fine sources of its
+/// tile's own interaction list.
+fn close_transmitters(
+    positions: &[Point],
+    params: &SinrParams,
+    tx: &[usize],
+    v: usize,
+) -> Vec<usize> {
+    let engine =
+        HierarchicalFarFieldEngine::build_with_tiling(positions, params, 8).expect("finite points");
+    let fine = engine.tree().fine();
+    let close = engine.close_tiles(fine.tile_of(v));
+    let is_close = |u: &usize| close.contains(&(fine.tile_of(*u) as u32));
+    tx.iter().copied().filter(is_close).collect()
+}
+
+/// Three weak senders in the far corner of [0, 8]², which an ancestor's
+/// list aggregates for a listener near the bottom edge, and the two pads
+/// that make the tiles of an 8 × 8 tiling unit squares.
+const CORNER_AND_PADS: [Point; 5] = [
+    Point::new(7.5, 7.5),
+    Point::new(6.5, 7.5),
+    Point::new(7.5, 6.5),
+    Point::new(0.0, 0.0),
+    Point::new(8.0, 8.0),
+];
+
+/// A far rival in the listener tile's close set (P = 16, β = 1.2,
+/// N = 0.01, unit tiles): listener 0 at (0.5, 0.5) hears a near sender at
+/// (2.9, 2.9) and, three tiles away in a fine source of its own list, a
+/// rival at (3.1, 0.5) twice as strong, plus the weak corner senders. The
+/// close bracket's cap is the rival's gain, so the first ladder stops on
+/// rung 4; the refined stage's exact gains make the rival the winner, the
+/// corner cannot rival it, and the second ladder decodes it.
+fn close_rival(_: u32, alpha: f64) -> Scene {
+    let mut positions = vec![
+        Point::new(0.5, 0.5),
+        Point::new(2.9, 2.9),
+        Point::new(3.1, 0.5),
+    ];
+    positions.extend(CORNER_AND_PADS);
+    let p = params(alpha, 1.2, 0.01, 16.0);
+    let tx = vec![1, 2, 3, 4, 5];
+    assert_eq!(close_transmitters(&positions, &p, &tx, 0), [2]);
+    let rx = SinrChannel::new(p).resolve(&positions, &tx, &[0], &mut SmallRng::seed_from_u64(0));
+    assert_eq!(rx, [Reception::Message { from: 2 }], "the rival decodes");
+    let jam = vec![0.0; positions.len()];
+    Scene::pinned(positions, p, (tx, vec![0]), jam)
+}
+
+/// A near sender and a close one mirror-symmetric about listener 0 at
+/// (3.75, 0.5), 2.5 away on dyadic coordinates: bit-equal gains, in both
+/// slice orders, the near one two tiles away and the close one three.
+/// Two idle nodes widen the content boxes of the two level-1 nodes, so
+/// that no coarse pair takes the close sender's tile before the fine
+/// tiles meet. The close bracket's cap is the tied gain, so the first
+/// ladder stops on
+/// rung 4 and the refined stage merges the tie. Over a negative floor a
+/// canonical scan certifies a `Message` despite the tie, so the merge must
+/// name the canonical winner, the lower slice index.
+fn close_ties(sample: u32, alpha: f64) -> Scene {
+    let mut positions = vec![
+        Point::new(3.75, 0.5),
+        Point::new(1.25, 0.5),
+        Point::new(6.25, 0.5),
+        Point::new(2.1, 1.9),
+        Point::new(7.9, 1.9),
+    ];
+    positions.extend(CORNER_AND_PADS);
+    let p = params(alpha, 2.0, 1.0, 16.0);
+    let tx = if sample == 0 {
+        vec![1, 2, 5, 6, 7]
+    } else {
+        vec![2, 1, 5, 6, 7]
+    };
+    assert_eq!(close_transmitters(&positions, &p, &tx, 0), [2]);
+    let (near, close) = (positions[1], positions[2]);
+    assert_eq!(gain(&p, near, positions[0]), gain(&p, close, positions[0]));
+    let jam = vec![0.0; positions.len()];
+    Scene::pinned(positions, p, (tx, vec![0]), jam)
+}
+
+/// A knife edge the refined stage cannot settle: listener 0 at (0.5, 0.5)
+/// hears a near sender at (1.5, 0.5), a close interferer at (3.5, 0.5)
+/// and the corner senders, with the noise tuned to the last ulp at which
+/// the canonical test decodes (even samples) or one ulp above (odd ones).
+/// The SINR lies within 10⁻¹² of β, far inside the ladder's slack, so the
+/// refined stage runs and still straddles: the neutral round reaches the
+/// exact scan.
+fn close_knife_edge(sample: u32, alpha: f64) -> Scene {
+    let (beta, power) = (1.5, 1.0);
+    let mut positions = vec![
+        Point::new(0.5, 0.5),
+        Point::new(1.5, 0.5),
+        Point::new(3.5, 0.5),
+    ];
+    positions.extend(CORNER_AND_PADS);
+    let tx = vec![1, 2, 3, 4, 5];
+    let probe = SinrChannel::new(params(alpha, beta, 1.0, power));
+    assert_eq!(close_transmitters(&positions, probe.params(), &tx, 0), [2]);
+    let best = gain(probe.params(), positions[1], positions[0]);
+    let interference = probe.interference_at(&positions, positions[0], &tx) - best;
+    let edge = last_decoding(best / beta - interference, |n| {
+        best >= beta * (n + interference)
+    });
+    let noise = f64::from_bits(edge.to_bits() + u64::from(sample % 2));
+    let p = params(alpha, beta, noise, power);
+    let sinr = SinrChannel::new(p).sinr(&positions, 1, 0, &tx);
+    assert!(
+        (sinr / beta - 1.0).abs() <= 1e-12,
+        "SINR {sinr} is not a knife edge"
+    );
+    let jam = vec![0.0; positions.len()];
+    Scene::pinned(positions, p, (tx, vec![0]), jam)
+}
+
 impl Generator {
     /// A drawn geometry: six samples at every α class, every case of its
     /// product, held only to what its rounds reach in `total`.
@@ -2188,11 +2349,15 @@ impl Generator {
 }
 
 const DRAWN: [Generator; 3] = [
-    Generator::drawn("lattice", lattice, &[5, 8], Reach::brackets_and_fallbacks),
+    Generator::drawn("lattice", lattice, &[5, 8], |r| {
+        r.brackets_and_fallbacks() && r.refined()
+    }),
     Generator::drawn("clustered", clustered, &[7, 16], |r| {
         r.brackets_and_fallbacks() && r.levels >= 5
     }),
-    Generator::drawn("corridor", corridor, &[4, 9], Reach::brackets_and_fallbacks),
+    Generator::drawn("corridor", corridor, &[4, 9], |r| {
+        r.brackets_and_fallbacks() && r.refined()
+    }),
 ];
 
 const CROWDED: Generator = Generator {
@@ -2288,6 +2453,35 @@ const NEGATIVE_FLOOR_PAIRS: Generator = Generator::pinned(
     },
 );
 
+const CLOSE_RIVAL: Generator =
+    Generator::pinned("close_rival", 1, &[3.0, 2.5], close_rival, |c, s| {
+        c.perturbation != Perturbation::Neutral
+            || (s.refined_decisions == 1 && s.exact_fallbacks() == 0)
+    });
+
+const CLOSE_TIES: Generator =
+    Generator::pinned("close_ties", 2, &[3.0, 2.5], close_ties, |c, s| {
+        match c.perturbation {
+            Perturbation::NegativeFloor if bounded(c.alpha) => s.canonical_rescans == 1,
+            Perturbation::NegativeFloor => s.refined_decisions == 1,
+            _ => true,
+        }
+    });
+
+const CLOSE_KNIFE_EDGE: Generator = Generator::pinned(
+    "close_knife_edge",
+    2,
+    &[3.0, 2.5],
+    close_knife_edge,
+    |c, s| {
+        let rescans = if bounded(c.alpha) { 1 } else { 0 };
+        c.perturbation != Perturbation::Neutral
+            || (s.bracket_straddle_fallbacks == 1
+                && s.exact_fallbacks() == 1
+                && s.canonical_rescans == rescans)
+    },
+);
+
 oracle_tests! {
     round_level_alpha_3: check_round_level(&DRAWN, Some(3.0));
     round_level_alpha_4: check_round_level(&DRAWN, Some(4.0));
@@ -2305,4 +2499,7 @@ oracle_tests! {
     round_level_far_only_sender: check_round_level(&[FAR_ONLY_SENDER], None);
     round_level_coarse_knife_edge: check_round_level(&[COARSE_KNIFE_EDGE], None);
     round_level_negative_floor_pairs: check_round_level(&[NEGATIVE_FLOOR_PAIRS], None);
+    round_level_close_rival: check_round_level(&[CLOSE_RIVAL], None);
+    round_level_close_ties: check_round_level(&[CLOSE_TIES], None);
+    round_level_close_knife_edge: check_round_level(&[CLOSE_KNIFE_EDGE], None);
 }
