@@ -6,10 +6,12 @@
 //!
 //! Two gates, because the two workloads differ:
 //!
-//! * **The probe** (a 25%-contention round at fixed sizes). The bound (6%)
-//!   sits above the committed snapshot's measured fractions (≤ ~4.5%
-//!   across the sweep) with headroom for geometry jitter, and far below
-//!   the ~100% a broken bracket would produce.
+//! * **The probe** (a 25%-contention round at fixed sizes, on seeded
+//!   deployments, so the fractions are deterministic). The bound (1.5%)
+//!   keeps the protocol gate's 1.5× headroom over the largest measured
+//!   fraction: 0.00% / 0.78% / 0.98% at n = 1024 / 4096 / 16384 with the
+//!   refined stage. A bracket regression that doubles the probe's
+//!   fallbacks fails it.
 //! * **Protocol rounds** (whole FKN runs, whose early rounds hold many
 //!   more listeners per transmitter than the probe). The bound (8.9%)
 //!   keeps the headroom the 9% bound had over the ring-2 tree's measured
@@ -29,7 +31,7 @@ use fading_cr::{ChannelKind, Deployment, ProtocolKind, Scenario, SimConfig, Simu
 /// mid-size point; kept small enough for a test-suite run.
 const SIZES: [usize; 3] = [1024, 4096, 16384];
 
-const MAX_FALLBACK_FRACTION: f64 = 0.06;
+const MAX_FALLBACK_FRACTION: f64 = 0.015;
 
 #[test]
 fn hierarchical_fallback_fraction_stays_low() {

@@ -96,29 +96,33 @@
 //! [`map_ordered`] in fixed [`HIER_TILE_CHUNK`] chunks that never depend on
 //! the thread count:
 //!
-//! 1. **Serial prepare.** Bucket the transmitters and build the mass
-//!    pyramid; bucket the listeners by fine tile (tiles in first-seen
+//! 1. **Serial prepare.** Count the transmitters per fine tile and build
+//!    the mass pyramid; lay the transmitters out tile-major (one counting
+//!    sort: each fine tile's run of slice indices, ascending, and their
+//!    coordinates); bucket the listeners by fine tile (tiles in first-seen
 //!    order, slice order within a tile); list the coarse nodes above the
 //!    listener tiles (first-seen order, fine to root).
 //! 2. **Per coarse node.** Sum the node's interaction list over this
 //!    round's masses.
 //! 3. **Per tile.** Add the tile's own list sum to its ancestors' sums for
 //!    the far bracket, gather the tile's near transmitters once into
-//!    chunk-local SoA scratch in slice order, and scan the tile's
-//!    listeners against it [`LISTENER_BLOCK`] at a time through the fused
-//!    block scan (the tail through a gain batch and [`fold_scan`]). A
-//!    slice-order fold's first strict maximum is the lowest slice index
-//!    among the maxima — the canonical winner rule — so each fold feeds
-//!    the ladder directly. A listener the ladder leaves on rung 3–5 goes
-//!    through the refined stage, which gathers the tile's close
-//!    transmitters at its first such listener.
+//!    chunk-local SoA scratch in slice order (one run slice per
+//!    neighborhood row, then a sort), and block-scan the tile's listeners
+//!    against it: [`LISTENER_BLOCK`] at a time through the fused block
+//!    scan, the remainder in narrower blocks padded with copies of their
+//!    last listener. A slice-order fold's first strict maximum is the
+//!    lowest slice index among the maxima — the canonical winner rule — so
+//!    each fold feeds the ladder directly. A listener the ladder leaves on
+//!    rung 3–5 goes through the refined stage, which copies the runs of
+//!    the tile's close tiles at its first such listener.
 //! 4. **Per chunk.** The listeners both ladders left to the exact scan
-//!    are resolved [`LISTENER_BLOCK`] at a time over all transmitters, the
-//!    tail one by one, and the chunk's receptions are written into their
-//!    listener slots.
+//!    are block-scanned the same way over all transmitters, and the
+//!    chunk's receptions are written into their listener slots.
 //!
-//! Each chunk computes the same bits on whichever thread runs it, every
-//! listener slot is written by exactly one chunk, and the per-chunk
+//! Each chunk computes the same bits on whichever thread runs it (its
+//! blocks never reach into another chunk, and a lane's fold never depends
+//! on the block it shares), every listener slot is written by exactly one
+//! chunk, and the per-chunk
 //! ladder counters are u64 sums, so scheduling cannot reach the results.
 
 use std::sync::{Mutex, PoisonError};
@@ -129,10 +133,9 @@ use crate::exec::{map_ordered, ChunkExecutor};
 use crate::farfield::{decide_refined, finish_fallback, ladder, Decision, DecisionInputs};
 use crate::interaction::{fold_up, Bracket, InteractionLists};
 use crate::kernels::{
-    fold_scan, gain_batch_with, scan_block_with, with_bounded_kernel, AlphaKernel, ScanFold,
-    LISTENER_BLOCK,
+    gain_batch_with, scan_listeners_with, with_bounded_kernel, AlphaKernel, ScanFold,
 };
-use crate::sinr::{scan_soa_with, scan_transmitters_soa, ScanOutcome};
+use crate::sinr::{scan_transmitters, ScanOutcome};
 use crate::{
     ChannelPerturbation, FarFieldStats, NodeId, Reception, SinrParams, FARFIELD_REL_SLACK,
 };
@@ -185,17 +188,24 @@ pub struct HierarchicalFarFieldEngine {
     num_alive: usize,
     /// The geometry-only far-field pairs and the flat node layout.
     lists: InteractionLists,
-    /// Per-round transmitter slice indices per fine tile, ascending.
-    tx_in_tile: Vec<Vec<u32>>,
+    /// This round's transmitters laid out tile-major, by a counting sort
+    /// over the fine tiles: fine tile `t`'s run is
+    /// `tx_start[t]..tx_start[t + 1]` of `run_idx` (slice indices,
+    /// ascending) and of `run_x`/`run_y` (their coordinates). The source
+    /// of every near and close gather.
+    tx_start: Vec<u32>,
+    run_idx: Vec<u32>,
+    run_x: Vec<f64>,
+    run_y: Vec<f64>,
     /// Round-level gathered transmitter coordinates (slice order): the
-    /// source of every near gather and exact fallback. Written during the
-    /// serial prepare, read-only during the parallel pass.
+    /// source of every exact fallback. Written during the serial prepare,
+    /// read-only during the parallel pass.
     tx_xs: Vec<f64>,
     tx_ys: Vec<f64>,
     /// Per-round transmitter count under each tree node, by flat id.
     tx_count: Vec<u32>,
-    /// Nodes touched this round (flat ids), per level (level 0 doubles as
-    /// the list of fine tiles whose `tx_in_tile` bucket needs clearing).
+    /// Nodes touched this round (flat ids), per level: the counts to clear
+    /// before the next round.
     touched: Vec<Vec<u32>>,
     /// This round's list sums of the coarse nodes above its listener
     /// tiles, by flat id (stale elsewhere).
@@ -264,8 +274,6 @@ struct ChunkScratch {
     near_idx: Vec<u32>,
     near_x: Vec<f64>,
     near_y: Vec<f64>,
-    /// Gain buffer for single-listener scans.
-    gains: Vec<f64>,
     /// The current tile's close transmitters, once the refined stage runs.
     close: CloseScratch,
     /// Positions (into the chunk's slots) of the listeners the ladder
@@ -299,23 +307,6 @@ impl RoundInputs<'_> {
     fn extra(&self, v: NodeId) -> Option<f64> {
         self.perturbation.map(|pt| pt.extra_at(v))
     }
-}
-
-/// The coordinates of the (at most [`LISTENER_BLOCK`]) listeners at
-/// positions `block` of `order`.
-fn block_coords(
-    round: &RoundInputs<'_>,
-    order: &[u32],
-    block: impl IntoIterator<Item = usize>,
-) -> ([f64; LISTENER_BLOCK], [f64; LISTENER_BLOCK]) {
-    let mut vx = [0.0; LISTENER_BLOCK];
-    let mut vy = [0.0; LISTENER_BLOCK];
-    for (j, pos) in block.into_iter().enumerate() {
-        let vp = round.positions[round.listeners[order[pos] as usize]];
-        vx[j] = vp.x;
-        vy[j] = vp.y;
-    }
-    (vx, vy)
 }
 
 impl HierarchicalFarFieldEngine {
@@ -365,7 +356,10 @@ impl HierarchicalFarFieldEngine {
             alive: vec![true; positions.len()],
             alive_per_tile,
             num_alive: positions.len(),
-            tx_in_tile: vec![Vec::new(); num_fine],
+            tx_start: vec![0; num_fine + 1],
+            run_idx: Vec::new(),
+            run_x: Vec::new(),
+            run_y: Vec::new(),
             tx_xs: Vec::new(),
             tx_ys: Vec::new(),
             tx_count: vec![0; num_nodes],
@@ -541,12 +535,20 @@ impl HierarchicalFarFieldEngine {
         self.stats = stats;
     }
 
+    /// Fine tile `t`'s run in the tile-major transmitter layout.
+    fn run(&self, t: usize) -> std::ops::Range<usize> {
+        self.tx_start[t] as usize..self.tx_start[t + 1] as usize
+    }
+
     /// Gathers fine tile `lt`'s near transmitters — every transmitter in
     /// its [`HIER_NEAR_RING`] neighborhood — into `sc` in slice order.
     fn gather_near(&self, lt: usize, sc: &mut ChunkScratch) {
         sc.near_idx.clear();
-        for t in self.tree.fine().neighborhood(lt, HIER_NEAR_RING) {
-            sc.near_idx.extend_from_slice(&self.tx_in_tile[t]);
+        // A neighborhood row's tiles are consecutive ids, so their runs
+        // are one slice.
+        for tiles in self.tree.fine().neighborhood_rows(lt, HIER_NEAR_RING) {
+            let span = self.tx_start[tiles.start] as usize..self.tx_start[tiles.end] as usize;
+            sc.near_idx.extend_from_slice(&self.run_idx[span]);
         }
         sc.near_idx.sort_unstable();
         sc.near_x.clear();
@@ -572,14 +574,15 @@ impl HierarchicalFarFieldEngine {
             return false;
         }
         close.idx.clear();
-        for &s in sources {
-            close.idx.extend_from_slice(&self.tx_in_tile[s as usize]);
-        }
         close.x.clear();
         close.y.clear();
-        for &i in &close.idx {
-            close.x.push(self.tx_xs[i as usize]);
-            close.y.push(self.tx_ys[i as usize]);
+        // Runs hold a transmitter or two: a loop beats a copy call per run.
+        for &s in sources {
+            for i in self.run(s as usize) {
+                close.idx.push(self.run_idx[i]);
+                close.x.push(self.run_x[i]);
+                close.y.push(self.run_y[i]);
+            }
         }
         true
     }
@@ -655,7 +658,8 @@ impl HierarchicalFarFieldEngine {
             // maximum is the canonical winner among the near transmitters.
             let near_idx = &sc.near_idx;
             let close = &mut sc.close;
-            let mut decide = |pos: usize, fold: ScanFold, pending: &mut Vec<usize>| {
+            let pending = &mut sc.pending;
+            let mut decide = |pos: usize, fold: ScanFold| {
                 let v = round.listeners[order[pos] as usize];
                 let inputs =
                     |(near_sum, best_sig, best): (f64, f64, Option<u32>),
@@ -693,25 +697,16 @@ impl HierarchicalFarFieldEngine {
                 }
             };
 
+            // The tile's listeners, block-scanned against its near field.
             let tile = buckets.span(ti, ti + 1);
-            let (start, end) = (tile.start - span.start, tile.end - span.start);
-            let tail = end - (end - start) % LISTENER_BLOCK;
-            for block_start in (start..tail).step_by(LISTENER_BLOCK) {
-                let block = block_start..block_start + LISTENER_BLOCK;
-                let (vx, vy) = block_coords(round, order, block.clone());
-                let folds = scan_block_with(k, p, &sc.near_x, &sc.near_y, &vx, &vy);
-                for (pos, fold) in block.zip(folds) {
-                    decide(pos, fold, &mut sc.pending);
-                }
-            }
-            for (pos, &slot) in order.iter().enumerate().take(end).skip(tail) {
-                let vp = round.positions[round.listeners[slot as usize]];
-                sc.gains.resize(sc.near_idx.len(), 0.0);
-                gain_batch_with(k, p, &sc.near_x, &sc.near_y, vp.x, vp.y, &mut sc.gains);
-                decide(pos, fold_scan(&sc.gains), &mut sc.pending);
-            }
+            let start = tile.start - span.start;
+            let at = |i: usize| round.positions[round.listeners[order[start + i] as usize]];
+            let (xs, ys) = (&sc.near_x, &sc.near_y);
+            scan_listeners_with(k, p, xs, ys, tile.len(), at, |i, fold| {
+                decide(start + i, fold);
+            });
         }
-        self.resolve_fallbacks(k, round, order, &mut sc, &mut rx, &mut stats);
+        self.resolve_fallbacks(k, round, order, &sc.pending, &mut rx, &mut stats);
 
         let mut out = out.lock().unwrap_or_else(PoisonError::into_inner);
         for (&slot, reception) in order.iter().zip(rx) {
@@ -720,10 +715,9 @@ impl HierarchicalFarFieldEngine {
         stats
     }
 
-    /// The exact fallbacks of one chunk (`sc.pending`, positions into
-    /// `order` and `rx`), over every transmitter: [`LISTENER_BLOCK`]
-    /// listeners at a time through the fused block scan, the tail one by
-    /// one, each a slice-order first pass through `k` settled by
+    /// The exact fallbacks of one chunk (`pending`, positions into `order`
+    /// and `rx`), block-scanned over every transmitter (the last block
+    /// padded), each a slice-order first pass through `k` settled by
     /// [`finish_fallback`] — which runs the canonical scan only when that
     /// pass cannot certify the listener (never for a canonical `k`).
     fn resolve_fallbacks<K: AlphaKernel>(
@@ -731,34 +725,24 @@ impl HierarchicalFarFieldEngine {
         k: K,
         round: &RoundInputs<'_>,
         order: &[u32],
-        sc: &mut ChunkScratch,
+        pending: &[usize],
         rx: &mut [Reception],
         stats: &mut FarFieldStats,
     ) {
         let (p, alpha) = (self.power, self.alpha);
-        let (xs, ys) = (&self.tx_xs[..], &self.tx_ys[..]);
         let tx = round.transmitters;
-        let ChunkScratch { pending, gains, .. } = sc;
-        let mut settle = |pos: usize, first: ScanOutcome, gains: &mut Vec<f64>| {
-            let v = round.listeners[order[pos] as usize];
+        let listener = |i: usize| round.listeners[order[pending[i]] as usize];
+        let at = |i: usize| round.positions[listener(i)];
+        let (noise, beta) = (round.noise, round.beta);
+        let settle = |i: usize, fold: ScanFold| {
+            let v = listener(i);
             let vp = round.positions[v];
-            let rescan = || scan_transmitters_soa(p, alpha, v, vp, tx, xs, ys, gains);
-            let (noise, beta) = (round.noise, round.beta);
-            rx[pos] = finish_fallback::<K>(first, noise, round.extra(v), beta, stats, rescan);
+            let rescan = || scan_transmitters(p, alpha, round.positions, None, v, vp, tx);
+            let (first, extra) = (ScanOutcome::from_fold(fold, tx), round.extra(v));
+            rx[pending[i]] = finish_fallback::<K>(first, noise, extra, beta, stats, rescan);
         };
-        let mut blocks = pending.chunks_exact(LISTENER_BLOCK);
-        for block in &mut blocks {
-            let (vx, vy) = block_coords(round, order, block.iter().copied());
-            let folds = scan_block_with(k, p, xs, ys, &vx, &vy);
-            for (&pos, fold) in block.iter().zip(folds) {
-                settle(pos, ScanOutcome::from_fold(fold, tx), gains);
-            }
-        }
-        for &pos in blocks.remainder() {
-            let v = round.listeners[order[pos] as usize];
-            let first = scan_soa_with(k, p, v, round.positions[v], tx, xs, ys, gains);
-            settle(pos, first, gains);
-        }
+        let (xs, ys) = (&self.tx_xs[..], &self.tx_ys[..]);
+        scan_listeners_with(k, p, xs, ys, pending.len(), at, settle);
     }
 
     /// Resolves one round with the tree-aggregated fast path; reception
@@ -859,26 +843,45 @@ impl HierarchicalFarFieldEngine {
     }
 
     /// The round's serial prepare: clears last round's masses (touched
-    /// nodes only), buckets this round's transmitters by fine tile (slice
-    /// indices, ascending), propagates their counts up the tree, and
-    /// gathers their coordinates from `positions` in slice order.
+    /// nodes only), counts this round's transmitters per fine tile and
+    /// propagates the counts up the tree, lays the transmitters out
+    /// tile-major (a counting sort: slice indices ascending within a tile,
+    /// with their coordinates), and gathers their coordinates in slice
+    /// order.
     fn prepare(&mut self, positions: &[Point], transmitters: &[NodeId]) {
         for l in 0..self.touched.len() {
             for &t in &self.touched[l] {
                 self.tx_count[t as usize] = 0;
-                if l == 0 {
-                    self.tx_in_tile[t as usize].clear();
-                }
             }
             self.touched[l].clear();
         }
-        for (idx, &u) in transmitters.iter().enumerate() {
-            let t = self.tree.fine().tile_of(u);
-            if self.tx_in_tile[t].is_empty() {
+        let fine = self.tree.fine();
+        for &u in transmitters {
+            let t = fine.tile_of(u);
+            if self.tx_count[t] == 0 {
                 self.touched[0].push(t as u32);
             }
-            self.tx_in_tile[t].push(idx as u32);
             self.tx_count[t] += 1;
+        }
+        // Fine tiles are flat ids 0..num_fine. `tx_start[t + 1]` starts as
+        // tile t's first slot and serves as its write cursor, ending as
+        // its end, which is tile t + 1's start.
+        let mut next = 0;
+        for t in 0..fine.num_tiles() {
+            self.tx_start[t + 1] = next;
+            next += self.tx_count[t];
+        }
+        let k = transmitters.len();
+        self.run_idx.resize(k, 0);
+        self.run_x.resize(k, 0.0);
+        self.run_y.resize(k, 0.0);
+        for (idx, &u) in transmitters.iter().enumerate() {
+            let slot = &mut self.tx_start[fine.tile_of(u) + 1];
+            let at = *slot as usize;
+            *slot += 1;
+            self.run_idx[at] = idx as u32;
+            self.run_x[at] = positions[u].x;
+            self.run_y[at] = positions[u].y;
         }
         gather_points(positions, transmitters, &mut self.tx_xs, &mut self.tx_ys);
         for l in 1..self.touched.len() {
@@ -1017,6 +1020,86 @@ mod tests {
         assert_eq!(engine.stats().fast_decisions(), pos.len() as u64);
         engine.reset_stats();
         assert_eq!(engine.stats(), FarFieldStats::default());
+    }
+
+    /// Two listener tiles of an 8 × 8 tiling over [0, 128]²: `m` far
+    /// listeners in tile (0, 0), which hear the one sender at (120, 120)
+    /// above the noise floor with nothing in their near ring, so the
+    /// ladder leaves each to the exact scan, and `41 − m` listeners around
+    /// the sender in tile (7, 7), which the ladder settles. For `m` in
+    /// 1..=40 every tile size from 1 to 40 and every chunk of 1 to 40
+    /// fallbacks is block-scanned, the last block padded. Each listener's
+    /// jammer term puts its SINR 0.5% above β (even slots) or below it
+    /// (odd ones), so a listener decided on another's fold is caught.
+    /// The expected receptions follow from that, not from the exact tier,
+    /// which runs the same block scan.
+    #[test]
+    fn padded_blocks_match_exact_at_every_partial_size() {
+        use crate::{pow_alpha, ResolveEngine};
+        for alpha in [3.0, 2.5] {
+            let (beta, noise, power) = (1.5, 0.1, 1e6);
+            let p = SinrParams::builder()
+                .power(power)
+                .alpha(alpha)
+                .beta(beta)
+                .noise(noise)
+                .build()
+                .unwrap();
+            let ch = SinrChannel::new(p);
+            for m in 1..=40 {
+                let mut pos = vec![
+                    Point::new(0.0, 0.0),
+                    Point::new(128.0, 128.0),
+                    Point::new(120.0, 120.0),
+                ];
+                let mut listeners = Vec::new();
+                for i in 0..m.max(41 - m) {
+                    if i < m {
+                        listeners.push(pos.len());
+                        let (x, y) = ((i % 9) as f64 * 1.5, (i / 9) as f64 * 1.5);
+                        pos.push(Point::new(1.0 + x, 1.0 + y));
+                    }
+                    if i < 41 - m {
+                        listeners.push(pos.len());
+                        let (x, y) = ((i % 7) as f64 * 2.0, (i / 7) as f64 * 2.0);
+                        pos.push(Point::new(113.5 + x, 113.5 + y));
+                    }
+                }
+                let mut jam = vec![0.0; pos.len()];
+                for (slot, &v) in listeners.iter().enumerate() {
+                    let signal = power / pow_alpha(pos[2].distance_sq(pos[v]), alpha);
+                    let margin = if slot % 2 == 0 { 1.005 } else { 0.995 };
+                    jam[v] = signal / (beta * margin) - noise;
+                }
+                let jam = ChannelPerturbation::new(1.0, &jam);
+                let tx = [2];
+                let mut rng = SmallRng::seed_from_u64(0);
+                let exact = ch.resolve_with(
+                    &pos,
+                    &tx,
+                    &listeners,
+                    &mut ResolveEngine::Exact,
+                    &jam,
+                    &SerialExecutor,
+                    &mut rng,
+                    None,
+                );
+                // One sender: even slots decode it, odd ones hear silence.
+                let want: Vec<Reception> = (0..listeners.len())
+                    .map(|slot| match slot % 2 {
+                        0 => Reception::Message { from: 2 },
+                        _ => Reception::Silence,
+                    })
+                    .collect();
+                assert_eq!(exact, want, "alpha={alpha} m={m}");
+                let mut engine =
+                    HierarchicalFarFieldEngine::build_with_tiling(&pos, &p, 8).unwrap();
+                let fast =
+                    engine.resolve_sinr(&p, &pos, &tx, &listeners, Some(&jam), &SerialExecutor);
+                assert_eq!(fast, want, "alpha={alpha} m={m}");
+                assert_eq!(engine.stats().exact_fallbacks(), m as u64, "alpha={alpha}");
+            }
+        }
     }
 
     #[test]

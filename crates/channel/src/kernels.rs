@@ -37,7 +37,11 @@
 //! SIMD lanes map to listeners, never to positions within one listener's
 //! sum, so each lane reproduces the canonical scalar accumulation add for
 //! add while the interleaving hides the FP-add latency that makes a lone
-//! fold chain serial. The `pow_alpha_batch` proptest oracle in
+//! fold chain serial. Every listener scan goes through it: a run's
+//! remainder after its full blocks is scanned in narrower blocks whose
+//! unused lanes repeat the last real listener, and their folds are
+//! dropped — a lane's fold never depends on another lane, so padding
+//! cannot reach a real one. The `pow_alpha_batch` proptest oracle in
 //! `tests/kernels.rs` pins the contract across the full dynamic range, and
 //! the round-level table of the workspace's differential oracle
 //! (`tests/differential.rs`) holds the batched scan to a longhand scalar
@@ -581,37 +585,47 @@ pub fn gain_batch(
     }
 }
 
-/// Listeners per fused block scan ([`scan_block`]). The lanes are
+/// Listeners per full fused block scan ([`scan_block`]). The lanes are
 /// independent `total +=` chains, so the block width trades FP-add
 /// latency hiding against register pressure: the serial fold is
 /// latency-bound at one add per ~4 cycles, and 32 lanes (8 ymm
 /// accumulator pairs, spilling the index lanes to L1) measured fastest
 /// and steadiest on the divider-bound α = 3 hot path — ~10% over 8
 /// lanes, which already recovers most of the win (DESIGN.md §15).
+/// Every listener scan takes a run of listeners this many at a time and
+/// the remainder in padded blocks of 8 lanes, so no listener is ever
+/// folded alone.
 pub const LISTENER_BLOCK: usize = 32;
 
+/// Lanes per padded block: the width at which [`scan_listeners_with`]
+/// scans what is left of a run after its full [`LISTENER_BLOCK`]s. Small
+/// enough that a padded block of one real listener wastes little, wide
+/// enough to fill two ymm registers (4, 8 and 16 measured alike on
+/// fkn-large; DESIGN.md §15.3).
+pub(crate) const TAIL_BLOCK: usize = 8;
+
 /// The monomorphized fused block scan: one pass over the transmitters
-/// computing, for each of [`LISTENER_BLOCK`] listeners at once, the gain
-/// *and* its slice-order fold. Per listener lane the arithmetic — `dx`
-/// orientation, `pow_alpha` fast path, division, `total += g`, and the
-/// strict-max update — is the canonical scalar sequence, so each lane is
+/// computing, for each of `W` listeners at once, the gain *and* its
+/// slice-order fold. Per listener lane the arithmetic — `dx` orientation,
+/// `pow_alpha` fast path, division, `total += g`, and the strict-max
+/// update — is the canonical scalar sequence, so each lane is
 /// bit-identical to [`fold_scan`] over a [`gain_batch`]; the lanes only
 /// interleave *between* listeners, never within one listener's chain.
 #[inline(always)]
-fn scan_block_inner<K: AlphaKernel>(
+fn scan_block_inner<K: AlphaKernel, const W: usize>(
     k: K,
     power: f64,
     xs: &[f64],
     ys: &[f64],
-    vx: &[f64; LISTENER_BLOCK],
-    vy: &[f64; LISTENER_BLOCK],
-) -> [ScanFold; LISTENER_BLOCK] {
-    let mut total = [0.0f64; LISTENER_BLOCK];
-    let mut best = [0.0f64; LISTENER_BLOCK];
+    vx: &[f64; W],
+    vy: &[f64; W],
+) -> [ScanFold; W] {
+    let mut total = [0.0f64; W];
+    let mut best = [0.0f64; W];
     // -1 = no strict winner yet (mirrors fold_scan's None).
-    let mut best_i = [-1i64; LISTENER_BLOCK];
+    let mut best_i = [-1i64; W];
     for (i, (&x, &y)) in xs.iter().zip(ys).enumerate() {
-        for j in 0..LISTENER_BLOCK {
+        for j in 0..W {
             let dx = x - vx[j];
             let dy = y - vy[j];
             let g = power / k.pow_alpha(dx * dx + dy * dy);
@@ -633,8 +647,8 @@ fn scan_block_inner<K: AlphaKernel>(
 
 /// AVX2 instantiation of [`scan_block_inner`] — bit-identical per lane
 /// (no `fma`; see [`pow_alpha_batch_avx2`]). This is the variant that
-/// makes the block scan pay off: with 256-bit lanes the eight listener
-/// chains become two `vaddpd`/`vdivpd`/`vsqrtpd` streams, and the divider
+/// makes the block scan pay off: with 256-bit lanes every four listener
+/// chains become one `vaddpd`/`vdivpd`/`vsqrtpd` stream, and the divider
 /// (the real bottleneck) runs at its ymm throughput instead of xmm.
 ///
 /// # Safety
@@ -643,14 +657,14 @@ fn scan_block_inner<K: AlphaKernel>(
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
 #[allow(unsafe_code)] // see the crate-root lint note
-unsafe fn scan_block_avx2<K: AlphaKernel>(
+unsafe fn scan_block_avx2<K: AlphaKernel, const W: usize>(
     k: K,
     power: f64,
     xs: &[f64],
     ys: &[f64],
-    vx: &[f64; LISTENER_BLOCK],
-    vy: &[f64; LISTENER_BLOCK],
-) -> [ScanFold; LISTENER_BLOCK] {
+    vx: &[f64; W],
+    vy: &[f64; W],
+) -> [ScanFold; W] {
     scan_block_inner(k, power, xs, ys, vx, vy)
 }
 
@@ -658,14 +672,14 @@ unsafe fn scan_block_avx2<K: AlphaKernel>(
 /// arms are bit-identical).
 #[inline]
 #[allow(unsafe_code)] // detection-guarded call; see the crate-root lint note
-pub(crate) fn scan_block_with<K: AlphaKernel>(
+pub(crate) fn scan_block_with<K: AlphaKernel, const W: usize>(
     k: K,
     power: f64,
     xs: &[f64],
     ys: &[f64],
-    vx: &[f64; LISTENER_BLOCK],
-    vy: &[f64; LISTENER_BLOCK],
-) -> [ScanFold; LISTENER_BLOCK] {
+    vx: &[f64; W],
+    vy: &[f64; W],
+) -> [ScanFold; W] {
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 support was just verified at runtime.
@@ -699,6 +713,92 @@ pub fn scan_block(
         AlphaClass::Four => scan_block_with(Alpha4, power, xs, ys, vx, vy),
         AlphaClass::Six => scan_block_with(Alpha6, power, xs, ys, vx, vy),
         AlphaClass::Generic => scan_block_with(AlphaGeneric::new(alpha), power, xs, ys, vx, vy),
+    }
+}
+
+/// One `W`-lane block scan of the listeners `block` (at most `W` of
+/// them; `at(i)` is listener `i`'s position). The lanes past the block's
+/// last listener repeat its coordinates, so they compute in the same
+/// range as a real lane; their folds are dropped, and `fold` sees each
+/// listener of `block` once, in order.
+#[inline(always)]
+fn scan_padded<K: AlphaKernel, const W: usize>(
+    k: K,
+    power: f64,
+    (xs, ys): (&[f64], &[f64]),
+    block: std::ops::Range<usize>,
+    at: &impl Fn(usize) -> fading_geom::Point,
+    fold: &mut impl FnMut(usize, ScanFold),
+) {
+    debug_assert!(!block.is_empty() && block.len() <= W);
+    let mut vx = [0.0; W];
+    let mut vy = [0.0; W];
+    for (j, i) in block.clone().enumerate() {
+        let v = at(i);
+        vx[j] = v.x;
+        vy[j] = v.y;
+    }
+    let last = block.len() - 1;
+    for j in block.len()..W {
+        vx[j] = vx[last];
+        vy[j] = vy[last];
+    }
+    let folds = scan_block_with(k, power, xs, ys, &vx, &vy);
+    for (i, f) in block.zip(folds) {
+        fold(i, f);
+    }
+}
+
+/// Block-scans the listeners `0..count` (`at(i)` is listener `i`'s
+/// position) against the SoA transmitter slices through kernel `k`, and
+/// hands each listener's slice-order fold to `fold(i, ..)`, in ascending
+/// `i`. Full blocks of [`LISTENER_BLOCK`] lanes go first, then the
+/// remainder in blocks of [`TAIL_BLOCK`] lanes, the last one padded with
+/// copies of its last listener. Lanes never mix, so every listener's fold
+/// is bit-identical to [`fold_scan`] over its own gain batch, whatever
+/// block it lands in.
+#[inline]
+pub(crate) fn scan_listeners_with<K: AlphaKernel>(
+    k: K,
+    power: f64,
+    xs: &[f64],
+    ys: &[f64],
+    count: usize,
+    at: impl Fn(usize) -> fading_geom::Point,
+    mut fold: impl FnMut(usize, ScanFold),
+) {
+    debug_assert_eq!(xs.len(), ys.len(), "SoA slices must be parallel");
+    let full = count - count % LISTENER_BLOCK;
+    for start in (0..full).step_by(LISTENER_BLOCK) {
+        let block = start..start + LISTENER_BLOCK;
+        scan_padded::<K, LISTENER_BLOCK>(k, power, (xs, ys), block, &at, &mut fold);
+    }
+    for start in (full..count).step_by(TAIL_BLOCK) {
+        let block = start..count.min(start + TAIL_BLOCK);
+        scan_padded::<K, TAIL_BLOCK>(k, power, (xs, ys), block, &at, &mut fold);
+    }
+}
+
+/// [`scan_listeners_with`] through the canonical class of `alpha`: the
+/// exact tier's uncached scan.
+pub(crate) fn scan_listeners(
+    power: f64,
+    alpha: f64,
+    xs: &[f64],
+    ys: &[f64],
+    count: usize,
+    at: impl Fn(usize) -> fading_geom::Point,
+    fold: impl FnMut(usize, ScanFold),
+) {
+    match AlphaClass::of(alpha) {
+        AlphaClass::Two => scan_listeners_with(Alpha2, power, xs, ys, count, at, fold),
+        AlphaClass::Three => scan_listeners_with(Alpha3, power, xs, ys, count, at, fold),
+        AlphaClass::Four => scan_listeners_with(Alpha4, power, xs, ys, count, at, fold),
+        AlphaClass::Six => scan_listeners_with(Alpha6, power, xs, ys, count, at, fold),
+        AlphaClass::Generic => {
+            let k = AlphaGeneric::new(alpha);
+            scan_listeners_with(k, power, xs, ys, count, at, fold);
+        }
     }
 }
 
@@ -1042,6 +1142,128 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Asserts that each `(i, fold)` of `seen` is listener `at(i)`'s
+    /// `fold_scan` over its own gain batch, bit for bit, and that `seen`
+    /// names exactly the listeners `want`, in order.
+    fn assert_folds<K: AlphaKernel>(
+        k: K,
+        (xs, ys): (&[f64], &[f64]),
+        seen: &[(usize, ScanFold)],
+        want: std::ops::Range<usize>,
+        at: impl Fn(usize) -> fading_geom::Point,
+        ctx: &str,
+    ) {
+        let got: Vec<usize> = seen.iter().map(|&(i, _)| i).collect();
+        assert_eq!(got, want.collect::<Vec<_>>(), "{ctx}");
+        let mut gains = vec![0.0; xs.len()];
+        for &(i, f) in seen {
+            let v = at(i);
+            gain_batch_with(k, 7.5, xs, ys, v.x, v.y, &mut gains);
+            let want = fold_scan(&gains);
+            assert_eq!(f.total.to_bits(), want.total.to_bits(), "{ctx} {i} total");
+            assert_eq!(f.best_sig.to_bits(), want.best_sig.to_bits(), "{ctx} {i}");
+            assert_eq!(f.best_idx, want.best_idx, "{ctx} {i} idx");
+        }
+    }
+
+    /// `W`-lane padded blocks of every used-lane count `1..=W` over the
+    /// `listeners`: `fold` sees exactly the block's listeners, in order,
+    /// with the folds of their own gain batches.
+    fn check_padded<K: AlphaKernel, const W: usize>(
+        k: K,
+        scene: (&[f64], &[f64]),
+        listeners: &[fading_geom::Point],
+        label: &str,
+    ) {
+        let at = |i: usize| listeners[i];
+        for used in 1..=W {
+            let start = (used * 5) % (listeners.len() - used + 1);
+            let block = start..start + used;
+            let mut seen = Vec::new();
+            scan_padded::<K, W>(k, 7.5, scene, block.clone(), &at, &mut |i, f| {
+                seen.push((i, f));
+            });
+            let ctx = format!("{label} W={W} used={used}");
+            assert_folds(k, scene, &seen, block, at, &ctx);
+        }
+    }
+
+    /// [`scan_listeners_with`] over every listener count up to two full
+    /// blocks and two padded ones: each listener once, in order, with the
+    /// fold of its own gain batch.
+    fn check_runs<K: AlphaKernel>(
+        k: K,
+        scene: (&[f64], &[f64]),
+        listeners: &[fading_geom::Point],
+        label: &str,
+    ) {
+        let at = |i: usize| listeners[i % listeners.len()];
+        for count in 0..=2 * LISTENER_BLOCK + 2 * TAIL_BLOCK + 1 {
+            let mut seen = Vec::new();
+            let (xs, ys) = scene;
+            scan_listeners_with(k, 7.5, xs, ys, count, at, |i, f| seen.push((i, f)));
+            assert_folds(
+                k,
+                scene,
+                &seen,
+                0..count,
+                at,
+                &format!("{label} count={count}"),
+            );
+        }
+    }
+
+    #[test]
+    fn padded_blocks_are_bit_identical_to_fold_scan() {
+        use fading_geom::Point;
+        let mut next = uniform(0x0bad_cafe);
+        let mut xs: Vec<f64> = (0..61).map(|_| 200.0 * next() - 100.0).collect();
+        let mut ys: Vec<f64> = (0..61).map(|_| 200.0 * next() - 100.0).collect();
+        // The two closest transmitters of listener 1 (at (10, 20)) tie
+        // exactly: d² = 25 from both.
+        (xs[9], ys[9]) = (13.0, 24.0);
+        (xs[40], ys[40]) = (7.0, 16.0);
+        let mut listeners: Vec<Point> = (0..40)
+            .map(|_| Point::new(200.0 * next() - 100.0, 200.0 * next() - 100.0))
+            .collect();
+        // On top of a transmitter (an infinite gain), first and last, so
+        // padded lanes copy it too; and the tied listener.
+        listeners[0] = Point::new(xs[5], ys[5]);
+        listeners[39] = Point::new(xs[50], ys[50]);
+        listeners[1] = Point::new(10.0, 20.0);
+        // The same tie in the other slice order.
+        let (mut xs_swapped, mut ys_swapped) = (xs.clone(), ys.clone());
+        xs_swapped.swap(9, 40);
+        ys_swapped.swap(9, 40);
+        fn each_width<K: AlphaKernel>(
+            k: K,
+            label: &str,
+            scenes: &[(&[f64], &[f64])],
+            ls: &[Point],
+        ) {
+            for &scene in scenes {
+                check_padded::<K, TAIL_BLOCK>(k, scene, ls, label);
+                check_padded::<K, LISTENER_BLOCK>(k, scene, ls, label);
+                check_runs(k, scene, ls, label);
+            }
+        }
+        let scenes: [(&[f64], &[f64]); 3] = [(&xs, &ys), (&xs_swapped, &ys_swapped), (&[], &[])];
+        each_width(Alpha2, "alpha2", &scenes, &listeners);
+        each_width(Alpha3, "alpha3", &scenes, &listeners);
+        each_width(Alpha4, "alpha4", &scenes, &listeners);
+        each_width(Alpha6, "alpha6", &scenes, &listeners);
+        each_width(AlphaGeneric::new(2.5), "generic", &scenes, &listeners);
+        each_width(AlphaBounded::new(2.5), "bounded", &scenes, &listeners);
+        // The tie is real, and the earlier slice index wins it.
+        let tied = |xs: &[f64], ys: &[f64]| {
+            let mut gains = vec![0.0; xs.len()];
+            gain_batch_with(Alpha3, 7.5, xs, ys, 10.0, 20.0, &mut gains);
+            fold_scan(&gains).best_idx
+        };
+        assert_eq!(tied(&xs, &ys), Some(9));
+        assert_eq!(tied(&xs_swapped, &ys_swapped), Some(9));
     }
 
     #[test]

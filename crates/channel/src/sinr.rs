@@ -6,10 +6,7 @@ use fading_geom::Point;
 
 use crate::channel::{sealed, Channel};
 use crate::farfield::slack_certifies;
-use crate::kernels::{
-    fold_scan, gain_batch, gain_batch_with, scan_block, AlphaKernel, ScanFold, ScanScratch,
-    LISTENER_BLOCK,
-};
+use crate::kernels::{scan_listeners, ScanFold, ScanScratch};
 use crate::{
     ChannelPerturbation, ChunkExecutor, EngineTier, GainCache, NodeId, Reception, ResolveEngine,
     SinrBreakdown, SinrParams,
@@ -105,83 +102,6 @@ pub(crate) fn scan_transmitters(
         best_sig,
         best_tx,
     }
-}
-
-/// The batched counterpart of [`scan_transmitters`] for the geometry
-/// (uncached) path: one fused SoA gain batch into `scratch.gains`, then a
-/// slice-order fold.
-///
-/// `scratch.xs`/`scratch.ys` must already hold the transmitters'
-/// coordinates in `transmitters` slice order
-/// ([`ScanScratch::gather`] — done once per round, not per listener).
-/// Bit-identical to the scalar scan: each gain is the same expression
-/// ([`gain_batch`]), and [`fold_scan`] reproduces the canonical
-/// accumulation order and first-strict-max winner rule
-/// (the round-level table of `tests/differential.rs` pins the equivalence,
-/// exact ties included).
-#[inline]
-pub(crate) fn scan_transmitters_batched(
-    p: f64,
-    alpha: f64,
-    v: NodeId,
-    vp: Point,
-    transmitters: &[NodeId],
-    scratch: &mut ScanScratch,
-) -> ScanOutcome {
-    let ScanScratch { xs, ys, gains } = scratch;
-    scan_transmitters_soa(p, alpha, v, vp, transmitters, xs, ys, gains)
-}
-
-/// The slice-level core of [`scan_transmitters_batched`]: takes the
-/// gathered coordinate slices and the gain buffer separately, so callers
-/// whose gather is shared across threads (the hierarchical engine's
-/// read-only listener phase) can pair it with thread-local gain scratch.
-#[inline]
-#[allow(clippy::too_many_arguments)] // the scan inputs plus the split scratch
-pub(crate) fn scan_transmitters_soa(
-    p: f64,
-    alpha: f64,
-    v: NodeId,
-    vp: Point,
-    transmitters: &[NodeId],
-    xs: &[f64],
-    ys: &[f64],
-    gains: &mut Vec<f64>,
-) -> ScanOutcome {
-    debug_assert!(
-        transmitters.iter().all(|&u| u != v),
-        "a node cannot transmit and listen simultaneously"
-    );
-    debug_assert_eq!(xs.len(), transmitters.len(), "stale gather");
-    gains.resize(transmitters.len(), 0.0);
-    gain_batch(p, alpha, xs, ys, vp.x, vp.y, gains);
-    ScanOutcome::from_fold(fold_scan(gains), transmitters)
-}
-
-/// [`scan_transmitters_soa`] through an explicit kernel class: the same
-/// gain batch and slice-order fold, with `k` in place of the class
-/// `alpha` selects. The tile tree's first-pass fallback scans use it
-/// with the bounded generic kernel.
-#[inline]
-#[allow(clippy::too_many_arguments)] // the scan inputs plus the split scratch
-pub(crate) fn scan_soa_with<K: AlphaKernel>(
-    k: K,
-    p: f64,
-    v: NodeId,
-    vp: Point,
-    transmitters: &[NodeId],
-    xs: &[f64],
-    ys: &[f64],
-    gains: &mut Vec<f64>,
-) -> ScanOutcome {
-    debug_assert!(
-        transmitters.iter().all(|&u| u != v),
-        "a node cannot transmit and listen simultaneously"
-    );
-    debug_assert_eq!(xs.len(), transmitters.len(), "stale gather");
-    gains.resize(transmitters.len(), 0.0);
-    gain_batch_with(k, p, xs, ys, vp.x, vp.y, gains);
-    ScanOutcome::from_fold(fold_scan(gains), transmitters)
 }
 
 /// The paper's fading channel: reception is governed exactly by the SINR
@@ -349,45 +269,27 @@ impl SinrChannel {
             // Uncached rounds recompute every gain from geometry, so they
             // run through the batched SoA kernels: the transmitters'
             // coordinates are gathered once per round, then listeners are
-            // scanned in blocks through the fused `scan_block` kernel — one
-            // pass computing gains and folds for LISTENER_BLOCK listeners
-            // at once, each lane bit-identical to the scalar scan (see
-            // kernels module docs). The tail block falls back to the
-            // per-listener batch + fold, which is the same arithmetic.
+            // scanned in blocks through the fused block scan — one pass
+            // computing gains and folds for a block of listeners at once,
+            // each lane bit-identical to the scalar scan (see kernels
+            // module docs). The last partial block is padded with copies
+            // of its last listener, whose folds are dropped.
             None => {
                 let mut scratch = ScanScratch::new();
                 scratch.gather(positions, transmitters);
-                for block in listeners.chunks(LISTENER_BLOCK) {
-                    if block.len() == LISTENER_BLOCK {
-                        let mut vx = [0.0; LISTENER_BLOCK];
-                        let mut vy = [0.0; LISTENER_BLOCK];
-                        for (j, &v) in block.iter().enumerate() {
-                            debug_assert!(
-                                transmitters.iter().all(|&u| u != v),
-                                "a node cannot transmit and listen simultaneously"
-                            );
-                            vx[j] = positions[v].x;
-                            vy[j] = positions[v].y;
-                        }
-                        let folds = scan_block(p, alpha, &scratch.xs, &scratch.ys, &vx, &vy);
-                        for (&v, fold) in block.iter().zip(folds) {
-                            let outcome = ScanOutcome::from_fold(fold, transmitters);
-                            finish(v, outcome, &mut out, &mut breakdown);
-                        }
-                    } else {
-                        for &v in block {
-                            let outcome = scan_transmitters_batched(
-                                p,
-                                alpha,
-                                v,
-                                positions[v],
-                                transmitters,
-                                &mut scratch,
-                            );
-                            finish(v, outcome, &mut out, &mut breakdown);
-                        }
-                    }
-                }
+                let at = |i: usize| {
+                    let v = listeners[i];
+                    debug_assert!(
+                        transmitters.iter().all(|&u| u != v),
+                        "a node cannot transmit and listen simultaneously"
+                    );
+                    positions[v]
+                };
+                let (xs, ys) = (&scratch.xs, &scratch.ys);
+                scan_listeners(p, alpha, xs, ys, listeners.len(), at, |i, fold| {
+                    let outcome = ScanOutcome::from_fold(fold, transmitters);
+                    finish(listeners[i], outcome, &mut out, &mut breakdown);
+                });
             }
         }
         out

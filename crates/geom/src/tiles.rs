@@ -218,12 +218,22 @@ impl TileIndex {
     /// Iterates the tile ids within Chebyshev distance `ring` of tile `t`
     /// (including `t` itself), in row-major order.
     pub fn neighborhood(&self, t: usize, ring: usize) -> impl Iterator<Item = usize> + '_ {
+        self.neighborhood_rows(t, ring).flatten()
+    }
+
+    /// [`neighborhood`](Self::neighborhood) one row at a time: each row's
+    /// tiles are consecutive ids, so each item is a range of them.
+    pub fn neighborhood_rows(
+        &self,
+        t: usize,
+        ring: usize,
+    ) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
         let (tc, tr) = (t % self.cols, t / self.cols);
         let c0 = tc.saturating_sub(ring);
         let c1 = (tc + ring).min(self.cols - 1);
         let r0 = tr.saturating_sub(ring);
         let r1 = (tr + ring).min(self.rows - 1);
-        (r0..=r1).flat_map(move |r| (c0..=c1).map(move |c| r * self.cols + c))
+        (r0..=r1).map(move |r| r * self.cols + c0..r * self.cols + c1 + 1)
     }
 }
 
@@ -329,6 +339,11 @@ mod tests {
         assert_eq!(tiles.neighborhood(12, 1).count(), 9);
         // Corner tile: clipped to 2×2.
         assert_eq!(tiles.neighborhood(0, 1).count(), 4);
+        // Its rows: one range of consecutive ids each, within one row.
+        let rows: Vec<_> = tiles.neighborhood_rows(12, 2).collect();
+        assert_eq!(rows, vec![0..5, 5..10, 10..15, 15..20, 20..25]);
+        let rows: Vec<_> = tiles.neighborhood_rows(9, 1).collect();
+        assert_eq!(rows, vec![3..5, 8..10, 13..15]);
     }
 
     #[test]

@@ -201,6 +201,10 @@ mod tests {
         assert!(parse_request("{\"cmd\":\"nope\"}").is_err());
         assert!(parse_request("{\"cmd\":\"submit\"}").is_err());
         assert!(parse_request("{\"cmd\":\"submit\",\"job\":{\"id\":\"\"}}").is_err());
+        assert_eq!(
+            parse_request("{\"cmd\":\"ping\"} x").unwrap_err(),
+            "malformed request: jsonl parse error: trailing garbage at byte 15"
+        );
     }
 
     #[test]

@@ -215,10 +215,7 @@ impl ProgressEvent {
 }
 
 fn parse_error(msg: impl Into<String>) -> JsonlError {
-    JsonlError::Parse {
-        line: 0,
-        msg: msg.into(),
-    }
+    JsonlError::Parse { msg: msg.into() }
 }
 
 /// Receives supervised-trial progress. Implementations must be cheap and

@@ -337,7 +337,6 @@ pub fn frame_from_json(line: &str) -> Result<TsFrame, JsonlError> {
             .get(key)
             .and_then(JsonValue::as_f64)
             .ok_or_else(|| JsonlError::Parse {
-                line: 0,
                 msg: format!("missing or non-numeric {key:?}"),
             })?;
         *field(&mut frame) = value as u64;

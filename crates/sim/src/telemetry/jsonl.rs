@@ -39,10 +39,8 @@ use super::RoundEvent;
 pub enum JsonlError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// Malformed JSON or schema mismatch; `line` is 1-based (0 = unknown).
+    /// Malformed JSON or schema mismatch.
     Parse {
-        /// 1-based line number where parsing failed (0 if not tied to a line).
-        line: usize,
         /// Human-readable description of the failure.
         msg: String,
     },
@@ -52,7 +50,7 @@ impl fmt::Display for JsonlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             JsonlError::Io(e) => write!(f, "jsonl i/o error: {e}"),
-            JsonlError::Parse { line, msg } => write!(f, "jsonl parse error (line {line}): {msg}"),
+            JsonlError::Parse { msg } => write!(f, "jsonl parse error: {msg}"),
         }
     }
 }
@@ -66,10 +64,7 @@ impl From<io::Error> for JsonlError {
 }
 
 fn parse_err(msg: impl Into<String>) -> JsonlError {
-    JsonlError::Parse {
-        line: 0,
-        msg: msg.into(),
-    }
+    JsonlError::Parse { msg: msg.into() }
 }
 
 /// Escapes `s` for embedding in a JSON string literal: quotes,
@@ -849,5 +844,14 @@ mod tests {
                 "{literal}"
             );
         }
+    }
+
+    #[test]
+    fn parse_errors_print_their_message_alone() {
+        let err = parse_json("{\"k\":1} x").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "jsonl parse error: trailing garbage at byte 8"
+        );
     }
 }
