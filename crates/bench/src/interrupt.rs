@@ -3,10 +3,10 @@
 //! The canonical implementation lives in [`fading_server::interrupt`]
 //! (the one place in the workspace allowed a scoped `unsafe` for the raw
 //! `signal(2)` declaration); this module re-exports it so the experiment
-//! and scaling harnesses keep their `crate::interrupt::interrupted()`
-//! polling loops unchanged. The server flavor also adds [`claim_flush`]
-//! (a single-winner token for shutdown flushing) and escalation: a second
-//! signal during a slow flush forces immediate `_exit(130)`.
+//! harness keeps its `interrupt::interrupted()` polling loop unchanged.
+//! The server flavor also adds [`claim_flush`] (a single-winner token for
+//! shutdown flushing) and escalation: a second signal during a slow flush
+//! forces immediate `_exit(130)`.
 //!
 //! [`claim_flush`]: fading_server::interrupt::claim_flush
 

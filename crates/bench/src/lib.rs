@@ -5,24 +5,20 @@
 //! * the `experiments` binary regenerates every experiment table (E1–E16)
 //!   recorded in `EXPERIMENTS.md`;
 //! * the `sweep` binary runs one-off parameter sweeps;
-//! * the `scaling` and `bench-gate` binaries time the per-round resolve
-//!   tiers ([`probe`]), and `loadgen` replays the job-service workload
-//!   ([`service`]);
-//! * the three `harness = false` benches (`benches/`) assert the
-//!   overhead budgets of telemetry, the tracer and trial supervision.
+//! * the four `harness = false` benches (`benches/`) assert the overhead
+//!   budgets of telemetry, the tracer and trial supervision, and replay
+//!   the service mix bare and watched ([`service`]).
 //!
 //! End-to-end and per-layer timing of whole FKN trials and service jobs
 //! lives in `perfbench/`, a workspace of its own.
 //!
 //! This crate's library part holds the small helpers shared between the
-//! binaries.
+//! binaries and benches.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod gate;
 pub mod interrupt;
-pub mod probe;
 pub mod service;
 
 use fading_cr::experiments::ExperimentConfig;

@@ -6,12 +6,13 @@
 //!
 //! Two gates, because the two workloads differ:
 //!
-//! * **The probe** (a 25%-contention round at fixed sizes, on seeded
-//!   deployments, so the fractions are deterministic). The bound (1.5%)
-//!   keeps the protocol gate's 1.5× headroom over the largest measured
-//!   fraction: 0.00% / 0.78% / 0.98% at n = 1024 / 4096 / 16384 with the
-//!   refined stage. A bracket regression that doubles the probe's
-//!   fallbacks fails it.
+//! * **The probe round** (one 25%-contention round at fixed sizes, on
+//!   seeded deployments, so the fractions are deterministic). The bound
+//!   (1.5%) keeps the protocol gate's 1.5× headroom over the largest
+//!   measured fraction: 0.00% / 0.78% / 0.98% at n = 1024 / 4096 / 16384
+//!   with the refined stage. A bracket regression that doubles the
+//!   round's fallbacks fails it. The round's receptions must also equal
+//!   the exact scan's.
 //! * **Protocol rounds** (whole FKN runs, whose early rounds hold many
 //!   more listeners per transmitter than the probe). The bound (8.9%)
 //!   keeps the headroom the 9% bound had over the ring-2 tree's measured
@@ -23,26 +24,48 @@
 //!   well below the 17–19% the tree measured with a ring-1 near field (and
 //!   the removed flat far-field engine measured at fkn-alpha's shape).
 
-use fading_bench::probe::run_probe;
-use fading_cr::channel::{EngineTier, SinrParams};
-use fading_cr::{ChannelKind, Deployment, ProtocolKind, Scenario, SimConfig, Simulation};
+use fading_cr::channel::ChannelPerturbation;
+use fading_cr::prelude::*;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
-/// The quick-mode sizes (`bench-gate --quick` probes ≤ 4096) plus one
-/// mid-size point; kept small enough for a test-suite run.
+/// Sizes of the probe round: small enough for a test-suite run, large
+/// enough that the tree settles most listeners by bracket.
 const SIZES: [usize; 3] = [1024, 4096, 16384];
 
 const MAX_FALLBACK_FRACTION: f64 = 0.015;
 
 #[test]
 fn hierarchical_fallback_fraction_stays_low() {
-    let samples = run_probe(&SIZES, |_| 5.0, |_| {});
-    assert_eq!(samples.len(), SIZES.len());
-    for s in &samples {
+    let pool = StealPool::new(2);
+    for n in SIZES {
+        let d = Deployment::uniform_density(n, 0.25, 7);
+        let positions = d.points();
+        let tx: Vec<usize> = (0..n).step_by(4).collect();
+        let rx: Vec<usize> = (0..n).filter(|i| i % 4 != 0).collect();
+        let sinr = SinrChannel::new(SinrParams::default_single_hop().with_power_for(&d));
+        let mut rng = SmallRng::seed_from_u64(0);
+        let exact = sinr.resolve(positions, &tx, &rx, &mut rng);
+        let mut engine = ResolveEngine::build(&sinr, EngineTier::Hierarchical, positions);
+        let tree = sinr.resolve_with(
+            positions,
+            &tx,
+            &rx,
+            &mut engine,
+            &ChannelPerturbation::neutral(),
+            &pool,
+            &mut rng,
+            None,
+        );
+        assert_eq!(exact, tree, "the tile tree broke exactness at n={n}");
+        let fraction = engine.stats().fallback_fraction();
+        println!(
+            "probe round n={n}: fallback fraction {:.4}%",
+            fraction * 100.0
+        );
         assert!(
-            s.hierarchical_fallback_fraction <= MAX_FALLBACK_FRACTION,
-            "hierarchical fallback fraction {:.4} at n={} exceeds {MAX_FALLBACK_FRACTION}",
-            s.hierarchical_fallback_fraction,
-            s.n
+            fraction <= MAX_FALLBACK_FRACTION,
+            "hierarchical fallback fraction {fraction:.4} at n={n} exceeds {MAX_FALLBACK_FRACTION}"
         );
     }
 }

@@ -392,8 +392,8 @@ impl AlphaClass {
         }
     }
 
-    /// The stable label used in benchmark output and the scaling snapshot
-    /// (`BENCH_scaling.json` kernel micro-probe).
+    /// The class's stable label: `"alpha2"`, `"alpha3"`, `"alpha4"`,
+    /// `"alpha6"` or `"generic"`.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {

@@ -1,10 +1,10 @@
 //! Process-global, idempotent SIGINT/SIGTERM interception.
 //!
-//! This is the workspace's one home for signal handling; the bench
-//! binaries re-export it (`fading_bench::interrupt`), so a server that
-//! embeds an experiment harness — or any other layering of long-running
-//! components — shares a single handler instead of fighting over
-//! `signal(2)` registration. Three guarantees:
+//! This is the workspace's one home for signal handling; `fading-bench`
+//! re-exports it for its `experiments` binary (`fading_bench::interrupt`),
+//! so a server that embeds an experiment harness — or any other layering of
+//! long-running components — shares a single handler instead of fighting
+//! over `signal(2)` registration. Three guarantees:
 //!
 //! 1. **Idempotent installation.** [`install`] registers the OS handler
 //!    exactly once per process (guarded by a [`Once`]); every later call

@@ -50,6 +50,11 @@ use crate::protocol::{error_response, ok_response, parse_request, JobState, Requ
 use crate::queue::JobQueue;
 use crate::stream::{with_job_fields, Alert, EventHub, SloRules, SloWatch, Subscription};
 
+/// How long the metrics endpoint waits on one scrape connection's read
+/// or write. Connections are served one at a time, so without it a client
+/// that connects and sends nothing would stall every later scrape.
+const METRICS_IO_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Server tunables.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -667,6 +672,8 @@ impl Server {
 
     /// Binds a minimal HTTP endpoint serving the Prometheus scrape body
     /// on every GET, from a detached thread. Returns the bound address.
+    /// Connections are served one at a time; a connection whose request
+    /// does not arrive within two seconds is dropped unanswered.
     ///
     /// # Errors
     ///
@@ -678,10 +685,14 @@ impl Server {
         std::thread::spawn(move || {
             for stream in listener.incoming() {
                 let Ok(mut stream) = stream else { continue };
+                let _ = stream.set_read_timeout(Some(METRICS_IO_TIMEOUT));
+                let _ = stream.set_write_timeout(Some(METRICS_IO_TIMEOUT));
                 // Drain the request head; the path is irrelevant (every
                 // GET gets the scrape).
                 let mut buf = [0u8; 1024];
-                let _ = stream.read(&mut buf);
+                if stream.read(&mut buf).is_err() {
+                    continue;
+                }
                 let body = server.inner.metrics.render_prometheus();
                 let head = format!(
                     "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",

@@ -180,3 +180,33 @@ fn socket_submissions_complete_and_scrape_parses() {
     drop(harness);
     std::fs::remove_dir_all(&root).ok();
 }
+
+#[test]
+fn an_idle_metrics_connection_does_not_wedge_later_scrapes() {
+    let root = std::env::temp_dir().join(format!("fading-service-idle-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let harness = boot(&root);
+
+    // A client that connects and never sends a request.
+    let idle = TcpStream::connect(&harness.metrics_addr).expect("connect idle client");
+    let deadline = Duration::from_secs(10);
+    let started = Instant::now();
+    let mut stream = TcpStream::connect(&harness.metrics_addr).expect("connect scraper");
+    stream
+        .set_read_timeout(Some(deadline))
+        .expect("set client deadline");
+    stream
+        .write_all(b"GET /metrics HTTP/1.1\r\nHost: fading\r\n\r\n")
+        .expect("send GET");
+    let mut raw = String::new();
+    let read = stream.read_to_string(&mut raw);
+    assert!(
+        read.is_ok() && raw.starts_with("HTTP/1.1 200 OK"),
+        "a scrape behind an idle connection got no 200 within {deadline:?}: {read:?}, {raw:?}"
+    );
+    assert!(started.elapsed() < deadline);
+
+    drop(idle);
+    drop(harness);
+    std::fs::remove_dir_all(&root).ok();
+}
