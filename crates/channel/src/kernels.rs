@@ -391,19 +391,6 @@ impl AlphaClass {
             AlphaClass::Generic
         }
     }
-
-    /// The class's stable label: `"alpha2"`, `"alpha3"`, `"alpha4"`,
-    /// `"alpha6"` or `"generic"`.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            AlphaClass::Two => "alpha2",
-            AlphaClass::Three => "alpha3",
-            AlphaClass::Four => "alpha4",
-            AlphaClass::Six => "alpha6",
-            AlphaClass::Generic => "generic",
-        }
-    }
 }
 
 /// The monomorphized `d^α` batch: `out[i] = pow_alpha(d_sq[i], α)`.
@@ -993,12 +980,6 @@ mod tests {
             let (err, _) = with_bounded_kernel!(alpha, |k| probe(k, 2.0));
             assert_eq!(err, BOUNDED_POW_REL_ERR);
         }
-    }
-
-    #[test]
-    fn labels_are_stable() {
-        assert_eq!(AlphaClass::Two.label(), "alpha2");
-        assert_eq!(AlphaClass::Generic.label(), "generic");
     }
 
     #[test]

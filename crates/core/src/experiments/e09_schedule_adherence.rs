@@ -3,7 +3,7 @@
 use fading_analysis::{ClassBoundSchedule, LinkClasses, ScheduleParams};
 use fading_protocols::ProtocolKind;
 use fading_sim::telemetry::replay_active_sets;
-use fading_sim::{MemorySink, Simulation, TelemetryDetail};
+use fading_sim::{Simulation, TelemetryDetail};
 
 use super::common::{sinr_for, standard_deployment, ExperimentConfig, TelemetryExport};
 use crate::table::fmt_f64;
@@ -19,9 +19,9 @@ use crate::Table;
 /// (Claim 8), because each step needs only `O(1)` rounds (segments).
 ///
 /// The active-set trajectory is reconstructed from telemetry: the run
-/// records id-detail [`RoundEvent`](fading_sim::RoundEvent)s into a
-/// [`MemorySink`] and [`replay_active_sets`] rebuilds the per-round active
-/// sets, replacing the old lock-step observer loop.
+/// records id-detail [`RoundEvent`](fading_sim::RoundEvent)s
+/// ([`Simulation::run_recorded`]) and [`replay_active_sets`] rebuilds the
+/// per-round active sets, replacing the old lock-step observer loop.
 #[must_use]
 pub fn e09_schedule_adherence(cfg: &ExperimentConfig) -> Table {
     e09_schedule_adherence_with(cfg, None)
@@ -72,16 +72,11 @@ fn schedule_adherence(cfg: &ExperimentConfig, export: bool) -> (Table, Telemetry
             let channel = sinr_for(&d).build();
             let pk = ProtocolKind::fkn_default();
             let mut sim = Simulation::new(d.clone(), channel, seed, |id| pk.build(id));
-            sim.set_telemetry_sink(Box::new(MemorySink::new(TelemetryDetail::ids())));
-
             let initial = sim.active_ids();
-            let result = sim.run_until_resolved(cfg.max_rounds);
+            let (result, events) = sim.run_recorded(cfg.max_rounds, TelemetryDetail::ids());
             let Some(resolved) = result.resolved_at() else {
                 continue;
             };
-            let events = MemorySink::recover(sim.take_telemetry_sink().expect("sink attached"))
-                .expect("MemorySink recovers as itself")
-                .into_events();
             let mut series: Vec<Vec<usize>> = replay_active_sets(&initial, &events)
                 .iter()
                 .map(|active| LinkClasses::partition(d.points(), active, unit).sizes())

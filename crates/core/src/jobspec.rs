@@ -37,6 +37,12 @@ pub const MAX_JOB_NODES: usize = 1 << 20;
 /// per trial up front.
 pub const MAX_JOB_TRIALS: usize = 1 << 20;
 
+/// Largest accepted per-trial round budget. A telemetry job buffers one
+/// `RoundEvent` per round of each running trial, and a spec that
+/// practically never resolves (say `FixedProbability` at `p = 1 − 10⁻¹²`
+/// on two nodes) runs its whole budget.
+pub const MAX_JOB_ROUNDS: u64 = 1 << 20;
+
 /// A serializable channel family choice. SINR parameters are derived from
 /// the deployment at build time (see the module docs), so only the family
 /// — plus the lossy drop probability — is persisted.
@@ -363,6 +369,11 @@ impl JobSpec {
         if self.max_rounds == 0 {
             return Err(invalid("max_rounds must be at least 1"));
         }
+        if self.max_rounds > MAX_JOB_ROUNDS {
+            return Err(invalid(format!(
+                "max_rounds must be at most {MAX_JOB_ROUNDS}"
+            )));
+        }
         if self.seed_base.checked_add(self.trials as u64).is_none() {
             return Err(invalid("seed_base + trials overflows"));
         }
@@ -502,15 +513,17 @@ mod tests {
         let mut spec = JobSpec::example("size");
         spec.n = MAX_JOB_NODES;
         spec.trials = MAX_JOB_TRIALS;
+        spec.max_rounds = MAX_JOB_ROUNDS;
         let at_bound = spec.validate();
         assert!(
             at_bound.is_ok(),
             "the bounds themselves are valid: {at_bound:?}"
         );
         type Tweak = fn(&mut JobSpec);
-        let over: [(&str, Tweak); 2] = [
+        let over: [(&str, Tweak); 3] = [
             ("n", |s| s.n = MAX_JOB_NODES + 1),
             ("trials", |s| s.trials = MAX_JOB_TRIALS + 1),
+            ("max_rounds", |s| s.max_rounds = MAX_JOB_ROUNDS + 1),
         ];
         for (field, tweak) in over {
             let mut spec = JobSpec::example("size");

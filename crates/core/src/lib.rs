@@ -100,8 +100,8 @@ pub mod prelude {
         JurdzinskiStachowiak, ProtocolKind,
     };
     pub use fading_sim::{
-        faults, montecarlo, Action, FaultPlan, Protocol, RunOutcome, RunResult, SimConfig,
-        SimError, Simulation, StealPool, TraceLevel,
+        faults, montecarlo, Action, FaultPlan, MemorySink, Protocol, RunOutcome, RunResult,
+        SimConfig, SimError, Simulation, StealPool, TelemetryDetail,
     };
 }
 

@@ -7,7 +7,7 @@ use fading_channel::ChannelError;
 use fading_geom::Deployment;
 use fading_protocols::ProtocolKind;
 use fading_sim::faults::{FaultError, FaultPlan};
-use fading_sim::{montecarlo, RunResult, SimConfig, Simulation, TraceLevel};
+use fading_sim::{montecarlo, RunResult, SimConfig, Simulation};
 
 use crate::ChannelKind;
 
@@ -67,7 +67,6 @@ pub struct Scenario {
     channel: ChannelKind,
     protocol: ProtocolKind,
     seed: u64,
-    trace_level: TraceLevel,
     fault_plan: Option<FaultPlan>,
 }
 
@@ -121,7 +120,6 @@ impl Scenario {
     pub fn simulation_with_seed(&self, seed: u64) -> Simulation {
         let protocol = self.protocol;
         let config = SimConfig {
-            trace_level: self.trace_level,
             fault_plan: self.fault_plan.clone(),
             ..SimConfig::default()
         };
@@ -163,7 +161,6 @@ pub struct ScenarioBuilder {
     channel: Option<ChannelKind>,
     protocol: Option<ProtocolKind>,
     seed: u64,
-    trace_level: TraceLevel,
     fault_plan: Option<FaultPlan>,
 }
 
@@ -210,12 +207,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the trace level for simulations built from the scenario.
-    pub fn trace_level(&mut self, level: TraceLevel) -> &mut Self {
-        self.trace_level = level;
-        self
-    }
-
     /// Attaches a fault plan (jammers, noise bursts, churn, burst loss) to
     /// every simulation built from the scenario. Validated against the
     /// deployment at [`ScenarioBuilder::build`] time.
@@ -255,7 +246,6 @@ impl ScenarioBuilder {
             channel,
             protocol,
             seed: self.seed,
-            trace_level: self.trace_level,
             fault_plan: self.fault_plan.clone(),
         })
     }
@@ -327,19 +317,6 @@ mod tests {
         assert_eq!(batch.len(), 4);
         // Trial 0 uses the scenario seed itself.
         assert_eq!(batch[0].resolved_at(), r.resolved_at());
-    }
-
-    #[test]
-    fn trace_level_propagates() {
-        let s = Scenario::builder()
-            .deployment(small_deployment())
-            .sinr(SinrParams::default_single_hop())
-            .protocol(ProtocolKind::fkn_default())
-            .trace_level(TraceLevel::Counts)
-            .build()
-            .unwrap();
-        let r = s.run(10_000);
-        assert!(!r.trace().is_empty());
     }
 
     #[test]

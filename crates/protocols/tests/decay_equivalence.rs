@@ -8,38 +8,28 @@
 use fading_channel::RadioChannel;
 use fading_geom::Deployment;
 use fading_protocols::Decay;
-use fading_sim::{Protocol, RunResult, SimConfig, Simulation, TraceLevel};
+use fading_sim::{Protocol, RoundEvent, RunResult, Simulation, TelemetryDetail};
 
-fn run(seed: u64, n: usize, knockout: bool) -> RunResult {
+/// The run and its ids-level event stream.
+fn run(seed: u64, n: usize, knockout: bool) -> (RunResult, Vec<RoundEvent>) {
     let deployment = Deployment::uniform_square(n, 20.0, seed);
-    let config = SimConfig {
-        trace_level: TraceLevel::Full,
-        ..SimConfig::default()
-    };
-    let mut sim = Simulation::try_new(
-        deployment,
-        Box::new(RadioChannel::new()),
-        seed,
-        config,
-        |_| {
-            let p: Box<dyn Protocol> = if knockout {
-                Box::new(Decay::new())
-            } else {
-                Box::new(Decay::without_knockout())
-            };
-            p
-        },
-    )
-    .expect("valid configuration");
-    sim.run_until_resolved(200_000)
+    let mut sim = Simulation::new(deployment, Box::new(RadioChannel::new()), seed, |_| {
+        let p: Box<dyn Protocol> = if knockout {
+            Box::new(Decay::new())
+        } else {
+            Box::new(Decay::without_knockout())
+        };
+        p
+    });
+    sim.run_recorded(200_000, TelemetryDetail::ids())
 }
 
 #[test]
 fn decay_variants_match_until_resolution_on_radio() {
     for seed in [0u64, 1, 2, 7, 42] {
         for n in [8usize, 24, 48] {
-            let with = run(seed, n, true);
-            let without = run(seed, n, false);
+            let (with, a) = run(seed, n, true);
+            let (without, b) = run(seed, n, false);
 
             assert!(
                 with.resolved(),
@@ -57,14 +47,12 @@ fn decay_variants_match_until_resolution_on_radio() {
                 "seed {seed} n {n}: identical rounds imply identical energy"
             );
 
-            let a = with.trace().rounds();
-            let b = without.trace().rounds();
             assert_eq!(a.len(), b.len(), "seed {seed} n {n}");
             let last = a.len() - 1;
             for (k, (ra, rb)) in a.iter().zip(b).enumerate() {
                 assert_eq!(ra.round, rb.round);
                 assert_eq!(
-                    ra.active_before, rb.active_before,
+                    ra.participants, rb.participants,
                     "seed {seed} n {n} round {}: participant counts must match",
                     ra.round
                 );
@@ -99,14 +87,14 @@ fn knockout_fires_only_in_the_resolving_round() {
     // of the knockout variant receives the winner's message and knocks out,
     // while the non-knockout variant keeps everyone active.
     let seed = 3;
-    let with = run(seed, 16, true);
-    let without = run(seed, 16, false);
+    let (with, with_events) = run(seed, 16, true);
+    let (without, without_events) = run(seed, 16, false);
     assert!(with.resolved());
-    let last_with = with.trace().rounds().last().unwrap();
-    let last_without = without.trace().rounds().last().unwrap();
+    let last_with = with_events.last().unwrap();
+    let last_without = without_events.last().unwrap();
     // Radio broadcast reaches every listener, so the knockout count is
     // exactly the listener count of the resolving round.
-    assert_eq!(last_with.knocked_out, last_with.active_before - 1);
+    assert_eq!(last_with.knocked_out, last_with.listeners);
     assert_eq!(last_without.knocked_out, 0);
     assert_eq!(without.final_active(), without.initial_nodes());
     assert_eq!(

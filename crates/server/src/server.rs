@@ -16,8 +16,8 @@
 //!
 //! `trials.jsonl` is written from the seed-ordered result vector, so a
 //! crashed-and-resumed job produces a byte-identical file to an
-//! uninterrupted one (manifests do not persist traces; service jobs run
-//! at `TraceLevel::None`). Clients reach the server through the file
+//! uninterrupted one (a manifest line holds the whole `RunResult`).
+//! Clients reach the server through the file
 //! queue directly or via [`Server::listen`]'s JSONL socket; Prometheus
 //! text is served by [`Server::serve_metrics`].
 //!

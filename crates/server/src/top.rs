@@ -27,6 +27,7 @@ use std::collections::VecDeque;
 
 use fading_cr::sim::obs::timeseries::{frame_from_json, TsFrame};
 use fading_cr::sim::telemetry::jsonl::{parse_json, JsonValue};
+use fading_cr::sim::ProgressEvent;
 
 /// How many recent frames the sparklines look back over.
 const FRAME_HISTORY: usize = 32;
@@ -158,33 +159,27 @@ impl Dashboard {
             }
             "job_done" => self.job_mut(&v).state = JobRunState::Done,
             "job_failed" => self.job_mut(&v).state = JobRunState::Failed,
-            "trial_started" => self.job_mut(&v).last_seed = num("seed"),
-            "trial_retried" => {
-                let seed = num("seed");
-                let job = self.job_mut(&v);
-                job.retried += 1;
-                job.last_seed = seed;
-            }
-            "trial_finished" => {
-                let (seed, rounds) = (num("seed"), num("rounds"));
-                let job = self.job_mut(&v);
+            // The `trial_*` lines, decoded by the supervisor's own codec;
+            // anything else (an unknown event, a missing field) is unparsed.
+            _ => match ProgressEvent::from_json(line) {
+                Ok(progress) => self.apply_progress(&v, &progress),
+                Err(_) => self.unparsed += 1,
+            },
+        }
+    }
+
+    fn apply_progress(&mut self, v: &JsonValue, progress: &ProgressEvent) {
+        let job = self.job_mut(v);
+        job.last_seed = progress.seed();
+        match *progress {
+            ProgressEvent::TrialStarted { .. } => {}
+            ProgressEvent::TrialRetried { .. } => job.retried += 1,
+            ProgressEvent::TrialFinished { rounds, .. } => {
                 job.finished += 1;
                 job.rounds += rounds;
-                job.last_seed = seed;
             }
-            "trial_timed_out" => {
-                let seed = num("seed");
-                let job = self.job_mut(&v);
-                job.timed_out += 1;
-                job.last_seed = seed;
-            }
-            "trial_poisoned" => {
-                let seed = num("seed");
-                let job = self.job_mut(&v);
-                job.poisoned += 1;
-                job.last_seed = seed;
-            }
-            _ => self.unparsed += 1,
+            ProgressEvent::TrialTimedOut { .. } => job.timed_out += 1,
+            ProgressEvent::TrialPoisoned { .. } => job.poisoned += 1,
         }
     }
 
@@ -369,6 +364,31 @@ mod tests {
 
         d.apply_line("{\"event\":\"job_done\",\"job\":\"j1\",\"t_ms\":12,\"succeeded\":3}");
         assert_eq!(d.jobs()["j1"].state, JobRunState::Done);
+    }
+
+    #[test]
+    fn malformed_trial_lines_are_unparsed() {
+        let mut d = Dashboard::new();
+        d.apply_line("{\"event\":\"job_started\",\"job\":\"j1\",\"trials\":4}");
+        // A finished trial without its rounds, a retry without its count,
+        // a poisoned trial of an unknown kind and an unknown event.
+        for line in [
+            "{\"job\":\"j1\",\"event\":\"trial_finished\",\"seed\":3,\"resolved\":true,\"retries\":0}",
+            "{\"job\":\"j1\",\"event\":\"trial_retried\",\"seed\":3}",
+            "{\"job\":\"j1\",\"event\":\"trial_poisoned\",\"seed\":3,\"kind\":\"??\",\"retries\":1}",
+            "{\"job\":\"j1\",\"event\":\"trial_warped\",\"seed\":3}",
+        ] {
+            d.apply_line(line);
+        }
+        assert_eq!(d.unparsed, 4);
+        let job = &d.jobs()["j1"];
+        assert_eq!((job.finished, job.retried, job.poisoned), (0, 0, 0));
+        assert_eq!(job.last_seed, 0, "no malformed line moves the seed");
+        d.apply_line(
+            "{\"job\":\"j1\",\"event\":\"trial_poisoned\",\"seed\":5,\"kind\":\"assertion\",\"retries\":1}",
+        );
+        assert_eq!((d.jobs()["j1"].poisoned, d.jobs()["j1"].last_seed), (1, 5));
+        assert_eq!(d.unparsed, 4);
     }
 
     #[test]

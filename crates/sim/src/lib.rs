@@ -14,9 +14,10 @@
 //! * [`Protocol`] — the node-local state machine interface.
 //! * [`Simulation`] — owns a deployment, a channel, and one protocol
 //!   instance per node; steps rounds until resolution. Settings fixed
-//!   before round 1 (engine tier, trace, self-check, fault plan) go in at
+//!   before round 1 (engine tier, self-check, fault plan) go in at
 //!   construction as a [`SimConfig`].
-//! * [`RunResult`] / [`Trace`] — what happened, at selectable detail.
+//! * [`RunResult`] — how the run ended; each round's record is its
+//!   [`RoundEvent`] (see [`Simulation::run_recorded`]).
 //! * [`montecarlo`] — seeded parallel trial running and summaries.
 //! * [`faults`] — deterministic adversarial fault injection (jammers,
 //!   noise bursts, churn, Gilbert–Elliott burst loss), handed to a run at
@@ -105,9 +106,9 @@ pub use recover::{
     FleetSummary, PanicKind, SimSnapshot, SnapshotError, SupervisorConfig, TrialManifest,
     TrialOutcome,
 };
-pub use result::{RoundRecord, RunOutcome, RunResult, Trace, TraceLevel};
+pub use result::{RunOutcome, RunResult};
 pub use rng::{channel_rng, fault_rng, node_rng, self_check_rng, split_mix64};
-pub use simulation::{SimConfig, SimError, Simulation, StepOutcome};
+pub use simulation::{SimConfig, SimError, Simulation};
 pub use telemetry::{
     MemorySink, MetricsRegistry, NoopSink, RoundEvent, TelemetryDetail, TelemetrySink,
 };

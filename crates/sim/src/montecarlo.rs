@@ -121,9 +121,7 @@ where
 ///   succeeded, no progress events), and each fresh success is appended
 ///   and synced *as it finishes*, so a crash or SIGKILL mid-batch loses at
 ///   most the trials in flight. Every successful result is then the
-///   manifest's record, so a resumed run equals an uninterrupted one
-///   (manifests do not persist traces; fleets run at
-///   [`TraceLevel::None`](crate::TraceLevel::None)).
+///   manifest's record, so a resumed run equals an uninterrupted one.
 /// * [`progress`](Self::progress) — a [`ProgressSink`] receiving every
 ///   trial transition (started / retried / finished / timed-out /
 ///   poisoned) from the worker supervising that trial. The sink only
@@ -489,18 +487,9 @@ pub fn percentile_f64(sorted: &[f64], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::result::Trace;
 
     fn result_with_rounds(rounds: Option<u64>) -> RunResult {
-        RunResult::new(
-            rounds,
-            rounds.unwrap_or(100),
-            8,
-            1,
-            None,
-            0,
-            Trace::default(),
-        )
+        RunResult::new(rounds, rounds.unwrap_or(100), 8, 1, None, 0)
     }
 
     #[test]
@@ -554,15 +543,7 @@ mod tests {
     }
 
     fn result_with_transmissions(rounds: Option<u64>, transmissions: u64) -> RunResult {
-        RunResult::new(
-            rounds,
-            rounds.unwrap_or(100),
-            8,
-            1,
-            None,
-            transmissions,
-            Trace::default(),
-        )
+        RunResult::new(rounds, rounds.unwrap_or(100), 8, 1, None, transmissions)
     }
 
     #[test]

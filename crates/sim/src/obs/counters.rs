@@ -64,7 +64,8 @@ impl ResolvePath {
 /// Invariant (asserted in every cell of the differential oracle,
 /// `tests/differential.rs` at the repository root): the five `*_rounds`
 /// route counters sum to `rounds`, and on tile-tree runs
-/// `farfield.listeners_resolved()` equals the listeners the trace saw.
+/// `farfield.listeners_resolved()` equals the sum of the rounds'
+/// [`RoundEvent::listeners`](crate::RoundEvent::listeners).
 ///
 /// [`telemetry::jsonl::counters_to_json`]: crate::telemetry::jsonl::counters_to_json
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

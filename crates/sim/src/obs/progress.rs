@@ -23,7 +23,8 @@
 //! Every event has a one-line JSON form ([`ProgressEvent::to_json`] /
 //! [`ProgressEvent::from_json`], which round-trip exactly); the job server
 //! forwards these lines to `watch` subscribers verbatim (plus job/timestamp
-//! fields, which the parser here ignores as unknown keys).
+//! fields, which the parser here ignores as unknown keys), and the
+//! `fading-top` dashboard decodes them with `from_json`.
 
 use std::sync::Mutex;
 

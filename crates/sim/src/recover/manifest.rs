@@ -8,19 +8,17 @@
 //! skips every trial already on disk, so an interrupted Monte-Carlo batch
 //! resumes from where it died instead of burning its compute again.
 //!
-//! Manifest lines persist the run *summary* (outcome, rounds, winner,
-//! transmissions) but **not** the trace — resumable fleets run at
-//! [`TraceLevel::None`](crate::TraceLevel::None), where the stored
-//! summary reconstructs the `RunResult` exactly. Each line is flushed and
-//! synced as its trial completes, so at most the in-flight trials are
-//! lost to a kill.
+//! Manifest lines persist every field of the `RunResult` (outcome,
+//! rounds, sizes, winner, transmissions), so a stored line reconstructs
+//! the result exactly. Each line is flushed and synced as its trial
+//! completes, so at most the in-flight trials are lost to a kill.
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use crate::recover::snapshot::SnapshotError;
-use crate::result::{RunResult, Trace};
+use crate::result::RunResult;
 
 /// An append-only record of completed trials, keyed by seed.
 #[derive(Debug)]
@@ -147,8 +145,7 @@ impl TrialManifest {
     }
 
     /// Records a completed trial: appends one line and syncs it to disk
-    /// before returning, so a subsequent kill cannot lose it. The trace
-    /// is not persisted (see the module docs).
+    /// before returning, so a subsequent kill cannot lose it.
     ///
     /// # Errors
     ///
@@ -162,7 +159,7 @@ impl TrialManifest {
         line.push('\n');
         f.write_all(line.as_bytes())?;
         f.sync_all()?;
-        self.completed.insert(seed, strip_trace(result));
+        self.completed.insert(seed, result.clone());
         Ok(())
     }
 }
@@ -174,19 +171,6 @@ impl TrialManifest {
 #[must_use]
 pub fn trial_line(seed: u64, result: &RunResult) -> String {
     format_line(seed, result)
-}
-
-/// The persisted summary: the result minus its trace.
-fn strip_trace(result: &RunResult) -> RunResult {
-    RunResult::new(
-        result.resolved_at(),
-        result.rounds_executed(),
-        result.initial_nodes(),
-        result.final_active(),
-        result.winner(),
-        result.total_transmissions(),
-        Trace::default(),
-    )
 }
 
 fn format_line(seed: u64, r: &RunResult) -> String {
@@ -243,7 +227,6 @@ fn parse_line(line: &str) -> Option<(u64, RunResult)> {
             final_active,
             winner,
             total_transmissions,
-            Trace::default(),
         ),
     ))
 }
@@ -259,7 +242,7 @@ mod tests {
     }
 
     fn result(rounds: u64) -> RunResult {
-        RunResult::new(Some(rounds), rounds, 16, 3, Some(2), 40, Trace::default())
+        RunResult::new(Some(rounds), rounds, 16, 3, Some(2), 40)
     }
 
     #[test]
@@ -285,7 +268,7 @@ mod tests {
     fn unresolved_runs_round_trip_null_fields() {
         let path = tmp("nulls.jsonl");
         std::fs::remove_file(&path).ok();
-        let capped = RunResult::new(None, 500, 8, 8, None, 900, Trace::default());
+        let capped = RunResult::new(None, 500, 8, 8, None, 900);
         {
             let mut m = TrialManifest::open(&path).unwrap();
             m.record(5, &capped).unwrap();
@@ -395,27 +378,5 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let m = TrialManifest::open(&path).unwrap();
         assert_eq!(m.completed(), 0);
-    }
-
-    #[test]
-    fn traces_are_stripped_from_records() {
-        let path = tmp("strip.jsonl");
-        std::fs::remove_file(&path).ok();
-        let mut trace = Trace::default();
-        trace.push_capped(
-            16,
-            crate::result::RoundRecord {
-                round: 1,
-                active_before: 4,
-                transmitters: 2,
-                knocked_out: 0,
-                transmitter_ids: None,
-            },
-        );
-        let traced = RunResult::new(Some(3), 3, 4, 1, Some(0), 6, trace);
-        let mut m = TrialManifest::open(&path).unwrap();
-        m.record(9, &traced).unwrap();
-        assert!(m.get(9).unwrap().trace().is_empty());
-        std::fs::remove_file(&path).ok();
     }
 }

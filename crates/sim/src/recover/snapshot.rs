@@ -3,8 +3,8 @@
 //! A [`SimSnapshot`] captures every piece of *mutable* run state a
 //! [`Simulation`](crate::Simulation) owns — round counter, all RNG lanes
 //! (including the fault lane's cursor), active/knockout masks, per-node
-//! protocol states, fault-plan progress, engine-tier toggles and counter
-//! totals, and the trace — but none of the *constructed* state (positions,
+//! protocol states, fault-plan progress, the engine tier and counter
+//! totals — but none of the *constructed* state (positions,
 //! channel, protocol factory, fault plan). Restoring therefore requires
 //! rebuilding an identically-configured simulation first; a fingerprint
 //! over the construction inputs catches mismatches before any state is
@@ -18,7 +18,6 @@ use std::path::Path;
 
 use crate::obs::COUNTERS;
 use crate::protocol::ProtocolStateError;
-use crate::result::RoundRecord;
 use crate::EngineCounters;
 use fading_channel::{EngineTier, FarFieldStats};
 
@@ -33,8 +32,9 @@ const MAGIC: [u8; 4] = *b"FSNP";
 /// Version 6: the resolve thread count is no longer recorded (it never
 /// changes a run, so a restore keeps the caller's). Version 7: the
 /// counters and the engine stats gain the refined stage's
-/// `refined_decisions`.
-pub const SNAPSHOT_VERSION: u32 = 7;
+/// `refined_decisions`. Version 8: the per-round trace section is gone
+/// (a run's rounds are recorded by its telemetry sink, not its snapshot).
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// Why a snapshot could not be encoded, decoded, or restored.
 #[derive(Debug)]
@@ -140,10 +140,6 @@ pub struct SimSnapshot {
     pub(crate) protocol_states: Vec<Vec<u64>>,
     pub(crate) churn_cursor: u64,
     pub(crate) loss_in_burst: bool,
-    pub(crate) trace_level: u8,
-    pub(crate) trace_cap: u64,
-    pub(crate) trace_truncated: bool,
-    pub(crate) trace_rounds: Vec<RoundRecord>,
     pub(crate) tier: EngineTier,
     pub(crate) counters: EngineCounters,
     pub(crate) engine_stats: FarFieldStats,
@@ -215,26 +211,6 @@ impl SimSnapshot {
         }
         w.u64(self.churn_cursor);
         w.bool(self.loss_in_burst);
-        w.u8(self.trace_level);
-        w.u64(self.trace_cap);
-        w.bool(self.trace_truncated);
-        w.u64(self.trace_rounds.len() as u64);
-        for r in &self.trace_rounds {
-            w.u64(r.round);
-            w.u64(r.active_before as u64);
-            w.u64(r.transmitters as u64);
-            w.u64(r.knocked_out as u64);
-            match &r.transmitter_ids {
-                None => w.u8(0),
-                Some(ids) => {
-                    w.u8(1);
-                    w.u64(ids.len() as u64);
-                    for &id in ids {
-                        w.u64(id as u64);
-                    }
-                }
-            }
-        }
         w.u8(self.tier as u8);
         w.counters(&self.counters);
         w.stats(&self.engine_stats);
@@ -330,45 +306,6 @@ impl SimSnapshot {
         }
         let churn_cursor = r.u64()?;
         let loss_in_burst = r.bool()?;
-        let trace_level = r.u8()?;
-        if trace_level > 2 {
-            return Err(corrupt("trace level out of range"));
-        }
-        let trace_cap = r.u64()?;
-        let trace_truncated = r.bool()?;
-        let n_records = r.u64()? as usize;
-        if n_records > r.remaining_words() {
-            return Err(corrupt("trace longer than the payload"));
-        }
-        let mut trace_rounds = Vec::with_capacity(n_records);
-        for _ in 0..n_records {
-            let round = r.u64()?;
-            let active_before = r.usize()?;
-            let transmitters = r.usize()?;
-            let knocked_out = r.usize()?;
-            let transmitter_ids = match r.u8()? {
-                0 => None,
-                1 => {
-                    let ids_len = r.u64()? as usize;
-                    if ids_len > r.remaining_words() {
-                        return Err(corrupt("transmitter id list longer than the payload"));
-                    }
-                    let mut ids = Vec::with_capacity(ids_len);
-                    for _ in 0..ids_len {
-                        ids.push(r.usize()?);
-                    }
-                    Some(ids)
-                }
-                _ => return Err(corrupt("bad option tag in trace record")),
-            };
-            trace_rounds.push(RoundRecord {
-                round,
-                active_before,
-                transmitters,
-                knocked_out,
-                transmitter_ids,
-            });
-        }
         let tier = *EngineTier::ALL
             .get(usize::from(r.u8()?))
             .ok_or_else(|| corrupt("bad engine tier"))?;
@@ -393,10 +330,6 @@ impl SimSnapshot {
             protocol_states,
             churn_cursor,
             loss_in_burst,
-            trace_level,
-            trace_cap,
-            trace_truncated,
-            trace_rounds,
             tier,
             counters,
             engine_stats,
@@ -540,10 +473,6 @@ impl<'a> Reader<'a> {
         ))
     }
 
-    fn usize(&mut self) -> Result<usize, SnapshotError> {
-        usize::try_from(self.u64()?).map_err(|_| Self::corrupt("value exceeds usize"))
-    }
-
     fn bool(&mut self) -> Result<bool, SnapshotError> {
         match self.u8()? {
             0 => Ok(false),
@@ -634,16 +563,6 @@ mod tests {
             protocol_states: vec![vec![1], vec![], vec![3, 4, 5]],
             churn_cursor: 1,
             loss_in_burst: true,
-            trace_level: 2,
-            trace_cap: 100,
-            trace_truncated: false,
-            trace_rounds: vec![RoundRecord {
-                round: 1,
-                active_before: 3,
-                transmitters: 2,
-                knocked_out: 1,
-                transmitter_ids: Some(vec![0, 2]),
-            }],
             tier: EngineTier::Hierarchical,
             counters: EngineCounters {
                 rounds: 17,
@@ -737,12 +656,15 @@ mod tests {
             SimSnapshot::from_bytes(&bytes),
             Err(SnapshotError::VersionMismatch { .. })
         ));
-        // A version-3 file indexes the old four-tier enum: refused too.
-        bytes[4] = 3;
-        assert!(matches!(
-            SimSnapshot::from_bytes(&bytes),
-            Err(SnapshotError::VersionMismatch { found: 3, .. })
-        ));
+        // Older layouts are refused too: a version-3 file indexes the old
+        // four-tier enum, and a version-7 file carries a trace section.
+        for old in [3, 7] {
+            bytes[4] = old;
+            assert!(matches!(
+                SimSnapshot::from_bytes(&bytes),
+                Err(SnapshotError::VersionMismatch { found, supported: 8 }) if found == u32::from(old)
+            ));
+        }
     }
 
     #[test]

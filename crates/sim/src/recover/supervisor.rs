@@ -366,11 +366,10 @@ pub fn supervise_trial(
 mod tests {
     use super::*;
     use crate::obs::progress::NoopProgress;
-    use crate::result::Trace;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn dummy_result(rounds: u64) -> RunResult {
-        RunResult::new(Some(rounds), rounds, 4, 1, Some(0), 9, Trace::default())
+        RunResult::new(Some(rounds), rounds, 4, 1, Some(0), 9)
     }
 
     fn arc(f: impl Fn(u64) -> RunResult + Send + Sync + 'static) -> Arc<TrialFn> {
@@ -510,7 +509,7 @@ mod tests {
     /// as `TimedOut` when both race.
     #[test]
     fn round_cap_exhausted_beats_the_deadline() {
-        let capped = RunResult::new(None, 500, 8, 3, None, 42, Trace::default());
+        let capped = RunResult::new(None, 500, 8, 3, None, 42);
         assert!(!capped.outcome().is_resolved());
         let (tx, rx) = mpsc::channel::<thread::Result<RunResult>>();
         tx.send(Ok(capped)).unwrap();

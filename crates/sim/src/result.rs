@@ -1,101 +1,8 @@
-//! Run results and execution traces.
+//! Run results.
 
 use serde::{Deserialize, Serialize};
 
 use fading_channel::NodeId;
-
-/// How much detail a simulation records per round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum TraceLevel {
-    /// Record nothing (fastest; the default).
-    #[default]
-    None,
-    /// Record per-round aggregate counts ([`RoundRecord`] without ids).
-    Counts,
-    /// Record counts plus the full transmitter id list per round.
-    Full,
-}
-
-/// Aggregate record of one simulated round.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RoundRecord {
-    /// 1-based round number.
-    pub round: u64,
-    /// Number of nodes that **participated** in the round: active, awake
-    /// (past any scheduled late wake-up), measured after the round's churn
-    /// events were applied — exactly `transmitters + listeners`. For runs
-    /// without late-wake churn this equals the active count at the start
-    /// of the round.
-    pub active_before: usize,
-    /// Number of nodes that transmitted.
-    pub transmitters: usize,
-    /// Number of nodes knocked out (deactivated) by this round's receptions.
-    pub knocked_out: usize,
-    /// Transmitter ids (only at [`TraceLevel::Full`]).
-    pub transmitter_ids: Option<Vec<NodeId>>,
-}
-
-/// The recorded history of a run, at the requested [`TraceLevel`].
-///
-/// Traces are bounded: a run that never resolves (and so hits its round
-/// cap) would otherwise grow one record per round without limit at
-/// [`TraceLevel::Full`]. The simulation stops recording after
-/// [`Trace::DEFAULT_RECORD_CAP`] records (configurable via
-/// [`SimConfig::trace_cap`]) with **keep-first** semantics — the
-/// earliest rounds are the ones retained, since they carry the active-set
-/// decay the analyses consume — and sets [`Trace::truncated`].
-///
-/// [`SimConfig::trace_cap`]: crate::SimConfig::trace_cap
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Trace {
-    rounds: Vec<RoundRecord>,
-    truncated: bool,
-}
-
-impl Trace {
-    /// Default maximum number of [`RoundRecord`]s retained per run.
-    pub const DEFAULT_RECORD_CAP: usize = 65_536;
-
-    /// Reassembles a trace from checkpointed parts (snapshot restore).
-    pub(crate) fn from_parts(rounds: Vec<RoundRecord>, truncated: bool) -> Self {
-        Trace { rounds, truncated }
-    }
-
-    /// Appends `record` unless `cap` records are already held, in which
-    /// case the record is dropped and the trace is marked truncated.
-    pub(crate) fn push_capped(&mut self, cap: usize, record: RoundRecord) {
-        if self.rounds.len() < cap {
-            self.rounds.push(record);
-        } else {
-            self.truncated = true;
-        }
-    }
-
-    /// Per-round records, in order.
-    #[must_use]
-    pub fn rounds(&self) -> &[RoundRecord] {
-        &self.rounds
-    }
-
-    /// Number of recorded rounds.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.rounds.len()
-    }
-
-    /// `true` if nothing was recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rounds.is_empty()
-    }
-
-    /// `true` if the run executed more rounds than the trace capacity, so
-    /// later records were dropped (keep-first).
-    #[must_use]
-    pub fn truncated(&self) -> bool {
-        self.truncated
-    }
-}
 
 /// How a run ended, as an explicit enum (every run falls into exactly one
 /// case — there is no silent third state).
@@ -135,7 +42,6 @@ pub struct RunResult {
     final_active: usize,
     winner: Option<NodeId>,
     total_transmissions: u64,
-    trace: Trace,
 }
 
 impl RunResult {
@@ -146,7 +52,6 @@ impl RunResult {
         final_active: usize,
         winner: Option<NodeId>,
         total_transmissions: u64,
-        trace: Trace,
     ) -> Self {
         RunResult {
             resolved_at,
@@ -155,7 +60,6 @@ impl RunResult {
             final_active,
             winner,
             total_transmissions,
-            trace,
         }
     }
 
@@ -198,17 +102,10 @@ impl RunResult {
     }
 
     /// Total transmissions across all nodes and rounds — the run's energy
-    /// cost in the standard unit-per-broadcast model (always tracked,
-    /// independent of the trace level).
+    /// cost in the standard unit-per-broadcast model.
     #[must_use]
     pub fn total_transmissions(&self) -> u64 {
         self.total_transmissions
-    }
-
-    /// The recorded trace (empty at [`TraceLevel::None`]).
-    #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// The run's ending as an explicit [`RunOutcome`]: either it resolved
@@ -234,18 +131,7 @@ mod tests {
 
     #[test]
     fn accessors_round_trip() {
-        let mut trace = Trace::default();
-        trace.push_capped(
-            Trace::DEFAULT_RECORD_CAP,
-            RoundRecord {
-                round: 1,
-                active_before: 4,
-                transmitters: 2,
-                knocked_out: 1,
-                transmitter_ids: Some(vec![0, 3]),
-            },
-        );
-        let r = RunResult::new(Some(5), 5, 4, 2, Some(3), 9, trace.clone());
+        let r = RunResult::new(Some(5), 5, 4, 2, Some(3), 9);
         assert!(r.resolved());
         assert_eq!(r.resolved_at(), Some(5));
         assert_eq!(r.rounds_executed(), 5);
@@ -253,53 +139,19 @@ mod tests {
         assert_eq!(r.final_active(), 2);
         assert_eq!(r.winner(), Some(3));
         assert_eq!(r.total_transmissions(), 9);
-        assert_eq!(r.trace(), &trace);
-        assert_eq!(r.trace().len(), 1);
-        assert!(!r.trace().is_empty());
     }
 
     #[test]
     fn unresolved_result() {
-        let r = RunResult::new(None, 100, 10, 7, None, 0, Trace::default());
+        let r = RunResult::new(None, 100, 10, 7, None, 0);
         assert!(!r.resolved());
         assert_eq!(r.resolved_at(), None);
         assert_eq!(r.winner(), None);
-        assert!(r.trace().is_empty());
-    }
-
-    #[test]
-    fn trace_level_default_is_none() {
-        assert_eq!(TraceLevel::default(), TraceLevel::None);
-    }
-
-    #[test]
-    fn push_capped_keeps_first_records_and_flags_truncation() {
-        let rec = |round| RoundRecord {
-            round,
-            active_before: 2,
-            transmitters: 2,
-            knocked_out: 0,
-            transmitter_ids: None,
-        };
-        let mut trace = Trace::default();
-        assert!(!trace.truncated());
-        for round in 1..=5 {
-            trace.push_capped(3, rec(round));
-        }
-        assert_eq!(trace.len(), 3);
-        assert!(trace.truncated());
-        let kept: Vec<u64> = trace.rounds().iter().map(|r| r.round).collect();
-        assert_eq!(kept, vec![1, 2, 3], "keep-first semantics");
-        // Under the cap, the flag stays clear.
-        let mut small = Trace::default();
-        small.push_capped(3, rec(1));
-        assert!(!small.truncated());
-        assert_eq!(small.len(), 1);
     }
 
     #[test]
     fn outcome_distinguishes_resolution_from_cap_exhaustion() {
-        let resolved = RunResult::new(Some(5), 5, 4, 2, Some(3), 9, Trace::default());
+        let resolved = RunResult::new(Some(5), 5, 4, 2, Some(3), 9);
         assert_eq!(
             resolved.outcome(),
             RunOutcome::Resolved {
@@ -309,7 +161,7 @@ mod tests {
         );
         assert!(resolved.outcome().is_resolved());
 
-        let capped = RunResult::new(None, 100, 10, 7, None, 0, Trace::default());
+        let capped = RunResult::new(None, 100, 10, 7, None, 0);
         assert_eq!(
             capped.outcome(),
             RunOutcome::RoundCapExhausted {

@@ -15,10 +15,14 @@
 //!   breakdowns, which is contractually bit-identical).
 //! * **One report per round**: the step loop builds one counts-level
 //!   [`RoundEvent`] every round whether or not a sink is attached — the
-//!   trace and the engine counters read it too — so a sink adds only the
-//!   delivery and whatever ids or SINR breakdowns its detail level asks
-//!   for (guarded by the `telemetry_overhead_n2048` bench, ≤ 5 % of
-//!   baseline step time).
+//!   engine counters read it too — so a sink adds only the delivery and
+//!   whatever ids or SINR breakdowns its detail level asks for (guarded
+//!   by the `telemetry_overhead_n2048` bench, ≤ 5 % of baseline step
+//!   time). The event stream is the only per-round record of a run: a
+//!   [`MemorySink`] keeps it in memory (see
+//!   [`Simulation::run_recorded`](crate::Simulation::run_recorded)), and
+//!   [`replay_active_sets`] rebuilds the active sets from an ids-level
+//!   stream.
 //! * **JSONL export**: [`jsonl`] serializes event streams one JSON object
 //!   per line, f64s in their shortest exact form, with golden bytes pinned
 //!   by its tests. The writer is hand-rolled —
@@ -63,6 +67,14 @@
 //! let events = MemorySink::recover(sim.take_telemetry_sink().unwrap()).unwrap().into_events();
 //! assert_eq!(events.len() as u64, result.rounds_executed());
 //! assert!(events.last().unwrap().resolved);
+//! // `run_recorded` is the same three steps in one call.
+//! let mut again = Simulation::new(
+//!     Deployment::uniform_square(16, 10.0, 1),
+//!     Box::new(SinrChannel::new(SinrParams::default_single_hop())),
+//!     7,
+//!     |_| Box::new(Simple { active: true }),
+//! );
+//! assert_eq!(again.run_recorded(10_000, TelemetryDetail::ids()), (result, events));
 //! ```
 
 pub mod jsonl;
@@ -87,7 +99,7 @@ pub struct RoundEvent {
     /// Active nodes before this round's churn events were applied.
     pub active_pre_churn: usize,
     /// Nodes that actually participated (active ∧ awake, post-churn):
-    /// `transmitters + listeners`. Matches `RoundRecord::active_before`.
+    /// `transmitters + listeners`.
     pub participants: usize,
     /// Number of transmitting nodes.
     pub transmitters: usize,

@@ -1,5 +1,5 @@
-//! Telemetry integration suite: the `active_before` late-wake regression, the trace record cap, active-set replay, event
-//! stream consistency and the metrics fold. That a sink never perturbs a
+//! Telemetry integration suite: the late-wake participant regression,
+//! active-set replay, event stream consistency and the metrics fold. That a sink never perturbs a
 //! run, at any thread count, is the differential oracle's
 //! (`tests/differential.rs`).
 
@@ -11,7 +11,7 @@ use fading_sim::faults::{ChurnEvent, FaultPlan, GilbertElliott, Jammer, NoiseBur
 use fading_sim::telemetry::{replay_active_sets, MetricsRegistry};
 use fading_sim::{
     Action, EngineTier, MemorySink, NodeId, Protocol, Reception, RoundEvent, RunResult, SimConfig,
-    Simulation, TelemetryDetail, Trace, TraceLevel, Tracer,
+    Simulation, TelemetryDetail, Tracer,
 };
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -115,19 +115,12 @@ fn faulted() -> SimConfig {
     }
 }
 
-/// A faulted full-trace SINR run with a full-detail sink: the result and
-/// its event stream.
+/// A faulted SINR run with a full-detail sink: the result and its event
+/// stream.
 fn full_detail_run(seed: u64) -> (RunResult, Vec<RoundEvent>) {
     let deployment = Deployment::uniform_square(20, 12.0, seed);
-    let config = SimConfig {
-        trace_level: TraceLevel::Full,
-        ..faulted()
-    };
-    let mut sim = knockout_sim(deployment, make_channel("sinr"), seed, config);
-    sim.set_telemetry_sink(Box::new(MemorySink::new(TelemetryDetail::full())));
-    let result = sim.run_until_resolved(5_000);
-    let sink = sim.take_telemetry_sink().and_then(MemorySink::recover);
-    (result, sink.expect("memory sink recovers").into_events())
+    let mut sim = knockout_sim(deployment, make_channel("sinr"), seed, faulted());
+    sim.run_recorded(5_000, TelemetryDetail::full())
 }
 
 fn line_deployment(n: usize) -> Deployment {
@@ -139,47 +132,29 @@ fn line_deployment(n: usize) -> Deployment {
     .unwrap()
 }
 
-/// Regression for the `active_before` accounting bug: with a late-wake
-/// plan, sleeping nodes are *active but not participating*, and the trace
-/// used to count them. `active_before` is pinned to the participant count
-/// (post-churn, awake), while the telemetry event additionally reports the
-/// raw pre-churn active count.
+/// Regression for the participant accounting bug: with a late-wake plan,
+/// sleeping nodes are *active but not participating*, and the round's
+/// record used to count them. `participants` is pinned to the awake,
+/// post-churn nodes, while `active_pre_churn` keeps the raw active count.
 #[test]
-fn late_wake_active_before_counts_participants_only() {
-    let build = |cache_on: bool| {
+fn late_wake_participants_exclude_sleepers() {
+    for tier in [EngineTier::GainCache, EngineTier::Exact] {
         let plan = FaultPlan::new()
             .with_churn(ChurnEvent::late_wake(4, 1).unwrap())
             .with_churn(ChurnEvent::late_wake(4, 2).unwrap())
             .with_churn(ChurnEvent::late_wake(4, 3).unwrap());
         let mut sim = always_tx_line(SimConfig {
-            tier: Some(if cache_on {
-                EngineTier::GainCache
-            } else {
-                EngineTier::Exact
-            }),
-            trace_level: TraceLevel::Counts,
+            tier: Some(tier),
             fault_plan: Some(plan),
             ..SimConfig::default()
         });
-        sim.set_telemetry_sink(Box::new(MemorySink::new(TelemetryDetail::counts())));
-        sim
-    };
-    for cache_on in [true, false] {
-        let mut sim = build(cache_on);
-        let result = sim.run_until_resolved(1);
-        let record = &result.trace().rounds()[0];
+        let (result, events) = sim.run_recorded(1, TelemetryDetail::counts());
         // Only node 0 is awake in round 1: one participant, who transmits
         // solo and resolves. The pre-fix code reported 4 here.
-        assert_eq!(record.active_before, 1, "cache={cache_on}");
-        assert_eq!(record.transmitters, 1);
-        assert_eq!(result.resolved_at(), Some(1));
-
-        let events = MemorySink::recover(sim.take_telemetry_sink().unwrap())
-            .unwrap()
-            .into_events();
-        assert_eq!(events[0].participants, 1);
+        assert_eq!(events[0].participants, 1, "{tier:?}");
         assert_eq!(events[0].transmitters, 1);
         assert_eq!(events[0].listeners, 0);
+        assert_eq!(result.resolved_at(), Some(1));
         assert_eq!(
             events[0].active_pre_churn, 4,
             "sleepers are still active — the event keeps both views"
@@ -189,12 +164,11 @@ fn late_wake_active_before_counts_participants_only() {
     }
 }
 
-/// Without late-wake churn, the participant semantics coincide with the
-/// old start-of-round active count — pinned here so the redefinition
-/// cannot silently change unfaulted traces.
+/// Without late-wake churn, every active node participates: the
+/// participant count equals the active count after the round's churn.
 #[test]
-fn active_before_unchanged_without_late_wake() {
-    let run = |faulted: bool| {
+fn participants_are_the_active_nodes_without_late_wake() {
+    for faulted in [false, true] {
         let deployment = Deployment::uniform_square(20, 12.0, 5);
         // Crash/revive churn but NO late wakes: every active node is
         // awake, so participants == post-churn active count.
@@ -204,78 +178,26 @@ fn active_before_unchanged_without_late_wake() {
                 .with_churn(ChurnEvent::revive(6, 0).unwrap())
         });
         let config = SimConfig {
-            trace_level: TraceLevel::Counts,
             fault_plan: plan,
             ..SimConfig::default()
         };
         let mut sim = knockout_sim(deployment, make_channel("sinr"), 5, config);
-        sim.set_telemetry_sink(Box::new(MemorySink::new(TelemetryDetail::counts())));
-        let result = sim.run_until_resolved(5_000);
-        let events = MemorySink::recover(sim.take_telemetry_sink().unwrap())
-            .unwrap()
-            .into_events();
-        (result, events)
-    };
-    for faulted in [false, true] {
-        let (result, events) = run(faulted);
-        assert_eq!(events.len(), result.trace().len());
-        for (record, event) in result.trace().rounds().iter().zip(&events) {
-            assert_eq!(
-                record.active_before, event.participants,
-                "faulted={faulted}"
-            );
+        let (result, events) = sim.run_recorded(5_000, TelemetryDetail::counts());
+        assert_eq!(events.len() as u64, result.rounds_executed());
+        for event in &events {
             assert_eq!(
                 event.participants,
                 event.transmitters + event.listeners,
                 "faulted={faulted}"
             );
-            // No late-wakers ⇒ every post-churn active node participates.
-            let post_churn = if event.round <= 1 || faulted {
-                // active_pre_churn already reflects the previous round's
-                // knockouts; churn this round shifts it by the applied
-                // events, which participants must match.
-                None
-            } else {
-                Some(event.active_pre_churn)
-            };
-            if let Some(expected) = post_churn {
-                assert_eq!(event.participants, expected, "faulted={faulted}");
+            // Churn this round shifts the pre-churn count by the applied
+            // events, which participants must match; unfaulted rounds
+            // apply none.
+            if !faulted {
+                assert_eq!(event.participants, event.active_pre_churn);
             }
         }
     }
-}
-
-/// Regression for unbounded trace growth: a run that exhausts its round
-/// cap at `TraceLevel::Full` stops recording at the trace capacity,
-/// keeps the *first* records, and reports `truncated`.
-#[test]
-fn trace_cap_bounds_round_cap_exhausted_runs() {
-    let mut sim = always_tx_line(SimConfig {
-        trace_level: TraceLevel::Full,
-        trace_cap: 10,
-        ..SimConfig::default()
-    });
-    let result = sim.run_until_resolved(100);
-    assert!(!result.resolved(), "AlwaysTx on radio must exhaust the cap");
-    assert_eq!(result.rounds_executed(), 100);
-    assert_eq!(result.trace().len(), 10, "recording must stop at the cap");
-    assert!(result.trace().truncated());
-    let rounds: Vec<u64> = result.trace().rounds().iter().map(|r| r.round).collect();
-    assert_eq!(
-        rounds,
-        (1..=10).collect::<Vec<u64>>(),
-        "keep-first semantics"
-    );
-
-    // Under the (documented) default cap nothing is truncated.
-    assert_eq!(Trace::DEFAULT_RECORD_CAP, 65_536);
-    let mut sim = always_tx_line(SimConfig {
-        trace_level: TraceLevel::Full,
-        ..SimConfig::default()
-    });
-    let result = sim.run_until_resolved(100);
-    assert_eq!(result.trace().len(), 100);
-    assert!(!result.trace().truncated());
 }
 
 /// `replay_active_sets` reconstructs exactly the per-round active sets an

@@ -32,12 +32,14 @@ fn main() {
         .sinr(params)
         .protocol(ProtocolKind::fkn_default())
         .seed(42)
-        .trace_level(TraceLevel::Counts)
         .build()
         .expect("valid scenario");
 
-    // 4. Run until some node transmits alone — contention resolved.
-    let result = scenario.run(10_000);
+    // 4. Run until some node transmits alone — contention resolved —
+    //    recording one event per round.
+    let (result, events) = scenario
+        .simulation()
+        .run_recorded(10_000, TelemetryDetail::counts());
     assert!(result.resolved());
     println!(
         "resolved in {} rounds (theory: O(log n + log R) ≈ {:.0} round-units); winner: node {}",
@@ -47,10 +49,10 @@ fn main() {
     );
 
     println!("\nround | active | transmitters | knocked out");
-    for r in result.trace().rounds() {
+    for e in &events {
         println!(
             "{:>5} | {:>6} | {:>12} | {:>11}",
-            r.round, r.active_before, r.transmitters, r.knocked_out
+            e.round, e.participants, e.transmitters, e.knocked_out
         );
     }
 

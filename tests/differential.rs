@@ -14,6 +14,7 @@
 //! | resolve threads | 1, 2, 8                                                 |
 //! | trial threads   | 1, 8                                                    |
 //! | observation     | none, tracer, counts sink, full-SINR sink, closure      |
+//! |                 | (the reference: an ids sink)                            |
 //! | self-check      | 0 or 2 audited listeners per round                      |
 //! | resume          | uninterrupted, or snapshot → bytes → restore half-way   |
 //!
@@ -23,13 +24,16 @@
 //! threads. Each family's [`Coverage`] picks which remaining cells it runs.
 //!
 //! Every cell is held to the case's reference cell (exact, serial,
-//! unobserved, uninterrupted):
+//! uninterrupted, recording every round at ids detail):
 //!
-//! * each trial's full-trace [`RunResult`] is equal;
+//! * each trial's [`RunResult`] is equal;
+//! * each sink's rounds agree with the reference's in round, participants,
+//!   transmitters and knockouts, and at ids detail in the transmitter ids;
 //! * each trial's final snapshot (every rng lane, the active mask, protocol
 //!   states, counters, ladder stats) equals that of the first cell with the
-//!   same engine, self-check and instrumentation, and each sink's event
-//!   stream equals the first stream of its kind;
+//!   same engine, self-check and instrumentation — for a bare exact cell,
+//!   the reference's — and each sink's event stream equals the first
+//!   stream of its kind;
 //! * route counters partition the rounds, and the tile tree resolves each
 //!   listener of each round once and tracks knockouts;
 //! * the case is not vacuous: each family states what its tile-tree cells
@@ -88,7 +92,7 @@ use fading::sim::recover::{trial_line, TrialManifest};
 use fading::sim::{
     EngineCounters, MemoryProgress, MemorySink, ProgressEvent, ResolvePath, RoundEvent, RunOutcome,
     RunResult, SimConfig, SimSnapshot, Simulation, SnapshotError, StealPool, TelemetryDetail,
-    TraceLevel, Tracer,
+    Tracer,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -248,10 +252,8 @@ impl Case {
     fn simulation(&self, seed: u64, cell: &Cell) -> Simulation {
         let config = SimConfig {
             tier: Some(cell.tier),
-            trace_level: TraceLevel::Full,
             self_check: cell.self_check,
             fault_plan: self.fault_plan.clone(),
-            ..SimConfig::default()
         };
         let protocol = ProtocolKind::Fkn { p: self.family.p };
         let deployment = (self.family.deploy)(seed);
@@ -363,6 +365,9 @@ enum Observe {
     CountsSink,
     SinrSink,
     Closure,
+    /// The reference's: an ids-detail sink, whose rounds every other sink
+    /// is held to.
+    IdsSink,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -454,12 +459,15 @@ fn cells(case: &Case, coverage: Coverage) -> Vec<Cell> {
         .collect();
     built.dedup();
     let trials = case.family.trials;
-    let product: Vec<Cell> = built
+    let mut product: Vec<Cell> = built
         .iter()
         .flat_map(|&tier| (0..CELLS_PER_TIER).map(move |i| Cell::nth(tier, i)))
         .filter(|c| c.tier == EngineTier::Hierarchical || c.resolve_threads == 1)
         .filter(|c| trials > 1 || c.trial_threads == 1)
         .collect();
+    // The reference records its rounds; every other cell with
+    // `Observe::None` is bare (no sink, no tracer).
+    product[0].observe = Observe::IdsSink;
     let reference = product[0];
     match coverage {
         Coverage::Full => product,
@@ -528,6 +536,7 @@ fn run_trial(case: &Case, cell: &Cell, seed: u64, cut: u64) -> Trial {
             }
             Observe::CountsSink => Some(TelemetryDetail::counts()),
             Observe::SinrSink => Some(TelemetryDetail::full()),
+            Observe::IdsSink => Some(TelemetryDetail::ids()),
             Observe::None | Observe::Closure => None,
         };
         if let Some(detail) = detail {
@@ -580,7 +589,7 @@ fn run_trial(case: &Case, cell: &Cell, seed: u64, cut: u64) -> Trial {
                 "{ctx}: the observer sees every round and the end"
             );
         }
-        Observe::CountsSink | Observe::SinrSink => {
+        Observe::CountsSink | Observe::SinrSink | Observe::IdsSink => {
             let got: Vec<u64> = events.iter().flatten().map(|e| e.round).collect();
             assert_eq!(
                 got,
@@ -622,8 +631,9 @@ fn assert_corruption_is_loud(ctx: &str, bytes: &[u8]) {
 }
 
 /// Route counters partition the rounds; the tile tree resolves each
-/// listener of each round it serves exactly once.
-fn assert_counters_reconcile(ctx: &str, cell: &Cell, trial: &Trial) {
+/// listener of each round it serves exactly once (`rounds` are the
+/// reference's).
+fn assert_counters_reconcile(ctx: &str, cell: &Cell, trial: &Trial, rounds: &[RoundEvent]) {
     let c = &trial.counters;
     assert_eq!(c.rounds, trial.result.rounds_executed(), "{ctx}: rounds");
     assert_eq!(
@@ -648,11 +658,7 @@ fn assert_counters_reconcile(ctx: &str, cell: &Cell, trial: &Trial) {
     assert_eq!(c.gain_cache_built, cache, "{ctx}: the engine is built once");
     let f = &c.farfield;
     if path == ResolvePath::Hierarchical {
-        let rounds = trial.result.trace().rounds();
-        let listeners: usize = rounds
-            .iter()
-            .map(|r| r.active_before - r.transmitters)
-            .sum();
+        let listeners: usize = rounds.iter().map(|r| r.listeners).sum();
         assert_eq!(f.rounds, c.rounds, "{ctx}: ladder rounds");
         assert_eq!(
             f.listeners_resolved(),
@@ -661,6 +667,24 @@ fn assert_counters_reconcile(ctx: &str, cell: &Cell, trial: &Trial) {
         );
     } else {
         assert_eq!(*f, FarFieldStats::default(), "{ctx}: no ladder ran");
+    }
+}
+
+/// A sink's rounds agree with the reference's in round, participants,
+/// transmitters and knockouts, and when the sink records ids, in the
+/// transmitter ids.
+fn assert_rounds_match(ctx: &str, got: &[RoundEvent], want: &[RoundEvent], ids: bool) {
+    assert_eq!(got.len(), want.len(), "{ctx}: rounds recorded");
+    for (g, w) in got.iter().zip(want) {
+        let counts = |e: &RoundEvent| (e.round, e.participants, e.transmitters, e.knocked_out);
+        assert_eq!(counts(g), counts(w), "{ctx}: round {} differs", w.round);
+        if ids {
+            assert_eq!(
+                g.transmitter_ids, w.transmitter_ids,
+                "{ctx}: round {} transmitters differ",
+                w.round
+            );
+        }
     }
 }
 
@@ -757,7 +781,12 @@ fn check_case(case: &Case, coverage: Coverage) -> (usize, Reach) {
                 t.result, want.result,
                 "{ctx}: RunResult differs from the reference"
             );
-            assert_counters_reconcile(&ctx, cell, t);
+            let rounds = want.events.as_deref().expect("the reference records");
+            assert_counters_reconcile(&ctx, cell, t, rounds);
+            if let Some(events) = &t.events {
+                let ids = cell.observe != Observe::CountsSink;
+                assert_rounds_match(&ctx, events, rounds, ids);
+            }
             if let Some(tree) = t.tree {
                 reach.add(tree, cell.resolve_threads, &t.counters.farfield);
             }
@@ -1070,11 +1099,11 @@ fn radio_channel_has_no_cache_but_runs_identically() {
 fn attaching_a_fault_plan_does_not_disturb_unfaulted_streams() {
     let run = |fault_plan: Option<FaultPlan>| {
         let config = SimConfig {
-            trace_level: TraceLevel::Full,
             fault_plan,
             ..SimConfig::default()
         };
-        fkn_sim((SMALL.deploy)(3), ChannelName::Rayleigh, config).run_until_resolved(20_000)
+        let mut sim = fkn_sim((SMALL.deploy)(3), ChannelName::Rayleigh, config);
+        sim.run_recorded(20_000, TelemetryDetail::ids())
     };
     assert_eq!(run(None), run(Some(FaultPlan::new())));
 }

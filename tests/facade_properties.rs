@@ -48,13 +48,13 @@ proptest! {
             .sinr(params)
             .protocol(ProtocolKind::fkn_default())
             .seed(seed)
-            .trace_level(TraceLevel::Full)
             .build()
             .expect("valid scenario");
-        let a = build().run(500_000);
-        let b = build().run(500_000);
+        let run = || build().simulation().run_recorded(500_000, TelemetryDetail::ids());
+        let (a, a_events) = run();
+        let (b, b_events) = run();
         prop_assert_eq!(a.resolved_at(), b.resolved_at());
-        prop_assert_eq!(a.trace(), b.trace());
+        prop_assert_eq!(a_events, b_events);
     }
 
     /// The active count never increases over a run (knockouts are
@@ -67,17 +67,17 @@ proptest! {
             .sinr(params)
             .protocol(ProtocolKind::fkn_default())
             .seed(seed)
-            .trace_level(TraceLevel::Counts)
             .build()
             .expect("valid scenario");
-        let result = scenario.run(500_000);
-        let rounds = result.trace().rounds();
+        let (_, rounds) = scenario
+            .simulation()
+            .run_recorded(500_000, TelemetryDetail::counts());
         for w in rounds.windows(2) {
-            prop_assert!(w[1].active_before <= w[0].active_before);
+            prop_assert!(w[1].participants <= w[0].participants);
         }
-        for r in rounds {
-            prop_assert!(r.transmitters <= r.active_before);
-            prop_assert!(r.knocked_out <= r.active_before);
+        for r in &rounds {
+            prop_assert!(r.transmitters <= r.participants);
+            prop_assert!(r.knocked_out <= r.participants);
         }
     }
 

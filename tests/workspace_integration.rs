@@ -46,15 +46,19 @@ fn identical_scenarios_reproduce_identical_results() {
             .sinr(SinrParams::default_single_hop().with_power_for(&uniform(64, 5)))
             .protocol(ProtocolKind::fkn_default())
             .seed(77)
-            .trace_level(TraceLevel::Full)
             .build()
             .expect("valid scenario")
     };
-    let a = build().run(100_000);
-    let b = build().run(100_000);
+    let run = || {
+        build()
+            .simulation()
+            .run_recorded(100_000, TelemetryDetail::ids())
+    };
+    let (a, a_events) = run();
+    let (b, b_events) = run();
     assert_eq!(a.resolved_at(), b.resolved_at());
     assert_eq!(a.winner(), b.winner());
-    assert_eq!(a.trace(), b.trace());
+    assert_eq!(a_events, b_events);
 }
 
 #[test]
