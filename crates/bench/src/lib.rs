@@ -5,9 +5,9 @@
 //! * the `experiments` binary regenerates every experiment table (E1–E16)
 //!   recorded in `EXPERIMENTS.md`;
 //! * the `sweep` binary runs one-off parameter sweeps;
-//! * the four `harness = false` benches (`benches/`) assert the overhead
-//!   budgets of telemetry, the tracer and trial supervision, and replay
-//!   the service mix bare and watched ([`service`]).
+//! * the three `harness = false` benches (`benches/`) assert the overhead
+//!   budgets of telemetry and trial supervision, and replay the service
+//!   mix bare and watched ([`service`]).
 //!
 //! End-to-end and per-layer timing of whole FKN trials and service jobs
 //! lives in `perfbench/`, a workspace of its own.

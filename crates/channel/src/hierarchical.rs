@@ -75,9 +75,10 @@
 //! (DESIGN.md §10.2). The stage runs per listener, over the close
 //! transmitters gathered once per tile, and only for a tile whose close
 //! transmitters number at least one and at most a quarter of the round's
-//! (counted at the tile's first refinable listener). Past a quarter, one
-//! listener's close gains cost a large share of the block-scanned exact
-//! scan they would spare (DESIGN.md §12.4 has the measurements).
+//! (counted by the tile's own list sum, checked at its first refinable
+//! listener). Past a quarter, one listener's close gains cost a large
+//! share of the block-scanned exact scan they would spare (DESIGN.md
+//! §12.4 has the measurements).
 //!
 //! # Generic α
 //!
@@ -495,25 +496,27 @@ impl HierarchicalFarFieldEngine {
     /// [`tile_brackets`](Self::tile_brackets) of fine tile `t`, with its
     /// ancestors' list sums recomputed rather than read from the round's
     /// `node_sums`.
-    fn recomputed_brackets<K: AlphaKernel>(&self, k: K, t: usize) -> (Bracket, Bracket) {
-        let sum = |a| self.lists.sum(k, a, &self.tx_count, self.power);
+    fn recomputed_brackets<K: AlphaKernel>(&self, k: K, t: usize) -> (Bracket, Bracket, usize) {
+        let sum = |a| self.lists.sum(k, a, &self.tx_count, self.power).0;
         self.tile_brackets(k, t, self.lists.ancestors(t).map(sum))
     }
 
     /// Fine tile `t`'s far brackets over this round's masses, given its
     /// ancestors' list sums `partials` (fine to root): the first ladder's —
     /// its own list, the close set, plus the ancestors' — and the refined
-    /// stage's, the ancestors' alone.
+    /// stage's, the ancestors' alone; and the close set's transmitter
+    /// count.
     fn tile_brackets<K: AlphaKernel>(
         &self,
         k: K,
         t: usize,
         partials: impl Iterator<Item = Bracket> + Clone,
-    ) -> (Bracket, Bracket) {
-        let own = self.lists.sum(k, t, &self.tx_count, self.power);
+    ) -> (Bracket, Bracket, usize) {
+        let (own, close_count) = self.lists.sum(k, t, &self.tx_count, self.power);
         (
             fold_up(own, partials.clone()),
             fold_up((0.0, 0.0, 0.0), partials),
+            close_count,
         )
     }
 
@@ -559,17 +562,12 @@ impl HierarchicalFarFieldEngine {
         }
     }
 
-    /// Gathers fine tile `lt`'s close transmitters into `close` when the
-    /// refined stage runs for the tile, and says whether it does: when
-    /// there is at least one, and at most a quarter of the round's `k`
+    /// Gathers fine tile `lt`'s `count` close transmitters into `close`
+    /// when the refined stage runs for the tile, and says whether it does:
+    /// when there is at least one, and at most a quarter of the round's `k`
     /// transmitters. Past a quarter, evaluating the close set per listener
     /// costs a large share of the exact scan it would spare (module docs).
-    fn gather_close(&self, lt: usize, k: usize, close: &mut CloseScratch) -> bool {
-        let sources = self.lists.sources(lt);
-        let count: usize = sources
-            .iter()
-            .map(|&s| self.tx_count[s as usize] as usize)
-            .sum();
+    fn gather_close(&self, lt: usize, count: usize, k: usize, close: &mut CloseScratch) -> bool {
         if count == 0 || 4 * count > k {
             return false;
         }
@@ -577,7 +575,7 @@ impl HierarchicalFarFieldEngine {
         close.x.clear();
         close.y.clear();
         // Runs hold a transmitter or two: a loop beats a copy call per run.
-        for &s in sources {
+        for &s in self.lists.sources(lt) {
             for i in self.run(s as usize) {
                 close.idx.push(self.run_idx[i]);
                 close.x.push(self.run_x[i]);
@@ -646,7 +644,7 @@ impl HierarchicalFarFieldEngine {
             // Each cap on a single far signal is widened (covers bound
             // rounding and powf non-monotonicity; see FARFIELD_REL_SLACK).
             let widen = |(lo, hi, cap): Bracket| (lo, hi, cap * (1.0 + FARFIELD_REL_SLACK));
-            let (far, ancestors) = self.tile_brackets(k, lt, partials);
+            let (far, ancestors, close_count) = self.tile_brackets(k, lt, partials);
             let (far, ancestors) = (widen(far), widen(ancestors));
             self.gather_near(lt, &mut sc);
             // Whether the refined stage runs for this tile, settled at its
@@ -683,7 +681,7 @@ impl HierarchicalFarFieldEngine {
                 let rung = ladder(inputs(near, far));
                 let refine = rung.refinable()
                     && *refines.get_or_insert_with(|| {
-                        self.gather_close(lt, round.transmitters.len(), close)
+                        self.gather_close(lt, close_count, round.transmitters.len(), close)
                     });
                 let decision = if refine {
                     let merged = self.refine(k, close, round.positions[v], near);
@@ -832,7 +830,7 @@ impl HierarchicalFarFieldEngine {
                 let last = (first + HIER_TILE_CHUNK).min(targets.len());
                 targets[first..last]
                     .iter()
-                    .map(|&a| this.lists.sum(k, a, &this.tx_count, this.power))
+                    .map(|&a| this.lists.sum(k, a, &this.tx_count, this.power).0)
                     .collect::<Vec<_>>()
             }
         ));

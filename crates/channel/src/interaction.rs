@@ -254,21 +254,24 @@ impl InteractionLists {
     /// multiplication by 1.0 for the canonical classes), and raises the
     /// cap to its upper gain. d_min² = 0 (touching boxes) makes the upper
     /// gain infinite; the ladder's rung 1 then falls back, which is
-    /// conservative, never wrong.
+    /// conservative, never wrong. Also returns the list's total mass: for
+    /// a fine tile, the transmitters of its close set.
     pub(crate) fn sum<K: AlphaKernel>(
         &self,
         k: K,
         node: usize,
         mass: &[u32],
         power: f64,
-    ) -> Bracket {
+    ) -> (Bracket, usize) {
         let (widen_lo, widen_hi) = (1.0 - K::GAIN_REL_ERR, 1.0 + K::GAIN_REL_ERR);
         let (mut lo, mut hi, mut cap) = (0.0f64, 0.0f64, 0.0f64);
+        let mut count = 0;
         for &s in self.sources(node) {
             let m = mass[s as usize];
             if m == 0 {
                 continue;
             }
+            count += m as usize;
             let (d_min_sq, d_max_sq) = self.pair_bounds(node, s as usize);
             let m = f64::from(m);
             lo += m * ((power / k.pow_alpha(d_max_sq)) * widen_lo);
@@ -276,7 +279,7 @@ impl InteractionLists {
             hi += m * g_hi;
             cap = cap.max(g_hi);
         }
-        (lo, hi, cap)
+        ((lo, hi, cap), count)
     }
 }
 

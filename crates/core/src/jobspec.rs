@@ -249,13 +249,12 @@ impl JobSpec {
                 .ok_or_else(|| JobSpecError::Parse(format!("missing numeric field \"{key}\"")))
         };
         let u64_of = |obj: &JsonValue, key: &str| -> Result<u64, JobSpecError> {
-            let x = f64_of(obj, key)?;
-            if x < 0.0 || x.fract() != 0.0 || x > 2f64.powi(53) {
-                return Err(invalid(format!(
-                    "field \"{key}\" must be a non-negative integer"
-                )));
-            }
-            Ok(x as u64)
+            f64_of(obj, key)?;
+            obj.get(key).and_then(JsonValue::as_u64).ok_or_else(|| {
+                invalid(format!(
+                    "field \"{key}\" must be a non-negative integer below 2^53"
+                ))
+            })
         };
         let usize_of = |obj: &JsonValue, key: &str| -> Result<usize, JobSpecError> {
             usize::try_from(u64_of(obj, key)?)
@@ -531,6 +530,28 @@ mod tests {
             match spec.validate() {
                 Err(JobSpecError::Invalid(msg)) => assert!(msg.starts_with(field), "{msg}"),
                 other => panic!("{field} one past its bound: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn integer_fields_are_read_exactly() {
+        let line = JobSpec::example("exact").to_json();
+        let with = |key: &str, value: &str| {
+            let at = line
+                .find(&format!("\"{key}\":"))
+                .expect("the key is written");
+            let start = at + key.len() + 3;
+            let end = start + line[start..].find([',', '}']).expect("a value ends");
+            JobSpec::from_json(&format!("{}{value}{}", &line[..start], &line[end..]))
+        };
+        let top = (1u64 << 53) - 1;
+        assert_eq!(with("seed_base", &top.to_string()).unwrap().seed_base, top);
+        // 2^53 + 1 reads as 2^53, which is itself past the exact range.
+        for value in ["9007199254740993", "9007199254740992", "-1", "2.5", "1e300"] {
+            match with("seed_base", value) {
+                Err(JobSpecError::Invalid(msg)) => assert!(msg.contains("seed_base"), "{msg}"),
+                other => panic!("seed_base {value} must be refused, got {other:?}"),
             }
         }
     }

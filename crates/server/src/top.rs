@@ -229,11 +229,10 @@ impl Dashboard {
 
         // Tier mix from the newest frame's engine-round deltas.
         if let Some(f) = latest {
-            let tiers: [(&str, u64); 4] = [
+            let tiers: [(&str, u64); 3] = [
                 ("hier", f.d_hierarchical_rounds),
                 ("cache", f.d_gain_cache_rounds),
                 ("exact", f.d_exact_rounds),
-                ("instr", f.d_instrumented_rounds),
             ];
             let total: u64 = tiers.iter().map(|(_, n)| n).sum();
             if total > 0 {
@@ -398,7 +397,7 @@ mod tests {
             "{\"event\":\"frame\",\"t_ms\":1000,\"dt_ms\":500,\"d_trials\":3,\"d_trial_rounds\":40,\
              \"d_retried\":0,\"d_timed_out\":0,\"d_jobs_completed\":0,\"d_jobs_failed\":0,\
              \"d_engine_rounds\":40,\"d_farfield_rounds\":0,\"d_hierarchical_rounds\":30,\
-             \"d_gain_cache_rounds\":0,\"d_exact_rounds\":10,\"d_instrumented_rounds\":0,\
+             \"d_gain_cache_rounds\":0,\"d_exact_rounds\":10,\
              \"d_jammed_rounds\":0,\"d_fallback_listeners\":2,\"d_resolved_listeners\":90,\
              \"queue_depth\":7,\"jobs_in_flight\":1}",
         );

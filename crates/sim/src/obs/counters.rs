@@ -7,10 +7,8 @@ use crate::telemetry::RoundEvent;
 /// Which resolve tier served one round's channel resolution.
 ///
 /// The step loop reads the path off the simulation's one engine (see
-/// DESIGN.md §10's tier table), except that a round whose sink asked for
-/// SINR breakdowns is the instrumented scan. The choice never changes
-/// receptions, so recording it in [`RoundEvent`] is observability, not
-/// behavior.
+/// DESIGN.md §10's tier table). The choice never changes receptions, so
+/// recording it in [`RoundEvent`] is observability, not behavior.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ResolvePath {
     /// Canonical O(listeners × transmitters) scan.
@@ -24,18 +22,15 @@ pub enum ResolvePath {
     FarField,
     /// Multi-resolution tile-tree far-field engine (parallelizable).
     Hierarchical,
-    /// Instrumented scan producing per-listener SINR breakdowns.
-    Instrumented,
 }
 
 impl ResolvePath {
     /// Every path, in tier order.
-    pub const ALL: [ResolvePath; 5] = [
+    pub const ALL: [ResolvePath; 4] = [
         ResolvePath::Exact,
         ResolvePath::Cached,
         ResolvePath::FarField,
         ResolvePath::Hierarchical,
-        ResolvePath::Instrumented,
     ];
 
     /// Stable label used by JSONL and the Prometheus exporter.
@@ -46,7 +41,6 @@ impl ResolvePath {
             ResolvePath::Cached => "gain_cache",
             ResolvePath::FarField => "farfield",
             ResolvePath::Hierarchical => "hierarchical",
-            ResolvePath::Instrumented => "instrumented",
         }
     }
 }
@@ -62,7 +56,7 @@ impl ResolvePath {
 /// fields, so a field added here needs one row there and nothing else.
 ///
 /// Invariant (asserted in every cell of the differential oracle,
-/// `tests/differential.rs` at the repository root): the five `*_rounds`
+/// `tests/differential.rs` at the repository root): the four `*_rounds`
 /// route counters sum to `rounds`, and on tile-tree runs
 /// `farfield.listeners_resolved()` equals the sum of the rounds'
 /// [`RoundEvent::listeners`](crate::RoundEvent::listeners).
@@ -83,8 +77,6 @@ pub struct EngineCounters {
     pub gain_cache_rounds: u64,
     /// Rounds resolved by the canonical exact scan.
     pub exact_rounds: u64,
-    /// Rounds resolved through the instrumented (SINR-detail) scan.
-    pub instrumented_rounds: u64,
     /// Whether a gain-cache engine was built for this simulation (its
     /// tier was chosen or set, and the size guard admitted it).
     pub gain_cache_built: bool,
@@ -140,7 +132,6 @@ impl EngineCounters {
             ResolvePath::Cached => &mut self.gain_cache_rounds,
             ResolvePath::FarField => &mut self.farfield_rounds,
             ResolvePath::Hierarchical => &mut self.hierarchical_rounds,
-            ResolvePath::Instrumented => &mut self.instrumented_rounds,
         }
     }
 
@@ -261,13 +252,12 @@ const fn rung(key: &'static str, rung: &'static str, f: LadderField) -> Counter 
 /// `merge`, the JSONL and snapshot codecs and the Prometheus encoder all
 /// walk this table; only the per-round increments name fields directly.
 #[rustfmt::skip]
-pub(crate) const COUNTERS: [Counter; 26] = [
+pub(crate) const COUNTERS: [Counter; 25] = [
     row("rounds", "fading_rounds_total", "Rounds stepped", Sum(|c| &mut c.rounds)),
     route("farfield_rounds", ResolvePath::FarField, |c| &mut c.farfield_rounds),
     route("hierarchical_rounds", ResolvePath::Hierarchical, |c| &mut c.hierarchical_rounds),
     route("gain_cache_rounds", ResolvePath::Cached, |c| &mut c.gain_cache_rounds),
     route("exact_rounds", ResolvePath::Exact, |c| &mut c.exact_rounds),
-    route("instrumented_rounds", ResolvePath::Instrumented, |c| &mut c.instrumented_rounds),
     row("gain_cache_built", "fading_gain_cache_built",
         "1 when a gain cache was built for this deployment", Flag(|c| &mut c.gain_cache_built)),
     row("perturbed_rounds", "fading_perturbed_rounds_total",
@@ -319,7 +309,6 @@ impl EngineCounters {
             hierarchical_rounds: 103,
             gain_cache_rounds: 104,
             exact_rounds: 105,
-            instrumented_rounds: 106,
             gain_cache_built: true,
             perturbed_rounds: 107,
             jammed_rounds: 108,
@@ -355,15 +344,14 @@ mod tests {
     #[test]
     fn routed_rounds_sums_paths() {
         let c = EngineCounters {
-            rounds: 15,
+            rounds: 14,
             farfield_rounds: 4,
             hierarchical_rounds: 5,
             gain_cache_rounds: 3,
             exact_rounds: 2,
-            instrumented_rounds: 1,
             ..EngineCounters::default()
         };
-        assert_eq!(c.routed_rounds(), 15);
+        assert_eq!(c.routed_rounds(), 14);
         for p in ResolvePath::ALL {
             assert!(c.rounds_for(p) > 0);
         }

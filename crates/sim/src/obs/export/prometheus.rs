@@ -125,7 +125,7 @@ pub fn histogram_to_prometheus(name: &str, help: &str, h: &Histogram) -> String 
     out
 }
 
-/// Renders a full [`MetricsRegistry`]: the run counters, the three
+/// Renders a full [`MetricsRegistry`]: the run counters, the two
 /// histograms, and per-phase wall-clock totals labeled by `phase`.
 #[must_use]
 pub fn registry_to_prometheus(m: &MetricsRegistry) -> String {
@@ -179,11 +179,6 @@ pub fn registry_to_prometheus(m: &MetricsRegistry) -> String {
         "fading_knockouts_per_round",
         "Knockouts per round",
         m.knockouts_per_round(),
-    ));
-    out.push_str(&histogram_to_prometheus(
-        "fading_interference",
-        "Per-listener interference sums",
-        m.interference(),
     ));
     out
 }
@@ -302,7 +297,6 @@ fading_resolve_rounds_total{engine=\"farfield\"} 102.0
 fading_resolve_rounds_total{engine=\"hierarchical\"} 103.0
 fading_resolve_rounds_total{engine=\"gain_cache\"} 104.0
 fading_resolve_rounds_total{engine=\"exact\"} 105.0
-fading_resolve_rounds_total{engine=\"instrumented\"} 106.0
 # HELP fading_gain_cache_built 1 when a gain cache was built for this deployment
 # TYPE fading_gain_cache_built gauge
 fading_gain_cache_built 1.0

@@ -7,9 +7,8 @@
 //!
 //! * [`Tracer`] — a hand-rolled, zero-dependency span tracer. Scoped
 //!   [`SpanGuard`]s record hierarchical, monotonic-clock
-//!   [`SpanRecord`]s; the disabled path costs one atomic load and
-//!   allocates nothing. Attach to a run with
-//!   [`Simulation::set_tracer`](crate::Simulation::set_tracer).
+//!   [`SpanRecord`]s. A run is traced exactly when a tracer is attached
+//!   with [`Simulation::set_tracer`](crate::Simulation::set_tracer).
 //! * [`EngineCounters`] — one struct unifying the far-field decision
 //!   ladder's per-rung counters ([`FarFieldStats`]), gain-cache activity,
 //!   and fault-perturbation activity, read via

@@ -167,11 +167,12 @@ impl ProgressEvent {
         let v = parse_json(line)?;
         let field_u64 = |key: &str| -> Result<u64, JsonlError> {
             v.get(key)
-                .and_then(JsonValue::as_f64)
-                .map(|f| f as u64)
-                .ok_or_else(|| parse_error(format!("missing or non-numeric {key:?}")))
+                .and_then(JsonValue::as_u64)
+                .ok_or_else(|| parse_error(format!("missing or non-integer {key:?}")))
         };
-        let field_u32 = |key: &str| field_u64(key).map(|n| n as u32);
+        let field_u32 = |key: &str| {
+            u32::try_from(field_u64(key)?).map_err(|_| parse_error(format!("{key:?} out of range")))
+        };
         let label = v
             .get("event")
             .and_then(JsonValue::as_str)
@@ -357,6 +358,37 @@ mod tests {
             "{\"event\":\"trial_poisoned\",\"seed\":1,\"kind\":\"??\",\"retries\":0}"
         )
         .is_err());
+    }
+
+    #[test]
+    fn parser_reads_integers_exactly() {
+        let finished = |seed: &str, retries: &str| {
+            ProgressEvent::from_json(&format!(
+                "{{\"event\":\"trial_finished\",\"seed\":{seed},\"rounds\":3,\
+                 \"resolved\":true,\"retries\":{retries}}}"
+            ))
+        };
+        assert_eq!(
+            finished("9007199254740991", "4294967295").unwrap(),
+            ProgressEvent::TrialFinished {
+                seed: (1 << 53) - 1,
+                rounds: 3,
+                resolved: true,
+                retries: u32::MAX
+            }
+        );
+        for (seed, retries) in [
+            ("-1", "0"),
+            ("1.5", "0"),
+            ("9007199254740992", "0"),
+            ("1", "4294967296"),
+            ("1", "-1"),
+        ] {
+            assert!(
+                finished(seed, retries).is_err(),
+                "seed {seed}, retries {retries}"
+            );
+        }
     }
 
     #[test]

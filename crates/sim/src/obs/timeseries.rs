@@ -106,8 +106,6 @@ pub struct TsFrame {
     pub d_gain_cache_rounds: u64,
     /// Exact-scan rounds merged in this frame.
     pub d_exact_rounds: u64,
-    /// Instrumented rounds merged in this frame.
-    pub d_instrumented_rounds: u64,
     /// Jammed rounds merged in this frame.
     pub d_jammed_rounds: u64,
     /// Exact-fallback listeners merged in this frame.
@@ -282,7 +280,7 @@ type FrameField = (&'static str, fn(&mut TsFrame) -> &mut u64, Source);
 /// Every field of a frame, in wire order. One table drives the delta, the
 /// writer and the parser.
 #[rustfmt::skip]
-const FRAME_FIELDS: [FrameField; 19] = [
+const FRAME_FIELDS: [FrameField; 18] = [
     ("t_ms", |f| &mut f.t_ms, Level(|s| s.t_ms)),
     ("dt_ms", |f| &mut f.dt_ms, Delta(|s| s.t_ms)),
     ("d_trials", |f| &mut f.d_trials, Delta(|s| s.trials)),
@@ -296,7 +294,6 @@ const FRAME_FIELDS: [FrameField; 19] = [
     ("d_hierarchical_rounds", |f| &mut f.d_hierarchical_rounds, Delta(|s| s.engine.hierarchical_rounds)),
     ("d_gain_cache_rounds", |f| &mut f.d_gain_cache_rounds, Delta(|s| s.engine.gain_cache_rounds)),
     ("d_exact_rounds", |f| &mut f.d_exact_rounds, Delta(|s| s.engine.exact_rounds)),
-    ("d_instrumented_rounds", |f| &mut f.d_instrumented_rounds, Delta(|s| s.engine.instrumented_rounds)),
     ("d_jammed_rounds", |f| &mut f.d_jammed_rounds, Delta(|s| s.engine.jammed_rounds)),
     ("d_fallback_listeners", |f| &mut f.d_fallback_listeners, Delta(|s| s.engine.farfield.exact_fallbacks())),
     ("d_resolved_listeners", |f| &mut f.d_resolved_listeners, Delta(|s| s.engine.farfield.listeners_resolved())),
@@ -333,13 +330,12 @@ pub fn frame_from_json(line: &str) -> Result<TsFrame, JsonlError> {
     let v = parse_json(line)?;
     let mut frame = TsFrame::default();
     for (key, field, _) in &FRAME_FIELDS {
-        let value = v
-            .get(key)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| JsonlError::Parse {
-                msg: format!("missing or non-numeric {key:?}"),
-            })?;
-        *field(&mut frame) = value as u64;
+        *field(&mut frame) =
+            v.get(key)
+                .and_then(JsonValue::as_u64)
+                .ok_or_else(|| JsonlError::Parse {
+                    msg: format!("missing or non-integer {key:?}"),
+                })?;
     }
     Ok(frame)
 }
@@ -443,30 +439,29 @@ mod tests {
                 hierarchical_rounds: 10,
                 gain_cache_rounds: 11,
                 exact_rounds: 12,
-                instrumented_rounds: 13,
-                jammed_rounds: 14,
-                // 15 exact fallbacks among 16 ladder-resolved listeners.
+                jammed_rounds: 13,
+                // 14 exact fallbacks among 15 ladder-resolved listeners.
                 farfield: FarFieldStats {
-                    far_rival_fallbacks: 15,
+                    far_rival_fallbacks: 14,
                     bracket_decisions: 1,
                     ..FarFieldStats::default()
                 },
                 ..EngineCounters::default()
             },
-            queue_depth: 17,
-            jobs_in_flight: 18,
+            queue_depth: 16,
+            jobs_in_flight: 17,
         };
         let frame = TsFrame::delta(&TsSample::at(1), &next);
         let golden = "{\"t_ms\":1000,\"dt_ms\":999,\"d_trials\":2,\"d_trial_rounds\":3,\
             \"d_retried\":4,\"d_timed_out\":5,\"d_jobs_completed\":6,\"d_jobs_failed\":7,\
             \"d_engine_rounds\":8,\"d_farfield_rounds\":9,\"d_hierarchical_rounds\":10,\
-            \"d_gain_cache_rounds\":11,\"d_exact_rounds\":12,\"d_instrumented_rounds\":13,\
-            \"d_jammed_rounds\":14,\"d_fallback_listeners\":15,\"d_resolved_listeners\":16,\
-            \"queue_depth\":17,\"jobs_in_flight\":18}";
+            \"d_gain_cache_rounds\":11,\"d_exact_rounds\":12,\"d_jammed_rounds\":13,\
+            \"d_fallback_listeners\":14,\"d_resolved_listeners\":15,\"queue_depth\":16,\
+            \"jobs_in_flight\":17}";
         assert_eq!(frame_to_json(&frame), golden);
     }
 
-    /// The wire bytes of a frame whose 19 fields are all distinct and
+    /// The wire bytes of a frame whose 18 fields are all distinct and
     /// nonzero: pins the key names, their order and their values.
     #[test]
     fn frame_json_golden_bytes() {
@@ -484,19 +479,18 @@ mod tests {
             d_hierarchical_rounds: 111,
             d_gain_cache_rounds: 112,
             d_exact_rounds: 113,
-            d_instrumented_rounds: 114,
-            d_jammed_rounds: 115,
-            d_fallback_listeners: 116,
-            d_resolved_listeners: 117,
-            queue_depth: 118,
-            jobs_in_flight: 119,
+            d_jammed_rounds: 114,
+            d_fallback_listeners: 115,
+            d_resolved_listeners: 116,
+            queue_depth: 117,
+            jobs_in_flight: 118,
         };
         let golden = "{\"t_ms\":101,\"dt_ms\":102,\"d_trials\":103,\"d_trial_rounds\":104,\
             \"d_retried\":105,\"d_timed_out\":106,\"d_jobs_completed\":107,\"d_jobs_failed\":108,\
             \"d_engine_rounds\":109,\"d_farfield_rounds\":110,\"d_hierarchical_rounds\":111,\
-            \"d_gain_cache_rounds\":112,\"d_exact_rounds\":113,\"d_instrumented_rounds\":114,\
-            \"d_jammed_rounds\":115,\"d_fallback_listeners\":116,\"d_resolved_listeners\":117,\
-            \"queue_depth\":118,\"jobs_in_flight\":119}";
+            \"d_gain_cache_rounds\":112,\"d_exact_rounds\":113,\"d_jammed_rounds\":114,\
+            \"d_fallback_listeners\":115,\"d_resolved_listeners\":116,\"queue_depth\":117,\
+            \"jobs_in_flight\":118}";
         assert_eq!(frame_to_json(&frame), golden);
     }
 
@@ -518,5 +512,18 @@ mod tests {
         assert_eq!(frame_from_json(&with_extra).unwrap(), frame);
         assert!(frame_from_json("{\"t_ms\":1}").is_err());
         assert!(frame_from_json("nope").is_err());
+    }
+
+    #[test]
+    fn frame_fields_are_read_exactly() {
+        let line = frame_to_json(&TsFrame::default());
+        let top = (1u64 << 53) - 1;
+        let with_t = |value: &str| {
+            frame_from_json(&line.replacen("\"t_ms\":0", &format!("\"t_ms\":{value}"), 1))
+        };
+        assert_eq!(with_t(&top.to_string()).unwrap().t_ms, top);
+        for value in ["-1", "2.5", "9007199254740992", "1e300", "inf"] {
+            assert!(with_t(value).is_err(), "t_ms {value}");
+        }
     }
 }

@@ -1,7 +1,6 @@
 //! The span tracer: scoped, hierarchical, monotonic-clock timing.
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Instant;
@@ -61,58 +60,32 @@ impl Inner {
     }
 }
 
-/// A thread-safe span tracer with a compile-time-cheap disabled path.
+/// A thread-safe span tracer.
 ///
 /// Open a span with [`Tracer::span`]; the returned [`SpanGuard`] closes it
 /// on drop (RAII), so early returns, `?`, and panics all record honest end
 /// times. Spans opened while another span is open on the same thread
 /// become its children; each thread has its own span stack, so concurrent
-/// montecarlo workers can share one tracer.
-///
-/// When disabled ([`Tracer::set_enabled`]), `span()` is one relaxed atomic
-/// load returning an inert guard — no lock, no allocation, no clock read.
-/// The `tracer_overhead_n2048` bench pins this at ≤ 2% of step cost.
+/// montecarlo workers can share one tracer. A tracer always records: a
+/// run is traced exactly when one is attached.
 ///
 /// Timing uses [`Instant`] (monotonic) relative to the tracer's creation,
 /// so `start_ns`/`end_ns` are comparable across threads and spans.
 #[derive(Debug)]
 pub struct Tracer {
-    enabled: AtomicBool,
     epoch: Instant,
     inner: Mutex<Inner>,
 }
 
 impl Tracer {
-    /// A new, enabled tracer. `Arc` because guards keep the tracer alive
+    /// A new tracer. `Arc` because guards keep the tracer alive
     /// past any borrow of the instrumented structure.
     #[must_use]
     pub fn new() -> Arc<Self> {
         Arc::new(Tracer {
-            enabled: AtomicBool::new(true),
             epoch: Instant::now(),
             inner: Mutex::new(Inner::default()),
         })
-    }
-
-    /// A new tracer that starts disabled (record nothing until
-    /// [`Tracer::set_enabled`] flips it on).
-    #[must_use]
-    pub fn disabled() -> Arc<Self> {
-        let t = Tracer::new();
-        t.enabled.store(false, Ordering::Relaxed);
-        t
-    }
-
-    /// Turns recording on or off. Spans already open keep recording to
-    /// completion; new `span()` calls observe the flag immediately.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether the tracer is currently recording.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Nanoseconds since the tracer's epoch (its creation instant).
@@ -123,12 +96,7 @@ impl Tracer {
 
     /// Opens a span named `name` as a child of the current thread's
     /// innermost open span. Returns the guard that closes it on drop.
-    ///
-    /// Disabled path: one relaxed load, an inert guard, nothing else.
     pub fn span(self: &Arc<Self>, name: &'static str) -> SpanGuard {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return SpanGuard { active: None };
-        }
         let start_ns = self.now_ns();
         let mut inner = self.lock();
         let t = inner.thread_index(std::thread::current().id());
@@ -147,11 +115,9 @@ impl Tracer {
         inner.stacks[t].push(id);
         drop(inner);
         SpanGuard {
-            active: Some(ActiveSpan {
-                tracer: Arc::clone(self),
-                id,
-                thread: t,
-            }),
+            tracer: Arc::clone(self),
+            id,
+            thread: t,
         }
     }
 
@@ -230,13 +196,6 @@ impl Tracer {
     }
 }
 
-#[derive(Debug)]
-struct ActiveSpan {
-    tracer: Arc<Tracer>,
-    id: u64,
-    thread: usize,
-}
-
 /// Closes its span when dropped. Hold it for the scope you want timed:
 ///
 /// ```
@@ -255,24 +214,14 @@ struct ActiveSpan {
 #[derive(Debug)]
 #[must_use = "dropping the guard immediately records an empty span"]
 pub struct SpanGuard {
-    /// `None` for the disabled path: drop is then a no-op.
-    active: Option<ActiveSpan>,
-}
-
-impl SpanGuard {
-    /// Whether this guard is actually recording (false when the tracer
-    /// was disabled at `span()` time).
-    #[must_use]
-    pub fn is_recording(&self) -> bool {
-        self.active.is_some()
-    }
+    tracer: Arc<Tracer>,
+    id: u64,
+    thread: usize,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(a) = self.active.take() {
-            a.tracer.close(a.id, a.thread);
-        }
+        self.tracer.close(self.id, self.thread);
     }
 }
 
@@ -304,18 +253,6 @@ mod tests {
         assert!(a.start_ns <= b.start_ns && b.end_ns <= a.end_ns);
         assert!(c.start_ns >= b.start_ns && c.end_ns <= b.end_ns);
         assert_eq!(tracer.open_spans(), 0);
-    }
-
-    #[test]
-    fn disabled_tracer_records_nothing() {
-        let tracer = Tracer::disabled();
-        let g = tracer.span("ghost");
-        assert!(!g.is_recording());
-        drop(g);
-        assert!(tracer.finished_spans().is_empty());
-        tracer.set_enabled(true);
-        drop(tracer.span("real"));
-        assert_eq!(tracer.finished_spans().len(), 1);
     }
 
     #[test]

@@ -34,7 +34,9 @@ const MAGIC: [u8; 4] = *b"FSNP";
 /// counters and the engine stats gain the refined stage's
 /// `refined_decisions`. Version 8: the per-round trace section is gone
 /// (a run's rounds are recorded by its telemetry sink, not its snapshot).
-pub const SNAPSHOT_VERSION: u32 = 8;
+/// Version 9: the counters drop the round count of the SINR-detail
+/// resolve route, which is gone.
+pub const SNAPSHOT_VERSION: u32 = 9;
 
 /// Why a snapshot could not be encoded, decoded, or restored.
 #[derive(Debug)]
@@ -606,7 +608,7 @@ mod tests {
             canonical_rescans: 309,
             refined_decisions: 310,
         };
-        let mut golden: Vec<u8> = (101u64..=106).flat_map(u64::to_le_bytes).collect();
+        let mut golden: Vec<u8> = (101u64..=105).flat_map(u64::to_le_bytes).collect();
         golden.push(1);
         golden.extend((107u64..=115).flat_map(u64::to_le_bytes));
         golden.extend((201u64..=210).flat_map(u64::to_le_bytes));
@@ -657,12 +659,13 @@ mod tests {
             Err(SnapshotError::VersionMismatch { .. })
         ));
         // Older layouts are refused too: a version-3 file indexes the old
-        // four-tier enum, and a version-7 file carries a trace section.
-        for old in [3, 7] {
+        // four-tier enum, a version-7 file carries a trace section, and a
+        // version-8 file's counters carry the SINR-detail route's rounds.
+        for old in [3, 7, 8] {
             bytes[4] = old;
             assert!(matches!(
                 SimSnapshot::from_bytes(&bytes),
-                Err(SnapshotError::VersionMismatch { found, supported: 8 }) if found == u32::from(old)
+                Err(SnapshotError::VersionMismatch { found, supported: 9 }) if found == u32::from(old)
             ));
         }
     }

@@ -62,8 +62,8 @@ pub struct SimConfig {
     /// never its outcome.
     pub tier: Option<EngineTier>,
     /// Self-checking engines: on every eligible round this many randomly
-    /// chosen listeners are re-resolved through the **exact** instrumented
-    /// path and compared with the fast tier's receptions (0 = off).
+    /// chosen listeners are re-resolved through the **exact** scan, with
+    /// SINR breakdowns, and compared with the fast tier's receptions (0 = off).
     ///
     /// A round is eligible when a fast tier (gain cache or tile tree)
     /// served it on a channel whose resolve draws no randomness — a
@@ -154,8 +154,7 @@ pub struct Simulation {
     telemetry_detail: TelemetryDetail,
     // Span tracer (see crate::obs), the simulation's only clock. None
     // until attached; with no tracer every span site is one `Option`
-    // check returning an inert guard (guarded by the
-    // `tracer_overhead_n2048` bench).
+    // check.
     tracer: Option<Arc<Tracer>>,
     // Engine-decision counters (see crate::obs::EngineCounters). The live
     // engine's ladder counters are merged in by `engine_counters()`;
@@ -451,10 +450,7 @@ impl Simulation {
     /// read **once, here**. Replaces any previously attached sink.
     ///
     /// Attaching a sink never changes a run's outcome: events are pure
-    /// observations, and when SINR detail asks
-    /// [`Channel::resolve_with`](fading_channel::Channel::resolve_with)
-    /// for breakdowns the receptions are contractually bit-identical to
-    /// an uninstrumented round.
+    /// observations of the round the engine resolved.
     pub fn set_telemetry_sink(&mut self, sink: Box<dyn TelemetrySink>) {
         self.telemetry_detail = sink.detail();
         self.telemetry = Some(sink);
@@ -475,14 +471,14 @@ impl Simulation {
     /// totals are folds of these spans (see
     /// [`MetricsRegistry::fold`](crate::telemetry::MetricsRegistry::fold)).
     ///
-    /// Tracing never changes a run's outcome — spans only observe. A
-    /// *disabled* tracer ([`Tracer::set_enabled`]) costs one branch per
-    /// span site; a simulation that never had one attached skips even that.
+    /// Tracing never changes a run's outcome — spans only observe. A run is
+    /// traced exactly when a tracer is attached; without one every span
+    /// site is one `Option` check.
     pub fn set_tracer(&mut self, tracer: Arc<Tracer>) {
         self.tracer = Some(tracer);
     }
 
-    /// Opens a span on the attached tracer, or returns an inert guard.
+    /// Opens a span on the attached tracer, if one is attached.
     fn span(&self, name: &'static str) -> Option<SpanGuard> {
         self.tracer.as_ref().map(|t| t.span(name))
     }
@@ -751,10 +747,9 @@ impl Simulation {
         let _step_span = self.span("step");
         self.round += 1;
 
-        // The round's one report. Counts are always filled; ids and SINR
-        // breakdowns only when the sink asks for them.
+        // The round's one report. Counts are always filled; ids only when
+        // the sink asks for them.
         let sink_ids = self.telemetry.is_some() && self.telemetry_detail.ids;
-        let want_sinr = self.telemetry.is_some() && self.telemetry_detail.sinr;
         let mut event = RoundEvent {
             round: self.round,
             active_pre_churn: self.num_active,
@@ -800,20 +795,14 @@ impl Simulation {
         // Phase 2: the channel decides what listeners observe, through the
         // one engine. Every tier is bit-identical, so which one serves
         // never affects the outcome; likewise a neutral (or absent)
-        // perturbation resolves through the clean expressions, and the
-        // instrumented round (taken when the sink wants SINR breakdowns)
-        // is contractually bit-identical to the uninstrumented one. The
+        // perturbation resolves through the clean expressions. The
         // classification is the same for perturbed and unperturbed
         // rounds: the fault plan changes what is resolved, not which
         // engine resolves it.
-        event.resolve_path = if want_sinr {
-            ResolvePath::Instrumented
-        } else {
-            match self.engine.tier() {
-                EngineTier::Exact => ResolvePath::Exact,
-                EngineTier::GainCache => ResolvePath::Cached,
-                EngineTier::Hierarchical => ResolvePath::Hierarchical,
-            }
+        event.resolve_path = match self.engine.tier() {
+            EngineTier::Exact => ResolvePath::Exact,
+            EngineTier::GainCache => ResolvePath::Cached,
+            EngineTier::Hierarchical => ResolvePath::Hierarchical,
         };
         // Snapshot the far-field fallback tally so the event can report the
         // per-round delta (plain field reads; negligible next to resolve).
@@ -824,7 +813,6 @@ impl Simulation {
             ResolvePath::Cached => "resolve.gain_cache",
             ResolvePath::FarField => "resolve.farfield",
             ResolvePath::Hierarchical => "resolve.hierarchical",
-            ResolvePath::Instrumented => "resolve.instrumented",
         });
         let perturbation = match &self.fault_plan {
             None => ChannelPerturbation::neutral(),
@@ -868,7 +856,7 @@ impl Simulation {
             &perturbation,
             &self.resolve_pool,
             &mut self.chan_rng,
-            want_sinr.then_some(&mut event.sinr),
+            None,
         );
         event.ff_fallbacks = (self.engine.stats().exact_fallbacks() - ff_fallbacks_before) as usize;
         drop(span_tier);
@@ -876,7 +864,7 @@ impl Simulation {
         debug_assert_eq!(receptions.len(), self.listeners.len());
 
         // Self-checking engines (opt-in): re-resolve a few sampled
-        // listeners through the exact instrumented path and compare with
+        // listeners through the exact scan, with breakdowns, and compare with
         // the fast tier's receptions. Only tier-served rounds on channels
         // whose resolve draws no RNG are auditable — a partial re-resolve
         // on an RNG-drawing channel would desynchronize the stream. On a

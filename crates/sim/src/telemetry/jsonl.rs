@@ -18,7 +18,7 @@
 //!
 //! # Golden bytes
 //!
-//! This module's unit tests pin the writers' exact bytes: one full-detail
+//! This module's unit tests pin the writers' exact bytes: one ids-detail
 //! event line, one two-block trial stream and one counters line. That the
 //! streams themselves do not depend on engine tier or thread count is the
 //! differential oracle's (`tests/differential.rs` at the repository root).
@@ -28,7 +28,7 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
-use fading_channel::{NodeId, SinrBreakdown};
+use fading_channel::NodeId;
 
 use crate::obs::{EngineCounters, COUNTERS};
 
@@ -114,36 +114,6 @@ fn fmt_ids(out: &mut String, ids: &[NodeId]) {
     out.push(']');
 }
 
-/// Serializes one [`SinrBreakdown`] as a JSON object (no trailing newline).
-#[must_use]
-pub fn breakdown_to_json(b: &SinrBreakdown) -> String {
-    let mut s = String::with_capacity(160);
-    write_breakdown(&mut s, b);
-    s
-}
-
-fn write_breakdown(out: &mut String, b: &SinrBreakdown) {
-    use fmt::Write as _;
-    let _ = write!(out, "{{\"listener\":{},\"best_tx\":", b.listener);
-    match b.best_tx {
-        Some(tx) => {
-            let _ = write!(out, "{tx}");
-        }
-        None => out.push_str("null"),
-    }
-    out.push_str(",\"signal\":");
-    fmt_f64(out, b.signal);
-    out.push_str(",\"interference\":");
-    fmt_f64(out, b.interference);
-    out.push_str(",\"noise\":");
-    fmt_f64(out, b.noise);
-    out.push_str(",\"extra\":");
-    fmt_f64(out, b.extra);
-    out.push_str(",\"margin\":");
-    fmt_f64(out, b.margin);
-    let _ = write!(out, ",\"decoded\":{}}}", b.decoded);
-}
-
 /// Serializes one [`RoundEvent`] as a single JSON line (no trailing newline).
 #[must_use]
 pub fn event_to_json(ev: &RoundEvent) -> String {
@@ -189,14 +159,7 @@ pub fn event_to_json(ev: &RoundEvent) -> String {
     fmt_ids(&mut s, &ev.crashed_ids);
     s.push_str(",\"revived_ids\":");
     fmt_ids(&mut s, &ev.revived_ids);
-    s.push_str(",\"sinr\":[");
-    for (i, b) in ev.sinr.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        write_breakdown(&mut s, b);
-    }
-    s.push_str("]}");
+    s.push('}');
     s
 }
 
@@ -232,6 +195,21 @@ impl JsonValue {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             JsonValue::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The number as an exact `u64`, if this is a finite, non-negative
+    /// whole number below 2⁵³: the range where every integer is an `f64`,
+    /// so the value is the one the text spelled. At 2⁵³ and above, a
+    /// number may already have been rounded to its neighbor by the parser.
+    #[must_use]
+    pub fn as_u64(&self) -> Option<u64> {
+        const EXACT_LIMIT: f64 = 9_007_199_254_740_992.0; // 2^53
+        match *self {
+            JsonValue::Num(n) if (0.0..EXACT_LIMIT).contains(&n) && n.fract() == 0.0 => {
+                Some(n as u64)
+            }
             _ => None,
         }
     }
@@ -674,8 +652,8 @@ mod tests {
         }
     }
 
-    /// A full-detail event: non-round and non-finite floats, null
-    /// `winner` and `best_tx`, empty and non-empty id lists.
+    /// An ids-detail event: a non-round float, a null `winner`, empty and
+    /// non-empty id lists.
     fn sample_event() -> RoundEvent {
         RoundEvent {
             round: 42,
@@ -697,28 +675,6 @@ mod tests {
             knocked_out_ids: vec![5, 9],
             crashed_ids: vec![11],
             revived_ids: vec![],
-            sinr: vec![
-                SinrBreakdown {
-                    listener: 1,
-                    best_tx: Some(0),
-                    signal: 16.0,
-                    interference: 2.0,
-                    noise: 1.0,
-                    extra: 0.0,
-                    margin: 10.0,
-                    decoded: true,
-                },
-                SinrBreakdown {
-                    listener: 3,
-                    best_tx: None,
-                    signal: 0.0,
-                    interference: f64::INFINITY,
-                    noise: 1.0,
-                    extra: 2.5,
-                    margin: f64::NEG_INFINITY,
-                    decoded: false,
-                },
-            ],
         }
     }
 
@@ -727,22 +683,11 @@ mod tests {
          \"noise_scale\":1.5,\"jam_power\":0.30000000000000004,\"ge_in_burst\":true,\
          \"ge_dropped\":1,\"resolve_path\":\"hierarchical\",\"ff_fallbacks\":4,\
          \"resolved\":false,\"winner\":null,\"transmitter_ids\":[0,5,9],\
-         \"knocked_out_ids\":[5,9],\"crashed_ids\":[11],\"revived_ids\":[],\"sinr\":[\
-         {\"listener\":1,\"best_tx\":0,\"signal\":16.0,\"interference\":2.0,\"noise\":1.0,\
-         \"extra\":0.0,\"margin\":10.0,\"decoded\":true},\
-         {\"listener\":3,\"best_tx\":null,\"signal\":0.0,\"interference\":inf,\"noise\":1.0,\
-         \"extra\":2.5,\"margin\":-inf,\"decoded\":false}]}";
+         \"knocked_out_ids\":[5,9],\"crashed_ids\":[11],\"revived_ids\":[]}";
 
     #[test]
     fn event_line_golden_bytes() {
-        let ev = sample_event();
-        assert_eq!(event_to_json(&ev), SAMPLE_EVENT_LINE);
-        // A breakdown alone is the same object the event line embeds.
-        assert_eq!(
-            breakdown_to_json(&ev.sinr[1]),
-            "{\"listener\":3,\"best_tx\":null,\"signal\":0.0,\"interference\":inf,\
-             \"noise\":1.0,\"extra\":2.5,\"margin\":-inf,\"decoded\":false}"
-        );
+        assert_eq!(event_to_json(&sample_event()), SAMPLE_EVENT_LINE);
     }
 
     #[test]
@@ -775,7 +720,7 @@ mod tests {
              \"jam_power\":0.0,\"ge_in_burst\":false,\"ge_dropped\":0,\
              \"resolve_path\":\"exact\",\"ff_fallbacks\":0,\"resolved\":true,\"winner\":7,\
              \"transmitter_ids\":[],\"knocked_out_ids\":[],\"crashed_ids\":[],\
-             \"revived_ids\":[],\"sinr\":[]}}\n\
+             \"revived_ids\":[]}}\n\
              {{\"trial\":1,\"seed\":101,\"events\":0}}\n"
         );
         assert_eq!(String::from_utf8(buf).unwrap(), golden);
@@ -803,8 +748,7 @@ mod tests {
     fn counters_line_golden_bytes() {
         let line = counters_to_json(&EngineCounters::distinct());
         let golden = "{\"rounds\":101,\"farfield_rounds\":102,\"hierarchical_rounds\":103,\
-             \"gain_cache_rounds\":104,\"exact_rounds\":105,\
-             \"instrumented_rounds\":106,\"gain_cache_built\":true,\
+             \"gain_cache_rounds\":104,\"exact_rounds\":105,\"gain_cache_built\":true,\
              \"perturbed_rounds\":107,\"jammed_rounds\":108,\
              \"noise_scaled_rounds\":109,\"ge_dropped\":110,\"churn_applied\":111,\
              \"self_check_rounds\":112,\"self_check_samples\":113,\
@@ -843,6 +787,30 @@ mod tests {
                 JsonValue::Str(s.clone()),
                 "{literal}"
             );
+        }
+    }
+
+    #[test]
+    fn as_u64_reads_only_exact_whole_numbers() {
+        let read = |text: &str| parse_json(text).unwrap().as_u64();
+        assert_eq!(read("0"), Some(0));
+        assert_eq!(read("-0.0"), Some(0));
+        assert_eq!(read("42"), Some(42));
+        assert_eq!(read("1e3"), Some(1000));
+        assert_eq!(read("9007199254740991"), Some((1 << 53) - 1));
+        // 2^53 + 1 parses to 2^53: both are past the exact range.
+        for text in [
+            "9007199254740992",
+            "9007199254740993",
+            "1e300",
+            "-1",
+            "0.5",
+            "inf",
+            "NaN",
+            "\"7\"",
+            "true",
+        ] {
+            assert_eq!(read(text), None, "{text}");
         }
     }
 

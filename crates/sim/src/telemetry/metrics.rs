@@ -4,16 +4,15 @@
 //! streams a simulation already produces, so the step loop itself reads
 //! no clock:
 //!
-//! * its [`RoundEvent`]s give the run counters and the value histograms
-//!   (knockouts per round, and the per-listener interference sums of
-//!   rounds recorded at SINR detail);
+//! * its [`RoundEvent`]s give the run counters and the knockouts-per-round
+//!   histogram;
 //! * the finished spans of an attached [`Tracer`] give time: each `step`
 //!   span is one round's latency, and the [`PHASE_SPANS`] add up to
 //!   per-phase totals.
 //!
 //! [`MetricsRegistry::merge`] aggregates runs into a fleet view.
 //!
-//! The counters and value histograms are deterministic. The times are
+//! The counters and the knockout histogram are deterministic. The times are
 //! wall-clock measurements and are **not** part of the determinism
 //! contract — two byte-identical runs report different nanosecond totals.
 //!
@@ -198,7 +197,6 @@ pub struct MetricsRegistry {
     ge_dropped: u64,
     round_nanos: Histogram,
     knockouts_per_round: Histogram,
-    interference: Histogram,
     phase_nanos: [u64; PHASE_SPANS.len()],
 }
 
@@ -210,9 +208,8 @@ impl MetricsRegistry {
     }
 
     /// The registry of one run, folded from its round `events` and its
-    /// tracer's finished `spans`. Each event adds to the run counters, to
-    /// the knockouts-per-round histogram, and one interference
-    /// observation per SINR breakdown it carries. Each `step` span is one
+    /// tracer's finished `spans`. Each event adds to the run counters and
+    /// to the knockouts-per-round histogram. Each `step` span is one
     /// round's latency, each [`PHASE_SPANS`] span adds to its phase's
     /// total, and other spans are ignored.
     #[must_use]
@@ -225,9 +222,6 @@ impl MetricsRegistry {
             m.churn_applied += event.churn_applied as u64;
             m.ge_dropped += event.ge_dropped as u64;
             m.knockouts_per_round.record(event.knocked_out as f64);
-            for b in &event.sinr {
-                m.interference.record(b.interference);
-            }
         }
         for span in spans {
             let nanos = span.duration_ns();
@@ -283,14 +277,6 @@ impl MetricsRegistry {
         &self.knockouts_per_round
     }
 
-    /// Distribution of per-listener interference sums (populated only by
-    /// events recorded at SINR detail, whose rounds resolved through the
-    /// instrumented path).
-    #[must_use]
-    pub fn interference(&self) -> &Histogram {
-        &self.interference
-    }
-
     /// Accumulated wall-clock nanoseconds spent in the phase span named
     /// `phase` (0 for a name outside [`PHASE_SPANS`]).
     #[must_use]
@@ -312,7 +298,6 @@ impl MetricsRegistry {
         self.ge_dropped += other.ge_dropped;
         self.round_nanos.merge(&other.round_nanos);
         self.knockouts_per_round.merge(&other.knockouts_per_round);
-        self.interference.merge(&other.interference);
         for (p, &o) in self.phase_nanos.iter_mut().zip(other.phase_nanos.iter()) {
             *p += o;
         }
@@ -475,20 +460,6 @@ mod tests {
         }
     }
 
-    /// One listener's SINR breakdown with the given interference sum.
-    fn breakdown(interference: f64) -> fading_channel::SinrBreakdown {
-        fading_channel::SinrBreakdown {
-            listener: 0,
-            best_tx: None,
-            signal: 0.0,
-            interference,
-            noise: 1.0,
-            extra: 0.0,
-            margin: -1.0,
-            decoded: false,
-        }
-    }
-
     /// A finished root span `name` lasting `micros` µs.
     fn span(name: &'static str, micros: u64) -> SpanRecord {
         SpanRecord {
@@ -504,9 +475,8 @@ mod tests {
 
     #[test]
     fn registry_merge_aggregates_everything() {
-        let mut first = event(3, 2, 1, 4);
-        first.sinr.push(breakdown(42.0));
-        let mut a = MetricsRegistry::fold(&[first], &[span("step", 5), span("resolve", 9)]);
+        let mut a =
+            MetricsRegistry::fold(&[event(3, 2, 1, 4)], &[span("step", 5), span("resolve", 9)]);
         let b = MetricsRegistry::fold(&[event(1, 0, 0, 0)], &[span("step", 7), span("act", 2)]);
         a.merge(&b);
         assert_eq!(a.rounds(), 2);
@@ -515,15 +485,12 @@ mod tests {
         assert_eq!(a.phase_nanos("resolve"), 9_000);
         assert_eq!(a.phase_nanos("act"), 2_000);
         assert_eq!(a.round_latency_nanos().count(), 2);
-        assert_eq!(a.interference().count(), 1);
     }
 
     #[test]
     fn registry_accumulates_rounds_and_phases() {
-        let mut first = event(3, 2, 1, 4);
-        first.sinr.push(breakdown(42.0));
         let m = MetricsRegistry::fold(
-            &[first, event(1, 0, 0, 0)],
+            &[event(3, 2, 1, 4), event(1, 0, 0, 0)],
             &[
                 span("step", 5),
                 span("step", 7),
@@ -540,7 +507,6 @@ mod tests {
         assert_eq!(m.phase_nanos("resolve"), 10_000);
         assert_eq!(m.phase_nanos("act"), 0);
         assert_eq!(m.knockouts_per_round().count(), 2);
-        assert_eq!(m.interference().count(), 1);
         assert!((m.round_latency_nanos().mean() - 6_000.0).abs() < 1e-9);
         let s = m.summary();
         assert!(s.contains("rounds=2") && s.contains("resolve=10µs"), "{s}");

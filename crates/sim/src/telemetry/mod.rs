@@ -1,35 +1,35 @@
 //! Structured per-round observability: events, sinks, metrics, JSONL.
 //!
 //! Every quantitative claim in the experiment suite rests on per-round
-//! quantities the simulator computes and would otherwise throw away — SINR
-//! margins, interference sums, knockout counts, active-set decay. This
-//! module records them as a typed [`RoundEvent`] stream delivered to a
-//! pluggable [`TelemetrySink`], with:
+//! quantities the simulator computes and would otherwise throw away —
+//! knockout counts, churn, loss and active-set decay. This module records
+//! them as a typed [`RoundEvent`] stream delivered to a pluggable
+//! [`TelemetrySink`], with:
 //!
 //! * **Determinism**: events are derived exclusively from simulation state,
 //!   never from wall clocks or sink behavior. Attaching any sink leaves the
 //!   run's `RunResult` byte-identical to a sink-free run across engine
-//!   tiers and thread settings (the sink *observes* the same resolve
-//!   paths; when it requests SINR detail the round asks
-//!   [`resolve_with`](fading_channel::Channel::resolve_with) for
-//!   breakdowns, which is contractually bit-identical).
+//!   tiers and thread settings: the sink observes the round the engine
+//!   already resolved.
 //! * **One report per round**: the step loop builds one counts-level
 //!   [`RoundEvent`] every round whether or not a sink is attached — the
 //!   engine counters read it too — so a sink adds only the delivery and
-//!   whatever ids or SINR breakdowns its detail level asks for (guarded
-//!   by the `telemetry_overhead_n2048` bench, ≤ 5 % of baseline step
-//!   time). The event stream is the only per-round record of a run: a
-//!   [`MemorySink`] keeps it in memory (see
+//!   whatever ids its detail level asks for (guarded by the
+//!   `telemetry_overhead_n2048` bench, ≤ 5 % of baseline step time). The
+//!   event stream is the only per-round record of a run: a [`MemorySink`]
+//!   keeps it in memory (see
 //!   [`Simulation::run_recorded`](crate::Simulation::run_recorded)), and
 //!   [`replay_active_sets`] rebuilds the active sets from an ids-level
-//!   stream.
+//!   stream. Per-listener SINR terms are not part of it: they come from
+//!   [`Channel::resolve_with`](fading_channel::Channel::resolve_with)'s
+//!   breakdown argument, round by round.
 //! * **JSONL export**: [`jsonl`] serializes event streams one JSON object
 //!   per line, f64s in their shortest exact form, with golden bytes pinned
 //!   by its tests. The writer is hand-rolled —
 //!   the workspace's vendored `serde` is an offline stub (see
 //!   `vendor/serde`), so derive-based serialization is unavailable.
 //! * **Metrics**: [`MetricsRegistry`] is a fold of an event stream
-//!   (counters; knockout and interference histograms) and of a
+//!   (counters; the knockouts-per-round histogram) and of a
 //!   [`Tracer`](crate::obs::Tracer)'s finished spans (the round-latency
 //!   histogram from `step` spans, per-phase totals from the
 //!   [`PHASE_SPANS`]). The simulation reads no clock itself; the tracer
@@ -82,16 +82,15 @@ mod metrics;
 
 pub use metrics::{Histogram, MetricsRegistry, PHASE_SPANS};
 
-use fading_channel::{NodeId, SinrBreakdown};
+use fading_channel::NodeId;
 
 use crate::RunResult;
 
 /// What happened in one simulated round, as seen by a [`TelemetrySink`].
 ///
 /// Count fields are always populated. The id vectors are populated only
-/// when the sink's [`TelemetryDetail::ids`] flag is set, and `sinr` only
-/// under [`TelemetryDetail::sinr`] — they stay empty (not `None`) otherwise
-/// so consumers can iterate unconditionally.
+/// when the sink's [`TelemetryDetail::ids`] flag is set — they stay empty
+/// (not `None`) otherwise so consumers can iterate unconditionally.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RoundEvent {
     /// 1-based round number.
@@ -142,52 +141,30 @@ pub struct RoundEvent {
     /// Ids revived by churn at the start of this round
     /// ([`TelemetryDetail::ids`] only).
     pub revived_ids: Vec<NodeId>,
-    /// Per-listener SINR decompositions, in listener order
-    /// ([`TelemetryDetail::sinr`] only; empty on geometry-free channels,
-    /// which have no SINR to decompose).
-    pub sinr: Vec<SinrBreakdown>,
 }
 
 /// How much per-round detail a sink wants the simulator to collect.
 ///
-/// Counts are always recorded; ids and SINR breakdowns cost extra work per
-/// round, so sinks opt in. The simulator reads this **once, at attach
+/// Counts are always recorded; ids cost extra work per round, so sinks
+/// opt in. The simulator reads this **once, at attach
 /// time** — a sink cannot change its detail level mid-run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TelemetryDetail {
     /// Populate the per-event id vectors (transmitters, knockouts, churn).
     pub ids: bool,
-    /// Populate per-listener [`SinrBreakdown`]s (routes resolution through
-    /// the instrumented channel path — bit-identical by contract).
-    pub sinr: bool,
 }
 
 impl TelemetryDetail {
     /// Counts only — the cheapest level.
     #[must_use]
     pub fn counts() -> Self {
-        TelemetryDetail {
-            ids: false,
-            sinr: false,
-        }
+        TelemetryDetail { ids: false }
     }
 
     /// Counts plus id vectors.
     #[must_use]
     pub fn ids() -> Self {
-        TelemetryDetail {
-            ids: true,
-            sinr: false,
-        }
-    }
-
-    /// Everything: counts, ids, and per-listener SINR breakdowns.
-    #[must_use]
-    pub fn full() -> Self {
-        TelemetryDetail {
-            ids: true,
-            sinr: true,
-        }
+        TelemetryDetail { ids: true }
     }
 }
 
@@ -333,10 +310,7 @@ mod tests {
     #[test]
     fn detail_presets() {
         assert!(!TelemetryDetail::counts().ids);
-        assert!(!TelemetryDetail::counts().sinr);
         assert!(TelemetryDetail::ids().ids);
-        assert!(!TelemetryDetail::ids().sinr);
-        assert!(TelemetryDetail::full().ids && TelemetryDetail::full().sinr);
         assert_eq!(TelemetryDetail::default(), TelemetryDetail::counts());
     }
 
@@ -352,10 +326,10 @@ mod tests {
 
     #[test]
     fn recover_round_trips_through_box() {
-        let mut sink = MemorySink::new(TelemetryDetail::full());
+        let mut sink = MemorySink::new(TelemetryDetail::ids());
         sink.on_round(&event(1));
         let boxed: Box<dyn TelemetrySink> = Box::new(sink);
-        assert_eq!(boxed.detail(), TelemetryDetail::full());
+        assert_eq!(boxed.detail(), TelemetryDetail::ids());
         let back = MemorySink::recover(boxed).expect("must downcast");
         assert_eq!(back.events().len(), 1);
     }

@@ -249,14 +249,14 @@ fn real_run_counters_reach_the_jsonl_line_and_the_scrape() {
     let jsonl::JsonValue::Obj(keys) = &line else {
         panic!("the counters line is not an object: {line:?}");
     };
-    assert_eq!(keys.len(), 26);
+    assert_eq!(keys.len(), 25);
     assert_eq!(
         line.get("rounds").and_then(jsonl::JsonValue::as_f64),
         Some(counters.rounds as f64)
     );
     let scrape = prometheus::counters_to_prometheus(&counters);
     let samples = prometheus::parse_prometheus(&scrape).unwrap();
-    assert_eq!(samples.len(), 26);
+    assert_eq!(samples.len(), 25);
     assert_eq!(samples[0].name, "fading_rounds_total");
     assert_eq!(samples[0].value, counters.rounds as f64);
 }
@@ -264,7 +264,7 @@ fn real_run_counters_reach_the_jsonl_line_and_the_scrape() {
 #[test]
 fn real_run_metrics_registry_scrape_carries_the_latency_histogram() {
     let mut sim = knockout_sim(20, 11, sinr_channel());
-    let (result, metrics) = metered_run(&mut sim, TelemetryDetail::full());
+    let (result, metrics) = metered_run(&mut sim, TelemetryDetail::ids());
     assert!(result.resolved());
     assert!(metrics.rounds() > 0);
     let text = prometheus::registry_to_prometheus(&metrics);

@@ -13,7 +13,7 @@
 //! | engine tier     | exact, gain cache, tile tree                            |
 //! | resolve threads | 1, 2, 8                                                 |
 //! | trial threads   | 1, 8                                                    |
-//! | observation     | none, tracer, counts sink, full-SINR sink, closure      |
+//! | observation     | none, tracer, counts sink, closure                      |
 //! |                 | (the reference: an ids sink)                            |
 //! | self-check      | 0 or 2 audited listeners per round                      |
 //! | resume          | uninterrupted, or snapshot → bytes → restore half-way   |
@@ -31,9 +31,8 @@
 //!   transmitters and knockouts, and at ids detail in the transmitter ids;
 //! * each trial's final snapshot (every rng lane, the active mask, protocol
 //!   states, counters, ladder stats) equals that of the first cell with the
-//!   same engine, self-check and instrumentation — for a bare exact cell,
-//!   the reference's — and each sink's event stream equals the first
-//!   stream of its kind;
+//!   same engine and self-check — for a bare exact cell, the reference's —
+//!   and each sink's event stream equals the first stream of its kind;
 //! * route counters partition the rounds, and the tile tree resolves each
 //!   listener of each round once and tracks knockouts;
 //! * the case is not vacuous: each family states what its tile-tree cells
@@ -363,7 +362,6 @@ enum Observe {
     None,
     Tracer,
     CountsSink,
-    SinrSink,
     Closure,
     /// The reference's: an ids-detail sink, whose rounds every other sink
     /// is held to.
@@ -383,17 +381,16 @@ struct Cell {
 
 const RESOLVE_THREADS: [usize; 3] = [1, 2, 8];
 const TRIAL_THREADS: [usize; 2] = [1, 8];
-const OBSERVE: [Observe; 5] = [
+const OBSERVE: [Observe; 4] = [
     Observe::None,
     Observe::Tracer,
     Observe::CountsSink,
-    Observe::SinrSink,
     Observe::Closure,
 ];
 const SELF_CHECK: [usize; 2] = [0, 2];
 /// Cells per tier: resolve threads × trial threads × observation ×
 /// self-check × resume.
-const CELLS_PER_TIER: usize = 3 * 2 * 5 * 2 * 2;
+const CELLS_PER_TIER: usize = 3 * 2 * 4 * 2 * 2;
 
 impl Cell {
     /// The `i`-th cell of `tier`'s product, the last axis fastest; 0 is
@@ -401,9 +398,9 @@ impl Cell {
     fn nth(tier: EngineTier, i: usize) -> Cell {
         Cell {
             tier,
-            resolve_threads: RESOLVE_THREADS[i / 40],
-            trial_threads: TRIAL_THREADS[i / 20 % 2],
-            observe: OBSERVE[i / 4 % 5],
+            resolve_threads: RESOLVE_THREADS[i / 32],
+            trial_threads: TRIAL_THREADS[i / 16 % 2],
+            observe: OBSERVE[i / 4 % 4],
             self_check: SELF_CHECK[i / 2 % 2],
             resume: i % 2 == 1,
         }
@@ -424,10 +421,6 @@ impl Cell {
         (self.tier != EngineTier::Hierarchical || self.resolve_threads == 8)
             && (trials == 1 || self.trial_threads == 8)
             && (self.observe, self.self_check, self.resume) == (Observe::Closure, 2, true)
-    }
-
-    fn instrumented(&self) -> bool {
-        self.observe == Observe::SinrSink
     }
 }
 
@@ -535,7 +528,6 @@ fn run_trial(case: &Case, cell: &Cell, seed: u64, cut: u64) -> Trial {
                 None
             }
             Observe::CountsSink => Some(TelemetryDetail::counts()),
-            Observe::SinrSink => Some(TelemetryDetail::full()),
             Observe::IdsSink => Some(TelemetryDetail::ids()),
             Observe::None | Observe::Closure => None,
         };
@@ -589,7 +581,7 @@ fn run_trial(case: &Case, cell: &Cell, seed: u64, cut: u64) -> Trial {
                 "{ctx}: the observer sees every round and the end"
             );
         }
-        Observe::CountsSink | Observe::SinrSink | Observe::IdsSink => {
+        Observe::CountsSink | Observe::IdsSink => {
             let got: Vec<u64> = events.iter().flatten().map(|e| e.round).collect();
             assert_eq!(
                 got,
@@ -643,11 +635,10 @@ fn assert_counters_reconcile(ctx: &str, cell: &Cell, trial: &Trial, rounds: &[Ro
     );
     let healthy = (c.self_check_violations, c.tier_demotions) == (0, 0);
     assert!(healthy, "{ctx}: the self-check flagged a healthy engine");
-    let path = match (cell.instrumented(), cell.tier) {
-        (true, _) => ResolvePath::Instrumented,
-        (false, EngineTier::Exact) => ResolvePath::Exact,
-        (false, EngineTier::GainCache) => ResolvePath::Cached,
-        (false, EngineTier::Hierarchical) => ResolvePath::Hierarchical,
+    let path = match cell.tier {
+        EngineTier::Exact => ResolvePath::Exact,
+        EngineTier::GainCache => ResolvePath::Cached,
+        EngineTier::Hierarchical => ResolvePath::Hierarchical,
     };
     assert_eq!(
         c.rounds_for(path),
@@ -795,7 +786,7 @@ fn check_case(case: &Case, coverage: Coverage) -> (usize, Reach) {
             }
         }
         let snapshots: Vec<Vec<u8>> = got.iter().map(|t| t.state.clone()).collect();
-        let state_key = (cell.tier, cell.self_check, cell.instrumented());
+        let state_key = (cell.tier, cell.self_check);
         let (first, want) = states
             .entry(state_key)
             .or_insert((*cell, snapshots.clone()));
