@@ -46,7 +46,8 @@ fn hierarchical_fallback_fraction_stays_low() {
         let sinr = SinrChannel::new(SinrParams::default_single_hop().with_power_for(&d));
         let mut rng = SmallRng::seed_from_u64(0);
         let exact = sinr.resolve(positions, &tx, &rx, &mut rng);
-        let mut engine = ResolveEngine::build(&sinr, EngineTier::Hierarchical, positions);
+        let tables = EngineTables::build(&sinr, EngineTier::Hierarchical, positions);
+        let mut engine = ResolveEngine::new(&tables);
         let tree = sinr.resolve_with(
             positions,
             &tx,

@@ -1,6 +1,12 @@
 //! The one resolve engine a simulation holds: which tier serves a round's
 //! SINR test, and the state that tier needs.
 //!
+//! An engine is split in two. Its [`EngineTables`] are what the tier
+//! precomputes from the deployment: immutable, geometry-only and behind an
+//! [`Arc`], so every run over one deployment can share one build. The
+//! [`ResolveEngine`] built from them adds one run's own state, which only
+//! the tile tree has (occupancy, the round's masses, the ladder counters).
+//!
 //! Every tier is **decision-exact**: resolving a round through
 //! [`Channel::resolve_with`] returns receptions bit-identical to
 //! [`Channel::resolve`] whichever [`ResolveEngine`] it is handed (and
@@ -8,10 +14,12 @@
 //! policy, picked by [`EngineTier::auto`] from the channel and the
 //! deployment size, and overridable without changing any result.
 
+use std::sync::Arc;
+
 use fading_geom::Point;
 
 use crate::{
-    Channel, FarFieldStats, GainCache, HierarchicalFarFieldEngine, NodeId,
+    Channel, FarFieldStats, GainCache, HierarchicalFarFieldEngine, NodeId, TileTables,
     DEFAULT_MAX_CACHED_NODES, RAYLEIGH_CACHE_PROFITABLE_NODES,
 };
 
@@ -77,10 +85,78 @@ impl EngineTier {
     }
 }
 
+/// A deployment's engine tables for one tier: what that tier precomputes
+/// from the positions and the SINR parameters, and nothing a run changes.
+/// Cloning shares the tables (each variant is an [`Arc`]), so one build
+/// serves every run over the deployment through [`ResolveEngine::new`].
+#[derive(Debug, Clone)]
+pub enum EngineTables {
+    /// The exact scan precomputes nothing.
+    Exact,
+    /// The pairwise gain matrix.
+    GainCache(Arc<GainCache>),
+    /// The tile tree and its interaction lists.
+    Hierarchical(Arc<TileTables>),
+}
+
+impl EngineTables {
+    /// Builds the tables of the highest tier at or below `tier` that
+    /// `channel` can serve for `positions`: a tier above
+    /// [`Channel::max_tier`] is skipped, as is one whose own guard refuses
+    /// the deployment (the gain cache past [`DEFAULT_MAX_CACHED_NODES`],
+    /// an empty or non-finite deployment for the tile tree). Falls back to
+    /// [`EngineTables::Exact`].
+    #[must_use]
+    pub fn build(channel: &dyn Channel, tier: EngineTier, positions: &[Point]) -> EngineTables {
+        let params = channel.sinr_params();
+        let mut next = Some(tier.min(channel.max_tier()));
+        while let Some(t) = next {
+            let tables = match (t, params) {
+                (EngineTier::Exact, _) => Some(EngineTables::Exact),
+                (_, None) => None,
+                (EngineTier::GainCache, Some(p)) => {
+                    GainCache::build(positions, p).map(|c| EngineTables::GainCache(Arc::new(c)))
+                }
+                (EngineTier::Hierarchical, Some(p)) => {
+                    TileTables::build(positions, p).map(|t| EngineTables::Hierarchical(Arc::new(t)))
+                }
+            };
+            if let Some(tables) = tables {
+                return tables;
+            }
+            next = t.lower();
+        }
+        EngineTables::Exact
+    }
+
+    /// The tier these tables serve.
+    #[must_use]
+    pub fn tier(&self) -> EngineTier {
+        match self {
+            EngineTables::Exact => EngineTier::Exact,
+            EngineTables::GainCache(_) => EngineTier::GainCache,
+            EngineTables::Hierarchical(_) => EngineTier::Hierarchical,
+        }
+    }
+
+    /// Whether `self` and `other` are one build: the same tier, and for a
+    /// tier with tables, the same allocation.
+    #[must_use]
+    pub fn ptr_eq(&self, other: &EngineTables) -> bool {
+        match (self, other) {
+            (EngineTables::Exact, EngineTables::Exact) => true,
+            (EngineTables::GainCache(a), EngineTables::GainCache(b)) => Arc::ptr_eq(a, b),
+            (EngineTables::Hierarchical(a), EngineTables::Hierarchical(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+}
+
 /// The engine serving one simulation's rounds: one variant per
-/// [`EngineTier`], holding that tier's precomputed state.
+/// [`EngineTier`], holding that tier's shared [`EngineTables`] and its
+/// per-run state.
 ///
-/// Build it with [`ResolveEngine::build`]; hand it to
+/// Build it with [`ResolveEngine::new`] over a deployment's tables; hand it to
 /// [`Channel::resolve_with`] each round; keep its occupancy in step with
 /// knockouts and churn via [`ResolveEngine::deactivate`] /
 /// [`ResolveEngine::activate`].
@@ -88,41 +164,34 @@ impl EngineTier {
 pub enum ResolveEngine {
     /// The exact scan: no state.
     Exact,
-    /// Precomputed pairwise gains.
-    GainCache(GainCache),
+    /// Precomputed pairwise gains; no per-run state.
+    GainCache(Arc<GainCache>),
     /// Tile-tree far-field bounds (boxed: the engine's round state is
     /// far larger than the other variants).
     Hierarchical(Box<HierarchicalFarFieldEngine>),
 }
 
 impl ResolveEngine {
-    /// Builds the highest tier at or below `tier` that `channel` can serve
-    /// for `positions`: a tier above [`Channel::max_tier`] is skipped, as
-    /// is one whose own guard refuses the deployment (the gain cache past
-    /// [`DEFAULT_MAX_CACHED_NODES`], an empty or non-finite deployment for
-    /// the tile tree). Falls back to [`ResolveEngine::Exact`].
+    /// A fresh run's engine over `tables`, which it shares.
     #[must_use]
-    pub fn build(channel: &dyn Channel, tier: EngineTier, positions: &[Point]) -> ResolveEngine {
-        let params = channel.sinr_params();
-        let mut next = Some(tier.min(channel.max_tier()));
-        while let Some(t) = next {
-            let engine = match (t, params) {
-                (EngineTier::Exact, _) => Some(ResolveEngine::Exact),
-                (_, None) => None,
-                (EngineTier::GainCache, Some(p)) => {
-                    GainCache::build(positions, p).map(ResolveEngine::GainCache)
-                }
-                (EngineTier::Hierarchical, Some(p)) => {
-                    HierarchicalFarFieldEngine::build(positions, p)
-                        .map(|e| ResolveEngine::Hierarchical(Box::new(e)))
-                }
-            };
-            if let Some(engine) = engine {
-                return engine;
-            }
-            next = t.lower();
+    pub fn new(tables: &EngineTables) -> ResolveEngine {
+        match tables {
+            EngineTables::Exact => ResolveEngine::Exact,
+            EngineTables::GainCache(c) => ResolveEngine::GainCache(Arc::clone(c)),
+            EngineTables::Hierarchical(t) => ResolveEngine::Hierarchical(Box::new(
+                HierarchicalFarFieldEngine::new(Arc::clone(t)),
+            )),
         }
-        ResolveEngine::Exact
+    }
+
+    /// The tables this engine runs over (shared, not copied).
+    #[must_use]
+    pub fn tables(&self) -> EngineTables {
+        match self {
+            ResolveEngine::Exact => EngineTables::Exact,
+            ResolveEngine::GainCache(c) => EngineTables::GainCache(Arc::clone(c)),
+            ResolveEngine::Hierarchical(e) => EngineTables::Hierarchical(Arc::clone(e.tables())),
+        }
     }
 
     /// The tier this engine serves.
@@ -191,21 +260,21 @@ mod tests {
         let pos = line(16);
         let sinr = SinrChannel::new(params);
         for t in EngineTier::ALL {
-            assert_eq!(ResolveEngine::build(&sinr, t, &pos).tier(), t);
+            assert_eq!(EngineTables::build(&sinr, t, &pos).tier(), t);
         }
         let rayleigh = RayleighSinrChannel::new(params);
         assert_eq!(
-            ResolveEngine::build(&rayleigh, EngineTier::Hierarchical, &pos).tier(),
+            EngineTables::build(&rayleigh, EngineTier::Hierarchical, &pos).tier(),
             EngineTier::GainCache
         );
         let radio = RadioChannel::new();
         assert_eq!(
-            ResolveEngine::build(&radio, EngineTier::GainCache, &pos).tier(),
+            EngineTables::build(&radio, EngineTier::GainCache, &pos).tier(),
             EngineTier::Exact
         );
         // An empty deployment defeats every guard.
         assert_eq!(
-            ResolveEngine::build(&sinr, EngineTier::Hierarchical, &[]).tier(),
+            EngineTables::build(&sinr, EngineTier::Hierarchical, &[]).tier(),
             EngineTier::Exact
         );
     }

@@ -41,8 +41,10 @@ pub const DEFAULT_MAX_CACHED_NODES: usize = 4096;
 /// set: `gain(u, v) = P / d(u,v)^α`, stored as a flat row-major matrix
 /// (one row per *listener*).
 ///
-/// Build once per deployment via [`GainCache::build`]; resolve rounds
-/// through it as [`ResolveEngine::GainCache`](crate::ResolveEngine::GainCache).
+/// Build once per deployment via [`GainCache::build`] (a simulator shares
+/// it as [`EngineTables::GainCache`](crate::EngineTables::GainCache));
+/// resolve rounds through it as
+/// [`ResolveEngine::GainCache`](crate::ResolveEngine::GainCache).
 ///
 /// # Example
 ///
@@ -57,7 +59,7 @@ pub const DEFAULT_MAX_CACHED_NODES: usize = 4096;
 /// assert_eq!(cache.gain(1, 0), 2.0); // symmetric
 /// # Ok::<(), fading_channel::ChannelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct GainCache {
     n: usize,
     power: f64,
@@ -70,6 +72,17 @@ pub struct GainCache {
     /// Row-major: `gains[v * n + u]` is the gain of transmitter `u` at
     /// listener `v`; the diagonal is 0 (a node never hears itself).
     gains: Vec<f64>,
+}
+
+/// A summary: the `n²` gains are far too many to print.
+impl std::fmt::Debug for GainCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GainCache")
+            .field("n", &self.n)
+            .field("power", &self.power)
+            .field("alpha", &self.alpha)
+            .finish_non_exhaustive()
+    }
 }
 
 impl GainCache {

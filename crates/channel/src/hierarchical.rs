@@ -19,8 +19,9 @@
 //!
 //! # The interaction lists and the two-stage sum
 //!
-//! The far bracket's cut depends on geometry alone, so the engine settles
-//! it once, at build: the `interaction` module's dual-tree walk gives
+//! The far bracket's cut depends on geometry alone, so it is settled
+//! once per deployment, in the [`TileTables`] every run over the
+//! deployment shares: the `interaction` module's dual-tree walk gives
 //! every tree node a list of *source* nodes it brackets as one aggregate.
 //! A pair `(T, S)` is accepted when `S`'s fine span misses the near rings
 //! of every fine tile under `T` and the two content boxes are tight —
@@ -126,7 +127,7 @@
 //! chunk, and the per-chunk
 //! ladder counters are u64 sums, so scheduling cannot reach the results.
 
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use fading_geom::{gather_points, Point, TileIndex, TileTree};
 
@@ -169,26 +170,108 @@ pub const HIER_NEAR_RING: usize = 2;
 /// executor.
 pub const HIER_TILE_CHUNK: usize = 64;
 
-/// Multi-resolution far-field engine over a [`TileTree`]. Built once per
-/// deployment by
-/// [`ResolveEngine::build`](crate::ResolveEngine::build); the
-/// `hierarchical` module docs describe the interaction lists and their
-/// exactness argument.
-#[derive(Debug)]
-pub struct HierarchicalFarFieldEngine {
+/// The tile-tree tier's geometry-only tables: the [`TileTree`], its
+/// interaction lists and the fingerprint of the deployment and SINR
+/// parameters they were built for. They depend on the positions, `P`
+/// and `α` alone, so one build serves every run over the deployment: a
+/// [`HierarchicalFarFieldEngine`] holds them behind an [`Arc`] and keeps
+/// only its per-run state beside them.
+pub struct TileTables {
     tree: TileTree,
+    /// The geometry-only far-field pairs and the flat node layout.
+    lists: InteractionLists,
     n: usize,
     power: f64,
     alpha: f64,
     first: Point,
     last: Point,
+}
+
+/// A summary: the tree and its lists grow with the deployment.
+impl std::fmt::Debug for TileTables {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TileTables")
+            .field("n", &self.n)
+            .field("power", &self.power)
+            .field("alpha", &self.alpha)
+            .field("fine_tiles", &self.tree.fine().num_tiles())
+            .field("levels", &self.tree.num_levels())
+            .finish_non_exhaustive()
+    }
+}
+
+impl TileTables {
+    /// Builds the tables for `positions` under `params`, with the default
+    /// tiling ([`HIER_TARGET_TILE_OCCUPANCY`] nodes per fine tile, at most
+    /// [`HIER_MAX_TILES_PER_SIDE`] fine tiles per side).
+    ///
+    /// Returns `None` for an empty deployment or non-finite coordinates
+    /// (the exact paths define the semantics of such inputs).
+    #[must_use]
+    pub fn build(positions: &[Point], params: &SinrParams) -> Option<Self> {
+        let tree = TileTree::with_target_occupancy(
+            positions,
+            HIER_TARGET_TILE_OCCUPANCY,
+            HIER_MAX_TILES_PER_SIDE,
+        )?;
+        Self::from_tree(tree, positions, params)
+    }
+
+    /// Builds the tables over an explicit `tiles_per_side ×
+    /// tiles_per_side` fine grid. Exposed so tests can force multi-level
+    /// tree layouts on small deployments; `build` is the production
+    /// sizing.
+    #[must_use]
+    pub fn build_with_tiling(
+        positions: &[Point],
+        params: &SinrParams,
+        tiles_per_side: usize,
+    ) -> Option<Self> {
+        let tree = TileTree::build(positions, tiles_per_side)?;
+        Self::from_tree(tree, positions, params)
+    }
+
+    fn from_tree(tree: TileTree, positions: &[Point], params: &SinrParams) -> Option<Self> {
+        if !positions.iter().all(|p| p.is_finite()) {
+            return None;
+        }
+        Some(TileTables {
+            lists: InteractionLists::build(&tree),
+            tree,
+            n: positions.len(),
+            power: params.power(),
+            alpha: params.alpha(),
+            first: positions[0],
+            last: positions[positions.len() - 1],
+        })
+    }
+
+    /// Whether these tables were built over exactly these `positions` and
+    /// SINR parameters (size, power, α, and a first/last position
+    /// fingerprint — the same discipline as
+    /// [`GainCache::matches`](crate::GainCache::matches)).
+    #[must_use]
+    pub fn matches(&self, positions: &[Point], params: &SinrParams) -> bool {
+        self.n == positions.len()
+            && self.power == params.power()
+            && self.alpha == params.alpha()
+            && positions.first() == Some(&self.first)
+            && positions.last() == Some(&self.last)
+    }
+}
+
+/// Multi-resolution far-field engine over a [`TileTree`]: one run's
+/// state (occupancy, the round's masses and layout, the ladder counters)
+/// over a deployment's shared [`TileTables`]. The `hierarchical` module
+/// docs describe the interaction lists and their exactness argument.
+#[derive(Debug)]
+pub struct HierarchicalFarFieldEngine {
+    tables: Arc<TileTables>,
     /// Live-node flags mirrored from the simulator's knockout/churn state.
     alive: Vec<bool>,
     /// Live members per fine tile.
     alive_per_tile: Vec<u32>,
     num_alive: usize,
-    /// The geometry-only far-field pairs and the flat node layout.
-    lists: InteractionLists,
     /// This round's transmitters laid out tile-major, by a counting sort
     /// over the fine tiles: fine tile `t`'s run is
     /// `tx_start[t]..tx_start[t + 1]` of `run_idx` (slice indices,
@@ -311,52 +394,17 @@ impl RoundInputs<'_> {
 }
 
 impl HierarchicalFarFieldEngine {
-    /// Builds an engine for `positions` under `params`, with the default
-    /// tiling ([`HIER_TARGET_TILE_OCCUPANCY`] nodes per fine tile, at most
-    /// [`HIER_MAX_TILES_PER_SIDE`] fine tiles per side).
-    ///
-    /// Returns `None` for an empty deployment or non-finite coordinates
-    /// (the exact paths define the semantics of such inputs).
+    /// A fresh run's engine over shared `tables`: every node live, no
+    /// round resolved yet.
     #[must_use]
-    pub fn build(positions: &[Point], params: &SinrParams) -> Option<Self> {
-        let tree = TileTree::with_target_occupancy(
-            positions,
-            HIER_TARGET_TILE_OCCUPANCY,
-            HIER_MAX_TILES_PER_SIDE,
-        )?;
-        Self::from_tree(tree, positions, params)
-    }
-
-    /// Builds an engine over an explicit `tiles_per_side × tiles_per_side`
-    /// fine grid. Exposed so tests can force multi-level tree layouts on
-    /// small deployments; `build` is the production sizing.
-    #[must_use]
-    pub fn build_with_tiling(
-        positions: &[Point],
-        params: &SinrParams,
-        tiles_per_side: usize,
-    ) -> Option<Self> {
-        let tree = TileTree::build(positions, tiles_per_side)?;
-        Self::from_tree(tree, positions, params)
-    }
-
-    fn from_tree(tree: TileTree, positions: &[Point], params: &SinrParams) -> Option<Self> {
-        if !positions.iter().all(|p| p.is_finite()) {
-            return None;
-        }
-        let num_fine = tree.fine().num_tiles();
-        let alive_per_tile = (0..num_fine).map(|t| tree.fine().count(t) as u32).collect();
-        let lists = InteractionLists::build(&tree);
-        let num_nodes = lists.num_nodes();
-        Some(HierarchicalFarFieldEngine {
-            n: positions.len(),
-            power: params.power(),
-            alpha: params.alpha(),
-            first: positions[0],
-            last: positions[positions.len() - 1],
-            alive: vec![true; positions.len()],
-            alive_per_tile,
-            num_alive: positions.len(),
+    pub fn new(tables: Arc<TileTables>) -> Self {
+        let fine = tables.tree.fine();
+        let num_fine = fine.num_tiles();
+        let num_nodes = tables.lists.num_nodes();
+        HierarchicalFarFieldEngine {
+            alive: vec![true; tables.n],
+            alive_per_tile: (0..num_fine).map(|t| fine.count(t) as u32).collect(),
+            num_alive: tables.n,
             tx_start: vec![0; num_fine + 1],
             run_idx: Vec::new(),
             run_x: Vec::new(),
@@ -364,26 +412,43 @@ impl HierarchicalFarFieldEngine {
             tx_xs: Vec::new(),
             tx_ys: Vec::new(),
             tx_count: vec![0; num_nodes],
-            touched: vec![Vec::new(); tree.num_levels()],
+            touched: vec![Vec::new(); tables.tree.num_levels()],
             node_sums: vec![(0.0, 0.0, 0.0); num_nodes],
             is_target: vec![false; num_nodes],
-            lists,
             stats: FarFieldStats::default(),
-            tree,
-        })
+            tables,
+        }
     }
 
-    /// Whether this engine was built over exactly these `positions` and
-    /// SINR parameters (size, power, α, and a first/last position
-    /// fingerprint — the same discipline as
-    /// [`GainCache::matches`](crate::GainCache::matches)).
+    /// An engine over private tables built by [`TileTables::build`].
+    #[must_use]
+    pub fn build(positions: &[Point], params: &SinrParams) -> Option<Self> {
+        TileTables::build(positions, params).map(|t| Self::new(Arc::new(t)))
+    }
+
+    /// An engine over private tables built by
+    /// [`TileTables::build_with_tiling`].
+    #[must_use]
+    pub fn build_with_tiling(
+        positions: &[Point],
+        params: &SinrParams,
+        tiles_per_side: usize,
+    ) -> Option<Self> {
+        TileTables::build_with_tiling(positions, params, tiles_per_side)
+            .map(|t| Self::new(Arc::new(t)))
+    }
+
+    /// The shared tables this engine runs over.
+    #[must_use]
+    pub fn tables(&self) -> &Arc<TileTables> {
+        &self.tables
+    }
+
+    /// Whether this engine's tables were built over exactly these
+    /// `positions` and SINR parameters (see [`TileTables::matches`]).
     #[must_use]
     pub fn matches(&self, positions: &[Point], params: &SinrParams) -> bool {
-        self.n == positions.len()
-            && self.power == params.power()
-            && self.alpha == params.alpha()
-            && positions.first() == Some(&self.first)
-            && positions.last() == Some(&self.last)
+        self.tables.matches(positions, params)
     }
 
     /// Marks node `w` dead, decrementing its fine tile's live count.
@@ -394,12 +459,12 @@ impl HierarchicalFarFieldEngine {
     /// Panics if `w` is out of range.
     pub fn deactivate(&mut self, w: NodeId) {
         assert!(
-            w < self.n,
+            w < self.tables.n,
             "node {w} out of range for engine of size {}",
-            self.n
+            self.tables.n
         );
         if std::mem::replace(&mut self.alive[w], false) {
-            self.alive_per_tile[self.tree.fine().tile_of(w)] -= 1;
+            self.alive_per_tile[self.tables.tree.fine().tile_of(w)] -= 1;
             self.num_alive -= 1;
         }
     }
@@ -411,12 +476,12 @@ impl HierarchicalFarFieldEngine {
     /// Panics if `w` is out of range.
     pub fn activate(&mut self, w: NodeId) {
         assert!(
-            w < self.n,
+            w < self.tables.n,
             "node {w} out of range for engine of size {}",
-            self.n
+            self.tables.n
         );
         if !std::mem::replace(&mut self.alive[w], true) {
-            self.alive_per_tile[self.tree.fine().tile_of(w)] += 1;
+            self.alive_per_tile[self.tables.tree.fine().tile_of(w)] += 1;
             self.num_alive += 1;
         }
     }
@@ -442,7 +507,7 @@ impl HierarchicalFarFieldEngine {
     /// The underlying tile tree.
     #[must_use]
     pub fn tree(&self) -> &TileTree {
-        &self.tree
+        &self.tables.tree
     }
 
     /// The far-field aggregate `(lo, hi, cap)` a listener in fine tile `t`
@@ -456,8 +521,8 @@ impl HierarchicalFarFieldEngine {
     /// Panics if `t` is out of range.
     #[must_use]
     pub fn far_aggregate(&self, t: usize) -> Option<(f64, f64, f64)> {
-        self.tree.fine().content_bbox(t)?;
-        Some(with_bounded_kernel!(self.alpha, |k| self
+        self.tables.tree.fine().content_bbox(t)?;
+        Some(with_bounded_kernel!(self.tables.alpha, |k| self
             .recomputed_brackets(k, t)
             .0))
     }
@@ -474,8 +539,8 @@ impl HierarchicalFarFieldEngine {
     /// Panics if `t` is out of range.
     #[must_use]
     pub fn refined_aggregate(&self, t: usize) -> Option<(f64, f64, f64)> {
-        self.tree.fine().content_bbox(t)?;
-        Some(with_bounded_kernel!(self.alpha, |k| self
+        self.tables.tree.fine().content_bbox(t)?;
+        Some(with_bounded_kernel!(self.tables.alpha, |k| self
             .recomputed_brackets(k, t)
             .1))
     }
@@ -489,16 +554,24 @@ impl HierarchicalFarFieldEngine {
     /// Panics if `t` is out of range.
     #[must_use]
     pub fn close_tiles(&self, t: usize) -> &[u32] {
-        assert!(t < self.tree.fine().num_tiles(), "tile {t} out of range");
-        self.lists.sources(t)
+        assert!(
+            t < self.tables.tree.fine().num_tiles(),
+            "tile {t} out of range"
+        );
+        self.tables.lists.sources(t)
     }
 
     /// [`tile_brackets`](Self::tile_brackets) of fine tile `t`, with its
     /// ancestors' list sums recomputed rather than read from the round's
     /// `node_sums`.
     fn recomputed_brackets<K: AlphaKernel>(&self, k: K, t: usize) -> (Bracket, Bracket, usize) {
-        let sum = |a| self.lists.sum(k, a, &self.tx_count, self.power).0;
-        self.tile_brackets(k, t, self.lists.ancestors(t).map(sum))
+        let sum = |a| {
+            self.tables
+                .lists
+                .sum(k, a, &self.tx_count, self.tables.power)
+                .0
+        };
+        self.tile_brackets(k, t, self.tables.lists.ancestors(t).map(sum))
     }
 
     /// Fine tile `t`'s far brackets over this round's masses, given its
@@ -512,7 +585,10 @@ impl HierarchicalFarFieldEngine {
         t: usize,
         partials: impl Iterator<Item = Bracket> + Clone,
     ) -> (Bracket, Bracket, usize) {
-        let (own, close_count) = self.lists.sum(k, t, &self.tx_count, self.power);
+        let (own, close_count) = self
+            .tables
+            .lists
+            .sum(k, t, &self.tx_count, self.tables.power);
         (
             fold_up(own, partials.clone()),
             fold_up((0.0, 0.0, 0.0), partials),
@@ -549,7 +625,12 @@ impl HierarchicalFarFieldEngine {
         sc.near_idx.clear();
         // A neighborhood row's tiles are consecutive ids, so their runs
         // are one slice.
-        for tiles in self.tree.fine().neighborhood_rows(lt, HIER_NEAR_RING) {
+        for tiles in self
+            .tables
+            .tree
+            .fine()
+            .neighborhood_rows(lt, HIER_NEAR_RING)
+        {
             let span = self.tx_start[tiles.start] as usize..self.tx_start[tiles.end] as usize;
             sc.near_idx.extend_from_slice(&self.run_idx[span]);
         }
@@ -575,7 +656,7 @@ impl HierarchicalFarFieldEngine {
         close.x.clear();
         close.y.clear();
         // Runs hold a transmitter or two: a loop beats a copy call per run.
-        for &s in self.lists.sources(lt) {
+        for &s in self.tables.lists.sources(lt) {
             for i in self.run(s as usize) {
                 close.idx.push(self.run_idx[i]);
                 close.x.push(self.run_x[i]);
@@ -601,7 +682,7 @@ impl HierarchicalFarFieldEngine {
         close.gains.resize(close.idx.len(), 0.0);
         gain_batch_with(
             k,
-            self.power,
+            self.tables.power,
             &close.x,
             &close.y,
             vp.x,
@@ -630,7 +711,7 @@ impl HierarchicalFarFieldEngine {
         (first, last): (usize, usize),
         out: &Mutex<Vec<Reception>>,
     ) -> FarFieldStats {
-        let p = self.power;
+        let p = self.tables.power;
         // The chunk's listener slots; positions below index into `order`.
         let span = buckets.span(first, last);
         let order = &buckets.order[span.clone()];
@@ -640,7 +721,7 @@ impl HierarchicalFarFieldEngine {
 
         for ti in first..last {
             let lt = buckets.tiles[ti] as usize;
-            let partials = self.lists.ancestors(lt).map(|a| self.node_sums[a]);
+            let partials = self.tables.lists.ancestors(lt).map(|a| self.node_sums[a]);
             // Each cap on a single far signal is widened (covers bound
             // rounding and powf non-monotonicity; see FARFIELD_REL_SLACK).
             let widen = |(lo, hi, cap): Bracket| (lo, hi, cap * (1.0 + FARFIELD_REL_SLACK));
@@ -727,7 +808,7 @@ impl HierarchicalFarFieldEngine {
         rx: &mut [Reception],
         stats: &mut FarFieldStats,
     ) {
-        let (p, alpha) = (self.power, self.alpha);
+        let (p, alpha) = (self.tables.power, self.tables.alpha);
         let tx = round.transmitters;
         let listener = |i: usize| round.listeners[order[pending[i]] as usize];
         let at = |i: usize| round.positions[listener(i)];
@@ -784,12 +865,12 @@ impl HierarchicalFarFieldEngine {
             },
             beta: params.beta(),
         };
-        let buckets = ListenerBuckets::new(self.tree.fine(), listeners);
+        let buckets = ListenerBuckets::new(self.tables.tree.fine(), listeners);
         self.sum_coarse_targets(&buckets.tiles, executor);
         let num_tiles = buckets.tiles.len();
         let out = Mutex::new(vec![Reception::Silence; listeners.len()]);
         let this = &*self;
-        let chunks = with_bounded_kernel!(this.alpha, |k| map_ordered(
+        let chunks = with_bounded_kernel!(this.tables.alpha, |k| map_ordered(
             executor,
             num_tiles.div_ceil(HIER_TILE_CHUNK),
             |chunk| {
@@ -813,7 +894,7 @@ impl HierarchicalFarFieldEngine {
     fn sum_coarse_targets(&mut self, tiles: &[u32], executor: &dyn ChunkExecutor) {
         let mut targets = Vec::new();
         for &t in tiles {
-            for a in self.lists.ancestors(t as usize) {
+            for a in self.tables.lists.ancestors(t as usize) {
                 // An ancestor already listed has its own ancestors listed.
                 if std::mem::replace(&mut self.is_target[a], true) {
                     break;
@@ -822,7 +903,7 @@ impl HierarchicalFarFieldEngine {
             }
         }
         let this = &*self;
-        let sums = with_bounded_kernel!(this.alpha, |k| map_ordered(
+        let sums = with_bounded_kernel!(this.tables.alpha, |k| map_ordered(
             executor,
             targets.len().div_ceil(HIER_TILE_CHUNK),
             |chunk| {
@@ -830,7 +911,12 @@ impl HierarchicalFarFieldEngine {
                 let last = (first + HIER_TILE_CHUNK).min(targets.len());
                 targets[first..last]
                     .iter()
-                    .map(|&a| this.lists.sum(k, a, &this.tx_count, this.power).0)
+                    .map(|&a| {
+                        this.tables
+                            .lists
+                            .sum(k, a, &this.tx_count, this.tables.power)
+                            .0
+                    })
                     .collect::<Vec<_>>()
             }
         ));
@@ -853,7 +939,7 @@ impl HierarchicalFarFieldEngine {
             }
             self.touched[l].clear();
         }
-        let fine = self.tree.fine();
+        let fine = self.tables.tree.fine();
         for &u in transmitters {
             let t = fine.tile_of(u);
             if self.tx_count[t] == 0 {
@@ -886,7 +972,7 @@ impl HierarchicalFarFieldEngine {
             // Split the borrows: children (level l-1) feed parents (level l).
             let (lower, upper) = self.touched.split_at_mut(l);
             for &c in &lower[l - 1] {
-                let Some(parent) = self.lists.parent(c as usize) else {
+                let Some(parent) = self.tables.lists.parent(c as usize) else {
                     unreachable!("a node below the root has a parent")
                 };
                 if self.tx_count[parent] == 0 {

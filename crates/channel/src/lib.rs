@@ -44,7 +44,9 @@
 //! [`fading_geom::TileTree`], certified by the decision ladder,
 //! parallelizable via [`ChunkExecutor`]).
 //! [`EngineTier::auto`] picks the tier from the channel and the
-//! deployment size.
+//! deployment size. What a tier precomputes from the deployment is its
+//! [`EngineTables`], immutable and shared by every run over the deployment;
+//! a [`ResolveEngine`] adds one run's state.
 //!
 //! All tiers bottom out in the batched per-α SINR kernels of the
 //! [`kernels`] module — structure-of-arrays distance/gain batches,
@@ -102,14 +104,14 @@ mod sinr;
 
 pub use breakdown::SinrBreakdown;
 pub use channel::Channel;
-pub use engine::{EngineTier, ResolveEngine};
+pub use engine::{EngineTables, EngineTier, ResolveEngine};
 pub use error::ChannelError;
 pub use exec::{ChunkExecutor, SerialExecutor};
 pub use farfield::{FarFieldStats, FARFIELD_REL_SLACK};
 pub use gain_cache::{GainCache, DEFAULT_MAX_CACHED_NODES};
 pub use hierarchical::{
-    HierarchicalFarFieldEngine, HIER_ACCEPT_RATIO_SQ, HIER_MAX_TILES_PER_SIDE, HIER_NEAR_RING,
-    HIER_TARGET_TILE_OCCUPANCY, HIER_TILE_CHUNK,
+    HierarchicalFarFieldEngine, TileTables, HIER_ACCEPT_RATIO_SQ, HIER_MAX_TILES_PER_SIDE,
+    HIER_NEAR_RING, HIER_TARGET_TILE_OCCUPANCY, HIER_TILE_CHUNK,
 };
 pub use lossy::LossySinrChannel;
 pub use params::{SinrParams, SinrParamsBuilder, DEFAULT_SINGLE_HOP_MARGIN};

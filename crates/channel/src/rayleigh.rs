@@ -209,7 +209,7 @@ impl Channel for RayleighSinrChannel {
         breakdown: Option<&mut Vec<SinrBreakdown>>,
     ) -> Vec<Reception> {
         let cache = match engine {
-            ResolveEngine::GainCache(c) if c.matches(positions, &self.params) => Some(&*c),
+            ResolveEngine::GainCache(c) if c.matches(positions, &self.params) => Some(&**c),
             _ => None,
         };
         let perturbation = Some(perturbation).filter(|pt| !pt.is_neutral());

@@ -339,7 +339,7 @@ impl Channel for SinrChannel {
                     executor,
                 );
             }
-            ResolveEngine::GainCache(c) if c.matches(positions, params) => Some(&*c),
+            ResolveEngine::GainCache(c) if c.matches(positions, params) => Some(&**c),
             _ => None,
         };
         self.resolve_core(

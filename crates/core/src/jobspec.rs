@@ -37,11 +37,17 @@ pub const MAX_JOB_NODES: usize = 1 << 20;
 /// per trial up front.
 pub const MAX_JOB_TRIALS: usize = 1 << 20;
 
-/// Largest accepted per-trial round budget. A telemetry job buffers one
-/// `RoundEvent` per round of each running trial, and a spec that
-/// practically never resolves (say `FixedProbability` at `p = 1 − 10⁻¹²`
-/// on two nodes) runs its whole budget.
+/// Largest accepted per-trial round budget. A spec that practically
+/// never resolves (say `FixedProbability` at `p = 1 − 10⁻¹²` on two
+/// nodes) runs its whole budget.
 pub const MAX_JOB_ROUNDS: u64 = 1 << 20;
+
+/// Largest accepted job work: `n × trials × max_rounds`, the node-rounds
+/// a job may run if no trial resolves early. Each bound above still
+/// admits 2⁶⁰ node-rounds on its own. 2³⁶ admits the largest benchmark
+/// job (n = 2¹⁸, one trial of at most 100 000 rounds, ≈ 2^34.6) with
+/// room to spare.
+pub const MAX_JOB_WORK: u128 = 1 << 36;
 
 /// A serializable channel family choice. SINR parameters are derived from
 /// the deployment at build time (see the module docs), so only the family
@@ -373,6 +379,12 @@ impl JobSpec {
                 "max_rounds must be at most {MAX_JOB_ROUNDS}"
             )));
         }
+        let work = self.n as u128 * self.trials as u128 * u128::from(self.max_rounds);
+        if work > MAX_JOB_WORK {
+            return Err(invalid(format!(
+                "n × trials × max_rounds must be at most {MAX_JOB_WORK}, got {work}"
+            )));
+        }
         if self.seed_base.checked_add(self.trials as u64).is_none() {
             return Err(invalid("seed_base + trials overflows"));
         }
@@ -509,27 +521,50 @@ mod tests {
 
     #[test]
     fn job_size_is_bounded_at_submit() {
-        let mut spec = JobSpec::example("size");
-        spec.n = MAX_JOB_NODES;
-        spec.trials = MAX_JOB_TRIALS;
-        spec.max_rounds = MAX_JOB_ROUNDS;
-        let at_bound = spec.validate();
-        assert!(
-            at_bound.is_ok(),
-            "the bounds themselves are valid: {at_bound:?}"
-        );
         type Tweak = fn(&mut JobSpec);
-        let over: [(&str, Tweak); 3] = [
+        // Each field at its own bound, the others small enough that the
+        // work stays under its cap.
+        let at: [(&str, Tweak); 4] = [
+            ("n", |s| s.n = MAX_JOB_NODES),
+            ("trials", |s| s.trials = MAX_JOB_TRIALS),
+            ("max_rounds", |s| s.max_rounds = MAX_JOB_ROUNDS),
+            ("work", |s| {
+                // n × trials × max_rounds = 2^36 exactly.
+                s.n = 1 << 18;
+                s.trials = 1 << 2;
+                s.max_rounds = 1 << 16;
+            }),
+        ];
+        for (field, tweak) in at {
+            let mut spec = JobSpec::example("size");
+            spec.max_rounds = 1;
+            tweak(&mut spec);
+            let at_bound = spec.validate();
+            assert!(at_bound.is_ok(), "{field} at its bound: {at_bound:?}");
+        }
+        // The benchmark's largest job probe.
+        let mut probe = JobSpec::example("probe");
+        (probe.n, probe.trials, probe.max_rounds) = (1 << 18, 1, 100_000);
+        assert!(probe.validate().is_ok());
+
+        let over: [(&str, Tweak); 5] = [
             ("n", |s| s.n = MAX_JOB_NODES + 1),
             ("trials", |s| s.trials = MAX_JOB_TRIALS + 1),
             ("max_rounds", |s| s.max_rounds = MAX_JOB_ROUNDS + 1),
+            ("n × trials × max_rounds", |s| {
+                (s.n, s.trials, s.max_rounds) = (1 << 18, 1 << 2, (1 << 16) + 1);
+            }),
+            ("n × trials × max_rounds", |s| {
+                // Every field at its bound: 2^60 node-rounds.
+                (s.n, s.trials, s.max_rounds) = (MAX_JOB_NODES, MAX_JOB_TRIALS, MAX_JOB_ROUNDS);
+            }),
         ];
         for (field, tweak) in over {
             let mut spec = JobSpec::example("size");
             tweak(&mut spec);
             match spec.validate() {
                 Err(JobSpecError::Invalid(msg)) => assert!(msg.starts_with(field), "{msg}"),
-                other => panic!("{field} one past its bound: {other:?}"),
+                other => panic!("{field} past its bound: {other:?}"),
             }
         }
     }

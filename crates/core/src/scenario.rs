@@ -2,8 +2,9 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
-use fading_channel::ChannelError;
+use fading_channel::{ChannelError, EngineTables};
 use fading_geom::Deployment;
 use fading_protocols::ProtocolKind;
 use fading_sim::faults::{FaultError, FaultPlan};
@@ -60,6 +61,12 @@ impl Error for ScenarioError {
 /// [`SinrParams::with_power_for`](fading_channel::SinrParams::with_power_for)
 /// to auto-scale power when sweeping deployment sizes.
 ///
+/// The deployment is static, so the engine tables precomputed from it
+/// ([`SimConfig::build_tables`]) are built once per scenario, at its first
+/// simulation. Every later simulation, on any thread and from any clone
+/// of the scenario, shares them, and every simulation shares the
+/// deployment's positions: a trial copies no geometry.
+///
 /// See the [crate-level quickstart](crate).
 #[derive(Debug, Clone)]
 pub struct Scenario {
@@ -68,6 +75,8 @@ pub struct Scenario {
     protocol: ProtocolKind,
     seed: u64,
     fault_plan: Option<FaultPlan>,
+    /// Built by the first simulation; clones share the cell.
+    tables: Arc<OnceLock<EngineTables>>,
 }
 
 impl Scenario {
@@ -108,14 +117,23 @@ impl Scenario {
         self.fault_plan.as_ref()
     }
 
-    /// Builds a fresh simulation (cheap; positions are copied once).
+    /// The engine tables this scenario's simulations share, or `None`
+    /// before its first simulation built them.
+    #[must_use]
+    pub fn tables(&self) -> Option<&EngineTables> {
+        self.tables.get()
+    }
+
+    /// Builds a fresh simulation. The first one (of this scenario or any
+    /// clone) builds the engine tables every later one shares; no
+    /// simulation copies the positions.
     #[must_use]
     pub fn simulation(&self) -> Simulation {
         self.simulation_with_seed(self.seed)
     }
 
     /// Builds a fresh simulation with an explicit seed (used by Monte-Carlo
-    /// sweeps; all other configuration is shared).
+    /// sweeps; all other configuration, and the engine tables, are shared).
     #[must_use]
     pub fn simulation_with_seed(&self, seed: u64) -> Simulation {
         let protocol = self.protocol;
@@ -123,8 +141,12 @@ impl Scenario {
             fault_plan: self.fault_plan.clone(),
             ..SimConfig::default()
         };
-        match Simulation::try_new(
-            self.deployment.clone(),
+        let tables = self.tables.get_or_init(|| {
+            config.build_tables(self.channel.build().as_ref(), self.deployment.points())
+        });
+        match Simulation::try_with_tables(
+            self.deployment.shared_points(),
+            tables,
             self.channel.build(),
             seed,
             config,
@@ -247,6 +269,7 @@ impl ScenarioBuilder {
             protocol,
             seed: self.seed,
             fault_plan: self.fault_plan.clone(),
+            tables: Arc::default(),
         })
     }
 }
@@ -317,6 +340,71 @@ mod tests {
         assert_eq!(batch.len(), 4);
         // Trial 0 uses the scenario seed itself.
         assert_eq!(batch[0].resolved_at(), r.resolved_at());
+    }
+
+    #[test]
+    fn tables_are_built_once_at_the_first_simulation_and_shared() {
+        use fading_channel::EngineTier;
+        use fading_sim::montecarlo::run_trials_with;
+        let small = small_deployment();
+        let large = Deployment::uniform_density(4097, 0.25, 1);
+        let large_params = SinrParams::default_single_hop().with_power_for(&large);
+        for (deployment, params, tier) in [
+            (
+                small,
+                SinrParams::default_single_hop(),
+                EngineTier::GainCache,
+            ),
+            (large, large_params, EngineTier::Hierarchical),
+        ] {
+            let s = Scenario::builder()
+                .deployment(deployment)
+                .sinr(params)
+                .protocol(ProtocolKind::fkn_default())
+                .seed(100)
+                .build()
+                .unwrap();
+            assert!(s.tables().is_none(), "the builder builds no tables");
+            let clone = s.clone();
+            // Four trial threads race to the first simulation of a fresh
+            // scenario; one builds, and every simulation, on any thread
+            // and from either handle, runs (a round) over that one build.
+            let engines = run_trials_with(8, 4, 0, |seed| {
+                let handle = if seed % 2 == 0 { &s } else { &clone };
+                let mut sim = handle.simulation_with_seed(seed);
+                (sim.run_until_resolved(1), sim.engine().tables())
+            });
+            let built = s.tables().expect("the first simulation built the tables");
+            assert!(clone.tables().expect("clones share the cell").ptr_eq(built));
+            assert_eq!(built.tier(), tier);
+            assert!(
+                engines.iter().all(|(_, t)| t.ptr_eq(built)),
+                "one build for {tier:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn shared_tables_run_like_private_ones() {
+        let s = Scenario::builder()
+            .deployment(small_deployment())
+            .sinr(SinrParams::default_single_hop())
+            .protocol(ProtocolKind::fkn_default())
+            .seed(100)
+            .build()
+            .unwrap();
+        let batch = s.montecarlo(6, 3, 10_000);
+        for (seed, shared) in (100..).zip(&batch) {
+            let protocol = s.protocol();
+            let mut private = Simulation::new(
+                s.deployment().clone(),
+                s.channel().build(),
+                seed,
+                move |id| protocol.build(id),
+            );
+            assert_eq!(*shared, private.run_until_resolved(10_000), "seed {seed}");
+            assert!(private.engine_counters().gain_cache_built);
+        }
     }
 
     #[test]

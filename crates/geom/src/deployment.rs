@@ -1,5 +1,7 @@
 //! Node deployments: point sets with cached link structure.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::hull::diameter;
@@ -34,7 +36,8 @@ use crate::{GeomError, GridIndex, Point};
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Deployment {
-    points: Vec<Point>,
+    /// Shared with clones and with every simulation over the deployment.
+    points: Arc<Vec<Point>>,
     nn_index: Vec<u32>,
     nn_distance: Vec<f64>,
     min_link: f64,
@@ -72,7 +75,7 @@ impl Deployment {
         let min_link = nn_distance.iter().copied().fold(f64::INFINITY, f64::min);
         let max_link = diameter(&points);
         Ok(Deployment {
-            points,
+            points: Arc::new(points),
             nn_index,
             nn_distance,
             min_link,
@@ -183,11 +186,11 @@ impl Deployment {
         }
     }
 
-    /// Consumes the deployment, returning the node positions indexed by node
-    /// id without copying them.
+    /// The node positions indexed by node id, shared rather than copied:
+    /// every holder of the returned `Arc` reads this deployment's one copy.
     #[must_use]
-    pub fn into_points(self) -> Vec<Point> {
-        self.points
+    pub fn shared_points(&self) -> Arc<Vec<Point>> {
+        Arc::clone(&self.points)
     }
 }
 

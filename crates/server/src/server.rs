@@ -28,9 +28,11 @@
 //! stalled subscriber loses lines (counted), never slows a worker — so
 //! job artifacts stay byte-identical with or without watchers attached.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::any::Any;
+use std::fs::File;
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -40,8 +42,8 @@ use fading_cr::sim::montecarlo::{Summary, TrialRun, TrialRunner};
 use fading_cr::sim::obs::timeseries::{frame_to_json, TimeSeries, TsFrame};
 use fading_cr::sim::obs::{EngineCounters, NoopProgress, ProgressEvent, ProgressSink};
 use fading_cr::sim::recover::{trial_line, SupervisorConfig, TrialManifest};
-use fading_cr::sim::telemetry::jsonl::{fmt_f64, json_escape, write_events_to_path};
-use fading_cr::sim::telemetry::{MemorySink, MetricsRegistry, TelemetryDetail};
+use fading_cr::sim::telemetry::jsonl::{event_to_json, fmt_f64, json_escape};
+use fading_cr::sim::telemetry::{MetricsRegistry, RoundEvent, TelemetrySink};
 use fading_cr::sim::{RunResult, Tracer};
 
 use crate::interrupt;
@@ -792,26 +794,26 @@ pub fn run_job_observed(
                 sim.set_tracer(Arc::clone(t));
             }
             if telemetry || collect_spans {
-                sim.set_telemetry_sink(Box::new(MemorySink::new(TelemetryDetail::counts())));
+                let stream = telemetry.then(|| EventStream::create(&events_dir, seed));
+                let registry = collect_spans.then(MetricsRegistry::new);
+                sim.set_telemetry_sink(Box::new(TrialSink { stream, registry }));
             }
             let result = sim.run_until_resolved(max_rounds);
             {
                 let mut c = counters_acc.lock().unwrap_or_else(PoisonError::into_inner);
                 c.merge(&sim.engine_counters());
             }
-            let events = sim
+            let sink = sim
                 .take_telemetry_sink()
-                .and_then(MemorySink::recover)
-                .map(MemorySink::into_events)
-                .unwrap_or_default();
-            if let Some(t) = &tracer {
-                let trial = MetricsRegistry::fold(&events, &t.finished_spans());
-                let mut r = registry_acc.lock().unwrap_or_else(PoisonError::into_inner);
-                r.merge(&trial);
-            }
-            if telemetry {
-                let path = events_dir.join(format!("{seed}.jsonl"));
-                if let Err(e) = write_events_to_path(&path, &events) {
+                .and_then(|s| s.into_any().downcast::<TrialSink>().ok());
+            if let Some(sink) = sink {
+                let TrialSink { stream, registry } = *sink;
+                if let (Some(t), Some(mut trial)) = (&tracer, registry) {
+                    trial.record_spans(&t.finished_spans());
+                    let mut r = registry_acc.lock().unwrap_or_else(PoisonError::into_inner);
+                    r.merge(&trial);
+                }
+                if let Some(Err(e)) = stream.map(EventStream::finish) {
                     eprintln!("warning: telemetry stream for seed {seed} not written: {e}");
                 }
             }
@@ -839,6 +841,82 @@ pub fn run_job_observed(
         counters,
         registry,
     })
+}
+
+/// A job trial's telemetry sink, attached at counts detail: it streams
+/// each round's event line to disk as the round ends (telemetry jobs) and
+/// folds each event into the trial's metrics registry (span-collecting
+/// servers), so a trial's memory does not grow with its round count.
+#[derive(Debug)]
+struct TrialSink {
+    stream: Option<EventStream>,
+    registry: Option<MetricsRegistry>,
+}
+
+impl TelemetrySink for TrialSink {
+    fn on_round(&mut self, event: &RoundEvent) {
+        if let Some(stream) = &mut self.stream {
+            stream.write(event);
+        }
+        if let Some(registry) = &mut self.registry {
+            registry.record_event(event);
+        }
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
+        self
+    }
+}
+
+/// One trial's `events/<seed>.jsonl`, written as `<seed>.jsonl.tmp` and
+/// renamed when the trial ends. A trial that dies mid-run (and is retried
+/// or resumed) therefore never leaves a partial stream under the final
+/// name; its retry truncates the temporary file and starts over.
+#[derive(Debug)]
+struct EventStream {
+    tmp: PathBuf,
+    path: PathBuf,
+    /// The open file, or the first error creating or writing it.
+    out: io::Result<BufWriter<File>>,
+}
+
+impl EventStream {
+    fn create(dir: &Path, seed: u64) -> Self {
+        let tmp = dir.join(format!("{seed}.jsonl.tmp"));
+        let out = File::create(&tmp).map(BufWriter::new);
+        EventStream {
+            path: dir.join(format!("{seed}.jsonl")),
+            tmp,
+            out,
+        }
+    }
+
+    /// Appends `event`'s line; after the first error the stream writes
+    /// nothing more, and [`EventStream::finish`] reports it.
+    fn write(&mut self, event: &RoundEvent) {
+        if let Ok(w) = &mut self.out {
+            let line = event_to_json(event);
+            if let Err(e) = w
+                .write_all(line.as_bytes())
+                .and_then(|()| w.write_all(b"\n"))
+            {
+                self.out = Err(e);
+            }
+        }
+    }
+
+    /// Flushes the stream and gives it its final name; on an error the
+    /// temporary file is removed.
+    fn finish(self) -> io::Result<()> {
+        let renamed = self
+            .out
+            .and_then(|mut w| w.flush())
+            .and_then(|()| std::fs::rename(&self.tmp, &self.path));
+        if renamed.is_err() {
+            std::fs::remove_file(&self.tmp).ok();
+        }
+        renamed
+    }
 }
 
 /// Writes `trials.jsonl` (seed-ordered, byte-stable across resumes) and
@@ -922,6 +1000,49 @@ mod tests {
                 .exists());
         }
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn streamed_event_files_match_the_buffered_encoding() {
+        use fading_cr::sim::telemetry::jsonl::write_events;
+        use fading_cr::sim::telemetry::TelemetryDetail;
+        for collect_spans in [false, true] {
+            let root = tmp_root(&format!("stream-{collect_spans}"));
+            let queue = JobQueue::open(&root).unwrap();
+            let cfg = ServerConfig {
+                collect_spans,
+                ..ServerConfig::default()
+            };
+            let mut spec = JobSpec::example("stream");
+            spec.trials = 3;
+            spec.telemetry = true;
+            run_job(&queue, &cfg, &spec).unwrap();
+
+            let events_dir = queue.job_dir("stream").join("events");
+            let mut names: Vec<String> = std::fs::read_dir(&events_dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            let seeds = spec.seed_base..spec.seed_base + spec.trials as u64;
+            let want: Vec<String> = seeds.clone().map(|s| format!("{s}.jsonl")).collect();
+            assert_eq!(names, want, "one final file per seed, no temporary left");
+
+            let scenario = spec.build_scenario().unwrap();
+            for seed in seeds {
+                let mut sim = scenario.simulation_with_seed(seed);
+                let (_, events) = sim.run_recorded(spec.max_rounds, TelemetryDetail::counts());
+                let mut buffered = Vec::new();
+                write_events(&mut buffered, &events).unwrap();
+                let streamed = std::fs::read(events_dir.join(format!("{seed}.jsonl"))).unwrap();
+                assert!(!streamed.is_empty());
+                assert_eq!(
+                    streamed, buffered,
+                    "seed {seed}, collect_spans={collect_spans}"
+                );
+            }
+            std::fs::remove_dir_all(&root).ok();
+        }
     }
 
     #[test]

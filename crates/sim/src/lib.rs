@@ -114,4 +114,6 @@ pub use telemetry::{
 };
 
 // Re-export the vocabulary types callers always need alongside the simulator.
-pub use fading_channel::{Channel, EngineTier, GainCache, NodeId, Reception, ResolveEngine};
+pub use fading_channel::{
+    Channel, EngineTables, EngineTier, GainCache, NodeId, Reception, ResolveEngine,
+};

@@ -6,7 +6,8 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use fading_channel::{
-    Channel, ChannelPerturbation, EngineTier, NodeId, ResolveEngine, SerialExecutor, SinrBreakdown,
+    Channel, ChannelPerturbation, EngineTables, EngineTier, NodeId, ResolveEngine, SerialExecutor,
+    SinrBreakdown,
 };
 use fading_geom::{Deployment, Point};
 
@@ -50,16 +51,17 @@ impl std::error::Error for SimError {}
 
 /// The settings fixed before round 1, passed to [`Simulation::try_new`].
 /// Each one shapes the engine or the run's recorded bytes, so none can
-/// change once the simulation exists; the engine is built once, for the
-/// configured tier.
+/// change once the simulation exists; the engine's tables are built once,
+/// for the configured tier ([`SimConfig::build_tables`]).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimConfig {
     /// Forces the engine tier: the highest tier at or below it that the
     /// channel can serve for this deployment is built (see
-    /// [`ResolveEngine::build`]). `None` takes [`EngineTier::auto`]'s
-    /// choice. Every tier is decision-exact (bit-identical receptions;
-    /// see [`Channel::resolve_with`]), so the tier changes a run's speed,
-    /// never its outcome.
+    /// [`EngineTables::build`]). `None` takes [`EngineTier::auto`]'s
+    /// choice. [`Simulation::try_with_tables`] serves the tables it is
+    /// handed and does not read this field. Every tier is decision-exact
+    /// (bit-identical receptions; see [`Channel::resolve_with`]), so the
+    /// tier changes a run's speed, never its outcome.
     pub tier: Option<EngineTier>,
     /// Self-checking engines: on every eligible round this many randomly
     /// chosen listeners are re-resolved through the **exact** scan, with
@@ -80,6 +82,21 @@ pub struct SimConfig {
     /// Faults injected into the run (see [`crate::faults`]). An *empty*
     /// plan is byte-identical to no plan at all.
     pub fault_plan: Option<FaultPlan>,
+}
+
+impl SimConfig {
+    /// The engine tables [`Simulation::try_new`] builds for this
+    /// configuration over `positions`: [`EngineTables::build`] at
+    /// [`SimConfig::tier`], or at [`EngineTier::auto`]'s choice for
+    /// `channel` and the deployment size. Build them once and hand them to
+    /// [`Simulation::try_with_tables`] to share them across runs.
+    #[must_use]
+    pub fn build_tables(&self, channel: &dyn Channel, positions: &[Point]) -> EngineTables {
+        let tier = self
+            .tier
+            .unwrap_or_else(|| EngineTier::auto(channel, positions.len()));
+        EngineTables::build(channel, tier, positions)
+    }
 }
 
 /// Self-checking state: per-round sampled re-resolution of listeners
@@ -109,7 +126,8 @@ struct SelfCheck {
 /// See the [crate-level example](crate) for a complete usage sketch.
 #[derive(Debug)]
 pub struct Simulation {
-    positions: Vec<Point>,
+    // The deployment's positions, shared rather than copied.
+    positions: Arc<Vec<Point>>,
     channel: Box<dyn Channel>,
     // Master seed, retained for snapshot fingerprinting and the
     // self-check RNG lane.
@@ -179,18 +197,16 @@ impl Simulation {
     where
         F: FnMut(NodeId) -> Box<dyn Protocol>,
     {
-        Simulation::build(
-            deployment,
-            channel,
-            seed,
-            SimConfig::default(),
-            make_protocol,
-        )
+        let positions = deployment.shared_points();
+        let config = SimConfig::default();
+        let tables = config.build_tables(channel.as_ref(), &positions);
+        Simulation::build(positions, &tables, channel, seed, config, make_protocol)
     }
 
     /// Like [`Simulation::new`] with an explicit [`SimConfig`], rejecting
     /// degenerate setups instead of constructing a simulation that can
-    /// never make progress.
+    /// never make progress. The engine's tables are private to this
+    /// simulation; [`Simulation::try_with_tables`] shares them instead.
     ///
     /// # Errors
     ///
@@ -210,14 +226,41 @@ impl Simulation {
     where
         F: FnMut(NodeId) -> Box<dyn Protocol>,
     {
-        if deployment.is_empty() {
+        let positions = deployment.shared_points();
+        let tables = config.build_tables(channel.as_ref(), &positions);
+        Simulation::try_with_tables(positions, &tables, channel, seed, config, make_protocol)
+    }
+
+    /// Like [`Simulation::try_new`] over shared `positions` (say
+    /// [`Deployment::shared_points`]) and a deployment's shared engine
+    /// `tables`: nothing geometric is copied or built, so every trial over one deployment can share one build of
+    /// [`SimConfig::build_tables`]. The engine serves `tables`' tier
+    /// (`config.tier` is not read); tables built for other positions or
+    /// SINR parameters are never consulted, so each round then takes the
+    /// exact scan. Results are byte-identical to [`Simulation::try_new`]'s.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Simulation::try_new`].
+    pub fn try_with_tables<F>(
+        positions: Arc<Vec<Point>>,
+        tables: &EngineTables,
+        channel: Box<dyn Channel>,
+        seed: u64,
+        config: SimConfig,
+        make_protocol: F,
+    ) -> Result<Self, SimError>
+    where
+        F: FnMut(NodeId) -> Box<dyn Protocol>,
+    {
+        if positions.is_empty() {
             return Err(SimError::EmptyDeployment);
         }
         if let Some(plan) = &config.fault_plan {
-            plan.validate_for(deployment.len())
+            plan.validate_for(positions.len())
                 .map_err(SimError::Fault)?;
         }
-        let sim = Simulation::build(deployment, channel, seed, config, make_protocol);
+        let sim = Simulation::build(positions, tables, channel, seed, config, make_protocol);
         if sim.num_active == 0 {
             return Err(SimError::NoActiveNodes);
         }
@@ -226,7 +269,8 @@ impl Simulation {
 
     /// Construction proper; `config`'s fault plan is already validated.
     fn build<F>(
-        deployment: Deployment,
+        positions: Arc<Vec<Point>>,
+        tables: &EngineTables,
         channel: Box<dyn Channel>,
         seed: u64,
         config: SimConfig,
@@ -235,16 +279,13 @@ impl Simulation {
     where
         F: FnMut(NodeId) -> Box<dyn Protocol>,
     {
-        let n = deployment.len();
+        let n = positions.len();
         let protocols: Vec<Box<dyn Protocol>> = (0..n).map(&mut make_protocol).collect();
         let node_rngs: Vec<SmallRng> = (0..n).map(|i| node_rng(seed, i)).collect();
         let active: Vec<bool> = protocols.iter().map(|p| p.is_active()).collect();
         let num_active = active.iter().filter(|&&a| a).count();
-        let tier = config
-            .tier
-            .unwrap_or_else(|| EngineTier::auto(channel.as_ref(), n));
         let mut sim = Simulation {
-            positions: deployment.into_points(),
+            positions,
             channel,
             seed,
             protocols,
@@ -279,7 +320,7 @@ impl Simulation {
             }),
             self_check_scratch: Vec::new(),
         };
-        sim.rebuild_engine(tier);
+        sim.install_engine(tables);
         if let Some(plan) = config.fault_plan {
             sim.attach_fault_plan(plan);
         }
@@ -306,7 +347,7 @@ impl Simulation {
         // Precompute each jammer's interference power at every node; the
         // per-round perturbation is then a sum over active jammers.
         for jammer in plan.jammers() {
-            for &pos in &self.positions {
+            for &pos in self.positions.iter() {
                 self.jam_gains.push(self.channel.interferer_gain(
                     jammer.position(),
                     pos,
@@ -393,16 +434,21 @@ impl Simulation {
         }
     }
 
-    /// Replaces the engine with one built for the highest tier at or below
-    /// `tier` that the channel can serve for this deployment (see
-    /// [`ResolveEngine::build`]), its occupancy synced to the current
-    /// active set. Construction, snapshot restore and self-check demotion
-    /// build through here.
+    /// Replaces the engine with one over private tables for the highest
+    /// tier at or below `tier` that the channel can serve for this
+    /// deployment (see [`EngineTables::build`]), unless `tier` serves now.
+    /// Snapshot restore and self-check demotion build through here.
     fn rebuild_engine(&mut self, tier: EngineTier) {
-        if tier == self.engine.tier() {
-            return;
+        if tier != self.engine.tier() {
+            let tables = EngineTables::build(self.channel.as_ref(), tier, &self.positions);
+            self.install_engine(&tables);
         }
-        let mut engine = ResolveEngine::build(self.channel.as_ref(), tier, &self.positions);
+    }
+
+    /// Replaces the engine with a fresh one over `tables`, its occupancy
+    /// synced to the current active set.
+    fn install_engine(&mut self, tables: &EngineTables) {
+        let mut engine = ResolveEngine::new(tables);
         for (i, &is_active) in self.active.iter().enumerate() {
             if !is_active {
                 engine.deactivate(i);
@@ -518,7 +564,7 @@ impl Simulation {
         bytes.extend_from_slice(&(self.positions.len() as u64).to_le_bytes());
         bytes.extend_from_slice(&self.seed.to_le_bytes());
         bytes.extend_from_slice(self.channel.name().as_bytes());
-        for p in &self.positions {
+        for p in self.positions.iter() {
             bytes.extend_from_slice(&p.x.to_le_bytes());
             bytes.extend_from_slice(&p.y.to_le_bytes());
         }

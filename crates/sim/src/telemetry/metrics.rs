@@ -216,22 +216,34 @@ impl MetricsRegistry {
     pub fn fold(events: &[RoundEvent], spans: &[SpanRecord]) -> Self {
         let mut m = MetricsRegistry::new();
         for event in events {
-            m.rounds += 1;
-            m.transmissions += event.transmitters as u64;
-            m.knockouts += event.knocked_out as u64;
-            m.churn_applied += event.churn_applied as u64;
-            m.ge_dropped += event.ge_dropped as u64;
-            m.knockouts_per_round.record(event.knocked_out as f64);
+            m.record_event(event);
         }
+        m.record_spans(spans);
+        m
+    }
+
+    /// Adds one round's event, as [`MetricsRegistry::fold`] does: to the
+    /// run counters and the knockouts-per-round histogram. A sink can call
+    /// it as each round ends instead of keeping the run's events.
+    pub fn record_event(&mut self, event: &RoundEvent) {
+        self.rounds += 1;
+        self.transmissions += event.transmitters as u64;
+        self.knockouts += event.knocked_out as u64;
+        self.churn_applied += event.churn_applied as u64;
+        self.ge_dropped += event.ge_dropped as u64;
+        self.knockouts_per_round.record(event.knocked_out as f64);
+    }
+
+    /// Adds a run's finished spans, as [`MetricsRegistry::fold`] does.
+    pub fn record_spans(&mut self, spans: &[SpanRecord]) {
         for span in spans {
             let nanos = span.duration_ns();
             if span.name == "step" {
-                m.round_nanos.record(nanos as f64);
+                self.round_nanos.record(nanos as f64);
             } else if let Some(i) = PHASE_SPANS.iter().position(|&p| p == span.name) {
-                m.phase_nanos[i] += nanos;
+                self.phase_nanos[i] += nanos;
             }
         }
-        m
     }
 
     /// Rounds recorded.

@@ -17,6 +17,7 @@
 //! |                 | (the reference: an ids sink)                            |
 //! | self-check      | 0 or 2 audited listeners per round                      |
 //! | resume          | uninterrupted, or snapshot → bytes → restore half-way   |
+//! | engine tables   | private, or shared with every other shared cell         |
 //!
 //! A cell is dropped when it is the same run as another: a requested tier
 //! the case cannot serve builds a lower one, only the tile tree reads the
@@ -30,9 +31,10 @@
 //! * each sink's rounds agree with the reference's in round, participants,
 //!   transmitters and knockouts, and at ids detail in the transmitter ids;
 //! * each trial's final snapshot (every rng lane, the active mask, protocol
-//!   states, counters, ladder stats) equals that of the first cell with the
-//!   same engine and self-check — for a bare exact cell, the reference's —
-//!   and each sink's event stream equals the first stream of its kind;
+//!   states, counters, ladder stats) and engine counters equal those of the
+//!   first cell with the same engine and self-check — for a bare exact
+//!   cell, the reference's — and each sink's event stream equals the first
+//!   stream of its kind;
 //! * route counters partition the rounds, and the tile tree resolves each
 //!   listener of each round once and tracks knockouts;
 //! * the case is not vacuous: each family states what its tile-tree cells
@@ -74,11 +76,11 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use fading::channel::kernels::LISTENER_BLOCK;
 use fading::channel::{
-    pow_alpha, Channel, ChannelPerturbation, EngineTier, FarFieldStats, GainCache,
+    pow_alpha, Channel, ChannelPerturbation, EngineTables, EngineTier, FarFieldStats, GainCache,
     HierarchicalFarFieldEngine, LossySinrChannel, RadioCdChannel, RadioChannel,
     RayleighSinrChannel, Reception, ResolveEngine, SerialExecutor, SinrBreakdown, SinrChannel,
     SinrParams, HIER_NEAR_RING, HIER_TILE_CHUNK, RAYLEIGH_CACHE_PROFITABLE_NODES,
@@ -228,7 +230,14 @@ struct Case {
     channel: ChannelName,
     plan: Plan,
     fault_plan: Option<FaultPlan>,
+    /// The positions and engine tables of every shared-table cell, by
+    /// trial seed and tier: built by the first such simulation, then
+    /// shared by every later one of any cell.
+    shared: Mutex<HashMap<(u64, EngineTier), Shared>>,
 }
+
+/// A trial's shared positions and engine tables.
+type Shared = (Arc<Vec<Point>>, EngineTables);
 
 impl Case {
     fn new(family: Family, alpha: f64, channel: ChannelName, plan: Plan) -> Case {
@@ -243,6 +252,7 @@ impl Case {
             channel,
             plan,
             fault_plan,
+            shared: Mutex::default(),
         }
     }
 
@@ -257,11 +267,35 @@ impl Case {
         let protocol = ProtocolKind::Fkn { p: self.family.p };
         let deployment = (self.family.deploy)(seed);
         let channel = self.channel.build(self.alpha);
-        let mut sim =
-            Simulation::try_new(deployment, channel, seed, config, |id| protocol.build(id))
-                .unwrap_or_else(|e| panic!("{self}: invalid configuration: {e:?}"));
+        let make = |id| protocol.build(id);
+        let mut sim = if cell.shared_tables {
+            let (positions, tables) = self.shared_tables(seed, &config, channel.as_ref());
+            let sim = Simulation::try_with_tables(positions, &tables, channel, seed, config, make);
+            let sim = sim.unwrap_or_else(|e| panic!("{self}: invalid configuration: {e:?}"));
+            let shares = sim.engine().tables().ptr_eq(&tables);
+            assert!(
+                shares,
+                "{self}, {cell:?}: the engine runs over the shared tables"
+            );
+            sim
+        } else {
+            Simulation::try_new(deployment, channel, seed, config, make)
+                .unwrap_or_else(|e| panic!("{self}: invalid configuration: {e:?}"))
+        };
         sim.set_resolve_threads(cell.resolve_threads);
         sim
+    }
+
+    /// Trial `seed`'s shared positions and tables at `config`'s tier.
+    fn shared_tables(&self, seed: u64, config: &SimConfig, channel: &dyn Channel) -> Shared {
+        let tier = config.tier.expect("a cell pins its tier");
+        let mut shared = self.shared.lock().expect("no cell panicked");
+        let entry = shared.entry((seed, tier)).or_insert_with(|| {
+            let positions = (self.family.deploy)(seed).shared_points();
+            let tables = config.build_tables(channel, &positions);
+            (positions, tables)
+        });
+        (Arc::clone(&entry.0), entry.1.clone())
     }
 }
 
@@ -377,6 +411,8 @@ struct Cell {
     observe: Observe,
     self_check: usize,
     resume: bool,
+    /// Built over the case's shared tables rather than private ones.
+    shared_tables: bool,
 }
 
 const RESOLVE_THREADS: [usize; 3] = [1, 2, 8];
@@ -403,6 +439,7 @@ impl Cell {
             observe: OBSERVE[i / 4 % 4],
             self_check: SELF_CHECK[i / 2 % 2],
             resume: i % 2 == 1,
+            shared_tables: false,
         }
     }
 
@@ -439,6 +476,10 @@ enum Coverage {
     /// [`Coverage::OneAxis`] on the tile tree; the exact scan runs only the
     /// reference.
     OneAxisOnTree,
+    /// On each fast tier, at resolve threads 1 and 2, uninterrupted and
+    /// resumed, recording at ids detail: a cell over private tables, then
+    /// its twin over the case's shared tables.
+    SharedTables,
 }
 
 /// The deduplicated cell product of `case`, reference first, filtered by
@@ -448,7 +489,7 @@ fn cells(case: &Case, coverage: Coverage) -> Vec<Cell> {
     let channel = case.channel.build(case.alpha);
     let mut built: Vec<EngineTier> = EngineTier::ALL
         .iter()
-        .map(|&t| ResolveEngine::build(channel.as_ref(), t, deployment.points()).tier())
+        .map(|&t| EngineTables::build(channel.as_ref(), t, deployment.points()).tier())
         .collect();
     built.dedup();
     let trials = case.family.trials;
@@ -473,6 +514,18 @@ fn cells(case: &Case, coverage: Coverage) -> Vec<Cell> {
                 .collect();
             picked.dedup();
             picked
+        }
+        Coverage::SharedTables => {
+            let fast = product.into_iter().filter(|c| c.tier != EngineTier::Exact);
+            let twins = fast
+                .filter(|c| c.resolve_threads <= 2 && c.trial_threads == 1)
+                .filter(|c| (c.observe, c.self_check) == (Observe::None, 0))
+                .map(|c| Cell {
+                    observe: Observe::IdsSink,
+                    ..c
+                })
+                .flat_map(|c| [false, true].map(|shared_tables| Cell { shared_tables, ..c }));
+            std::iter::once(reference).chain(twins).collect()
         }
         Coverage::OneAxis | Coverage::OneAxisOnTree => product
             .into_iter()
@@ -785,15 +838,20 @@ fn check_case(case: &Case, coverage: Coverage) -> (usize, Reach) {
                 assert!(*events == first[i], "{ctx}: event stream differs");
             }
         }
-        let snapshots: Vec<Vec<u8>> = got.iter().map(|t| t.state.clone()).collect();
+        let snapshots: Vec<(Vec<u8>, EngineCounters)> =
+            got.iter().map(|t| (t.state.clone(), t.counters)).collect();
         let state_key = (cell.tier, cell.self_check);
         let (first, want) = states
             .entry(state_key)
             .or_insert((*cell, snapshots.clone()));
-        for (i, (s, w)) in snapshots.iter().zip(want.iter()).enumerate() {
+        for (i, ((s, c), (w, wc))) in snapshots.iter().zip(want.iter()).enumerate() {
             assert!(
                 s == w,
                 "{case}, {cell:?}, trial {i}: final snapshot differs from {first:?}'s"
+            );
+            assert_eq!(
+                c, wc,
+                "{case}, {cell:?}, trial {i}: counters differ from {first:?}'s"
             );
         }
         if let Some(events) = got.iter().map(|t| t.events.clone()).collect() {
@@ -887,6 +945,31 @@ oracle_tests! {
     clustered_radio: check_family(CLUSTERED, ChannelName::Radio);
     tile_tree_splits_rounds_sinr: check_family(LARGE, ChannelName::Sinr);
     tile_tree_splits_rounds_lossy: check_family(LARGE, ChannelName::Lossy);
+}
+
+/// Simulations over shared engine tables equal simulations over private
+/// ones: the small family (the gain cache; a one-tile tree) and the
+/// clustered one (a multi-level tree with brackets and fallbacks), under
+/// the stress plan, whose churn moves the tree's occupancy.
+#[test]
+fn shared_tables_match_private_tables() {
+    let cases: Vec<_> = [(SMALL, 3.0), (SMALL, 2.5), (CLUSTERED, 3.0)]
+        .into_iter()
+        .map(|(family, alpha)| {
+            let case = Case::new(family, alpha, ChannelName::Sinr, Plan::Stress);
+            (case, Coverage::SharedTables)
+        })
+        .collect();
+    for (case, coverage) in &cases {
+        let shared = cells(case, *coverage)
+            .iter()
+            .filter(|c| c.shared_tables)
+            .count();
+        // Gain cache at 1 resolve thread; the tile tree at 1 and 2; each
+        // uninterrupted and resumed.
+        assert_eq!(shared, 6, "{case}: shared cells");
+    }
+    check_cases("shared tables", &cases);
 }
 
 // ---------------------------------------------------------------------------
@@ -1344,7 +1427,7 @@ fn round_engines(scene: &Scene, tilings: &[usize], sample: u32) -> Vec<(RoundTie
         built.map(|e| ResolveEngine::Hierarchical(Box::new(e)))
     };
     let cache = |positions: &[Point], params: &SinrParams| {
-        GainCache::build_with_limit(positions, params, ROUND_CACHE_NODES)
+        GainCache::build_with_limit(positions, params, ROUND_CACHE_NODES).map(Arc::new)
     };
     let mut engines = vec![(RoundTier::Exact, Some(ResolveEngine::Exact))];
     let table = cache(positions, params);
