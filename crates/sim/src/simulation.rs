@@ -233,7 +233,8 @@ impl Simulation {
 
     /// Like [`Simulation::try_new`] over shared `positions` (say
     /// [`Deployment::shared_points`]) and a deployment's shared engine
-    /// `tables`: nothing geometric is copied or built, so every trial over one deployment can share one build of
+    /// `tables`: nothing geometric is copied or built, so every trial over
+    /// one deployment can share one build of
     /// [`SimConfig::build_tables`]. The engine serves `tables`' tier
     /// (`config.tier` is not read); tables built for other positions or
     /// SINR parameters are never consulted, so each round then takes the
